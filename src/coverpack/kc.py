@@ -36,6 +36,7 @@ from coverpack.model import (
     CoverpackError,
     CpipInstance,
     FractionalVector,
+    GuaranteeError,
     InstanceError,
     IntegerVector,
     Matrix,
@@ -190,7 +191,7 @@ def solve_lp_kc(
     bounds = tuple(None if v is None else Fraction(v) for v in d_floor)
     cuts: list[tuple[Vector, Fraction]] = []
     seen: set[tuple[frozenset, int]] = set()
-    last_objective = None
+    objectives: list[Fraction] = []
     pin_sets: list[tuple[int, ...]] = []
     for round_no in range(1, max_rounds + 1):
         problem = lp_from_instance(inst, upper_bounds=bounds, cut_rows=cuts)
@@ -200,8 +201,12 @@ def solve_lp_kc(
         if sol.status != "OPTIMAL":
             raise InstanceError(f"relaxation returned {sol.status}")
         # only valid rows were added, so values never decrease
-        assert last_objective is None or sol.objective_value >= last_objective
-        last_objective = sol.objective_value
+        if objectives and sol.objective_value < objectives[-1]:
+            raise GuaranteeError(
+                f"cut round {round_no} lowered the LP value from "
+                f"{objectives[-1]} to {sol.objective_value}"
+            )
+        objectives.append(sol.objective_value)
         x = sol.primal
         violated = find_violated_kc(inst, x, lam, d_floor, tol=tol, margin=margin)
         fresh = [(F, i, amt) for F, i, amt in violated if (F, i) not in seen]
@@ -212,6 +217,7 @@ def solve_lp_kc(
                         "rounds": round_no,
                         "cut_rows_added": len(cuts),
                         "pin_sets_seen": tuple(pin_sets),
+                        "round_objectives": tuple(objectives),
                         "objective": sol.objective_value,
                         "problem": problem,
                         "solution": sol,
@@ -286,7 +292,8 @@ def solve_cip_strict(
         residual_rows = cut_rows(system)
         for i, coeffs, rhs in residual_rows:
             # the relaxed point satisfies its own cuts, so this cannot fail
-            assert dot(coeffs, xres.values) >= rhs, f"residual row {i} uncovered"
+            if dot(coeffs, xres.values) < rhs:
+                raise GuaranteeError(f"residual row {i} uncovered by the relaxed point")
 
         info: dict = {}
         if residual_rows:
@@ -307,17 +314,27 @@ def solve_cip_strict(
         )
         relaxed_cost = dot(inst.c, xbar.values)
         pinned_cost = sum((inst.c[j] * plan.d_floor[j] for j in plan.F), ZERO)
-        assert pinned_cost <= (1 + eps) * relaxed_cost, "pinned cost above (1+eps) bound"
+        if pinned_cost > (1 + eps) * relaxed_cost:
+            raise GuaranteeError(
+                f"pinned cost {pinned_cost} above (1+eps) * {relaxed_cost}"
+            )
         cost = dot(inst.c, xhat.values)
         K = info.get("K", 0)
-        assert cost <= (1 + eps + 4 * K) * relaxed_cost, "cost above the (1 + eps + 4K) bound"
+        if cost > (1 + eps + 4 * K) * relaxed_cost:
+            raise GuaranteeError(
+                f"cost {cost} above (1 + eps + 4K) * {relaxed_cost} with K = {K}"
+            )
         violations = check_solution(inst, xhat, eps)
         if not violations.ok_strict:
             raise InstanceError(f"strict guarantees violated: {violations}")
 
-        # plain relaxation value, for gap reporting
-        base = solve_lp(lp_from_instance(inst))
-        fopt = base.objective_value if base.status == "OPTIMAL" else None
+        # Plain relaxation value, for gap reporting.  With integral d,
+        # floor(d) = d and round 1 of the cut loop solved exactly this LP.
+        if all(v is None or v.denominator == 1 for v in inst.d):
+            fopt = kc_info["round_objectives"][0]
+        else:
+            base = solve_lp(lp_from_instance(inst))
+            fopt = base.objective_value if base.status == "OPTIMAL" else None
     report = SolveReport(
         mode="strict",
         arithmetic=arithmetic,

@@ -49,6 +49,10 @@ class ParseError(InstanceError):
     """Instance document is not well formed."""
 
 
+class GuaranteeError(CoverpackError):
+    """A solver's own result broke a guarantee it proves; an internal fault."""
+
+
 def as_fraction(value, where: str = "value") -> Fraction:
     """Coerce an int, Fraction, float, or 'p/q'/decimal string exactly."""
     if isinstance(value, bool) or value is None:

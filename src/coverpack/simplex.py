@@ -1,10 +1,15 @@
 """Dense exact-arithmetic LP solver with primal/dual certificates.
 
-Two-phase primal simplex over ``fractions.Fraction``.  Everything is
-computed exactly, so an OPTIMAL result carries a primal point and a dual
-vector whose objectives agree with zero gap, and an INFEASIBLE result
-carries an exact Farkas ray.  Dense tableaus are fine at the scales this
-package targets (a few hundred rows including cut rows).
+Two-phase primal simplex in exact arithmetic.  Inside the tableau each
+row is a list of Python integers over one positive row denominator, and
+pivots are integer-preserving (Edmonds; Bareiss), so no ``Fraction`` is
+built while pivoting.  Every pivot choice compares the rationals the
+integers stand for, exactly.  Problems come in and results go out as
+``Fraction``: an OPTIMAL result carries a primal point and a dual vector
+whose objectives agree with zero gap, and an INFEASIBLE result carries
+an exact Farkas ray; ``verify_certificate`` checks them in ``Fraction``
+arithmetic.  Dense tableaus are fine at the scales this package targets
+(a few hundred rows including cut rows).
 
 Row order inside an ``LpProblem`` built from an instance is fixed and
 documented: covering rows, then packing rows, then any cut rows in
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from coverpack.model import (
@@ -143,8 +149,36 @@ def lp_from_instance(
     return LpProblem.from_data(inst.c, rows, bounds)
 
 
+def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int, nz: list[int]):
+    """``row/den - (row[e]/den) * prow/p`` as (integers, positive denominator).
+
+    ``prow/p`` is a pivot row whose entry ``e`` is ``p > 0``, so the result
+    is zero in column ``e``; only the columns ``nz`` where ``prow`` is
+    nonzero need the subtraction.  The result is divided by the gcd of its
+    entries and denominator.
+    """
+    f = row[e]
+    new = [v * p for v in row]
+    for j in nz:
+        new[j] -= f * prow[j]
+    den *= p
+    g = gcd(den, *new)
+    if g > 1:
+        new = [v // g for v in new]
+        den //= g
+    return new, den
+
+
 class _Tableau:
-    """Mutable simplex working state: internal rows are user rows then bound rows."""
+    """Mutable simplex working state: internal rows are user rows then bound rows.
+
+    Row ``i`` is held as integers ``T[i]`` over one positive denominator
+    ``den[i]``, so its tableau entries are the rationals ``T[i][j] / den[i]``
+    and its last entry is the right-hand side.  Pivots are integer-preserving
+    (Edmonds 1967, Bareiss 1968) and every rewritten row is reduced by the
+    gcd of its entries and denominator.  The objective row ``obj`` over
+    ``obj_den`` holds the reduced costs, with ``-z`` last.
+    """
 
     def __init__(self, p: LpProblem):
         n = len(p.objective)
@@ -183,7 +217,7 @@ class _Tableau:
         R = len(coeffs)
         self.n = n
         self.slack_of = list(range(n, n + R))
-        self.slack_sign = [ONE if s == LE else -ONE for s in senses]
+        self.slack_sign = [1 if s == LE else -1 for s in senses]
         art_cols = [i for i in range(R) if senses[i] == GE]
         self.art_of = {}
         ncols = n + R
@@ -191,109 +225,117 @@ class _Tableau:
             self.art_of[i] = ncols
             ncols += 1
         self.ncols = ncols
-        self.senses = senses
         self.flip = flip
 
-        self.T: list[list[Fraction]] = []
+        # Row i scaled by the lcm D of its denominators: slack and
+        # artificial entries become +-D.
+        self.T: list[list[int]] = []
+        self.den: list[int] = []
         self.basis: list[int] = []
-        self.row_ids = list(range(R))  # surviving internal-row identities
         for i in range(R):
-            trow = [ZERO] * (ncols + 1)
+            D = lcm(rhs[i].denominator, *(v.denominator for v in coeffs[i]))
+            trow = [0] * (ncols + 1)
             for j, v in enumerate(coeffs[i]):
-                trow[j] = v
-            trow[self.slack_of[i]] = self.slack_sign[i]
+                if v:
+                    trow[j] = v.numerator * (D // v.denominator)
+            trow[self.slack_of[i]] = self.slack_sign[i] * D
             if i in self.art_of:
-                trow[self.art_of[i]] = ONE
+                trow[self.art_of[i]] = D
                 self.basis.append(self.art_of[i])
             else:
                 self.basis.append(self.slack_of[i])
-            trow[ncols] = rhs[i]
+            trow[ncols] = rhs[i].numerator * (D // rhs[i].denominator)
             self.T.append(trow)
+            self.den.append(D)
         self.artificial = set(self.art_of.values())
+        self.obj: list[int] = []  # set by price()
+        self.obj_den = 1
         self.iterations = 0
 
-    def reduced_costs(self, cost: list[Fraction]) -> tuple[list[Fraction], Fraction]:
-        rc = list(cost)
-        z = ZERO
+    def price(self, cost: list[Fraction]) -> None:
+        """Set the objective row to the reduced costs of ``cost`` for the current basis."""
+        D = lcm(*(c.denominator for c in cost))
+        obj = [c.numerator * (D // c.denominator) for c in cost] + [0]
         for i, bi in enumerate(self.basis):
-            cb = cost[bi]
-            if cb == 0:
-                continue
-            trow = self.T[i]
-            for j in range(self.ncols):
-                if trow[j] != 0:
-                    rc[j] -= cb * trow[j]
-            z += cb * trow[self.ncols]
-        return rc, z
+            # the basic entry of row i is den[i], i.e. one
+            if obj[bi]:
+                nz = [j for j, v in enumerate(self.T[i]) if v]
+                obj, D = _eliminate(obj, D, self.T[i], self.den[i], bi, nz)
+        self.obj, self.obj_den = obj, D
 
-    def pivot(self, r: int, e: int, rc: list[Fraction]) -> Fraction:
-        """Pivot basis row r on column e; updates rc and returns dz."""
-        trow = self.T[r]
-        piv = trow[e]
-        inv = ONE / piv
-        for j in range(self.ncols + 1):
-            if trow[j] != 0:
-                trow[j] *= inv
-        for i, other in enumerate(self.T):
-            if i == r or other[e] == 0:
-                continue
-            f = other[e]
-            for j in range(self.ncols + 1):
-                if trow[j] != 0:
-                    other[j] -= f * trow[j]
-        dz = ZERO
-        if rc[e] != 0:
-            f = rc[e]
-            for j in range(self.ncols):
-                if trow[j] != 0:
-                    rc[j] -= f * trow[j]
-            dz = f * trow[self.ncols]  # objective moves by rc[e] * entering value
+    def objective(self) -> Fraction:
+        """Current objective value z of the priced cost."""
+        return Fraction(-self.obj[self.ncols], self.obj_den)
+
+    def pivot(self, r: int, e: int) -> None:
+        """Pivot basis row r on column e, updating the objective row too."""
+        prow = self.T[r]
+        p = prow[e]
+        if p < 0:
+            prow = [-v for v in prow]
+            p = -p
+        g = gcd(*prow)
+        if g > 1:
+            prow = [v // g for v in prow]
+            p //= g
+        self.T[r] = prow
+        self.den[r] = p
+        nz = [j for j, v in enumerate(prow) if v]
+        T, dens = self.T, self.den
+        for i, row in enumerate(T):
+            if i != r and row[e]:
+                T[i], dens[i] = _eliminate(row, dens[i], prow, p, e, nz)
+        if self.obj[e]:
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, e, nz)
         self.basis[r] = e
-        return dz
 
-    def run(self, cost, *, forbid, bland_after: int, max_iters: int):
-        """Minimize cost over the current tableau; returns (rc, z) at optimality."""
-        rc, z = self.reduced_costs(cost)
+    def run(self, cost, *, forbid, bland_after: int, max_iters: int) -> bool:
+        """Minimize cost over the current tableau; False if it is unbounded.
+
+        Reduced costs share the positive denominator ``obj_den``, so they
+        compare by numerator.  The ratio ``T[i][-1] / T[i][e]`` of a row is
+        free of its denominator and compares by cross-multiplication.
+        """
+        self.price(cost)
+        rhs = self.ncols
         degenerate_streak = 0
         while True:
+            obj = self.obj
             use_bland = degenerate_streak >= bland_after
             enter = -1
             if use_bland:
                 for j in range(self.ncols):
-                    if j not in forbid and rc[j] < 0:
+                    if j not in forbid and obj[j] < 0:
                         enter = j
                         break
             else:
-                best = ZERO
+                best = 0
                 for j in range(self.ncols):
-                    if j not in forbid and rc[j] < best:
-                        best = rc[j]
+                    if j not in forbid and obj[j] < best:
+                        best = obj[j]
                         enter = j
             if enter < 0:
-                return rc, z
+                return True
             leave = -1
-            best_ratio = None
             for i, trow in enumerate(self.T):
                 aie = trow[enter]
                 if aie <= 0:
                     continue
-                ratio = trow[self.ncols] / aie
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and self.basis[i] < self.basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
+                if leave >= 0:  # keep the smaller rhs/aie, ties to lower basis index
+                    lhs, rgt = trow[rhs] * best_aie, best_rhs * aie
+                    if lhs > rgt or (lhs == rgt and self.basis[i] > self.basis[leave]):
+                        continue
+                best_rhs, best_aie, leave = trow[rhs], aie, i
             if leave < 0:
-                return rc, None  # unbounded direction on column `enter`
+                return False  # unbounded direction on column `enter`
             if self.iterations >= max_iters:
                 raise IterationLimitError(
-                    f"simplex exceeded {max_iters} pivots", best_objective=z
+                    f"simplex exceeded {max_iters} pivots",
+                    best_objective=self.objective(),
                 )
             self.iterations += 1
-            degenerate_streak = degenerate_streak + 1 if best_ratio == 0 else 0
-            z += self.pivot(leave, enter, rc)
+            degenerate_streak = degenerate_streak + 1 if best_rhs == 0 else 0
+            self.pivot(leave, enter)
 
 
 def solve_lp(
@@ -314,14 +356,12 @@ def solve_lp(
     phase1_cost = [ZERO] * t.ncols
     for col in t.artificial:
         phase1_cost[col] = ONE
-    rc1, z1 = t.run(
+    if not t.run(
         phase1_cost, forbid=frozenset(), bland_after=bland_after, max_iters=max_iters
-    )
-    if z1 is None:  # cannot happen: phase-1 objective is bounded below by 0
+    ):  # cannot happen: phase-1 objective is bounded below by 0
         raise LpError("phase 1 reported unbounded")
-    if z1 > 0:
-        ray = _extract_duals(t, rc1)
-        ray_rows, ray_bounds = _split_duals(p, t, ray)
+    if t.objective() > 0:
+        ray_rows, ray_bounds = _split_duals(p, t, _extract_duals(t))
         return LpSolution(
             status="INFEASIBLE",
             primal=None,
@@ -338,10 +378,9 @@ def solve_lp(
     phase2_cost = [ZERO] * t.ncols
     for j in range(t.n):
         phase2_cost[j] = p.objective[j]
-    rc2, z2 = t.run(
+    if not t.run(
         phase2_cost, forbid=t.artificial, bland_after=bland_after, max_iters=max_iters
-    )
-    if z2 is None:
+    ):
         return LpSolution(
             status="UNBOUNDED",
             primal=None,
@@ -355,13 +394,12 @@ def solve_lp(
     x = [ZERO] * t.n
     for i, bi in enumerate(t.basis):
         if bi < t.n:
-            x[bi] = t.T[i][t.ncols]
-    duals = _extract_duals(t, rc2)
-    dual_rows, dual_bounds = _split_duals(p, t, duals)
+            x[bi] = Fraction(t.T[i][t.ncols], t.den[i])
+    dual_rows, dual_bounds = _split_duals(p, t, _extract_duals(t))
     return LpSolution(
         status="OPTIMAL",
         primal=FractionalVector(tuple(x)),
-        objective_value=z2,
+        objective_value=t.objective(),
         dual_rows=dual_rows,
         dual_bounds=dual_bounds,
         ray_rows=None,
@@ -387,19 +425,19 @@ def _drive_out_artificials(t: _Tableau) -> None:
             -1,
         )
         if enter >= 0:
-            t.pivot(i, enter, [ZERO] * t.ncols)
+            t.pivot(i, enter)
             i += 1
         else:
-            del t.T[i], t.basis[i], t.row_ids[i]
+            del t.T[i], t.den[i], t.basis[i]
 
 
-def _extract_duals(t: _Tableau, rc: list[Fraction]) -> list[Fraction]:
+def _extract_duals(t: _Tableau) -> list[Fraction]:
     """Dual value per original internal row, from its slack reduced cost."""
-    duals = [ZERO] * (t.num_user_rows + len(t.bound_row_var))
-    for internal in range(len(duals)):
-        # rc[slack] = -sign * y, so y = -sign * rc[slack].
-        duals[internal] = -t.slack_sign[internal] * rc[t.slack_of[internal]]
-    return duals
+    # rc[slack] = -sign * y, so y = -sign * rc[slack].
+    return [
+        Fraction(-t.slack_sign[internal] * t.obj[t.slack_of[internal]], t.obj_den)
+        for internal in range(t.num_user_rows + len(t.bound_row_var))
+    ]
 
 
 def _split_duals(p: LpProblem, t: _Tableau, duals: list[Fraction]):

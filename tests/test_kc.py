@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from coverpack import kc
 from coverpack.genbench import gen_random_cpip, knapsack_gap
 from coverpack.kc import (
     CutLoopLimitError,
@@ -15,7 +16,8 @@ from coverpack.kc import (
     solve_cip_strict,
     solve_lp_kc,
 )
-from coverpack.model import InstanceError, dot, normalize_width
+from coverpack.model import GuaranteeError, InstanceError, IntegerVector, dot, normalize_width
+from coverpack.simplex import lp_from_instance, solve_lp
 from coverpack.oracle import brute_force_opt
 from coverpack.rounding import solve_cpip_bicriteria
 from conftest import F, make_inst
@@ -209,3 +211,32 @@ class TestSolveCipStrict:
             for j in report.pinned:
                 assert xhat[j] == 1  # floor(3/2)
         assert report.cost == brute_force_opt(inst).cost
+
+    def test_plain_relaxation_reused_when_bounds_integral(self, monkeypatch):
+        calls = []
+
+        def counting_solve_lp(problem):
+            calls.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(kc, "solve_lp", counting_solve_lp)
+        integral = normalize_width(gen_random_cpip(4, 5, 1, seed=3, d_max=3))
+        fractional = make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None])
+        for inst, extra in ((integral, 0), (fractional, 1)):
+            calls.clear()
+            _, report = solve_cip_strict(inst, F(1, 2))
+            assert len(calls) == report.lp_rounds + extra
+            assert report.fopt == solve_lp(lp_from_instance(inst)).objective_value
+
+    def test_cost_bound_breach_raises(self, monkeypatch):
+        inst = normalize_width(gen_random_cpip(3, 4, 1, seed=17))
+        inst = make_inst(
+            A=inst.A, a=inst.a, c=inst.c, d=[None] * inst.n, B=inst.B, b=inst.b
+        )
+        monkeypatch.setattr(
+            kc,
+            "bicriteria_round",
+            lambda *args, **kwargs: IntegerVector((10**6,) * inst.n),
+        )
+        with pytest.raises(GuaranteeError, match="cost"):
+            solve_cip_strict(inst, 1)

@@ -2,11 +2,14 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverpack.genbench import gen_random_cpip
 from coverpack.model import normalize_width, parse_instance
 from coverpack.simplex import (
     GE,
+    LE,
     IterationLimitError,
     LpProblem,
     NumericalInstabilityError,
@@ -58,8 +61,43 @@ def test_matches_vertex_enumeration_oracle():
         assert s.objective_value == vertex_enum_optimum(p)
 
 
-def test_matches_scipy_on_larger_instances():
+def _scipy_linprog(p):
+    """scipy HiGHS on the same problem, with every row as A_ub x <= b_ub."""
     scipy_opt = pytest.importorskip("scipy.optimize")
+    A_ub, b_ub = [], []
+    for row in p.rows:
+        sign = -1 if row.sense == GE else 1
+        A_ub.append([sign * float(v) for v in row.coeffs])
+        b_ub.append(sign * float(row.rhs))
+    bounds = [(0, None if u is None else float(u)) for u in p.var_bounds]
+    return scipy_opt.linprog(
+        [float(v) for v in p.objective],
+        A_ub=A_ub or None,
+        b_ub=b_ub or None,
+        bounds=bounds,
+        method="highs",
+    )
+
+
+def _farkas_certifies(p, s):
+    """The ray combines rows and bounds into 'nonpositive . x >= positive'."""
+    for y, row in zip(s.ray_rows, p.rows):
+        if (row.sense == GE and y < 0) or (row.sense == LE and y > 0):
+            return False
+    if any(yb > 0 for yb in s.ray_bounds):
+        return False
+    for j in range(len(p.objective)):
+        combo = sum((y * row.coeffs[j] for y, row in zip(s.ray_rows, p.rows)), F(0))
+        if combo + s.ray_bounds[j] > 0:
+            return False
+    rhs = sum((y * row.rhs for y, row in zip(s.ray_rows, p.rows)), F(0))
+    rhs += sum(
+        (yb * u for yb, u in zip(s.ray_bounds, p.var_bounds) if u is not None), F(0)
+    )
+    return rhs > 0
+
+
+def test_matches_scipy_on_larger_instances():
     rng = random.Random(77)
     for trial in range(50):
         m, n, r = rng.randint(2, 10), rng.randint(2, 10), rng.randint(0, 3)
@@ -67,22 +105,89 @@ def test_matches_scipy_on_larger_instances():
         p = lp_from_instance(inst)
         s = solve_lp(p)
         assert s.status == "OPTIMAL"
-        A_ub, b_ub = [], []
-        for row in p.rows:
-            sign = -1 if row.sense == GE else 1
-            A_ub.append([sign * float(v) for v in row.coeffs])
-            b_ub.append(sign * float(row.rhs))
-        bounds = [(0, None if u is None else float(u)) for u in p.var_bounds]
-        res = scipy_opt.linprog(
-            [float(v) for v in p.objective],
-            A_ub=A_ub,
-            b_ub=b_ub,
-            bounds=bounds,
-            method="highs",
-        )
+        res = _scipy_linprog(p)
         assert res.status == 0
         mine = float(s.objective_value)
         assert abs(mine - res.fun) <= 1e-6 * (1 + abs(mine))
+
+
+_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def general_lps(draw):
+    """Small LPs with rational data, negative rhs, mixed senses and free bounds."""
+    n = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.lists(_rationals, min_size=n, max_size=n),
+                st.sampled_from([GE, LE]),
+                _rationals,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    bounds = draw(
+        st.lists(
+            st.one_of(st.none(), st.builds(F, st.integers(0, 6), st.integers(1, 3))),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    objective = draw(st.lists(_rationals, min_size=n, max_size=n))
+    return LpProblem.from_data(objective, rows, bounds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_lps())
+def test_status_and_certificates_match_scipy(p):
+    s = solve_lp(p)
+    res = _scipy_linprog(p)
+    assert s.status == {0: "OPTIMAL", 2: "INFEASIBLE", 3: "UNBOUNDED"}[res.status]
+    if s.status == "OPTIMAL":
+        assert verify_certificate(p, s, 0) == []
+        mine = float(s.objective_value)
+        assert abs(mine - res.fun) <= 1e-6 * (1 + abs(mine))
+    elif s.status == "INFEASIBLE":
+        assert _farkas_certifies(p, s)
+
+
+def test_bland_rule_from_first_pivot():
+    # Beale's example cycles under the largest-coefficient rule alone;
+    # Bland's rule, from the first pivot or after a degenerate streak, ends it.
+    p = LpProblem.from_data(
+        [F(-3, 4), 20, F(-1, 2), 6],
+        [
+            ((F(1, 4), -8, -1, 9), LE, 0),
+            ((F(1, 2), -12, F(-1, 2), 3), LE, 0),
+            ((0, 0, 1, 0), LE, 1),
+        ],
+        [None] * 4,
+    )
+    with pytest.raises(IterationLimitError):
+        solve_lp(p, bland_after=10**9, max_iters=500)
+    for bland_after in (0, 40):
+        s = solve_lp(p, bland_after=bland_after)
+        assert s.status == "OPTIMAL"
+        assert s.objective_value == F(-5, 4)
+        assert verify_certificate(p, s, 0) == []
+    for seed in range(5):
+        p = lp_from_instance(gen_random_cpip(6, 8, 2, seed=seed))
+        s = solve_lp(p, bland_after=0)
+        assert verify_certificate(p, s, 0) == []
+        assert s.objective_value == solve_lp(p).objective_value
+
+
+@pytest.mark.parametrize(
+    "shape, iterations, objective",
+    [((10, 15, 2, 1), 31, F(91561, 2250)), ((20, 30, 3, 1), 129, F(985, 12))],
+)
+def test_pivot_path_pinned(shape, iterations, objective):
+    # a faster pivot must not silently change the vertex path
+    s = solve_lp(lp_from_instance(gen_random_cpip(*shape)))
+    assert (s.status, s.iterations, s.objective_value) == ("OPTIMAL", iterations, objective)
 
 
 def test_certificate_flags_perturbed_primal():
