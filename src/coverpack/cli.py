@@ -9,7 +9,9 @@ Subcommands over the JSON instance document format:
 * ``bench``  -- run the benchmark harness over generated families
 * ``check``  -- violation report for a candidate solution vector
 
-Exit codes: 0 success, 1 infeasible, 2 usage or document errors.  All
+Exit codes: 0 success, 1 infeasible, 2 usage or document errors, 3 a
+solver limit (pivot budget or cut rounds), 4 an internal fault (a
+rounding, estimator, guarantee or numerical failure).  All
 randomness flows from --seed (default 0, never wall clock), so every run
 is reproducible.  Machine output is one JSON report per line.
 """
@@ -50,11 +52,19 @@ from coverpack.rounding import (
     granular_round,
     randomized_round,
 )
-from coverpack.simplex import InfeasibleError, lp_from_instance, solve_lp, verify_certificate
+from coverpack.simplex import (
+    InfeasibleError,
+    IterationLimitError,
+    lp_from_instance,
+    solve_lp,
+    verify_certificate,
+)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
+EXIT_LIMIT = 3
+EXIT_FAULT = 4
 
 
 @dataclass(frozen=True)
@@ -406,15 +416,15 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except CutLoopLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    except (IterationLimitError, CutLoopLimitError) as exc:
+        print(f"limit: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except (ParseError, InstanceError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CoverpackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"internal fault ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

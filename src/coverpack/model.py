@@ -70,7 +70,7 @@ def as_fraction(value, where: str = "value") -> Fraction:
 
 
 def dot(u: Sequence[Fraction], v: Sequence) -> Fraction:
-    return sum((ui * vi for ui, vi in zip(u, v)), Fraction(0))
+    return sum((ui * vi for ui, vi in zip(u, v) if ui), Fraction(0))
 
 
 def mat_vec(rows: Matrix, x: Sequence) -> Vector:

@@ -120,97 +120,73 @@ def _active_cover(A, a):
 
 
 def _system_width(A, a, active) -> Fraction:
-    ratios = [
-        a[i] / A[i][j] for i in active for j in range(len(A[i])) if A[i][j] > 0
-    ]
+    # A is nonnegative (CpipInstance checks it), so nonzero means positive
+    ratios = [a[i] / aij for i in active for aij in A[i] if aij]
     if not ratios:
         raise InstanceError("no covering structure: A is all zeros on demanded rows")
     return min(ratios)
 
 
 class EstimatorState:
-    """Pessimistic-estimator bookkeeping for one derandomization run.
+    """Incremental pessimistic estimator for one derandomization run.
 
-    phi() = cost_term + sum_i row_terms[i], where the cost term is the
-    conditional expectation of cost / (2 L cost(xbar)) and each row term
-    is exp(t W) times the conditional exponential moment E[exp(-t S_i)]
-    for S_i = sum_j w_ij xhat_j with weights w_ij = A_ij W / a_i in [0,1].
-    The exponential-moment parameter is t = ln L, the choice that makes
-    the scaled threshold coincide with the demands.  Terms are accumulated
-    in log space so large t W cannot overflow.
+    phi() = cost term + sum_i exp(E_i).  The cost term is the conditional
+    expectation of cost / (2 L cost(xbar)).  E_i is the log of exp(t W)
+    times the conditional exponential moment E[exp(-t S_i)] for
+    S_i = sum_j w_ij xhat_j, with weights w_ij = A_ij W / a_i in [0,1] and
+    t = ln L, the choice that makes the scaled threshold coincide with the
+    demands.  Working with E_i in log space keeps large t W from
+    overflowing; each exp() is clamped at 60, which only bites when the
+    width precondition is violated and makes the phi >= 1 check fire.
+
+    The state is one log-exponent E_i per active row, one running
+    expected cost, and for each column j a list of (row slot, t w_ij,
+    log E[exp(-t w_ij B_j)]) over the rows with A_ij > 0.  Deciding and
+    fixing coordinate j touch only the rows in its list, so after one scan
+    of A a full run is O(nnz) float work; phi() itself is O(m).
     """
 
     def __init__(self, xprime, A, a, c, L, active, W):
-        self.n = len(xprime)
-        self.active = active
-        self.t = math.log(float(L))
-        self.W = float(W)
+        t = math.log(float(L))
         self.floors = [math.floor(v) for v in xprime]
         self.fracs = [float(v - math.floor(v)) for v in xprime]
-        self.weights = {
-            i: [float(Fraction(A[i][j]) * W / a[i]) for j in range(self.n)]
-            for i in active
-        }
-        # log E[exp(-t w_ij B_j)] for the Bernoulli part of coordinate j
-        self.log_bern = {
-            i: [
-                math.log1p(self.fracs[j] * math.expm1(-self.t * self.weights[i][j]))
-                for j in range(self.n)
-            ]
-            for i in active
-        }
         self.costs = [float(v) for v in c]
         # 2 L c.xbar = 2 c.xprime since xprime = L xbar; zero iff c.xbar == 0.
         self.cost_denom = 2.0 * float(dot(c, xprime))
-        self.fixed: list[int | None] = [None] * self.n
-        self.fixed_prefix = 0
-
-    def _cost_term(self) -> float:
-        if self.cost_denom == 0.0:
-            return 0.0
-        expected = 0.0
-        for j in range(self.n):
-            if self.fixed[j] is not None:
-                expected += self.costs[j] * self.fixed[j]
-            else:
-                expected += self.costs[j] * (self.floors[j] + self.fracs[j])
-        return expected / self.cost_denom
-
-    def _row_term(self, i: int) -> float:
-        w = self.weights[i]
-        exponent = self.t * self.W
-        for j in range(self.n):
-            if self.fixed[j] is not None:
-                exponent -= self.t * w[j] * self.fixed[j]
-            else:
-                exponent -= self.t * w[j] * self.floors[j]
-                exponent += self.log_bern[i][j]
-        # exp() of a huge positive exponent only happens when the width
-        # precondition is violated; clamp so the phi >= 1 check fires
-        # instead of an overflow.
-        return math.exp(min(exponent, 60.0))
-
-    @property
-    def cost_term(self) -> float:
-        return self._cost_term()
-
-    @property
-    def row_terms(self) -> dict[int, float]:
-        return {i: self._row_term(i) for i in self.active}
+        self.expected_cost = 0.0
+        for j, cj in enumerate(self.costs):
+            self.expected_cost += cj * (self.floors[j] + self.fracs[j])
+        self.exponents = [t * float(W)] * len(active)
+        self.columns: list[list[tuple[int, float, float]]] = []
+        for j, (fl, frac) in enumerate(zip(self.floors, self.fracs)):
+            column = []
+            for k, i in enumerate(active):
+                if A[i][j]:
+                    tw = t * float(Fraction(A[i][j]) * W / a[i])
+                    log_bern = math.log1p(frac * math.expm1(-tw))
+                    # a zero entry would add only -0.0, so skipping it
+                    # leaves the starting exponent bit-identical
+                    self.exponents[k] = self.exponents[k] - tw * fl + log_bern
+                    column.append((k, tw, log_bern))
+            self.columns.append(column)
 
     def phi(self) -> float:
-        return self._cost_term() + sum(self._row_term(i) for i in self.active)
+        cost_term = self.expected_cost / self.cost_denom if self.cost_denom else 0.0
+        return cost_term + sum(math.exp(min(e, 60.0)) for e in self.exponents)
 
-    def phi_if(self, j: int, value: int) -> float:
-        saved = self.fixed[j]
-        self.fixed[j] = value
-        p = self.phi()
-        self.fixed[j] = saved
-        return p
+    def prefers_ceiling(self, j: int) -> bool:
+        """True iff phi(x_j = floor + 1) < phi(x_j = floor); ties go to the floor."""
+        diff = -self.costs[j] / self.cost_denom if self.cost_denom else 0.0
+        for k, tw, log_bern in self.columns[j]:
+            e_floor = self.exponents[k] - log_bern
+            diff += math.exp(min(e_floor, 60.0)) - math.exp(min(e_floor - tw, 60.0))
+        return diff > 0.0
 
     def fix(self, j: int, value: int) -> None:
-        self.fixed[j] = value
-        self.fixed_prefix += 1
+        up = value - self.floors[j]
+        self.expected_cost += self.costs[j] * (up - self.fracs[j])
+        for k, tw, log_bern in self.columns[j]:
+            self.exponents[k] = self.exponents[k] - log_bern - tw * up
 
 
 def derandomized_round(
@@ -251,12 +227,7 @@ def derandomized_round(
     xhat = [0] * n
     for j in range(n):
         fl = state.floors[j]
-        if state.fracs[j] == 0.0:
-            choice = fl
-        else:
-            phi_floor = state.phi_if(j, fl)
-            phi_ceil = state.phi_if(j, fl + 1)
-            choice = fl if phi_floor <= phi_ceil else fl + 1
+        choice = fl + 1 if state.fracs[j] and state.prefers_ceiling(j) else fl
         state.fix(j, choice)
         xhat[j] = choice
         if trace_out is not None:
@@ -279,26 +250,29 @@ def _trim_surplus(xhat: list[int], A, a, c, active, floors=None) -> None:
     all upper-bound and coverage guarantees survive.
     """
     slack = [dot(A[i], xhat) - a[i] for i in active]
+    # nonzero (slot, A_ij) pairs of each column; a zero entry would only
+    # test slack >= 0, which every step keeps
+    columns = [
+        [(k, A[i][j]) for k, i in enumerate(active) if A[i][j]]
+        for j in range(len(xhat))
+    ]
 
     def remove(j: int, units: int) -> None:
         xhat[j] -= units
-        for k, i in enumerate(active):
-            slack[k] -= A[i][j] * units
+        for k, aij in columns[j]:
+            slack[k] -= aij * units
 
     if floors is not None:
         for j in range(len(xhat)):
-            while xhat[j] > floors[j] and all(
-                slack[k] >= A[i][j] for k, i in enumerate(active)
-            ):
+            while xhat[j] > floors[j] and all(slack[k] >= aij for k, aij in columns[j]):
                 remove(j, 1)
     order = sorted(range(len(xhat)), key=lambda j: (-c[j], j))
     for j in order:
         if xhat[j] == 0:
             continue
         removable = xhat[j]
-        for k, i in enumerate(active):
-            if A[i][j] > 0:
-                removable = min(removable, math.floor(slack[k] / A[i][j]))
+        for k, aij in columns[j]:
+            removable = min(removable, math.floor(slack[k] / aij))
         if removable > 0:
             remove(j, removable)
 

@@ -1,13 +1,18 @@
 """Acceptance suite: every guarantee the package claims, checked end to end.
 
-Each test prints one PASS/FAIL line (visible with ``pytest -s``); the
-asserts are the gate.  AC-8 re-verifies LP certificates collected from
-the runs of AC-1 through AC-7, so test order inside this module matters.
+Each criterion prints one PASS/FAIL line (visible with ``pytest -s``);
+the asserts are the gate.  AC-8 re-verifies the LP certificates of every
+other criterion's runs.  The criteria record what they solve in a
+module-scoped ``Ledger`` and each runs once per module, whichever test
+asks first, so any test can be selected or reordered on its own.
 """
 
+import functools
 import math
 import random
 import time
+
+import pytest
 
 from coverpack.genbench import gen_multiset_multicover, gen_random_cpip, knapsack_gap
 from coverpack.kc import cut_rows, floor_bounds, kc_system, solve_cip_strict, solve_lp_kc
@@ -24,21 +29,47 @@ from conftest import F
 
 DELTAS = (F(1, 2), F(1, 10), F(1, 100), F(1, 1000))
 
-# collected by AC-1..AC-7 for the certificate audit in AC-8
-LP_SOLVES: list = []
-REPORTS: list = []
-GAP_RESULTS: dict = {}
+
+class Ledger:
+    """What the criteria solved, for the certificate audit in AC-8."""
+
+    def __init__(self):
+        self.lp_solves: list = []
+        self.reports: list = []
+        self.gap_results: dict = {}
+        self._done: set = set()
+
+    def run(self, body) -> None:
+        """Run ``body(self)`` unless it already passed in this module."""
+        if body not in self._done:
+            body(self)
+            self._done.add(body)
+
+
+@pytest.fixture(scope="module")
+def ledger():
+    return Ledger()
+
+
+def criterion(body):
+    """Make ``body(ledger)`` a test that runs at most once per module."""
+
+    @functools.wraps(body)
+    def test(ledger):
+        ledger.run(body)
+
+    return test
 
 
 def _line(name: str, ok: bool, detail: str = "") -> None:
     print(f"\n{name}: {'PASS' if ok else 'FAIL'}  {detail}")
 
 
-def _lp_opt(inst):
+def _lp_opt(ledger, inst):
     problem = lp_from_instance(inst)
     sol = solve_lp(problem)
     assert sol.status == "OPTIMAL"
-    LP_SOLVES.append((problem, sol))
+    ledger.lp_solves.append((problem, sol))
     return sol
 
 
@@ -49,28 +80,29 @@ def _random_cip(seed: int, max_m: int = 12, max_n: int = 12):
     return normalize_width(gen_random_cpip(m, n, 0, seed=seed, d_max=4))
 
 
-def test_ac1_gap_family_exact_values():
+@criterion
+def test_ac1_gap_family_exact_values(ledger):
     worst = 0.0
     for delta in DELTAS:
         start = time.perf_counter()
         inst = knapsack_gap(delta)
-        sol = _lp_opt(inst)
+        sol = _lp_opt(ledger, inst)
         assert abs(sol.objective_value - delta) <= F(1, 10**9)
         oracle = brute_force_opt(inst)
         assert oracle.cost == 1
         info: dict = {}
         solve_lp_kc(inst, 2, info=info)
-        LP_SOLVES.append((info["problem"], info["solution"]))
+        ledger.lp_solves.append((info["problem"], info["solution"]))
         assert info["objective"] >= 1 - F(1, 10**9)
         xhat, report = solve_cip_strict(inst, 1)
-        REPORTS.append(report)
+        ledger.reports.append(report)
         assert report.cost == 1
         for j in range(inst.n):
             assert inst.d[j] is None or xhat[j] <= inst.d[j]
         elapsed = time.perf_counter() - start
         worst = max(worst, elapsed)
         assert elapsed < 1.0
-        GAP_RESULTS[delta] = {
+        ledger.gap_results[delta] = {
             "fopt": sol.objective_value,
             "opt": oracle.cost,
             "kc_value": info["objective"],
@@ -79,12 +111,13 @@ def test_ac1_gap_family_exact_values():
     _line("AC-1", True, f"gap family exact at all deltas; worst {worst:.3f}s/delta")
 
 
-def test_ac2_derandomization_never_fails():
+@criterion
+def test_ac2_derandomization_never_fails(ledger):
     start = time.perf_counter()
     count = 0
     for seed in range(500):
         inst = _random_cip(seed)
-        sol = _lp_opt(inst)
+        sol = _lp_opt(ledger, inst)
         xbar = sol.primal.values
         L = compute_scale_factor(inst.m, metrics(inst).width)
         trace: list = []
@@ -101,12 +134,13 @@ def test_ac2_derandomization_never_fails():
     _line("AC-2", True, f"{count} instances, zero failures, {elapsed:.1f}s")
 
 
-def test_ac3_granularity_exact():
+@criterion
+def test_ac3_granularity_exact(ledger):
     start = time.perf_counter()
     runs = 0
     for seed in range(200):
         inst = _random_cip(1000 + seed, max_m=8, max_n=8)
-        sol = _lp_opt(inst)
+        sol = _lp_opt(ledger, inst)
         xbar = sol.primal.values
         W = metrics(inst).width
         for K in (2, 3, 4, 8, 16):
@@ -122,7 +156,8 @@ def test_ac3_granularity_exact():
     _line("AC-3", True, f"{runs} granular runs exact, {elapsed:.1f}s")
 
 
-def test_ac4_bicriteria_guarantees_with_packing():
+@criterion
+def test_ac4_bicriteria_guarantees_with_packing(ledger):
     violations = 0
     runs = 0
     for seed in range(200):
@@ -135,7 +170,7 @@ def test_ac4_bicriteria_guarantees_with_packing():
         beta = inst.beta()
         for eps in (F(1, 4), F(1, 2), F(1)):
             xhat, report = solve_cpip_bicriteria(inst, eps)
-            REPORTS.append(report)
+            ledger.reports.append(report)
             fopt = report.fopt
             K = max(1, math.ceil(
                 4 * math.log(2 * inst.m) / (float(met.width) * float(eps) ** 2)
@@ -154,7 +189,8 @@ def test_ac4_bicriteria_guarantees_with_packing():
     _line("AC-4", violations == 0, f"{runs} runs, {violations} violations")
 
 
-def test_ac5_strict_guarantees_and_oracle_ratio():
+@criterion
+def test_ac5_strict_guarantees_and_oracle_ratio(ledger):
     ratios = []
     budget = OracleBudget(max_points=500_000)
     for seed in range(100):
@@ -171,7 +207,7 @@ def test_ac5_strict_guarantees_and_oracle_ratio():
             )
         eps = F(1)
         xhat, report = solve_cip_strict(inst, eps)
-        REPORTS.append(report)
+        ledger.reports.append(report)
         for j in range(inst.n):
             if inst.d[j] is not None:
                 assert xhat[j] <= inst.d[j]  # zero tolerance
@@ -206,10 +242,11 @@ def test_ac6_kc_validity_and_width():
     _line("AC-6", True, "50 instances exhaustively valid; every residual row width >= 1")
 
 
-def test_ac7_integrality_gap_contrast():
-    assert set(GAP_RESULTS) == set(DELTAS), "AC-1 must run first"
+@criterion
+def test_ac7_integrality_gap_contrast(ledger):
+    test_ac1_gap_family_exact_values(ledger)
     for delta in DELTAS:
-        res = GAP_RESULTS[delta]
+        res = ledger.gap_results[delta]
         assert res["opt"] / res["fopt"] == 1 / delta  # plain relaxation gap blows up
         assert res["strict_cost"] / res["opt"] == 1  # cut-strengthened route closes it
     detail = ", ".join(
@@ -218,17 +255,30 @@ def test_ac7_integrality_gap_contrast():
     _line("AC-7", True, detail)
 
 
-def test_ac8_lp_certificates():
-    assert LP_SOLVES, "earlier criteria must run first"
+def test_ac8_lp_certificates(ledger):
+    for criterion_test in (
+        test_ac1_gap_family_exact_values,
+        test_ac2_derandomization_never_fails,
+        test_ac3_granularity_exact,
+        test_ac4_bicriteria_guarantees_with_packing,
+        test_ac5_strict_guarantees_and_oracle_ratio,
+        test_ac9_additive_one_multiplicity,
+    ):
+        criterion_test(ledger)
+    assert ledger.lp_solves and ledger.reports
     tol = 1e-7
-    for problem, sol in LP_SOLVES:
+    for problem, sol in ledger.lp_solves:
         assert verify_certificate(problem, sol, tol) == []
-    assert REPORTS
-    assert all(r.certificate_ok for r in REPORTS if r.certificate_ok is not None)
-    _line("AC-8", True, f"{len(LP_SOLVES)} raw solves + {len(REPORTS)} pipeline reports certified")
+    assert all(r.certificate_ok for r in ledger.reports if r.certificate_ok is not None)
+    _line(
+        "AC-8",
+        True,
+        f"{len(ledger.lp_solves)} raw solves + {len(ledger.reports)} pipeline reports certified",
+    )
 
 
-def test_ac9_additive_one_multiplicity():
+@criterion
+def test_ac9_additive_one_multiplicity(ledger):
     # eps = 1/(2 max_j d_j) with max d_j = 2
     eps = F(1, 4)
     for seed in range(50):
@@ -238,7 +288,7 @@ def test_ac9_additive_one_multiplicity():
         )
         assert max(inst.d) == 2
         xhat, report = solve_cpip_bicriteria(inst, eps)
-        REPORTS.append(report)
+        ledger.reports.append(report)
         for j in range(inst.n):
             assert xhat[j] <= inst.d[j] + 1
     _line("AC-9", True, "50 multicover instances within additive-1 multiplicity")

@@ -3,8 +3,22 @@ import json
 
 import pytest
 
-from coverpack.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
-from coverpack.model import parse_instance, serialize_instance
+from coverpack.cli import EXIT_FAULT, EXIT_INFEASIBLE, EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
+from coverpack.kc import CutLoopLimitError
+from coverpack.model import (
+    GuaranteeError,
+    InstanceError,
+    ParseError,
+    parse_instance,
+    serialize_instance,
+)
+from coverpack.rounding import EstimatorError, RoundingError
+from coverpack.simplex import (
+    InfeasibleError,
+    IterationLimitError,
+    LpError,
+    NumericalInstabilityError,
+)
 
 
 GAP = '{"A": [["99/100", 1]], "a": [1], "c": [0, 1], "d": [1, null]}'
@@ -89,6 +103,42 @@ class TestSolve:
         )
         assert code == EXIT_USAGE
         assert "epsilon" in err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (InfeasibleError("no point"), EXIT_INFEASIBLE),
+            (IterationLimitError("pivot budget", None), EXIT_LIMIT),
+            (CutLoopLimitError("round cap", None, ()), EXIT_LIMIT),
+            (ParseError("bad document"), EXIT_USAGE),
+            (InstanceError("bad data"), EXIT_USAGE),
+            (OSError("unreadable"), EXIT_USAGE),
+            (GuaranteeError("cost bound"), EXIT_FAULT),
+            (RoundingError("lost coverage"), EXIT_FAULT),
+            (EstimatorError("phi >= 1"), EXIT_FAULT),
+            (NumericalInstabilityError("nan"), EXIT_FAULT),
+            (LpError("solver"), EXIT_FAULT),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+    )
+    def test_each_failure_class(self, exc, code, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("coverpack.cli.solve_cip_strict", fail)
+        got, _, err = run(["solve", write_gap(tmp_path)], capsys=capsys)
+        assert got == code
+        assert str(exc) in err
+
+    def test_cut_round_cap_exits_three(self, tmp_path, capsys, monkeypatch):
+        code, _, err = run(
+            ["solve", "--mode", "lp-kc", "--max-rounds", "1", write_gap(tmp_path)],
+            capsys=capsys,
+        )
+        assert code == EXIT_LIMIT
+        assert "after 1 rounds" in err
 
 
 class TestGen:

@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverpack.genbench import gen_multiset_multicover, gen_random_cpip
+from coverpack.genbench import gen_multiset_multicover, gen_random_cpip, gen_set_cover
 from coverpack.model import (
     InstanceError,
     dot,
@@ -16,6 +16,7 @@ from coverpack.model import (
 from coverpack.oracle import brute_force_opt
 from coverpack.rounding import (
     EstimatorError,
+    EstimatorState,
     bicriteria_round,
     compute_scale_factor,
     derandomized_round,
@@ -133,6 +134,132 @@ class TestDerandomizedRound:
         # L = 1 means t = 0 and the row term alone is 1: must refuse
         with pytest.raises(EstimatorError, match="width precondition"):
             derandomized_round((F(4),), ((F(1),),), (F(4),), (F(1),), F(1))
+
+
+def dense_phi(xprime, A, a, c, L, active, W, fixed):
+    """The estimator as first written: every term recomputed over every column.
+
+    Test-only reference for ``EstimatorState``; ``fixed[j]`` is None for a
+    coordinate still random, else its chosen value.
+    """
+    t = math.log(float(L))
+    floors = [math.floor(v) for v in xprime]
+    fracs = [float(v - math.floor(v)) for v in xprime]
+    cost_denom = 2.0 * float(dot(c, xprime))
+    cost_term = 0.0
+    if cost_denom != 0.0:
+        expected = 0.0
+        for j in range(len(xprime)):
+            value = floors[j] + fracs[j] if fixed[j] is None else fixed[j]
+            expected += float(c[j]) * value
+        cost_term = expected / cost_denom
+    row_terms = []
+    for i in active:
+        exponent = t * float(W)
+        for j in range(len(xprime)):
+            w = float(F(A[i][j]) * W / a[i])
+            if fixed[j] is not None:
+                exponent -= t * w * fixed[j]
+            else:
+                exponent -= t * w * floors[j]
+                exponent += math.log1p(fracs[j] * math.expm1(-t * w))
+        row_terms.append(math.exp(min(exponent, 60.0)))
+    return cost_term + sum(row_terms)
+
+
+@st.composite
+def estimator_cases(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    entries = st.sampled_from([F(0), F(0), F(1), F(2), F(1, 2), F(5, 3)])
+    A = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    a = draw(st.lists(st.sampled_from([F(0), F(1), F(2), F(7, 2)]), min_size=m, max_size=m))
+    a[0] = max(a[0], F(1))
+    for i in range(m):
+        if a[i] > 0 and not any(A[i]):
+            A[i][draw(st.integers(0, n - 1))] = F(1)
+    c = draw(st.lists(st.sampled_from([F(0), F(1), F(7, 3)]), min_size=n, max_size=n))
+    quarters = st.integers(0, 16).map(lambda k: F(k, 4))
+    xprime = draw(st.lists(quarters, min_size=n, max_size=n))
+    return A, a, c, xprime
+
+
+class TestEstimatorState:
+    @settings(max_examples=150, deadline=None)
+    @given(estimator_cases())
+    # zero-cost columns with c.xbar = 0, single-nonzero rows, an empty column
+    @example((
+        [[F(1), F(0), F(0)], [F(0), F(2), F(0)]],
+        [F(1), F(1)],
+        [F(0), F(0), F(0)],
+        [F(3, 4), F(1, 2), F(1, 4)],
+    ))
+    # already-integral coordinates between fractional ones
+    @example(([[F(1), F(1), F(1)]], [F(2)], [F(1), F(0), F(3)], [F(1), F(1, 2), F(2)]))
+    def test_matches_dense_reference(self, case):
+        A, a, c, xprime = case
+        active = [i for i in range(len(a)) if a[i] > 0]
+        W = min(a[i] / v for i in active for v in A[i] if v > 0)
+        # the formulas hold for any width; L only needs a width of at least 1
+        L = compute_scale_factor(len(active), max(W, 1))
+        state = EstimatorState(xprime, A, a, c, L, active, W)
+        fixed = [None] * len(xprime)
+        # the starting value is the same float, not merely a close one
+        assert state.phi() == dense_phi(xprime, A, a, c, L, active, W, fixed)
+        for j, v in enumerate(xprime):
+            fl = math.floor(v)
+            choice = fl
+            if v != fl:
+                branch = {}
+                for value in (fl, fl + 1):
+                    fixed[j] = value
+                    branch[value] = dense_phi(xprime, A, a, c, L, active, W, fixed)
+                ceiling = state.prefers_ceiling(j)
+                choice = fl + 1 if ceiling else fl
+                margin = abs(branch[fl] - branch[fl + 1])
+                if margin >= 1e-12 * state.phi():
+                    assert ceiling == (branch[fl + 1] < branch[fl])
+                if not c[j] and not any(A[i][j] for i in active):
+                    assert not ceiling  # an exact tie goes to the floor
+            state.fix(j, choice)
+            fixed[j] = choice
+            reference = dense_phi(xprime, A, a, c, L, active, W, fixed)
+            assert state.phi() == pytest.approx(reference, rel=1e-12, abs=0)
+
+
+# nonzero coordinates (all equal to 1) that the dense estimator gave, at
+# xbar_j = 1 / (smallest row support) on gen_set_cover(m, n, 0.1, seed)
+SET_COVER_OUTPUTS = {
+    (50, 100, 0): (
+        (22, 23, 37, 54, 55, 57, 59, 66, 70, 74, 82, 87, 93, 97, 98, 99),
+        (6, 22, 23, 54, 57, 59, 70, 82, 87, 93, 97, 98, 99),
+    ),
+    (50, 100, 1): (
+        (5, 16, 19, 31, 41, 48, 50, 51, 53, 57, 68, 79, 83, 87, 93),
+        (5, 16, 19, 31, 41, 48, 50, 51, 53, 57, 68, 79, 83, 87, 93),
+    ),
+    (50, 100, 2): (
+        (3, 7, 9, 10, 17, 23, 31, 37, 45, 51, 69, 73, 88, 96, 98),
+        (3, 7, 9, 17, 23, 36, 37, 45, 51, 64, 69, 73, 96, 98),
+    ),
+    (100, 200, 0): (
+        (1, 3, 11, 28, 30, 33, 54, 62, 93, 98, 106, 113, 139, 151, 167, 169, 170, 180,
+         185, 190),
+    ) * 2,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SET_COVER_OUTPUTS))
+def test_set_cover_outputs_pinned(shape):
+    m, n, seed = shape
+    inst = gen_set_cover(m, n, 0.1, seed)
+    support = min(sum(1 for v in row if v > 0) for row in inst.A)
+    xbar = tuple(F(1, support) for _ in inst.c)
+    L = compute_scale_factor(m, metrics(inst).width)
+    derandomized = derandomized_round(xbar, inst.A, inst.a, inst.c, L)
+    bicriteria = bicriteria_round(xbar, inst.A, inst.a, inst.c, inst.d, F(1, 4))
+    for out, ones in zip((derandomized, bicriteria), SET_COVER_OUTPUTS[shape]):
+        assert out.values == tuple(int(j in ones) for j in range(n))
 
 
 class TestGranularRound:
