@@ -11,31 +11,30 @@ Subcommands over the JSON instance document format:
 
 Exit codes: 0 success, 1 infeasible, 2 usage or document errors, 3 a
 solver limit (pivot budget or cut rounds), 4 an internal fault (a
-rounding, estimator, guarantee or numerical failure).  All
-randomness flows from --seed (default 0, never wall clock), so every run
-is reproducible.  Machine output is one JSON report per line.
+rounding, estimator, guarantee or numerical failure, or any other
+unclassified exception).  All randomness flows from --seed (default 0,
+never wall clock), so every run is reproducible.  Machine output is one
+JSON report per line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
+import traceback
 from fractions import Fraction
 
 from coverpack.genbench import FAMILIES, GeneratorSpec, generate, run_bench
 from coverpack.kc import CutLoopLimitError, solve_cip_strict, solve_lp_kc
 from coverpack.model import (
-    CoverpackError,
     CpipInstance,
     InstanceError,
-    IntegerVector,
     ParseError,
     dot,
     metrics,
     normalize_width,
     parse_instance,
+    parse_solution,
     serialize_instance,
 )
 from coverpack.oracle import (
@@ -51,6 +50,7 @@ from coverpack.rounding import (
     derandomized_round,
     granular_round,
     randomized_round,
+    solve_cpip_bicriteria,
 )
 from coverpack.simplex import (
     InfeasibleError,
@@ -67,48 +67,35 @@ EXIT_LIMIT = 3
 EXIT_FAULT = 4
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated global options shared by the subcommands."""
+def _typed(parse, need: str, ok=lambda value: True):
+    """An argparse type: ``parse`` the text, then require ``ok`` of the value."""
 
-    subcommand: str
-    input: str = "-"
-    mode: str = "strict"
-    epsilon: Fraction = Fraction(1)
-    lam: Fraction = Fraction(2)
-    seed: int = 0
-    arithmetic: str = "rational"
-    tolerance: float = 1e-9
-    output: str = "text"
-    max_rounds: int = 1000
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {need}") from exc
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {need}")
+        return value
 
-    def __post_init__(self):
-        if not (0 < self.epsilon <= 1):
-            raise InstanceError(f"epsilon {self.epsilon} outside (0, 1]")
-        if self.lam <= 1:
-            raise InstanceError(f"lambda {self.lam} must exceed 1")
-        if self.tolerance <= 0:
-            raise InstanceError(f"tolerance {self.tolerance} must be positive")
-        if self.max_rounds < 1:
-            raise InstanceError("max-rounds must be >= 1")
+    return convert
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+_fraction = _typed(Fraction, "a rational number")
+_fractions = _typed(lambda text: [Fraction(v) for v in text.split(",")], "a list of rationals")
+_epsilon = _typed(Fraction, "an epsilon in (0, 1]", lambda v: 0 < v <= 1)
+_lambda = _typed(Fraction, "a lambda above 1", lambda v: v > 1)
+_positive_int = _typed(int, "a positive integer", lambda v: v >= 1)
 
 
 def _add_common(sub):
     sub.add_argument("input", nargs="?", default="-", help="instance path or - for stdin")
-    sub.add_argument("--epsilon", type=_fraction, default=Fraction(1))
-    sub.add_argument("--lambda", dest="lam", type=_fraction, default=Fraction(2))
+    sub.add_argument("--epsilon", type=_epsilon, default=Fraction(1))
+    sub.add_argument("--lambda", dest="lam", type=_lambda, default=Fraction(2))
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--arithmetic", choices=("rational", "float"), default="rational")
-    sub.add_argument("--tolerance", type=float, default=1e-9)
     sub.add_argument("--format", dest="output", choices=("text", "machine"), default="text")
-    sub.add_argument("--max-rounds", type=int, default=1000)
+    sub.add_argument("--max-rounds", type=_positive_int, default=1000)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--families", default="knapsack-gap",
                        help="comma-separated families")
     bench.add_argument("--count", type=int, default=3, help="instances per family")
-    bench.add_argument("--epsilons", default="1", help="comma-separated slack values")
-    bench.add_argument("--deltas", default="1/2,1/10,1/100",
+    bench.add_argument("--epsilons", type=_fractions, default="1",
+                       help="comma-separated slack values")
+    bench.add_argument("--deltas", type=_fractions, default="1/2,1/10,1/100",
                        help="gap-family deltas, comma-separated")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--format", dest="output", choices=("text", "machine"), default="text")
@@ -168,9 +156,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text") from exc
+
+
 def _read_instance(path: str) -> CpipInstance:
-    doc = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    return parse_instance(doc)
+    return normalize_width(parse_instance(_read_text(path)))
 
 
 def _emit(report: SolveReport, output: str) -> None:
@@ -182,7 +179,7 @@ def _emit(report: SolveReport, output: str) -> None:
     for key in ("cost", "fopt", "fopt_kc", "opt", "ratio_cost_fopt", "ratio_cost_opt"):
         if key in d:
             print(f"{key}: {d[key]}")
-    for key in ("epsilon", "lam", "K", "L", "seed", "rng", "arithmetic",
+    for key in ("epsilon", "lam", "K", "L", "seed", "rng",
                 "pinned", "cut_rows_added", "lp_rounds", "certificate_ok"):
         if key in d:
             print(f"{key}: {d[key]}")
@@ -203,124 +200,102 @@ def _emit(report: SolveReport, output: str) -> None:
         print(f"elapsed_s: {report.elapsed_s:.4f}")
 
 
-def _lp_report(inst: CpipInstance, cfg: CliConfig) -> SolveReport:
+def _lp_report(inst: CpipInstance, args) -> SolveReport:
     problem = lp_from_instance(inst)
     sol = solve_lp(problem)
     if sol.status == "INFEASIBLE":
         raise InfeasibleError("standard relaxation is infeasible", sol)
-    cert = verify_certificate(problem, sol, cfg.tolerance)
     return SolveReport(
         mode="lp",
-        arithmetic=cfg.arithmetic,
         fopt=sol.objective_value,
         cost=sol.objective_value,
-        epsilon=cfg.epsilon,
+        epsilon=args.epsilon,
         x=sol.primal.values,
-        violations=check_solution(inst, sol.primal.values, cfg.epsilon),
-        certificate_ok=not cert,
+        violations=check_solution(inst, sol.primal.values, args.epsilon),
+        certificate_ok=not verify_certificate(problem, sol, 0),
         status=sol.status,
     )
 
 
-def _lp_kc_report(inst: CpipInstance, cfg: CliConfig) -> SolveReport:
+def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
     info: dict = {}
-    x = solve_lp_kc(inst, cfg.lam, max_rounds=cfg.max_rounds, info=info)
-    cert = verify_certificate(info["problem"], info["solution"], cfg.tolerance)
+    x = solve_lp_kc(inst, args.lam, max_rounds=args.max_rounds, info=info)
     return SolveReport(
         mode="lp-kc",
-        arithmetic=cfg.arithmetic,
         fopt_kc=info["objective"],
         cost=info["objective"],
-        lam=cfg.lam,
-        epsilon=cfg.epsilon,
+        lam=args.lam,
+        epsilon=args.epsilon,
         x=x.values,
-        violations=check_solution(inst, x.values, cfg.epsilon),
+        violations=check_solution(inst, x.values, args.epsilon),
         cut_rows_added=info["cut_rows_added"],
         lp_rounds=info["rounds"],
         pin_sets_seen=info["pin_sets_seen"],
-        certificate_ok=not cert,
+        certificate_ok=not verify_certificate(info["problem"], info["solution"], 0),
     )
 
 
-def _oracle_report(inst: CpipInstance, cfg: CliConfig, max_points: int) -> SolveReport:
+def _oracle_report(inst: CpipInstance, args, max_points: int) -> SolveReport:
     res = brute_force_opt(inst, OracleBudget(max_points=max_points))
-    report = SolveReport(
+    if res.status == "INFEASIBLE":
+        raise InfeasibleError("no integer solution in the search box", None)
+    return SolveReport(
         mode="oracle",
-        arithmetic=cfg.arithmetic,
         status=res.status,
         cost=res.cost,
         opt=res.cost,
-        epsilon=cfg.epsilon,
+        epsilon=args.epsilon,
         x=res.x.values if res.x is not None else None,
-        violations=check_solution(inst, res.x, cfg.epsilon) if res.x is not None else None,
+        violations=check_solution(inst, res.x, args.epsilon) if res.x is not None else None,
         oracle_bounds=res.bounds,
         oracle_space=res.space_size,
     )
-    if res.status == "INFEASIBLE":
-        raise InfeasibleError("no integer solution in the search box", None)
-    return report
 
 
-def _round_report(inst: CpipInstance, cfg: CliConfig, op: str, K: int) -> SolveReport:
+def _round_report(inst: CpipInstance, args) -> SolveReport:
     problem = lp_from_instance(inst)
     sol = solve_lp(problem)
     if sol.status == "INFEASIBLE":
         raise InfeasibleError("standard relaxation is infeasible", sol)
     xbar = sol.primal
-    met = metrics(inst)
-    L = compute_scale_factor(inst.m, met.width)
-    seed = rng = None
+    L = compute_scale_factor(inst.m, metrics(inst).width)
     info: dict = {}
-    if op == "randomized":
-        xhat = randomized_round(xbar, L, cfg.seed)
-        seed, rng = cfg.seed, RNG_NAME
-        values = xhat.values
-    elif op == "derandomized":
-        xhat = derandomized_round(xbar, inst.A, inst.a, inst.c, L)
-        values = xhat.values
-    elif op == "granular":
-        xg = granular_round(xbar, inst.A, inst.a, inst.c, K, info_out=info)
-        values = tuple(float(v) for v in xg.values)
-        L = info.get("L", L)
+    if args.op == "randomized":
+        x = randomized_round(xbar, L, args.seed)
+    elif args.op == "derandomized":
+        x = derandomized_round(xbar, inst.A, inst.a, inst.c, L)
+    elif args.op == "granular":
+        x = granular_round(xbar, inst.A, inst.a, inst.c, args.granularity, info_out=info)
     else:
-        xhat = bicriteria_round(
-            xbar, inst.A, inst.a, inst.c, inst.d, cfg.epsilon, info_out=info
+        x = bicriteria_round(
+            xbar, inst.A, inst.a, inst.c, inst.d, args.epsilon, info_out=info
         )
-        values = xhat.values
-        L = info.get("L", L)
-    report = SolveReport(
-        mode=f"round-{op}",
-        arithmetic=cfg.arithmetic,
+    randomized = args.op == "randomized"
+    return SolveReport(
+        mode=f"round-{args.op}",
         fopt=sol.objective_value,
-        cost=dot(inst.c, values),
-        epsilon=cfg.epsilon if op == "bicriteria" else None,
-        K=info.get("K", K if op == "granular" else None),
-        L=L,
-        seed=seed,
-        rng=rng,
-        x=values if op != "granular" else None,
-        notes=(f"values: {[str(v) for v in values]}",) if op == "granular" else (),
+        cost=dot(inst.c, x.values),
+        epsilon=args.epsilon if args.op == "bicriteria" else None,
+        K=info.get("K"),
+        L=info.get("L", L),
+        seed=args.seed if randomized else None,
+        rng=RNG_NAME if randomized else None,
+        x=x.values,
+        violations=check_solution(inst, x.values, args.epsilon),
     )
-    if op in ("derandomized", "bicriteria", "randomized"):
-        report.violations = check_solution(inst, values, cfg.epsilon)
-    return report
 
 
-def _solve_report(inst: CpipInstance, cfg: CliConfig) -> SolveReport:
-    if cfg.mode == "strict":
-        _, report = solve_cip_strict(
-            inst, cfg.epsilon, arithmetic=cfg.arithmetic, max_rounds=cfg.max_rounds
-        )
-    elif cfg.mode == "bicriteria":
-        from coverpack.rounding import solve_cpip_bicriteria
-
-        _, report = solve_cpip_bicriteria(inst, cfg.epsilon, arithmetic=cfg.arithmetic)
-    elif cfg.mode == "lp":
-        report = _lp_report(inst, cfg)
-    elif cfg.mode == "lp-kc":
-        report = _lp_kc_report(inst, cfg)
+def _solve_report(inst: CpipInstance, args) -> SolveReport:
+    if args.mode == "strict":
+        _, report = solve_cip_strict(inst, args.epsilon, max_rounds=args.max_rounds)
+    elif args.mode == "bicriteria":
+        _, report = solve_cpip_bicriteria(inst, args.epsilon)
+    elif args.mode == "lp":
+        report = _lp_report(inst, args)
+    elif args.mode == "lp-kc":
+        report = _lp_kc_report(inst, args)
     else:
-        report = _oracle_report(inst, cfg, 2_000_000)
+        report = _oracle_report(inst, args, 2_000_000)
     return report
 
 
@@ -342,40 +317,35 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     families = [f.strip().upper().replace("-", "_") for f in args.families.split(",")]
-    epsilons = [Fraction(e) for e in args.epsilons.split(",")]
-    deltas = [Fraction(dv) for dv in args.deltas.split(",")]
     specs = []
     for fam in families:
         if fam == "KNAPSACK_GAP":
-            specs.extend(GeneratorSpec(family=fam, delta=dv) for dv in deltas)
+            specs.extend(GeneratorSpec(family=fam, delta=dv) for dv in args.deltas)
         else:
             specs.extend(
                 GeneratorSpec(family=fam, seed=args.seed + k, m=3 + k % 3, n=4 + k % 3, r=1)
                 for k in range(args.count)
             )
-    result = run_bench(specs, epsilons, args.seed, include_timing=not args.no_timing)
+    result = run_bench(specs, args.epsilons, args.seed, include_timing=not args.no_timing)
     print(result.to_jsonl() if args.output == "machine" else result.to_text())
     return EXIT_OK
 
 
-def _cmd_check(args, cfg: CliConfig) -> int:
-    inst = normalize_width(_read_instance(cfg.input))
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    x = IntegerVector.of(payload["x"])
-    violations = check_solution(inst, x, cfg.epsilon)
+def _cmd_check(args) -> int:
+    inst = _read_instance(args.input)
+    x = parse_solution(_read_text(args.solution), inst.n)
+    violations = check_solution(inst, x, args.epsilon)
     ok = violations.ok_strict if args.mode == "strict" else violations.ok_bicriteria
     report = SolveReport(
         mode=f"check-{args.mode}",
-        arithmetic=cfg.arithmetic,
         cost=dot(inst.c, x.values),
         x=x.values,
         violations=violations,
         guarantees_ok=ok,
-        epsilon=cfg.epsilon,
+        epsilon=args.epsilon,
         status="OK" if ok else "VIOLATED",
     )
-    _emit(report, cfg.output)
+    _emit(report, args.output)
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
@@ -390,28 +360,16 @@ def main(argv=None) -> int:
             return _cmd_gen(args)
         if args.subcommand == "bench":
             return _cmd_bench(args)
-        cfg = CliConfig(
-            subcommand=args.subcommand,
-            input=args.input,
-            mode=getattr(args, "mode", "strict"),
-            epsilon=args.epsilon,
-            lam=args.lam,
-            seed=args.seed,
-            arithmetic=args.arithmetic,
-            tolerance=args.tolerance,
-            output=args.output,
-            max_rounds=args.max_rounds,
-        )
         if args.subcommand == "check":
-            return _cmd_check(args, cfg)
-        inst = normalize_width(_read_instance(cfg.input))
+            return _cmd_check(args)
+        inst = _read_instance(args.input)
         if args.subcommand == "solve":
-            report = _solve_report(inst, cfg)
+            report = _solve_report(inst, args)
         elif args.subcommand == "oracle":
-            report = _oracle_report(inst, cfg, args.max_points)
+            report = _oracle_report(inst, args, args.max_points)
         else:
-            report = _round_report(inst, cfg, args.op, args.granularity)
-        _emit(report, cfg.output)
+            report = _round_report(inst, args)
+        _emit(report, args.output)
         return EXIT_OK
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
@@ -419,10 +377,11 @@ def main(argv=None) -> int:
     except (IterationLimitError, CutLoopLimitError) as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (ParseError, InstanceError, OSError, KeyError, ValueError) as exc:
+    except (InstanceError, OSError) as exc:  # ParseError is an InstanceError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CoverpackError as exc:
+    except Exception as exc:  # anything unclassified is a fault, never a verdict
+        traceback.print_exc()
         print(f"internal fault ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_FAULT
 

@@ -25,15 +25,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from coverpack.model import CpipInstance, InstanceError, dot, normalize_width
+from coverpack.model import CpipInstance, InstanceError, dot, normalize_width, number_out
 from coverpack.oracle import OracleBudget, Timer, brute_force_opt
 from coverpack.rounding import solve_cpip_bicriteria
 from coverpack.kc import solve_cip_strict
 from coverpack.simplex import lp_from_instance, solve_lp
 
 FAMILIES = ("SET_COVER", "MULTISET_MULTICOVER", "KNAPSACK_GAP", "RANDOM_CPIP")
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -107,6 +105,8 @@ def gen_multiset_multicover(
     Demands are capped at the row's total supply, so x = d is always an
     integer solution; max_j d_j equals d_max exactly.
     """
+    if m < 1 or n < 1 or r < 0 or d_max < 1:
+        raise InstanceError("need m >= 1, n >= 1, r >= 0, d_max >= 1")
     rng = random.Random(seed)
     d = [rng.randint(1, d_max) for _ in range(n)]
     d[rng.randrange(n)] = d_max
@@ -226,14 +226,11 @@ class BenchRow:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        def num(key, v):
-            if key == "L":
-                return float(v)
-            if isinstance(v, Fraction):
-                return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-            return v
-
-        return {k: num(k, v) for k, v in self.__dict__.items() if v is not None}
+        return {
+            k: float(v) if k == "L" else number_out(v)
+            for k, v in self.__dict__.items()
+            if v is not None
+        }
 
 
 @dataclass

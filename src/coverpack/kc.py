@@ -33,6 +33,7 @@ from fractions import Fraction
 from math import floor
 
 from coverpack.model import (
+    ZERO,
     CoverpackError,
     CpipInstance,
     FractionalVector,
@@ -52,8 +53,6 @@ from coverpack.simplex import (
     verify_certificate,
 )
 from coverpack.rounding import bicriteria_round
-
-ZERO = Fraction(0)
 
 
 class CutLoopLimitError(CoverpackError):
@@ -126,25 +125,17 @@ def cut_rows(system: KcSystem) -> list[tuple[int, Vector, Fraction]]:
     ]
 
 
-def high_set(x, d_floor, lam, margin=ZERO) -> frozenset:
-    """Variables at or above d'/lambda in x (finite bounds only).
-
-    ``margin`` relaxes the threshold multiplicatively toward inclusion;
-    float-mode pipelines use 1e-12 so borderline coordinates are pinned,
-    the safe direction for the multiplicity guarantee.
-    """
+def high_set(x, d_floor, lam) -> frozenset:
+    """Variables at or above d'/lambda in x (finite bounds only)."""
     lam = Fraction(lam)
-    scale = (1 - Fraction(margin)) / lam
     return frozenset(
         j
         for j in range(len(d_floor))
-        if d_floor[j] is not None and Fraction(x[j]) >= Fraction(d_floor[j]) * scale
+        if d_floor[j] is not None and Fraction(x[j]) >= d_floor[j] / lam
     )
 
 
-def find_violated_kc(
-    inst: CpipInstance, x, lam, d_floor, tol=ZERO, margin=ZERO
-) -> list[tuple[frozenset, int, Fraction]]:
+def find_violated_kc(inst: CpipInstance, x, lam, d_floor) -> list[tuple[frozenset, int, Fraction]]:
     """Residual rows the point violates, for its own high-variable set.
 
     Empty means x satisfies the cut family required of a lambda-relaxed
@@ -154,12 +145,12 @@ def find_violated_kc(
     if lam <= 1:
         raise InstanceError(f"lambda = {lam} must exceed 1")
     xv = tuple(Fraction(v) for v in x)
-    F = high_set(xv, d_floor, lam, margin)
+    F = high_set(xv, d_floor, lam)
     system = kc_system(inst, F, d_floor)
     out = []
     for i, coeffs, rhs in cut_rows(system):
         lhs = dot(coeffs, xv)
-        if lhs < rhs - tol:
+        if lhs < rhs:
             out.append((F, i, rhs - lhs))
     return out
 
@@ -169,8 +160,6 @@ def solve_lp_kc(
     lam,
     max_rounds: int = 1000,
     *,
-    tol=ZERO,
-    margin=ZERO,
     info: dict | None = None,
 ) -> FractionalVector:
     """Lambda-relaxed point for the cut-strengthened relaxation.
@@ -208,7 +197,7 @@ def solve_lp_kc(
             )
         objectives.append(sol.objective_value)
         x = sol.primal
-        violated = find_violated_kc(inst, x, lam, d_floor, tol=tol, margin=margin)
+        violated = find_violated_kc(inst, x, lam, d_floor)
         fresh = [(F, i, amt) for F, i, amt in violated if (F, i) not in seen]
         if not fresh:
             if info is not None:
@@ -239,18 +228,17 @@ def solve_lp_kc(
     )
 
 
-def pinning_plan(inst: CpipInstance, xbar, epsilon, *, margin=ZERO) -> PinningPlan:
+def pinning_plan(inst: CpipInstance, xbar, epsilon) -> PinningPlan:
     """Pin set and residual vectors for a fractional point at slack epsilon.
 
     F collects every finite-bound variable with xbar_j >= d'_j / (1+eps);
-    variables with d'_j = 0 always land in F (pinned to zero).  The margin
-    must match the one used when certifying the point's cuts, so that the
-    pinned set is exactly the certified one.
+    variables with d'_j = 0 always land in F (pinned to zero).  This is the
+    high set the cut loop certified the point against at lambda = 1+eps.
     """
     eps = Fraction(epsilon)
     d_floor = floor_bounds(inst)
     xv = tuple(Fraction(v) for v in xbar)
-    F = high_set(xv, d_floor, 1 + eps, margin)
+    F = high_set(xv, d_floor, 1 + eps)
     d_dp = tuple(ZERO if j in F else xv[j] for j in range(inst.n))
     return PinningPlan(
         d_floor=d_floor,
@@ -261,7 +249,7 @@ def pinning_plan(inst: CpipInstance, xbar, epsilon, *, margin=ZERO) -> PinningPl
 
 
 def solve_cip_strict(
-    inst: CpipInstance, epsilon, *, arithmetic: str = "rational", max_rounds: int = 1000
+    inst: CpipInstance, epsilon, *, max_rounds: int = 1000
 ) -> tuple[IntegerVector, SolveReport]:
     """Integer solution meeting the multiplicity constraints exactly.
 
@@ -269,7 +257,7 @@ def solve_cip_strict(
     relaxation, pin every variable with xbar_j >= d'_j/(1+eps) at d'_j,
     and round the rest against the residual system (whose width is at
     least 1 by truncation).  Guarantees, all checked exactly: A xhat >= a,
-    xhat <= d with zero tolerance, B xhat <= (1+eps) b + beta, and
+    xhat <= d exactly, B xhat <= (1+eps) b + beta, and
     cost <= (1 + eps + 4K) times the relaxed point's cost.
     """
     eps = Fraction(epsilon)
@@ -278,15 +266,13 @@ def solve_cip_strict(
     if not is_width_normalized(inst):
         raise InstanceError("normalize width first")
     lam = 1 + eps
-    # the same inclusion margin must govern cut separation and pinning
-    margin = Fraction(1, 10**12) if arithmetic == "float" else ZERO
     with Timer() as timer:
         kc_info: dict = {}
-        xbar = solve_lp_kc(inst, lam, max_rounds=max_rounds, margin=margin, info=kc_info)
+        xbar = solve_lp_kc(inst, lam, max_rounds=max_rounds, info=kc_info)
         certificate_ok = not verify_certificate(
             kc_info["problem"], kc_info["solution"], 0
         )
-        plan = pinning_plan(inst, xbar, eps, margin=margin)
+        plan = pinning_plan(inst, xbar, eps)
         system = kc_system(inst, plan.F, plan.d_floor)
         xres = plan.xbar_restricted
         residual_rows = cut_rows(system)
@@ -326,7 +312,7 @@ def solve_cip_strict(
             )
         violations = check_solution(inst, xhat, eps)
         if not violations.ok_strict:
-            raise InstanceError(f"strict guarantees violated: {violations}")
+            raise GuaranteeError(f"strict guarantees violated: {violations}")
 
         # Plain relaxation value, for gap reporting.  With integral d,
         # floor(d) = d and round 1 of the cut loop solved exactly this LP.
@@ -337,7 +323,6 @@ def solve_cip_strict(
             fopt = base.objective_value if base.status == "OPTIMAL" else None
     report = SolveReport(
         mode="strict",
-        arithmetic=arithmetic,
         cost=cost,
         fopt=fopt,
         fopt_kc=relaxed_cost,

@@ -27,11 +27,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil
 from typing import Iterator, Sequence
 
 #: Sentinel for a missing multiplicity bound (d_j = infinity).
 UNBOUNDED = None
+
+ZERO = Fraction(0)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -70,11 +72,7 @@ def as_fraction(value, where: str = "value") -> Fraction:
 
 
 def dot(u: Sequence[Fraction], v: Sequence) -> Fraction:
-    return sum((ui * vi for ui, vi in zip(u, v) if ui), Fraction(0))
-
-
-def mat_vec(rows: Matrix, x: Sequence) -> Vector:
-    return tuple(dot(row, x) for row in rows)
+    return sum((ui * vi for ui, vi in zip(u, v) if ui), ZERO)
 
 
 @dataclass(frozen=True)
@@ -102,10 +100,10 @@ class CpipInstance:
 
     def beta(self) -> Vector:
         """Row sums of the packing matrix."""
-        return tuple(sum(row, Fraction(0)) for row in self.B)
+        return tuple(sum(row, ZERO) for row in self.B)
 
     @classmethod
-    def from_data(cls, A, a, c, d, B=(), b=(), *, allow_no_cover_rows: bool = True) -> "CpipInstance":
+    def from_data(cls, A, a, c, d, B=(), b=()) -> "CpipInstance":
         """Validate raw (possibly mixed int/str/float) data and build an instance."""
         cf = tuple(as_fraction(v, f"c[{j}]") for j, v in enumerate(c))
         n = len(cf)
@@ -128,8 +126,6 @@ class CpipInstance:
             raise InstanceError(f"A has {len(Af)} rows but a has {len(af)} entries")
         if len(Bf) != len(bf):
             raise InstanceError(f"B has {len(Bf)} rows but b has {len(bf)} entries")
-        if not allow_no_cover_rows and len(Af) == 0:
-            raise InstanceError("instance has no covering rows")
         for i, row in enumerate(Af):
             if len(row) != n:
                 raise InstanceError(f"A row {i} has {len(row)} entries, expected {n}")
@@ -176,10 +172,6 @@ class FractionalVector:
             if v < 0:
                 raise InstanceError(f"x[{j}] = {v} is negative")
 
-    @classmethod
-    def of(cls, values) -> "FractionalVector":
-        return cls(tuple(as_fraction(v, f"x[{j}]") for j, v in enumerate(values)))
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -201,10 +193,6 @@ class IntegerVector:
             if not isinstance(v, int) or v < 0:
                 raise InstanceError(f"x[{j}] = {v!r} is not a nonnegative integer")
 
-    @classmethod
-    def of(cls, values) -> "IntegerVector":
-        return cls(tuple(int(v) for v in values))
-
     def as_fractions(self) -> Vector:
         return tuple(Fraction(v) for v in self.values)
 
@@ -220,10 +208,6 @@ class IntegerVector:
 
 def vec_ceil(x: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ceil(v) for v in x)
-
-
-def vec_floor(x: Sequence[Fraction]) -> tuple[int, ...]:
-    return tuple(floor(v) for v in x)
 
 
 def normalize_width(inst: CpipInstance) -> CpipInstance:
@@ -247,36 +231,49 @@ def is_width_normalized(inst: CpipInstance) -> bool:
     )
 
 
+def width(A, a) -> Fraction:
+    """min a_i / A_ij over the positive entries of A in rows with a_i > 0.
+
+    Zero-demand rows are vacuous and do not count.
+    """
+    W = min(
+        (a[i] / aij for i, row in enumerate(A) if a[i] > 0 for aij in row if aij), default=None
+    )
+    if W is None:
+        raise InstanceError("no covering structure: A is all zeros on demanded rows")
+    return W
+
+
 def metrics(inst: CpipInstance) -> InstanceMetrics:
     """Width and dilation of the covering system (requires some A_ij > 0)."""
     if inst.m == 0:
         raise InstanceError("no covering structure: instance has no covering rows")
-    ratios = [
-        inst.a[i] / inst.A[i][j]
-        for i in range(inst.m)
-        for j in range(inst.n)
-        if inst.A[i][j] > 0
-    ]
-    if not ratios:
-        raise InstanceError("no covering structure: A is all zeros")
     dilation = max(
         sum(1 for i in range(inst.m) if inst.A[i][j] > 0) for j in range(inst.n)
     )
-    return InstanceMetrics(width=min(ratios), dilation=dilation)
+    return InstanceMetrics(width=width(inst.A, inst.a), dilation=dilation)
 
 
-def _number_out(v: Fraction):
-    if v.denominator == 1:
-        return int(v)
-    return f"{v.numerator}/{v.denominator}"
+def number_out(v):
+    """JSON form of an exact number: an int, or "p/q"; other values pass through."""
+    if not isinstance(v, Fraction):
+        return v
+    return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+def _load_json(doc: str):
+    """Decode JSON with exact numbers; any undecodable document is a ParseError."""
+    try:
+        return json.loads(doc, parse_float=Fraction)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep a nesting
+        raise ParseError(f"unreadable document: {exc}") from exc
 
 
 def parse_instance(doc: str) -> CpipInstance:
     """Parse an instance document (see module docstring for the format)."""
-    try:
-        raw = json.loads(doc, parse_float=Fraction, parse_int=int)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    raw = _load_json(doc)
     if not isinstance(raw, dict):
         raise ParseError("top-level value must be an object")
     unknown = set(raw) - {"A", "a", "B", "b", "c", "d"}
@@ -287,28 +284,45 @@ def parse_instance(doc: str) -> CpipInstance:
             raise ParseError(f"missing required field {field!r}")
     if ("B" in raw) != ("b" in raw):
         raise ParseError("fields B and b must be given together")
-    A, a, c = raw["A"], raw["a"], raw["c"]
-    if not isinstance(A, list) or not all(isinstance(row, list) for row in A):
-        raise ParseError("field A must be a list of rows")
+    for field in ("A", "B"):
+        rows = raw.get(field, [])
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ParseError(f"field {field} must be a list of rows")
+    for field in ("a", "b", "c", "d"):
+        if not isinstance(raw.get(field, []), list):
+            raise ParseError(f"field {field} must be a list")
+    A, c = raw["A"], raw["c"]
     if not A:
         raise ParseError("field A must contain at least one covering row")
-    if not isinstance(c, list) or not c:
+    if not c:
         raise ParseError("field c must be a non-empty list (empty variable list)")
     d = raw.get("d", [None] * len(c))
-    B = raw.get("B", [])
-    b = raw.get("b", [])
-    return CpipInstance.from_data(A=A, a=a, c=c, d=d, B=B, b=b)
+    B, b = raw.get("B", []), raw.get("b", [])
+    return CpipInstance.from_data(A=A, a=raw["a"], c=c, d=d, B=B, b=b)
+
+
+def parse_solution(doc: str, n: int) -> IntegerVector:
+    """Read a solution document ``{"x": [...]}`` exactly: n nonnegative integers."""
+    raw = _load_json(doc)
+    x = raw.get("x") if isinstance(raw, dict) else None
+    if not isinstance(x, list) or len(x) != n:
+        raise ParseError(f'a solution is an object whose "x" lists {n} numbers')
+    values = tuple(as_fraction(v, f"x[{j}]") for j, v in enumerate(x))
+    for j, v in enumerate(values):
+        if v < 0 or v.denominator != 1:
+            raise ParseError(f"x[{j}] = {v} is not a nonnegative integer")
+    return IntegerVector(tuple(int(v) for v in values))
 
 
 def serialize_instance(inst: CpipInstance) -> str:
     """Render an instance as a canonical document; exact round-trip."""
     obj = {
-        "A": [[_number_out(v) for v in row] for row in inst.A],
-        "a": [_number_out(v) for v in inst.a],
-        "c": [_number_out(v) for v in inst.c],
-        "d": [None if v is None else _number_out(v) for v in inst.d],
+        "A": [[number_out(v) for v in row] for row in inst.A],
+        "a": [number_out(v) for v in inst.a],
+        "c": [number_out(v) for v in inst.c],
+        "d": [number_out(v) for v in inst.d],
     }
     if inst.r > 0:
-        obj["B"] = [[_number_out(v) for v in row] for row in inst.B]
-        obj["b"] = [_number_out(v) for v in inst.b]
+        obj["B"] = [[number_out(v) for v in row] for row in inst.B]
+        obj["b"] = [number_out(v) for v in inst.b]
     return json.dumps(obj)

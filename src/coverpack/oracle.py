@@ -1,8 +1,8 @@
 """Ground-truth engines: brute-force integer optimum and exhaustive checkers.
 
 These exist to verify every guarantee the solvers claim, so they stay
-deliberately independent of the solver code paths: plain enumeration in
-exact arithmetic, no LP bounding, no shared rounding machinery.  Usable
+deliberately independent of the solver code paths: plain enumeration over
+exact rationals, no LP bounding, no shared rounding machinery.  Usable
 only at desk scale, which is the point.
 """
 
@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import ceil, floor
 from typing import Sequence
 
-from coverpack.model import CpipInstance, IntegerVector, dot
-
-ZERO = Fraction(0)
+from coverpack.model import ZERO, CpipInstance, IntegerVector, dot, number_out
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,7 @@ class ViolationReport:
 
     def to_dict(self) -> dict:
         def fam(items):
-            return [[i, _num_out(v)] for i, v in items]
+            return [[i, number_out(v)] for i, v in items]
 
         return {
             "covering": fam(self.covering),
@@ -285,20 +283,11 @@ def check_kc_validity(
     )
 
 
-def _num_out(v):
-    if v is None:
-        return None
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return v
-
-
 @dataclass
 class SolveReport:
     """Everything a run learned: cost, lower bounds, ratios, checks, config echo."""
 
     mode: str
-    arithmetic: str = "rational"
     cost: Fraction | None = None
     fopt: Fraction | None = None
     fopt_kc: Fraction | None = None
@@ -323,20 +312,17 @@ class SolveReport:
     oracle_space: int | None = None
     status: str = "OPTIMAL"
     elapsed_s: float | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
         def conv(v):
-            if isinstance(v, Fraction):
-                return _num_out(v)
             if isinstance(v, tuple):
                 return [conv(item) for item in v]
-            return v
+            return number_out(v)
 
         out = {}
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is None or (f.name == "notes" and not v):
+            if v is None:
                 continue
             if f.name == "L":
                 v = float(v)

@@ -24,7 +24,7 @@ The chain, from primitive to end-to-end:
   with the above, and check/record every guarantee, including the packing
   slack B xhat <= (1+eps) b + beta.
 
-All guarantees are re-verified in exact rational arithmetic before an
+All guarantees are re-verified over exact rationals before an
 answer is returned; floats appear only inside the estimator, whose role
 is to pick between floor and ceiling.
 """
@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from coverpack.model import (
+    ZERO,
     CoverpackError,
     CpipInstance,
     FractionalVector,
@@ -45,11 +45,10 @@ from coverpack.model import (
     dot,
     is_width_normalized,
     vec_ceil,
+    width,
 )
 from coverpack.oracle import SolveReport, Timer, check_solution
 from coverpack.simplex import InfeasibleError, lp_from_instance, solve_lp, verify_certificate
-
-ZERO = Fraction(0)
 
 #: Generator identity recorded in reports whenever randomized rounding runs.
 RNG_NAME = "python-random-mt19937"
@@ -61,24 +60,6 @@ class RoundingError(CoverpackError):
 
 class EstimatorError(RoundingError):
     """Pessimistic estimator started at or above 1."""
-
-
-@dataclass(frozen=True)
-class RoundingParams:
-    """Configuration echo: slack epsilon, granularity K, scale L, rng seed."""
-
-    epsilon: Fraction | None
-    K: int
-    L: Fraction
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.epsilon is not None and not (0 < self.epsilon <= 1):
-            raise InstanceError(f"epsilon {self.epsilon} outside (0, 1]")
-        if self.K < 1:
-            raise InstanceError(f"granularity K = {self.K} must be >= 1")
-        if self.L < 1:
-            raise InstanceError(f"scale factor L = {self.L} must be >= 1")
 
 
 def compute_scale_factor(m: int, W) -> Fraction:
@@ -117,14 +98,6 @@ def randomized_round(xbar, L, seed: int) -> IntegerVector:
 def _active_cover(A, a):
     """Indices of rows with positive demand; zero-demand rows are vacuous."""
     return [i for i in range(len(a)) if a[i] > 0]
-
-
-def _system_width(A, a, active) -> Fraction:
-    # A is nonnegative (CpipInstance checks it), so nonzero means positive
-    ratios = [a[i] / aij for i in active for aij in A[i] if aij]
-    if not ratios:
-        raise InstanceError("no covering structure: A is all zeros on demanded rows")
-    return min(ratios)
 
 
 class EstimatorState:
@@ -215,7 +188,7 @@ def derandomized_round(
         return IntegerVector(tuple(0 for _ in range(n)))
 
     xprime = tuple(L * v for v in xv)
-    W = _system_width(A, a, active)
+    W = width(A, a)
     state = EstimatorState(xprime, A, a, c, L, active, W)
     phi = state.phi()
     if phi >= 1.0:
@@ -295,7 +268,7 @@ def granular_round(
         if info_out is not None:
             info_out.update({"K": K, "L": Fraction(1)})
         return FractionalVector(tuple(ZERO for _ in xv))
-    W = _system_width(A, a, active)
+    W = width(A, a)
     L = compute_scale_factor(len(active), K * W)
     scaled_a = tuple(K * v for v in a)
     scaled_xbar = tuple(K * v for v in xv)
@@ -345,7 +318,7 @@ def bicriteria_round(
         if info_out is not None:
             info_out.update({"K": 0, "L": Fraction(1)})
         return IntegerVector(tuple(0 for _ in xv))
-    W = _system_width(A, a, active)
+    W = width(A, a)
     K = granularity_K(len(active), W, eps)
     inner: dict = {}
     xgran = granular_round(xv, A, a, c, K, trace_out=trace_out, info_out=inner)
@@ -360,14 +333,11 @@ def bicriteria_round(
     if any(dot(A[i], xhat) < a[i] for i in active):
         raise RoundingError("rounded solution lost coverage")
     if info_out is not None:
-        params = RoundingParams(epsilon=eps, K=K, L=inner["L"])
-        info_out.update({"K": K, "L": params.L, "W": W, "params": params})
+        info_out.update({"K": K, "L": inner["L"], "W": W})
     return IntegerVector(tuple(xhat))
 
 
-def solve_cpip_bicriteria(
-    inst: CpipInstance, epsilon, *, arithmetic: str = "rational"
-) -> tuple[IntegerVector, SolveReport]:
+def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, SolveReport]:
     """End-to-end bicriteria solver for the full covering/packing program.
 
     Solves the standard LP relaxation (covering, packing, and multiplicity
@@ -391,13 +361,7 @@ def solve_cpip_bicriteria(
         certificate_ok = not verify_certificate(problem, sol, 0)
         xbar = sol.primal
         info: dict = {}
-        if inst.m == 0:
-            xhat = IntegerVector(tuple(0 for _ in range(inst.n)))
-            info = {"K": 0, "L": Fraction(1)}
-        else:
-            xhat = bicriteria_round(
-                xbar, inst.A, inst.a, inst.c, inst.d, eps, info_out=info
-            )
+        xhat = bicriteria_round(xbar, inst.A, inst.a, inst.c, inst.d, eps, info_out=info)
         violations = check_solution(inst, xhat, eps)
         if not violations.ok_bicriteria:
             raise RoundingError(f"bicriteria guarantees violated: {violations}")
@@ -405,7 +369,6 @@ def solve_cpip_bicriteria(
     fopt = sol.objective_value
     report = SolveReport(
         mode="bicriteria",
-        arithmetic=arithmetic,
         cost=cost,
         fopt=fopt,
         ratio_cost_fopt=float(cost / fopt) if fopt > 0 else None,

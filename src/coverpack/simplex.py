@@ -1,6 +1,6 @@
-"""Dense exact-arithmetic LP solver with primal/dual certificates.
+"""Dense exact LP solver with primal/dual certificates.
 
-Two-phase primal simplex in exact arithmetic.  Inside the tableau each
+Two-phase primal simplex over the rationals, exactly.  Inside the tableau each
 row is a list of Python integers over one positive row denominator, and
 pivots are integer-preserving (Edmonds; Bareiss), so no ``Fraction`` is
 built while pivoting.  Every pivot choice compares the rationals the
@@ -8,7 +8,7 @@ integers stand for, exactly.  Problems come in and results go out as
 ``Fraction``: an OPTIMAL result carries a primal point and a dual vector
 whose objectives agree with zero gap, and an INFEASIBLE result carries
 an exact Farkas ray; ``verify_certificate`` checks them in ``Fraction``
-arithmetic.  Dense tableaus are fine at the scales this package targets
+values.  Dense tableaus are fine at the scales this package targets
 (a few hundred rows including cut rows).
 
 Row order inside an ``LpProblem`` built from an instance is fixed and
@@ -32,6 +32,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from coverpack.model import (
+    ZERO,
     CoverpackError,
     CpipInstance,
     FractionalVector,
@@ -43,7 +44,6 @@ from coverpack.model import (
 GE = ">="
 LE = "<="
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,7 @@ from coverpack.model import (
     GuaranteeError,
     InstanceError,
     ParseError,
+    dot,
     parse_instance,
     serialize_instance,
 )
@@ -93,6 +96,13 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_non_utf8_document_exits_two(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "inst.json"
+        path.write_bytes(b'{"A": [[1]], "a": [1], "c": ["\xff"]}')
+        code, _, err = run(["solve", str(path)], capsys=capsys)
+        assert code == EXIT_USAGE
+        assert "UTF-8" in err
+
     def test_unknown_flag_exits_two(self, capsys, monkeypatch):
         code, _, _ = run(["solve", "--no-such-flag"], capsys=capsys)
         assert code == EXIT_USAGE
@@ -103,6 +113,33 @@ class TestSolve:
         )
         assert code == EXIT_USAGE
         assert "epsilon" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lambda", "1"],
+            ["--max-rounds", "0"],
+            ["--epsilon", "0"],
+            ["--epsilon", "1/0"],
+            ["--arithmetic", "float"],
+            ["--tolerance", "1e-9"],
+        ],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_bad_or_removed_flag_exits_two(self, flags, tmp_path, capsys, monkeypatch):
+        code, _, _ = run(["solve", write_gap(tmp_path), *flags], capsys=capsys)
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("mode", ["lp", "lp-kc"])
+    def test_lp_certificates_checked_at_zero(self, mode, tmp_path, capsys, monkeypatch):
+        code, out, _ = run(
+            ["solve", "--mode", mode, write_gap(tmp_path), "--format", "machine"],
+            capsys=capsys,
+        )
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["certificate_ok"] is True
+        assert "arithmetic" not in rep
 
 
 class TestExitCodes:
@@ -120,6 +157,9 @@ class TestExitCodes:
             (EstimatorError("phi >= 1"), EXIT_FAULT),
             (NumericalInstabilityError("nan"), EXIT_FAULT),
             (LpError("solver"), EXIT_FAULT),
+            (KeyError("internal"), EXIT_FAULT),
+            (ValueError("internal"), EXIT_FAULT),
+            (ZeroDivisionError("internal"), EXIT_FAULT),
         ],
         ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
     )
@@ -140,6 +180,15 @@ class TestExitCodes:
         assert code == EXIT_LIMIT
         assert "after 1 rounds" in err
 
+    def test_float_overflow_is_a_fault_not_infeasible(self, tmp_path, capsys, monkeypatch):
+        # the estimator's float range is exceeded; that is no verdict on the instance
+        doc = '{"A": [[1, 1]], "a": [1], "c": ["1e400", 1], "d": [1, 1]}'
+        code, _, err = run(
+            ["solve", "--mode", "bicriteria", write_gap(tmp_path, doc)], capsys=capsys
+        )
+        assert code == EXIT_FAULT
+        assert "OverflowError" in err
+
 
 class TestGen:
     def test_round_trip(self, capsys, monkeypatch):
@@ -155,6 +204,21 @@ class TestGen:
         code, _, err = run(["gen", "--family", "knapsack-gap"], capsys=capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "family, flag",
+        [
+            ("multiset-multicover", "--n"),
+            ("multiset-multicover", "--m"),
+            ("multiset-multicover", "--d-max"),
+            ("set-cover", "--n"),
+            ("random-cpip", "--m"),
+        ],
+    )
+    def test_empty_sizes_exit_two(self, family, flag, capsys, monkeypatch):
+        code, _, err = run(["gen", "--family", family, flag, "0"], capsys=capsys)
+        assert code == EXIT_USAGE
+        assert "error" in err
+
 
 class TestRound:
     @pytest.mark.parametrize("op", ["randomized", "derandomized", "granular", "bicriteria"])
@@ -169,6 +233,28 @@ class TestRound:
         if op == "randomized":
             assert rep["seed"] == 0
             assert rep["rng"] == "python-random-mt19937"
+
+    def test_granular_report_is_exact(self, capsys, monkeypatch):
+        code, doc, _ = run(
+            ["gen", "--family", "random-cpip", "--m", "4", "--n", "6", "--r", "1",
+             "--seed", "3"],
+            capsys=capsys,
+        )
+        assert code == EXIT_OK
+        code, out, _ = run(
+            ["round", "--op", "granular", "-", "--format", "machine"],
+            stdin=doc,
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        inst = parse_instance(doc)
+        x = [Fraction(v) for v in rep["x"]]
+        assert all((v * rep["K"]).denominator == 1 for v in x)
+        assert not isinstance(rep["cost"], float)
+        assert Fraction(rep["cost"]) == dot(inst.c, x)
+        assert rep["violations"]["covering"] == []
 
 
 class TestOracleAndCheck:
@@ -198,6 +284,41 @@ class TestOracleAndCheck:
         assert code == EXIT_INFEASIBLE
         assert json.loads(out)["status"] == "VIOLATED"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"x": [1.5, 1]}',
+            '{"x": [1, "1/2"]}',
+            '{"x": [-1, 1]}',
+            '{"x": [1]}',
+            '{"x": [1, 1, 1]}',
+            '{"x": [true, 1]}',
+            '{"x": [null, 1]}',
+            '{"x": 1}',
+            '{"y": [1, 1]}',
+            "[1, 1]",
+            '{"x": [1, 1',
+        ],
+    )
+    def test_check_rejects_bad_solution(self, payload, tmp_path, capsys, monkeypatch):
+        sol = tmp_path / "sol.json"
+        sol.write_text(payload)
+        code, _, err = run(
+            ["check", "--solution", str(sol), write_gap(tmp_path)], capsys=capsys
+        )
+        assert code == EXIT_USAGE
+        assert "error" in err
+
+    def test_check_reads_integral_entries_exactly(self, tmp_path, capsys, monkeypatch):
+        sol = tmp_path / "sol.json"
+        sol.write_text('{"x": [1.0, "2/2"]}')
+        code, out, _ = run(
+            ["check", "--solution", str(sol), write_gap(tmp_path), "--format", "machine"],
+            capsys=capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["x"] == [1, 1]
+
 
 class TestBench:
     def test_text_and_machine(self, capsys, monkeypatch):
@@ -216,3 +337,23 @@ class TestBench:
         assert code == EXIT_OK
         rows = [json.loads(line) for line in lines.strip().splitlines()]
         assert rows[0]["strict_cost"] == 1
+
+    @pytest.mark.parametrize("flag", ["--epsilons", "--deltas"])
+    @pytest.mark.parametrize("value", ["abc", "1/4,", "1/0"])
+    def test_unreadable_lists_exit_two(self, flag, value, capsys, monkeypatch):
+        code, _, err = run(["bench", flag, value, "--no-timing"], capsys=capsys)
+        assert code == EXIT_USAGE
+        assert flag in err
+
+    def test_fingerprint(self, capsys, monkeypatch):
+        # Byte-identical bench output is the behaviour every refactor keeps:
+        # a moved LP vertex or rounding choice changes this hash.
+        code, out, _ = run(
+            ["bench", "--families", "knapsack-gap,set-cover,multiset-multicover,random-cpip",
+             "--epsilons", "1/4,1", "--no-timing", "--format", "machine"],
+            capsys=capsys,
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b945751ab90a966a7e141f56cdc40884e20ed6d3210ee2c7cb3f0f6357ba26bb"
+        )

@@ -56,6 +56,33 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_instance('{"A": [[1]], "a": [1], "c": [1], "d": [1], "B": [[1]]}')
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"A": [[1]], "a": 5, "c": [1]}',
+            '{"A": [[1]], "a": "1", "c": [1]}',
+            '{"A": [[1]], "a": [1], "c": 1}',
+            '{"A": [[1]], "a": [1], "c": [1], "d": 1}',
+            '{"A": [[1]], "a": [1], "c": [1], "d": {"0": 1}}',
+            '{"A": [1], "a": [1], "c": [1]}',
+            '{"A": [[1]], "a": [1], "c": [1], "B": [[1]], "b": 3}',
+            '{"A": [[1]], "a": [1], "c": [1], "B": [1], "b": [3]}',
+            '{"A": [[1]], "a": [1], "c": [1], "B": 7, "b": [3]}',
+        ],
+    )
+    def test_field_of_wrong_type_rejected(self, doc):
+        with pytest.raises(ParseError, match="must be a list"):
+            parse_instance(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        ['{"A": [[' + "1" * 5000 + ']], "a": [1], "c": [1]}', "[" * 100_000],
+        ids=["over-long integer", "deep nesting"],
+    )
+    def test_undecodable_document_rejected(self, doc):
+        with pytest.raises(ParseError, match="unreadable document"):
+            parse_instance(doc)
+
     def test_round_trip(self):
         inst = parse_instance(GAP_DOC)
         assert parse_instance(serialize_instance(inst)) == inst
@@ -133,6 +160,11 @@ class TestMetrics:
     def test_dilation_counts_rows(self):
         inst = make_inst(A=[[1, 0], [1, 1]], a=[1, 1], c=[1, 1], d=[None, None])
         assert metrics(inst).dilation == 2
+
+    def test_zero_demand_rows_do_not_count(self):
+        # a vacuous row would otherwise force the width to 0
+        inst = make_inst(A=[[2, 3], [1, 0]], a=[3, 0], c=[1, 1], d=[None, None])
+        assert metrics(inst).width == 1
 
     def test_all_zero_matrix_rejected(self):
         inst = make_inst(A=[[0, 0]], a=[1], c=[1, 1], d=[None, None])

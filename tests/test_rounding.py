@@ -346,18 +346,14 @@ class TestBicriteriaRound:
                 xbar, inst.A, inst.a, inst.c, inst.d, F(1, 2), info_out=info
             )
             assert dot(inst.c, xhat.values) <= 4 * info["K"] * dot(inst.c, xbar)
-            params = info["params"]
-            assert (params.epsilon, params.K, params.L) == (F(1, 2), info["K"], info["L"])
 
-    def test_params_validation(self):
-        from coverpack.rounding import RoundingParams
-
-        with pytest.raises(InstanceError):
-            RoundingParams(epsilon=F(2), K=1, L=F(2))
-        with pytest.raises(InstanceError):
-            RoundingParams(epsilon=F(1), K=0, L=F(2))
-        with pytest.raises(InstanceError):
-            RoundingParams(epsilon=F(1), K=1, L=F(1, 2))
+    def test_parameter_ranges_rejected(self):
+        A, a, c, xbar = ((F(1), F(1)),), (F(1),), (F(1), F(1)), (F(1, 2), F(1, 2))
+        for eps in (F(0), F(2)):
+            with pytest.raises(InstanceError, match="epsilon"):
+                bicriteria_round(xbar, A, a, c, (None, None), eps)
+        with pytest.raises(InstanceError, match="granularity"):
+            granular_round(xbar, A, a, c, 0)
 
 
 class TestSolveCpipBicriteria:

@@ -62,7 +62,11 @@ def test_matches_vertex_enumeration_oracle():
 
 
 def _scipy_linprog(p):
-    """scipy HiGHS on the same problem, with every row as A_ub x <= b_ub."""
+    """scipy HiGHS on the same problem, with every row as A_ub x <= b_ub.
+
+    Presolve is off: with it on, HiGHS reports some unbounded LPs as
+    infeasible (e.g. min -x4 s.t. 0 <= x2 + x3 - x4 <= 1, x >= 0).
+    """
     scipy_opt = pytest.importorskip("scipy.optimize")
     A_ub, b_ub = [], []
     for row in p.rows:
@@ -76,6 +80,7 @@ def _scipy_linprog(p):
         b_ub=b_ub or None,
         bounds=bounds,
         method="highs",
+        options={"presolve": False},
     )
 
 
