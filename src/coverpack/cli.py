@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 infeasible, 2 usage or document errors, 3 a
 solver limit (pivot budget or cut rounds), 4 an internal fault (a
 rounding, estimator, guarantee or numerical failure, or any other
 unclassified exception).  All randomness flows from --seed (default 0,
-never wall clock), so every run is reproducible.  Machine output is one
+never wall clock), so every run is reproducible.  Each subcommand takes
+only the flags it reads; any other flag exits 2.  Machine output is one
 JSON report per line.
 """
 
@@ -90,12 +91,10 @@ _positive_int = _typed(int, "a positive integer", lambda v: v >= 1)
 
 
 def _add_common(sub):
+    """The flags every instance subcommand reads; each adds only the others it reads."""
     sub.add_argument("input", nargs="?", default="-", help="instance path or - for stdin")
     sub.add_argument("--epsilon", type=_epsilon, default=Fraction(1))
-    sub.add_argument("--lambda", dest="lam", type=_lambda, default=Fraction(2))
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", dest="output", choices=("text", "machine"), default="text")
-    sub.add_argument("--max-rounds", type=_positive_int, default=1000)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,6 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("strict", "bicriteria", "lp", "lp-kc", "oracle"),
         default="strict",
     )
+    solve.add_argument("--lambda", dest="lam", type=_lambda, default=Fraction(2),
+                       help="cut threshold for --mode lp-kc")
+    solve.add_argument("--max-rounds", type=_positive_int, default=1000,
+                       help="cut-round cap for --mode strict and lp-kc")
     _add_common(solve)
 
     rnd = subs.add_parser("round", help="round the relaxation optimum")
@@ -120,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="derandomized",
     )
     rnd.add_argument("--granularity", type=int, default=2, help="K for --op granular")
+    rnd.add_argument("--seed", type=int, default=0, help="seed for --op randomized")
     _add_common(rnd)
 
     orc = subs.add_parser("oracle", help="brute-force integer optimum")

@@ -24,13 +24,19 @@ The chain, from primitive to end-to-end:
   with the above, and check/record every guarantee, including the packing
   slack B xhat <= (1+eps) b + beta.
 
-All guarantees are re-verified over exact rationals before an
-answer is returned; floats appear only inside the estimator, whose role
-is to pick between floor and ceiling.
+All guarantees are re-verified exactly before an answer is returned;
+floats appear only inside the estimator, whose role is to pick between
+floor and ceiling.  Each public rounding call scans the dense A once, into
+``CoverRows``: its demanded rows scaled to Python ints and kept over their
+nonzeros, by row and by column.  The width, the estimator's weights, every
+coverage, cost and slack check and the trim run on those rows; the
+calls below a public one are handed the rows rather than rebuilding them.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import random
 from fractions import Fraction
@@ -95,9 +101,62 @@ def randomized_round(xbar, L, seed: int) -> IntegerVector:
     return IntegerVector(tuple(out))
 
 
-def _active_cover(A, a):
-    """Indices of rows with positive demand; zero-demand rows are vacuous."""
-    return [i for i in range(len(a)) if a[i] > 0]
+def _integers(values) -> tuple[list[int], int]:
+    """Rationals (or ints) over their least common denominator D: (values * D, D)."""
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
+def _cost(costs: list[int], x) -> int:
+    """c . x for integer costs and integer coordinates."""
+    return sum(cj * xj for cj, xj in zip(costs, x) if xj)
+
+
+class CoverRows:
+    """The demanded rows of a covering system (A, a) as integer sparse rows.
+
+    One scan of A builds them.  Slot k holds row ``active[k]``, the k-th
+    row with a_i > 0 (zero-demand rows are vacuous), multiplied by the
+    lcm of the denominators of its demand and its entries: ``rows[k]``
+    lists (j, A'_kj) over the nonzero entries and ``demands[k]`` is a'_k,
+    all Python ints, and ``columns[j]`` lists (k, A'_kj) in slot order.
+    Scaling a row changes no ratio a_i / A_ij, so every coverage and slack
+    test on these rows is exact, and ``width`` is the width of (A, a).
+    """
+
+    def __init__(self, A, a):
+        self.active = [i for i, ai in enumerate(a) if ai > 0]
+        self.rows: list[list[tuple[int, int]]] = []
+        self.demands: list[int] = []
+        self.columns: list[list[tuple[int, int]]] = [[] for _ in range(len(A[0]) if A else 0)]
+        for k, i in enumerate(self.active):
+            nonzero = [(j, v) for j, v in enumerate(A[i]) if v]
+            scale = math.lcm(a[i].denominator, *(v.denominator for _, v in nonzero))
+            row = [(j, v.numerator * (scale // v.denominator)) for j, v in nonzero]
+            self.rows.append(row)
+            self.demands.append(a[i].numerator * (scale // a[i].denominator))
+            for j, v in row:
+                self.columns[j].append((k, v))
+
+    # lazy: a demanded system with no nonzero entry has no width, and
+    # derandomized_round reports it as an uncovered xbar first
+    @functools.cached_property
+    def width(self) -> Fraction:
+        return width(([v for _, v in row] for row in self.rows), self.demands)
+
+    def scaled(self, K: int) -> "CoverRows":
+        """The rows of (A, K a): the same entries, demands and width times K."""
+        out = copy.copy(self)
+        out.demands = [K * d for d in self.demands]
+        out.width = K * self.width
+        return out
+
+    def slack(self, x, den: int = 1) -> list[int]:
+        """den (A x - a), slot by slot, for x = (integers x_j) / den."""
+        return [
+            sum(v * x[j] for j, v in row) - demand * den
+            for row, demand in zip(self.rows, self.demands)
+        ]
 
 
 class EstimatorState:
@@ -112,35 +171,39 @@ class EstimatorState:
     overflowing; each exp() is clamped at 60, which only bites when the
     width precondition is violated and makes the phi >= 1 check fire.
 
-    The state is one log-exponent E_i per active row, one running
+    The state is one log-exponent E_i per demanded row, one running
     expected cost, and for each column j a list of (row slot, t w_ij,
-    log E[exp(-t w_ij B_j)]) over the rows with A_ij > 0.  Deciding and
-    fixing coordinate j touch only the rows in its list, so after one scan
-    of A a full run is O(nnz) float work; phi() itself is O(m).
+    log E[exp(-t w_ij B_j)]) over the rows with A_ij > 0, read off the
+    columns of ``rows`` (a ``CoverRows``).  Each weight is the float of the
+    exact rational A'_kj W / a'_k, by one correctly rounded int division.
+    Deciding and fixing coordinate j touch only the rows in its list, so a
+    full run is O(nnz) float work; phi() itself is O(m).
     """
 
-    def __init__(self, xprime, A, a, c, L, active, W):
+    def __init__(self, xprime, rows: CoverRows, c, L):
         t = math.log(float(L))
-        self.floors = [math.floor(v) for v in xprime]
-        self.fracs = [float(v - math.floor(v)) for v in xprime]
+        W = rows.width
         self.costs = [float(v) for v in c]
+        # xprime_j = P_j / den; an int division rounds as float(Fraction) does
+        P, den = _integers(xprime)
+        self.floors = [p // den for p in P]
+        self.fracs = [p % den / den for p in P]
         # 2 L c.xbar = 2 c.xprime since xprime = L xbar; zero iff c.xbar == 0.
-        self.cost_denom = 2.0 * float(dot(c, xprime))
+        C, c_den = _integers(c)
+        self.cost_denom = 2.0 * (_cost(C, P) / (c_den * den))
         self.expected_cost = 0.0
         for j, cj in enumerate(self.costs):
             self.expected_cost += cj * (self.floors[j] + self.fracs[j])
-        self.exponents = [t * float(W)] * len(active)
+        self.exponents = [t * float(W)] * len(rows.demands)
+        weight_den = [demand * W.denominator for demand in rows.demands]
         self.columns: list[list[tuple[int, float, float]]] = []
         for j, (fl, frac) in enumerate(zip(self.floors, self.fracs)):
             column = []
-            for k, i in enumerate(active):
-                if A[i][j]:
-                    tw = t * float(Fraction(A[i][j]) * W / a[i])
-                    log_bern = math.log1p(frac * math.expm1(-tw))
-                    # a zero entry would add only -0.0, so skipping it
-                    # leaves the starting exponent bit-identical
-                    self.exponents[k] = self.exponents[k] - tw * fl + log_bern
-                    column.append((k, tw, log_bern))
+            for k, v in rows.columns[j]:
+                tw = t * ((v * W.numerator) / weight_den[k])
+                log_bern = math.log1p(frac * math.expm1(-tw))
+                self.exponents[k] = self.exponents[k] - tw * fl + log_bern
+                column.append((k, tw, log_bern))
             self.columns.append(column)
 
     def phi(self) -> float:
@@ -163,7 +226,7 @@ class EstimatorState:
 
 
 def derandomized_round(
-    xbar, A, a, c, L, *, trace_out: list | None = None
+    xbar, A, a, c, L, *, trace_out: list | None = None, rows: CoverRows | None = None
 ) -> IntegerVector:
     """Deterministic rounding by the method of conditional probabilities.
 
@@ -173,23 +236,27 @@ def derandomized_round(
     and each coordinate's two branches average back to the current value,
     the final solution provably covers every row and costs at most
     2 L cost(xbar); both facts are re-checked exactly before returning.
+
+    ``rows``, if given, must be ``CoverRows`` of exactly this (A, a); the
+    other rounding functions pass theirs down so that A is scanned once.
     """
     xv = tuple(Fraction(v) for v in xbar)
     L = Fraction(L)
     n = len(xv)
-    m = len(a)
-    active = _active_cover(A, a)
-    for i in active:
-        if dot(A[i], xv) < a[i]:
+    if rows is None:
+        rows = CoverRows(A, a)
+    X, D = _integers(xv)
+    for k, s in enumerate(rows.slack(X, D)):
+        if s < 0:
+            i = rows.active[k]
             raise RoundingError(
                 f"xbar is not a fractional cover: row {i} short by {a[i] - dot(A[i], xv)}"
             )
-    if not active:
+    if not rows.demands:
         return IntegerVector(tuple(0 for _ in range(n)))
 
     xprime = tuple(L * v for v in xv)
-    W = width(A, a)
-    state = EstimatorState(xprime, A, a, c, L, active, W)
+    state = EstimatorState(xprime, rows, c, L)
     phi = state.phi()
     if phi >= 1.0:
         raise EstimatorError(
@@ -206,29 +273,28 @@ def derandomized_round(
         if trace_out is not None:
             trace_out.append(state.phi())
 
-    cost_cap = 2 * L * dot(c, xv)
-    if any(dot(A[i], xhat) < a[i] for i in active) or dot(c, xhat) > cost_cap:
+    costs, _ = _integers(c)
+    # c.xhat > 2 L c.xbar, multiplied through by the denominators of c, xbar and L
+    over_cost = _cost(costs, xhat) * D * L.denominator > 2 * L.numerator * _cost(costs, X)
+    if over_cost or min(rows.slack(xhat)) < 0:
         raise RoundingError("conditional-probabilities rounding missed a guarantee")
 
-    _trim_surplus(xhat, A, a, c, active, floors=state.floors)
+    _trim_surplus(xhat, rows, costs, floors=state.floors)
     return IntegerVector(tuple(xhat))
 
 
-def _trim_surplus(xhat: list[int], A, a, c, active, floors=None) -> None:
+def _trim_surplus(xhat: list[int], rows: CoverRows, costs, floors=None) -> None:
     """Return units the rounding over-bought, keeping every row covered.
 
     First pass hands back ceiling bumps (units above the scaled floor),
     in index order; second pass removes any still-removable units,
     costliest variables first.  Each removal is feasibility-checked, so
-    all upper-bound and coverage guarantees survive.
+    all upper-bound and coverage guarantees survive.  Slacks are ints on
+    the integer rows; a zero entry would only test slack >= 0, which
+    every step keeps.
     """
-    slack = [dot(A[i], xhat) - a[i] for i in active]
-    # nonzero (slot, A_ij) pairs of each column; a zero entry would only
-    # test slack >= 0, which every step keeps
-    columns = [
-        [(k, A[i][j]) for k, i in enumerate(active) if A[i][j]]
-        for j in range(len(xhat))
-    ]
+    slack = rows.slack(xhat)
+    columns = rows.columns
 
     def remove(j: int, units: int) -> None:
         xhat[j] -= units
@@ -239,40 +305,52 @@ def _trim_surplus(xhat: list[int], A, a, c, active, floors=None) -> None:
         for j in range(len(xhat)):
             while xhat[j] > floors[j] and all(slack[k] >= aij for k, aij in columns[j]):
                 remove(j, 1)
-    order = sorted(range(len(xhat)), key=lambda j: (-c[j], j))
+    order = sorted(range(len(xhat)), key=lambda j: (-costs[j], j))
     for j in order:
         if xhat[j] == 0:
             continue
         removable = xhat[j]
         for k, aij in columns[j]:
-            removable = min(removable, math.floor(slack[k] / aij))
+            removable = min(removable, slack[k] // aij)
         if removable > 0:
             remove(j, removable)
 
 
 def granular_round(
-    xbar, A, a, c, K: int, *, trace_out: list | None = None, info_out: dict | None = None
+    xbar,
+    A,
+    a,
+    c,
+    K: int,
+    *,
+    trace_out: list | None = None,
+    info_out: dict | None = None,
+    rows: CoverRows | None = None,
 ) -> FractionalVector:
     """Deterministic cover whose coordinates are integer multiples of 1/K.
 
     Rounds K xbar against demands K a (width K W, so the scale factor
     L' = scale(m, K W) shrinks as K grows), then divides by K.  The result
     covers a, stays below ceil(L' xbar), and costs at most 2 L' cost(xbar).
-    K = 1 is exactly ``derandomized_round``.
+    K = 1 is exactly ``derandomized_round``.  ``rows``, if given, must be
+    ``CoverRows`` of exactly (A, a); the rows for K a are derived from them.
     """
     if K < 1:
         raise InstanceError(f"granularity K = {K} must be >= 1")
     xv = tuple(Fraction(v) for v in xbar)
-    active = _active_cover(A, a)
-    if not active:
+    if rows is None:
+        rows = CoverRows(A, a)
+    if not rows.demands:
         if info_out is not None:
             info_out.update({"K": K, "L": Fraction(1)})
         return FractionalVector(tuple(ZERO for _ in xv))
-    W = width(A, a)
-    L = compute_scale_factor(len(active), K * W)
+    W = rows.width
+    L = compute_scale_factor(len(rows.demands), K * W)
     scaled_a = tuple(K * v for v in a)
     scaled_xbar = tuple(K * v for v in xv)
-    xhat = derandomized_round(scaled_xbar, A, scaled_a, c, L, trace_out=trace_out)
+    xhat = derandomized_round(
+        scaled_xbar, A, scaled_a, c, L, trace_out=trace_out, rows=rows.scaled(K)
+    )
     if info_out is not None:
         info_out.update({"K": K, "L": L, "W": W})
     return FractionalVector(tuple(Fraction(v, K) for v in xhat))
@@ -304,7 +382,7 @@ def bicriteria_round(
     (W eps^2)).  Ceiling a positive (1/K)-granular coordinate multiplies
     it by at most K, and the granular scale factor is at most 1 + eps,
     which yields both bounds; a final cleanup pass drops whole surplus
-    units.  All three guarantees are asserted exactly.
+    units.  All three guarantees are re-checked exactly.
     """
     eps = Fraction(epsilon)
     if not (0 < eps <= 1):
@@ -313,24 +391,27 @@ def bicriteria_round(
     for j, bound in enumerate(d):
         if bound is not None and xv[j] > bound:
             raise RoundingError(f"xbar[{j}] = {xv[j]} exceeds its multiplicity bound {bound}")
-    active = _active_cover(A, a)
-    if not active:
+    rows = CoverRows(A, a)
+    if not rows.demands:
         if info_out is not None:
             info_out.update({"K": 0, "L": Fraction(1)})
         return IntegerVector(tuple(0 for _ in xv))
-    W = width(A, a)
-    K = granularity_K(len(active), W, eps)
+    W = rows.width
+    K = granularity_K(len(rows.demands), W, eps)
     inner: dict = {}
-    xgran = granular_round(xv, A, a, c, K, trace_out=trace_out, info_out=inner)
+    xgran = granular_round(xv, A, a, c, K, trace_out=trace_out, info_out=inner, rows=rows)
     xhat = list(vec_ceil(xgran.values))
-    _trim_surplus(xhat, A, a, c, active)
+    costs, _ = _integers(c)
+    _trim_surplus(xhat, rows, costs)
 
-    relaxed_cap = vec_ceil(tuple((1 + eps) * v for v in xv))
-    if any(xhat[j] > relaxed_cap[j] for j in range(len(xhat))):
+    X, D = _integers(xv)
+    # (1+eps) xbar_j = top X_j / bottom, and -(-p // q) = ceil(p / q)
+    top, bottom = eps.denominator + eps.numerator, eps.denominator * D
+    if any(xhat[j] > -(-top * X[j] // bottom) for j in range(len(xhat))):
         raise RoundingError("rounded solution exceeded ceil((1+eps) xbar)")
-    if dot(c, xhat) > 4 * K * dot(c, xv):
+    if _cost(costs, xhat) * D > 4 * K * _cost(costs, X):
         raise RoundingError("rounded solution exceeded the 4K cost bound")
-    if any(dot(A[i], xhat) < a[i] for i in active):
+    if min(rows.slack(xhat)) < 0:
         raise RoundingError("rounded solution lost coverage")
     if info_out is not None:
         info_out.update({"K": K, "L": inner["L"], "W": W})

@@ -142,6 +142,51 @@ class TestSolve:
         assert "arithmetic" not in rep
 
 
+def _subcommand_argv(subcommand, tmp_path):
+    """A run of the subcommand on the gap instance that exits 0."""
+    argv = [subcommand, write_gap(tmp_path)]
+    if subcommand == "check":
+        sol = tmp_path / "sol.json"
+        sol.write_text('{"x": [1, 1]}')
+        argv += ["--solution", str(sol)]
+    return argv
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize(
+        "subcommand, flag, value",
+        [
+            ("solve", "--seed", "9"),
+            ("round", "--lambda", "7"),
+            ("round", "--max-rounds", "3"),
+            ("oracle", "--seed", "9"),
+            ("oracle", "--lambda", "7"),
+            ("oracle", "--max-rounds", "3"),
+            ("check", "--seed", "9"),
+            ("check", "--lambda", "7"),
+            ("check", "--max-rounds", "3"),
+        ],
+    )
+    def test_unread_flag_exits_two(self, subcommand, flag, value, tmp_path, capsys, monkeypatch):
+        argv = _subcommand_argv(subcommand, tmp_path)
+        assert run(argv, capsys=capsys)[0] == EXIT_OK
+        code, _, err = run([*argv, flag, value], capsys=capsys)
+        assert code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize(
+        "subcommand, flags",
+        [
+            ("solve", ["--mode", "lp-kc", "--lambda", "7", "--max-rounds", "3"]),
+            ("solve", ["--mode", "strict", "--max-rounds", "3"]),
+            ("round", ["--op", "randomized", "--seed", "9"]),
+        ],
+    )
+    def test_read_flag_accepted(self, subcommand, flags, tmp_path, capsys, monkeypatch):
+        code, _, _ = run([*_subcommand_argv(subcommand, tmp_path), *flags], capsys=capsys)
+        assert code == EXIT_OK
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "exc, code",

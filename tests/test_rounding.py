@@ -5,16 +5,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverpack.genbench import gen_multiset_multicover, gen_random_cpip, gen_set_cover
+from coverpack.genbench import (
+    gen_multiset_multicover,
+    gen_random_cpip,
+    gen_set_cover,
+    knapsack_gap,
+)
 from coverpack.model import (
     InstanceError,
     dot,
     metrics,
     normalize_width,
     vec_ceil,
+    width,
 )
 from coverpack.oracle import brute_force_opt
 from coverpack.rounding import (
+    CoverRows,
     EstimatorError,
     EstimatorState,
     bicriteria_round,
@@ -202,7 +209,7 @@ class TestEstimatorState:
         W = min(a[i] / v for i in active for v in A[i] if v > 0)
         # the formulas hold for any width; L only needs a width of at least 1
         L = compute_scale_factor(len(active), max(W, 1))
-        state = EstimatorState(xprime, A, a, c, L, active, W)
+        state = EstimatorState(xprime, CoverRows(A, a), c, L)
         fixed = [None] * len(xprime)
         # the starting value is the same float, not merely a close one
         assert state.phi() == dense_phi(xprime, A, a, c, L, active, W, fixed)
@@ -260,6 +267,179 @@ def test_set_cover_outputs_pinned(shape):
     bicriteria = bicriteria_round(xbar, inst.A, inst.a, inst.c, inst.d, F(1, 4))
     for out, ones in zip((derandomized, bicriteria), SET_COVER_OUTPUTS[shape]):
         assert out.values == tuple(int(j in ones) for j in range(n))
+
+
+def rational_row_case(name):
+    """(A, a, c, d, xbar) for one of the pinned inputs.
+
+    Their demanded rows need different integer scalings (random CPIPs
+    with fractional demands, the knapsack-gap rows), or they hold a
+    zero-demand row, an empty column, or no demanded row at all.
+    """
+    family, _, arg = name.partition(" ")
+    if family == "random-cpip":
+        m, n, r, seed = (int(v) for v in arg.split(","))
+        inst, xbar, _ = cip_with_lp(m, n, seed, r)
+        return inst.A, inst.a, inst.c, inst.d, xbar
+    if family == "knapsack-gap":
+        inst = knapsack_gap(F(arg))
+        return inst.A, inst.a, inst.c, inst.d, solve_lp(lp_from_instance(inst)).primal.values
+    if family == "zero-demand-row":
+        # an unnormalized row with a = 0 and positive entries
+        A = ((F(1, 2), F(1, 3), F(1)), (F(3), F(2), F(5)), (F(1, 4), F(3, 4), F(1, 2)))
+        a, c, d = (F(1), F(0), F(3, 4)), (F(2), F(1), F(3)), (F(2), F(1), None)
+        return A, a, c, d, (F(2, 3), F(1, 2), F(1, 2))
+    if family == "empty-column":
+        A = ((F(2, 3), F(0), F(1, 2), F(1)), (F(0), F(0), F(5, 7), F(5, 7)))
+        a, c, d = (F(1), F(5, 7)), (F(1), F(4), F(2), F(3)), (None,) * 4
+        return A, a, c, d, (F(3, 4), F(5, 2), F(1, 2), F(1, 2))
+    assert family == "no-demand"
+    return ((F(1), F(2)),), (F(0),), (F(1), F(1)), (None, None), (F(1, 2), F(0))
+
+
+def run_rational_row_case(name):
+    """Every pinned output of the three rounding calls on one input."""
+    A, a, c, d, xbar = rational_row_case(name)
+    active = [i for i in range(len(a)) if a[i] > 0]
+    L = compute_scale_factor(len(active), width(A, a)) if active else F(2)
+    trace = []
+    derandomized = derandomized_round(xbar, A, a, c, L, trace_out=trace)
+    info = {}
+    granular = granular_round(xbar, A, a, c, 3, info_out=info)
+    out = {
+        "derandomized": (derandomized.values, tuple(trace)),
+        "granular": (tuple(str(v) for v in granular.values), float(info["L"])),
+    }
+    for eps in ("1/4", "1"):
+        info = {}
+        x = bicriteria_round(xbar, A, a, c, d, F(eps), info_out=info)
+        out[f"bicriteria {eps}"] = (x.values, info["K"], float(info["L"]))
+    return out
+
+
+# outputs the Fraction-row rounding gave: the derandomized x and its
+# estimator trace, the granular x at K = 3 with its L, and the bicriteria
+# x, K and L (L as the float it was built from)
+RATIONAL_ROW_OUTPUTS = {
+    "random-cpip 4,6,1,0": {
+        "derandomized": (
+            (2, 2, 0, 1, 0, 0),
+            (
+                0.500000033701054, 0.4844918482729862, 0.48036352437657137,
+                0.48036352437657137, 0.4792343697705671, 0.4792343697705671,
+                0.4792343697705671
+            ),
+        ),
+        "granular": (("4/3", "5/3", "0", "1", "0", "0"), 3.772588722239781),
+        "bicriteria 1/4": ((2, 2, 0, 1, 0, 0), 134, 1.249144299234779),
+        "bicriteria 1": ((2, 2, 0, 1, 0, 0), 9, 1.9613512577339218),
+    },
+    "random-cpip 5,7,0,3": {
+        "derandomized": (
+            (0, 0, 0, 0, 6, 0, 0),
+            (
+                0.5000000511105664, 0.49077841528416527, 0.4608487081574117,
+                0.4608487081574117, 0.4608487081574117, 0.45945327594475055,
+                0.4539202941957574, 0.4539202941957574
+            ),
+        ),
+        "granular": (("0", "0", "0", "0", "6", "0", "0"), 3.0198114850824966),
+        "bicriteria 1/4": ((1, 0, 0, 0, 4, 2, 0), 97, 1.249936784899403),
+        "bicriteria 1": ((0, 0, 0, 0, 6, 0, 0), 7, 1.9303942678277763),
+    },
+    "random-cpip 6,8,2,11": {
+        "derandomized": (
+            (0, 7, 0, 1, 0, 0, 0, 3),
+            (
+                0.5000000001744433, 0.499604491709018, 0.4987296638537072, 0.4987296638537072,
+                0.49524149424920255, 0.49524149424920255, 0.49524149424920255,
+                0.49524149424920255, 0.49017627728537
+            ),
+        ),
+        "granular": (("0", "22/3", "0", "1", "0", "0", "0", "8/3"), 4.3132088663840005),
+        "bicriteria 1/4": ((0, 4, 0, 2, 0, 0, 0, 2), 160, 1.2492441899918632),
+        "bicriteria 1": ((0, 7, 0, 1, 0, 0, 0, 3), 10, 1.9969767599674528),
+    },
+    "knapsack-gap 1/10": {
+        "derandomized": (
+            (2, 0),
+            (
+                0.534886762299042, 0.5228939203491197, 0.031676515240758
+            ),
+        ),
+        "granular": (("4/3", "0"), 1.9613512577339218),
+        "bicriteria 1/4": ((2, 0), 45, 1.2482198274039356),
+        "bicriteria 1": ((2, 0), 3, 1.9613512577339218),
+    },
+    "knapsack-gap 1/3": {
+        "derandomized": (
+            (2, 0),
+            (
+                0.5311144547108082, 0.5235056918468465, 0.4265980708025733
+            ),
+        ),
+        "granular": (("5/3", "0"), 1.9613512577339218),
+        "bicriteria 1/4": ((2, 0), 45, 1.2482198274039356),
+        "bicriteria 1": ((2, 0), 3, 1.9613512577339218),
+    },
+    "zero-demand-row": {
+        "derandomized": (
+            (0, 3, 0),
+            (
+                0.5000664283420044, 0.4834245620916112, 0.47719387250396966,
+                0.4584804953437087
+            ),
+        ),
+        "granular": (("4/3", "1", "0"), 2.848392481493187),
+        "bicriteria 1/4": ((0, 1, 1), 89, 1.2496104255529288),
+        "bicriteria 1": ((2, 1, 0), 6, 1.9613512577339218),
+    },
+    "empty-column": {
+        "derandomized": (
+            (1, 0, 1, 0),
+            (
+                0.5000513321128633, 0.49481509015387776, 0.4864449669940773,
+                0.4833177510651631, 0.47862434066892157
+            ),
+        ),
+        "granular": (("1", "0", "1", "0"), 2.848392481493187),
+        "bicriteria 1/4": ((1, 0, 1, 0), 89, 1.2496104255529288),
+        "bicriteria 1": ((1, 0, 1, 0), 6, 1.9613512577339218),
+    },
+    "no-demand": {
+        "derandomized": ((0, 0), ()),
+        "granular": (("0", "0"), 1.0),
+        "bicriteria 1/4": ((0, 0), 0, 1.0),
+        "bicriteria 1": ((0, 0), 0, 1.0),
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(RATIONAL_ROW_OUTPUTS))
+def test_rational_row_outputs_pinned(name):
+    assert run_rational_row_case(name) == RATIONAL_ROW_OUTPUTS[name]
+
+
+def test_each_public_call_reads_each_row_of_A_once():
+    reads = []
+
+    class Row(tuple):
+        def __iter__(self):
+            reads.append(id(self))
+            return super().__iter__()
+
+    inst, xbar, _ = cip_with_lp(5, 7, seed=3)
+    A = tuple(Row(row) for row in inst.A)
+    L = compute_scale_factor(inst.m, metrics(inst).width)
+    calls = (
+        lambda: derandomized_round(xbar, A, inst.a, inst.c, L, trace_out=[]),
+        lambda: granular_round(xbar, A, inst.a, inst.c, 3),
+        lambda: bicriteria_round(xbar, A, inst.a, inst.c, inst.d, F(1, 4)),
+    )
+    for call in calls:
+        reads.clear()
+        call()
+        assert sorted(reads) == sorted(id(row) for row in A)
 
 
 class TestGranularRound:
