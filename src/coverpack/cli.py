@@ -180,7 +180,7 @@ def _emit(report: SolveReport, output: str) -> None:
         return
     d = report.to_dict()
     print(f"mode: {d.get('mode')}   status: {d.get('status')}")
-    for key in ("cost", "fopt", "fopt_kc", "opt", "ratio_cost_fopt", "ratio_cost_opt"):
+    for key in ("cost", "fopt", "fopt_kc", "opt", "ratio_cost_fopt"):
         if key in d:
             print(f"{key}: {d[key]}")
     for key in ("epsilon", "lam", "K", "L", "seed", "rng",

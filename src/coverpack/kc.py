@@ -56,7 +56,10 @@ from coverpack.rounding import bicriteria_round
 
 
 class CutLoopLimitError(CoverpackError):
-    """Cutting-plane round limit hit; carries the last iterate and leftovers."""
+    """Cutting-plane round limit hit; carries the last iterate and its violated rows.
+
+    ``outstanding`` lists (row, shortfall) pairs, as ``find_violated_kc`` does.
+    """
 
     def __init__(self, message, last_x, outstanding):
         super().__init__(message)
@@ -71,16 +74,6 @@ class KcSystem:
     F: frozenset
     a_F: Vector
     A_F: Matrix
-
-
-@dataclass(frozen=True)
-class PinningPlan:
-    """Working data for the strict solver: floored bounds, pinned set, residual vectors."""
-
-    d_floor: tuple[int | None, ...]
-    F: frozenset
-    d_doubleprime: Vector
-    xbar_restricted: FractionalVector
 
 
 def floor_bounds(inst: CpipInstance) -> tuple[int | None, ...]:
@@ -135,24 +128,22 @@ def high_set(x, d_floor, lam) -> frozenset:
     )
 
 
-def find_violated_kc(inst: CpipInstance, x, lam, d_floor) -> list[tuple[frozenset, int, Fraction]]:
-    """Residual rows the point violates, for its own high-variable set.
+def find_violated_kc(
+    inst: CpipInstance, x, lam, d_floor
+) -> tuple[KcSystem, list[tuple[int, Fraction]]]:
+    """The residual system of the point's own high set, and the rows it violates.
 
-    Empty means x satisfies the cut family required of a lambda-relaxed
-    solution.
+    Each violated row comes with its shortfall a_F[i] - A_F[i] x.  No
+    violated rows means x satisfies the cut family required of a
+    lambda-relaxed solution.
     """
     lam = Fraction(lam)
     if lam <= 1:
         raise InstanceError(f"lambda = {lam} must exceed 1")
     xv = tuple(Fraction(v) for v in x)
-    F = high_set(xv, d_floor, lam)
-    system = kc_system(inst, F, d_floor)
-    out = []
-    for i, coeffs, rhs in cut_rows(system):
-        lhs = dot(coeffs, xv)
-        if lhs < rhs:
-            out.append((F, i, rhs - lhs))
-    return out
+    system = kc_system(inst, high_set(xv, d_floor, lam), d_floor)
+    shortfalls = ((i, rhs - dot(coeffs, xv)) for i, coeffs, rhs in cut_rows(system))
+    return system, [(i, short) for i, short in shortfalls if short > 0]
 
 
 def solve_lp_kc(
@@ -167,7 +158,9 @@ def solve_lp_kc(
     Returns x with A x >= a, B x <= b, x <= d', no violated residual rows
     for its own high set, and cost at most the optimum of the relaxation
     with all cuts (each round solves a relaxation of that program, and
-    values only grow as cuts are added).
+    values only grow as cuts are added).  ``info``, if given, also gets
+    the last round's ``system``: the residual system of the returned
+    point's high set.
     """
     lam = Fraction(lam)
     if lam <= 1:
@@ -179,7 +172,6 @@ def solve_lp_kc(
     d_floor = floor_bounds(inst)
     bounds = tuple(None if v is None else Fraction(v) for v in d_floor)
     cuts: list[tuple[Vector, Fraction]] = []
-    seen: set[tuple[frozenset, int]] = set()
     objectives: list[Fraction] = []
     pin_sets: list[tuple[int, ...]] = []
     for round_no in range(1, max_rounds + 1):
@@ -196,10 +188,10 @@ def solve_lp_kc(
                 f"{objectives[-1]} to {sol.objective_value}"
             )
         objectives.append(sol.objective_value)
-        x = sol.primal
-        violated = find_violated_kc(inst, x, lam, d_floor)
-        fresh = [(F, i, amt) for F, i, amt in violated if (F, i) not in seen]
-        if not fresh:
+        # an added cut holds exactly at every later iterate, so each
+        # violated (F, row) pair is new and the loop terminates
+        system, violated = find_violated_kc(inst, sol.primal, lam, d_floor)
+        if not violated:
             if info is not None:
                 info.update(
                     {
@@ -210,41 +202,18 @@ def solve_lp_kc(
                         "objective": sol.objective_value,
                         "problem": problem,
                         "solution": sol,
+                        "system": system,
                     }
                 )
-            return x
-        Fset = fresh[0][0]  # one separation call, one high set
-        system = kc_system(inst, Fset, d_floor)
-        for _, i, _ in fresh:
-            cuts.append((system.A_F[i], system.a_F[i]))
-            seen.add((Fset, i))
-        fs = tuple(sorted(Fset))
-        if fs not in pin_sets:
-            pin_sets.append(fs)
+            return sol.primal
+        cuts.extend((system.A_F[i], system.a_F[i]) for i, _ in violated)
+        pins = tuple(sorted(system.F))
+        if pins not in pin_sets:
+            pin_sets.append(pins)
     raise CutLoopLimitError(
         f"no lambda-relaxed point after {max_rounds} rounds",
-        last_x=x,
+        last_x=sol.primal,
         outstanding=violated,
-    )
-
-
-def pinning_plan(inst: CpipInstance, xbar, epsilon) -> PinningPlan:
-    """Pin set and residual vectors for a fractional point at slack epsilon.
-
-    F collects every finite-bound variable with xbar_j >= d'_j / (1+eps);
-    variables with d'_j = 0 always land in F (pinned to zero).  This is the
-    high set the cut loop certified the point against at lambda = 1+eps.
-    """
-    eps = Fraction(epsilon)
-    d_floor = floor_bounds(inst)
-    xv = tuple(Fraction(v) for v in xbar)
-    F = high_set(xv, d_floor, 1 + eps)
-    d_dp = tuple(ZERO if j in F else xv[j] for j in range(inst.n))
-    return PinningPlan(
-        d_floor=d_floor,
-        F=F,
-        d_doubleprime=d_dp,
-        xbar_restricted=FractionalVector(d_dp),
     )
 
 
@@ -272,40 +241,37 @@ def solve_cip_strict(
         certificate_ok = not verify_certificate(
             kc_info["problem"], kc_info["solution"], 0
         )
-        plan = pinning_plan(inst, xbar, eps)
-        system = kc_system(inst, plan.F, plan.d_floor)
-        xres = plan.xbar_restricted
+        # the loop's last high set, at lambda = 1+eps, is the pinned set
+        system = kc_info["system"]
+        xres = tuple(ZERO if j in system.F else v for j, v in enumerate(xbar))
         residual_rows = cut_rows(system)
         for i, coeffs, rhs in residual_rows:
             # the relaxed point satisfies its own cuts, so this cannot fail
-            if dot(coeffs, xres.values) < rhs:
+            if dot(coeffs, xres) < rhs:
                 raise GuaranteeError(f"residual row {i} uncovered by the relaxed point")
 
         info: dict = {}
-        if residual_rows:
-            A_res = tuple(coeffs for _, coeffs, _ in residual_rows)
-            a_res = tuple(rhs for _, _, rhs in residual_rows)
-            xhat_rest = bicriteria_round(
-                xres, A_res, a_res, inst.c, plan.d_doubleprime, eps, info_out=info
-            )
-        else:
-            xhat_rest = IntegerVector(tuple(0 for _ in range(inst.n)))
-            info = {"K": 0, "L": Fraction(1)}
-
+        xhat_rest = bicriteria_round(
+            xres,
+            tuple(coeffs for _, coeffs, _ in residual_rows),
+            tuple(rhs for _, _, rhs in residual_rows),
+            inst.c,
+            xres,
+            eps,
+            info_out=info,
+        )
+        d_floor = floor_bounds(inst)
         xhat = IntegerVector(
-            tuple(
-                plan.d_floor[j] if j in plan.F else xhat_rest[j]
-                for j in range(inst.n)
-            )
+            tuple(d_floor[j] if j in system.F else xhat_rest[j] for j in range(inst.n))
         )
         relaxed_cost = dot(inst.c, xbar.values)
-        pinned_cost = sum((inst.c[j] * plan.d_floor[j] for j in plan.F), ZERO)
+        pinned_cost = sum((inst.c[j] * d_floor[j] for j in system.F), ZERO)
         if pinned_cost > (1 + eps) * relaxed_cost:
             raise GuaranteeError(
                 f"pinned cost {pinned_cost} above (1+eps) * {relaxed_cost}"
             )
         cost = dot(inst.c, xhat.values)
-        K = info.get("K", 0)
+        K = info["K"]
         if cost > (1 + eps + 4 * K) * relaxed_cost:
             raise GuaranteeError(
                 f"cost {cost} above (1 + eps + 4K) * {relaxed_cost} with K = {K}"
@@ -330,15 +296,15 @@ def solve_cip_strict(
         epsilon=eps,
         lam=lam,
         K=K,
-        L=info.get("L"),
+        L=info["L"],
         x=xhat.values,
         violations=violations,
         guarantees_ok=violations.ok_strict,
         certificate_ok=certificate_ok,
-        pinned=tuple(sorted(plan.F)),
-        pin_sets_seen=kc_info.get("pin_sets_seen"),
-        cut_rows_added=kc_info.get("cut_rows_added"),
-        lp_rounds=kc_info.get("rounds"),
+        pinned=tuple(sorted(system.F)),
+        pin_sets_seen=kc_info["pin_sets_seen"],
+        cut_rows_added=kc_info["cut_rows_added"],
+        lp_rounds=kc_info["rounds"],
         elapsed_s=timer.elapsed,
     )
     return xhat, report

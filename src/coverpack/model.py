@@ -66,7 +66,7 @@ def as_fraction(value, where: str = "value") -> Fraction:
     if isinstance(value, (str, float)):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:  # nan, 1/0, inf
             raise InstanceError(f"{where}: cannot read {value!r} as a rational") from exc
     raise InstanceError(f"{where}: unsupported number type {type(value).__name__}")
 

@@ -293,7 +293,6 @@ class SolveReport:
     fopt_kc: Fraction | None = None
     opt: Fraction | None = None
     ratio_cost_fopt: float | None = None
-    ratio_cost_opt: float | None = None
     epsilon: Fraction | None = None
     lam: Fraction | None = None
     K: int | None = None

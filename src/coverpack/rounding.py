@@ -183,13 +183,19 @@ class EstimatorState:
     def __init__(self, xprime, rows: CoverRows, c, L):
         t = math.log(float(L))
         W = rows.width
-        self.costs = [float(v) for v in c]
         # xprime_j = P_j / den; an int division rounds as float(Fraction) does
         P, den = _integers(xprime)
         self.floors = [p // den for p in P]
         self.fracs = [p % den / den for p in P]
-        # 2 L c.xbar = 2 c.xprime since xprime = L xbar; zero iff c.xbar == 0.
+        # Costs enter phi only as ratios to cost_denom, so all of them are
+        # divided by 2^shift, which keeps every float below 2^1021 (the
+        # largest, 2 c.(xprime + 1), is under 2^(bits(top) - bits(bottom) + 1));
+        # the shift is 0 unless some cost float would overflow.
         C, c_den = _integers(c)
+        top, bottom = 2 * _cost(C, [p + den for p in P]), c_den * den
+        c_den <<= max(0, top.bit_length() - bottom.bit_length() - 1020)
+        self.costs = [cj / c_den for cj in C]
+        # 2 L c.xbar = 2 c.xprime since xprime = L xbar; zero iff c.xbar == 0.
         self.cost_denom = 2.0 * (_cost(C, P) / (c_den * den))
         self.expected_cost = 0.0
         for j, cj in enumerate(self.costs):
@@ -208,7 +214,11 @@ class EstimatorState:
 
     def phi(self) -> float:
         cost_term = self.expected_cost / self.cost_denom if self.cost_denom else 0.0
-        return cost_term + sum(math.exp(min(e, 60.0)) for e in self.exponents)
+        # left to right: the builtin sum compensates floats from CPython 3.12 on
+        rows_term = 0.0
+        for e in self.exponents:
+            rows_term += math.exp(min(e, 60.0))
+        return cost_term + rows_term
 
     def prefers_ceiling(self, j: int) -> bool:
         """True iff phi(x_j = floor + 1) < phi(x_j = floor); ties go to the floor."""

@@ -81,6 +81,28 @@ class TestSolve:
             )
             assert code == EXIT_OK
 
+    @pytest.mark.parametrize("mode", ["bicriteria", "strict"])
+    @pytest.mark.parametrize(
+        "doc, cost",
+        [
+            ('{"A": [[1, 1]], "a": [1], "c": ["1e400", 1], "d": [1, 1]}', 1),
+            # rounds the residual system in strict mode too
+            ('{"A": [[1, 1], [1, 0]], "a": [1, "1/2"], "c": ["1e400", "3e400"], '
+             '"d": [5, 5]}', 10**400),
+        ],
+        ids=["one-huge-cost", "all-huge-costs"],
+    )
+    def test_huge_exact_cost_solves(self, mode, doc, cost, tmp_path, capsys, monkeypatch):
+        # costs beyond the float range reach the estimator only as ratios
+        code, out, _ = run(
+            ["solve", "--mode", mode, write_gap(tmp_path, doc), "--format", "machine"],
+            capsys=capsys,
+        )
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["guarantees_ok"] is True
+        assert Fraction(rep["cost"]) == cost
+
     def test_infeasible_exits_one(self, tmp_path, capsys, monkeypatch):
         doc = '{"A": [[1]], "a": [2], "c": [1], "d": [1]}'
         code, _, err = run(
@@ -95,6 +117,15 @@ class TestSolve:
         )
         assert code == EXIT_USAGE
         assert "error" in err
+
+    @pytest.mark.parametrize("word", ["Infinity", "NaN"])
+    def test_non_finite_number_exits_two(self, word, tmp_path, capsys, monkeypatch):
+        doc = '{"A": [[%s, 1]], "a": [1], "c": [1, 1]}' % word
+        code, _, err = run(
+            ["solve", "--mode", "lp", write_gap(tmp_path, doc)], capsys=capsys
+        )
+        assert code == EXIT_USAGE
+        assert "as a rational" in err
 
     def test_non_utf8_document_exits_two(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "inst.json"
@@ -205,6 +236,7 @@ class TestExitCodes:
             (KeyError("internal"), EXIT_FAULT),
             (ValueError("internal"), EXIT_FAULT),
             (ZeroDivisionError("internal"), EXIT_FAULT),
+            (OverflowError("internal"), EXIT_FAULT),
         ],
         ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
     )
@@ -224,15 +256,6 @@ class TestExitCodes:
         )
         assert code == EXIT_LIMIT
         assert "after 1 rounds" in err
-
-    def test_float_overflow_is_a_fault_not_infeasible(self, tmp_path, capsys, monkeypatch):
-        # the estimator's float range is exceeded; that is no verdict on the instance
-        doc = '{"A": [[1, 1]], "a": [1], "c": ["1e400", 1], "d": [1, 1]}'
-        code, _, err = run(
-            ["solve", "--mode", "bicriteria", write_gap(tmp_path, doc)], capsys=capsys
-        )
-        assert code == EXIT_FAULT
-        assert "OverflowError" in err
 
 
 class TestGen:
@@ -339,6 +362,8 @@ class TestOracleAndCheck:
             '{"x": [1, 1, 1]}',
             '{"x": [true, 1]}',
             '{"x": [null, 1]}',
+            '{"x": [Infinity, 1]}',
+            '{"x": [NaN, 1]}',
             '{"x": 1}',
             '{"y": [1, 1]}',
             "[1, 1]",

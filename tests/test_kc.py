@@ -11,7 +11,6 @@ from coverpack.kc import (
     floor_bounds,
     high_set,
     kc_system,
-    pinning_plan,
     residual_demand,
     solve_cip_strict,
     solve_lp_kc,
@@ -80,19 +79,16 @@ class TestKcSystem:
 class TestFindViolated:
     def test_gap_point_violates_pinned_row(self):
         inst = knapsack_gap(F(1, 10))
-        hits = find_violated_kc(inst, (F(1), F(1, 10)), 2, floor_bounds(inst))
-        assert len(hits) == 1
-        Fset, row, amount = hits[0]
-        assert Fset == frozenset({0})
-        assert row == 0
-        assert amount == F(9, 100)
+        system, hits = find_violated_kc(inst, (F(1), F(1, 10)), 2, floor_bounds(inst))
+        assert system == kc_system(inst, {0}, floor_bounds(inst))
+        assert hits == [(0, F(9, 100))]
 
     def test_fully_pinned_no_violation_when_residual_zero(self):
         inst = make_inst(A=[[2, 1]], a=[2], c=[1, 1], d=[1, 1])
         df = floor_bounds(inst)
         x = tuple(F(v) for v in (1, 1))
         assert high_set(x, df, F(2)) == frozenset({0, 1})
-        assert find_violated_kc(inst, x, 2, df) == []
+        assert find_violated_kc(inst, x, 2, df)[1] == []
 
     def test_low_point_reduces_to_original_rows(self):
         inst = normalize_width(gen_random_cpip(2, 3, 0, seed=5, d_max=4))
@@ -101,12 +97,23 @@ class TestFindViolated:
         sol_x = [min(F(df[j]) / 2 - F(1, 100), F(df[j])) for j in range(inst.n)]
         if all(dot(inst.A[i], sol_x) >= inst.a[i] for i in range(inst.m)):
             assert high_set(sol_x, df, F(2)) == frozenset()
-            assert find_violated_kc(inst, sol_x, 2, df) == []
+            assert find_violated_kc(inst, sol_x, 2, df)[1] == []
 
     def test_lambda_must_exceed_one(self):
         inst = knapsack_gap(F(1, 10))
         with pytest.raises(InstanceError):
             find_violated_kc(inst, (F(0), F(0)), 1, floor_bounds(inst))
+
+
+class TestHighSet:
+    def test_threshold(self):
+        inst = make_inst(A=[[1, 1, 1]], a=[1], c=[1, 1, 1], d=[2, 2, None])
+        x = (F(1), F(99, 100), F(5))
+        assert high_set(x, floor_bounds(inst), 2) == frozenset({0})  # d'/2 = 1
+
+    def test_zero_bound_always_high(self):
+        inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[0, None])
+        assert high_set((F(0), F(2)), floor_bounds(inst), 2) == frozenset({0})
 
 
 class TestSolveLpKc:
@@ -132,7 +139,9 @@ class TestSolveLpKc:
             inst = normalize_width(gen_random_cpip(3, 4, 1, seed=600 + seed, d_max=3))
             info = {}
             x = solve_lp_kc(inst, 2, info=info)
-            assert find_violated_kc(inst, x, 2, floor_bounds(inst)) == []
+            system, violated = find_violated_kc(inst, x, 2, floor_bounds(inst))
+            assert violated == []
+            assert info["system"] == system
             assert verify_certificate(info["problem"], info["solution"], 0) == []
             df = floor_bounds(inst)
             assert all(
@@ -145,20 +154,6 @@ class TestSolveLpKc:
             solve_lp_kc(inst, 2, max_rounds=1)
         assert err.value.last_x is not None
         assert err.value.outstanding
-
-
-class TestPinningPlan:
-    def test_membership_threshold(self):
-        inst = make_inst(A=[[1, 1, 1]], a=[1], c=[1, 1, 1], d=[2, 2, None])
-        plan = pinning_plan(inst, (F(1), F(99, 100), F(5)), 1)  # threshold d'/2 = 1
-        assert plan.F == frozenset({0})
-        assert plan.d_doubleprime == (F(0), F(99, 100), F(5))
-        assert plan.xbar_restricted.values == plan.d_doubleprime
-
-    def test_zero_bound_always_pinned(self):
-        inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[0, None])
-        plan = pinning_plan(inst, (F(0), F(2)), 1)
-        assert 0 in plan.F
 
 
 class TestSolveCipStrict:
@@ -228,15 +223,41 @@ class TestSolveCipStrict:
             assert len(calls) == report.lp_rounds + extra
             assert report.fopt == solve_lp(lp_from_instance(inst)).objective_value
 
+    def test_one_residual_system_per_cut_round(self, monkeypatch):
+        calls = []
+
+        def counting_kc_system(inst, pins, d_floor):
+            calls.append(frozenset(pins))
+            return kc_system(inst, pins, d_floor)
+
+        monkeypatch.setattr(kc, "kc_system", counting_kc_system)
+        insts = [knapsack_gap(F(1, 10))] + [
+            normalize_width(gen_random_cpip(4, 5, 1, seed=s, d_max=3)) for s in range(6)
+        ]
+        rounds = []
+        for inst in insts:
+            for eps in (F(1, 4), F(1)):
+                calls.clear()
+                _, report = solve_cip_strict(inst, eps)
+                assert len(calls) == report.lp_rounds
+                # the pinned set is the last round's high set at lambda = 1+eps
+                last = calls[-1]
+                assert report.pinned == tuple(sorted(last))
+                x = solve_lp_kc(inst, 1 + eps)
+                assert last == high_set(x, floor_bounds(inst), 1 + eps)
+                rounds.append(report.lp_rounds)
+        assert max(rounds) > 1
+
     def test_cost_bound_breach_raises(self, monkeypatch):
         inst = normalize_width(gen_random_cpip(3, 4, 1, seed=17))
         inst = make_inst(
             A=inst.A, a=inst.a, c=inst.c, d=[None] * inst.n, B=inst.B, b=inst.b
         )
-        monkeypatch.setattr(
-            kc,
-            "bicriteria_round",
-            lambda *args, **kwargs: IntegerVector((10**6,) * inst.n),
-        )
+
+        def over_cost_round(*args, info_out):
+            info_out.update({"K": 1, "L": F(1)})
+            return IntegerVector((10**6,) * inst.n)
+
+        monkeypatch.setattr(kc, "bicriteria_round", over_cost_round)
         with pytest.raises(GuaranteeError, match="cost"):
             solve_cip_strict(inst, 1)

@@ -52,6 +52,12 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1"):
             parse_instance('{"A": [[1, ]], "a": [1]}')
 
+    @pytest.mark.parametrize("word", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_number_rejected(self, word):
+        # json.loads reads these words as floats; no rational equals them
+        with pytest.raises(InstanceError, match="as a rational"):
+            parse_instance('{"A": [[%s, 1]], "a": [1], "c": [1, 1]}' % word)
+
     def test_b_without_rhs_rejected(self):
         with pytest.raises(ParseError):
             parse_instance('{"A": [[1]], "a": [1], "c": [1], "d": [1], "B": [[1]]}')

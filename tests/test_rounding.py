@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 
 import pytest
@@ -171,7 +173,12 @@ def dense_phi(xprime, A, a, c, L, active, W, fixed):
                 exponent -= t * w * floors[j]
                 exponent += math.log1p(fracs[j] * math.expm1(-t * w))
         row_terms.append(math.exp(min(exponent, 60.0)))
-    return cost_term + sum(row_terms)
+    return cost_term + _left_to_right(row_terms)
+
+
+def _left_to_right(terms) -> float:
+    """The float sum in index order (the builtin sum compensates from CPython 3.12)."""
+    return functools.reduce(operator.add, terms, 0.0)
 
 
 @st.composite
@@ -232,6 +239,22 @@ class TestEstimatorState:
             fixed[j] = choice
             reference = dense_phi(xprime, A, a, c, L, active, W, fixed)
             assert state.phi() == pytest.approx(reference, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_phi_adds_row_terms_left_to_right(self, seed):
+        # phi, and so trace_out and the phi >= 1 start check, must be the
+        # same float on every interpreter; with zero costs phi is the sum of
+        # the row terms alone, so a last-bit change in that sum shows
+        inst = gen_set_cover(50, 100, 0.1, seed)
+        support = min(sum(1 for v in row if v > 0) for row in inst.A)
+        L = compute_scale_factor(inst.m, metrics(inst).width)
+        xprime = tuple(L * F(1, support) for _ in inst.c)
+        state = EstimatorState(xprime, CoverRows(inst.A, inst.a), [F(0)] * inst.n, L)
+        for j in range(inst.n):
+            terms = [math.exp(min(e, 60.0)) for e in state.exponents]
+            assert state.phi() == _left_to_right(terms)
+            ceiling = state.fracs[j] and state.prefers_ceiling(j)
+            state.fix(j, state.floors[j] + 1 if ceiling else state.floors[j])
 
 
 # nonzero coordinates (all equal to 1) that the dense estimator gave, at

@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverpack.genbench import gen_random_cpip
@@ -65,7 +65,12 @@ def _scipy_linprog(p):
     """scipy HiGHS on the same problem, with every row as A_ub x <= b_ub.
 
     Presolve is off: with it on, HiGHS reports some unbounded LPs as
-    infeasible (e.g. min -x4 s.t. 0 <= x2 + x3 - x4 <= 1, x >= 0).
+    infeasible (e.g. min -x4 s.t. 0 <= x2 + x3 - x4 <= 1, x >= 0).  With
+    it off, HiGHS leaves some unbounded LPs at status 4 ("model_status is
+    Unknown").  Two more solves decide those: the same rows with a zero
+    objective (status 2 if infeasible), then the recession cone, min c.r
+    over rows with rhs 0, r >= 0, r_j = 0 where x_j has an upper bound,
+    and c.r >= -1.  A feasible LP is unbounded iff that minimum is -1.
     """
     scipy_opt = pytest.importorskip("scipy.optimize")
     A_ub, b_ub = [], []
@@ -74,14 +79,28 @@ def _scipy_linprog(p):
         A_ub.append([sign * float(v) for v in row.coeffs])
         b_ub.append(sign * float(row.rhs))
     bounds = [(0, None if u is None else float(u)) for u in p.var_bounds]
-    return scipy_opt.linprog(
-        [float(v) for v in p.objective],
-        A_ub=A_ub or None,
-        b_ub=b_ub or None,
-        bounds=bounds,
-        method="highs",
-        options={"presolve": False},
-    )
+    c = [float(v) for v in p.objective]
+
+    def linprog(c, A_ub, b_ub, bounds):
+        return scipy_opt.linprog(
+            c,
+            A_ub=A_ub or None,
+            b_ub=b_ub or None,
+            bounds=bounds,
+            method="highs",
+            options={"presolve": False},
+        )
+
+    res = linprog(c, A_ub, b_ub, bounds)
+    if res.status == 4:
+        if linprog([0.0] * len(c), A_ub, b_ub, bounds).status == 2:
+            res.status = 2
+        else:
+            cone = [(0, None if u is None else 0) for u in p.var_bounds]
+            ray = linprog(c, [*A_ub, [-v for v in c]], [0.0] * len(b_ub) + [1.0], cone)
+            if ray.status == 0 and ray.fun < -0.5:
+                res.status = 3
+    return res
 
 
 def _farkas_certifies(p, s):
@@ -147,6 +166,26 @@ def general_lps(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(general_lps())
+# unbounded, and HiGHS without presolve leaves both at status 4; with
+# presolve it calls the second one infeasible
+@example(
+    LpProblem.from_data(
+        [0, 0, -1, -1],
+        [((0, 0, 0, 0), GE, 0), ((0, 0, 0, F(-1, 2)), GE, 0), ((0, 0, -1, -1), LE, 1)],
+        [None] * 4,
+    )
+)
+@example(
+    LpProblem.from_data(
+        [0, 0, 0, -1],
+        [
+            ((0, -2, -2, 1), GE, 0),
+            ((0, 1, 1, F(-1, 2)), GE, -1),
+            ((0, 1, -6, -1), LE, 1),
+        ],
+        [None, 1, None, None],
+    )
+)
 def test_status_and_certificates_match_scipy(p):
     s = solve_lp(p)
     res = _scipy_linprog(p)
