@@ -42,7 +42,7 @@ def main() -> None:
         )
 
     epsilons = [Fraction(e) for e in args.epsilons.split(",")]
-    result = run_bench(specs, epsilons, args.seed)
+    result = run_bench(specs, epsilons)
     print(result.to_jsonl() if args.jsonl else result.to_text())
 
 

@@ -10,12 +10,12 @@ Subcommands over the JSON instance document format:
 * ``check``  -- violation report for a candidate solution vector
 
 Exit codes: 0 success, 1 infeasible, 2 usage or document errors, 3 a
-solver limit (pivot budget or cut rounds), 4 an internal fault (a
-rounding, estimator, guarantee or numerical failure, or any other
-unclassified exception).  All randomness flows from --seed (default 0,
-never wall clock), so every run is reproducible.  Each subcommand takes
-only the flags it reads; any other flag exits 2.  Machine output is one
-JSON report per line.
+solver limit (pivot budget, cut rounds or oracle points), 4 an internal
+fault (a rounding, estimator or guarantee failure, a failed LP
+certificate among them, or any other unclassified exception).  All
+randomness flows from --seed (default 0, never wall clock), so every run
+is reproducible.  Each subcommand takes only the flags it reads; any
+other flag exits 2.  Machine output is one JSON report per line.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from coverpack.genbench import FAMILIES, GeneratorSpec, generate, run_bench
 from coverpack.kc import CutLoopLimitError, solve_cip_strict, solve_lp_kc
 from coverpack.model import (
     CpipInstance,
+    GuaranteeError,
     InstanceError,
     ParseError,
     dot,
@@ -38,12 +39,7 @@ from coverpack.model import (
     parse_solution,
     serialize_instance,
 )
-from coverpack.oracle import (
-    OracleBudget,
-    SolveReport,
-    brute_force_opt,
-    check_solution,
-)
+from coverpack.oracle import SolveReport, brute_force_opt, check_solution
 from coverpack.rounding import (
     RNG_NAME,
     bicriteria_round,
@@ -127,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(rnd)
 
     orc = subs.add_parser("oracle", help="brute-force integer optimum")
-    orc.add_argument("--max-points", type=int, default=2_000_000)
+    orc.add_argument("--max-points", type=_positive_int, default=2_000_000)
     _add_common(orc)
 
     gen = subs.add_parser("gen", help="emit a generated instance")
@@ -204,11 +200,18 @@ def _emit(report: SolveReport, output: str) -> None:
         print(f"elapsed_s: {report.elapsed_s:.4f}")
 
 
+def _certify(problem, sol) -> None:
+    failed = verify_certificate(problem, sol)
+    if failed:
+        raise GuaranteeError("LP certificate failed: " + ", ".join(map(str, failed)))
+
+
 def _lp_report(inst: CpipInstance, args) -> SolveReport:
     problem = lp_from_instance(inst)
     sol = solve_lp(problem)
     if sol.status == "INFEASIBLE":
         raise InfeasibleError("standard relaxation is infeasible", sol)
+    _certify(problem, sol)
     return SolveReport(
         mode="lp",
         fopt=sol.objective_value,
@@ -216,7 +219,7 @@ def _lp_report(inst: CpipInstance, args) -> SolveReport:
         epsilon=args.epsilon,
         x=sol.primal.values,
         violations=check_solution(inst, sol.primal.values, args.epsilon),
-        certificate_ok=not verify_certificate(problem, sol, 0),
+        certificate_ok=True,
         status=sol.status,
     )
 
@@ -224,6 +227,7 @@ def _lp_report(inst: CpipInstance, args) -> SolveReport:
 def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
     info: dict = {}
     x = solve_lp_kc(inst, args.lam, max_rounds=args.max_rounds, info=info)
+    _certify(info["problem"], info["solution"])
     return SolveReport(
         mode="lp-kc",
         fopt_kc=info["objective"],
@@ -235,12 +239,12 @@ def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
         cut_rows_added=info["cut_rows_added"],
         lp_rounds=info["rounds"],
         pin_sets_seen=info["pin_sets_seen"],
-        certificate_ok=not verify_certificate(info["problem"], info["solution"], 0),
+        certificate_ok=True,
     )
 
 
-def _oracle_report(inst: CpipInstance, args, max_points: int) -> SolveReport:
-    res = brute_force_opt(inst, OracleBudget(max_points=max_points))
+def _oracle_report(inst: CpipInstance, args, **limits) -> SolveReport:
+    res = brute_force_opt(inst, **limits)
     if res.status == "INFEASIBLE":
         raise InfeasibleError("no integer solution in the search box", None)
     return SolveReport(
@@ -299,7 +303,7 @@ def _solve_report(inst: CpipInstance, args) -> SolveReport:
     elif args.mode == "lp-kc":
         report = _lp_kc_report(inst, args)
     else:
-        report = _oracle_report(inst, args, 2_000_000)
+        report = _oracle_report(inst, args)
     return report
 
 
@@ -330,7 +334,7 @@ def _cmd_bench(args) -> int:
                 GeneratorSpec(family=fam, seed=args.seed + k, m=3 + k % 3, n=4 + k % 3, r=1)
                 for k in range(args.count)
             )
-    result = run_bench(specs, args.epsilons, args.seed, include_timing=not args.no_timing)
+    result = run_bench(specs, args.epsilons, include_timing=not args.no_timing)
     print(result.to_jsonl() if args.output == "machine" else result.to_text())
     return EXIT_OK
 
@@ -370,9 +374,13 @@ def main(argv=None) -> int:
         if args.subcommand == "solve":
             report = _solve_report(inst, args)
         elif args.subcommand == "oracle":
-            report = _oracle_report(inst, args, args.max_points)
+            report = _oracle_report(inst, args, max_points=args.max_points)
         else:
             report = _round_report(inst, args)
+        if report.status == "BUDGET_EXCEEDED":  # only the oracle has a point budget
+            print(f"limit: oracle search space of {report.oracle_space} points is over budget",
+                  file=sys.stderr)
+            return EXIT_LIMIT
         _emit(report, args.output)
         return EXIT_OK
     except InfeasibleError as exc:

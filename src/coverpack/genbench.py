@@ -26,11 +26,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from coverpack.model import CpipInstance, InstanceError, dot, normalize_width, number_out
-from coverpack.oracle import OracleBudget, Timer, brute_force_opt
+from coverpack.oracle import Timer, brute_force_opt
 from coverpack.rounding import solve_cpip_bicriteria
 from coverpack.kc import solve_cip_strict
 
 FAMILIES = ("SET_COVER", "MULTISET_MULTICOVER", "KNAPSACK_GAP", "RANDOM_CPIP")
+
+#: the harness asks the oracle only for search spaces up to this size
+ORACLE_MAX_POINTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -284,14 +287,7 @@ def _short(v) -> str:
     return f"{f:.6g}"
 
 
-def run_bench(
-    specs,
-    epsilons,
-    seed: int = 0,
-    *,
-    include_timing: bool = True,
-    oracle_budget: OracleBudget | None = None,
-) -> BenchResult:
+def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
     """Run every solver stage on every (instance, epsilon) pair.
 
     Per row: relaxation value, cut-strengthened value, exact optimum when
@@ -301,7 +297,6 @@ def run_bench(
     ``include_timing=False`` the output is bit-identical across runs for
     a fixed seed.
     """
-    budget = oracle_budget or OracleBudget(max_points=200_000)
     result = BenchResult()
     ratios_fopt: list[float] = []
     ratios_opt: list[float] = []
@@ -336,7 +331,7 @@ def run_bench(
                     xs, rep_s = solve_cip_strict(inst, eps)
                     row.strict_cost = rep_s.cost
                     row.fopt_kc = rep_s.fopt_kc
-                    oracle = brute_force_opt(inst, budget)
+                    oracle = brute_force_opt(inst, max_points=ORACLE_MAX_POINTS)
                     if oracle.status == "OPTIMAL":
                         row.opt = oracle.cost
                         if oracle.cost > 0:

@@ -238,9 +238,9 @@ def solve_cip_strict(
     with Timer() as timer:
         kc_info: dict = {}
         xbar = solve_lp_kc(inst, lam, max_rounds=max_rounds, info=kc_info)
-        certificate_ok = not verify_certificate(
-            kc_info["problem"], kc_info["solution"], 0
-        )
+        failed = verify_certificate(kc_info["problem"], kc_info["solution"])
+        if failed:
+            raise GuaranteeError("LP certificate failed: " + ", ".join(map(str, failed)))
         # the loop's last high set, at lambda = 1+eps, is the pinned set
         system = kc_info["system"]
         xres = tuple(ZERO if j in system.F else v for j, v in enumerate(xbar))
@@ -300,7 +300,7 @@ def solve_cip_strict(
         x=xhat.values,
         violations=violations,
         guarantees_ok=violations.ok_strict,
-        certificate_ok=certificate_ok,
+        certificate_ok=True,
         pinned=tuple(sorted(system.F)),
         pin_sets_seen=kc_info["pin_sets_seen"],
         cut_rows_added=kc_info["cut_rows_added"],

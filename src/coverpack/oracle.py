@@ -18,17 +18,7 @@ from typing import Sequence
 from coverpack.model import ZERO, CpipInstance, IntegerVector, dot, number_out
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Enumeration cap; the oracle refuses larger search spaces."""
-
-    max_points: int = 2_000_000
-
-
-DEFAULT_BUDGET = OracleBudget()
-
-
-def effective_bounds(inst: CpipInstance, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int, ...]:
+def effective_bounds(inst: CpipInstance) -> tuple[int, ...]:
     """Per-variable enumeration caps.
 
     A finite multiplicity bound caps at floor(d_j).  An unbounded variable
@@ -59,10 +49,8 @@ class BruteForceResult:
     bounds: tuple[int, ...]
 
 
-def brute_force_opt(
-    inst: CpipInstance, budget: OracleBudget = DEFAULT_BUDGET
-) -> BruteForceResult:
-    """Exhaustive integer optimum over the capped box.
+def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> BruteForceResult:
+    """Exhaustive integer optimum over the capped box, if it has at most ``max_points``.
 
     Odometer-style depth-first enumeration (last coordinate fastest) with
     early pruning: a packing row already exceeded, or a cost prefix that
@@ -70,11 +58,11 @@ def brute_force_opt(
     lexicographically smallest vector -- enumeration order is ascending
     lexicographic and the incumbent is only replaced on strict improvement.
     """
-    u = effective_bounds(inst, budget)
+    u = effective_bounds(inst)
     space = 1
     for cap in u:
         space *= cap + 1
-    if space > budget.max_points:
+    if space > max_points:
         return BruteForceResult("BUDGET_EXCEEDED", None, None, space, u)
 
     n, m, r = inst.n, inst.m, inst.r
@@ -244,9 +232,7 @@ def _feasible_points(inst: CpipInstance, caps: tuple[int, ...]) -> list[tuple[in
     return pts
 
 
-def check_kc_validity(
-    inst: CpipInstance, budget: OracleBudget = DEFAULT_BUDGET
-) -> KcValidityReport:
+def check_kc_validity(inst: CpipInstance, *, max_points: int = 2_000_000) -> KcValidityReport:
     """Exhaustively verify residual covering rows against all feasible points.
 
     For every pinnable subset F of the finite-bound variables, builds the
@@ -258,12 +244,12 @@ def check_kc_validity(
 
     d_floor = kc.floor_bounds(inst)
     finite = [j for j in range(inst.n) if d_floor[j] is not None]
-    caps = effective_bounds(inst, budget)
+    caps = effective_bounds(inst)
     space = 1
     for cap in caps:
         space *= cap + 1
     work = (2 ** len(finite)) * space
-    if work > budget.max_points:
+    if work > max_points:
         return KcValidityReport("BUDGET_EXCEEDED", (), (), 0, space)
 
     points = _feasible_points(inst, caps)

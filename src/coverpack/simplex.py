@@ -59,10 +59,6 @@ class IterationLimitError(LpError):
         self.best_objective = best_objective
 
 
-class NumericalInstabilityError(LpError):
-    """Non-finite input detected; re-run with exact rational data."""
-
-
 class InfeasibleError(CoverpackError):
     """Raised by callers that require a feasible LP."""
 
@@ -88,14 +84,7 @@ class LpProblem:
 
     @classmethod
     def from_data(cls, objective, rows, var_bounds) -> "LpProblem":
-        def num(v, where):
-            if isinstance(v, float) and (v != v or v in (float("inf"), float("-inf"))):
-                raise NumericalInstabilityError(
-                    f"{where} is not finite; supply exact rational data"
-                )
-            return as_fraction(v, where)
-
-        obj = tuple(num(v, f"objective[{j}]") for j, v in enumerate(objective))
+        obj = tuple(as_fraction(v, f"objective[{j}]") for j, v in enumerate(objective))
         n = len(obj)
         out_rows = []
         for i, row in enumerate(rows):
@@ -104,12 +93,12 @@ class LpProblem:
             )
             if sense not in (GE, LE):
                 raise InstanceError(f"row {i}: sense must be '>=' or '<='")
-            cf = tuple(num(v, f"row {i} coeff {j}") for j, v in enumerate(coeffs))
+            cf = tuple(as_fraction(v, f"row {i} coeff {j}") for j, v in enumerate(coeffs))
             if len(cf) != n:
                 raise InstanceError(f"row {i} has {len(cf)} coeffs, expected {n}")
-            out_rows.append(LpRow(cf, sense, num(rhs, f"row {i} rhs")))
+            out_rows.append(LpRow(cf, sense, as_fraction(rhs, f"row {i} rhs")))
         ub = tuple(
-            None if v is None else num(v, f"bound[{j}]") for j, v in enumerate(var_bounds)
+            None if v is None else as_fraction(v, f"bound[{j}]") for j, v in enumerate(var_bounds)
         )
         if len(ub) != n:
             raise InstanceError(f"var_bounds has {len(ub)} entries, expected {n}")
@@ -119,13 +108,13 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpSolution:
     status: str  # OPTIMAL | INFEASIBLE | UNBOUNDED
-    primal: FractionalVector | None
-    objective_value: Fraction | None
-    dual_rows: tuple[Fraction, ...] | None
-    dual_bounds: tuple[Fraction, ...] | None
-    ray_rows: tuple[Fraction, ...] | None
-    ray_bounds: tuple[Fraction, ...] | None
     iterations: int
+    primal: FractionalVector | None = None
+    objective_value: Fraction | None = None
+    dual_rows: tuple[Fraction, ...] | None = None
+    dual_bounds: tuple[Fraction, ...] | None = None
+    ray_rows: tuple[Fraction, ...] | None = None
+    ray_bounds: tuple[Fraction, ...] | None = None
 
 
 def lp_from_instance(
@@ -178,76 +167,50 @@ class _Tableau:
     (Edmonds 1967, Bareiss 1968) and every rewritten row is reduced by the
     gcd of its entries and denominator.  The objective row ``obj`` over
     ``obj_den`` holds the reduced costs, with ``-z`` last.
+
+    Columns are the ``n`` variables, then the slack of internal row ``i`` at
+    ``n + i``, then one artificial per row that is ``>=`` once its rhs is
+    made nonnegative, in row order.
     """
 
     def __init__(self, p: LpProblem):
-        n = len(p.objective)
-        # Internal rows, each normalized to nonnegative rhs.  flip[i] records
-        # rows multiplied by -1 so duals can be mapped back.
-        senses: list[str] = []
-        coeffs: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        flip: list[bool] = []
-        for row in p.rows:
-            cf, sn, rh = list(row.coeffs), row.sense, row.rhs
-            if rh < 0:
-                cf = [-v for v in cf]
-                rh = -rh
-                sn = GE if sn == LE else LE
-                flip.append(True)
-            else:
-                flip.append(False)
-            coeffs.append(cf)
-            senses.append(sn)
-            rhs.append(rh)
-        self.num_user_rows = len(p.rows)
-        for j, u in enumerate(p.var_bounds):
-            if u is None:
-                continue
-            cf = [ZERO] * n
-            cf[j] = ONE
-            coeffs.append(cf)
-            senses.append(LE)
-            rhs.append(u)
-            flip.append(False)
-        self.bound_row_var: list[int] = [
-            j for j, u in enumerate(p.var_bounds) if u is not None
-        ]
-
-        R = len(coeffs)
-        self.n = n
-        self.slack_of = list(range(n, n + R))
-        self.slack_sign = [1 if s == LE else -1 for s in senses]
-        art_cols = [i for i in range(R) if senses[i] == GE]
-        self.art_of = {}
-        ncols = n + R
-        for i in art_cols:
-            self.art_of[i] = ncols
-            ncols += 1
-        self.ncols = ncols
-        self.flip = flip
-
-        # Row i scaled by the lcm D of its denominators: slack and
-        # artificial entries become +-D.
+        n = self.n = len(p.objective)
+        self.bounded = [j for j, u in enumerate(p.var_bounds) if u is not None]
+        R = len(p.rows) + len(self.bounded)
+        # a row with negative rhs is multiplied by -1, which flips its sense
+        ge = [(row.sense == GE) != (row.rhs < 0) for row in p.rows]
+        ncols = self.ncols = n + R + sum(ge)
+        self.artificial = frozenset(range(n + R, ncols))
         self.T: list[list[int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
-        for i in range(R):
-            D = lcm(rhs[i].denominator, *(v.denominator for v in coeffs[i]))
+        art = n + R
+        for i, row in enumerate(p.rows):
+            # row i scaled by the lcm D of its denominators, as integers
+            sign = -1 if row.rhs < 0 else 1
+            D = lcm(row.rhs.denominator, *(v.denominator for v in row.coeffs))
             trow = [0] * (ncols + 1)
-            for j, v in enumerate(coeffs[i]):
+            for j, v in enumerate(row.coeffs):
                 if v:
-                    trow[j] = v.numerator * (D // v.denominator)
-            trow[self.slack_of[i]] = self.slack_sign[i] * D
-            if i in self.art_of:
-                trow[self.art_of[i]] = D
-                self.basis.append(self.art_of[i])
+                    trow[j] = sign * v.numerator * (D // v.denominator)
+            trow[ncols] = sign * row.rhs.numerator * (D // row.rhs.denominator)
+            if ge[i]:
+                trow[n + i], trow[art] = -D, D
+                self.basis.append(art)
+                art += 1
             else:
-                self.basis.append(self.slack_of[i])
-            trow[ncols] = rhs[i].numerator * (D // rhs[i].denominator)
+                trow[n + i] = D
+                self.basis.append(n + i)
             self.T.append(trow)
             self.den.append(D)
-        self.artificial = set(self.art_of.values())
+        for i, j in enumerate(self.bounded, len(p.rows)):
+            u = p.var_bounds[j]  # x_j + slack = u, over the denominator of u
+            trow = [0] * (ncols + 1)
+            trow[j] = trow[n + i] = u.denominator
+            trow[ncols] = u.numerator
+            self.T.append(trow)
+            self.den.append(u.denominator)
+            self.basis.append(n + i)
         self.obj: list[int] = []  # set by price()
         self.obj_den = 1
         self.iterations = 0
@@ -301,19 +264,15 @@ class _Tableau:
         degenerate_streak = 0
         while True:
             obj = self.obj
+            # most negative reduced cost, ties to the lowest column; under
+            # Bland's rule the first negative one
             use_bland = degenerate_streak >= bland_after
-            enter = -1
-            if use_bland:
-                for j in range(self.ncols):
-                    if j not in forbid and obj[j] < 0:
-                        enter = j
+            enter, best = -1, 0
+            for j in range(self.ncols):
+                if obj[j] < best and j not in forbid:
+                    enter, best = j, obj[j]
+                    if use_bland:
                         break
-            else:
-                best = 0
-                for j in range(self.ncols):
-                    if j not in forbid and obj[j] < best:
-                        best = obj[j]
-                        enter = j
             if enter < 0:
                 return True
             leave = -1
@@ -353,58 +312,36 @@ def solve_lp(
     solution.
     """
     t = _Tableau(p)
-    phase1_cost = [ZERO] * t.ncols
-    for col in t.artificial:
-        phase1_cost[col] = ONE
+    phase1_cost = [ONE if col in t.artificial else ZERO for col in range(t.ncols)]
     if not t.run(
         phase1_cost, forbid=frozenset(), bland_after=bland_after, max_iters=max_iters
     ):  # cannot happen: phase-1 objective is bounded below by 0
         raise LpError("phase 1 reported unbounded")
     if t.objective() > 0:
-        ray_rows, ray_bounds = _split_duals(p, t, _extract_duals(t))
+        ray_rows, ray_bounds = _duals(p, t)
         return LpSolution(
-            status="INFEASIBLE",
-            primal=None,
-            objective_value=None,
-            dual_rows=None,
-            dual_bounds=None,
-            ray_rows=ray_rows,
-            ray_bounds=ray_bounds,
-            iterations=t.iterations,
+            "INFEASIBLE", t.iterations, ray_rows=ray_rows, ray_bounds=ray_bounds
         )
 
     _drive_out_artificials(t)
 
-    phase2_cost = [ZERO] * t.ncols
-    for j in range(t.n):
-        phase2_cost[j] = p.objective[j]
+    phase2_cost = list(p.objective) + [ZERO] * (t.ncols - t.n)
     if not t.run(
         phase2_cost, forbid=t.artificial, bland_after=bland_after, max_iters=max_iters
     ):
-        return LpSolution(
-            status="UNBOUNDED",
-            primal=None,
-            objective_value=None,
-            dual_rows=None,
-            dual_bounds=None,
-            ray_rows=None,
-            ray_bounds=None,
-            iterations=t.iterations,
-        )
+        return LpSolution("UNBOUNDED", t.iterations)
     x = [ZERO] * t.n
     for i, bi in enumerate(t.basis):
         if bi < t.n:
             x[bi] = Fraction(t.T[i][t.ncols], t.den[i])
-    dual_rows, dual_bounds = _split_duals(p, t, _extract_duals(t))
+    dual_rows, dual_bounds = _duals(p, t)
     return LpSolution(
-        status="OPTIMAL",
+        "OPTIMAL",
+        t.iterations,
         primal=FractionalVector(tuple(x)),
         objective_value=t.objective(),
         dual_rows=dual_rows,
         dual_bounds=dual_bounds,
-        ray_rows=None,
-        ray_bounds=None,
-        iterations=t.iterations,
     )
 
 
@@ -431,24 +368,22 @@ def _drive_out_artificials(t: _Tableau) -> None:
             del t.T[i], t.den[i], t.basis[i]
 
 
-def _extract_duals(t: _Tableau) -> list[Fraction]:
-    """Dual value per original internal row, from its slack reduced cost."""
-    # rc[slack] = -sign * y, so y = -sign * rc[slack].
-    return [
-        Fraction(-t.slack_sign[internal] * t.obj[t.slack_of[internal]], t.obj_den)
-        for internal in range(t.num_user_rows + len(t.bound_row_var))
-    ]
+def _duals(p: LpProblem, t: _Tableau):
+    """Row and bound duals (a Farkas ray after phase 1) from the slack reduced costs.
 
-
-def _split_duals(p: LpProblem, t: _Tableau, duals: list[Fraction]):
-    dual_rows = []
-    for i in range(t.num_user_rows):
-        y = duals[i]
-        dual_rows.append(-y if t.flip[i] else y)
-    dual_bounds = [ZERO] * t.n
-    for k, j in enumerate(t.bound_row_var):
-        dual_bounds[j] = duals[t.num_user_rows + k]
-    return tuple(dual_rows), tuple(dual_bounds)
+    The reduced cost of row i's slack, column ``n + i``, is ``y_i`` for a
+    ``>=`` row and ``-y_i`` for a ``<=`` row; flipping a row's sign flips
+    both its sense and its slack, so the map is the same for flipped rows.
+    """
+    rc, n, m = t.obj, t.n, len(p.rows)
+    dual_rows = tuple(
+        Fraction(rc[n + i] if row.sense == GE else -rc[n + i], t.obj_den)
+        for i, row in enumerate(p.rows)
+    )
+    dual_bounds = [ZERO] * n
+    for i, j in enumerate(t.bounded, m):
+        dual_bounds[j] = Fraction(-rc[n + i], t.obj_den)
+    return dual_rows, tuple(dual_bounds)
 
 
 def dual_objective(p: LpProblem, s: LpSolution) -> Fraction:
@@ -471,48 +406,43 @@ class CertificateViolation:
         return f"{self.kind}[{self.index}]: off by {float(self.amount):.3g}"
 
 
-def verify_certificate(
-    p: LpProblem, s: LpSolution, tol: float | Fraction = 0
-) -> list[CertificateViolation]:
-    """List every primal/dual feasibility or gap violation exceeding tol.
+def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation]:
+    """List every primal/dual feasibility or gap violation, exactly.
 
     An empty report certifies optimality: the primal point is feasible,
     the dual vector is sign- and constraint-feasible, and the two
-    objectives agree within ``tol * (1 + |objective|)``.
+    objectives are equal.
     """
     if s.status != "OPTIMAL":
         raise LpError("certificates are only defined for OPTIMAL solutions")
-    tol = as_fraction(tol, "tol")
     out: list[CertificateViolation] = []
     x = s.primal.values
     for j, v in enumerate(x):
-        if v < -tol:
+        if v < 0:
             out.append(CertificateViolation("primal_nonneg", j, -v))
     for i, row in enumerate(p.rows):
         lhs = dot(row.coeffs, x)
         gap = lhs - row.rhs if row.sense == GE else row.rhs - lhs
-        if gap < -tol:
+        if gap < 0:
             out.append(CertificateViolation("primal_row", i, -gap))
     for j, u in enumerate(p.var_bounds):
-        if u is not None and x[j] - u > tol:
+        if u is not None and x[j] > u:
             out.append(CertificateViolation("primal_bound", j, x[j] - u))
     for i, row in enumerate(p.rows):
         y = s.dual_rows[i]
-        if row.sense == GE and y < -tol:
-            out.append(CertificateViolation("dual_sign_row", i, -y))
-        if row.sense == LE and y > tol:
-            out.append(CertificateViolation("dual_sign_row", i, y))
+        if (y < 0) if row.sense == GE else (y > 0):
+            out.append(CertificateViolation("dual_sign_row", i, abs(y)))
     for j, u in enumerate(p.var_bounds):
-        if u is not None and s.dual_bounds[j] > tol:
+        if u is not None and s.dual_bounds[j] > 0:
             out.append(CertificateViolation("dual_sign_bound", j, s.dual_bounds[j]))
     for j in range(len(p.objective)):
         lhs = sum(
             (s.dual_rows[i] * p.rows[i].coeffs[j] for i in range(len(p.rows))), ZERO
         )
         lhs += s.dual_bounds[j]
-        if lhs - p.objective[j] > tol:
+        if lhs > p.objective[j]:
             out.append(CertificateViolation("dual_feasibility", j, lhs - p.objective[j]))
     gap = abs(s.objective_value - dual_objective(p, s))
-    if gap > tol * (1 + abs(s.objective_value)):
+    if gap:
         out.append(CertificateViolation("duality_gap", 0, gap))
     return out

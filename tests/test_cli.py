@@ -17,10 +17,10 @@ from coverpack.model import (
 )
 from coverpack.rounding import EstimatorError, RoundingError
 from coverpack.simplex import (
+    CertificateViolation,
     InfeasibleError,
     IterationLimitError,
     LpError,
-    NumericalInstabilityError,
 )
 
 
@@ -211,6 +211,7 @@ class TestFlagsPerSubcommand:
             ("solve", ["--mode", "lp-kc", "--lambda", "7", "--max-rounds", "3"]),
             ("solve", ["--mode", "strict", "--max-rounds", "3"]),
             ("round", ["--op", "randomized", "--seed", "9"]),
+            ("oracle", ["--max-points", "4"]),
         ],
     )
     def test_read_flag_accepted(self, subcommand, flags, tmp_path, capsys, monkeypatch):
@@ -231,7 +232,6 @@ class TestExitCodes:
             (GuaranteeError("cost bound"), EXIT_FAULT),
             (RoundingError("lost coverage"), EXIT_FAULT),
             (EstimatorError("phi >= 1"), EXIT_FAULT),
-            (NumericalInstabilityError("nan"), EXIT_FAULT),
             (LpError("solver"), EXIT_FAULT),
             (KeyError("internal"), EXIT_FAULT),
             (ValueError("internal"), EXIT_FAULT),
@@ -256,6 +256,36 @@ class TestExitCodes:
         )
         assert code == EXIT_LIMIT
         assert "after 1 rounds" in err
+
+    @pytest.mark.parametrize("argv", [["oracle", "--max-points", "1000"], ["solve", "--mode", "oracle"]])
+    def test_oracle_over_budget_exits_three(self, argv, tmp_path, capsys, monkeypatch):
+        _, doc, _ = run(
+            ["gen", "--family", "random-cpip", "--m", "6", "--n", "12", "--seed", "1"],
+            capsys=capsys,
+        )
+        code, out, err = run([*argv, write_gap(tmp_path, doc)], capsys=capsys)
+        assert code == EXIT_LIMIT
+        assert out == ""
+        assert "2985984 points" in err  # over 1,000 and over the default 2,000,000
+
+    @pytest.mark.parametrize("value", ["-5", "0", "1.5"])
+    def test_oracle_max_points_must_be_positive(self, value, tmp_path, capsys, monkeypatch):
+        code, _, err = run(["oracle", write_gap(tmp_path), "--max-points", value], capsys=capsys)
+        assert code == EXIT_USAGE
+        assert "not a positive integer" in err
+
+    @pytest.mark.parametrize("mode", ["strict", "bicriteria", "lp", "lp-kc"])
+    def test_failed_certificate_is_a_fault(self, mode, tmp_path, capsys, monkeypatch):
+        def one_violation(*args):
+            return [CertificateViolation("duality_gap", 0, Fraction(1))]
+
+        for module in ("kc", "rounding", "cli"):
+            monkeypatch.setattr(f"coverpack.{module}.verify_certificate", one_violation)
+        code, out, err = run(["solve", "--mode", mode, write_gap(tmp_path)], capsys=capsys)
+        assert code == EXIT_FAULT
+        assert out == ""
+        assert "GuaranteeError" in err
+        assert "LP certificate failed: duality_gap[0]: off by 1" in err
 
 
 class TestGen:

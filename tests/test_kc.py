@@ -142,7 +142,7 @@ class TestSolveLpKc:
             system, violated = find_violated_kc(inst, x, 2, floor_bounds(inst))
             assert violated == []
             assert info["system"] == system
-            assert verify_certificate(info["problem"], info["solution"], 0) == []
+            assert verify_certificate(info["problem"], info["solution"]) == []
             df = floor_bounds(inst)
             assert all(
                 df[j] is None or x[j] <= df[j] for j in range(inst.n)

@@ -4,7 +4,6 @@ from coverpack.genbench import gen_random_cpip, knapsack_gap
 from coverpack.kc import floor_bounds, kc_system
 from coverpack.model import IntegerVector, dot, normalize_width
 from coverpack.oracle import (
-    OracleBudget,
     SolveReport,
     brute_force_opt,
     check_kc_validity,
@@ -39,7 +38,7 @@ class TestBruteForce:
 
     def test_budget_refusal_reports_space(self):
         inst = make_inst(A=[[1] * 4], a=[3], c=[1] * 4, d=[9] * 4)
-        res = brute_force_opt(inst, OracleBudget(max_points=100))
+        res = brute_force_opt(inst, max_points=100)
         assert res.status == "BUDGET_EXCEEDED"
         assert res.space_size == 10**4
 
@@ -119,7 +118,7 @@ class TestKcValidity:
 
     def test_budget_refusal(self):
         inst = make_inst(A=[[1] * 6], a=[3], c=[1] * 6, d=[2] * 6)
-        report = check_kc_validity(inst, OracleBudget(max_points=50))
+        report = check_kc_validity(inst, max_points=50)
         assert report.status == "BUDGET_EXCEEDED"
 
     def test_skipping_truncation_is_flagged(self):

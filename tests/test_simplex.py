@@ -6,13 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverpack.genbench import gen_random_cpip
-from coverpack.model import normalize_width, parse_instance
+from coverpack.model import InstanceError, normalize_width, parse_instance
 from coverpack.simplex import (
     GE,
     LE,
     IterationLimitError,
     LpProblem,
-    NumericalInstabilityError,
     dual_objective,
     lp_from_instance,
     solve_lp,
@@ -30,7 +29,7 @@ def test_gap_instance_relaxation():
     assert s.status == "OPTIMAL"
     assert s.objective_value == F(1, 10)
     assert s.primal.values == (F(1), F(1, 10))
-    assert verify_certificate(p, s, 0) == []
+    assert verify_certificate(p, s) == []
 
 
 def test_contradictory_bounds_infeasible_with_ray():
@@ -57,7 +56,7 @@ def test_matches_vertex_enumeration_oracle():
         p = lp_from_instance(inst)
         s = solve_lp(p)
         assert s.status == "OPTIMAL"
-        assert verify_certificate(p, s, 0) == []
+        assert verify_certificate(p, s) == []
         assert s.objective_value == vertex_enum_optimum(p)
 
 
@@ -191,7 +190,7 @@ def test_status_and_certificates_match_scipy(p):
     res = _scipy_linprog(p)
     assert s.status == {0: "OPTIMAL", 2: "INFEASIBLE", 3: "UNBOUNDED"}[res.status]
     if s.status == "OPTIMAL":
-        assert verify_certificate(p, s, 0) == []
+        assert verify_certificate(p, s) == []
         mine = float(s.objective_value)
         assert abs(mine - res.fun) <= 1e-6 * (1 + abs(mine))
     elif s.status == "INFEASIBLE":
@@ -216,11 +215,11 @@ def test_bland_rule_from_first_pivot():
         s = solve_lp(p, bland_after=bland_after)
         assert s.status == "OPTIMAL"
         assert s.objective_value == F(-5, 4)
-        assert verify_certificate(p, s, 0) == []
+        assert verify_certificate(p, s) == []
     for seed in range(5):
         p = lp_from_instance(gen_random_cpip(6, 8, 2, seed=seed))
         s = solve_lp(p, bland_after=0)
-        assert verify_certificate(p, s, 0) == []
+        assert verify_certificate(p, s) == []
         assert s.objective_value == solve_lp(p).objective_value
 
 
@@ -234,13 +233,41 @@ def test_pivot_path_pinned(shape, iterations, objective):
     assert (s.status, s.iterations, s.objective_value) == ("OPTIMAL", iterations, objective)
 
 
+def test_vertex_and_duals_pinned():
+    # the <= and >= rows with negative rhs are negated inside the tableau;
+    # their duals keep the sign convention of the rows as given
+    p = LpProblem.from_data(
+        [0, 2, 1, -2],
+        [((-3, 3, -3, 2), GE, 1), ((0, 2, -2, 0), LE, -1), ((2, 1, 1, -2), GE, -2)],
+        [4, None, F(3, 2), None],
+    )
+    s = solve_lp(p)
+    assert (s.status, s.iterations, s.objective_value) == ("OPTIMAL", 4, F(-5))
+    assert s.primal.values == (F(2), F(1), F(3, 2), F(17, 4))
+    assert s.dual_rows == (F(2), F(-7, 2), F(3))
+    assert s.dual_bounds == (F(0), F(0), F(-3), F(0))
+
+
+def test_farkas_ray_pinned():
+    p = LpProblem.from_data(
+        [3, 3, 2],
+        [((1, 0, -1), GE, 2), ((3, -3, -3), LE, -3), ((-2, -1, 3), GE, -2)],
+        [3, None, F(3, 2)],
+    )
+    s = solve_lp(p)
+    assert (s.status, s.iterations) == ("INFEASIBLE", 3)
+    assert s.ray_rows == (F(1), F(-1, 9), F(1, 3))
+    assert s.ray_bounds == (F(0), F(0), F(-1, 3))
+    assert _farkas_certifies(p, s)
+
+
 def test_certificate_flags_perturbed_primal():
     p = lp_from_instance(parse_instance(GAP_DOC))
     s = solve_lp(p)
     bad = replace(
         s, primal=type(s.primal)((F(1), F(1, 10) - F(1, 1000)))
     )
-    report = verify_certificate(p, bad, 1e-7)
+    report = verify_certificate(p, bad)
     kinds = {v.kind for v in report}
     assert "primal_row" in kinds  # the tight covering row is named
     assert any(v.kind == "primal_row" and v.index == 0 for v in report)
@@ -250,7 +277,7 @@ def test_certificate_flags_gap():
     p = lp_from_instance(parse_instance(GAP_DOC))
     s = solve_lp(p)
     bad = replace(s, objective_value=s.objective_value + 1)
-    assert any(v.kind == "duality_gap" for v in verify_certificate(p, bad, 1e-7))
+    assert any(v.kind == "duality_gap" for v in verify_certificate(p, bad))
 
 
 def test_duality_gap_zero_exactly():
@@ -292,5 +319,5 @@ def test_iteration_limit_carries_bound():
 
 
 def test_non_finite_input_rejected():
-    with pytest.raises(NumericalInstabilityError):
+    with pytest.raises(InstanceError):
         LpProblem.from_data([float("inf")], [], [None])
