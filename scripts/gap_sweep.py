@@ -12,8 +12,9 @@ Usage: python scripts/gap_sweep.py [--deltas 1/2,1/10,1/100,1/1000]
 import argparse
 from fractions import Fraction
 
-from coverpack import brute_force_opt, knapsack_gap, lp_from_instance, solve_lp
+from coverpack import brute_force_opt, knapsack_gap
 from coverpack.kc import solve_cip_strict, solve_lp_kc
+from coverpack.rounding import solve_relaxation
 
 
 def main() -> None:
@@ -27,7 +28,7 @@ def main() -> None:
     print("-" * len(header))
     for delta in deltas:
         inst = knapsack_gap(delta)
-        fopt = solve_lp(lp_from_instance(inst)).objective_value
+        fopt = solve_relaxation(inst).objective_value
         opt = brute_force_opt(inst).cost
         info: dict = {}
         solve_lp_kc(inst, 2, info=info)

@@ -29,7 +29,6 @@ from coverpack.genbench import FAMILIES, GeneratorSpec, generate, run_bench
 from coverpack.kc import CutLoopLimitError, solve_cip_strict, solve_lp_kc
 from coverpack.model import (
     CpipInstance,
-    GuaranteeError,
     InstanceError,
     ParseError,
     dot,
@@ -48,14 +47,9 @@ from coverpack.rounding import (
     granular_round,
     randomized_round,
     solve_cpip_bicriteria,
+    solve_relaxation,
 )
-from coverpack.simplex import (
-    InfeasibleError,
-    IterationLimitError,
-    lp_from_instance,
-    solve_lp,
-    verify_certificate,
-)
+from coverpack.simplex import InfeasibleError, IterationLimitError
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -200,18 +194,8 @@ def _emit(report: SolveReport, output: str) -> None:
         print(f"elapsed_s: {report.elapsed_s:.4f}")
 
 
-def _certify(problem, sol) -> None:
-    failed = verify_certificate(problem, sol)
-    if failed:
-        raise GuaranteeError("LP certificate failed: " + ", ".join(map(str, failed)))
-
-
 def _lp_report(inst: CpipInstance, args) -> SolveReport:
-    problem = lp_from_instance(inst)
-    sol = solve_lp(problem)
-    if sol.status == "INFEASIBLE":
-        raise InfeasibleError("standard relaxation is infeasible", sol)
-    _certify(problem, sol)
+    sol = solve_relaxation(inst)
     return SolveReport(
         mode="lp",
         fopt=sol.objective_value,
@@ -227,7 +211,6 @@ def _lp_report(inst: CpipInstance, args) -> SolveReport:
 def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
     info: dict = {}
     x = solve_lp_kc(inst, args.lam, max_rounds=args.max_rounds, info=info)
-    _certify(info["problem"], info["solution"])
     return SolveReport(
         mode="lp-kc",
         fopt_kc=info["objective"],
@@ -261,10 +244,7 @@ def _oracle_report(inst: CpipInstance, args, **limits) -> SolveReport:
 
 
 def _round_report(inst: CpipInstance, args) -> SolveReport:
-    problem = lp_from_instance(inst)
-    sol = solve_lp(problem)
-    if sol.status == "INFEASIBLE":
-        raise InfeasibleError("standard relaxation is infeasible", sol)
+    sol = solve_relaxation(inst)
     xbar = sol.primal
     L = compute_scale_factor(inst.m, metrics(inst).width)
     info: dict = {}

@@ -38,15 +38,13 @@ ORACLE_MAX_POINTS = 200_000
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """What to generate: family, sizes, coefficient ranges, seed."""
+    """What to generate: family, sizes, density, multiplicity cap, seed."""
 
     family: str
     m: int = 4
     n: int = 5
     r: int = 0
     density: float = 0.5
-    coeff_max: int = 5
-    cost_max: int = 10
     d_max: int = 3
     seed: int = 0
     delta: Fraction | None = None
@@ -182,27 +180,19 @@ def generate(spec: GeneratorSpec) -> CpipInstance:
             raise InstanceError("KNAPSACK_GAP needs delta")
         return knapsack_gap(spec.delta)
     if spec.family == "SET_COVER":
-        return gen_set_cover(spec.m, spec.n, spec.density, spec.seed, spec.cost_max)
+        return gen_set_cover(spec.m, spec.n, spec.density, spec.seed)
     if spec.family == "MULTISET_MULTICOVER":
         return gen_multiset_multicover(
             spec.m,
             spec.n,
             spec.seed,
-            coeff_max=spec.coeff_max,
+            coeff_max=5,  # the bench fingerprint fixes 5, not the default 3
             d_max=spec.d_max,
-            cost_max=spec.cost_max,
             density=spec.density,
             r=spec.r,
         )
     return gen_random_cpip(
-        spec.m,
-        spec.n,
-        spec.r,
-        spec.seed,
-        coeff_max=spec.coeff_max,
-        cost_max=spec.cost_max,
-        d_max=spec.d_max,
-        density=spec.density,
+        spec.m, spec.n, spec.r, spec.seed, d_max=spec.d_max, density=spec.density
     )
 
 

@@ -52,7 +52,7 @@ from coverpack.simplex import (
     solve_lp,
     verify_certificate,
 )
-from coverpack.rounding import bicriteria_round
+from coverpack.rounding import bicriteria_round, solve_relaxation
 
 
 class CutLoopLimitError(CoverpackError):
@@ -158,9 +158,10 @@ def solve_lp_kc(
     Returns x with A x >= a, B x <= b, x <= d', no violated residual rows
     for its own high set, and cost at most the optimum of the relaxation
     with all cuts (each round solves a relaxation of that program, and
-    values only grow as cuts are added).  ``info``, if given, also gets
-    the last round's ``system``: the residual system of the returned
-    point's high set.
+    values only grow as cuts are added).  Each round's LP certificate, a
+    Farkas ray included, is checked (``GuaranteeError`` if it fails).
+    ``info``, if given, also gets the last round's ``system``: the
+    residual system of the returned point's high set.
     """
     lam = Fraction(lam)
     if lam <= 1:
@@ -177,10 +178,11 @@ def solve_lp_kc(
     for round_no in range(1, max_rounds + 1):
         problem = lp_from_instance(inst, upper_bounds=bounds, cut_rows=cuts)
         sol = solve_lp(problem)
+        failed = verify_certificate(problem, sol)
+        if failed:
+            raise GuaranteeError("LP certificate failed: " + ", ".join(map(str, failed)))
         if sol.status == "INFEASIBLE":
             raise InfeasibleError("no fractional solution", sol)
-        if sol.status != "OPTIMAL":
-            raise InstanceError(f"relaxation returned {sol.status}")
         # only valid rows were added, so values never decrease
         if objectives and sol.objective_value < objectives[-1]:
             raise GuaranteeError(
@@ -238,9 +240,6 @@ def solve_cip_strict(
     with Timer() as timer:
         kc_info: dict = {}
         xbar = solve_lp_kc(inst, lam, max_rounds=max_rounds, info=kc_info)
-        failed = verify_certificate(kc_info["problem"], kc_info["solution"])
-        if failed:
-            raise GuaranteeError("LP certificate failed: " + ", ".join(map(str, failed)))
         # the loop's last high set, at lambda = 1+eps, is the pinned set
         system = kc_info["system"]
         xres = tuple(ZERO if j in system.F else v for j, v in enumerate(xbar))
@@ -285,8 +284,7 @@ def solve_cip_strict(
         if all(v is None or v.denominator == 1 for v in inst.d):
             fopt = kc_info["round_objectives"][0]
         else:
-            base = solve_lp(lp_from_instance(inst))
-            fopt = base.objective_value if base.status == "OPTIMAL" else None
+            fopt = solve_relaxation(inst).objective_value
     report = SolveReport(
         mode="strict",
         cost=cost,

@@ -55,7 +55,13 @@ from coverpack.model import (
     width,
 )
 from coverpack.oracle import SolveReport, Timer, check_solution
-from coverpack.simplex import InfeasibleError, lp_from_instance, solve_lp, verify_certificate
+from coverpack.simplex import (
+    InfeasibleError,
+    LpSolution,
+    lp_from_instance,
+    solve_lp,
+    verify_certificate,
+)
 
 #: Generator identity recorded in reports whenever randomized rounding runs.
 RNG_NAME = "python-random-mt19937"
@@ -429,6 +435,22 @@ def bicriteria_round(
     return IntegerVector(tuple(xhat))
 
 
+def solve_relaxation(inst: CpipInstance) -> LpSolution:
+    """Optimum of the standard LP relaxation, its certificate checked.
+
+    Raises ``InfeasibleError`` on a checked Farkas ray and ``GuaranteeError``
+    when the certificate of either status fails.
+    """
+    problem = lp_from_instance(inst)
+    sol = solve_lp(problem)
+    failed = verify_certificate(problem, sol)
+    if failed:
+        raise GuaranteeError("LP certificate failed: " + ", ".join(map(str, failed)))
+    if sol.status == "INFEASIBLE":
+        raise InfeasibleError("no fractional solution", sol)
+    return sol
+
+
 def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, SolveReport]:
     """End-to-end bicriteria solver for the full covering/packing program.
 
@@ -444,18 +466,9 @@ def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, S
     if not is_width_normalized(inst):
         raise InstanceError("normalize width first")
     with Timer() as timer:
-        problem = lp_from_instance(inst)
-        sol = solve_lp(problem)
-        if sol.status == "INFEASIBLE":
-            raise InfeasibleError("no fractional solution", sol)
-        if sol.status != "OPTIMAL":
-            raise RoundingError(f"LP relaxation returned {sol.status}")
-        failed = verify_certificate(problem, sol)
-        if failed:
-            raise GuaranteeError("LP certificate failed: " + ", ".join(map(str, failed)))
-        xbar = sol.primal
+        sol = solve_relaxation(inst)
         info: dict = {}
-        xhat = bicriteria_round(xbar, inst.A, inst.a, inst.c, inst.d, eps, info_out=info)
+        xhat = bicriteria_round(sol.primal, inst.A, inst.a, inst.c, inst.d, eps, info_out=info)
         violations = check_solution(inst, xhat, eps)
         if not violations.ok_bicriteria:
             raise RoundingError(f"bicriteria guarantees violated: {violations}")

@@ -7,9 +7,9 @@ built while pivoting.  Every pivot choice compares the rationals the
 integers stand for, exactly.  Problems come in and results go out as
 ``Fraction``: an OPTIMAL result carries a primal point and a dual vector
 whose objectives agree with zero gap, and an INFEASIBLE result carries
-an exact Farkas ray; ``verify_certificate`` checks them in ``Fraction``
-values.  Dense tableaus are fine at the scales this package targets
-(a few hundred rows including cut rows).
+an exact Farkas ray; ``verify_certificate`` checks either certificate,
+the ray included, in ``Fraction`` values.  Dense tableaus are fine at
+the scales this package targets (a few hundred rows including cut rows).
 
 Row order inside an ``LpProblem`` built from an instance is fixed and
 documented: covering rows, then packing rows, then any cut rows in
@@ -100,6 +100,9 @@ class LpProblem:
         ub = tuple(
             None if v is None else as_fraction(v, f"bound[{j}]") for j, v in enumerate(var_bounds)
         )
+        for j, u in enumerate(ub):
+            if u is not None and u < 0:
+                raise InstanceError(f"bound[{j}] = {u} is negative")
         if len(ub) != n:
             raise InstanceError(f"var_bounds has {len(ub)} entries, expected {n}")
         return cls(objective=obj, rows=tuple(out_rows), var_bounds=ub)
@@ -386,13 +389,12 @@ def _duals(p: LpProblem, t: _Tableau):
     return dual_rows, tuple(dual_bounds)
 
 
-def dual_objective(p: LpProblem, s: LpSolution) -> Fraction:
-    total = sum(
-        (y * row.rhs for y, row in zip(s.dual_rows, p.rows)), ZERO
-    )
+def dual_objective(p: LpProblem, rows, bounds) -> Fraction:
+    """``sum_i rows_i rhs_i + sum_j bounds_j u_j`` over the finite bounds ``u``."""
+    total = sum((y * row.rhs for y, row in zip(rows, p.rows)), ZERO)
     for j, u in enumerate(p.var_bounds):
         if u is not None:
-            total += s.dual_bounds[j] * u
+            total += bounds[j] * u
     return total
 
 
@@ -407,42 +409,51 @@ class CertificateViolation:
 
 
 def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation]:
-    """List every primal/dual feasibility or gap violation, exactly.
+    """List every violation of an OPTIMAL or INFEASIBLE certificate, exactly.
 
-    An empty report certifies optimality: the primal point is feasible,
-    the dual vector is sign- and constraint-feasible, and the two
-    objectives are equal.
+    An empty report certifies the status.  OPTIMAL: the primal point is
+    feasible, the dual vector is sign- and constraint-feasible, and the
+    reported value, the point's cost and the dual value are equal.
+    INFEASIBLE: the Farkas ray (y, z) has the dual signs, y^T A + z <= 0
+    and y^T rhs + z^T u > 0, so no x >= 0 meets the rows and bounds.
+    Any other status raises ``LpError``.
     """
-    if s.status != "OPTIMAL":
-        raise LpError("certificates are only defined for OPTIMAL solutions")
     out: list[CertificateViolation] = []
-    x = s.primal.values
-    for j, v in enumerate(x):
-        if v < 0:
-            out.append(CertificateViolation("primal_nonneg", j, -v))
+    if s.status == "OPTIMAL":
+        rows, bounds, cost = s.dual_rows, s.dual_bounds, p.objective
+        x = s.primal.values
+        for j, v in enumerate(x):
+            if v < 0:
+                out.append(CertificateViolation("primal_nonneg", j, -v))
+        for i, row in enumerate(p.rows):
+            lhs = dot(row.coeffs, x)
+            gap = lhs - row.rhs if row.sense == GE else row.rhs - lhs
+            if gap < 0:
+                out.append(CertificateViolation("primal_row", i, -gap))
+        for j, u in enumerate(p.var_bounds):
+            if u is not None and x[j] > u:
+                out.append(CertificateViolation("primal_bound", j, x[j] - u))
+    elif s.status == "INFEASIBLE":
+        rows, bounds, cost = s.ray_rows, s.ray_bounds, (ZERO,) * len(p.objective)
+    else:
+        raise LpError(f"an {s.status} result carries no certificate")
     for i, row in enumerate(p.rows):
-        lhs = dot(row.coeffs, x)
-        gap = lhs - row.rhs if row.sense == GE else row.rhs - lhs
-        if gap < 0:
-            out.append(CertificateViolation("primal_row", i, -gap))
-    for j, u in enumerate(p.var_bounds):
-        if u is not None and x[j] > u:
-            out.append(CertificateViolation("primal_bound", j, x[j] - u))
-    for i, row in enumerate(p.rows):
-        y = s.dual_rows[i]
+        y = rows[i]
         if (y < 0) if row.sense == GE else (y > 0):
             out.append(CertificateViolation("dual_sign_row", i, abs(y)))
     for j, u in enumerate(p.var_bounds):
-        if u is not None and s.dual_bounds[j] > 0:
-            out.append(CertificateViolation("dual_sign_bound", j, s.dual_bounds[j]))
-    for j in range(len(p.objective)):
-        lhs = sum(
-            (s.dual_rows[i] * p.rows[i].coeffs[j] for i in range(len(p.rows))), ZERO
-        )
-        lhs += s.dual_bounds[j]
-        if lhs > p.objective[j]:
-            out.append(CertificateViolation("dual_feasibility", j, lhs - p.objective[j]))
-    gap = abs(s.objective_value - dual_objective(p, s))
-    if gap:
-        out.append(CertificateViolation("duality_gap", 0, gap))
+        # a bound dual is <= 0, and 0 where there is no bound to price it
+        if bounds[j] > 0 or (u is None and bounds[j]):
+            out.append(CertificateViolation("dual_sign_bound", j, abs(bounds[j])))
+    for j, cj in enumerate(cost):
+        lhs = bounds[j] + sum((y * row.coeffs[j] for y, row in zip(rows, p.rows)), ZERO)
+        if lhs > cj:
+            out.append(CertificateViolation("dual_feasibility", j, lhs - cj))
+    value = dual_objective(p, rows, bounds)
+    if s.status == "OPTIMAL":
+        for primal_value in (s.objective_value, dot(p.objective, x)):
+            if primal_value != value:
+                out.append(CertificateViolation("duality_gap", 0, abs(primal_value - value)))
+    elif value <= 0:
+        out.append(CertificateViolation("farkas_value", 0, -value))
     return out

@@ -1,10 +1,12 @@
 import hashlib
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from coverpack import rounding
 from coverpack.cli import EXIT_FAULT, EXIT_INFEASIBLE, EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
 from coverpack.kc import CutLoopLimitError
 from coverpack.model import (
@@ -274,18 +276,45 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "not a positive integer" in err
 
-    @pytest.mark.parametrize("mode", ["strict", "bicriteria", "lp", "lp-kc"])
+    @pytest.mark.parametrize(
+        "mode",
+        ["strict", "bicriteria", "lp", "lp-kc"]
+        + [f"round-{op}" for op in ("randomized", "derandomized", "granular", "bicriteria")],
+    )
     def test_failed_certificate_is_a_fault(self, mode, tmp_path, capsys, monkeypatch):
         def one_violation(*args):
             return [CertificateViolation("duality_gap", 0, Fraction(1))]
 
-        for module in ("kc", "rounding", "cli"):
+        for module in ("kc", "rounding"):
             monkeypatch.setattr(f"coverpack.{module}.verify_certificate", one_violation)
-        code, out, err = run(["solve", "--mode", mode, write_gap(tmp_path)], capsys=capsys)
+        if mode.startswith("round-"):
+            argv = ["round", "--op", mode.removeprefix("round-")]
+        else:
+            argv = ["solve", "--mode", mode]
+        code, out, err = run([*argv, write_gap(tmp_path)], capsys=capsys)
         assert code == EXIT_FAULT
         assert out == ""
         assert "GuaranteeError" in err
         assert "LP certificate failed: duality_gap[0]: off by 1" in err
+
+    def test_failed_farkas_ray_is_a_fault(self, tmp_path, capsys, monkeypatch):
+        solve_lp = rounding.solve_lp
+
+        def negated_ray(problem):
+            s = solve_lp(problem)
+            return replace(
+                s,
+                ray_rows=tuple(-y for y in s.ray_rows),
+                ray_bounds=tuple(-z for z in s.ray_bounds),
+            )
+
+        monkeypatch.setattr(rounding, "solve_lp", negated_ray)
+        doc = '{"A": [[1]], "a": [2], "c": [1], "d": [1]}'
+        code, out, err = run(["solve", "--mode", "lp", write_gap(tmp_path, doc)], capsys=capsys)
+        assert code == EXIT_FAULT
+        assert out == ""
+        assert "LP certificate failed: dual_sign_row[0]" in err
+        assert "farkas_value[0]" in err
 
 
 class TestGen:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from coverpack import kc
+from coverpack import kc, rounding
 from coverpack.genbench import gen_random_cpip, knapsack_gap
 from coverpack.kc import (
     CutLoopLimitError,
@@ -16,7 +16,7 @@ from coverpack.kc import (
     solve_lp_kc,
 )
 from coverpack.model import GuaranteeError, InstanceError, IntegerVector, dot, normalize_width
-from coverpack.simplex import lp_from_instance, solve_lp
+from coverpack.simplex import CertificateViolation, lp_from_instance, solve_lp, verify_certificate
 from coverpack.oracle import brute_force_opt
 from coverpack.rounding import solve_cpip_bicriteria
 from conftest import F, make_inst
@@ -133,8 +133,6 @@ class TestSolveLpKc:
         assert info["cut_rows_added"] == 0
 
     def test_returned_point_is_lambda_relaxed(self):
-        from coverpack.simplex import verify_certificate
-
         for seed in range(100):
             inst = normalize_width(gen_random_cpip(3, 4, 1, seed=600 + seed, d_max=3))
             info = {}
@@ -215,6 +213,7 @@ class TestSolveCipStrict:
             return solve_lp(problem)
 
         monkeypatch.setattr(kc, "solve_lp", counting_solve_lp)
+        monkeypatch.setattr(rounding, "solve_lp", counting_solve_lp)
         integral = normalize_width(gen_random_cpip(4, 5, 1, seed=3, d_max=3))
         fractional = make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None])
         for inst, extra in ((integral, 0), (fractional, 1)):
@@ -222,6 +221,32 @@ class TestSolveCipStrict:
             _, report = solve_cip_strict(inst, F(1, 2))
             assert len(calls) == report.lp_rounds + extra
             assert report.fopt == solve_lp(lp_from_instance(inst)).objective_value
+
+    def test_every_cut_round_certified(self, monkeypatch):
+        # round 1 is worth 1/10 and is reported as fopt; round 2 adds the cut
+        calls = {"solve_lp": 0, "verify_certificate": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        for name, fn in (("solve_lp", solve_lp), ("verify_certificate", verify_certificate)):
+            monkeypatch.setattr(kc, name, counting(name, fn))
+        _, report = solve_cip_strict(knapsack_gap(F(1, 10)), F(1, 4))
+        assert report.fopt == F(1, 10)
+        assert calls == {"solve_lp": 2, "verify_certificate": 2}
+
+    def test_fractional_bound_fopt_certified(self, monkeypatch):
+        def one_violation(*args):
+            return [CertificateViolation("duality_gap", 0, F(1))]
+
+        monkeypatch.setattr(rounding, "verify_certificate", one_violation)
+        inst = make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None])
+        with pytest.raises(GuaranteeError, match="LP certificate failed: duality_gap"):
+            solve_cip_strict(inst, F(1, 2))
 
     def test_one_residual_system_per_cut_round(self, monkeypatch):
         calls = []

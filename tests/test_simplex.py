@@ -6,12 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverpack.genbench import gen_random_cpip
-from coverpack.model import InstanceError, normalize_width, parse_instance
+from coverpack.model import FractionalVector, InstanceError, normalize_width, parse_instance
 from coverpack.simplex import (
     GE,
     LE,
     IterationLimitError,
+    LpError,
     LpProblem,
+    LpSolution,
     dual_objective,
     lp_from_instance,
     solve_lp,
@@ -195,6 +197,7 @@ def test_status_and_certificates_match_scipy(p):
         assert abs(mine - res.fun) <= 1e-6 * (1 + abs(mine))
     elif s.status == "INFEASIBLE":
         assert _farkas_certifies(p, s)
+        assert verify_certificate(p, s) == []
 
 
 def test_bland_rule_from_first_pivot():
@@ -280,12 +283,55 @@ def test_certificate_flags_gap():
     assert any(v.kind == "duality_gap" for v in verify_certificate(p, bad))
 
 
+def test_certificate_flags_feasible_point_that_is_not_optimal():
+    # (0, 1) is feasible and costs 1; the reported value and duals are the optimum's
+    p = lp_from_instance(parse_instance(GAP_DOC))
+    s = solve_lp(p)
+    bad = replace(s, primal=type(s.primal)((F(0), F(1))))
+    assert [(v.kind, v.amount) for v in verify_certificate(p, bad)] == [
+        ("duality_gap", F(9, 10))
+    ]
+
+
+def test_certificate_flags_dual_on_missing_bound():
+    # min x s.t. x >= 1: y = 2 with a bound dual of -1 on the unbounded x
+    # would certify x = 2 at cost 2, but the optimum is 1
+    p = LpProblem.from_data([1], [((1,), GE, 1)], [None])
+    forged = LpSolution(
+        "OPTIMAL",
+        0,
+        primal=FractionalVector((F(2),)),
+        objective_value=F(2),
+        dual_rows=(F(2),),
+        dual_bounds=(F(-1),),
+    )
+    assert [(v.kind, v.index) for v in verify_certificate(p, forged)] == [
+        ("dual_sign_bound", 0)
+    ]
+
+
+def test_certificate_flags_negated_ray():
+    p = LpProblem.from_data([0], [((1,), GE, 1)], [F(1, 2)])
+    s = solve_lp(p)
+    assert verify_certificate(p, s) == []
+    bad = replace(
+        s,
+        ray_rows=tuple(-y for y in s.ray_rows),
+        ray_bounds=tuple(-z for z in s.ray_bounds),
+    )
+    assert {v.kind for v in verify_certificate(p, bad)} == {
+        "dual_sign_row",
+        "dual_sign_bound",
+        "farkas_value",
+    }
+
+
 def test_duality_gap_zero_exactly():
     for seed in range(10):
         inst = gen_random_cpip(4, 4, 1, seed=seed)
         p = lp_from_instance(inst)
         s = solve_lp(p)
-        assert s.objective_value == dual_objective(p, s)
+        assert s.objective_value == dual_objective(p, s.dual_rows, s.dual_bounds)
 
 
 def test_deterministic():
@@ -307,7 +353,10 @@ def test_adding_row_never_decreases_optimum():
 
 def test_unbounded_detected():
     p = LpProblem.from_data([-1, 0], [((0, 1), "<=", 5)], [None, None])
-    assert solve_lp(p).status == "UNBOUNDED"
+    s = solve_lp(p)
+    assert s.status == "UNBOUNDED"
+    with pytest.raises(LpError):
+        verify_certificate(p, s)
 
 
 def test_iteration_limit_carries_bound():
@@ -321,3 +370,8 @@ def test_iteration_limit_carries_bound():
 def test_non_finite_input_rejected():
     with pytest.raises(InstanceError):
         LpProblem.from_data([float("inf")], [], [None])
+
+
+def test_negative_bound_rejected():
+    with pytest.raises(InstanceError, match=r"bound\[0\] = -1 is negative"):
+        LpProblem.from_data([1, 1], [((1, 1), GE, 1)], [-1, None])
