@@ -160,10 +160,6 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text") from exc
 
 
-def _read_instance(path: str) -> CpipInstance:
-    return normalize_width(parse_instance(_read_text(path)))
-
-
 def _emit(report: SolveReport, output: str) -> None:
     if output == "machine":
         print(report.to_json())
@@ -229,7 +225,7 @@ def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
 def _oracle_report(inst: CpipInstance, args, **limits) -> SolveReport:
     res = brute_force_opt(inst, **limits)
     if res.status == "INFEASIBLE":
-        raise InfeasibleError("no integer solution in the search box", None)
+        raise InfeasibleError("no integer solution in the search box")
     return SolveReport(
         mode="oracle",
         status=res.status,
@@ -246,12 +242,14 @@ def _oracle_report(inst: CpipInstance, args, **limits) -> SolveReport:
 def _round_report(inst: CpipInstance, args) -> SolveReport:
     sol = solve_relaxation(inst)
     xbar = sol.primal
-    L = compute_scale_factor(inst.m, metrics(inst).width)
     info: dict = {}
+    if args.op in ("randomized", "derandomized"):
+        # the two ops that read L; it needs a demanded row
+        info["L"] = compute_scale_factor(inst.m, metrics(inst).width)
     if args.op == "randomized":
-        x = randomized_round(xbar, L, args.seed)
+        x = randomized_round(xbar, info["L"], args.seed)
     elif args.op == "derandomized":
-        x = derandomized_round(xbar, inst.A, inst.a, inst.c, L)
+        x = derandomized_round(xbar, inst.A, inst.a, inst.c, info["L"])
     elif args.op == "granular":
         x = granular_round(xbar, inst.A, inst.a, inst.c, args.granularity, info_out=info)
     else:
@@ -265,7 +263,7 @@ def _round_report(inst: CpipInstance, args) -> SolveReport:
         cost=dot(inst.c, x.values),
         epsilon=args.epsilon if args.op == "bicriteria" else None,
         K=info.get("K"),
-        L=info.get("L", L),
+        L=info["L"],
         seed=args.seed if randomized else None,
         rng=RNG_NAME if randomized else None,
         x=x.values,
@@ -320,7 +318,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    inst = _read_instance(args.input)
+    # the document as given: its own row numbers and its own d
+    inst = parse_instance(_read_text(args.input))
     x = parse_solution(_read_text(args.solution), inst.n)
     violations = check_solution(inst, x, args.epsilon)
     ok = violations.ok_strict if args.mode == "strict" else violations.ok_bicriteria
@@ -350,7 +349,7 @@ def main(argv=None) -> int:
             return _cmd_bench(args)
         if args.subcommand == "check":
             return _cmd_check(args)
-        inst = _read_instance(args.input)
+        inst = normalize_width(parse_instance(_read_text(args.input)))
         if args.subcommand == "solve":
             report = _solve_report(inst, args)
         elif args.subcommand == "oracle":

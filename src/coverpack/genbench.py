@@ -70,9 +70,7 @@ def knapsack_gap(delta) -> CpipInstance:
     )
 
 
-def gen_set_cover(
-    num_elements: int, num_sets: int, density: float, seed: int, cost_max: int = 10
-) -> CpipInstance:
+def gen_set_cover(num_elements: int, num_sets: int, density: float, seed: int) -> CpipInstance:
     """0/1 set-cover instance; every element is guaranteed a covering set."""
     if num_elements < 1 or num_sets < 1:
         raise InstanceError("set cover needs at least one element and one set")
@@ -83,7 +81,7 @@ def gen_set_cover(
         if not any(row):
             row[rng.randrange(num_sets)] = 1
         A.append(row)
-    c = [rng.randint(1, cost_max) for _ in range(num_sets)]
+    c = [rng.randint(1, 10) for _ in range(num_sets)]
     return CpipInstance.from_data(
         A=A, a=[1] * num_elements, c=c, d=[1] * num_sets
     )
@@ -96,7 +94,6 @@ def gen_multiset_multicover(
     *,
     coeff_max: int = 3,
     d_max: int = 2,
-    cost_max: int = 10,
     density: float = 0.7,
     r: int = 0,
 ) -> CpipInstance:
@@ -119,7 +116,7 @@ def gen_multiset_multicover(
         supply = sum(row[j] * d[j] for j in range(n))
         a.append(rng.randint(1, supply))
         A.append(row)
-    c = [rng.randint(1, cost_max) for _ in range(n)]
+    c = [rng.randint(1, 10) for _ in range(n)]
     B, b = [], []
     for _ in range(r):
         row = [rng.randint(0, 2) for _ in range(n)]
@@ -136,8 +133,6 @@ def gen_random_cpip(
     r: int,
     seed: int,
     *,
-    coeff_max: int = 5,
-    cost_max: int = 10,
     d_max: int = 4,
     density: float = 0.6,
 ) -> CpipInstance:
@@ -156,16 +151,16 @@ def gen_random_cpip(
     A = []
     a = []
     for _ in range(m):
-        row = [rng.randint(1, coeff_max) if rng.random() < density else 0 for _ in range(n)]
+        row = [rng.randint(1, 5) if rng.random() < density else 0 for _ in range(n)]
         if not any(row):
-            row[rng.randrange(n)] = rng.randint(1, coeff_max)
+            row[rng.randrange(n)] = rng.randint(1, 5)
         value = dot(row, x0)
         peak = Fraction(max(row))
         # demand between the largest coefficient and the value at x0
         theta = Fraction(rng.randint(0, 10), 10)
         a.append(peak + theta * (value - peak))
         A.append(row)
-    c = [rng.randint(0 if rng.random() < 0.1 else 1, cost_max) for _ in range(n)]
+    c = [rng.randint(0 if rng.random() < 0.1 else 1, 10) for _ in range(n)]
     B, b = [], []
     for _ in range(r):
         row = [rng.randint(0, 3) if rng.random() < density else 0 for _ in range(n)]

@@ -1,9 +1,11 @@
 """Knapsack-cover cuts and the solver that meets multiplicity bounds exactly.
 
-For a set F of variables imagined pinned at their (floored) bounds, each
-covering row keeps a residual demand
+The solvers here take width-normalized instances, whose finite bounds
+d_j are integers (``normalize_width`` floors them; integer x_j <= d_j
+iff x_j <= floor(d_j)).  For a set F of variables imagined pinned at
+their bounds, each covering row keeps a residual demand
 
-    a_F[i] = max(0, a[i] - sum_{j in F} A[i][j] d'[j])
+    a_F[i] = max(0, a[i] - sum_{j in F} A[i][j] d[j])
 
 and truncated coefficients A_F[i][j] = min(A[i][j], a_F[i]) for j not in
 F (zero on F itself).  The inequalities A_F x >= a_F hold for every
@@ -15,22 +17,21 @@ system at full strength.
 
 Because there are exponentially many sets F, the relaxation is solved to
 lambda-relaxed form by a cutting-plane loop: solve the current LP,
-separate cuts for the set of variables at least d'/lambda in the current
+separate cuts for the set of variables at least d/lambda in the current
 point, add them, repeat.  Only valid rows are ever added, so every
 iterate's value is a lower bound on the cut-strengthened relaxation
 optimum, and there are finitely many (F, row) pairs, so the loop
 terminates.
 
 ``solve_cip_strict`` then pins the high variables of a (1+eps)-relaxed
-point at their floored bounds and rounds the rest against the residual
-system, giving an integer solution with x <= d exactly.
+point at their bounds and rounds the rest against the residual system,
+giving an integer solution with x <= d exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 
 from coverpack.model import (
     ZERO,
@@ -52,7 +53,7 @@ from coverpack.simplex import (
     solve_lp,
     verify_certificate,
 )
-from coverpack.rounding import bicriteria_round, solve_relaxation
+from coverpack.rounding import bicriteria_round
 
 
 class CutLoopLimitError(CoverpackError):
@@ -76,30 +77,26 @@ class KcSystem:
     A_F: Matrix
 
 
-def floor_bounds(inst: CpipInstance) -> tuple[int | None, ...]:
-    """d' = floor(d); unbounded entries stay unbounded.
-
-    Leaves the integer solution set untouched, since integer x satisfies
-    x_j <= d_j iff x_j <= floor(d_j).
-    """
-    return tuple(None if v is None else floor(v) for v in inst.d)
-
-
-def residual_demand(inst: CpipInstance, F, d_floor) -> Vector:
-    """a_F[i] = max(0, a[i] - sum_{j in F} A[i][j] d'[j])."""
+def residual_demand(inst: CpipInstance, F) -> Vector:
+    """a_F[i] = max(0, a[i] - sum_{j in F} A[i][j] d[j]); each pinned d_j an integer."""
     for j in F:
-        if d_floor[j] is None:
+        if inst.d[j] is None:
             raise InstanceError(f"cannot pin variable {j}: its multiplicity is unbounded")
+        if inst.d[j].denominator != 1:
+            raise InstanceError(
+                f"cannot pin variable {j}: its bound {inst.d[j]} is not an integer "
+                "(normalize width first)"
+            )
     return tuple(
-        max(ZERO, inst.a[i] - sum((inst.A[i][j] * d_floor[j] for j in F), ZERO))
+        max(ZERO, inst.a[i] - sum((inst.A[i][j] * inst.d[j] for j in F), ZERO))
         for i in range(inst.m)
     )
 
 
-def kc_system(inst: CpipInstance, F, d_floor) -> KcSystem:
+def kc_system(inst: CpipInstance, F) -> KcSystem:
     """Residual system: coefficients truncated at the residual demand, zero on F."""
     F = frozenset(F)
-    a_F = residual_demand(inst, F, d_floor)
+    a_F = residual_demand(inst, F)
     A_F = tuple(
         tuple(
             ZERO if j in F else min(inst.A[i][j], a_F[i]) for j in range(inst.n)
@@ -118,18 +115,16 @@ def cut_rows(system: KcSystem) -> list[tuple[int, Vector, Fraction]]:
     ]
 
 
-def high_set(x, d_floor, lam) -> frozenset:
-    """Variables at or above d'/lambda in x (finite bounds only)."""
+def high_set(x, d, lam) -> frozenset:
+    """Variables at or above d/lambda in x (finite bounds only)."""
     lam = Fraction(lam)
     return frozenset(
-        j
-        for j in range(len(d_floor))
-        if d_floor[j] is not None and Fraction(x[j]) >= d_floor[j] / lam
+        j for j in range(len(d)) if d[j] is not None and Fraction(x[j]) >= d[j] / lam
     )
 
 
 def find_violated_kc(
-    inst: CpipInstance, x, lam, d_floor
+    inst: CpipInstance, x, lam
 ) -> tuple[KcSystem, list[tuple[int, Fraction]]]:
     """The residual system of the point's own high set, and the rows it violates.
 
@@ -141,7 +136,7 @@ def find_violated_kc(
     if lam <= 1:
         raise InstanceError(f"lambda = {lam} must exceed 1")
     xv = tuple(Fraction(v) for v in x)
-    system = kc_system(inst, high_set(xv, d_floor, lam), d_floor)
+    system = kc_system(inst, high_set(xv, inst.d, lam))
     shortfalls = ((i, rhs - dot(coeffs, xv)) for i, coeffs, rhs in cut_rows(system))
     return system, [(i, short) for i, short in shortfalls if short > 0]
 
@@ -155,7 +150,7 @@ def solve_lp_kc(
 ) -> FractionalVector:
     """Lambda-relaxed point for the cut-strengthened relaxation.
 
-    Returns x with A x >= a, B x <= b, x <= d', no violated residual rows
+    Returns x with A x >= a, B x <= b, x <= d, no violated residual rows
     for its own high set, and cost at most the optimum of the relaxation
     with all cuts (each round solves a relaxation of that program, and
     values only grow as cuts are added).  Each round's LP certificate, a
@@ -170,19 +165,17 @@ def solve_lp_kc(
         raise InstanceError(f"max_rounds = {max_rounds} must be >= 1")
     if not is_width_normalized(inst):
         raise InstanceError("normalize width first")
-    d_floor = floor_bounds(inst)
-    bounds = tuple(None if v is None else Fraction(v) for v in d_floor)
     cuts: list[tuple[Vector, Fraction]] = []
     objectives: list[Fraction] = []
     pin_sets: list[tuple[int, ...]] = []
     for round_no in range(1, max_rounds + 1):
-        problem = lp_from_instance(inst, upper_bounds=bounds, cut_rows=cuts)
+        problem = lp_from_instance(inst, cut_rows=cuts)
         sol = solve_lp(problem)
         failed = verify_certificate(problem, sol)
         if failed:
             raise GuaranteeError("LP certificate failed: " + ", ".join(map(str, failed)))
         if sol.status == "INFEASIBLE":
-            raise InfeasibleError("no fractional solution", sol)
+            raise InfeasibleError("no fractional solution")
         # only valid rows were added, so values never decrease
         if objectives and sol.objective_value < objectives[-1]:
             raise GuaranteeError(
@@ -192,7 +185,7 @@ def solve_lp_kc(
         objectives.append(sol.objective_value)
         # an added cut holds exactly at every later iterate, so each
         # violated (F, row) pair is new and the loop terminates
-        system, violated = find_violated_kc(inst, sol.primal, lam, d_floor)
+        system, violated = find_violated_kc(inst, sol.primal, lam)
         if not violated:
             if info is not None:
                 info.update(
@@ -225,7 +218,7 @@ def solve_cip_strict(
     """Integer solution meeting the multiplicity constraints exactly.
 
     Pipeline: take a (1+eps)-relaxed point xbar of the cut-strengthened
-    relaxation, pin every variable with xbar_j >= d'_j/(1+eps) at d'_j,
+    relaxation, pin every variable with xbar_j >= d_j/(1+eps) at d_j,
     and round the rest against the residual system (whose width is at
     least 1 by truncation).  Guarantees, all checked exactly: A xhat >= a,
     xhat <= d exactly, B xhat <= (1+eps) b + beta, and
@@ -259,12 +252,11 @@ def solve_cip_strict(
             eps,
             info_out=info,
         )
-        d_floor = floor_bounds(inst)
         xhat = IntegerVector(
-            tuple(d_floor[j] if j in system.F else xhat_rest[j] for j in range(inst.n))
+            tuple(int(inst.d[j]) if j in system.F else xhat_rest[j] for j in range(inst.n))
         )
         relaxed_cost = dot(inst.c, xbar.values)
-        pinned_cost = sum((inst.c[j] * d_floor[j] for j in system.F), ZERO)
+        pinned_cost = sum((inst.c[j] * inst.d[j] for j in system.F), ZERO)
         if pinned_cost > (1 + eps) * relaxed_cost:
             raise GuaranteeError(
                 f"pinned cost {pinned_cost} above (1+eps) * {relaxed_cost}"
@@ -278,13 +270,8 @@ def solve_cip_strict(
         violations = check_solution(inst, xhat, eps)
         if not violations.ok_strict:
             raise GuaranteeError(f"strict guarantees violated: {violations}")
-
-        # Plain relaxation value, for gap reporting.  With integral d,
-        # floor(d) = d and round 1 of the cut loop solved exactly this LP.
-        if all(v is None or v.denominator == 1 for v in inst.d):
-            fopt = kc_info["round_objectives"][0]
-        else:
-            fopt = solve_relaxation(inst).objective_value
+        # round 1 of the cut loop solved the plain relaxation: fopt, for gap reporting
+        fopt = kc_info["round_objectives"][0]
     report = SolveReport(
         mode="strict",
         cost=cost,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
 from typing import Iterator, Sequence
 
 #: Sentinel for a missing multiplicity bound (d_j = infinity).
@@ -214,19 +214,22 @@ def normalize_width(inst: CpipInstance) -> CpipInstance:
     """Lower covering coefficients so no entry exceeds its row demand.
 
     Each A_ij becomes min(A_ij, a_i); rows with a_i = 0 are vacuous and
-    removed outright (keeping them would force the width to 0).  The set
-    of integer solutions is unchanged.
+    removed outright (keeping them would force the width to 0); each
+    finite d_j becomes floor(d_j), since integer x_j <= d_j iff
+    x_j <= floor(d_j).  The set of integer solutions is unchanged.
     """
     keep = [i for i in range(inst.m) if inst.a[i] > 0]
     A = tuple(
         tuple(min(inst.A[i][j], inst.a[i]) for j in range(inst.n)) for i in keep
     )
     a = tuple(inst.a[i] for i in keep)
-    return CpipInstance(A=A, a=a, B=inst.B, b=inst.b, c=inst.c, d=inst.d)
+    d = tuple(None if v is None else Fraction(floor(v)) for v in inst.d)
+    return CpipInstance(A=A, a=a, B=inst.B, b=inst.b, c=inst.c, d=d)
 
 
 def is_width_normalized(inst: CpipInstance) -> bool:
-    return all(
+    """True iff every row is demanded, no entry exceeds its demand and d is integral."""
+    return all(v is None or v.denominator == 1 for v in inst.d) and all(
         inst.a[i] > 0 and all(v <= inst.a[i] for v in inst.A[i]) for i in range(inst.m)
     )
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Sequence
 
-from coverpack.model import ZERO, CpipInstance, IntegerVector, dot, number_out
+from coverpack.model import ZERO, CpipInstance, InstanceError, IntegerVector, dot, number_out
 
 
 def effective_bounds(inst: CpipInstance) -> tuple[int, ...]:
@@ -147,6 +147,8 @@ def check_solution(
 ) -> ViolationReport:
     """Exact violation report for a candidate solution at slack level epsilon."""
     xv = x.as_fractions() if isinstance(x, IntegerVector) else tuple(Fraction(v) for v in x)
+    if len(xv) != inst.n:
+        raise InstanceError(f"x has {len(xv)} entries, expected {inst.n}")
     covering = []
     for i in range(inst.m):
         lhs = dot(inst.A[i], xv)
@@ -238,12 +240,12 @@ def check_kc_validity(inst: CpipInstance, *, max_points: int = 2_000_000) -> KcV
     For every pinnable subset F of the finite-bound variables, builds the
     residual system and checks that each feasible integer point (with
     respect to covering and multiplicity) satisfies it, and that no
-    coefficient exceeds its residual demand.
+    coefficient exceeds its residual demand.  Pins sit at integral
+    bounds, so a fractional d is refused (``normalize_width`` floors it).
     """
     from coverpack import kc  # runtime import; kc depends on this module
 
-    d_floor = kc.floor_bounds(inst)
-    finite = [j for j in range(inst.n) if d_floor[j] is not None]
+    finite = [j for j in range(inst.n) if inst.d[j] is not None]
     caps = effective_bounds(inst)
     space = 1
     for cap in caps:
@@ -258,7 +260,7 @@ def check_kc_validity(inst: CpipInstance, *, max_points: int = 2_000_000) -> KcV
     checked = 0
     for mask in range(2 ** len(finite)):
         F = frozenset(finite[k] for k in range(len(finite)) if mask >> k & 1)
-        system = kc.kc_system(inst, F, d_floor)
+        system = kc.kc_system(inst, F)
         bad, defects = validate_kc_system(inst, F, system.A_F, system.a_F, points)
         counterexamples.extend(bad)
         structural.extend(defects)

@@ -447,7 +447,7 @@ def solve_relaxation(inst: CpipInstance) -> LpSolution:
     if failed:
         raise GuaranteeError("LP certificate failed: " + ", ".join(map(str, failed)))
     if sol.status == "INFEASIBLE":
-        raise InfeasibleError("no fractional solution", sol)
+        raise InfeasibleError("no fractional solution")
     return sol
 
 

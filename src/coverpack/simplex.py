@@ -62,10 +62,6 @@ class IterationLimitError(LpError):
 class InfeasibleError(CoverpackError):
     """Raised by callers that require a feasible LP."""
 
-    def __init__(self, message: str, solution: "LpSolution | None" = None):
-        super().__init__(message)
-        self.solution = solution
-
 
 @dataclass(frozen=True)
 class LpRow:
@@ -121,14 +117,12 @@ class LpSolution:
 
 
 def lp_from_instance(
-    inst: CpipInstance,
-    upper_bounds: Sequence[Fraction | None] | None = None,
-    cut_rows: Sequence[tuple[Sequence[Fraction], Fraction]] = (),
+    inst: CpipInstance, cut_rows: Sequence[tuple[Sequence[Fraction], Fraction]] = ()
 ) -> LpProblem:
     """Standard relaxation of an instance plus optional >= cut rows.
 
     Row order: covering rows, packing rows, then cut rows in insertion
-    order.  ``upper_bounds`` defaults to the instance multiplicity vector.
+    order.  The variable bounds are the instance multiplicity vector.
     """
     rows: list[tuple] = []
     for i in range(inst.m):
@@ -137,8 +131,7 @@ def lp_from_instance(
         rows.append((inst.B[i], LE, inst.b[i]))
     for coeffs, rhs in cut_rows:
         rows.append((tuple(coeffs), GE, rhs))
-    bounds = inst.d if upper_bounds is None else tuple(upper_bounds)
-    return LpProblem.from_data(inst.c, rows, bounds)
+    return LpProblem.from_data(inst.c, rows, inst.d)
 
 
 def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int, nz: list[int]):

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from coverpack.genbench import gen_multiset_multicover, gen_random_cpip, knapsack_gap
-from coverpack.kc import cut_rows, floor_bounds, kc_system, solve_cip_strict, solve_lp_kc
+from coverpack.kc import cut_rows, kc_system, solve_cip_strict, solve_lp_kc
 from coverpack.model import dot, metrics, normalize_width, vec_ceil
 from coverpack.oracle import brute_force_opt, check_kc_validity
 from coverpack.rounding import (
@@ -230,11 +230,10 @@ def test_ac6_kc_validity_and_width():
         inst = normalize_width(gen_random_cpip(m, n, 0, seed=7000 + seed, d_max=2))
         report = check_kc_validity(inst)
         assert report.status == "OK", report
-        d_floor = floor_bounds(inst)
-        finite = [j for j in range(inst.n) if d_floor[j] is not None]
+        finite = [j for j in range(inst.n) if inst.d[j] is not None]
         for mask in range(2 ** len(finite)):
             pins = frozenset(finite[k] for k in range(len(finite)) if mask >> k & 1)
-            system = kc_system(inst, pins, d_floor)
+            system = kc_system(inst, pins)
             for i, coeffs, rhs in cut_rows(system):
                 width = min(rhs / v for v in coeffs if v > 0)
                 assert width >= 1

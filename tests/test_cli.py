@@ -361,6 +361,18 @@ class TestRound:
             assert rep["seed"] == 0
             assert rep["rng"] == "python-random-mt19937"
 
+    @pytest.mark.parametrize("op", ["granular", "bicriteria"])
+    def test_no_demanded_rows(self, op, tmp_path, capsys, monkeypatch):
+        # L is read only by randomized and derandomized, which need a demanded row
+        path = write_gap(tmp_path, '{"A": [[1, 1]], "a": [0], "c": [1, 1], "d": [2, 2]}')
+        code, out, _ = run(["round", "--op", op, path, "--format", "machine"], capsys=capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["x"] == [0, 0] and rep["cost"] == 0
+        code, _, err = run(["round", "--op", "derandomized", path], capsys=capsys)
+        assert code == EXIT_USAGE
+        assert "no covering structure" in err
+
     def test_granular_report_is_exact(self, capsys, monkeypatch):
         code, doc, _ = run(
             ["gen", "--family", "random-cpip", "--m", "4", "--n", "6", "--r", "1",
@@ -410,6 +422,28 @@ class TestOracleAndCheck:
         )
         assert code == EXIT_INFEASIBLE
         assert json.loads(out)["status"] == "VIOLATED"
+
+    def test_check_reads_document_as_given(self, tmp_path, capsys, monkeypatch):
+        # row 0 has no demand; the violated row keeps its document number
+        doc = '{"A": [[1, 1], [1, 0]], "a": [0, 1], "c": [1, 1], "d": [2, 2]}'
+        path = write_gap(tmp_path, doc)
+        sol = tmp_path / "sol.json"
+        sol.write_text('{"x": [0, 1]}')
+        code, out, _ = run(
+            ["check", "--solution", str(sol), path, "--format", "machine"], capsys=capsys
+        )
+        assert code == EXIT_INFEASIBLE
+        assert json.loads(out)["violations"]["covering"] == [[1, 1]]
+        # the relaxed bound is ceil((1+eps) d) of the document's own d = 3/2
+        path = write_gap(tmp_path, '{"A": [[1]], "a": [1], "c": [1], "d": ["3/2"]}')
+        sol.write_text('{"x": [3]}')
+        code, out, _ = run(
+            ["check", "--solution", str(sol), "--mode", "bicriteria", path,
+             "--format", "machine"],
+            capsys=capsys,
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["violations"]["multiplicity_strict"] == [[0, "3/2"]]
 
     @pytest.mark.parametrize(
         "payload",

@@ -29,11 +29,11 @@ class TestKnapsackGap:
         assert brute_force_opt(inst).cost / fopt == 100
 
     def test_pinned_cut_is_delta_row(self):
-        from coverpack.kc import cut_rows, floor_bounds, kc_system
+        from coverpack.kc import cut_rows, kc_system
 
         delta = F(3, 10)
         inst = knapsack_gap(delta)
-        system = kc_system(inst, {0}, floor_bounds(inst))
+        system = kc_system(inst, {0})
         assert cut_rows(system) == [(0, (F(0), delta), delta)]
 
     def test_delta_range_validated(self):

@@ -8,7 +8,6 @@ from coverpack.kc import (
     CutLoopLimitError,
     cut_rows,
     find_violated_kc,
-    floor_bounds,
     high_set,
     kc_system,
     residual_demand,
@@ -25,40 +24,46 @@ from conftest import F, make_inst
 class TestResidualDemand:
     def test_gap_instance_single_pin(self):
         inst = knapsack_gap(F(1, 10))
-        a_F = residual_demand(inst, {0}, floor_bounds(inst))
+        a_F = residual_demand(inst, {0})
         assert a_F == (F(1, 10),)
 
     def test_empty_pin_set(self):
         inst = knapsack_gap(F(1, 4))
-        assert residual_demand(inst, set(), floor_bounds(inst)) == inst.a
+        assert residual_demand(inst, set()) == inst.a
 
     def test_full_cover_clamps_to_zero(self):
         inst = make_inst(A=[[2, 1]], a=[2], c=[1, 1], d=[1, 1])
-        a_F = residual_demand(inst, {0}, floor_bounds(inst))
+        a_F = residual_demand(inst, {0})
         assert a_F == (F(0),)
 
     def test_unbounded_pin_rejected(self):
         inst = knapsack_gap(F(1, 10))
         with pytest.raises(InstanceError, match="unbounded"):
-            residual_demand(inst, {1}, floor_bounds(inst))
+            residual_demand(inst, {1})
+
+    def test_fractional_pin_rejected(self):
+        inst = make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None])
+        with pytest.raises(InstanceError, match="not an integer"):
+            residual_demand(inst, {0})
+        assert residual_demand(normalize_width(inst), {0}) == (F(1, 10),)
 
 
 class TestKcSystem:
     def test_gap_truncation(self):
         inst = knapsack_gap(F(1, 4))
-        system = kc_system(inst, {0}, floor_bounds(inst))
+        system = kc_system(inst, {0})
         assert system.a_F == (F(1, 4),)
         assert system.A_F == ((F(0), F(1, 4)),)  # the "delta x2 >= delta" row
 
     def test_empty_set_is_original_system(self):
         inst = normalize_width(gen_random_cpip(3, 4, 0, seed=1))
-        system = kc_system(inst, frozenset(), floor_bounds(inst))
+        system = kc_system(inst, frozenset())
         assert system.A_F == inst.A
         assert system.a_F == inst.a
 
     def test_zero_residual_rows_not_emitted(self):
         inst = make_inst(A=[[2, 1], [1, 1]], a=[2, 2], c=[1, 1], d=[2, 2])
-        system = kc_system(inst, {0}, floor_bounds(inst))
+        system = kc_system(inst, {0})
         assert system.a_F == (F(0), F(0))
         assert cut_rows(system) == []
 
@@ -66,11 +71,11 @@ class TestKcSystem:
         rng = random.Random(3)
         for seed in range(20):
             inst = normalize_width(gen_random_cpip(3, 4, 0, seed=seed, d_max=3))
-            df = floor_bounds(inst)
+            df = inst.d
             pins = frozenset(
                 j for j in range(inst.n) if df[j] is not None and rng.random() < 0.5
             )
-            system = kc_system(inst, pins, df)
+            system = kc_system(inst, pins)
             for i, coeffs, rhs in cut_rows(system):
                 positive = [rhs / v for v in coeffs if v > 0]
                 assert min(positive, default=F(1)) >= 1  # restricted width
@@ -79,41 +84,41 @@ class TestKcSystem:
 class TestFindViolated:
     def test_gap_point_violates_pinned_row(self):
         inst = knapsack_gap(F(1, 10))
-        system, hits = find_violated_kc(inst, (F(1), F(1, 10)), 2, floor_bounds(inst))
-        assert system == kc_system(inst, {0}, floor_bounds(inst))
+        system, hits = find_violated_kc(inst, (F(1), F(1, 10)), 2)
+        assert system == kc_system(inst, {0})
         assert hits == [(0, F(9, 100))]
 
     def test_fully_pinned_no_violation_when_residual_zero(self):
         inst = make_inst(A=[[2, 1]], a=[2], c=[1, 1], d=[1, 1])
-        df = floor_bounds(inst)
+        df = inst.d
         x = tuple(F(v) for v in (1, 1))
         assert high_set(x, df, F(2)) == frozenset({0, 1})
-        assert find_violated_kc(inst, x, 2, df)[1] == []
+        assert find_violated_kc(inst, x, 2)[1] == []
 
     def test_low_point_reduces_to_original_rows(self):
         inst = normalize_width(gen_random_cpip(2, 3, 0, seed=5, d_max=4))
-        df = floor_bounds(inst)
+        df = inst.d
         # fractional cover strictly below d'/2 on every coordinate
         sol_x = [min(F(df[j]) / 2 - F(1, 100), F(df[j])) for j in range(inst.n)]
         if all(dot(inst.A[i], sol_x) >= inst.a[i] for i in range(inst.m)):
             assert high_set(sol_x, df, F(2)) == frozenset()
-            assert find_violated_kc(inst, sol_x, 2, df)[1] == []
+            assert find_violated_kc(inst, sol_x, 2)[1] == []
 
     def test_lambda_must_exceed_one(self):
         inst = knapsack_gap(F(1, 10))
         with pytest.raises(InstanceError):
-            find_violated_kc(inst, (F(0), F(0)), 1, floor_bounds(inst))
+            find_violated_kc(inst, (F(0), F(0)), 1)
 
 
 class TestHighSet:
     def test_threshold(self):
         inst = make_inst(A=[[1, 1, 1]], a=[1], c=[1, 1, 1], d=[2, 2, None])
         x = (F(1), F(99, 100), F(5))
-        assert high_set(x, floor_bounds(inst), 2) == frozenset({0})  # d'/2 = 1
+        assert high_set(x, inst.d, 2) == frozenset({0})  # d/2 = 1
 
     def test_zero_bound_always_high(self):
         inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[0, None])
-        assert high_set((F(0), F(2)), floor_bounds(inst), 2) == frozenset({0})
+        assert high_set((F(0), F(2)), inst.d, 2) == frozenset({0})
 
 
 class TestSolveLpKc:
@@ -137,11 +142,11 @@ class TestSolveLpKc:
             inst = normalize_width(gen_random_cpip(3, 4, 1, seed=600 + seed, d_max=3))
             info = {}
             x = solve_lp_kc(inst, 2, info=info)
-            system, violated = find_violated_kc(inst, x, 2, floor_bounds(inst))
+            system, violated = find_violated_kc(inst, x, 2)
             assert violated == []
             assert info["system"] == system
             assert verify_certificate(info["problem"], info["solution"]) == []
-            df = floor_bounds(inst)
+            df = inst.d
             assert all(
                 df[j] is None or x[j] <= df[j] for j in range(inst.n)
             )
@@ -198,7 +203,7 @@ class TestSolveCipStrict:
               f"max {max(hit_ratio):.3f}")
 
     def test_pinned_variables_set_to_floored_bound(self):
-        inst = make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None])
+        inst = normalize_width(make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None]))
         xhat, report = solve_cip_strict(inst, 1)
         if report.pinned:
             for j in report.pinned:
@@ -215,11 +220,13 @@ class TestSolveCipStrict:
         monkeypatch.setattr(kc, "solve_lp", counting_solve_lp)
         monkeypatch.setattr(rounding, "solve_lp", counting_solve_lp)
         integral = normalize_width(gen_random_cpip(4, 5, 1, seed=3, d_max=3))
-        fractional = make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None])
-        for inst, extra in ((integral, 0), (fractional, 1)):
+        fractional = normalize_width(
+            make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None])
+        )
+        for inst in (integral, fractional):
             calls.clear()
             _, report = solve_cip_strict(inst, F(1, 2))
-            assert len(calls) == report.lp_rounds + extra
+            assert len(calls) == report.lp_rounds
             assert report.fopt == solve_lp(lp_from_instance(inst)).objective_value
 
     def test_every_cut_round_certified(self, monkeypatch):
@@ -243,17 +250,26 @@ class TestSolveCipStrict:
         def one_violation(*args):
             return [CertificateViolation("duality_gap", 0, F(1))]
 
-        monkeypatch.setattr(rounding, "verify_certificate", one_violation)
-        inst = make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None])
+        monkeypatch.setattr(kc, "verify_certificate", one_violation)
+        inst = normalize_width(make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None]))
         with pytest.raises(GuaranteeError, match="LP certificate failed: duality_gap"):
             solve_cip_strict(inst, F(1, 2))
+
+    def test_fractional_bound_normalized_first(self):
+        raw = make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None])
+        with pytest.raises(InstanceError, match="normalize width first"):
+            solve_cip_strict(raw, F(1, 2))
+        inst = normalize_width(raw)
+        _, report = solve_cip_strict(inst, F(1, 2))
+        # the plain relaxation with x_0 <= 1, not 3/2 (which has value 0)
+        assert report.fopt == rounding.solve_relaxation(inst).objective_value == F(1, 10)
 
     def test_one_residual_system_per_cut_round(self, monkeypatch):
         calls = []
 
-        def counting_kc_system(inst, pins, d_floor):
+        def counting_kc_system(inst, pins):
             calls.append(frozenset(pins))
-            return kc_system(inst, pins, d_floor)
+            return kc_system(inst, pins)
 
         monkeypatch.setattr(kc, "kc_system", counting_kc_system)
         insts = [knapsack_gap(F(1, 10))] + [
@@ -269,7 +285,7 @@ class TestSolveCipStrict:
                 last = calls[-1]
                 assert report.pinned == tuple(sorted(last))
                 x = solve_lp_kc(inst, 1 + eps)
-                assert last == high_set(x, floor_bounds(inst), 1 + eps)
+                assert last == high_set(x, inst.d, 1 + eps)
                 rounds.append(report.lp_rounds)
         assert max(rounds) > 1
 

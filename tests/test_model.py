@@ -118,6 +118,17 @@ class TestNormalize:
         assert out.m == inst.m - 1
         assert out.a == (F(1),)
 
+    def test_floors_finite_bounds_keeps_unbounded(self):
+        inst = make_inst(A=[[1, 1, 1]], a=[1], c=[1, 1, 1], d=["3/2", None, "7/3"])
+        out = normalize_width(inst)
+        assert out.d == (F(1), None, F(2))
+        assert is_width_normalized(out)
+
+    def test_fractional_bound_not_normalized(self):
+        inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=["1/2", 1])
+        assert not is_width_normalized(inst)
+        assert is_width_normalized(make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[0, 1]))
+
     def test_idempotent_on_normalized(self):
         inst = normalize_width(parse_instance(GAP_DOC))
         assert normalize_width(inst) == inst

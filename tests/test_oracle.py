@@ -1,8 +1,10 @@
 import random
 
+import pytest
+
 from coverpack.genbench import gen_random_cpip, knapsack_gap
-from coverpack.kc import floor_bounds, kc_system
-from coverpack.model import IntegerVector, dot, normalize_width
+from coverpack.kc import kc_system
+from coverpack.model import InstanceError, IntegerVector, dot, normalize_width
 from coverpack.oracle import (
     SolveReport,
     brute_force_opt,
@@ -67,6 +69,13 @@ class TestCheckSolution:
         report = check_solution(inst, IntegerVector((1, 1)), F(1))
         assert report.ok_strict and report.ok_bicriteria
 
+    def test_wrong_length_rejected(self):
+        inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[None, None])
+        for x in ([1], [1, 0, 0]):
+            with pytest.raises(InstanceError, match="expected 2"):
+                check_solution(inst, x, 1)
+        assert check_solution(inst, [1, 0], 1).ok_strict
+
     def test_relaxed_multiplicity_violation_names_variable(self):
         inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[1, 1])
         # ceil((1+1) * 1) = 2, so 3 exceeds the relaxed cap by 1
@@ -112,7 +121,7 @@ class TestKcValidity:
 
     def test_empty_pin_set_matches_original_rows(self):
         inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[1, 1])
-        system = kc_system(inst, frozenset(), floor_bounds(inst))
+        system = kc_system(inst, frozenset())
         assert system.A_F == inst.A and system.a_F == inst.a
         assert check_kc_validity(inst).status == "OK"
 
@@ -125,8 +134,8 @@ class TestKcValidity:
         # corrupted system: raw coefficients where the residual demand is
         # smaller; the width check must name the offending entry
         inst = knapsack_gap(F(1, 4))
-        df = floor_bounds(inst)
-        system = kc_system(inst, {0}, df)
+        df = inst.d
+        system = kc_system(inst, {0})
         raw = tuple(
             tuple(F(0) if j in {0} else inst.A[i][j] for j in range(inst.n))
             for i in range(inst.m)
@@ -138,8 +147,8 @@ class TestKcValidity:
     def test_inflated_residual_is_caught_by_feasible_point(self):
         # corrupted residual demand: a feasible integer point must violate it
         inst = knapsack_gap(F(1, 4))
-        df = floor_bounds(inst)
-        system = kc_system(inst, {0}, df)
+        df = inst.d
+        system = kc_system(inst, {0})
         inflated = tuple(v + 1 for v in system.a_F)
         feasible = [(1, 1), (0, 1)]
         bad, _ = validate_kc_system(inst, frozenset({0}), system.A_F, inflated, feasible)

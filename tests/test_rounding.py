@@ -588,7 +588,7 @@ class TestSolveCpipBicriteria:
             assert report.guarantees_ok
 
     def test_infeasible_lp_raises(self):
-        inst = make_inst(A=[[1]], a=[1], c=[1], d=["1/2"])
+        inst = normalize_width(make_inst(A=[[1]], a=[1], c=[1], d=["1/2"]))
         with pytest.raises(InfeasibleError, match="no fractional solution"):
             solve_cpip_bicriteria(inst, 1)
 
