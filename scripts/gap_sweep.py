@@ -35,7 +35,7 @@ def main() -> None:
         _, report = solve_cip_strict(inst, 1)
         print(
             f"{str(delta):>8} {float(fopt):>10.6g} {float(opt):>5g} "
-            f"{float(opt / fopt):>8g} {float(info['objective']):>9g} "
+            f"{float(opt / fopt):>8g} {float(info['round_objectives'][-1]):>9g} "
             f"{float(report.cost):>7g} {float(report.cost / opt):>6.3f}"
         )
 

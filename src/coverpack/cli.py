@@ -2,7 +2,7 @@
 
 Subcommands over the JSON instance document format:
 
-* ``solve``  -- full pipelines: strict (default), bicriteria, lp, lp-kc, oracle
+* ``solve``  -- full pipelines: strict (default), bicriteria, lp, lp-kc
 * ``round``  -- individual rounding stages on the relaxation optimum
 * ``oracle`` -- brute-force integer optimum
 * ``gen``    -- emit a generated instance document
@@ -32,11 +32,11 @@ from coverpack.model import (
     InstanceError,
     ParseError,
     dot,
-    metrics,
     normalize_width,
     parse_instance,
     parse_solution,
     serialize_instance,
+    width,
 )
 from coverpack.oracle import SolveReport, brute_force_opt, check_solution
 from coverpack.rounding import (
@@ -73,9 +73,16 @@ def _typed(parse, need: str, ok=lambda value: True):
     return convert
 
 
+def _rationals(text: str) -> list[Fraction]:
+    return [Fraction(v) for v in text.split(",")]
+
+
 _fraction = _typed(Fraction, "a rational number")
-_fractions = _typed(lambda text: [Fraction(v) for v in text.split(",")], "a list of rationals")
 _epsilon = _typed(Fraction, "an epsilon in (0, 1]", lambda v: 0 < v <= 1)
+_epsilons = _typed(
+    _rationals, "a list of epsilons in (0, 1]", lambda vs: all(0 < v <= 1 for v in vs)
+)
+_deltas = _typed(_rationals, "a list of deltas in (0, 1)", lambda vs: all(0 < v < 1 for v in vs))
 _lambda = _typed(Fraction, "a lambda above 1", lambda v: v > 1)
 _positive_int = _typed(int, "a positive integer", lambda v: v >= 1)
 
@@ -97,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = subs.add_parser("solve", help="run a solver pipeline")
     solve.add_argument(
         "--mode",
-        choices=("strict", "bicriteria", "lp", "lp-kc", "oracle"),
+        choices=("strict", "bicriteria", "lp", "lp-kc"),
         default="strict",
     )
     solve.add_argument("--lambda", dest="lam", type=_lambda, default=Fraction(2),
@@ -134,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--families", default="knapsack-gap",
                        help="comma-separated families")
     bench.add_argument("--count", type=int, default=3, help="instances per family")
-    bench.add_argument("--epsilons", type=_fractions, default="1",
+    bench.add_argument("--epsilons", type=_epsilons, default="1",
                        help="comma-separated slack values")
-    bench.add_argument("--deltas", type=_fractions, default="1/2,1/10,1/100",
+    bench.add_argument("--deltas", type=_deltas, default="1/2,1/10,1/100",
                        help="gap-family deltas, comma-separated")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--format", dest="output", choices=("text", "machine"), default="text")
@@ -207,10 +214,11 @@ def _lp_report(inst: CpipInstance, args) -> SolveReport:
 def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
     info: dict = {}
     x = solve_lp_kc(inst, args.lam, max_rounds=args.max_rounds, info=info)
+    objective = info["round_objectives"][-1]
     return SolveReport(
         mode="lp-kc",
-        fopt_kc=info["objective"],
-        cost=info["objective"],
+        fopt_kc=objective,
+        cost=objective,
         lam=args.lam,
         epsilon=args.epsilon,
         x=x.values,
@@ -222,8 +230,8 @@ def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
     )
 
 
-def _oracle_report(inst: CpipInstance, args, **limits) -> SolveReport:
-    res = brute_force_opt(inst, **limits)
+def _oracle_report(inst: CpipInstance, args) -> SolveReport:
+    res = brute_force_opt(inst, max_points=args.max_points)
     if res.status == "INFEASIBLE":
         raise InfeasibleError("no integer solution in the search box")
     return SolveReport(
@@ -245,7 +253,7 @@ def _round_report(inst: CpipInstance, args) -> SolveReport:
     info: dict = {}
     if args.op in ("randomized", "derandomized"):
         # the two ops that read L; it needs a demanded row
-        info["L"] = compute_scale_factor(inst.m, metrics(inst).width)
+        info["L"] = compute_scale_factor(inst.m, width(inst.A, inst.a))
     if args.op == "randomized":
         x = randomized_round(xbar, info["L"], args.seed)
     elif args.op == "derandomized":
@@ -278,10 +286,8 @@ def _solve_report(inst: CpipInstance, args) -> SolveReport:
         _, report = solve_cpip_bicriteria(inst, args.epsilon)
     elif args.mode == "lp":
         report = _lp_report(inst, args)
-    elif args.mode == "lp-kc":
-        report = _lp_kc_report(inst, args)
     else:
-        report = _oracle_report(inst, args)
+        report = _lp_kc_report(inst, args)
     return report
 
 
@@ -353,7 +359,7 @@ def main(argv=None) -> int:
         if args.subcommand == "solve":
             report = _solve_report(inst, args)
         elif args.subcommand == "oracle":
-            report = _oracle_report(inst, args, max_points=args.max_points)
+            report = _oracle_report(inst, args)
         else:
             report = _round_report(inst, args)
         if report.status == "BUDGET_EXCEEDED":  # only the oracle has a point budget

@@ -24,9 +24,10 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from time import perf_counter
 
 from coverpack.model import CpipInstance, InstanceError, dot, normalize_width, number_out
-from coverpack.oracle import Timer, brute_force_opt
+from coverpack.oracle import brute_force_opt
 from coverpack.rounding import solve_cpip_bicriteria
 from coverpack.kc import solve_cip_strict
 
@@ -300,30 +301,30 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
             try:
                 inst = normalize_width(generate(spec))
                 row.m, row.n, row.r = inst.m, inst.n, inst.r
-                with Timer() as timer:
-                    xb, rep_b = solve_cpip_bicriteria(inst, eps)
-                    row.fopt = rep_b.fopt
-                    row.bicriteria_cost = rep_b.cost
-                    row.bicriteria_ratio_fopt = rep_b.ratio_cost_fopt
-                    row.K = rep_b.K
-                    row.L = rep_b.L
-                    beta = inst.beta()
-                    excesses = [
-                        dot(inst.B[i], xb.values) - ((1 + eps) * inst.b[i] + beta[i])
-                        for i in range(inst.r)
-                    ]
-                    row.max_pack_excess = max(excesses, default=None)
-                    xs, rep_s = solve_cip_strict(inst, eps)
-                    row.strict_cost = rep_s.cost
-                    row.fopt_kc = rep_s.fopt_kc
-                    oracle = brute_force_opt(inst, max_points=ORACLE_MAX_POINTS)
-                    if oracle.status == "OPTIMAL":
-                        row.opt = oracle.cost
-                        if oracle.cost > 0:
-                            row.strict_ratio_opt = float(rep_s.cost / oracle.cost)
-                            ratios_opt.append(row.strict_ratio_opt)
+                t0 = perf_counter()
+                xb, rep_b = solve_cpip_bicriteria(inst, eps)
+                row.fopt = rep_b.fopt
+                row.bicriteria_cost = rep_b.cost
+                row.bicriteria_ratio_fopt = rep_b.ratio_cost_fopt
+                row.K = rep_b.K
+                row.L = rep_b.L
+                beta = inst.beta()
+                excesses = [
+                    dot(inst.B[i], xb.values) - ((1 + eps) * inst.b[i] + beta[i])
+                    for i in range(inst.r)
+                ]
+                row.max_pack_excess = max(excesses, default=None)
+                xs, rep_s = solve_cip_strict(inst, eps)
+                row.strict_cost = rep_s.cost
+                row.fopt_kc = rep_s.fopt_kc
+                oracle = brute_force_opt(inst, max_points=ORACLE_MAX_POINTS)
+                if oracle.status == "OPTIMAL":
+                    row.opt = oracle.cost
+                    if oracle.cost > 0:
+                        row.strict_ratio_opt = float(rep_s.cost / oracle.cost)
+                        ratios_opt.append(row.strict_ratio_opt)
                 if include_timing:
-                    row.time_ms = timer.elapsed * 1000.0
+                    row.time_ms = (perf_counter() - t0) * 1000.0
                 if row.bicriteria_ratio_fopt is not None:
                     ratios_fopt.append(row.bicriteria_ratio_fopt)
             except Exception as exc:  # record and continue

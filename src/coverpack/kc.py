@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from time import perf_counter
 
 from coverpack.model import (
     ZERO,
@@ -46,7 +47,7 @@ from coverpack.model import (
     dot,
     is_width_normalized,
 )
-from coverpack.oracle import SolveReport, Timer, check_solution
+from coverpack.oracle import SolveReport, check_solution
 from coverpack.simplex import (
     InfeasibleError,
     lp_from_instance,
@@ -194,9 +195,6 @@ def solve_lp_kc(
                         "cut_rows_added": len(cuts),
                         "pin_sets_seen": tuple(pin_sets),
                         "round_objectives": tuple(objectives),
-                        "objective": sol.objective_value,
-                        "problem": problem,
-                        "solution": sol,
                         "system": system,
                     }
                 )
@@ -227,51 +225,50 @@ def solve_cip_strict(
     eps = Fraction(epsilon)
     if not (0 < eps <= 1):
         raise InstanceError(f"epsilon {eps} outside (0, 1]")
-    if not is_width_normalized(inst):
-        raise InstanceError("normalize width first")
     lam = 1 + eps
-    with Timer() as timer:
-        kc_info: dict = {}
-        xbar = solve_lp_kc(inst, lam, max_rounds=max_rounds, info=kc_info)
-        # the loop's last high set, at lambda = 1+eps, is the pinned set
-        system = kc_info["system"]
-        xres = tuple(ZERO if j in system.F else v for j, v in enumerate(xbar))
-        residual_rows = cut_rows(system)
-        for i, coeffs, rhs in residual_rows:
-            # the relaxed point satisfies its own cuts, so this cannot fail
-            if dot(coeffs, xres) < rhs:
-                raise GuaranteeError(f"residual row {i} uncovered by the relaxed point")
+    t0 = perf_counter()
+    kc_info: dict = {}
+    xbar = solve_lp_kc(inst, lam, max_rounds=max_rounds, info=kc_info)
+    # the loop's last high set, at lambda = 1+eps, is the pinned set
+    system = kc_info["system"]
+    xres = tuple(ZERO if j in system.F else v for j, v in enumerate(xbar))
+    residual_rows = cut_rows(system)
+    for i, coeffs, rhs in residual_rows:
+        # the relaxed point satisfies its own cuts, so this cannot fail
+        if dot(coeffs, xres) < rhs:
+            raise GuaranteeError(f"residual row {i} uncovered by the relaxed point")
 
-        info: dict = {}
-        xhat_rest = bicriteria_round(
-            xres,
-            tuple(coeffs for _, coeffs, _ in residual_rows),
-            tuple(rhs for _, _, rhs in residual_rows),
-            inst.c,
-            xres,
-            eps,
-            info_out=info,
+    info: dict = {}
+    xhat_rest = bicriteria_round(
+        xres,
+        tuple(coeffs for _, coeffs, _ in residual_rows),
+        tuple(rhs for _, _, rhs in residual_rows),
+        inst.c,
+        xres,
+        eps,
+        info_out=info,
+    )
+    xhat = IntegerVector(
+        tuple(int(inst.d[j]) if j in system.F else xhat_rest[j] for j in range(inst.n))
+    )
+    relaxed_cost = dot(inst.c, xbar.values)
+    pinned_cost = sum((inst.c[j] * inst.d[j] for j in system.F), ZERO)
+    if pinned_cost > (1 + eps) * relaxed_cost:
+        raise GuaranteeError(
+            f"pinned cost {pinned_cost} above (1+eps) * {relaxed_cost}"
         )
-        xhat = IntegerVector(
-            tuple(int(inst.d[j]) if j in system.F else xhat_rest[j] for j in range(inst.n))
+    cost = dot(inst.c, xhat.values)
+    K = info["K"]
+    if cost > (1 + eps + 4 * K) * relaxed_cost:
+        raise GuaranteeError(
+            f"cost {cost} above (1 + eps + 4K) * {relaxed_cost} with K = {K}"
         )
-        relaxed_cost = dot(inst.c, xbar.values)
-        pinned_cost = sum((inst.c[j] * inst.d[j] for j in system.F), ZERO)
-        if pinned_cost > (1 + eps) * relaxed_cost:
-            raise GuaranteeError(
-                f"pinned cost {pinned_cost} above (1+eps) * {relaxed_cost}"
-            )
-        cost = dot(inst.c, xhat.values)
-        K = info["K"]
-        if cost > (1 + eps + 4 * K) * relaxed_cost:
-            raise GuaranteeError(
-                f"cost {cost} above (1 + eps + 4K) * {relaxed_cost} with K = {K}"
-            )
-        violations = check_solution(inst, xhat, eps)
-        if not violations.ok_strict:
-            raise GuaranteeError(f"strict guarantees violated: {violations}")
-        # round 1 of the cut loop solved the plain relaxation: fopt, for gap reporting
-        fopt = kc_info["round_objectives"][0]
+    violations = check_solution(inst, xhat, eps)
+    if not violations.ok_strict:
+        raise GuaranteeError(f"strict guarantees violated: {violations}")
+    # round 1 of the cut loop solved the plain relaxation: fopt, for gap reporting
+    fopt = kc_info["round_objectives"][0]
+    elapsed_s = perf_counter() - t0
     report = SolveReport(
         mode="strict",
         cost=cost,
@@ -290,6 +287,6 @@ def solve_cip_strict(
         pin_sets_seen=kc_info["pin_sets_seen"],
         cut_rows_added=kc_info["cut_rows_added"],
         lp_rounds=kc_info["rounds"],
-        elapsed_s=timer.elapsed,
+        elapsed_s=elapsed_s,
     )
     return xhat, report

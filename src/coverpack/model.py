@@ -150,18 +150,6 @@ class CpipInstance:
 
 
 @dataclass(frozen=True)
-class InstanceMetrics:
-    """Width and dilation of the covering system.
-
-    width: min over positive entries of a_i / A_ij (>= 1 once normalized).
-    dilation: max number of covering rows any single variable appears in.
-    """
-
-    width: Fraction
-    dilation: int
-
-
-@dataclass(frozen=True)
 class FractionalVector:
     """Nonnegative rational candidate solution."""
 
@@ -251,16 +239,6 @@ def width(A, a) -> Fraction:
     if best is None:
         raise InstanceError("no covering structure: A is all zeros on demanded rows")
     return Fraction(best[0]) / best[1]
-
-
-def metrics(inst: CpipInstance) -> InstanceMetrics:
-    """Width and dilation of the covering system (requires some A_ij > 0)."""
-    if inst.m == 0:
-        raise InstanceError("no covering structure: instance has no covering rows")
-    dilation = max(
-        sum(1 for i in range(inst.m) if inst.A[i][j] > 0) for j in range(inst.n)
-    )
-    return InstanceMetrics(width=width(inst.A, inst.a), dilation=dilation)
 
 
 def number_out(v):

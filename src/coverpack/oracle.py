@@ -9,7 +9,6 @@ only at desk scale, which is the point.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import ceil, floor
@@ -145,10 +144,13 @@ class ViolationReport:
 def check_solution(
     inst: CpipInstance, x: IntegerVector | Sequence, epsilon: Fraction
 ) -> ViolationReport:
-    """Exact violation report for a candidate solution at slack level epsilon."""
+    """Exact violation report for a nonnegative candidate x at slack level epsilon."""
     xv = x.as_fractions() if isinstance(x, IntegerVector) else tuple(Fraction(v) for v in x)
     if len(xv) != inst.n:
         raise InstanceError(f"x has {len(xv)} entries, expected {inst.n}")
+    for j, v in enumerate(xv):
+        if v < 0:
+            raise InstanceError(f"x[{j}] = {v} is negative")
     covering = []
     for i in range(inst.m):
         lhs = dot(inst.A[i], xv)
@@ -322,13 +324,3 @@ class SolveReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-
-class Timer:
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self._t0
-        return False

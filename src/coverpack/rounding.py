@@ -40,6 +40,7 @@ import functools
 import math
 import random
 from fractions import Fraction
+from time import perf_counter
 
 from coverpack.model import (
     ZERO,
@@ -54,7 +55,7 @@ from coverpack.model import (
     vec_ceil,
     width,
 )
-from coverpack.oracle import SolveReport, Timer, check_solution
+from coverpack.oracle import SolveReport, check_solution
 from coverpack.simplex import (
     InfeasibleError,
     LpSolution,
@@ -340,7 +341,6 @@ def granular_round(
     c,
     K: int,
     *,
-    trace_out: list | None = None,
     info_out: dict | None = None,
     rows: CoverRows | None = None,
 ) -> FractionalVector:
@@ -361,24 +361,18 @@ def granular_round(
         if info_out is not None:
             info_out.update({"K": K, "L": Fraction(1)})
         return FractionalVector(tuple(ZERO for _ in xv))
-    W = rows.width
-    L = compute_scale_factor(len(rows.demands), K * W)
+    L = compute_scale_factor(len(rows.demands), K * rows.width)
     scaled_a = tuple(K * v for v in a)
     scaled_xbar = tuple(K * v for v in xv)
-    xhat = derandomized_round(
-        scaled_xbar, A, scaled_a, c, L, trace_out=trace_out, rows=rows.scaled(K)
-    )
+    xhat = derandomized_round(scaled_xbar, A, scaled_a, c, L, rows=rows.scaled(K))
     if info_out is not None:
-        info_out.update({"K": K, "L": L, "W": W})
+        info_out.update({"K": K, "L": L})
     return FractionalVector(tuple(Fraction(v, K) for v in xhat))
 
 
 def granularity_K(m: int, W, epsilon) -> int:
     """K = ceil(4 ln(2m) / (W eps^2)); makes scale(m, K W) <= 1 + eps."""
-    eps = Fraction(epsilon)
-    if not (0 < eps <= 1):
-        raise InstanceError(f"epsilon {eps} outside (0, 1]")
-    q = 4.0 * math.log(2 * m) / (float(W) * float(eps) ** 2)
+    q = 4.0 * math.log(2 * m) / (float(W) * float(epsilon) ** 2)
     return max(1, math.ceil(q))
 
 
@@ -390,7 +384,6 @@ def bicriteria_round(
     d,
     epsilon,
     *,
-    trace_out: list | None = None,
     info_out: dict | None = None,
 ) -> IntegerVector:
     """Integer cover within ceil((1+eps) xbar) at cost <= 4K cost(xbar).
@@ -413,10 +406,9 @@ def bicriteria_round(
         if info_out is not None:
             info_out.update({"K": 0, "L": Fraction(1)})
         return IntegerVector(tuple(0 for _ in xv))
-    W = rows.width
-    K = granularity_K(len(rows.demands), W, eps)
+    K = granularity_K(len(rows.demands), rows.width, eps)
     inner: dict = {}
-    xgran = granular_round(xv, A, a, c, K, trace_out=trace_out, info_out=inner, rows=rows)
+    xgran = granular_round(xv, A, a, c, K, info_out=inner, rows=rows)
     xhat = list(vec_ceil(xgran.values))
     costs, _ = _integers(c)
     _trim_surplus(xhat, rows, costs)
@@ -431,7 +423,7 @@ def bicriteria_round(
     if min(rows.slack(xhat)) < 0:
         raise RoundingError("rounded solution lost coverage")
     if info_out is not None:
-        info_out.update({"K": K, "L": inner["L"], "W": W})
+        info_out.update({"K": K, "L": inner["L"]})
     return IntegerVector(tuple(xhat))
 
 
@@ -465,13 +457,14 @@ def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, S
         raise InstanceError(f"epsilon {eps} outside (0, 1]")
     if not is_width_normalized(inst):
         raise InstanceError("normalize width first")
-    with Timer() as timer:
-        sol = solve_relaxation(inst)
-        info: dict = {}
-        xhat = bicriteria_round(sol.primal, inst.A, inst.a, inst.c, inst.d, eps, info_out=info)
-        violations = check_solution(inst, xhat, eps)
-        if not violations.ok_bicriteria:
-            raise RoundingError(f"bicriteria guarantees violated: {violations}")
+    t0 = perf_counter()
+    sol = solve_relaxation(inst)
+    info: dict = {}
+    xhat = bicriteria_round(sol.primal, inst.A, inst.a, inst.c, inst.d, eps, info_out=info)
+    violations = check_solution(inst, xhat, eps)
+    if not violations.ok_bicriteria:
+        raise RoundingError(f"bicriteria guarantees violated: {violations}")
+    elapsed_s = perf_counter() - t0
     cost = dot(inst.c, xhat.values)
     fopt = sol.objective_value
     report = SolveReport(
@@ -486,6 +479,6 @@ def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, S
         violations=violations,
         guarantees_ok=violations.ok_bicriteria,
         certificate_ok=True,
-        elapsed_s=timer.elapsed,
+        elapsed_s=elapsed_s,
     )
     return xhat, report

@@ -52,11 +52,7 @@ class LpError(CoverpackError):
 
 
 class IterationLimitError(LpError):
-    """Pivot budget exhausted; carries the best objective bound reached."""
-
-    def __init__(self, message: str, best_objective):
-        super().__init__(message)
-        self.best_objective = best_objective
+    """Pivot budget exhausted."""
 
 
 class InfeasibleError(CoverpackError):
@@ -284,10 +280,7 @@ class _Tableau:
             if leave < 0:
                 return False  # unbounded direction on column `enter`
             if self.iterations >= max_iters:
-                raise IterationLimitError(
-                    f"simplex exceeded {max_iters} pivots",
-                    best_objective=self.objective(),
-                )
+                raise IterationLimitError(f"simplex exceeded {max_iters} pivots")
             self.iterations += 1
             degenerate_streak = degenerate_streak + 1 if best_rhs == 0 else 0
             self.pivot(leave, enter)

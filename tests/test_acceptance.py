@@ -7,6 +7,7 @@ module-scoped ``Ledger`` and each runs once per module, whichever test
 asks first, so any test can be selected or reordered on its own.
 """
 
+import contextlib
 import functools
 import math
 import random
@@ -14,9 +15,10 @@ import time
 
 import pytest
 
+from coverpack import kc
 from coverpack.genbench import gen_multiset_multicover, gen_random_cpip, knapsack_gap
 from coverpack.kc import cut_rows, kc_system, solve_cip_strict, solve_lp_kc
-from coverpack.model import dot, metrics, normalize_width, vec_ceil
+from coverpack.model import dot, normalize_width, vec_ceil, width
 from coverpack.oracle import brute_force_opt, check_kc_validity
 from coverpack.rounding import (
     compute_scale_factor,
@@ -73,6 +75,23 @@ def _lp_opt(ledger, inst):
     return sol
 
 
+@contextlib.contextmanager
+def _recording_cut_rounds(ledger):
+    """Record each LP the cut loop solves, as (problem, solution), for AC-8."""
+    solve = kc.solve_lp
+
+    def recorded(problem, *args, **kwargs):
+        sol = solve(problem, *args, **kwargs)
+        ledger.lp_solves.append((problem, sol))
+        return sol
+
+    kc.solve_lp = recorded
+    try:
+        yield
+    finally:
+        kc.solve_lp = solve
+
+
 def _random_cip(seed: int, max_m: int = 12, max_n: int = 12):
     rng = random.Random(seed)
     m = rng.randint(1, max_m)
@@ -91,9 +110,12 @@ def test_ac1_gap_family_exact_values(ledger):
         oracle = brute_force_opt(inst)
         assert oracle.cost == 1
         info: dict = {}
-        solve_lp_kc(inst, 2, info=info)
-        ledger.lp_solves.append((info["problem"], info["solution"]))
-        assert info["objective"] >= 1 - F(1, 10**9)
+        recorded_before = len(ledger.lp_solves)
+        with _recording_cut_rounds(ledger):
+            solve_lp_kc(inst, 2, info=info)
+        assert len(ledger.lp_solves) - recorded_before == info["rounds"]
+        kc_value = info["round_objectives"][-1]
+        assert kc_value >= 1 - F(1, 10**9)
         xhat, report = solve_cip_strict(inst, 1)
         ledger.reports.append(report)
         assert report.cost == 1
@@ -105,7 +127,7 @@ def test_ac1_gap_family_exact_values(ledger):
         ledger.gap_results[delta] = {
             "fopt": sol.objective_value,
             "opt": oracle.cost,
-            "kc_value": info["objective"],
+            "kc_value": kc_value,
             "strict_cost": report.cost,
         }
     _line("AC-1", True, f"gap family exact at all deltas; worst {worst:.3f}s/delta")
@@ -119,7 +141,7 @@ def test_ac2_derandomization_never_fails(ledger):
         inst = _random_cip(seed)
         sol = _lp_opt(ledger, inst)
         xbar = sol.primal.values
-        L = compute_scale_factor(inst.m, metrics(inst).width)
+        L = compute_scale_factor(inst.m, width(inst.A, inst.a))
         trace: list = []
         xhat = derandomized_round(xbar, inst.A, inst.a, inst.c, L, trace_out=trace)
         assert all(dot(inst.A[i], xhat.values) >= inst.a[i] for i in range(inst.m))
@@ -142,7 +164,7 @@ def test_ac3_granularity_exact(ledger):
         inst = _random_cip(1000 + seed, max_m=8, max_n=8)
         sol = _lp_opt(ledger, inst)
         xbar = sol.primal.values
-        W = metrics(inst).width
+        W = width(inst.A, inst.a)
         for K in (2, 3, 4, 8, 16):
             out = granular_round(xbar, inst.A, inst.a, inst.c, K)
             for v in out.values:
@@ -166,14 +188,14 @@ def test_ac4_bicriteria_guarantees_with_packing(ledger):
             gen_random_cpip(rng.randint(2, 8), rng.randint(2, 8), rng.randint(1, 3),
                             seed=3000 + seed)
         )
-        met = metrics(inst)
+        W = width(inst.A, inst.a)
         beta = inst.beta()
         for eps in (F(1, 4), F(1, 2), F(1)):
             xhat, report = solve_cpip_bicriteria(inst, eps)
             ledger.reports.append(report)
             fopt = report.fopt
             K = max(1, math.ceil(
-                4 * math.log(2 * inst.m) / (float(met.width) * float(eps) ** 2)
+                4 * math.log(2 * inst.m) / (float(W) * float(eps) ** 2)
             ))
             ok = all(dot(inst.A[i], xhat.values) >= inst.a[i] for i in range(inst.m))
             caps = vec_ceil(tuple((1 + eps) * dv for dv in inst.d))
@@ -235,8 +257,8 @@ def test_ac6_kc_validity_and_width():
             pins = frozenset(finite[k] for k in range(len(finite)) if mask >> k & 1)
             system = kc_system(inst, pins)
             for i, coeffs, rhs in cut_rows(system):
-                width = min(rhs / v for v in coeffs if v > 0)
-                assert width >= 1
+                row_width = min(rhs / v for v in coeffs if v > 0)
+                assert row_width >= 1
     _line("AC-6", True, "50 instances exhaustively valid; every residual row width >= 1")
 
 

@@ -76,12 +76,16 @@ class TestSolve:
         assert json.loads(out)["fopt_kc"] == 1
 
     def test_bicriteria_and_oracle_modes(self, tmp_path, capsys, monkeypatch):
-        path = write_gap(tmp_path)
-        for mode in ("bicriteria", "oracle"):
-            code, out, _ = run(
-                ["solve", "--mode", mode, path, "--format", "machine"], capsys=capsys
-            )
-            assert code == EXIT_OK
+        code, out, _ = run(
+            ["solve", "--mode", "bicriteria", write_gap(tmp_path), "--format", "machine"],
+            capsys=capsys,
+        )
+        assert code == EXIT_OK
+
+    def test_oracle_is_its_own_subcommand(self, tmp_path, capsys, monkeypatch):
+        code, _, err = run(["solve", "--mode", "oracle", write_gap(tmp_path)], capsys=capsys)
+        assert code == EXIT_USAGE
+        assert "invalid choice: 'oracle'" in err
 
     @pytest.mark.parametrize("mode", ["bicriteria", "strict"])
     @pytest.mark.parametrize(
@@ -226,7 +230,7 @@ class TestExitCodes:
         "exc, code",
         [
             (InfeasibleError("no point"), EXIT_INFEASIBLE),
-            (IterationLimitError("pivot budget", None), EXIT_LIMIT),
+            (IterationLimitError("pivot budget"), EXIT_LIMIT),
             (CutLoopLimitError("round cap", None, ()), EXIT_LIMIT),
             (ParseError("bad document"), EXIT_USAGE),
             (InstanceError("bad data"), EXIT_USAGE),
@@ -259,7 +263,7 @@ class TestExitCodes:
         assert code == EXIT_LIMIT
         assert "after 1 rounds" in err
 
-    @pytest.mark.parametrize("argv", [["oracle", "--max-points", "1000"], ["solve", "--mode", "oracle"]])
+    @pytest.mark.parametrize("argv", [["oracle", "--max-points", "1000"], ["oracle"]])
     def test_oracle_over_budget_exits_three(self, argv, tmp_path, capsys, monkeypatch):
         _, doc, _ = run(
             ["gen", "--family", "random-cpip", "--m", "6", "--n", "12", "--seed", "1"],
@@ -502,7 +506,7 @@ class TestBench:
         assert rows[0]["strict_cost"] == 1
 
     @pytest.mark.parametrize("flag", ["--epsilons", "--deltas"])
-    @pytest.mark.parametrize("value", ["abc", "1/4,", "1/0"])
+    @pytest.mark.parametrize("value", ["abc", "1/4,", "1/0", "0", "3/2"])
     def test_unreadable_lists_exit_two(self, flag, value, capsys, monkeypatch):
         code, _, err = run(["bench", flag, value, "--no-timing"], capsys=capsys)
         assert code == EXIT_USAGE

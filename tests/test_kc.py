@@ -126,7 +126,7 @@ class TestSolveLpKc:
         inst = knapsack_gap(F(1, 100))
         info = {}
         x = solve_lp_kc(inst, 2, info=info)
-        assert info["objective"] >= 1 - F(1, 10**9)
+        assert info["round_objectives"][-1] >= 1 - F(1, 10**9)
         assert info["cut_rows_added"] >= 1
 
     def test_no_cuts_needed_returns_after_one_round(self):
@@ -137,7 +137,15 @@ class TestSolveLpKc:
         assert info["rounds"] == 1
         assert info["cut_rows_added"] == 0
 
-    def test_returned_point_is_lambda_relaxed(self):
+    def test_returned_point_is_lambda_relaxed(self, monkeypatch):
+        solves = []
+
+        def recorded(problem, *args, **kwargs):
+            sol = solve_lp(problem, *args, **kwargs)
+            solves.append((problem, sol))
+            return sol
+
+        monkeypatch.setattr(kc, "solve_lp", recorded)
         for seed in range(100):
             inst = normalize_width(gen_random_cpip(3, 4, 1, seed=600 + seed, d_max=3))
             info = {}
@@ -145,7 +153,9 @@ class TestSolveLpKc:
             system, violated = find_violated_kc(inst, x, 2)
             assert violated == []
             assert info["system"] == system
-            assert verify_certificate(info["problem"], info["solution"]) == []
+            problem, sol = solves[-1]
+            assert sol.primal == x
+            assert verify_certificate(problem, sol) == []
             df = inst.d
             assert all(
                 df[j] is None or x[j] <= df[j] for j in range(inst.n)

@@ -10,10 +10,10 @@ from coverpack.model import (
     ParseError,
     dot,
     is_width_normalized,
-    metrics,
     normalize_width,
     parse_instance,
     serialize_instance,
+    width,
 )
 from conftest import F, make_inst
 
@@ -170,23 +170,17 @@ def test_normalize_idempotent_property(inst):
 class TestMetrics:
     def test_width_definition(self):
         inst = make_inst(A=[[2, 3]], a=[3], c=[1, 1], d=[None, None])
-        met = metrics(inst)
-        assert met.width == 1  # min(3/2, 3/3)
-        assert met.dilation == 1
-
-    def test_dilation_counts_rows(self):
-        inst = make_inst(A=[[1, 0], [1, 1]], a=[1, 1], c=[1, 1], d=[None, None])
-        assert metrics(inst).dilation == 2
+        assert width(inst.A, inst.a) == 1  # min(3/2, 3/3)
 
     def test_zero_demand_rows_do_not_count(self):
         # a vacuous row would otherwise force the width to 0
         inst = make_inst(A=[[2, 3], [1, 0]], a=[3, 0], c=[1, 1], d=[None, None])
-        assert metrics(inst).width == 1
+        assert width(inst.A, inst.a) == 1
 
     def test_all_zero_matrix_rejected(self):
         inst = make_inst(A=[[0, 0]], a=[1], c=[1, 1], d=[None, None])
         with pytest.raises(InstanceError, match="no covering structure"):
-            metrics(inst)
+            width(inst.A, inst.a)
 
     def test_normalized_width_at_least_one(self):
         rng = random.Random(11)
@@ -199,7 +193,7 @@ class TestMetrics:
                     row[rng.randrange(n)] = 1
             a = [rng.randint(1, 12) for _ in range(m)]
             inst = normalize_width(make_inst(A=A, a=a, c=[1] * n, d=[None] * n))
-            assert metrics(inst).width >= 1
+            assert width(inst.A, inst.a) >= 1
 
     def test_beta_row_sums(self):
         inst = make_inst(

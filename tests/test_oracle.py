@@ -76,6 +76,12 @@ class TestCheckSolution:
                 check_solution(inst, x, 1)
         assert check_solution(inst, [1, 0], 1).ok_strict
 
+    def test_negative_coordinate_rejected(self):
+        # covered and within d, yet no solution: x >= 0 is part of the program
+        inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[2, 2])
+        with pytest.raises(InstanceError, match=r"x\[0\] = -1 is negative"):
+            check_solution(inst, [-1, 2], 1)
+
     def test_relaxed_multiplicity_violation_names_variable(self):
         inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[1, 1])
         # ceil((1+1) * 1) = 2, so 3 exceeds the relaxed cap by 1

@@ -16,7 +16,6 @@ from coverpack.genbench import (
 from coverpack.model import (
     InstanceError,
     dot,
-    metrics,
     normalize_width,
     vec_ceil,
     width,
@@ -80,7 +79,7 @@ class TestRandomizedRound:
         rates = []
         for trial in range(50):
             inst, xbar, _ = cip_with_lp(rng.randint(1, 5), rng.randint(2, 6), seed=trial)
-            L = compute_scale_factor(inst.m, metrics(inst).width)
+            L = compute_scale_factor(inst.m, width(inst.A, inst.a))
             cap = 2 * L * dot(inst.c, xbar)
             good = 0
             for seed in range(64):
@@ -108,7 +107,7 @@ class TestDerandomizedRound:
             inst, xbar, _ = cip_with_lp(
                 1 + seed % 6, 2 + seed % 7, seed=seed, r=0
             )
-            L = compute_scale_factor(inst.m, metrics(inst).width)
+            L = compute_scale_factor(inst.m, width(inst.A, inst.a))
             trace = []
             xhat = derandomized_round(
                 xbar, inst.A, inst.a, inst.c, L, trace_out=trace
@@ -127,7 +126,7 @@ class TestDerandomizedRound:
         inst = make_inst(A=[["1/2", 1]], a=[1], c=[0, 1], d=[None, None])
         sol = solve_lp(lp_from_instance(inst))
         assert sol.objective_value == 0
-        L = compute_scale_factor(1, metrics(inst).width)
+        L = compute_scale_factor(1, width(inst.A, inst.a))
         xhat = derandomized_round(sol.primal.values, inst.A, inst.a, inst.c, L)
         assert dot(inst.A[0], xhat.values) >= inst.a[0]
         assert dot(inst.c, xhat.values) <= 2 * L * sol.objective_value
@@ -247,7 +246,7 @@ class TestEstimatorState:
         # the row terms alone, so a last-bit change in that sum shows
         inst = gen_set_cover(50, 100, 0.1, seed)
         support = min(sum(1 for v in row if v > 0) for row in inst.A)
-        L = compute_scale_factor(inst.m, metrics(inst).width)
+        L = compute_scale_factor(inst.m, width(inst.A, inst.a))
         xprime = tuple(L * F(1, support) for _ in inst.c)
         state = EstimatorState(xprime, CoverRows(inst.A, inst.a), [F(0)] * inst.n, L)
         for j in range(inst.n):
@@ -285,7 +284,7 @@ def test_set_cover_outputs_pinned(shape):
     inst = gen_set_cover(m, n, 0.1, seed)
     support = min(sum(1 for v in row if v > 0) for row in inst.A)
     xbar = tuple(F(1, support) for _ in inst.c)
-    L = compute_scale_factor(m, metrics(inst).width)
+    L = compute_scale_factor(m, width(inst.A, inst.a))
     derandomized = derandomized_round(xbar, inst.A, inst.a, inst.c, L)
     bicriteria = bicriteria_round(xbar, inst.A, inst.a, inst.c, inst.d, F(1, 4))
     for out, ones in zip((derandomized, bicriteria), SET_COVER_OUTPUTS[shape]):
@@ -453,7 +452,7 @@ def test_each_public_call_reads_each_row_of_A_once():
 
     inst, xbar, _ = cip_with_lp(5, 7, seed=3)
     A = tuple(Row(row) for row in inst.A)
-    L = compute_scale_factor(inst.m, metrics(inst).width)
+    L = compute_scale_factor(inst.m, width(inst.A, inst.a))
     calls = (
         lambda: derandomized_round(xbar, A, inst.a, inst.c, L, trace_out=[]),
         lambda: granular_round(xbar, A, inst.a, inst.c, 3),
@@ -468,7 +467,7 @@ def test_each_public_call_reads_each_row_of_A_once():
 class TestGranularRound:
     def test_K1_matches_derandomized(self):
         inst, xbar, _ = cip_with_lp(3, 4, seed=5)
-        L = compute_scale_factor(inst.m, metrics(inst).width)
+        L = compute_scale_factor(inst.m, width(inst.A, inst.a))
         direct = derandomized_round(xbar, inst.A, inst.a, inst.c, L)
         gran = granular_round(xbar, inst.A, inst.a, inst.c, 1)
         assert tuple(gran.values) == tuple(F(v) for v in direct.values)
@@ -483,12 +482,12 @@ class TestGranularRound:
 
     def test_scaled_demands_scale_width(self):
         inst, _, _ = cip_with_lp(3, 4, seed=42)
-        W = metrics(inst).width
+        W = width(inst.A, inst.a)
         for K in (2, 3, 5):
             scaled = make_inst(
                 A=inst.A, a=[K * v for v in inst.a], c=inst.c, d=inst.d
             )
-            assert metrics(scaled).width == K * W
+            assert width(scaled.A, scaled.a) == K * W
 
     def test_guarantees(self):
         for seed in range(25):
