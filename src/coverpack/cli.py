@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = subs.add_parser("bench", help="benchmark harness over generated families")
     bench.add_argument("--families", default="knapsack-gap",
                        help="comma-separated families")
-    bench.add_argument("--count", type=int, default=3, help="instances per family")
+    bench.add_argument("--count", type=_positive_int, default=3, help="instances per family")
     bench.add_argument("--epsilons", type=_epsilons, default="1",
                        help="comma-separated slack values")
     bench.add_argument("--deltas", type=_deltas, default="1/2,1/10,1/100",

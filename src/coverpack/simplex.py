@@ -1,15 +1,19 @@
 """Dense exact LP solver with primal/dual certificates.
 
-Two-phase primal simplex over the rationals, exactly.  Inside the tableau each
-row is a list of Python integers over one positive row denominator, and
-pivots are integer-preserving (Edmonds; Bareiss), so no ``Fraction`` is
-built while pivoting.  Every pivot choice compares the rationals the
-integers stand for, exactly.  Problems come in and results go out as
-``Fraction``: an OPTIMAL result carries a primal point and a dual vector
-whose objectives agree with zero gap, and an INFEASIBLE result carries
-an exact Farkas ray; ``verify_certificate`` checks either certificate,
-the ray included, in ``Fraction`` values.  Dense tableaus are fine at
-the scales this package targets (a few hundred rows including cut rows).
+Dual simplex over the rationals, exactly, from the all-slack basis
+(Lemke 1954).  Every LP this package builds is min c.x with c >= 0, so
+that basis is dual feasible from the start and the objective is bounded
+below by 0: one pass of pivots ends at an optimum or at a row that proves
+infeasibility.  Inside the tableau each row is a list of Python integers
+over one positive row denominator, and pivots are integer-preserving
+(Edmonds; Bareiss), so no ``Fraction`` is built while pivoting.  Every
+pivot choice compares the rationals the integers stand for, exactly.
+Problems come in and results go out as ``Fraction``: an OPTIMAL result
+carries a primal point and a dual vector whose objectives agree with zero
+gap, and an INFEASIBLE result carries an exact Farkas ray;
+``verify_certificate`` checks either certificate, the ray included, in
+``Fraction`` values.  Dense tableaus are fine at the scales this package
+targets (a few hundred rows including cut rows).
 
 Row order inside an ``LpProblem`` built from an instance is fixed and
 documented: covering rows, then packing rows, then any cut rows in
@@ -43,9 +47,6 @@ from coverpack.model import (
 
 GE = ">="
 LE = "<="
-
-ONE = Fraction(1)
-
 
 class LpError(CoverpackError):
     """Solver failure unrelated to problem status."""
@@ -102,7 +103,7 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # OPTIMAL | INFEASIBLE | UNBOUNDED
+    status: str  # OPTIMAL | INFEASIBLE
     iterations: int
     primal: FractionalVector | None = None
     objective_value: Fraction | None = None
@@ -151,7 +152,7 @@ def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int, nz: li
 
 
 class _Tableau:
-    """Mutable simplex working state: internal rows are user rows then bound rows.
+    """Mutable dual simplex state: internal rows are user rows then bound rows.
 
     Row ``i`` is held as integers ``T[i]`` over one positive denominator
     ``den[i]``, so its tableau entries are the rationals ``T[i][j] / den[i]``
@@ -160,39 +161,31 @@ class _Tableau:
     gcd of its entries and denominator.  The objective row ``obj`` over
     ``obj_den`` holds the reduced costs, with ``-z`` last.
 
-    Columns are the ``n`` variables, then the slack of internal row ``i`` at
-    ``n + i``, then one artificial per row that is ``>=`` once its rhs is
-    made nonnegative, in row order.
+    Every row is stored in ``<=`` form (a ``>=`` row is negated) with its
+    own slack at column ``n + i``, and the basis starts as all slacks.  The
+    reduced costs start as the cost vector, so with no negative cost that
+    basis is dual feasible: a row with a negative rhs is only primal
+    infeasible.
     """
 
     def __init__(self, p: LpProblem):
         n = self.n = len(p.objective)
         self.bounded = [j for j, u in enumerate(p.var_bounds) if u is not None]
         R = len(p.rows) + len(self.bounded)
-        # a row with negative rhs is multiplied by -1, which flips its sense
-        ge = [(row.sense == GE) != (row.rhs < 0) for row in p.rows]
-        ncols = self.ncols = n + R + sum(ge)
-        self.artificial = frozenset(range(n + R, ncols))
+        ncols = self.ncols = n + R
         self.T: list[list[int]] = []
         self.den: list[int] = []
-        self.basis: list[int] = []
-        art = n + R
+        self.basis = list(range(n, ncols))
         for i, row in enumerate(p.rows):
             # row i scaled by the lcm D of its denominators, as integers
-            sign = -1 if row.rhs < 0 else 1
+            sign = -1 if row.sense == GE else 1
             D = lcm(row.rhs.denominator, *(v.denominator for v in row.coeffs))
             trow = [0] * (ncols + 1)
             for j, v in enumerate(row.coeffs):
                 if v:
                     trow[j] = sign * v.numerator * (D // v.denominator)
+            trow[n + i] = D
             trow[ncols] = sign * row.rhs.numerator * (D // row.rhs.denominator)
-            if ge[i]:
-                trow[n + i], trow[art] = -D, D
-                self.basis.append(art)
-                art += 1
-            else:
-                trow[n + i] = D
-                self.basis.append(n + i)
             self.T.append(trow)
             self.den.append(D)
         for i, j in enumerate(self.bounded, len(p.rows)):
@@ -202,25 +195,10 @@ class _Tableau:
             trow[ncols] = u.numerator
             self.T.append(trow)
             self.den.append(u.denominator)
-            self.basis.append(n + i)
-        self.obj: list[int] = []  # set by price()
-        self.obj_den = 1
+        D = lcm(*(c.denominator for c in p.objective))
+        self.obj = [c.numerator * (D // c.denominator) for c in p.objective] + [0] * (R + 1)
+        self.obj_den = D
         self.iterations = 0
-
-    def price(self, cost: list[Fraction]) -> None:
-        """Set the objective row to the reduced costs of ``cost`` for the current basis."""
-        D = lcm(*(c.denominator for c in cost))
-        obj = [c.numerator * (D // c.denominator) for c in cost] + [0]
-        for i, bi in enumerate(self.basis):
-            # the basic entry of row i is den[i], i.e. one
-            if obj[bi]:
-                nz = [j for j, v in enumerate(self.T[i]) if v]
-                obj, D = _eliminate(obj, D, self.T[i], self.den[i], bi, nz)
-        self.obj, self.obj_den = obj, D
-
-    def objective(self) -> Fraction:
-        """Current objective value z of the priced cost."""
-        return Fraction(-self.obj[self.ncols], self.obj_den)
 
     def pivot(self, r: int, e: int) -> None:
         """Pivot basis row r on column e, updating the objective row too."""
@@ -244,45 +222,45 @@ class _Tableau:
             self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, e, nz)
         self.basis[r] = e
 
-    def run(self, cost, *, forbid, bland_after: int, max_iters: int) -> bool:
-        """Minimize cost over the current tableau; False if it is unbounded.
+    def run(self, *, bland_after: int, max_iters: int) -> int:
+        """Pivot until every basic value is >= 0; -1, or the row proving infeasibility.
 
-        Reduced costs share the positive denominator ``obj_den``, so they
-        compare by numerator.  The ratio ``T[i][-1] / T[i][e]`` of a row is
-        free of its denominator and compares by cross-multiplication.
+        Basic values ``T[i][-1] / den[i]`` compare by cross-multiplication.
+        The ratios ``obj[j] / -T[r][j]`` of the leaving row share the
+        denominators ``obj_den`` and ``den[r]``, so they compare by
+        cross-multiplying numerators.
         """
-        self.price(cost)
-        rhs = self.ncols
+        T, den, rhs = self.T, self.den, self.ncols
         degenerate_streak = 0
         while True:
-            obj = self.obj
-            # most negative reduced cost, ties to the lowest column; under
-            # Bland's rule the first negative one
+            # most negative basic value, ties to the lowest row; under
+            # Bland's rule the negative row with the lowest basis index
             use_bland = degenerate_streak >= bland_after
-            enter, best = -1, 0
-            for j in range(self.ncols):
-                if obj[j] < best and j not in forbid:
-                    enter, best = j, obj[j]
-                    if use_bland:
-                        break
-            if enter < 0:
-                return True
             leave = -1
-            for i, trow in enumerate(self.T):
-                aie = trow[enter]
-                if aie <= 0:
+            for i, trow in enumerate(T):
+                if trow[rhs] >= 0:
                     continue
-                if leave >= 0:  # keep the smaller rhs/aie, ties to lower basis index
-                    lhs, rgt = trow[rhs] * best_aie, best_rhs * aie
-                    if lhs > rgt or (lhs == rgt and self.basis[i] > self.basis[leave]):
-                        continue
-                best_rhs, best_aie, leave = trow[rhs], aie, i
+                if leave >= 0 and (
+                    self.basis[i] > self.basis[leave]
+                    if use_bland
+                    else trow[rhs] * den[leave] >= T[leave][rhs] * den[i]
+                ):
+                    continue
+                leave = i
             if leave < 0:
-                return False  # unbounded direction on column `enter`
+                return -1
+            # least obj[j] / -a_j over the negative entries a_j, ties to the lowest column
+            lrow, obj, enter = T[leave], self.obj, -1
+            for j in range(rhs):
+                a = lrow[j]
+                if a < 0 and (enter < 0 or obj[j] * -lrow[enter] < obj[enter] * -a):
+                    enter = j
+            if enter < 0:
+                return leave  # every entry is >= 0 and the rhs is < 0
             if self.iterations >= max_iters:
                 raise IterationLimitError(f"simplex exceeded {max_iters} pivots")
             self.iterations += 1
-            degenerate_streak = degenerate_streak + 1 if best_rhs == 0 else 0
+            degenerate_streak = degenerate_streak + 1 if obj[enter] == 0 else 0
             self.pivot(leave, enter)
 
 
@@ -292,86 +270,58 @@ def solve_lp(
     bland_after: int = 40,
     max_iters: int = 50_000,
 ) -> LpSolution:
-    """Two-phase primal simplex with exact certificates.
+    """Dual simplex from the all-slack basis with exact certificates.
 
-    Pivot rule is largest reduced-cost improvement (deterministic ties by
-    lowest column index), falling back to Bland's rule after
-    ``bland_after`` consecutive degenerate pivots so termination is
-    guaranteed.  Same problem and configuration always yield the same
-    solution.
+    Every cost must be nonnegative (``InstanceError`` otherwise), so the
+    objective is bounded below by 0 and the result is OPTIMAL or
+    INFEASIBLE.  The leaving row has the most negative basic value and the
+    entering column the least ratio, deterministic ties by lowest index;
+    after ``bland_after`` consecutive degenerate pivots Bland's rule picks
+    the leaving row, so termination is guaranteed.  Same problem and
+    configuration always yield the same solution.
     """
+    for j, cj in enumerate(p.objective):
+        if cj < 0:
+            raise InstanceError(f"objective[{j}] = {cj} is negative")
     t = _Tableau(p)
-    phase1_cost = [ONE if col in t.artificial else ZERO for col in range(t.ncols)]
-    if not t.run(
-        phase1_cost, forbid=frozenset(), bland_after=bland_after, max_iters=max_iters
-    ):  # cannot happen: phase-1 objective is bounded below by 0
-        raise LpError("phase 1 reported unbounded")
-    if t.objective() > 0:
-        ray_rows, ray_bounds = _duals(p, t)
+    r = t.run(bland_after=bland_after, max_iters=max_iters)
+    if r >= 0:
+        ray_rows, ray_bounds = _duals(p, t, t.T[r], t.den[r])
         return LpSolution(
             "INFEASIBLE", t.iterations, ray_rows=ray_rows, ray_bounds=ray_bounds
         )
-
-    _drive_out_artificials(t)
-
-    phase2_cost = list(p.objective) + [ZERO] * (t.ncols - t.n)
-    if not t.run(
-        phase2_cost, forbid=t.artificial, bland_after=bland_after, max_iters=max_iters
-    ):
-        return LpSolution("UNBOUNDED", t.iterations)
     x = [ZERO] * t.n
     for i, bi in enumerate(t.basis):
         if bi < t.n:
             x[bi] = Fraction(t.T[i][t.ncols], t.den[i])
-    dual_rows, dual_bounds = _duals(p, t)
+    dual_rows, dual_bounds = _duals(p, t, t.obj, t.obj_den)
     return LpSolution(
         "OPTIMAL",
         t.iterations,
         primal=FractionalVector(tuple(x)),
-        objective_value=t.objective(),
+        objective_value=Fraction(-t.obj[t.ncols], t.obj_den),
         dual_rows=dual_rows,
         dual_bounds=dual_bounds,
     )
 
 
-def _drive_out_artificials(t: _Tableau) -> None:
-    """Pivot zero-valued artificials out of the basis; drop redundant rows."""
-    i = 0
-    while i < len(t.T):
-        if t.basis[i] not in t.artificial:
-            i += 1
-            continue
-        trow = t.T[i]
-        enter = next(
-            (
-                j
-                for j in range(t.ncols)
-                if j not in t.artificial and trow[j] != 0
-            ),
-            -1,
-        )
-        if enter >= 0:
-            t.pivot(i, enter)
-            i += 1
-        else:
-            del t.T[i], t.den[i], t.basis[i]
+def _duals(p: LpProblem, t: _Tableau, vec: list[int], den: int):
+    """Row and bound duals, or a Farkas ray, from the slack entries of ``vec / den``.
 
-
-def _duals(p: LpProblem, t: _Tableau):
-    """Row and bound duals (a Farkas ray after phase 1) from the slack reduced costs.
-
-    The reduced cost of row i's slack, column ``n + i``, is ``y_i`` for a
-    ``>=`` row and ``-y_i`` for a ``<=`` row; flipping a row's sign flips
-    both its sense and its slack, so the map is the same for flipped rows.
+    With the objective row, the slack reduced costs give the duals; with
+    a row whose entries are all >= 0 and whose rhs is < 0, its slack
+    entries ``w`` combine the ``<=``-form rows into an infeasible one, and
+    negating that combination gives the ray.  Either way a ``>=`` row,
+    stored negated, gets ``w_i`` and a ``<=`` row or a bound gets ``-w_i``.
     """
-    rc, n, m = t.obj, t.n, len(p.rows)
+    n, m = t.n, len(p.rows)
     dual_rows = tuple(
-        Fraction(rc[n + i] if row.sense == GE else -rc[n + i], t.obj_den)
+        Fraction(vec[n + i] if row.sense == GE else -vec[n + i], den)
         for i, row in enumerate(p.rows)
     )
     dual_bounds = [ZERO] * n
     for i, j in enumerate(t.bounded, m):
-        dual_bounds[j] = Fraction(-rc[n + i], t.obj_den)
+        dual_bounds[j] = Fraction(-vec[n + i], den)
     return dual_rows, tuple(dual_bounds)
 
 

@@ -75,7 +75,7 @@ class TestSolve:
         assert code == EXIT_OK
         assert json.loads(out)["fopt_kc"] == 1
 
-    def test_bicriteria_and_oracle_modes(self, tmp_path, capsys, monkeypatch):
+    def test_bicriteria_mode(self, tmp_path, capsys, monkeypatch):
         code, out, _ = run(
             ["solve", "--mode", "bicriteria", write_gap(tmp_path), "--format", "machine"],
             capsys=capsys,
@@ -511,6 +511,16 @@ class TestBench:
         code, _, err = run(["bench", flag, value, "--no-timing"], capsys=capsys)
         assert code == EXIT_USAGE
         assert flag in err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_count_must_be_positive(self, value, capsys, monkeypatch):
+        code, out, err = run(
+            ["bench", "--families", "set-cover", "--count", value, "--no-timing"],
+            capsys=capsys,
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--count" in err and "not a positive integer" in err
 
     def test_fingerprint(self, capsys, monkeypatch):
         # Byte-identical bench output is the behaviour every refactor keeps:

@@ -2,16 +2,15 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverpack.genbench import gen_random_cpip
+from coverpack.genbench import gen_random_cpip, gen_set_cover
 from coverpack.model import FractionalVector, InstanceError, normalize_width, parse_instance
 from coverpack.simplex import (
     GE,
     LE,
     IterationLimitError,
-    LpError,
     LpProblem,
     LpSolution,
     dual_objective,
@@ -65,13 +64,9 @@ def test_matches_vertex_enumeration_oracle():
 def _scipy_linprog(p):
     """scipy HiGHS on the same problem, with every row as A_ub x <= b_ub.
 
-    Presolve is off: with it on, HiGHS reports some unbounded LPs as
-    infeasible (e.g. min -x4 s.t. 0 <= x2 + x3 - x4 <= 1, x >= 0).  With
-    it off, HiGHS leaves some unbounded LPs at status 4 ("model_status is
-    Unknown").  Two more solves decide those: the same rows with a zero
-    objective (status 2 if infeasible), then the recession cone, min c.r
-    over rows with rhs 0, r >= 0, r_j = 0 where x_j has an upper bound,
-    and c.r >= -1.  A feasible LP is unbounded iff that minimum is -1.
+    Presolve is off.  HiGHS may then leave an LP at status 4 ("model_status
+    is Unknown"); the same rows with a zero objective decide it (status 2
+    if infeasible).  With c >= 0 no LP is unbounded.
     """
     scipy_opt = pytest.importorskip("scipy.optimize")
     A_ub, b_ub = [], []
@@ -93,15 +88,28 @@ def _scipy_linprog(p):
         )
 
     res = linprog(c, A_ub, b_ub, bounds)
-    if res.status == 4:
-        if linprog([0.0] * len(c), A_ub, b_ub, bounds).status == 2:
-            res.status = 2
-        else:
-            cone = [(0, None if u is None else 0) for u in p.var_bounds]
-            ray = linprog(c, [*A_ub, [-v for v in c]], [0.0] * len(b_ub) + [1.0], cone)
-            if ray.status == 0 and ray.fun < -0.5:
-                res.status = 3
+    if res.status == 4 and linprog([0.0] * len(c), A_ub, b_ub, bounds).status == 2:
+        res.status = 2
     return res
+
+
+def test_matches_scipy_at_scale():
+    # the sizes of the strict pipeline's hardest LPs, three seeds each
+    pytest.importorskip("scipy.optimize")
+    for seed in range(3):
+        for inst in (
+            gen_random_cpip(30, 50, 3, seed=seed),
+            gen_random_cpip(40, 60, 3, seed=seed),
+            gen_set_cover(50, 100, 0.1, seed=seed),
+        ):
+            p = lp_from_instance(inst)
+            s = solve_lp(p)
+            assert s.status == "OPTIMAL"
+            assert verify_certificate(p, s) == []
+            res = _scipy_linprog(p)
+            assert res.status == 0
+            mine = float(s.objective_value)
+            assert abs(mine - res.fun) <= 1e-9 * abs(mine)
 
 
 def _farkas_certifies(p, s):
@@ -141,7 +149,10 @@ _rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
 
 @st.composite
 def general_lps(draw):
-    """Small LPs with rational data, negative rhs, mixed senses and free bounds."""
+    """Small LPs with rational data, negative rhs, mixed senses and free bounds.
+
+    Costs are nonnegative, the only LPs ``solve_lp`` accepts.
+    """
     n = draw(st.integers(1, 4))
     rows = draw(
         st.lists(
@@ -161,36 +172,18 @@ def general_lps(draw):
             max_size=n,
         )
     )
-    objective = draw(st.lists(_rationals, min_size=n, max_size=n))
+    objective = draw(
+        st.lists(st.builds(F, st.integers(0, 6), st.integers(1, 5)), min_size=n, max_size=n)
+    )
     return LpProblem.from_data(objective, rows, bounds)
 
 
 @settings(max_examples=150, deadline=None)
 @given(general_lps())
-# unbounded, and HiGHS without presolve leaves both at status 4; with
-# presolve it calls the second one infeasible
-@example(
-    LpProblem.from_data(
-        [0, 0, -1, -1],
-        [((0, 0, 0, 0), GE, 0), ((0, 0, 0, F(-1, 2)), GE, 0), ((0, 0, -1, -1), LE, 1)],
-        [None] * 4,
-    )
-)
-@example(
-    LpProblem.from_data(
-        [0, 0, 0, -1],
-        [
-            ((0, -2, -2, 1), GE, 0),
-            ((0, 1, 1, F(-1, 2)), GE, -1),
-            ((0, 1, -6, -1), LE, 1),
-        ],
-        [None, 1, None, None],
-    )
-)
 def test_status_and_certificates_match_scipy(p):
     s = solve_lp(p)
     res = _scipy_linprog(p)
-    assert s.status == {0: "OPTIMAL", 2: "INFEASIBLE", 3: "UNBOUNDED"}[res.status]
+    assert s.status == {0: "OPTIMAL", 2: "INFEASIBLE"}[res.status]
     if s.status == "OPTIMAL":
         assert verify_certificate(p, s) == []
         mine = float(s.objective_value)
@@ -201,23 +194,26 @@ def test_status_and_certificates_match_scipy(p):
 
 
 def test_bland_rule_from_first_pivot():
-    # Beale's example cycles under the largest-coefficient rule alone;
-    # Bland's rule, from the first pivot or after a degenerate streak, ends it.
+    # The LP dual of Beale's example, min h.w s.t. G^T w >= -c, w >= 0 for
+    # Beale's min c.x s.t. G x <= h, cycles under the dual simplex's
+    # most-negative-row rule alone; Bland's rule, from the first pivot or
+    # after a degenerate streak, ends it at minus Beale's optimum.
     p = LpProblem.from_data(
-        [F(-3, 4), 20, F(-1, 2), 6],
+        [0, 0, 1],
         [
-            ((F(1, 4), -8, -1, 9), LE, 0),
-            ((F(1, 2), -12, F(-1, 2), 3), LE, 0),
-            ((0, 0, 1, 0), LE, 1),
+            ((F(1, 4), F(1, 2), 0), GE, F(3, 4)),
+            ((-8, -12, 0), GE, -20),
+            ((-1, F(-1, 2), 1), GE, F(1, 2)),
+            ((9, 3, 0), GE, -6),
         ],
-        [None] * 4,
+        [None] * 3,
     )
     with pytest.raises(IterationLimitError):
         solve_lp(p, bland_after=10**9, max_iters=500)
     for bland_after in (0, 40):
         s = solve_lp(p, bland_after=bland_after)
         assert s.status == "OPTIMAL"
-        assert s.objective_value == F(-5, 4)
+        assert s.objective_value == F(5, 4)
         assert verify_certificate(p, s) == []
     for seed in range(5):
         p = lp_from_instance(gen_random_cpip(6, 8, 2, seed=seed))
@@ -228,7 +224,8 @@ def test_bland_rule_from_first_pivot():
 
 @pytest.mark.parametrize(
     "shape, iterations, objective",
-    [((10, 15, 2, 1), 31, F(91561, 2250)), ((20, 30, 3, 1), 129, F(985, 12))],
+    [((10, 15, 2, 1), 13, F(91561, 2250)), ((20, 30, 3, 1), 32, F(985, 12))],
+    ids=["cpip-10x15", "cpip-20x30"],
 )
 def test_pivot_path_pinned(shape, iterations, objective):
     # a faster pivot must not silently change the vertex path
@@ -237,18 +234,20 @@ def test_pivot_path_pinned(shape, iterations, objective):
 
 
 def test_vertex_and_duals_pinned():
-    # the <= and >= rows with negative rhs are negated inside the tableau;
-    # their duals keep the sign convention of the rows as given
+    # the >= rows are negated inside the tableau and the rows with negative
+    # rhs start primal infeasible; the duals keep the sign convention of the
+    # rows as given, nonzero on both negative-rhs rows
     p = LpProblem.from_data(
-        [0, 2, 1, -2],
+        [0, 2, 1, 2],
         [((-3, 3, -3, 2), GE, 1), ((0, 2, -2, 0), LE, -1), ((2, 1, 1, -2), GE, -2)],
         [4, None, F(3, 2), None],
     )
     s = solve_lp(p)
-    assert (s.status, s.iterations, s.objective_value) == ("OPTIMAL", 4, F(-5))
-    assert s.primal.values == (F(2), F(1), F(3, 2), F(17, 4))
-    assert s.dual_rows == (F(2), F(-7, 2), F(3))
-    assert s.dual_bounds == (F(0), F(0), F(-3), F(0))
+    assert (s.status, s.iterations, s.objective_value) == ("OPTIMAL", 3, F(3))
+    assert s.primal.values == (F(0), F(0), F(1, 2), F(5, 4))
+    assert s.dual_rows == (F(5, 2), F(-7, 2), F(3, 2))
+    assert s.dual_bounds == (F(0), F(0), F(0), F(0))
+    assert verify_certificate(p, s) == []
 
 
 def test_farkas_ray_pinned():
@@ -259,8 +258,8 @@ def test_farkas_ray_pinned():
     )
     s = solve_lp(p)
     assert (s.status, s.iterations) == ("INFEASIBLE", 3)
-    assert s.ray_rows == (F(1), F(-1, 9), F(1, 3))
-    assert s.ray_bounds == (F(0), F(0), F(-1, 3))
+    assert s.ray_rows == (F(4), F(-1, 3), F(1))
+    assert s.ray_bounds == (F(-1), F(0), F(0))
     assert _farkas_certifies(p, s)
 
 
@@ -351,15 +350,14 @@ def test_adding_row_never_decreases_optimum():
     assert solve_lp(p2).objective_value >= base
 
 
-def test_unbounded_detected():
+def test_negative_cost_rejected():
+    # min -x0 would be unbounded; the solver takes only c >= 0
     p = LpProblem.from_data([-1, 0], [((0, 1), "<=", 5)], [None, None])
-    s = solve_lp(p)
-    assert s.status == "UNBOUNDED"
-    with pytest.raises(LpError):
-        verify_certificate(p, s)
+    with pytest.raises(InstanceError, match=r"objective\[0\] = -1 is negative"):
+        solve_lp(p)
 
 
-def test_iteration_limit_carries_bound():
+def test_iteration_limit_raises():
     inst = gen_random_cpip(6, 6, 2, seed=4)
     p = lp_from_instance(inst)
     with pytest.raises(IterationLimitError):
