@@ -30,12 +30,11 @@ def main() -> None:
         inst = knapsack_gap(delta)
         fopt = solve_relaxation(inst).objective_value
         opt = brute_force_opt(inst).cost
-        info: dict = {}
-        solve_lp_kc(inst, 2, info=info)
+        kc_value = solve_lp_kc(inst, 2).round_objectives[-1]
         _, report = solve_cip_strict(inst, 1)
         print(
             f"{str(delta):>8} {float(fopt):>10.6g} {float(opt):>5g} "
-            f"{float(opt / fopt):>8g} {float(info['round_objectives'][-1]):>9g} "
+            f"{float(opt / fopt):>8g} {float(kc_value):>9g} "
             f"{float(report.cost):>7g} {float(report.cost / opt):>6.3f}"
         )
 

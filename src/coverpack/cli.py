@@ -212,20 +212,19 @@ def _lp_report(inst: CpipInstance, args) -> SolveReport:
 
 
 def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
-    info: dict = {}
-    x = solve_lp_kc(inst, args.lam, max_rounds=args.max_rounds, info=info)
-    objective = info["round_objectives"][-1]
+    loop = solve_lp_kc(inst, args.lam, max_rounds=args.max_rounds)
+    objective = loop.round_objectives[-1]
     return SolveReport(
         mode="lp-kc",
         fopt_kc=objective,
         cost=objective,
         lam=args.lam,
         epsilon=args.epsilon,
-        x=x.values,
-        violations=check_solution(inst, x.values, args.epsilon),
-        cut_rows_added=info["cut_rows_added"],
-        lp_rounds=info["rounds"],
-        pin_sets_seen=info["pin_sets_seen"],
+        x=loop.x.values,
+        violations=check_solution(inst, loop.x.values, args.epsilon),
+        cut_rows_added=loop.cut_rows_added,
+        lp_rounds=len(loop.round_objectives),
+        pin_sets_seen=loop.pin_sets_seen,
         certificate_ok=True,
     )
 

@@ -144,10 +144,10 @@ def gen_random_cpip(
     the row value at d/2: the instance comes out width-normalized and the
     relaxation is feasible by construction.
     """
-    if m < 1 or n < 1 or r < 0:
-        raise InstanceError("need m >= 1, n >= 1, r >= 0")
+    if m < 1 or n < 1 or r < 0 or d_max < 2:
+        raise InstanceError("need m >= 1, n >= 1, r >= 0, d_max >= 2")
     rng = random.Random(seed)
-    d = [rng.randint(2, max(2, d_max)) for _ in range(n)]
+    d = [rng.randint(2, d_max) for _ in range(n)]
     x0 = [Fraction(v, 2) for v in d]
     A = []
     a = []

@@ -21,10 +21,11 @@ separate cuts for the set of variables at least d/lambda in the current
 point, add them, repeat.  Only valid rows are ever added, so every
 iterate's value is a lower bound on the cut-strengthened relaxation
 optimum, and there are finitely many (F, row) pairs, so the loop
-terminates.
+terminates.  ``solve_lp_kc`` returns the loop as a ``CutLoop``: the
+point, the residual system of its high set, and each round's LP value.
 
 ``solve_cip_strict`` then pins the high variables of a (1+eps)-relaxed
-point at their bounds and rounds the rest against the residual system,
+point at their bounds and rounds the rest against that residual system,
 giving an integer solution with x <= d exactly.
 """
 
@@ -58,15 +59,7 @@ from coverpack.rounding import bicriteria_round
 
 
 class CutLoopLimitError(CoverpackError):
-    """Cutting-plane round limit hit; carries the last iterate and its violated rows.
-
-    ``outstanding`` lists (row, shortfall) pairs, as ``find_violated_kc`` does.
-    """
-
-    def __init__(self, message, last_x, outstanding):
-        super().__init__(message)
-        self.last_x = last_x
-        self.outstanding = outstanding
+    """Cutting-plane round limit hit before a lambda-relaxed point."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +69,23 @@ class KcSystem:
     F: frozenset
     a_F: Vector
     A_F: Matrix
+
+
+@dataclass(frozen=True)
+class CutLoop:
+    """A finished cut loop: its lambda-relaxed point and how it got there.
+
+    ``system`` is the residual system of ``x``'s own high set, which
+    ``x`` violates in no row.  ``round_objectives`` holds each round's LP
+    value, one per round; round 1 solved the plain relaxation.
+    ``pin_sets_seen`` lists the distinct high sets that yielded cuts.
+    """
+
+    x: FractionalVector
+    system: KcSystem
+    round_objectives: tuple[Fraction, ...]
+    cut_rows_added: int
+    pin_sets_seen: tuple[tuple[int, ...], ...]
 
 
 def residual_demand(inst: CpipInstance, F) -> Vector:
@@ -142,22 +152,15 @@ def find_violated_kc(
     return system, [(i, short) for i, short in shortfalls if short > 0]
 
 
-def solve_lp_kc(
-    inst: CpipInstance,
-    lam,
-    max_rounds: int = 1000,
-    *,
-    info: dict | None = None,
-) -> FractionalVector:
+def solve_lp_kc(inst: CpipInstance, lam, max_rounds: int = 1000) -> CutLoop:
     """Lambda-relaxed point for the cut-strengthened relaxation.
 
-    Returns x with A x >= a, B x <= b, x <= d, no violated residual rows
-    for its own high set, and cost at most the optimum of the relaxation
-    with all cuts (each round solves a relaxation of that program, and
-    values only grow as cuts are added).  Each round's LP certificate, a
-    Farkas ray included, is checked (``GuaranteeError`` if it fails).
-    ``info``, if given, also gets the last round's ``system``: the
-    residual system of the returned point's high set.
+    The returned loop's x has A x >= a, B x <= b, x <= d, no violated
+    residual rows for its own high set, and cost at most the optimum of
+    the relaxation with all cuts (each round solves a relaxation of that
+    program, and values only grow as cuts are added).  Each round's LP
+    certificate, a Farkas ray included, is checked (``GuaranteeError`` if
+    it fails).
     """
     lam = Fraction(lam)
     if lam <= 1:
@@ -188,26 +191,12 @@ def solve_lp_kc(
         # violated (F, row) pair is new and the loop terminates
         system, violated = find_violated_kc(inst, sol.primal, lam)
         if not violated:
-            if info is not None:
-                info.update(
-                    {
-                        "rounds": round_no,
-                        "cut_rows_added": len(cuts),
-                        "pin_sets_seen": tuple(pin_sets),
-                        "round_objectives": tuple(objectives),
-                        "system": system,
-                    }
-                )
-            return sol.primal
+            return CutLoop(sol.primal, system, tuple(objectives), len(cuts), tuple(pin_sets))
         cuts.extend((system.A_F[i], system.a_F[i]) for i, _ in violated)
         pins = tuple(sorted(system.F))
         if pins not in pin_sets:
             pin_sets.append(pins)
-    raise CutLoopLimitError(
-        f"no lambda-relaxed point after {max_rounds} rounds",
-        last_x=sol.primal,
-        outstanding=violated,
-    )
+    raise CutLoopLimitError(f"no lambda-relaxed point after {max_rounds} rounds")
 
 
 def solve_cip_strict(
@@ -227,17 +216,12 @@ def solve_cip_strict(
         raise InstanceError(f"epsilon {eps} outside (0, 1]")
     lam = 1 + eps
     t0 = perf_counter()
-    kc_info: dict = {}
-    xbar = solve_lp_kc(inst, lam, max_rounds=max_rounds, info=kc_info)
-    # the loop's last high set, at lambda = 1+eps, is the pinned set
-    system = kc_info["system"]
+    loop = solve_lp_kc(inst, lam, max_rounds=max_rounds)
+    # the loop's last high set, at lambda = 1+eps, is the pinned set, and
+    # xbar violates none of its residual rows; derandomized_round re-checks
+    xbar, system = loop.x, loop.system
     xres = tuple(ZERO if j in system.F else v for j, v in enumerate(xbar))
     residual_rows = cut_rows(system)
-    for i, coeffs, rhs in residual_rows:
-        # the relaxed point satisfies its own cuts, so this cannot fail
-        if dot(coeffs, xres) < rhs:
-            raise GuaranteeError(f"residual row {i} uncovered by the relaxed point")
-
     info: dict = {}
     xhat_rest = bicriteria_round(
         xres,
@@ -267,7 +251,7 @@ def solve_cip_strict(
     if not violations.ok_strict:
         raise GuaranteeError(f"strict guarantees violated: {violations}")
     # round 1 of the cut loop solved the plain relaxation: fopt, for gap reporting
-    fopt = kc_info["round_objectives"][0]
+    fopt = loop.round_objectives[0]
     elapsed_s = perf_counter() - t0
     report = SolveReport(
         mode="strict",
@@ -284,9 +268,9 @@ def solve_cip_strict(
         guarantees_ok=violations.ok_strict,
         certificate_ok=True,
         pinned=tuple(sorted(system.F)),
-        pin_sets_seen=kc_info["pin_sets_seen"],
-        cut_rows_added=kc_info["cut_rows_added"],
-        lp_rounds=kc_info["rounds"],
+        pin_sets_seen=loop.pin_sets_seen,
+        cut_rows_added=loop.cut_rows_added,
+        lp_rounds=len(loop.round_objectives),
         elapsed_s=elapsed_s,
     )
     return xhat, report

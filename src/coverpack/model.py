@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 from typing import Iterator, Sequence
 
 #: Sentinel for a missing multiplicity bound (d_j = infinity).
@@ -73,6 +73,12 @@ def as_fraction(value, where: str = "value") -> Fraction:
 
 def dot(u: Sequence[Fraction], v: Sequence) -> Fraction:
     return sum((ui * vi for ui, vi in zip(u, v) if ui), ZERO)
+
+
+def integers(values) -> tuple[list[int], int]:
+    """Rationals (or ints) over their least common denominator D: (values * D, D)."""
+    D = lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ from coverpack.model import (
     InstanceError,
     IntegerVector,
     dot,
+    integers,
     is_width_normalized,
     vec_ceil,
     width,
@@ -107,12 +108,6 @@ def randomized_round(xbar, L, seed: int) -> IntegerVector:
         else:
             out.append(fl + 1 if rng.random() < float(frac) else fl)
     return IntegerVector(tuple(out))
-
-
-def _integers(values) -> tuple[list[int], int]:
-    """Rationals (or ints) over their least common denominator D: (values * D, D)."""
-    D = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (D // v.denominator) for v in values], D
 
 
 def _cost(costs: list[int], x) -> int:
@@ -192,14 +187,14 @@ class EstimatorState:
         t = math.log(float(L))
         W = rows.width
         # xprime_j = P_j / den; an int division rounds as float(Fraction) does
-        P, den = _integers(xprime)
+        P, den = integers(xprime)
         self.floors = [p // den for p in P]
         self.fracs = [p % den / den for p in P]
         # Costs enter phi only as ratios to cost_denom, so all of them are
         # divided by 2^shift, which keeps every float below 2^1021 (the
         # largest, 2 c.(xprime + 1), is under 2^(bits(top) - bits(bottom) + 1));
         # the shift is 0 unless some cost float would overflow.
-        C, c_den = _integers(c)
+        C, c_den = integers(c)
         top, bottom = 2 * _cost(C, [p + den for p in P]), c_den * den
         c_den <<= max(0, top.bit_length() - bottom.bit_length() - 1020)
         self.costs = [cj / c_den for cj in C]
@@ -263,7 +258,7 @@ def derandomized_round(
     n = len(xv)
     if rows is None:
         rows = CoverRows(A, a)
-    X, D = _integers(xv)
+    X, D = integers(xv)
     for k, s in enumerate(rows.slack(X, D)):
         if s < 0:
             i = rows.active[k]
@@ -291,7 +286,7 @@ def derandomized_round(
         if trace_out is not None:
             trace_out.append(state.phi())
 
-    costs, _ = _integers(c)
+    costs, _ = integers(c)
     # c.xhat > 2 L c.xbar, multiplied through by the denominators of c, xbar and L
     over_cost = _cost(costs, xhat) * D * L.denominator > 2 * L.numerator * _cost(costs, X)
     if over_cost or min(rows.slack(xhat)) < 0:
@@ -410,10 +405,10 @@ def bicriteria_round(
     inner: dict = {}
     xgran = granular_round(xv, A, a, c, K, info_out=inner, rows=rows)
     xhat = list(vec_ceil(xgran.values))
-    costs, _ = _integers(c)
+    costs, _ = integers(c)
     _trim_surplus(xhat, rows, costs)
 
-    X, D = _integers(xv)
+    X, D = integers(xv)
     # (1+eps) xbar_j = top X_j / bottom, and -(-p // q) = ceil(p / q)
     top, bottom = eps.denominator + eps.numerator, eps.denominator * D
     if any(xhat[j] > -(-top * X[j] // bottom) for j in range(len(xhat))):
@@ -463,7 +458,7 @@ def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, S
     xhat = bicriteria_round(sol.primal, inst.A, inst.a, inst.c, inst.d, eps, info_out=info)
     violations = check_solution(inst, xhat, eps)
     if not violations.ok_bicriteria:
-        raise RoundingError(f"bicriteria guarantees violated: {violations}")
+        raise GuaranteeError(f"bicriteria guarantees violated: {violations}")
     elapsed_s = perf_counter() - t0
     cost = dot(inst.c, xhat.values)
     fopt = sol.objective_value

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from coverpack.model import (
@@ -43,6 +43,7 @@ from coverpack.model import (
     InstanceError,
     as_fraction,
     dot,
+    integers,
 )
 
 GE = ">="
@@ -177,15 +178,11 @@ class _Tableau:
         self.den: list[int] = []
         self.basis = list(range(n, ncols))
         for i, row in enumerate(p.rows):
-            # row i scaled by the lcm D of its denominators, as integers
+            # row i over the least common denominator D of its entries
             sign = -1 if row.sense == GE else 1
-            D = lcm(row.rhs.denominator, *(v.denominator for v in row.coeffs))
-            trow = [0] * (ncols + 1)
-            for j, v in enumerate(row.coeffs):
-                if v:
-                    trow[j] = sign * v.numerator * (D // v.denominator)
+            scaled, D = integers((*row.coeffs, row.rhs))
+            trow = [sign * v for v in scaled[:n]] + [0] * R + [sign * scaled[n]]
             trow[n + i] = D
-            trow[ncols] = sign * row.rhs.numerator * (D // row.rhs.denominator)
             self.T.append(trow)
             self.den.append(D)
         for i, j in enumerate(self.bounded, len(p.rows)):
@@ -195,9 +192,8 @@ class _Tableau:
             trow[ncols] = u.numerator
             self.T.append(trow)
             self.den.append(u.denominator)
-        D = lcm(*(c.denominator for c in p.objective))
-        self.obj = [c.numerator * (D // c.denominator) for c in p.objective] + [0] * (R + 1)
-        self.obj_den = D
+        self.obj, self.obj_den = integers(p.objective)
+        self.obj += [0] * (R + 1)
         self.iterations = 0
 
     def pivot(self, r: int, e: int) -> None:

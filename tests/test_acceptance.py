@@ -109,12 +109,11 @@ def test_ac1_gap_family_exact_values(ledger):
         assert abs(sol.objective_value - delta) <= F(1, 10**9)
         oracle = brute_force_opt(inst)
         assert oracle.cost == 1
-        info: dict = {}
         recorded_before = len(ledger.lp_solves)
         with _recording_cut_rounds(ledger):
-            solve_lp_kc(inst, 2, info=info)
-        assert len(ledger.lp_solves) - recorded_before == info["rounds"]
-        kc_value = info["round_objectives"][-1]
+            loop = solve_lp_kc(inst, 2)
+        assert len(ledger.lp_solves) - recorded_before == len(loop.round_objectives)
+        kc_value = loop.round_objectives[-1]
         assert kc_value >= 1 - F(1, 10**9)
         xhat, report = solve_cip_strict(inst, 1)
         ledger.reports.append(report)

@@ -231,7 +231,7 @@ class TestExitCodes:
         [
             (InfeasibleError("no point"), EXIT_INFEASIBLE),
             (IterationLimitError("pivot budget"), EXIT_LIMIT),
-            (CutLoopLimitError("round cap", None, ()), EXIT_LIMIT),
+            (CutLoopLimitError("round cap"), EXIT_LIMIT),
             (ParseError("bad document"), EXIT_USAGE),
             (InstanceError("bad data"), EXIT_USAGE),
             (OSError("unreadable"), EXIT_USAGE),
@@ -343,6 +343,7 @@ class TestGen:
             ("multiset-multicover", "--d-max"),
             ("set-cover", "--n"),
             ("random-cpip", "--m"),
+            ("random-cpip", "--d-max"),
         ],
     )
     def test_empty_sizes_exit_two(self, family, flag, capsys, monkeypatch):

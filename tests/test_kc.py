@@ -124,18 +124,16 @@ class TestHighSet:
 class TestSolveLpKc:
     def test_gap_cut_lifts_bound_to_one(self):
         inst = knapsack_gap(F(1, 100))
-        info = {}
-        x = solve_lp_kc(inst, 2, info=info)
-        assert info["round_objectives"][-1] >= 1 - F(1, 10**9)
-        assert info["cut_rows_added"] >= 1
+        loop = solve_lp_kc(inst, 2)
+        assert loop.round_objectives[-1] >= 1 - F(1, 10**9)
+        assert loop.cut_rows_added >= 1
 
     def test_no_cuts_needed_returns_after_one_round(self):
         # generous multiplicities keep every variable below d'/2
         inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[50, 50])
-        info = {}
-        solve_lp_kc(inst, 2, info=info)
-        assert info["rounds"] == 1
-        assert info["cut_rows_added"] == 0
+        loop = solve_lp_kc(inst, 2)
+        assert len(loop.round_objectives) == 1
+        assert loop.cut_rows_added == 0
 
     def test_returned_point_is_lambda_relaxed(self, monkeypatch):
         solves = []
@@ -148,11 +146,11 @@ class TestSolveLpKc:
         monkeypatch.setattr(kc, "solve_lp", recorded)
         for seed in range(100):
             inst = normalize_width(gen_random_cpip(3, 4, 1, seed=600 + seed, d_max=3))
-            info = {}
-            x = solve_lp_kc(inst, 2, info=info)
+            loop = solve_lp_kc(inst, 2)
+            x = loop.x
             system, violated = find_violated_kc(inst, x, 2)
             assert violated == []
-            assert info["system"] == system
+            assert loop.system == system
             problem, sol = solves[-1]
             assert sol.primal == x
             assert verify_certificate(problem, sol) == []
@@ -161,12 +159,10 @@ class TestSolveLpKc:
                 df[j] is None or x[j] <= df[j] for j in range(inst.n)
             )
 
-    def test_round_limit_carries_state(self):
+    def test_round_limit_raises(self):
         inst = knapsack_gap(F(1, 10))
-        with pytest.raises(CutLoopLimitError) as err:
+        with pytest.raises(CutLoopLimitError, match="after 1 rounds"):
             solve_lp_kc(inst, 2, max_rounds=1)
-        assert err.value.last_x is not None
-        assert err.value.outstanding
 
 
 class TestSolveCipStrict:
@@ -294,7 +290,7 @@ class TestSolveCipStrict:
                 # the pinned set is the last round's high set at lambda = 1+eps
                 last = calls[-1]
                 assert report.pinned == tuple(sorted(last))
-                x = solve_lp_kc(inst, 1 + eps)
+                x = solve_lp_kc(inst, 1 + eps).x
                 assert last == high_set(x, inst.d, 1 + eps)
                 rounds.append(report.lp_rounds)
         assert max(rounds) > 1

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import operator
@@ -13,14 +14,16 @@ from coverpack.genbench import (
     gen_set_cover,
     knapsack_gap,
 )
+from coverpack import rounding
 from coverpack.model import (
+    GuaranteeError,
     InstanceError,
     dot,
     normalize_width,
     vec_ceil,
     width,
 )
-from coverpack.oracle import brute_force_opt
+from coverpack.oracle import brute_force_opt, check_solution
 from coverpack.rounding import (
     CoverRows,
     EstimatorError,
@@ -590,6 +593,16 @@ class TestSolveCpipBicriteria:
         inst = normalize_width(make_inst(A=[[1]], a=[1], c=[1], d=["1/2"]))
         with pytest.raises(InfeasibleError, match="no fractional solution"):
             solve_cpip_bicriteria(inst, 1)
+
+    def test_failed_final_check_is_a_guarantee_fault(self, monkeypatch):
+        def uncovered(inst, x, eps):
+            report = check_solution(inst, x, eps)
+            return dataclasses.replace(report, covering=((0, F(1)),))
+
+        monkeypatch.setattr(rounding, "check_solution", uncovered)
+        inst = normalize_width(gen_random_cpip(3, 4, 1, seed=8))
+        with pytest.raises(GuaranteeError, match="bicriteria guarantees violated"):
+            solve_cpip_bicriteria(inst, F(1, 2))
 
     def test_report_fields(self):
         inst = normalize_width(gen_random_cpip(3, 4, 1, seed=8))
