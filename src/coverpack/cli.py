@@ -9,10 +9,11 @@ Subcommands over the JSON instance document format:
 * ``bench``  -- run the benchmark harness over generated families
 * ``check``  -- violation report for a candidate solution vector
 
-Exit codes: 0 success, 1 infeasible, 2 usage or document errors, 3 a
-solver limit (pivot budget, cut rounds or oracle points), 4 an internal
-fault (a rounding, estimator or guarantee failure, a failed LP
-certificate among them, or any other unclassified exception).  All
+Exit codes, one per failure class: 0 success, 1 infeasible
+(``InfeasibleError``), 2 usage, document or other input errors
+(``InstanceError``, ``OSError``), 3 a solver limit (``LimitError``: pivots,
+cut rounds or oracle points), 4 an internal fault (``GuaranteeError``, a
+failed LP certificate among them, or any other exception).  All
 randomness flows from --seed (default 0, never wall clock), so every run
 is reproducible.  Each subcommand takes only the flags it reads; any
 other flag exits 2.  Machine output is one JSON report per line.
@@ -26,10 +27,12 @@ import traceback
 from fractions import Fraction
 
 from coverpack.genbench import FAMILIES, GeneratorSpec, generate, run_bench
-from coverpack.kc import CutLoopLimitError, solve_cip_strict, solve_lp_kc
+from coverpack.kc import solve_cip_strict, solve_lp_kc
 from coverpack.model import (
     CpipInstance,
+    InfeasibleError,
     InstanceError,
+    LimitError,
     ParseError,
     dot,
     normalize_width,
@@ -49,7 +52,6 @@ from coverpack.rounding import (
     solve_cpip_bicriteria,
     solve_relaxation,
 )
-from coverpack.simplex import InfeasibleError, IterationLimitError
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -207,7 +209,6 @@ def _lp_report(inst: CpipInstance, args) -> SolveReport:
         x=sol.primal.values,
         violations=check_solution(inst, sol.primal.values, args.epsilon),
         certificate_ok=True,
-        status=sol.status,
     )
 
 
@@ -231,16 +232,17 @@ def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
 
 def _oracle_report(inst: CpipInstance, args) -> SolveReport:
     res = brute_force_opt(inst, max_points=args.max_points)
+    if res.space_size > args.max_points:
+        raise LimitError(f"oracle search space of {res.space_size} points is over budget")
     if res.status == "INFEASIBLE":
         raise InfeasibleError("no integer solution in the search box")
     return SolveReport(
         mode="oracle",
-        status=res.status,
         cost=res.cost,
         opt=res.cost,
         epsilon=args.epsilon,
-        x=res.x.values if res.x is not None else None,
-        violations=check_solution(inst, res.x, args.epsilon) if res.x is not None else None,
+        x=res.x.values,
+        violations=check_solution(inst, res.x, args.epsilon),
         oracle_bounds=res.bounds,
         oracle_space=res.space_size,
     )
@@ -361,16 +363,12 @@ def main(argv=None) -> int:
             report = _oracle_report(inst, args)
         else:
             report = _round_report(inst, args)
-        if report.status == "BUDGET_EXCEEDED":  # only the oracle has a point budget
-            print(f"limit: oracle search space of {report.oracle_space} points is over budget",
-                  file=sys.stderr)
-            return EXIT_LIMIT
         _emit(report, args.output)
         return EXIT_OK
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (IterationLimitError, CutLoopLimitError) as exc:
+    except LimitError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (InstanceError, OSError) as exc:  # ParseError is an InstanceError

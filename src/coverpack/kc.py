@@ -37,29 +37,21 @@ from time import perf_counter
 
 from coverpack.model import (
     ZERO,
-    CoverpackError,
     CpipInstance,
     FractionalVector,
     GuaranteeError,
+    InfeasibleError,
     InstanceError,
     IntegerVector,
+    LimitError,
     Matrix,
     Vector,
     dot,
     is_width_normalized,
 )
 from coverpack.oracle import SolveReport, check_solution
-from coverpack.simplex import (
-    InfeasibleError,
-    lp_from_instance,
-    solve_lp,
-    verify_certificate,
-)
+from coverpack.simplex import lp_from_instance, solve_lp, verify_certificate
 from coverpack.rounding import bicriteria_round
-
-
-class CutLoopLimitError(CoverpackError):
-    """Cutting-plane round limit hit before a lambda-relaxed point."""
 
 
 @dataclass(frozen=True)
@@ -196,7 +188,7 @@ def solve_lp_kc(inst: CpipInstance, lam, max_rounds: int = 1000) -> CutLoop:
         pins = tuple(sorted(system.F))
         if pins not in pin_sets:
             pin_sets.append(pins)
-    raise CutLoopLimitError(f"no lambda-relaxed point after {max_rounds} rounds")
+    raise LimitError(f"no lambda-relaxed point after {max_rounds} rounds")
 
 
 def solve_cip_strict(
@@ -218,20 +210,12 @@ def solve_cip_strict(
     t0 = perf_counter()
     loop = solve_lp_kc(inst, lam, max_rounds=max_rounds)
     # the loop's last high set, at lambda = 1+eps, is the pinned set, and
-    # xbar violates none of its residual rows; derandomized_round re-checks
+    # xbar violates none of its residual rows (derandomized_round re-checks;
+    # CoverRows skips the zero-demand ones)
     xbar, system = loop.x, loop.system
     xres = tuple(ZERO if j in system.F else v for j, v in enumerate(xbar))
-    residual_rows = cut_rows(system)
     info: dict = {}
-    xhat_rest = bicriteria_round(
-        xres,
-        tuple(coeffs for _, coeffs, _ in residual_rows),
-        tuple(rhs for _, _, rhs in residual_rows),
-        inst.c,
-        xres,
-        eps,
-        info_out=info,
-    )
+    xhat_rest = bicriteria_round(xres, system.A_F, system.a_F, inst.c, xres, eps, info_out=info)
     xhat = IntegerVector(
         tuple(int(inst.d[j]) if j in system.F else xhat_rest[j] for j in range(inst.n))
     )

@@ -40,11 +40,23 @@ Vector = tuple[Fraction, ...]
 
 
 class CoverpackError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package, one subclass per failure class.
+
+    A check on a public function's arguments, made before it does its work,
+    raises ``InstanceError``; a check on its own result, ``GuaranteeError``.
+    """
+
+
+class InfeasibleError(CoverpackError):
+    """The program has no solution, proved by a checked certificate or a search."""
+
+
+class LimitError(CoverpackError):
+    """A budget ran out first: simplex pivots, cut rounds or oracle points."""
 
 
 class InstanceError(CoverpackError):
-    """Instance data is malformed or inconsistent."""
+    """Bad input: instance data, or arguments outside a function's preconditions."""
 
 
 class ParseError(InstanceError):

@@ -44,10 +44,10 @@ from time import perf_counter
 
 from coverpack.model import (
     ZERO,
-    CoverpackError,
     CpipInstance,
     FractionalVector,
     GuaranteeError,
+    InfeasibleError,
     InstanceError,
     IntegerVector,
     dot,
@@ -57,24 +57,10 @@ from coverpack.model import (
     width,
 )
 from coverpack.oracle import SolveReport, check_solution
-from coverpack.simplex import (
-    InfeasibleError,
-    LpSolution,
-    lp_from_instance,
-    solve_lp,
-    verify_certificate,
-)
+from coverpack.simplex import LpSolution, lp_from_instance, solve_lp, verify_certificate
 
 #: Generator identity recorded in reports whenever randomized rounding runs.
 RNG_NAME = "python-random-mt19937"
-
-
-class RoundingError(CoverpackError):
-    """A rounding postcondition failed (indicates a precondition violation)."""
-
-
-class EstimatorError(RoundingError):
-    """Pessimistic estimator started at or above 1."""
 
 
 def compute_scale_factor(m: int, W) -> Fraction:
@@ -262,7 +248,7 @@ def derandomized_round(
     for k, s in enumerate(rows.slack(X, D)):
         if s < 0:
             i = rows.active[k]
-            raise RoundingError(
+            raise InstanceError(
                 f"xbar is not a fractional cover: row {i} short by {a[i] - dot(A[i], xv)}"
             )
     if not rows.demands:
@@ -272,7 +258,7 @@ def derandomized_round(
     state = EstimatorState(xprime, rows, c, L)
     phi = state.phi()
     if phi >= 1.0:
-        raise EstimatorError(
+        raise InstanceError(
             f"width precondition violated: initial estimator {phi:.6f} >= 1"
         )
     if trace_out is not None:
@@ -290,7 +276,7 @@ def derandomized_round(
     # c.xhat > 2 L c.xbar, multiplied through by the denominators of c, xbar and L
     over_cost = _cost(costs, xhat) * D * L.denominator > 2 * L.numerator * _cost(costs, X)
     if over_cost or min(rows.slack(xhat)) < 0:
-        raise RoundingError("conditional-probabilities rounding missed a guarantee")
+        raise GuaranteeError("conditional-probabilities rounding missed a guarantee")
 
     _trim_surplus(xhat, rows, costs, floors=state.floors)
     return IntegerVector(tuple(xhat))
@@ -395,7 +381,7 @@ def bicriteria_round(
     xv = tuple(Fraction(v) for v in xbar)
     for j, bound in enumerate(d):
         if bound is not None and xv[j] > bound:
-            raise RoundingError(f"xbar[{j}] = {xv[j]} exceeds its multiplicity bound {bound}")
+            raise InstanceError(f"xbar[{j}] = {xv[j]} exceeds its multiplicity bound {bound}")
     rows = CoverRows(A, a)
     if not rows.demands:
         if info_out is not None:
@@ -412,11 +398,11 @@ def bicriteria_round(
     # (1+eps) xbar_j = top X_j / bottom, and -(-p // q) = ceil(p / q)
     top, bottom = eps.denominator + eps.numerator, eps.denominator * D
     if any(xhat[j] > -(-top * X[j] // bottom) for j in range(len(xhat))):
-        raise RoundingError("rounded solution exceeded ceil((1+eps) xbar)")
+        raise GuaranteeError("rounded solution exceeded ceil((1+eps) xbar)")
     if _cost(costs, xhat) * D > 4 * K * _cost(costs, X):
-        raise RoundingError("rounded solution exceeded the 4K cost bound")
+        raise GuaranteeError("rounded solution exceeded the 4K cost bound")
     if min(rows.slack(xhat)) < 0:
-        raise RoundingError("rounded solution lost coverage")
+        raise GuaranteeError("rounded solution lost coverage")
     if info_out is not None:
         info_out.update({"K": K, "L": inner["L"]})
     return IntegerVector(tuple(xhat))

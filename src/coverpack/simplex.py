@@ -37,10 +37,10 @@ from typing import Sequence
 
 from coverpack.model import (
     ZERO,
-    CoverpackError,
     CpipInstance,
     FractionalVector,
     InstanceError,
+    LimitError,
     as_fraction,
     dot,
     integers,
@@ -48,17 +48,6 @@ from coverpack.model import (
 
 GE = ">="
 LE = "<="
-
-class LpError(CoverpackError):
-    """Solver failure unrelated to problem status."""
-
-
-class IterationLimitError(LpError):
-    """Pivot budget exhausted."""
-
-
-class InfeasibleError(CoverpackError):
-    """Raised by callers that require a feasible LP."""
 
 
 @dataclass(frozen=True)
@@ -254,7 +243,7 @@ class _Tableau:
             if enter < 0:
                 return leave  # every entry is >= 0 and the rhs is < 0
             if self.iterations >= max_iters:
-                raise IterationLimitError(f"simplex exceeded {max_iters} pivots")
+                raise LimitError(f"simplex exceeded {max_iters} pivots")
             self.iterations += 1
             degenerate_streak = degenerate_streak + 1 if obj[enter] == 0 else 0
             self.pivot(leave, enter)
@@ -348,7 +337,8 @@ def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation
     reported value, the point's cost and the dual value are equal.
     INFEASIBLE: the Farkas ray (y, z) has the dual signs, y^T A + z <= 0
     and y^T rhs + z^T u > 0, so no x >= 0 meets the rows and bounds.
-    Any other status raises ``LpError``.
+    Any other status carries no certificate: only a hand-built
+    ``LpSolution`` can have one, and it raises ``InstanceError``.
     """
     out: list[CertificateViolation] = []
     if s.status == "OPTIMAL":
@@ -368,7 +358,7 @@ def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation
     elif s.status == "INFEASIBLE":
         rows, bounds, cost = s.ray_rows, s.ray_bounds, (ZERO,) * len(p.objective)
     else:
-        raise LpError(f"an {s.status} result carries no certificate")
+        raise InstanceError(f"an {s.status} result carries no certificate")
     for i, row in enumerate(p.rows):
         y = rows[i]
         if (y < 0) if row.sense == GE else (y > 0):

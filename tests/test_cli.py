@@ -1,29 +1,28 @@
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import coverpack
 from coverpack import rounding
 from coverpack.cli import EXIT_FAULT, EXIT_INFEASIBLE, EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
-from coverpack.kc import CutLoopLimitError
 from coverpack.model import (
+    CoverpackError,
     GuaranteeError,
+    InfeasibleError,
     InstanceError,
+    LimitError,
     ParseError,
     dot,
     parse_instance,
     serialize_instance,
 )
-from coverpack.rounding import EstimatorError, RoundingError
-from coverpack.simplex import (
-    CertificateViolation,
-    InfeasibleError,
-    IterationLimitError,
-    LpError,
-)
+from coverpack.simplex import CertificateViolation
 
 
 GAP = '{"A": [["99/100", 1]], "a": [1], "c": [0, 1], "d": [1, null]}'
@@ -230,15 +229,11 @@ class TestExitCodes:
         "exc, code",
         [
             (InfeasibleError("no point"), EXIT_INFEASIBLE),
-            (IterationLimitError("pivot budget"), EXIT_LIMIT),
-            (CutLoopLimitError("round cap"), EXIT_LIMIT),
+            (LimitError("pivot budget"), EXIT_LIMIT),
             (ParseError("bad document"), EXIT_USAGE),
             (InstanceError("bad data"), EXIT_USAGE),
             (OSError("unreadable"), EXIT_USAGE),
             (GuaranteeError("cost bound"), EXIT_FAULT),
-            (RoundingError("lost coverage"), EXIT_FAULT),
-            (EstimatorError("phi >= 1"), EXIT_FAULT),
-            (LpError("solver"), EXIT_FAULT),
             (KeyError("internal"), EXIT_FAULT),
             (ValueError("internal"), EXIT_FAULT),
             (ZeroDivisionError("internal"), EXIT_FAULT),
@@ -254,6 +249,22 @@ class TestExitCodes:
         got, _, err = run(["solve", write_gap(tmp_path)], capsys=capsys)
         assert got == code
         assert str(exc) in err
+
+    def test_four_failure_classes(self):
+        modules = [coverpack] + [
+            importlib.import_module(f"coverpack.{info.name}")
+            for info in pkgutil.iter_modules(coverpack.__path__)
+        ]
+        found = {
+            value.__name__
+            for module in modules
+            for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, CoverpackError)
+        }
+        assert found == {
+            "CoverpackError", "InfeasibleError", "LimitError",
+            "InstanceError", "ParseError", "GuaranteeError",
+        }
 
     def test_cut_round_cap_exits_three(self, tmp_path, capsys, monkeypatch):
         code, _, err = run(

@@ -5,7 +5,6 @@ import pytest
 from coverpack import kc, rounding
 from coverpack.genbench import gen_random_cpip, knapsack_gap
 from coverpack.kc import (
-    CutLoopLimitError,
     cut_rows,
     find_violated_kc,
     high_set,
@@ -14,7 +13,14 @@ from coverpack.kc import (
     solve_cip_strict,
     solve_lp_kc,
 )
-from coverpack.model import GuaranteeError, InstanceError, IntegerVector, dot, normalize_width
+from coverpack.model import (
+    GuaranteeError,
+    InstanceError,
+    IntegerVector,
+    LimitError,
+    dot,
+    normalize_width,
+)
 from coverpack.simplex import CertificateViolation, lp_from_instance, solve_lp, verify_certificate
 from coverpack.oracle import brute_force_opt
 from coverpack.rounding import solve_cpip_bicriteria
@@ -161,7 +167,7 @@ class TestSolveLpKc:
 
     def test_round_limit_raises(self):
         inst = knapsack_gap(F(1, 10))
-        with pytest.raises(CutLoopLimitError, match="after 1 rounds"):
+        with pytest.raises(LimitError, match="after 1 rounds"):
             solve_lp_kc(inst, 2, max_rounds=1)
 
 

@@ -17,6 +17,7 @@ from coverpack.genbench import (
 from coverpack import rounding
 from coverpack.model import (
     GuaranteeError,
+    InfeasibleError,
     InstanceError,
     dot,
     normalize_width,
@@ -26,7 +27,6 @@ from coverpack.model import (
 from coverpack.oracle import brute_force_opt, check_solution
 from coverpack.rounding import (
     CoverRows,
-    EstimatorError,
     EstimatorState,
     bicriteria_round,
     compute_scale_factor,
@@ -36,7 +36,7 @@ from coverpack.rounding import (
     randomized_round,
     solve_cpip_bicriteria,
 )
-from coverpack.simplex import InfeasibleError, lp_from_instance, solve_lp
+from coverpack.simplex import lp_from_instance, solve_lp
 from conftest import F, make_inst
 
 
@@ -138,12 +138,12 @@ class TestDerandomizedRound:
         assert dot(inst.c, xhat.values) >= opt.cost
 
     def test_infeasible_xbar_rejected(self):
-        with pytest.raises(Exception, match="fractional cover"):
+        with pytest.raises(InstanceError, match="fractional cover"):
             derandomized_round((F(1),), ((F(1),),), (F(2),), (F(1),), F(2))
 
     def test_estimator_at_least_one_rejected(self):
         # L = 1 means t = 0 and the row term alone is 1: must refuse
-        with pytest.raises(EstimatorError, match="width precondition"):
+        with pytest.raises(InstanceError, match="width precondition"):
             derandomized_round((F(4),), ((F(1),),), (F(4),), (F(1),), F(1))
 
 
@@ -559,6 +559,8 @@ class TestBicriteriaRound:
                 bicriteria_round(xbar, A, a, c, (None, None), eps)
         with pytest.raises(InstanceError, match="granularity"):
             granular_round(xbar, A, a, c, 0)
+        with pytest.raises(InstanceError, match=r"xbar\[1\] = 1/2 exceeds"):
+            bicriteria_round(xbar, A, a, c, (None, F(1, 4)), 1)
 
 
 class TestSolveCpipBicriteria:

@@ -6,11 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverpack.genbench import gen_random_cpip, gen_set_cover
-from coverpack.model import FractionalVector, InstanceError, normalize_width, parse_instance
+from coverpack.model import (
+    FractionalVector,
+    InstanceError,
+    LimitError,
+    normalize_width,
+    parse_instance,
+)
 from coverpack.simplex import (
     GE,
     LE,
-    IterationLimitError,
     LpProblem,
     LpSolution,
     dual_objective,
@@ -208,7 +213,7 @@ def test_bland_rule_from_first_pivot():
         ],
         [None] * 3,
     )
-    with pytest.raises(IterationLimitError):
+    with pytest.raises(LimitError):
         solve_lp(p, bland_after=10**9, max_iters=500)
     for bland_after in (0, 40):
         s = solve_lp(p, bland_after=bland_after)
@@ -360,8 +365,14 @@ def test_negative_cost_rejected():
 def test_iteration_limit_raises():
     inst = gen_random_cpip(6, 6, 2, seed=4)
     p = lp_from_instance(inst)
-    with pytest.raises(IterationLimitError):
+    with pytest.raises(LimitError):
         solve_lp(p, max_iters=1)
+
+
+def test_status_without_certificate_is_bad_input():
+    p = lp_from_instance(parse_instance(GAP_DOC))
+    with pytest.raises(InstanceError, match="an UNBOUNDED result carries no certificate"):
+        verify_certificate(p, LpSolution("UNBOUNDED", 0))
 
 
 def test_non_finite_input_rejected():
