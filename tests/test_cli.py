@@ -229,7 +229,15 @@ class TestExitCodes:
         "exc, code",
         [
             (InfeasibleError("no point"), EXIT_INFEASIBLE),
-            (LimitError("pivot budget"), EXIT_LIMIT),
+            (LimitError("oracle search space over budget"), EXIT_LIMIT),
+            # One row per budget LimitError covers; these two keep the ids
+            # they had when each budget raised a class of its own.
+            pytest.param(
+                LimitError("pivot budget"), EXIT_LIMIT, id="IterationLimitError-3"
+            ),
+            pytest.param(
+                LimitError("round cap"), EXIT_LIMIT, id="CutLoopLimitError-3"
+            ),
             (ParseError("bad document"), EXIT_USAGE),
             (InstanceError("bad data"), EXIT_USAGE),
             (OSError("unreadable"), EXIT_USAGE),
