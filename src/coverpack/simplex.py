@@ -11,14 +11,16 @@ pivot choice compares the rationals the integers stand for, exactly.
 Problems come in and results go out as ``Fraction``: an OPTIMAL result
 carries a primal point and a dual vector whose objectives agree with zero
 gap, and an INFEASIBLE result carries an exact Farkas ray;
-``verify_certificate`` checks either certificate, the ray included, in
-``Fraction`` values.  Dense tableaus are fine at the scales this package
-targets (a few hundred rows including cut rows).
+``verify_certificate`` checks either certificate, the ray included,
+exactly, with integer sums.  Dense tableaus are fine at the scales this
+package targets (a few hundred rows including cut rows).
 
 Row order inside an ``LpProblem`` built from an instance is fixed and
 documented: covering rows, then packing rows, then any cut rows in
-insertion order.  Variable upper bounds are handled as bound rows after
-all user rows, never as big-M terms.
+insertion order.  A variable upper bound is a bound row, never a big-M
+term, and it enters the tableau only once it is violated: until then its
+slack is basic at ``u_j - x_j`` and the row is implied by ``x_j``'s row.
+The pivots are those of the tableau with every bound row present.
 
 Dual sign convention (minimization): duals of >= rows are >= 0, duals of
 <= rows and of upper bounds are <= 0, and the dual objective is
@@ -30,9 +32,12 @@ solves on distinct problems are safe.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from coverpack.model import (
@@ -90,6 +95,14 @@ class LpProblem:
             raise InstanceError(f"var_bounds has {len(ub)} entries, expected {n}")
         return cls(objective=obj, rows=tuple(out_rows), var_bounds=ub)
 
+    @cached_property
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each row's coefficients then rhs as integers over their least common denominator."""
+        return tuple(
+            (tuple(scaled), D)
+            for scaled, D in (integers((*row.coeffs, row.rhs)) for row in self.rows)
+        )
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -142,7 +155,7 @@ def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int, nz: li
 
 
 class _Tableau:
-    """Mutable dual simplex state: internal rows are user rows then bound rows.
+    """Mutable dual simplex state: the user rows, then each bound row once violated.
 
     Row ``i`` is held as integers ``T[i]`` over one positive denominator
     ``den[i]``, so its tableau entries are the rationals ``T[i][j] / den[i]``
@@ -151,39 +164,76 @@ class _Tableau:
     gcd of its entries and denominator.  The objective row ``obj`` over
     ``obj_den`` holds the reduced costs, with ``-z`` last.
 
-    Every row is stored in ``<=`` form (a ``>=`` row is negated) with its
-    own slack at column ``n + i``, and the basis starts as all slacks.  The
-    reduced costs start as the cost vector, so with no negative cost that
-    basis is dual feasible: a row with a negative rhs is only primal
+    Every user row is stored in ``<=`` form (a ``>=`` row is negated) with
+    its own slack at column ``n + i``, and the basis starts as all slacks.
+    The reduced costs start as the cost vector, so with no negative cost
+    that basis is dual feasible: a row with a negative rhs is only primal
     infeasible.
+
+    The bound ``x_j + s = u_j`` of the ``k``-th bounded variable is row
+    ``M + k`` of the full tableau (``M`` user rows), with its slack at
+    column ``n + M + k``.  That slack stays basic until the row leaves, and
+    until then the row is ``e_j + s`` minus the row where ``x_j`` is basic,
+    with value ``u_j - x_j``; so it is not stored until that value is chosen
+    to leave, and then it is appended with its slack column.  ``rows`` and
+    ``basis`` give each stored row's full-tableau row and basic column, and
+    ``cols`` each stored column's full-tableau column, in increasing order.
+    Every tie is broken on these indices, so the pivots are exactly those
+    of the full tableau.
     """
 
     def __init__(self, p: LpProblem):
         n = self.n = len(p.objective)
+        m = self.m = len(p.rows)
         self.bounded = [j for j, u in enumerate(p.var_bounds) if u is not None]
-        R = len(p.rows) + len(self.bounded)
-        ncols = self.ncols = n + R
+        # (k, numerator, denominator) of x_j's bound while its row is not stored
+        self.pending: list[tuple[int, int, int] | None] = [None] * n
+        for k, j in enumerate(self.bounded):
+            u = p.var_bounds[j]
+            self.pending[j] = (k, u.numerator, u.denominator)
+        self.rows = list(range(m))
+        self.cols = list(range(n + m))
+        self.basis = list(range(n, n + m))
         self.T: list[list[int]] = []
         self.den: list[int] = []
-        self.basis = list(range(n, ncols))
-        for i, row in enumerate(p.rows):
+        for i, (row, (scaled, D)) in enumerate(zip(p.rows, p.int_rows)):
             # row i over the least common denominator D of its entries
             sign = -1 if row.sense == GE else 1
-            scaled, D = integers((*row.coeffs, row.rhs))
-            trow = [sign * v for v in scaled[:n]] + [0] * R + [sign * scaled[n]]
+            trow = [sign * v for v in scaled[:n]] + [0] * m + [sign * scaled[n]]
             trow[n + i] = D
             self.T.append(trow)
             self.den.append(D)
-        for i, j in enumerate(self.bounded, len(p.rows)):
-            u = p.var_bounds[j]  # x_j + slack = u, over the denominator of u
-            trow = [0] * (ncols + 1)
-            trow[j] = trow[n + i] = u.denominator
-            trow[ncols] = u.numerator
-            self.T.append(trow)
-            self.den.append(u.denominator)
         self.obj, self.obj_den = integers(p.objective)
-        self.obj += [0] * (R + 1)
+        self.obj += [0] * (m + 1)
         self.iterations = 0
+
+    def add_bound_row(self, i: int, k: int) -> int:
+        """Store bound row ``k``, whose variable is basic in row ``i``; its index.
+
+        The row is ``e_j + s - T[i] / den[i]`` over ``lcm(den[i], u.denominator)``,
+        zero in column ``j``, with rhs ``u_j - x_j``.
+        """
+        j = self.bounded[k]
+        _, U, Du = self.pending[j]
+        self.pending[j] = None
+        c = self.n + self.m + k
+        pos = bisect(self.cols, c)
+        self.cols.insert(pos, c)
+        for trow in self.T:
+            trow.insert(pos, 0)
+        self.obj.insert(pos, 0)
+        d = self.den[i]
+        L = lcm(d, Du)
+        f = L // d
+        new = [-v * f for v in self.T[i]]
+        new[j] = 0
+        new[pos] = L
+        new[-1] += U * (L // Du)
+        self.T.append(new)
+        self.den.append(L)
+        self.rows.append(self.m + k)
+        self.basis.append(c)
+        return len(self.T) - 1
 
     def pivot(self, r: int, e: int) -> None:
         """Pivot basis row r on column e, updating the objective row too."""
@@ -205,38 +255,60 @@ class _Tableau:
                 T[i], dens[i] = _eliminate(row, dens[i], prow, p, e, nz)
         if self.obj[e]:
             self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, e, nz)
-        self.basis[r] = e
+        self.basis[r] = self.cols[e]
+
+    def leaving(self, bland: bool) -> tuple | None:
+        """The row to leave as (stored row, bound k or -1), or None if all values are >= 0.
+
+        The most negative basic value leaves, ties to the lowest full-tableau
+        row; under Bland's rule the negative row with the lowest basic
+        column.  A stored row whose basic ``x_j`` has an unstored bound row
+        also stands for that row, at value ``u_j - x_j``.  Values compare
+        by cross-multiplication.
+        """
+        n, m, pending = self.n, self.m, self.pending
+        best = None  # (numerator, denominator, full row, basic column, stored row, k)
+        for i, trow in enumerate(self.T):
+            v, d, b = trow[-1], self.den[i], self.basis[i]
+            if v < 0:
+                cand = (v, d, self.rows[i], b, i, -1)
+            elif b < n and pending[b] is not None:
+                k, U, Du = pending[b]
+                w = U * d - v * Du  # (u_j - x_j) * d * Du
+                if w >= 0:
+                    continue
+                cand = (w, d * Du, m + k, n + m + k, i, k)
+            else:
+                continue
+            if best is not None:
+                if bland:
+                    if cand[3] > best[3]:
+                        continue
+                else:
+                    lhs, rhs = cand[0] * best[1], best[0] * cand[1]
+                    if lhs > rhs or (lhs == rhs and cand[2] > best[2]):
+                        continue
+            best = cand
+        return None if best is None else best[4:]
 
     def run(self, *, bland_after: int, max_iters: int) -> int:
         """Pivot until every basic value is >= 0; -1, or the row proving infeasibility.
 
-        Basic values ``T[i][-1] / den[i]`` compare by cross-multiplication.
         The ratios ``obj[j] / -T[r][j]`` of the leaving row share the
         denominators ``obj_den`` and ``den[r]``, so they compare by
         cross-multiplying numerators.
         """
-        T, den, rhs = self.T, self.den, self.ncols
         degenerate_streak = 0
         while True:
-            # most negative basic value, ties to the lowest row; under
-            # Bland's rule the negative row with the lowest basis index
-            use_bland = degenerate_streak >= bland_after
-            leave = -1
-            for i, trow in enumerate(T):
-                if trow[rhs] >= 0:
-                    continue
-                if leave >= 0 and (
-                    self.basis[i] > self.basis[leave]
-                    if use_bland
-                    else trow[rhs] * den[leave] >= T[leave][rhs] * den[i]
-                ):
-                    continue
-                leave = i
-            if leave < 0:
+            found = self.leaving(degenerate_streak >= bland_after)
+            if found is None:
                 return -1
+            leave, k = found
+            if k >= 0:
+                leave = self.add_bound_row(leave, k)
             # least obj[j] / -a_j over the negative entries a_j, ties to the lowest column
-            lrow, obj, enter = T[leave], self.obj, -1
-            for j in range(rhs):
+            lrow, obj, enter = self.T[leave], self.obj, -1
+            for j in range(len(lrow) - 1):
                 a = lrow[j]
                 if a < 0 and (enter < 0 or obj[j] * -lrow[enter] < obj[enter] * -a):
                     enter = j
@@ -278,13 +350,13 @@ def solve_lp(
     x = [ZERO] * t.n
     for i, bi in enumerate(t.basis):
         if bi < t.n:
-            x[bi] = Fraction(t.T[i][t.ncols], t.den[i])
+            x[bi] = Fraction(t.T[i][-1], t.den[i])
     dual_rows, dual_bounds = _duals(p, t, t.obj, t.obj_den)
     return LpSolution(
         "OPTIMAL",
         t.iterations,
         primal=FractionalVector(tuple(x)),
-        objective_value=Fraction(-t.obj[t.ncols], t.obj_den),
+        objective_value=Fraction(-t.obj[-1], t.obj_den),
         dual_rows=dual_rows,
         dual_bounds=dual_bounds,
     )
@@ -299,14 +371,14 @@ def _duals(p: LpProblem, t: _Tableau, vec: list[int], den: int):
     negating that combination gives the ray.  Either way a ``>=`` row,
     stored negated, gets ``w_i`` and a ``<=`` row or a bound gets ``-w_i``.
     """
-    n, m = t.n, len(p.rows)
+    n, m = t.n, t.m
     dual_rows = tuple(
         Fraction(vec[n + i] if row.sense == GE else -vec[n + i], den)
         for i, row in enumerate(p.rows)
     )
     dual_bounds = [ZERO] * n
-    for i, j in enumerate(t.bounded, m):
-        dual_bounds[j] = Fraction(-vec[n + i], den)
+    for pos in range(n + m, len(t.cols)):
+        dual_bounds[t.bounded[t.cols[pos] - n - m]] = Fraction(-vec[pos], den)
     return dual_rows, tuple(dual_bounds)
 
 
@@ -329,6 +401,13 @@ class CertificateViolation:
         return f"{self.kind}[{self.index}]: off by {float(self.amount):.3g}"
 
 
+def _check_length(name: str, vec, n: int) -> None:
+    if vec is None:
+        raise InstanceError(f"{name} is missing")
+    if len(vec) != n:
+        raise InstanceError(f"{name} has {len(vec)} entries, expected {n}")
+
+
 def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation]:
     """List every violation of an OPTIMAL or INFEASIBLE certificate, exactly.
 
@@ -338,25 +417,40 @@ def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation
     INFEASIBLE: the Farkas ray (y, z) has the dual signs, y^T A + z <= 0
     and y^T rhs + z^T u > 0, so no x >= 0 meets the rows and bounds.
     Any other status carries no certificate: only a hand-built
-    ``LpSolution`` can have one, and it raises ``InstanceError``.
+    ``LpSolution`` can have one, and it raises ``InstanceError``, as does
+    a primal, dual or ray vector without one entry per variable or row.
+
+    The sums run in integers: each row over the least common denominator
+    ``D_i`` of its entries (``LpProblem.int_rows``), ``x`` over one
+    denominator and the weights ``y_i / D_i`` over one denominator, so
+    every ``A x`` and ``y^T A`` entry is an integer dot product.  Only the
+    O(m + n) scalar checks and the amount of each violation are
+    ``Fraction``, and every amount is the exact rational.
     """
+    n, m = len(p.objective), len(p.rows)
     out: list[CertificateViolation] = []
     if s.status == "OPTIMAL":
         rows, bounds, cost = s.dual_rows, s.dual_bounds, p.objective
-        x = s.primal.values
+        x = None if s.primal is None else s.primal.values
+        _check_length("primal", x, n)
+        _check_length("dual_rows", rows, m)
+        _check_length("dual_bounds", bounds, n)
         for j, v in enumerate(x):
             if v < 0:
                 out.append(CertificateViolation("primal_nonneg", j, -v))
-        for i, row in enumerate(p.rows):
-            lhs = dot(row.coeffs, x)
-            gap = lhs - row.rhs if row.sense == GE else row.rhs - lhs
+        X, Dx = integers(x)
+        for i, (row, (A, D)) in enumerate(zip(p.rows, p.int_rows)):
+            lhs = sum(map(mul, A, X))  # X has no entry for A's last, the rhs
+            gap = lhs - A[n] * Dx if row.sense == GE else A[n] * Dx - lhs
             if gap < 0:
-                out.append(CertificateViolation("primal_row", i, -gap))
+                out.append(CertificateViolation("primal_row", i, Fraction(-gap, D * Dx)))
         for j, u in enumerate(p.var_bounds):
             if u is not None and x[j] > u:
                 out.append(CertificateViolation("primal_bound", j, x[j] - u))
     elif s.status == "INFEASIBLE":
-        rows, bounds, cost = s.ray_rows, s.ray_bounds, (ZERO,) * len(p.objective)
+        rows, bounds, cost = s.ray_rows, s.ray_bounds, (ZERO,) * n
+        _check_length("ray_rows", rows, m)
+        _check_length("ray_bounds", bounds, n)
     else:
         raise InstanceError(f"an {s.status} result carries no certificate")
     for i, row in enumerate(p.rows):
@@ -367,8 +461,13 @@ def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation
         # a bound dual is <= 0, and 0 where there is no bound to price it
         if bounds[j] > 0 or (u is None and bounds[j]):
             out.append(CertificateViolation("dual_sign_bound", j, abs(bounds[j])))
+    # y^T A over Dw: the rows with a nonzero weight, summed column by column
+    W, Dw = integers([Fraction(y, D) for y, (_, D) in zip(rows, p.int_rows)])
+    live = [(w, A) for w, (A, _) in zip(W, p.int_rows) if w]
+    weights = [w for w, _ in live]
+    yA = [sum(map(mul, weights, col)) for col in zip(*(A for _, A in live))] or [0] * n
     for j, cj in enumerate(cost):
-        lhs = bounds[j] + sum((y * row.coeffs[j] for y, row in zip(rows, p.rows)), ZERO)
+        lhs = bounds[j] + Fraction(yA[j], Dw)
         if lhs > cj:
             out.append(CertificateViolation("dual_feasibility", j, lhs - cj))
     value = dual_objective(p, rows, bounds)

@@ -98,23 +98,25 @@ def _scipy_linprog(p):
     return res
 
 
-def test_matches_scipy_at_scale():
+def _scale_instances():
     # the sizes of the strict pipeline's hardest LPs, three seeds each
-    pytest.importorskip("scipy.optimize")
     for seed in range(3):
-        for inst in (
-            gen_random_cpip(30, 50, 3, seed=seed),
-            gen_random_cpip(40, 60, 3, seed=seed),
-            gen_set_cover(50, 100, 0.1, seed=seed),
-        ):
-            p = lp_from_instance(inst)
-            s = solve_lp(p)
-            assert s.status == "OPTIMAL"
-            assert verify_certificate(p, s) == []
-            res = _scipy_linprog(p)
-            assert res.status == 0
-            mine = float(s.objective_value)
-            assert abs(mine - res.fun) <= 1e-9 * abs(mine)
+        yield gen_random_cpip(30, 50, 3, seed=seed)
+        yield gen_random_cpip(40, 60, 3, seed=seed)
+        yield gen_set_cover(50, 100, 0.1, seed=seed)
+
+
+def test_matches_scipy_at_scale():
+    pytest.importorskip("scipy.optimize")
+    for inst in _scale_instances():
+        p = lp_from_instance(inst)
+        s = solve_lp(p)
+        assert s.status == "OPTIMAL"
+        assert verify_certificate(p, s) == []
+        res = _scipy_linprog(p)
+        assert res.status == 0
+        mine = float(s.objective_value)
+        assert abs(mine - res.fun) <= 1e-9 * abs(mine)
 
 
 def _farkas_certifies(p, s):
@@ -198,6 +200,68 @@ def test_status_and_certificates_match_scipy(p):
         assert verify_certificate(p, s) == []
 
 
+def _explicit_bounds(p):
+    """The same LP with each finite bound as a trailing ``<=`` row ``e_j <= u_j``."""
+    n = len(p.objective)
+    bounded = [j for j, u in enumerate(p.var_bounds) if u is not None]
+    rows = list(p.rows) + [
+        (tuple(F(int(k == j)) for k in range(n)), LE, p.var_bounds[j]) for j in bounded
+    ]
+    return LpProblem.from_data(p.objective, rows, [None] * n), bounded
+
+
+def _assert_bound_rows_parity(p):
+    # bound rows enter the tableau only when violated; the pivots, point,
+    # duals and rays must be those of the LP with every bound written out
+    s = solve_lp(p)
+    q, bounded = _explicit_bounds(p)
+    t = solve_lp(q)
+    assert (s.status, s.iterations) == (t.status, t.iterations)
+    if s.status == "OPTIMAL":
+        assert (s.primal, s.objective_value) == (t.primal, t.objective_value)
+        assert t.dual_rows == s.dual_rows + tuple(s.dual_bounds[j] for j in bounded)
+        assert not any(t.dual_bounds)
+    else:
+        assert t.ray_rows == s.ray_rows + tuple(s.ray_bounds[j] for j in bounded)
+        assert not any(t.ray_bounds)
+
+
+@st.composite
+def cpip_lps(draw):
+    m, n, r = draw(st.integers(1, 8)), draw(st.integers(1, 10)), draw(st.integers(0, 3))
+    return lp_from_instance(gen_random_cpip(m, n, r, seed=draw(st.integers(0, 10**6))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(cpip_lps(), general_lps()))
+def test_bound_rows_match_explicit_rows(p):
+    _assert_bound_rows_parity(p)
+
+
+def _tied_bound_slacks():
+    # a cut round of a desk-oracle random-cpip 6x7, rows permuted, whose
+    # degenerate ratio tests tie between bound slack columns stored out of
+    # their full-tableau order
+    rows = [
+        ((0, 0, 0, 0, 4, 4, 0), GE, F(48, 5)),
+        ((2, 2, 2, 3, 0, 0, 4), GE, F(127, 10)),
+        ((0, 4, 1, 0, 3, 0, 5), GE, F(38, 5)),
+        ((0, 2, 0, 2, 0, 0, 0), GE, F(22, 5)),
+        ((0, 3, 0, 3, 0, 4, 5), GE, F(387, 20)),
+        ((1, 2, 0, 0, 2, 0, 0), LE, F(11, 2)),
+        ((0, 0, 1, 0, 0, 0, 2), LE, F(11, 2)),
+        ((0, 0, 0, F(2, 5), 0, 0, 0), GE, F(2, 5)),
+    ]
+    return LpProblem.from_data([4, 3, 10, 8, 9, 9, 10], rows, [2, 2, 2, 3, 2, 4, 4])
+
+
+def test_bound_rows_match_explicit_rows_on_fixed_cases():
+    for inst in _scale_instances():
+        _assert_bound_rows_parity(lp_from_instance(inst))
+    _assert_bound_rows_parity(_tied_bound_slacks())
+    _assert_bound_rows_parity(LpProblem.from_data([0], [((1,), GE, 1)], [F(1, 2)]))
+
+
 def test_bland_rule_from_first_pivot():
     # The LP dual of Beale's example, min h.w s.t. G^T w >= -c, w >= 0 for
     # Beale's min c.x s.t. G x <= h, cycles under the dual simplex's
@@ -278,6 +342,88 @@ def test_certificate_flags_perturbed_primal():
     kinds = {v.kind for v in report}
     assert "primal_row" in kinds  # the tight covering row is named
     assert any(v.kind == "primal_row" and v.index == 0 for v in report)
+
+
+def test_certificate_amounts_exact_over_mixed_denominators():
+    # min 3 x0 + 2 x1 s.t. x0/3 + 2 x1/7 >= 5/6, x0/2 + 3 x1/5 <= 9/4, x0 <= 2,
+    # x1 <= 3/2: x1 covers at 7 per unit against x0's 9, so x1 = 3/2 and
+    # x0 = 3 (5/6 - 3/7) = 17/14, at cost 93/14; y = 9 on the covering row
+    # and 2 - 9 (2/7) = -4/7 on x1's bound
+    p = LpProblem.from_data(
+        [3, 2],
+        [((F(1, 3), F(2, 7)), GE, F(5, 6)), ((F(1, 2), F(3, 5)), LE, F(9, 4))],
+        [2, F(3, 2)],
+    )
+    s = solve_lp(p)
+    assert s.primal.values == (F(17, 14), F(3, 2))
+    assert (s.objective_value, s.dual_rows, s.dual_bounds) == (
+        F(93, 14),
+        (F(9), F(0)),
+        (F(0), F(-4, 7)),
+    )
+    assert verify_certificate(p, s) == []
+    # x = (1, 3/2) covers 1/3 + 3/7 = 16/21, short of 5/6 by 1/14, and
+    # costs 6, off the value 93/14 by 9/14
+    bad = replace(s, primal=FractionalVector((F(1), F(3, 2))))
+    assert [(v.kind, v.index, v.amount) for v in verify_certificate(p, bad)] == [
+        ("primal_row", 0, F(1, 14)),
+        ("duality_gap", 0, F(9, 14)),
+    ]
+    # y = (10, -1/4) prices x0 at 10/3 - 1/8 = 77/24, over 3 by 5/24, and
+    # x1 at 20/7 - 3/20 - 4/7 = 299/140, over 2 by 19/140; its value
+    # 25/3 - 9/16 - 6/7 = 2323/336 is off 93/14 by 13/48
+    bad = replace(s, dual_rows=(F(10), F(-1, 4)))
+    assert [(v.kind, v.index, v.amount) for v in verify_certificate(p, bad)] == [
+        ("dual_feasibility", 0, F(5, 24)),
+        ("dual_feasibility", 1, F(19, 140)),
+        ("duality_gap", 0, F(13, 48)),
+        ("duality_gap", 0, F(13, 48)),
+    ]
+
+
+def _optimal(x, rows, bounds):
+    # min x0 + x1 s.t. x0 + x1 >= 1, certified by x = (1, 0), y = 1
+    return LpSolution(
+        "OPTIMAL",
+        0,
+        primal=FractionalVector(tuple(map(F, x))),
+        objective_value=F(1),
+        dual_rows=tuple(map(F, rows)),
+        dual_bounds=tuple(map(F, bounds)),
+    )
+
+
+@pytest.mark.parametrize(
+    "solution, message",
+    [
+        (_optimal((1,), (1,), (0, 0)), "primal has 1 entries, expected 2"),
+        (_optimal((1, 0, 5), (1,), (0, 0)), "primal has 3 entries, expected 2"),
+        (_optimal((1, 0), (1, 7), (0, 0)), "dual_rows has 2 entries, expected 1"),
+        (_optimal((1, 0), (1,), (0, 0, -1)), "dual_bounds has 3 entries, expected 2"),
+        (LpSolution("OPTIMAL", 0), "primal is missing"),
+    ],
+    ids=["primal-short", "primal-long", "dual-rows", "dual-bounds", "primal-missing"],
+)
+def test_certificate_vector_of_wrong_length_is_bad_input(solution, message):
+    p = LpProblem.from_data([1, 1], [((1, 1), GE, 1)], [None, None])
+    assert verify_certificate(p, _optimal((1, 0), (1,), (0, 0))) == []
+    with pytest.raises(InstanceError, match=message):
+        verify_certificate(p, solution)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("ray_rows", (F(2), F(1)), "ray_rows has 2 entries, expected 1"),
+        ("ray_bounds", (), "ray_bounds has 0 entries, expected 1"),
+    ],
+    ids=["ray-rows", "ray-bounds"],
+)
+def test_ray_of_wrong_length_is_bad_input(field, value, message):
+    p = LpProblem.from_data([0], [((1,), GE, 1)], [F(1, 2)])
+    s = solve_lp(p)
+    with pytest.raises(InstanceError, match=message):
+        verify_certificate(p, replace(s, **{field: value}))
 
 
 def test_certificate_flags_gap():
