@@ -22,6 +22,7 @@ other flag exits 2.  Machine output is one JSON report per line.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import traceback
 from fractions import Fraction
@@ -34,14 +35,16 @@ from coverpack.model import (
     InstanceError,
     LimitError,
     ParseError,
+    SolveReport,
     dot,
     normalize_width,
     parse_instance,
     parse_solution,
+    report_dict,
     serialize_instance,
     width,
 )
-from coverpack.oracle import SolveReport, brute_force_opt, check_solution
+from coverpack.oracle import brute_force_opt, check_solution
 from coverpack.rounding import (
     RNG_NAME,
     bicriteria_round,
@@ -170,10 +173,10 @@ def _read_text(path: str) -> str:
 
 
 def _emit(report: SolveReport, output: str) -> None:
+    d = report_dict(report)
     if output == "machine":
-        print(report.to_json())
+        print(json.dumps(d))
         return
-    d = report.to_dict()
     print(f"mode: {d.get('mode')}   status: {d.get('status')}")
     for key in ("cost", "fopt", "fopt_kc", "opt", "ratio_cost_fopt"):
         if key in d:
@@ -232,7 +235,7 @@ def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
 
 def _oracle_report(inst: CpipInstance, args) -> SolveReport:
     res = brute_force_opt(inst, max_points=args.max_points)
-    if res.space_size > args.max_points:
+    if res.status == "BUDGET_EXCEEDED":
         raise LimitError(f"oracle search space of {res.space_size} points is over budget")
     if res.status == "INFEASIBLE":
         raise InfeasibleError("no integer solution in the search box")

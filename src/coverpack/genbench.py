@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
-from coverpack.model import CpipInstance, InstanceError, dot, normalize_width, number_out
+from coverpack.model import CpipInstance, InstanceError, dot, normalize_width, report_dict
 from coverpack.oracle import brute_force_opt
 from coverpack.rounding import solve_cpip_bicriteria
 from coverpack.kc import solve_cip_strict
@@ -213,13 +213,6 @@ class BenchRow:
     time_ms: float | None = None
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            k: float(v) if k == "L" else number_out(v)
-            for k, v in self.__dict__.items()
-            if v is not None
-        }
-
 
 @dataclass
 class BenchResult:
@@ -227,7 +220,7 @@ class BenchResult:
     aggregates: dict = field(default_factory=dict)
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(row.to_dict()) for row in self.rows]
+        lines = [json.dumps(report_dict(row)) for row in self.rows]
         if self.aggregates:
             lines.append(json.dumps({"aggregates": self.aggregates}))
         return "\n".join(lines)

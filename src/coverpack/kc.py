@@ -27,6 +27,9 @@ point, the residual system of its high set, and each round's LP value.
 ``solve_cip_strict`` then pins the high variables of a (1+eps)-relaxed
 point at their bounds and rounds the rest against that residual system,
 giving an integer solution with x <= d exactly.
+
+``check_kc_validity`` checks the residual system of every pinnable set
+against every feasible integer point, at desk scale.
 """
 
 from __future__ import annotations
@@ -45,11 +48,12 @@ from coverpack.model import (
     IntegerVector,
     LimitError,
     Matrix,
+    SolveReport,
     Vector,
     dot,
     is_width_normalized,
 )
-from coverpack.oracle import SolveReport, check_solution
+from coverpack.oracle import check_solution, effective_bounds, feasible_points, validate_kc_system
 from coverpack.simplex import lp_from_instance, solve_lp, verify_certificate
 from coverpack.rounding import bicriteria_round
 
@@ -107,6 +111,48 @@ def kc_system(inst: CpipInstance, F) -> KcSystem:
         for i in range(inst.m)
     )
     return KcSystem(F=F, a_F=a_F, A_F=A_F)
+
+
+@dataclass(frozen=True)
+class KcValidityReport:
+    status: str  # OK | COUNTEREXAMPLE | BUDGET_EXCEEDED
+    counterexamples: tuple[tuple[frozenset, int, tuple[int, ...], Fraction], ...]
+    structural_defects: tuple[tuple[frozenset, int, int, Fraction], ...]
+    checked_sets: int
+    checked_points: int
+
+
+def check_kc_validity(inst: CpipInstance, *, max_points: int = 2_000_000) -> KcValidityReport:
+    """Exhaustively verify residual covering rows against all feasible points.
+
+    For every pinnable subset F of the finite-bound variables, builds the
+    residual system and checks that each feasible integer point (with
+    respect to covering and multiplicity) satisfies it, and that no
+    coefficient exceeds its residual demand.  Pins sit at integral
+    bounds, so a fractional d is refused (``normalize_width`` floors it).
+    """
+    finite = [j for j in range(inst.n) if inst.d[j] is not None]
+    caps = effective_bounds(inst)
+    space = 1
+    for cap in caps:
+        space *= cap + 1
+    sets = 2 ** len(finite)
+    if sets * space > max_points:
+        return KcValidityReport("BUDGET_EXCEEDED", (), (), 0, space)
+
+    points = feasible_points(inst, caps)
+    counterexamples: list = []
+    structural: list = []
+    for mask in range(sets):
+        F = frozenset(finite[k] for k in range(len(finite)) if mask >> k & 1)
+        system = kc_system(inst, F)
+        bad, defects = validate_kc_system(inst, F, system.A_F, system.a_F, points)
+        counterexamples.extend(bad)
+        structural.extend(defects)
+    status = "OK" if not (counterexamples or structural) else "COUNTEREXAMPLE"
+    return KcValidityReport(
+        status, tuple(counterexamples), tuple(structural), sets, len(points)
+    )
 
 
 def cut_rows(system: KcSystem) -> list[tuple[int, Vector, Fraction]]:

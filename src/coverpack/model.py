@@ -19,13 +19,17 @@ The canonical interchange format is a UTF-8 JSON document::
 
 ``B``/``b`` may be omitted (no packing rows).  ``d`` entries of ``null``
 mean unbounded.  Numbers are plain decimals or strings "p/q" for exact
-rationals.
+rationals; a decimal exponent is bounded by ``sys.get_int_max_str_digits()``.
+
+The package's reports live here too, ``SolveReport`` and
+``ViolationReport``, with ``report_dict``, their one JSON form.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Iterator, Sequence
@@ -77,10 +81,20 @@ def as_fraction(value, where: str = "value") -> Fraction:
         return Fraction(value)
     if isinstance(value, (str, float)):
         try:
-            return Fraction(value)
+            return _rational(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:  # nan, 1/0, inf
             raise InstanceError(f"{where}: cannot read {value!r} as a rational") from exc
     raise InstanceError(f"{where}: unsupported number type {type(value).__name__}")
+
+
+def _rational(value: str | float) -> Fraction:
+    """Fraction(value), refusing a decimal exponent over the int-string limit (0: none)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and isinstance(value, str):
+        _, e, exponent = value.lower().partition("e")
+        if e and abs(int(exponent)) > limit:
+            raise ValueError(f"the exponent of {value!r} exceeds {limit} in magnitude")
+    return Fraction(value)
 
 
 def dot(u: Sequence[Fraction], v: Sequence) -> Fraction:
@@ -266,13 +280,88 @@ def number_out(v):
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
+@dataclass(frozen=True)
+class ViolationReport:
+    """Per-family constraint violations of a candidate integer solution.
+
+    Multiplicity is reported against both contracts: the strict bound
+    x <= d and the relaxed bound x <= ceil((1+eps) d).  Packing is checked
+    against the slackened bound (1+eps) b + beta, where beta holds the row
+    sums of B.
+    """
+
+    covering: tuple[tuple[int, Fraction], ...]
+    packing_relaxed: tuple[tuple[int, Fraction], ...]
+    multiplicity_strict: tuple[tuple[int, Fraction], ...]
+    multiplicity_relaxed: tuple[tuple[int, Fraction], ...]
+
+    @property
+    def ok_bicriteria(self) -> bool:
+        return not (self.covering or self.packing_relaxed or self.multiplicity_relaxed)
+
+    @property
+    def ok_strict(self) -> bool:
+        return not (self.covering or self.packing_relaxed or self.multiplicity_strict)
+
+
+@dataclass
+class SolveReport:
+    """Everything a run learned: cost, lower bounds, ratios, checks, config echo."""
+
+    mode: str
+    cost: Fraction | None = None
+    fopt: Fraction | None = None
+    fopt_kc: Fraction | None = None
+    opt: Fraction | None = None
+    ratio_cost_fopt: float | None = None
+    epsilon: Fraction | None = None
+    lam: Fraction | None = None
+    K: int | None = None
+    L: Fraction | None = None
+    seed: int | None = None
+    rng: str | None = None
+    x: tuple[int, ...] | None = None
+    violations: ViolationReport | None = None
+    guarantees_ok: bool | None = None
+    certificate_ok: bool | None = None
+    pinned: tuple[int, ...] | None = None
+    pin_sets_seen: tuple[tuple[int, ...], ...] | None = None
+    cut_rows_added: int | None = None
+    lp_rounds: int | None = None
+    oracle_bounds: tuple[int, ...] | None = None
+    oracle_space: int | None = None
+    status: str = "OPTIMAL"
+    elapsed_s: float | None = None
+
+
+def report_dict(report) -> dict:
+    """The JSON object of any report dataclass, its fields in order.
+
+    ``None`` fields are left out, ``L`` is a float, exact numbers go through
+    ``number_out``, and tuples and nested reports become lists and objects.
+    """
+    return {
+        f.name: float(v) if f.name == "L" else _json_value(v)
+        for f in fields(report)
+        if (v := getattr(report, f.name)) is not None
+    }
+
+
+def _json_value(v):
+    if isinstance(v, tuple):
+        return [_json_value(item) for item in v]
+    if is_dataclass(v):
+        return report_dict(v)
+    return number_out(v)
+
+
 def _load_json(doc: str):
     """Decode JSON with exact numbers; any undecodable document is a ParseError."""
     try:
-        return json.loads(doc, parse_float=Fraction)
+        return json.loads(doc, parse_float=_rational)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep a nesting
+    except (ValueError, RecursionError) as exc:  # an over-long number, too deep a nesting
         raise ParseError(f"unreadable document: {exc}") from exc
 
 

@@ -1,20 +1,21 @@
 """Ground-truth engines: brute-force integer optimum and exhaustive checkers.
 
 These exist to verify every guarantee the solvers claim, so they stay
-deliberately independent of the solver code paths: plain enumeration over
-exact rationals, no LP bounding, no shared rounding machinery.  Usable
-only at desk scale, which is the point.
+independent of the solver code paths: this module imports only
+``coverpack.model`` and works by plain enumeration over exact rationals,
+with no LP bounding and no shared rounding machinery.  Usable only at
+desk scale, which is the point.  ``kc.check_kc_validity`` sweeps the pin
+sets with ``feasible_points`` and ``validate_kc_system``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 from typing import Sequence
 
-from coverpack.model import ZERO, CpipInstance, InstanceError, IntegerVector, dot, number_out
+from coverpack.model import ZERO, CpipInstance, InstanceError, IntegerVector, ViolationReport, dot
 
 
 def effective_bounds(inst: CpipInstance) -> tuple[int, ...]:
@@ -106,41 +107,6 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
     return BruteForceResult("OPTIMAL", IntegerVector(best_x), best_cost, space, u)
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    """Per-family constraint violations of a candidate integer solution.
-
-    Multiplicity is reported against both contracts: the strict bound
-    x <= d and the relaxed bound x <= ceil((1+eps) d).  Packing is checked
-    against the slackened bound (1+eps) b + beta, where beta holds the row
-    sums of B.
-    """
-
-    covering: tuple[tuple[int, Fraction], ...]
-    packing_relaxed: tuple[tuple[int, Fraction], ...]
-    multiplicity_strict: tuple[tuple[int, Fraction], ...]
-    multiplicity_relaxed: tuple[tuple[int, Fraction], ...]
-
-    @property
-    def ok_bicriteria(self) -> bool:
-        return not (self.covering or self.packing_relaxed or self.multiplicity_relaxed)
-
-    @property
-    def ok_strict(self) -> bool:
-        return not (self.covering or self.packing_relaxed or self.multiplicity_strict)
-
-    def to_dict(self) -> dict:
-        def fam(items):
-            return [[i, number_out(v)] for i, v in items]
-
-        return {
-            "covering": fam(self.covering),
-            "packing_relaxed": fam(self.packing_relaxed),
-            "multiplicity_strict": fam(self.multiplicity_strict),
-            "multiplicity_relaxed": fam(self.multiplicity_relaxed),
-        }
-
-
 def check_solution(
     inst: CpipInstance, x: IntegerVector | Sequence, epsilon: Fraction
 ) -> ViolationReport:
@@ -181,21 +147,12 @@ def check_solution(
     )
 
 
-@dataclass(frozen=True)
-class KcValidityReport:
-    status: str  # OK | COUNTEREXAMPLE | BUDGET_EXCEEDED
-    counterexamples: tuple[tuple[frozenset, int, tuple[int, ...], Fraction], ...]
-    structural_defects: tuple[tuple[frozenset, int, int, Fraction], ...]
-    checked_sets: int
-    checked_points: int
-
-
 def validate_kc_system(
     inst: CpipInstance,
     F: frozenset,
     A_F,
     a_F,
-    feasible_points: Sequence[tuple[int, ...]],
+    points: Sequence[tuple[int, ...]],
 ) -> tuple[list, list]:
     """Check one pinned-set system against every feasible integer point.
 
@@ -210,7 +167,7 @@ def validate_kc_system(
         for j in range(inst.n):
             if A_F[i][j] > a_F[i]:
                 structural.append((F, i, j, A_F[i][j] - a_F[i]))
-    for y in feasible_points:
+    for y in points:
         for i in range(len(a_F)):
             lhs = dot(A_F[i], y)
             if lhs < a_F[i]:
@@ -218,7 +175,8 @@ def validate_kc_system(
     return counterexamples, structural
 
 
-def _feasible_points(inst: CpipInstance, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
+def feasible_points(inst: CpipInstance, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every integer point in the box 0 <= x <= caps that meets the covering rows."""
     pts = []
     x = [0] * inst.n
 
@@ -234,93 +192,3 @@ def _feasible_points(inst: CpipInstance, caps: tuple[int, ...]) -> list[tuple[in
 
     descend(0)
     return pts
-
-
-def check_kc_validity(inst: CpipInstance, *, max_points: int = 2_000_000) -> KcValidityReport:
-    """Exhaustively verify residual covering rows against all feasible points.
-
-    For every pinnable subset F of the finite-bound variables, builds the
-    residual system and checks that each feasible integer point (with
-    respect to covering and multiplicity) satisfies it, and that no
-    coefficient exceeds its residual demand.  Pins sit at integral
-    bounds, so a fractional d is refused (``normalize_width`` floors it).
-    """
-    from coverpack import kc  # runtime import; kc depends on this module
-
-    finite = [j for j in range(inst.n) if inst.d[j] is not None]
-    caps = effective_bounds(inst)
-    space = 1
-    for cap in caps:
-        space *= cap + 1
-    work = (2 ** len(finite)) * space
-    if work > max_points:
-        return KcValidityReport("BUDGET_EXCEEDED", (), (), 0, space)
-
-    points = _feasible_points(inst, caps)
-    counterexamples: list = []
-    structural: list = []
-    checked = 0
-    for mask in range(2 ** len(finite)):
-        F = frozenset(finite[k] for k in range(len(finite)) if mask >> k & 1)
-        system = kc.kc_system(inst, F)
-        bad, defects = validate_kc_system(inst, F, system.A_F, system.a_F, points)
-        counterexamples.extend(bad)
-        structural.extend(defects)
-        checked += 1
-    status = "OK" if not (counterexamples or structural) else "COUNTEREXAMPLE"
-    return KcValidityReport(
-        status, tuple(counterexamples), tuple(structural), checked, len(points)
-    )
-
-
-@dataclass
-class SolveReport:
-    """Everything a run learned: cost, lower bounds, ratios, checks, config echo."""
-
-    mode: str
-    cost: Fraction | None = None
-    fopt: Fraction | None = None
-    fopt_kc: Fraction | None = None
-    opt: Fraction | None = None
-    ratio_cost_fopt: float | None = None
-    epsilon: Fraction | None = None
-    lam: Fraction | None = None
-    K: int | None = None
-    L: Fraction | None = None
-    seed: int | None = None
-    rng: str | None = None
-    x: tuple[int, ...] | None = None
-    violations: ViolationReport | None = None
-    guarantees_ok: bool | None = None
-    certificate_ok: bool | None = None
-    pinned: tuple[int, ...] | None = None
-    pin_sets_seen: tuple[tuple[int, ...], ...] | None = None
-    cut_rows_added: int | None = None
-    lp_rounds: int | None = None
-    oracle_bounds: tuple[int, ...] | None = None
-    oracle_space: int | None = None
-    status: str = "OPTIMAL"
-    elapsed_s: float | None = None
-
-    def to_dict(self) -> dict:
-        def conv(v):
-            if isinstance(v, tuple):
-                return [conv(item) for item in v]
-            return number_out(v)
-
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if f.name == "L":
-                v = float(v)
-            elif isinstance(v, ViolationReport):
-                v = v.to_dict()
-            else:
-                v = conv(v)
-            out[f.name] = v
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())

@@ -50,13 +50,14 @@ from coverpack.model import (
     InfeasibleError,
     InstanceError,
     IntegerVector,
+    SolveReport,
     dot,
     integers,
     is_width_normalized,
     vec_ceil,
     width,
 )
-from coverpack.oracle import SolveReport, check_solution
+from coverpack.oracle import check_solution
 from coverpack.simplex import LpSolution, lp_from_instance, solve_lp, verify_certificate
 
 #: Generator identity recorded in reports whenever randomized rounding runs.

@@ -17,9 +17,9 @@ import pytest
 
 from coverpack import kc
 from coverpack.genbench import gen_multiset_multicover, gen_random_cpip, knapsack_gap
-from coverpack.kc import cut_rows, kc_system, solve_cip_strict, solve_lp_kc
+from coverpack.kc import check_kc_validity, cut_rows, kc_system, solve_cip_strict, solve_lp_kc
 from coverpack.model import dot, normalize_width, vec_ceil, width
-from coverpack.oracle import brute_force_opt, check_kc_validity
+from coverpack.oracle import brute_force_opt
 from coverpack.rounding import (
     compute_scale_factor,
     derandomized_round,

@@ -132,6 +132,13 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "as a rational" in err
 
+    @pytest.mark.parametrize("number", ["1e5000", '"1e5000"'])
+    def test_huge_exponent_exits_two(self, number, tmp_path, capsys, monkeypatch):
+        doc = '{"A": [[1, 1]], "a": [%s], "c": [1, 1]}' % number
+        code, out, err = run(["solve", write_gap(tmp_path, doc)], capsys=capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "error:" in err
+
     def test_non_utf8_document_exits_two(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "inst.json"
         path.write_bytes(b'{"A": [[1]], "a": [1], "c": ["\xff"]}')

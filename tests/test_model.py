@@ -1,5 +1,8 @@
+import ast
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,10 @@ class TestParse:
         assert inst.A[0][0] == F(1, 10)
         assert inst.a[0] == F(3, 10)
         assert inst.c[0] == F(2, 7)
+        inst = parse_instance('{"A": [[1.5e3, "1.5E3"]], "a": [0.25], "c": ["3/4", "0.25"]}')
+        assert inst.A == ((F(1500), F(1500)),)
+        assert inst.a == (F(1, 4),)
+        assert inst.c == (F(3, 4), F(1, 4))
 
     def test_empty_variable_list_rejected(self):
         with pytest.raises(ParseError):
@@ -88,6 +95,24 @@ class TestParse:
     def test_undecodable_document_rejected(self, doc):
         with pytest.raises(ParseError, match="unreadable document"):
             parse_instance(doc)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_exponent_bounded_by_int_string_limit(self, sign):
+        # each exponent digit makes the number ten times longer
+        limit = sys.get_int_max_str_digits()
+        at, over = f"1e{sign}{limit}", f"1e{sign}{limit + 1}"
+        doc = '{"A": [[1]], "a": [%s], "c": [1]}'
+        for number in (at, f'"{at}"'):
+            assert parse_instance(doc % number).a == (F(at),)
+        with pytest.raises(ParseError, match="exponent"):
+            parse_instance(doc % over)
+        with pytest.raises(InstanceError, match="as a rational"):
+            parse_instance(doc % f'"{over}"')
+
+    def test_no_exponent_bound_without_int_string_limit(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        inst = parse_instance('{"A": [[1]], "a": [1e5000], "c": ["1e-5000"]}')
+        assert inst.a == (F(10**5000),) and inst.c == (F(1, 10**5000),)
 
     def test_round_trip(self):
         inst = parse_instance(GAP_DOC)
@@ -200,3 +225,50 @@ class TestMetrics:
             A=[[1]], a=[1], c=[1], d=[None], B=[[3], ["1/2"]], b=[5, 5]
         )
         assert inst.beta() == (F(3), F(1, 2))
+
+
+class TestStructure:
+    """The package's module rules, read from its source with ``ast``."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "coverpack"
+
+    @classmethod
+    def trees(cls):
+        return {path.name: ast.parse(path.read_text()) for path in sorted(cls.SRC.glob("*.py"))}
+
+    @staticmethod
+    def package_imports(tree) -> set[str]:
+        """``coverpack`` modules imported anywhere under ``tree``."""
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(a.name for a in node.names if a.name.split(".")[0] == "coverpack")
+            elif isinstance(node, ast.ImportFrom):
+                module = "coverpack" if node.level else node.module
+                if module == "coverpack":  # from coverpack import kc
+                    found.update(f"coverpack.{a.name}" for a in node.names)
+                elif module.startswith("coverpack."):
+                    found.add(module)
+        return found
+
+    def test_oracle_imports_only_model(self):
+        assert self.package_imports(self.trees()["oracle.py"]) == {"coverpack.model"}
+
+    def test_no_package_import_inside_a_function(self):
+        inner = [
+            (name, fn.name, sorted(self.package_imports(fn)))
+            for name, tree in self.trees().items()
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and self.package_imports(fn)
+        ]
+        assert inner == []
+
+    def test_no_bare_assert(self):
+        # python -O strips assert; every check must raise in every mode
+        asserts = [
+            (name, node.lineno)
+            for name, tree in self.trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+        assert asserts == []

@@ -1,18 +1,20 @@
+import json
 import random
 
 import pytest
 
-from coverpack.genbench import gen_random_cpip, knapsack_gap
-from coverpack.kc import kc_system
-from coverpack.model import InstanceError, IntegerVector, dot, normalize_width
-from coverpack.oracle import (
+from coverpack.genbench import BenchRow, gen_random_cpip, knapsack_gap
+from coverpack.kc import check_kc_validity, kc_system
+from coverpack.model import (
+    InstanceError,
+    IntegerVector,
     SolveReport,
-    brute_force_opt,
-    check_kc_validity,
-    check_solution,
-    effective_bounds,
-    validate_kc_system,
+    ViolationReport,
+    dot,
+    normalize_width,
+    report_dict,
 )
+from coverpack.oracle import brute_force_opt, check_solution, effective_bounds, validate_kc_system
 from conftest import F, make_inst
 
 
@@ -168,7 +170,37 @@ class TestKcValidity:
 
 def test_report_serializes_rationals():
     report = SolveReport(mode="lp", cost=F(1, 3), fopt=F(2), elapsed_s=0.25)
-    d = report.to_dict()
+    d = report_dict(report)
     assert d["cost"] == "1/3"
     assert d["fopt"] == 2
     assert "opt" not in d
+    # a nested violation report, nested tuples and L: the dicts, key order
+    # included, that each report type wrote with its own rule before
+    violations = ViolationReport(
+        covering=((0, F(1, 2)),),
+        packing_relaxed=(),
+        multiplicity_strict=((1, F(2)),),
+        multiplicity_relaxed=((1, F(3, 4)),),
+    )
+    report = SolveReport(
+        mode="strict", cost=F(7, 2), L=F(5, 4), K=3, x=(1, 0, 2), violations=violations,
+        pin_sets_seen=((0, 2), (1,)), guarantees_ok=False, ratio_cost_fopt=1.75,
+    )
+    row = BenchRow(
+        instance_id="set_cover-0", family="SET_COVER", m=3, n=4, r=1, epsilon=F(1, 4),
+        fopt=F(5, 3), L=F(9, 2), K=2, strict_cost=F(3),
+    )
+    # json.dumps keeps key order, so each comparison pins the bytes written
+    assert json.dumps(report_dict(report)) == json.dumps({
+        "mode": "strict", "cost": "7/2", "ratio_cost_fopt": 1.75, "K": 3, "L": 1.25,
+        "x": [1, 0, 2],
+        "violations": {
+            "covering": [[0, "1/2"]], "packing_relaxed": [],
+            "multiplicity_strict": [[1, 2]], "multiplicity_relaxed": [[1, "3/4"]],
+        },
+        "guarantees_ok": False, "pin_sets_seen": [[0, 2], [1]], "status": "OPTIMAL",
+    })
+    assert json.dumps(report_dict(row)) == json.dumps({
+        "instance_id": "set_cover-0", "family": "SET_COVER", "m": 3, "n": 4, "r": 1,
+        "epsilon": "1/4", "fopt": "5/3", "strict_cost": 3, "K": 2, "L": 4.5,
+    })
