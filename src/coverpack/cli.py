@@ -12,11 +12,12 @@ Subcommands over the JSON instance document format:
 Exit codes, one per failure class: 0 success, 1 infeasible
 (``InfeasibleError``), 2 usage, document or other input errors
 (``InstanceError``, ``OSError``), 3 a solver limit (``LimitError``: pivots,
-cut rounds or oracle points), 4 an internal fault (``GuaranteeError``, a
-failed LP certificate among them, or any other exception).  All
-randomness flows from --seed (default 0, never wall clock), so every run
-is reproducible.  Each subcommand takes only the flags it reads; any
-other flag exits 2.  Machine output is one JSON report per line.
+cut rounds, oracle points or the float scale factor), 4 an internal
+fault (``GuaranteeError``, a failed LP certificate among them, or any
+other exception).  All randomness flows from --seed (default 0, never
+wall clock), so every run is reproducible.  Each subcommand takes only
+the flags it reads; any other flag exits 2.  Machine output is one JSON
+report per line.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import argparse
 import json
 import sys
 import traceback
-from fractions import Fraction
 
 from coverpack.genbench import FAMILIES, GeneratorSpec, generate, run_bench
 from coverpack.kc import solve_cip_strict, solve_lp_kc
@@ -36,6 +36,7 @@ from coverpack.model import (
     LimitError,
     ParseError,
     SolveReport,
+    as_fraction,
     dot,
     normalize_width,
     parse_instance,
@@ -69,7 +70,7 @@ def _typed(parse, need: str, ok=lambda value: True):
     def convert(text: str):
         try:
             value = parse(text)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, InstanceError) as exc:
             raise argparse.ArgumentTypeError(f"{text!r} is not {need}") from exc
         if not ok(value):
             raise argparse.ArgumentTypeError(f"{text!r} is not {need}")
@@ -78,24 +79,24 @@ def _typed(parse, need: str, ok=lambda value: True):
     return convert
 
 
-def _rationals(text: str) -> list[Fraction]:
-    return [Fraction(v) for v in text.split(",")]
+def _rationals(text: str) -> list:
+    return [as_fraction(v) for v in text.split(",")]
 
 
-_fraction = _typed(Fraction, "a rational number")
-_epsilon = _typed(Fraction, "an epsilon in (0, 1]", lambda v: 0 < v <= 1)
+_fraction = _typed(as_fraction, "a rational number")
+_epsilon = _typed(as_fraction, "an epsilon in (0, 1]", lambda v: 0 < v <= 1)
 _epsilons = _typed(
     _rationals, "a list of epsilons in (0, 1]", lambda vs: all(0 < v <= 1 for v in vs)
 )
 _deltas = _typed(_rationals, "a list of deltas in (0, 1)", lambda vs: all(0 < v < 1 for v in vs))
-_lambda = _typed(Fraction, "a lambda above 1", lambda v: v > 1)
+_lambda = _typed(as_fraction, "a lambda above 1", lambda v: v > 1)
 _positive_int = _typed(int, "a positive integer", lambda v: v >= 1)
 
 
 def _add_common(sub):
     """The flags every instance subcommand reads; each adds only the others it reads."""
     sub.add_argument("input", nargs="?", default="-", help="instance path or - for stdin")
-    sub.add_argument("--epsilon", type=_epsilon, default=Fraction(1))
+    sub.add_argument("--epsilon", type=_epsilon, default="1")
     sub.add_argument("--format", dest="output", choices=("text", "machine"), default="text")
 
 
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("strict", "bicriteria", "lp", "lp-kc"),
         default="strict",
     )
-    solve.add_argument("--lambda", dest="lam", type=_lambda, default=Fraction(2),
+    solve.add_argument("--lambda", dest="lam", type=_lambda, default="2",
                        help="cut threshold for --mode lp-kc")
     solve.add_argument("--max-rounds", type=_positive_int, default=1000,
                        help="cut-round cap for --mode strict and lp-kc")

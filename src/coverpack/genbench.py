@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
-from coverpack.model import CpipInstance, InstanceError, dot, normalize_width, report_dict
+from coverpack.model import CpipInstance, InstanceError, as_fraction, dot, normalize_width, report_dict
 from coverpack.oracle import brute_force_opt
 from coverpack.rounding import solve_cpip_bicriteria
 from coverpack.kc import solve_cip_strict
@@ -63,7 +63,7 @@ def knapsack_gap(delta) -> CpipInstance:
     The relaxation optimum is delta (at x = (1, delta)) while the integer
     optimum is 1, so the plain integrality gap is 1/delta.
     """
-    delta = Fraction(delta)
+    delta = as_fraction(delta, "delta")
     if not (0 < delta < 1):
         raise InstanceError(f"delta {delta} outside (0, 1)")
     return CpipInstance.from_data(
@@ -282,7 +282,7 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
     for idx, spec in enumerate(specs):
         inst_id = f"{spec.family.lower()}-{idx}"
         for eps in epsilons:
-            eps = Fraction(eps)
+            eps = as_fraction(eps, "epsilon")
             row = BenchRow(
                 instance_id=inst_id,
                 family=spec.family,

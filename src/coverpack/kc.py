@@ -50,6 +50,7 @@ from coverpack.model import (
     Matrix,
     SolveReport,
     Vector,
+    as_fraction,
     dot,
     is_width_normalized,
 )
@@ -165,11 +166,8 @@ def cut_rows(system: KcSystem) -> list[tuple[int, Vector, Fraction]]:
 
 
 def high_set(x, d, lam) -> frozenset:
-    """Variables at or above d/lambda in x (finite bounds only)."""
-    lam = Fraction(lam)
-    return frozenset(
-        j for j in range(len(d)) if d[j] is not None and Fraction(x[j]) >= d[j] / lam
-    )
+    """Variables at or above d/lambda in x (finite bounds only); lam, x and d exact."""
+    return frozenset(j for j in range(len(d)) if d[j] is not None and x[j] >= d[j] / lam)
 
 
 def find_violated_kc(
@@ -181,7 +179,7 @@ def find_violated_kc(
     violated rows means x satisfies the cut family required of a
     lambda-relaxed solution.
     """
-    lam = Fraction(lam)
+    lam = as_fraction(lam, "lambda")
     if lam <= 1:
         raise InstanceError(f"lambda = {lam} must exceed 1")
     xv = tuple(Fraction(v) for v in x)
@@ -200,7 +198,7 @@ def solve_lp_kc(inst: CpipInstance, lam, max_rounds: int = 1000) -> CutLoop:
     certificate, a Farkas ray included, is checked (``GuaranteeError`` if
     it fails).
     """
-    lam = Fraction(lam)
+    lam = as_fraction(lam, "lambda")
     if lam <= 1:
         raise InstanceError(f"lambda = {lam} must exceed 1")
     if max_rounds < 1:
@@ -249,7 +247,7 @@ def solve_cip_strict(
     xhat <= d exactly, B xhat <= (1+eps) b + beta, and
     cost <= (1 + eps + 4K) times the relaxed point's cost.
     """
-    eps = Fraction(epsilon)
+    eps = as_fraction(epsilon, "epsilon")
     if not (0 < eps <= 1):
         raise InstanceError(f"epsilon {eps} outside (0, 1]")
     lam = 1 + eps
@@ -265,7 +263,7 @@ def solve_cip_strict(
     xhat = IntegerVector(
         tuple(int(inst.d[j]) if j in system.F else xhat_rest[j] for j in range(inst.n))
     )
-    relaxed_cost = dot(inst.c, xbar.values)
+    relaxed_cost = loop.round_objectives[-1]  # c . xbar, by its certificate
     pinned_cost = sum((inst.c[j] * inst.d[j] for j in system.F), ZERO)
     if pinned_cost > (1 + eps) * relaxed_cost:
         raise GuaranteeError(

@@ -56,7 +56,11 @@ class InfeasibleError(CoverpackError):
 
 
 class LimitError(CoverpackError):
-    """A budget ran out first: simplex pivots, cut rounds or oracle points."""
+    """A budget ran out first: simplex pivots, cut rounds or oracle points.
+
+    Also raised when floats cannot resolve the rounding scale factor of a
+    width: it rounds to 1.0, or the width overflows a float.
+    """
 
 
 class InstanceError(CoverpackError):
@@ -212,9 +216,6 @@ class IntegerVector:
         for j, v in enumerate(self.values):
             if not isinstance(v, int) or v < 0:
                 raise InstanceError(f"x[{j}] = {v!r} is not a nonnegative integer")
-
-    def as_fractions(self) -> Vector:
-        return tuple(Fraction(v) for v in self.values)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -111,7 +111,7 @@ def check_solution(
     inst: CpipInstance, x: IntegerVector | Sequence, epsilon: Fraction
 ) -> ViolationReport:
     """Exact violation report for a nonnegative candidate x at slack level epsilon."""
-    xv = x.as_fractions() if isinstance(x, IntegerVector) else tuple(Fraction(v) for v in x)
+    xv = tuple(Fraction(v) for v in x)
     if len(xv) != inst.n:
         raise InstanceError(f"x has {len(xv)} entries, expected {inst.n}")
     for j, v in enumerate(xv):

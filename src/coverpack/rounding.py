@@ -50,7 +50,9 @@ from coverpack.model import (
     InfeasibleError,
     InstanceError,
     IntegerVector,
+    LimitError,
     SolveReport,
+    as_fraction,
     dot,
     integers,
     is_width_normalized,
@@ -65,14 +67,24 @@ RNG_NAME = "python-random-mt19937"
 
 
 def compute_scale_factor(m: int, W) -> Fraction:
-    """L = 1 + max(4 ln(2m)/W, sqrt(4 ln(2m)/W)) for m rows at width W."""
+    """L = 1 + max(4 ln(2m)/W, sqrt(4 ln(2m)/W)) for m rows at width W.
+
+    L is a float: ``LimitError`` when W overflows a float or L rounds to 1.0.
+    """
     if m < 1:
         raise InstanceError(f"need at least one covering row, got m = {m}")
-    W = Fraction(W)
+    W = as_fraction(W, "W")
     if W < 1:
         raise InstanceError(f"normalize width first: width {W} < 1")
-    g = 4.0 * math.log(2 * m) / float(W)
-    return Fraction(1.0 + max(g, math.sqrt(g)))
+    try:
+        g = 4.0 * math.log(2 * m) / float(W)
+    except OverflowError:  # W beyond the float range: L would be 1.0 as well
+        g = 0.0
+    L = 1.0 + max(g, math.sqrt(g))
+    if L == 1.0:
+        log2_W = math.log2(W.numerator) - math.log2(W.denominator)
+        raise LimitError(f"width W = 2^{log2_W:.1f}: its float scale factor rounds to 1.0")
+    return Fraction(L)
 
 
 def randomized_round(xbar, L, seed: int) -> IntegerVector:
@@ -81,7 +93,7 @@ def randomized_round(xbar, L, seed: int) -> IntegerVector:
     The per-coordinate distribution is exactly the stated Bernoulli; the
     output is deterministic given the seed (generator: ``RNG_NAME``).
     """
-    L = Fraction(L)
+    L = as_fraction(L, "L")
     if L < 1:
         raise InstanceError(f"scale factor L = {L} must be >= 1")
     rng = random.Random(seed)
@@ -120,12 +132,11 @@ class CoverRows:
         self.demands: list[int] = []
         self.columns: list[list[tuple[int, int]]] = [[] for _ in range(len(A[0]) if A else 0)]
         for k, i in enumerate(self.active):
-            nonzero = [(j, v) for j, v in enumerate(A[i]) if v]
-            scale = math.lcm(a[i].denominator, *(v.denominator for _, v in nonzero))
-            row = [(j, v.numerator * (scale // v.denominator)) for j, v in nonzero]
-            self.rows.append(row)
-            self.demands.append(a[i].numerator * (scale // a[i].denominator))
-            for j, v in row:
+            support = [j for j, v in enumerate(A[i]) if v]
+            (demand, *entries), _ = integers([a[i], *(A[i][j] for j in support)])
+            self.rows.append(list(zip(support, entries)))
+            self.demands.append(demand)
+            for j, v in self.rows[-1]:
                 self.columns[j].append((k, v))
 
     # lazy: a demanded system with no nonzero entry has no width, and
@@ -241,7 +252,7 @@ def derandomized_round(
     other rounding functions pass theirs down so that A is scanned once.
     """
     xv = tuple(Fraction(v) for v in xbar)
-    L = Fraction(L)
+    L = as_fraction(L, "L")
     n = len(xv)
     if rows is None:
         rows = CoverRows(A, a)
@@ -353,9 +364,11 @@ def granular_round(
 
 
 def granularity_K(m: int, W, epsilon) -> int:
-    """K = ceil(4 ln(2m) / (W eps^2)); makes scale(m, K W) <= 1 + eps."""
-    q = 4.0 * math.log(2 * m) / (float(W) * float(epsilon) ** 2)
-    return max(1, math.ceil(q))
+    """K = ceil(4 ln(2m) / (W eps^2)); makes scale(m, K W) <= 1 + eps.
+
+    Only 4 ln(2m) is a float; the division is exact, so no epsilon underflows.
+    """
+    return max(1, math.ceil(Fraction(4.0 * math.log(2 * m)) / (W * epsilon**2)))
 
 
 def bicriteria_round(
@@ -376,7 +389,7 @@ def bicriteria_round(
     which yields both bounds; a final cleanup pass drops whole surplus
     units.  All three guarantees are re-checked exactly.
     """
-    eps = Fraction(epsilon)
+    eps = as_fraction(epsilon, "epsilon")
     if not (0 < eps <= 1):
         raise InstanceError(f"epsilon {eps} outside (0, 1]")
     xv = tuple(Fraction(v) for v in xbar)
@@ -434,7 +447,7 @@ def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, S
     recorded in the report: A xhat >= a, xhat <= ceil((1+eps) d),
     B xhat <= (1+eps) b + beta, and cost <= 4K fopt.
     """
-    eps = Fraction(epsilon)
+    eps = as_fraction(epsilon, "epsilon")
     if not (0 < eps <= 1):
         raise InstanceError(f"epsilon {eps} outside (0, 1]")
     if not is_width_normalized(inst):

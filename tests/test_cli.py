@@ -5,6 +5,7 @@ import json
 import pkgutil
 from dataclasses import replace
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -157,6 +158,18 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("mode", ["strict", "bicriteria"])
+    @pytest.mark.parametrize("eps", ["1e-20", "1e-300"])
+    def test_epsilon_below_float_resolution_exits_three(
+        self, mode, eps, tmp_path, capsys, monkeypatch
+    ):
+        # 1e-20: the float scale factor 1 + eps is 1.0; 1e-300: eps^2 underflows
+        code, out, err = run(
+            ["solve", "--mode", mode, "--epsilon", eps, write_gap(tmp_path)], capsys=capsys
+        )
+        assert (code, out) == (EXIT_LIMIT, "")
+        assert err.startswith("limit:") and "float scale factor" in err
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -193,6 +206,29 @@ def _subcommand_argv(subcommand, tmp_path):
         sol.write_text('{"x": [1, 1]}')
         argv += ["--solution", str(sol)]
     return argv
+
+
+class TestRationalFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--epsilon"],
+            ["solve", "--mode", "lp-kc", "--lambda"],
+            ["bench", "--no-timing", "--epsilons"],
+            ["bench", "--no-timing", "--deltas"],
+            ["gen", "--family", "knapsack-gap", "--delta"],
+        ],
+        ids=lambda argv: argv[-1],
+    )
+    @pytest.mark.parametrize("value", ["1e-5000", "1e-2000000"])
+    def test_exponent_over_the_bound_exits_two_at_once(self, argv, value, tmp_path, capsys):
+        if argv[0] == "solve":
+            argv = [argv[0], write_gap(tmp_path), *argv[1:]]
+        start = perf_counter()
+        code, out, err = run([*argv, value], capsys=capsys)
+        assert perf_counter() - start < 1
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument {argv[-1]}: '{value}' is not" in err
 
 
 class TestFlagsPerSubcommand:

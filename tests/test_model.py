@@ -2,12 +2,15 @@ import ast
 import itertools
 import random
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverpack.genbench import GeneratorSpec, knapsack_gap, run_bench
+from coverpack.kc import find_violated_kc, solve_cip_strict, solve_lp_kc
 from coverpack.model import (
     InstanceError,
     ParseError,
@@ -17,6 +20,13 @@ from coverpack.model import (
     parse_instance,
     serialize_instance,
     width,
+)
+from coverpack.rounding import (
+    bicriteria_round,
+    compute_scale_factor,
+    derandomized_round,
+    randomized_round,
+    solve_cpip_bicriteria,
 )
 from conftest import F, make_inst
 
@@ -128,6 +138,45 @@ class TestParse:
             b=[4],
         )
         assert parse_instance(serialize_instance(inst)) == inst
+
+
+GAP = normalize_width(knapsack_gap(F(1, 10)))
+GAP_XBAR = (F(1), F(1, 10))  # the relaxation optimum of GAP
+
+#: every scalar parameter of a public function, with a value it accepts
+SCALARS = {
+    "solve_cip_strict(epsilon)": (lambda v: solve_cip_strict(GAP, v), "1/2"),
+    "solve_cpip_bicriteria(epsilon)": (lambda v: solve_cpip_bicriteria(GAP, v), "1/2"),
+    "bicriteria_round(epsilon)": (
+        lambda v: bicriteria_round(GAP_XBAR, GAP.A, GAP.a, GAP.c, GAP.d, v), "1/2"
+    ),
+    "solve_lp_kc(lambda)": (lambda v: solve_lp_kc(GAP, v), "2"),
+    "find_violated_kc(lambda)": (lambda v: find_violated_kc(GAP, GAP_XBAR, v), "2"),
+    "randomized_round(L)": (lambda v: randomized_round(GAP_XBAR, v, 0), "2"),
+    "derandomized_round(L)": (
+        lambda v: derandomized_round(GAP_XBAR, GAP.A, GAP.a, GAP.c, v), "100"
+    ),
+    "compute_scale_factor(W)": (lambda v: compute_scale_factor(1, v), "2"),
+    "knapsack_gap(delta)": (knapsack_gap, "1/2"),
+    "run_bench(epsilons)": (
+        lambda v: run_bench([GeneratorSpec("KNAPSACK_GAP", delta=F(1, 2))], [v]), "1/2"
+    ),
+}
+
+
+class TestOneReader:
+    """Every scalar parameter is read by ``as_fraction``, as documents are."""
+
+    @pytest.mark.parametrize("entry", sorted(SCALARS))
+    def test_accepts_a_rational_string(self, entry):
+        call, value = SCALARS[entry]
+        call(value)
+
+    @pytest.mark.parametrize("value", ["abc", "1/0", None, True, "1e5000", Decimal("0.5")])
+    @pytest.mark.parametrize("entry", sorted(SCALARS))
+    def test_refuses_what_documents_refuse(self, entry, value):
+        with pytest.raises(InstanceError):
+            SCALARS[entry][0](value)
 
 
 class TestNormalize:

@@ -15,10 +15,12 @@ from coverpack.genbench import (
     knapsack_gap,
 )
 from coverpack import rounding
+from coverpack.kc import solve_cip_strict
 from coverpack.model import (
     GuaranteeError,
     InfeasibleError,
     InstanceError,
+    LimitError,
     dot,
     normalize_width,
     vec_ceil,
@@ -63,6 +65,14 @@ class TestScaleFactor:
     def test_width_below_one_rejected(self):
         with pytest.raises(InstanceError, match="normalize width"):
             compute_scale_factor(3, F(1, 2))
+
+    # L - 1 is about sqrt(4 ln(2m) / W), below 2^-53 from W near 10^33
+    @pytest.mark.parametrize(
+        "W, log2_W", [(10**40, "132.9"), (2**1100, "1100.0")], ids=["rounds-to-one", "overflows"]
+    )
+    def test_width_beyond_float_resolution_is_a_limit(self, W, log2_W):
+        with pytest.raises(LimitError, match=rf"width W = 2\^{log2_W}"):
+            compute_scale_factor(3, W)
 
 
 class TestRandomizedRound:
@@ -525,6 +535,11 @@ class TestBicriteriaRound:
     def test_granularity_formula(self):
         assert granularity_K(1, F(4 * math.log(2)), F(1)) == 1
 
+    def test_granularity_exact_below_float_range(self):
+        # eps^2 = 2^-2200 underflows a float; the quotient is taken exactly
+        K = granularity_K(3, F(1), F(1, 2**1100))
+        assert K == math.ceil(F(4.0 * math.log(6)) * 2**2200)
+
     def test_multiplicity_cap_over_eps_sweep(self):
         for seed in range(15):
             inst, xbar, _ = cip_with_lp(2 + seed % 5, 3 + seed % 5, seed=300 + seed)
@@ -614,3 +629,31 @@ class TestSolveCpipBicriteria:
         assert report.cost == dot(inst.c, xhat.values)
         assert report.certificate_ok
         assert report.violations.ok_bicriteria
+
+
+SWEEP_INSTANCES = {
+    "knapsack-gap": lambda: knapsack_gap(F(1, 10)),
+    "random-cpip": lambda: gen_random_cpip(6, 7, 2, 0),
+    "set-cover": lambda: gen_set_cover(8, 12, 0.4, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_INSTANCES))
+def test_every_epsilon_solves_or_hits_the_float_limit(name):
+    # eps = 2^-k crosses each point where floats give out: from k = 53 the
+    # float 1 + eps is 1.0, from about k = 510 K W overflows a float, and
+    # from k = 1000 eps^2 underflows
+    inst = normalize_width(SWEEP_INSTANCES[name]())
+    solvers = {solve_cip_strict: "ok_strict", solve_cpip_bicriteria: "ok_bicriteria"}
+    solved = set()
+    for k in [*range(1, 61), *range(100, 1101, 50)]:
+        eps = F(1, 2**k)
+        for solver, ok in solvers.items():
+            try:
+                xhat, report = solver(inst, eps)
+            except LimitError as exc:
+                assert "float scale factor" in str(exc)
+                continue
+            assert getattr(check_solution(inst, xhat, eps), ok) and report.guarantees_ok
+            solved.add((solver, k))
+    assert solved >= {(solver, k) for solver in solvers for k in range(1, 53)}
