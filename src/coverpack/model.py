@@ -31,6 +31,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, lcm
 from typing import Iterator, Sequence
 
@@ -92,13 +93,23 @@ def as_fraction(value, where: str = "value") -> Fraction:
 
 
 def _rational(value: str | float) -> Fraction:
-    """Fraction(value), refusing a decimal exponent over the int-string limit (0: none)."""
+    """Fraction(value), refusing more decimal digits than the int-string limit (0: none).
+
+    A decimal exponent over the limit is refused before any number is built,
+    and so is a result whose numerator or denominator has more digits than
+    the limit, since no message or report could print it.
+    """
     limit = sys.get_int_max_str_digits()
     if limit and isinstance(value, str):
         _, e, exponent = value.lower().partition("e")
         if e and abs(int(exponent)) > limit:
             raise ValueError(f"the exponent of {value!r} exceeds {limit} in magnitude")
-    return Fraction(value)
+    out = Fraction(value)
+    big = max(abs(out.numerator), out.denominator)
+    # an int below 2**(3 * limit) < 10**limit has at most `limit` digits
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValueError(f"{value!r} has more than {limit} decimal digits")
+    return out
 
 
 def dot(u: Sequence[Fraction], v: Sequence) -> Fraction:
@@ -109,6 +120,11 @@ def integers(values) -> tuple[list[int], int]:
     """Rationals (or ints) over their least common denominator D: (values * D, D)."""
     D = lcm(*(v.denominator for v in values))
     return [v.numerator * (D // v.denominator) for v in values], D
+
+
+def scale_rows(rows) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each ``(coeffs, rhs)`` as ``((*coeffs, rhs) * D, D)`` by ``integers``."""
+    return tuple((tuple(S), D) for S, D in (integers((*coeffs, rhs)) for coeffs, rhs in rows))
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,11 @@ class CpipInstance:
     def beta(self) -> Vector:
         """Row sums of the packing matrix."""
         return tuple(sum(row, ZERO) for row in self.B)
+
+    @cached_property
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Covering rows, then packing rows, each ``(row, rhs)`` by ``scale_rows``; built once."""
+        return scale_rows((*zip(self.A, self.a), *zip(self.B, self.b)))
 
     @classmethod
     def from_data(cls, A, a, c, d, B=(), b=()) -> "CpipInstance":
@@ -249,9 +270,12 @@ def normalize_width(inst: CpipInstance) -> CpipInstance:
 
 
 def is_width_normalized(inst: CpipInstance) -> bool:
-    """True iff every row is demanded, no entry exceeds its demand and d is integral."""
+    """True iff every row is demanded, no entry exceeds its demand and d is integral.
+
+    The rows are read as integers, whose last entry is the demand (``int_rows``).
+    """
     return all(v is None or v.denominator == 1 for v in inst.d) and all(
-        inst.a[i] > 0 and all(v <= inst.a[i] for v in inst.A[i]) for i in range(inst.m)
+        S[-1] > 0 and max(S) == S[-1] for S, _ in inst.int_rows[: inst.m]
     )
 
 

@@ -13,9 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
+from operator import mul
 from typing import Sequence
 
-from coverpack.model import ZERO, CpipInstance, InstanceError, IntegerVector, ViolationReport, dot
+from coverpack.model import (
+    ZERO,
+    CpipInstance,
+    InstanceError,
+    IntegerVector,
+    ViolationReport,
+    as_fraction,
+    dot,
+    integers,
+)
 
 
 def effective_bounds(inst: CpipInstance) -> tuple[int, ...]:
@@ -108,27 +118,36 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
 
 
 def check_solution(
-    inst: CpipInstance, x: IntegerVector | Sequence, epsilon: Fraction
+    inst: CpipInstance, x: IntegerVector | Sequence, epsilon
 ) -> ViolationReport:
-    """Exact violation report for a nonnegative candidate x at slack level epsilon."""
+    """Exact violation report for a nonnegative candidate x at slack level epsilon.
+
+    The row sums run in integers: each row over its least common
+    denominator ``D_i`` (``inst.int_rows``) and x over one denominator, so
+    every ``A_i x`` and ``B_i x`` is an integer dot product.  beta_i is the
+    sum of the scaled row over ``D_i``, and each amount is the exact rational.
+    """
+    eps = as_fraction(epsilon, "epsilon")
     xv = tuple(Fraction(v) for v in x)
     if len(xv) != inst.n:
         raise InstanceError(f"x has {len(xv)} entries, expected {inst.n}")
     for j, v in enumerate(xv):
         if v < 0:
             raise InstanceError(f"x[{j}] = {v} is negative")
+    n, m = inst.n, inst.m
+    X, Dx = integers(xv)
     covering = []
-    for i in range(inst.m):
-        lhs = dot(inst.A[i], xv)
-        if lhs < inst.a[i]:
-            covering.append((i, inst.a[i] - lhs))
+    for i, (S, D) in enumerate(inst.int_rows[:m]):
+        short = S[n] * Dx - sum(map(mul, S, X))  # (a_i - A_i x) * D * Dx
+        if short > 0:
+            covering.append((i, Fraction(short, D * Dx)))
+    # B_i x - ((1 + eps) b_i + beta_i), with eps = p/q, over D * q * Dx
+    p, q = eps.numerator, eps.denominator
     packing = []
-    beta = inst.beta()
-    for i in range(inst.r):
-        lhs = dot(inst.B[i], xv)
-        bound = (1 + epsilon) * inst.b[i] + beta[i]
-        if lhs > bound:
-            packing.append((i, lhs - bound))
+    for i, (S, D) in enumerate(inst.int_rows[m:]):
+        excess = q * sum(map(mul, S, X)) - ((q + p) * S[n] + q * sum(S[:n])) * Dx
+        if excess > 0:
+            packing.append((i, Fraction(excess, D * q * Dx)))
     mult_strict = []
     mult_relaxed = []
     for j in range(inst.n):
@@ -136,7 +155,7 @@ def check_solution(
             continue
         if xv[j] > inst.d[j]:
             mult_strict.append((j, xv[j] - inst.d[j]))
-        relaxed = ceil((1 + epsilon) * inst.d[j])
+        relaxed = ceil((1 + eps) * inst.d[j])
         if xv[j] > relaxed:
             mult_relaxed.append((j, xv[j] - relaxed))
     return ViolationReport(

@@ -35,7 +35,6 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -49,6 +48,7 @@ from coverpack.model import (
     as_fraction,
     dot,
     integers,
+    scale_rows,
 )
 
 GE = ">="
@@ -64,11 +64,17 @@ class LpRow:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective . x  s.t.  rows, 0 <= x_j <= var_bounds[j] (None = free above)."""
+    """min objective . x  s.t.  rows, 0 <= x_j <= var_bounds[j] (None = free above).
+
+    ``int_rows`` holds each row's coefficients then rhs as integers over
+    their least common denominator (``model.scale_rows``); the tableau and
+    ``verify_certificate`` read the rows through it.
+    """
 
     objective: tuple[Fraction, ...]
     rows: tuple[LpRow, ...]
     var_bounds: tuple[Fraction | None, ...]
+    int_rows: tuple[tuple[tuple[int, ...], int], ...]
 
     @classmethod
     def from_data(cls, objective, rows, var_bounds) -> "LpProblem":
@@ -93,15 +99,8 @@ class LpProblem:
                 raise InstanceError(f"bound[{j}] = {u} is negative")
         if len(ub) != n:
             raise InstanceError(f"var_bounds has {len(ub)} entries, expected {n}")
-        return cls(objective=obj, rows=tuple(out_rows), var_bounds=ub)
-
-    @cached_property
-    def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each row's coefficients then rhs as integers over their least common denominator."""
-        return tuple(
-            (tuple(scaled), D)
-            for scaled, D in (integers((*row.coeffs, row.rhs)) for row in self.rows)
-        )
+        int_rows = scale_rows((row.coeffs, row.rhs) for row in out_rows)
+        return cls(objective=obj, rows=tuple(out_rows), var_bounds=ub, int_rows=int_rows)
 
 
 @dataclass(frozen=True)
@@ -122,16 +121,17 @@ def lp_from_instance(
     """Standard relaxation of an instance plus optional >= cut rows.
 
     Row order: covering rows, packing rows, then cut rows in insertion
-    order.  The variable bounds are the instance multiplicity vector.
+    order.  The variable bounds are the instance multiplicity vector.  The
+    instance's rows, already validated, are taken as they are, with their
+    integers from ``inst.int_rows``; only the cut rows are read and scaled.
     """
-    rows: list[tuple] = []
-    for i in range(inst.m):
-        rows.append((inst.A[i], GE, inst.a[i]))
-    for i in range(inst.r):
-        rows.append((inst.B[i], LE, inst.b[i]))
-    for coeffs, rhs in cut_rows:
-        rows.append((tuple(coeffs), GE, rhs))
-    return LpProblem.from_data(inst.c, rows, inst.d)
+    cuts = LpProblem.from_data(inst.c, [(coeffs, GE, rhs) for coeffs, rhs in cut_rows], inst.d)
+    rows = (
+        *(LpRow(row, GE, rhs) for row, rhs in zip(inst.A, inst.a)),
+        *(LpRow(row, LE, rhs) for row, rhs in zip(inst.B, inst.b)),
+        *cuts.rows,
+    )
+    return LpProblem(cuts.objective, rows, cuts.var_bounds, inst.int_rows + cuts.int_rows)
 
 
 def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int, nz: list[int]):
@@ -139,11 +139,16 @@ def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int, nz: li
 
     ``prow/p`` is a pivot row whose entry ``e`` is ``p > 0``, so the result
     is zero in column ``e``; only the columns ``nz`` where ``prow`` is
-    nonzero need the subtraction.  The result is divided by the gcd of its
-    entries and denominator.
+    nonzero need the subtraction.  ``p`` and ``f = row[e]`` are first divided
+    by their gcd, and where ``p`` becomes 1 the row is copied, not
+    multiplied.  The result is divided by the gcd of its entries and
+    denominator; that form, with a positive denominator, is unique, so it
+    does not depend on the multipliers.
     """
     f = row[e]
-    new = [v * p for v in row]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    new = list(row) if p == 1 else [v * p for v in row]
     for j in nz:
         new[j] -= f * prow[j]
     den *= p

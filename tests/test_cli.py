@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import pkgutil
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from time import perf_counter
@@ -229,6 +230,37 @@ class TestRationalFlags:
         assert perf_counter() - start < 1
         assert (code, out) == (EXIT_USAGE, "")
         assert f"argument {argv[-1]}: '{value}' is not" in err
+
+
+class TestDigitLimit:
+    """A number with more decimal digits than Python will print is bad input."""
+
+    DIGITS = sys.get_int_max_str_digits()
+    DOC = '{"A": [[1]], "a": [%s], "c": [1]}'
+
+    @pytest.mark.parametrize("number", [f"1e{DIGITS}", f"1e-{DIGITS}"])
+    @pytest.mark.parametrize("argv", [["solve", "--mode", "lp"], ["oracle"]], ids=" ".join)
+    def test_document_number_exits_two(self, argv, number, tmp_path, capsys):
+        code, out, err = run([*argv, write_gap(tmp_path, self.DOC % number)], capsys=capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"more than {self.DIGITS} decimal digits" in err
+
+    @pytest.mark.parametrize("number", [f"1e{DIGITS}", f"1e-{DIGITS}"])
+    def test_flag_exits_two(self, number, tmp_path, capsys):
+        code, out, err = run(["solve", write_gap(tmp_path), "--epsilon", number], capsys=capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument --epsilon: '{number}' is not" in err
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_one_digit_fewer_solves(self, sign, tmp_path, capsys):
+        number = f"1e{sign}{self.DIGITS - 1}"
+        doc = '{"A": [[1]], "a": [1], "c": [%s]}' % number
+        code, out, _ = run(
+            ["solve", "--mode", "lp", "--format", "machine", write_gap(tmp_path, doc)],
+            capsys=capsys,
+        )
+        assert code == EXIT_OK
+        assert Fraction(json.loads(out)["fopt"]) == Fraction(number)
 
 
 class TestFlagsPerSubcommand:

@@ -14,13 +14,16 @@ from coverpack.kc import find_violated_kc, solve_cip_strict, solve_lp_kc
 from coverpack.model import (
     InstanceError,
     ParseError,
+    as_fraction,
     dot,
     is_width_normalized,
     normalize_width,
     parse_instance,
+    report_dict,
     serialize_instance,
     width,
 )
+from coverpack.oracle import check_solution
 from coverpack.rounding import (
     bicriteria_round,
     compute_scale_factor,
@@ -108,16 +111,18 @@ class TestParse:
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_exponent_bounded_by_int_string_limit(self, sign):
-        # each exponent digit makes the number ten times longer
+        # each exponent digit makes the number ten times longer; 1e(limit - 1)
+        # has `limit` digits, 1e(limit) one too many to print
         limit = sys.get_int_max_str_digits()
-        at, over = f"1e{sign}{limit}", f"1e{sign}{limit + 1}"
+        at, long, over = (f"1e{sign}{limit + k}" for k in (-1, 0, 1))
         doc = '{"A": [[1]], "a": [%s], "c": [1]}'
         for number in (at, f'"{at}"'):
             assert parse_instance(doc % number).a == (F(at),)
-        with pytest.raises(ParseError, match="exponent"):
-            parse_instance(doc % over)
-        with pytest.raises(InstanceError, match="as a rational"):
-            parse_instance(doc % f'"{over}"')
+        for number, why in ((long, "decimal digits"), (over, "exponent")):
+            with pytest.raises(ParseError, match=why):
+                parse_instance(doc % number)
+            with pytest.raises(InstanceError, match="as a rational"):
+                parse_instance(doc % f'"{number}"')
 
     def test_no_exponent_bound_without_int_string_limit(self, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -161,7 +166,11 @@ SCALARS = {
     "run_bench(epsilons)": (
         lambda v: run_bench([GeneratorSpec("KNAPSACK_GAP", delta=F(1, 2))], [v]), "1/2"
     ),
+    "check_solution(epsilon)": (lambda v: check_solution(GAP, (1, 1), v), "1/2"),
 }
+
+#: the int-string limit: a number with more decimal digits cannot be printed
+DIGITS = sys.get_int_max_str_digits()
 
 
 class TestOneReader:
@@ -177,6 +186,18 @@ class TestOneReader:
     def test_refuses_what_documents_refuse(self, entry, value):
         with pytest.raises(InstanceError):
             SCALARS[entry][0](value)
+
+
+    @pytest.mark.parametrize("value", [f"1e{DIGITS}", f"1e-{DIGITS}"])
+    @pytest.mark.parametrize("entry", sorted(SCALARS))
+    def test_refuses_more_digits_than_can_print(self, entry, value):
+        with pytest.raises(InstanceError, match="as a rational"):
+            SCALARS[entry][0](value)
+
+    def test_reads_as_many_digits_as_can_print(self):
+        assert as_fraction(f"1e{DIGITS - 1}") == 10 ** (DIGITS - 1)
+        assert as_fraction(f"1e-{DIGITS - 1}") == F(1, 10 ** (DIGITS - 1))
+        assert as_fraction(f"{'9' * (DIGITS - 1)}.5") == F(10**DIGITS - 5, 10)
 
 
 class TestNormalize:
@@ -222,6 +243,49 @@ class TestNormalize:
                 before = all(dot(inst.A[i], x) >= inst.a[i] for i in range(inst.m))
                 after = all(dot(out.A[i], x) >= out.a[i] for i in range(out.m))
                 assert before == after
+
+
+class TestWidthNormalized:
+    def test_entry_above_its_demand(self):
+        assert is_width_normalized(make_inst(A=[["3/2", 1]], a=["3/2"], c=[1, 1], d=[1, 1]))
+        assert not is_width_normalized(make_inst(A=[["8/5", 1]], a=["3/2"], c=[1, 1], d=[1, 1]))
+
+    def test_zero_demand_row(self):
+        assert not is_width_normalized(make_inst(A=[[0, 0]], a=[0], c=[1, 1], d=[1, 1]))
+
+    def test_fractional_bound(self):
+        assert not is_width_normalized(make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[1, "5/2"]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_equals_fraction_reference(self, data):
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        number = st.fractions(min_value=0, max_value=3, max_denominator=4)
+        inst = make_inst(
+            A=[[data.draw(number) for _ in range(n)] for _ in range(m)],
+            a=[data.draw(number) for _ in range(m)],
+            c=[1] * n,
+            d=[data.draw(st.one_of(st.none(), number)) for _ in range(n)],
+        )
+        want = all(v is None or v.denominator == 1 for v in inst.d) and all(
+            ai > 0 and max(row) <= ai for row, ai in zip(inst.A, inst.a)
+        )
+        assert is_width_normalized(inst) == want
+
+
+class TestIntRows:
+    def test_covering_then_packing_rows_over_their_denominators(self):
+        inst = make_inst(A=[["1/2", "2/3"]], a=[1], c=[1, 1], d=[None, 1], B=[[2, "1/4"]], b=[3])
+        assert inst.int_rows == (((3, 4, 6), 6), ((8, 1, 12), 4))
+
+    def test_cache_changes_no_value(self):
+        doc = '{"A": [["1/2", 1]], "a": [1], "B": [[1, "1/3"]], "b": [2], "c": [1, 1]}'
+        cached, fresh = parse_instance(doc), parse_instance(doc)
+        assert cached.int_rows is cached.int_rows  # computed once
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert serialize_instance(cached) == serialize_instance(fresh)
+        assert report_dict(cached) == report_dict(fresh)
+        assert "int_rows" not in report_dict(cached)
 
 
 @st.composite

@@ -1,7 +1,10 @@
 import json
 import random
+from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverpack.genbench import BenchRow, gen_random_cpip, knapsack_gap
 from coverpack.kc import check_kc_validity, kc_system
@@ -119,6 +122,67 @@ class TestCheckSolution:
             bumped[j] = int((1 + eps) * inst.d[j]) + 2
             report = check_solution(inst, IntegerVector(tuple(bumped)), eps)
             assert any(v[0] == j for v in report.multiplicity_relaxed)
+
+
+def reference_check(inst, x, eps) -> ViolationReport:
+    """check_solution's report computed directly in Fraction arithmetic."""
+    xv = [F(v) for v in x]
+    beta = inst.beta()
+    cover = [(i, inst.a[i] - dot(inst.A[i], xv)) for i in range(inst.m)]
+    pack = [(i, dot(inst.B[i], xv) - (1 + eps) * inst.b[i] - beta[i]) for i in range(inst.r)]
+    strict = [(j, xv[j] - dj) for j, dj in enumerate(inst.d) if dj is not None]
+    relaxed = [(j, xv[j] - ceil((1 + eps) * dj)) for j, dj in enumerate(inst.d) if dj is not None]
+    return ViolationReport(
+        *(tuple((i, v) for i, v in pairs if v > 0) for pairs in (cover, pack, strict, relaxed))
+    )
+
+
+@st.composite
+def checked_candidates(draw):
+    """An instance with fractional data, a candidate x and an epsilon."""
+    n, m, r = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    number = st.fractions(min_value=0, max_value=6, max_denominator=7)
+    rows = lambda k: [[draw(number) for _ in range(n)] for _ in range(k)]  # noqa: E731
+    inst = make_inst(
+        A=rows(m),
+        a=[draw(st.fractions(min_value=0, max_value=12, max_denominator=5)) for _ in range(m)],
+        c=[draw(number) for _ in range(n)],
+        d=[draw(st.one_of(st.none(), number)) for _ in range(n)],
+        B=rows(r),
+        b=[draw(st.fractions(min_value=0, max_value=4, max_denominator=3)) for _ in range(r)],
+    )
+    integral = st.integers(0, 5)
+    fractional = st.fractions(min_value=0, max_value=5, max_denominator=9)
+    x = draw(st.lists(st.one_of(integral, fractional), min_size=n, max_size=n))
+    eps = draw(st.sampled_from([F(1, 1000), F(1, 4), F(2, 3), F(1)]))
+    return inst, x, eps
+
+
+class TestCheckSolutionParity:
+    @settings(max_examples=100, deadline=None)
+    @given(checked_candidates())
+    def test_equals_fraction_reference(self, case):
+        inst, x, eps = case
+        assert check_solution(inst, x, eps) == reference_check(inst, x, eps)
+
+    def test_violated_rows_of_every_family_reported_exactly(self):
+        inst = make_inst(
+            A=[["1/3", "1/2"], [1, 0]], a=["7/6", 2], c=[1, 1], d=[1, "3/2"],
+            B=[["2/5", 1]], b=["1/2"],
+        )
+        # x = (1, 1/2): the rows are short by 7/6 - 7/12 and 2 - 1, and that is all
+        report = check_solution(inst, [1, F(1, 2)], F(1, 4))
+        assert report.covering == ((0, F(7, 12)), (1, F(1)))
+        assert report.ok_bicriteria is False and report.packing_relaxed == ()
+        assert report == reference_check(inst, [1, F(1, 2)], F(1, 4))
+        # x = (5, 1/2): covered; B x = 5/2 exceeds (1 + 1/4)(1/2) + 7/5 = 81/40 by
+        # 19/40, and x_0 exceeds d_0 = 1 by 4 and ceil(5/4) = 2 by 3
+        report = check_solution(inst, [5, F(1, 2)], F(1, 4))
+        assert report.covering == ()
+        assert report.packing_relaxed == ((0, F(19, 40)),)
+        assert report.multiplicity_strict == ((0, F(4)),)
+        assert report.multiplicity_relaxed == ((0, F(3)),)
+        assert report == reference_check(inst, [5, F(1, 2)], F(1, 4))
 
 
 class TestKcValidity:

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from coverpack.simplex import (
     LE,
     LpProblem,
     LpSolution,
+    _eliminate,
     dual_objective,
     lp_from_instance,
     solve_lp,
@@ -529,3 +531,50 @@ def test_non_finite_input_rejected():
 def test_negative_bound_rejected():
     with pytest.raises(InstanceError, match=r"bound\[0\] = -1 is negative"):
         LpProblem.from_data([1, 1], [((1, 1), GE, 1)], [-1, None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_eliminate_is_the_plain_update_reduced_by_its_gcd(data):
+    # dividing p and f = row[e] by gcd(p, f) first, and copying the row
+    # where p becomes 1, must leave the canonical (row, den) unchanged
+    size = data.draw(st.integers(2, 8))
+    entries = st.lists(st.integers(-60, 60), min_size=size, max_size=size)
+    row, prow = data.draw(entries), data.draw(entries)
+    e = data.draw(st.integers(0, size - 1))
+    p = prow[e] = data.draw(st.integers(1, 12))
+    den = data.draw(st.integers(1, 60))
+    f = row[e]
+    plain = [v * p - f * w for v, w in zip(row, prow)]
+    g = gcd(den * p, *plain)
+    before = list(row)
+    nz = [j for j, v in enumerate(prow) if v]
+    assert _eliminate(row, den, prow, p, e, nz) == ([v // g for v in plain], den * p // g)
+    assert row == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(1, 6), st.integers(0, 3), st.integers(0, 10**6),
+    st.integers(0, 3),
+)
+def test_lp_from_instance_equals_from_data(m, n, r, seed, cut_count):
+    inst = gen_random_cpip(m, n, r, seed=seed)
+    rng = random.Random(seed)
+    cuts = [
+        ([F(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n)], rng.randint(0, 9))
+        for _ in range(cut_count)
+    ]
+    rows = (
+        [(row, GE, rhs) for row, rhs in zip(inst.A, inst.a)]
+        + [(row, LE, rhs) for row, rhs in zip(inst.B, inst.b)]
+        + [(coeffs, GE, rhs) for coeffs, rhs in cuts]
+    )
+    got = lp_from_instance(inst, cut_rows=cuts)
+    want = LpProblem.from_data(inst.c, rows, inst.d)
+    assert (got.objective, got.rows, got.var_bounds) == (
+        want.objective, want.rows, want.var_bounds
+    )
+    assert got.int_rows == want.int_rows
+    # the instance rows' integers are the instance's own, not a rescaling
+    assert all(a is b for a, b in zip(got.int_rows, inst.int_rows))
