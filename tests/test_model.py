@@ -187,7 +187,6 @@ class TestOneReader:
         with pytest.raises(InstanceError):
             SCALARS[entry][0](value)
 
-
     @pytest.mark.parametrize("value", [f"1e{DIGITS}", f"1e-{DIGITS}"])
     @pytest.mark.parametrize("entry", sorted(SCALARS))
     def test_refuses_more_digits_than_can_print(self, entry, value):
