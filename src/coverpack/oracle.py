@@ -2,9 +2,12 @@
 
 These exist to verify every guarantee the solvers claim, so they stay
 independent of the solver code paths: this module imports only
-``coverpack.model`` and works by plain enumeration over exact rationals,
-with no LP bounding and no shared rounding machinery.  Usable only at
-desk scale, which is the point.  ``kc.check_kc_validity`` sweeps the pin
+``coverpack.model`` and works by plain enumeration on each instance's
+integer rows (``CpipInstance.int_rows``), exact because every row is
+scaled by the lcm of its denominators, with no LP bounding and no shared
+rounding machinery.  The enumeration skips variables capped at 0 and
+subtrees that cannot meet a covering row.  Usable only at desk scale,
+which is the point.  ``kc.check_kc_validity`` sweeps the pin
 sets with ``feasible_points`` and ``validate_kc_system``.
 """
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from operator import mul
+from operator import add, gt, mul
 from typing import Sequence
 
 from coverpack.model import (
@@ -23,8 +26,8 @@ from coverpack.model import (
     IntegerVector,
     ViolationReport,
     as_fraction,
-    dot,
     integers,
+    scale_rows,
 )
 
 
@@ -59,14 +62,27 @@ class BruteForceResult:
     bounds: tuple[int, ...]
 
 
+def _reach(cols, caps, m: int) -> list[list[int]]:
+    """``reach[k][i]``: the most that columns k, k+1, ... at their caps add to row i."""
+    reach = [[0] * m]
+    for col, cap in zip(reversed(cols), reversed(caps)):
+        reach.append([r + cap * v for r, v in zip(reach[-1], col)])
+    return reach[::-1]
+
+
 def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> BruteForceResult:
     """Exhaustive integer optimum over the capped box, if it has at most ``max_points``.
 
-    Odometer-style depth-first enumeration (last coordinate fastest) with
-    early pruning: a packing row already exceeded, or a cost prefix that
-    cannot beat the incumbent, kills the subtree.  Ties in cost keep the
-    lexicographically smallest vector -- enumeration order is ascending
-    lexicographic and the incumbent is only replaced on strict improvement.
+    Odometer-style depth-first enumeration (last coordinate fastest) over
+    the variables with a positive cap (the rest stay 0), with early
+    pruning: a packing row already exceeded, a cost prefix that cannot
+    beat the incumbent, or a covering row that the remaining variables at
+    their caps cannot fill kills the subtree.  The last prune removes only
+    points that cover nothing, so ties in cost keep the lexicographically
+    smallest vector -- enumeration order is ascending lexicographic and
+    the incumbent is only replaced on strict improvement.  Rows, demands,
+    capacities and costs are integers (``inst.int_rows`` and the costs
+    over their common denominator), so every tally is an int.
     """
     u = effective_bounds(inst)
     space = 1
@@ -75,46 +91,53 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
     if space > max_points:
         return BruteForceResult("BUDGET_EXCEEDED", None, None, space, u)
 
-    n, m, r = inst.n, inst.m, inst.r
-    best_cost: Fraction | None = None
+    m = inst.m
+    free = [j for j in range(inst.n) if u[j]]
+    caps = [u[j] for j in free]
+    cover_rows, pack_rows = inst.int_rows[:m], inst.int_rows[m:]
+    need = [S[-1] for S, _ in cover_rows]
+    room = [S[-1] for S, _ in pack_rows]
+    acols = [[S[j] for S, _ in cover_rows] for j in free]
+    bcols = [[S[j] for S, _ in pack_rows] for j in free]
+    reach = _reach(acols, caps, m)
+    costs, cost_den = integers(inst.c)
+    costs = [costs[j] for j in free]
+    best_cost: int | None = None
     best_x: tuple[int, ...] | None = None
-    x = [0] * n
-    cover = [ZERO] * m
-    pack = [ZERO] * r
+    x = [0] * inst.n
+    cover = [0] * m
+    pack = [0] * len(room)
 
-    def descend(j: int, cost: Fraction) -> None:
+    def descend(k: int, cost: int) -> None:
         nonlocal best_cost, best_x
-        if best_cost is not None and cost >= best_cost:
+        if any(map(gt, need, map(add, cover, reach[k]))):
+            return  # some row stays short even with every later variable at its cap
+        if k == len(free):
+            best_cost = cost  # the loop below let only a cheaper cost through
+            best_x = tuple(x)
             return
-        if j == n:
-            if all(cover[i] >= inst.a[i] for i in range(m)):
-                best_cost = cost
-                best_x = tuple(x)
-            return
-        acol = [inst.A[i][j] for i in range(m)]
-        bcol = [inst.B[i][j] for i in range(r)]
-        for v in range(u[j] + 1):
+        j, acol, bcol, cj = free[k], acols[k], bcols[k], costs[k]
+        for v in range(caps[k] + 1):
             if v > 0:
                 x[j] = v
-                for i in range(m):
-                    cover[i] += acol[i]
-                for i in range(r):
-                    pack[i] += bcol[i]
-            if any(pack[i] > inst.b[i] for i in range(r)):
+                cover[:] = map(add, cover, acol)
+                pack[:] = map(add, pack, bcol)
+            if any(map(gt, pack, room)):
                 break  # larger v only packs more
-            if best_cost is not None and cost + inst.c[j] * v >= best_cost:
+            if best_cost is not None and cost + cj * v >= best_cost:
                 break  # costs are nonnegative; nothing cheaper down here
-            descend(j + 1, cost + inst.c[j] * v)
-        for i in range(m):
-            cover[i] -= acol[i] * x[j]
-        for i in range(r):
-            pack[i] -= bcol[i] * x[j]
+            descend(k + 1, cost + cj * v)
+        v = x[j]
+        cover[:] = (s - a * v for s, a in zip(cover, acol))
+        pack[:] = (s - b * v for s, b in zip(pack, bcol))
         x[j] = 0
 
-    descend(0, ZERO)
+    descend(0, 0)
     if best_x is None:
         return BruteForceResult("INFEASIBLE", None, None, space, u)
-    return BruteForceResult("OPTIMAL", IntegerVector(best_x), best_cost, space, u)
+    return BruteForceResult(
+        "OPTIMAL", IntegerVector(best_x), Fraction(best_cost, cost_den), space, u
+    )
 
 
 def check_solution(
@@ -178,35 +201,55 @@ def validate_kc_system(
     Returns (counterexamples, structural_defects).  A counterexample is a
     feasible point violating a residual row.  A structural defect is a
     coefficient exceeding its row's residual demand, which would let the
-    restricted system's width drop below 1.
+    restricted system's width drop below 1.  Each row is scaled to
+    integers with its demand once (``scale_rows``); the amounts reported
+    are the exact rationals.
     """
     counterexamples = []
     structural = []
-    for i in range(len(a_F)):
+    rows = scale_rows(zip(A_F, a_F))
+    for i, (S, D) in enumerate(rows):
         for j in range(inst.n):
-            if A_F[i][j] > a_F[i]:
-                structural.append((F, i, j, A_F[i][j] - a_F[i]))
+            if S[j] > S[-1]:
+                structural.append((F, i, j, Fraction(S[j] - S[-1], D)))
     for y in points:
-        for i in range(len(a_F)):
-            lhs = dot(A_F[i], y)
-            if lhs < a_F[i]:
-                counterexamples.append((F, i, y, a_F[i] - lhs))
+        for i, (S, D) in enumerate(rows):
+            short = S[-1] - sum(map(mul, S, y))
+            if short > 0:
+                counterexamples.append((F, i, y, Fraction(short, D)))
     return counterexamples, structural
 
 
 def feasible_points(inst: CpipInstance, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every integer point in the box 0 <= x <= caps that meets the covering rows."""
+    """Every integer point in the box 0 <= x <= caps that meets the covering rows.
+
+    Lexicographic order.  Only the variables with a positive cap are
+    enumerated, on the integer rows, and a subtree whose remaining
+    variables at their caps cannot fill some row is skipped.
+    """
+    free = [j for j in range(inst.n) if caps[j]]
+    rows = inst.int_rows[: inst.m]
+    need = [S[-1] for S, _ in rows]
+    acols = [[S[j] for S, _ in rows] for j in free]
+    reach = _reach(acols, [caps[j] for j in free], inst.m)
     pts = []
     x = [0] * inst.n
+    cover = [0] * inst.m
 
-    def descend(j):
-        if j == inst.n:
-            if all(dot(inst.A[i], x) >= inst.a[i] for i in range(inst.m)):
-                pts.append(tuple(x))
+    def descend(k):
+        if any(map(gt, need, map(add, cover, reach[k]))):
             return
+        if k == len(free):
+            pts.append(tuple(x))
+            return
+        j, acol = free[k], acols[k]
         for v in range(caps[j] + 1):
-            x[j] = v
-            descend(j + 1)
+            if v > 0:
+                x[j] = v
+                cover[:] = map(add, cover, acol)
+            descend(k + 1)
+        v = x[j]
+        cover[:] = (s - a * v for s, a in zip(cover, acol))
         x[j] = 0
 
     descend(0)

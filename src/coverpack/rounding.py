@@ -28,9 +28,11 @@ All guarantees are re-verified exactly before an answer is returned;
 floats appear only inside the estimator, whose role is to pick between
 floor and ceiling.  Each public rounding call scans the dense A once, into
 ``CoverRows``: its demanded rows scaled to Python ints and kept over their
-nonzeros, by row and by column.  The width, the estimator's weights, every
-coverage, cost and slack check and the trim run on those rows; the
-calls below a public one are handed the rows rather than rebuilding them.
+nonzeros, by row and by column (``solve_cpip_bicriteria`` scans the
+instance's ``int_rows``, which are integers already).  The width, the
+estimator's weights, every coverage, cost and slack check and the trim
+run on those rows; the calls below a public one are handed the rows
+rather than rebuilding them.
 """
 
 from __future__ import annotations
@@ -380,6 +382,7 @@ def bicriteria_round(
     epsilon,
     *,
     info_out: dict | None = None,
+    rows: CoverRows | None = None,
 ) -> IntegerVector:
     """Integer cover within ceil((1+eps) xbar) at cost <= 4K cost(xbar).
 
@@ -387,7 +390,8 @@ def bicriteria_round(
     (W eps^2)).  Ceiling a positive (1/K)-granular coordinate multiplies
     it by at most K, and the granular scale factor is at most 1 + eps,
     which yields both bounds; a final cleanup pass drops whole surplus
-    units.  All three guarantees are re-checked exactly.
+    units.  All three guarantees are re-checked exactly.  ``rows``, if
+    given, must be ``CoverRows`` of exactly (A, a).
     """
     eps = as_fraction(epsilon, "epsilon")
     if not (0 < eps <= 1):
@@ -396,7 +400,8 @@ def bicriteria_round(
     for j, bound in enumerate(d):
         if bound is not None and xv[j] > bound:
             raise InstanceError(f"xbar[{j}] = {xv[j]} exceeds its multiplicity bound {bound}")
-    rows = CoverRows(A, a)
+    if rows is None:
+        rows = CoverRows(A, a)
     if not rows.demands:
         if info_out is not None:
             info_out.update({"K": 0, "L": Fraction(1)})
@@ -455,7 +460,12 @@ def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, S
     t0 = perf_counter()
     sol = solve_relaxation(inst)
     info: dict = {}
-    xhat = bicriteria_round(sol.primal, inst.A, inst.a, inst.c, inst.d, eps, info_out=info)
+    # the integer rows give the same CoverRows as (A, a): each row's lcm is 1
+    cover = inst.int_rows[: inst.m]
+    rows = CoverRows([S[:-1] for S, _ in cover], [S[-1] for S, _ in cover])
+    xhat = bicriteria_round(
+        sol.primal, inst.A, inst.a, inst.c, inst.d, eps, info_out=info, rows=rows
+    )
     violations = check_solution(inst, xhat, eps)
     if not violations.ok_bicriteria:
         raise GuaranteeError(f"bicriteria guarantees violated: {violations}")

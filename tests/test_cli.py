@@ -505,6 +505,18 @@ class TestOracleAndCheck:
         assert rep["opt"] == 1
         assert rep["x"] == [0, 1]
 
+    def test_oracle_on_many_variables_capped_at_zero(self, tmp_path, capsys):
+        # 1,200 variables but a box of 2 points: no recursion per variable
+        n = 1200
+        doc = json.dumps({"A": [[1] + [0] * (n - 1)], "a": [1], "c": [1] * n,
+                          "d": [1] + [0] * (n - 1)})
+        code, out, _ = run(
+            ["oracle", write_gap(tmp_path, doc), "--format", "machine"], capsys=capsys
+        )
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert (rep["opt"], rep["oracle_space"]) == (1, 2)
+
     def test_check_good_and_bad(self, tmp_path, capsys, monkeypatch):
         inst_path = write_gap(tmp_path)
         good = tmp_path / "good.json"

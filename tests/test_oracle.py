@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from coverpack.genbench import BenchRow, gen_random_cpip, knapsack_gap
 from coverpack.kc import check_kc_validity, kc_system
 from coverpack.model import (
+    ZERO,
     InstanceError,
     IntegerVector,
     SolveReport,
@@ -17,7 +18,14 @@ from coverpack.model import (
     normalize_width,
     report_dict,
 )
-from coverpack.oracle import brute_force_opt, check_solution, effective_bounds, validate_kc_system
+from coverpack.oracle import (
+    BruteForceResult,
+    brute_force_opt,
+    check_solution,
+    effective_bounds,
+    feasible_points,
+    validate_kc_system,
+)
 from conftest import F, make_inst
 
 
@@ -66,6 +74,17 @@ class TestBruteForce:
             oracle = brute_force_opt(inst)
             assert oracle.status == "OPTIMAL"
             assert report.cost >= oracle.cost
+
+
+    def test_deep_box_with_two_points(self):
+        # 1,200 variables, all but one capped at 0: the enumeration's depth
+        # follows the variables it can raise, not n
+        n = 1200
+        inst = make_inst(A=[[1] + [0] * (n - 1)], a=[1], c=[1] * n, d=[1] + [0] * (n - 1))
+        res = brute_force_opt(inst)
+        assert (res.status, res.cost, res.space_size) == ("OPTIMAL", 1, 2)
+        assert res.x.values == (1,) + (0,) * (n - 1)
+        assert feasible_points(inst, res.bounds) == [res.x.values]
 
 
 class TestCheckSolution:
@@ -183,6 +202,155 @@ class TestCheckSolutionParity:
         assert report.multiplicity_strict == ((0, F(4)),)
         assert report.multiplicity_relaxed == ((0, F(3)),)
         assert report == reference_check(inst, [5, F(1, 2)], F(1, 4))
+
+
+def reference_brute_force(inst, max_points):
+    """brute_force_opt as a Fraction enumeration over every variable, with no coverage prune."""
+    u = effective_bounds(inst)
+    space = 1
+    for cap in u:
+        space *= cap + 1
+    if space > max_points:
+        return BruteForceResult("BUDGET_EXCEEDED", None, None, space, u)
+    n, m, r = inst.n, inst.m, inst.r
+    best_cost = best_x = None
+    x = [0] * n
+    cover = [ZERO] * m
+    pack = [ZERO] * r
+
+    def descend(j, cost):
+        nonlocal best_cost, best_x
+        if best_cost is not None and cost >= best_cost:
+            return
+        if j == n:
+            if all(cover[i] >= inst.a[i] for i in range(m)):
+                best_cost, best_x = cost, tuple(x)
+            return
+        acol = [inst.A[i][j] for i in range(m)]
+        bcol = [inst.B[i][j] for i in range(r)]
+        for v in range(u[j] + 1):
+            if v > 0:
+                x[j] = v
+                for i in range(m):
+                    cover[i] += acol[i]
+                for i in range(r):
+                    pack[i] += bcol[i]
+            if any(pack[i] > inst.b[i] for i in range(r)):
+                break
+            if best_cost is not None and cost + inst.c[j] * v >= best_cost:
+                break
+            descend(j + 1, cost + inst.c[j] * v)
+        for i in range(m):
+            cover[i] -= acol[i] * x[j]
+        for i in range(r):
+            pack[i] -= bcol[i] * x[j]
+        x[j] = 0
+
+    descend(0, ZERO)
+    if best_x is None:
+        return BruteForceResult("INFEASIBLE", None, None, space, u)
+    return BruteForceResult("OPTIMAL", IntegerVector(best_x), best_cost, space, u)
+
+
+def reference_feasible_points(inst, caps):
+    """feasible_points as a Fraction enumeration of the whole box."""
+    pts = []
+    x = [0] * inst.n
+
+    def descend(j):
+        if j == inst.n:
+            if all(dot(inst.A[i], x) >= inst.a[i] for i in range(inst.m)):
+                pts.append(tuple(x))
+            return
+        for v in range(caps[j] + 1):
+            x[j] = v
+            descend(j + 1)
+        x[j] = 0
+
+    descend(0)
+    return pts
+
+
+def reference_validate(inst, F_, A_F, a_F, points):
+    """validate_kc_system in Fraction arithmetic."""
+    structural = [
+        (F_, i, j, A_F[i][j] - a_F[i])
+        for i in range(len(a_F))
+        for j in range(inst.n)
+        if A_F[i][j] > a_F[i]
+    ]
+    counterexamples = [
+        (F_, i, y, a_F[i] - dot(A_F[i], y))
+        for y in points
+        for i in range(len(a_F))
+        if dot(A_F[i], y) < a_F[i]
+    ]
+    return counterexamples, structural
+
+
+NUMBER = st.fractions(min_value=0, max_value=4, max_denominator=6)
+
+
+@st.composite
+def oracle_instances(draw):
+    """Fractional data with packing rows, zero and fractional caps, unbounded variables."""
+    n, m, r = draw(st.integers(1, 5)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    entry = st.one_of(st.just(F(0)), NUMBER)
+    return make_inst(
+        A=[[draw(entry) for _ in range(n)] for _ in range(m)],
+        a=[draw(st.fractions(min_value=0, max_value=6, max_denominator=4)) for _ in range(m)],
+        c=[draw(NUMBER) for _ in range(n)],
+        d=[draw(st.one_of(st.none(), st.fractions(0, 3, max_denominator=3))) for _ in range(n)],
+        B=[[draw(entry) for _ in range(n)] for _ in range(r)],
+        b=[draw(st.fractions(min_value=0, max_value=5, max_denominator=3)) for _ in range(r)],
+    )
+
+
+class TestOracleParity:
+    """The integer enumeration against the Fraction enumeration it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_instances(), st.sampled_from([1, 30, 400, 3000]))
+    def test_brute_force_equals_fraction_reference(self, inst, max_points):
+        assert brute_force_opt(inst, max_points=max_points) == reference_brute_force(
+            inst, max_points
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(oracle_instances(), st.data())
+    def test_feasible_points_equal_fraction_reference(self, inst, data):
+        caps = tuple(data.draw(st.lists(st.integers(0, 3), min_size=inst.n, max_size=inst.n)))
+        assert feasible_points(inst, caps) == reference_feasible_points(inst, caps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_instances(), st.data())
+    def test_validate_kc_system_equals_fraction_reference(self, inst, data):
+        # halves up to 3 make a point that meets a row exactly common
+        half = st.fractions(min_value=0, max_value=3, max_denominator=2)
+        k = data.draw(st.integers(1, 3))
+        A_F = tuple(tuple(data.draw(half) for _ in range(inst.n)) for _ in range(k))
+        a_F = tuple(data.draw(half) for _ in range(k))
+        point = st.tuples(*(st.integers(0, 3) for _ in range(inst.n)))
+        points = data.draw(st.lists(point, max_size=8))
+        F_ = frozenset({0})
+        assert validate_kc_system(inst, F_, A_F, a_F, points) == reference_validate(
+            inst, F_, A_F, a_F, points
+        )
+
+    def test_statuses_all_reached(self):
+        # the strategy above draws every status; pinned on fixed instances
+        cases = {
+            "OPTIMAL": (make_inst(A=[["1/3", "1/2"]], a=["5/6"], c=["1/2", "1/3"],
+                                  d=[None, 2], B=[["2/5", 1]], b=["7/5"]), 100),
+            "INFEASIBLE": (make_inst(A=[[1, 1]], a=[3], c=[1, 1], d=[1, None],
+                                     B=[[0, "1/2"]], b=["1/2"]), 100),
+            "BUDGET_EXCEEDED": (make_inst(A=[["1/4", 1]], a=[2], c=[1, 1],
+                                          d=[None, None]), 10),
+        }
+        for status, (inst, max_points) in cases.items():
+            res = brute_force_opt(inst, max_points=max_points)
+            assert res.status == status
+            assert res == reference_brute_force(inst, max_points)
 
 
 class TestKcValidity:

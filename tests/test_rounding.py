@@ -579,6 +579,38 @@ class TestBicriteriaRound:
 
 
 class TestSolveCpipBicriteria:
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            knapsack_gap(F(1, 7)),
+            gen_random_cpip(6, 7, 2, 0),
+            gen_set_cover(8, 12, 0.4, 0),
+            gen_multiset_multicover(4, 6, 1, d_max=2, r=1),
+            make_inst(
+                A=[["1/3", 0, "2/5"], [0, 0, 0], ["7/4", "1/6", 0]], a=["5/6", 0, 3],
+                c=[1, 1, 1], d=[1, None, 2], B=[[1, "1/2", 0]], b=[8],
+            ),
+        ],
+        ids=["knapsack-gap", "random-cpip", "set-cover", "multiset-multicover", "rational"],
+    )
+    def test_rows_from_int_rows_equal_rows_from_A(self, inst, monkeypatch):
+        # solve_cpip_bicriteria scans the instance's integer rows, whose lcm
+        # spans each row's zero entries too; the rows it hands
+        # bicriteria_round must be the ones a scan of (A, a) gives
+        handed = []
+
+        def spy(*args, rows=None, **kwargs):
+            handed.append(rows)
+            return bicriteria_round(*args, rows=rows, **kwargs)
+
+        monkeypatch.setattr(rounding, "bicriteria_round", spy)
+        inst = normalize_width(inst)
+        solve_cpip_bicriteria(inst, F(1, 2))
+        (got,) = handed
+        want = CoverRows(inst.A, inst.a)
+        assert (got.active, got.rows, got.demands) == (want.active, want.rows, want.demands)
+        assert got.columns == want.columns and got.width == want.width
+
     def test_zero_demand_instance_returns_zero(self):
         inst = normalize_width(
             make_inst(A=[[1, 1]], a=[0], c=[1, 1], d=[2, 2])
