@@ -12,7 +12,7 @@ Subcommands over the JSON instance document format:
 Exit codes, one per failure class: 0 success, 1 infeasible
 (``InfeasibleError``), 2 usage, document or other input errors
 (``InstanceError``, ``OSError``), 3 a solver limit (``LimitError``: pivots,
-cut rounds, oracle points or the float scale factor), 4 an internal
+cut rounds, oracle points or depth, or the float scale factor), 4 an internal
 fault (``GuaranteeError``, a failed LP certificate among them, or any
 other exception).  All randomness flows from --seed (default 0, never
 wall clock), so every run is reproducible.  Each subcommand takes only
@@ -237,7 +237,10 @@ def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
 def _oracle_report(inst: CpipInstance, args) -> SolveReport:
     res = brute_force_opt(inst, max_points=args.max_points)
     if res.status == "BUDGET_EXCEEDED":
-        raise LimitError(f"oracle search space of {res.space_size} points is over budget")
+        raise LimitError(
+            f"oracle search space of {res.space_size} points is over budget "
+            "(--max-points, or the recursion limit on the variables it enumerates)"
+        )
     if res.status == "INFEASIBLE":
         raise InfeasibleError("no integer solution in the search box")
     return SolveReport(

@@ -126,13 +126,17 @@ class KcValidityReport:
 def check_kc_validity(inst: CpipInstance, *, max_points: int = 2_000_000) -> KcValidityReport:
     """Exhaustively verify residual covering rows against all feasible points.
 
-    For every pinnable subset F of the finite-bound variables, builds the
-    residual system and checks that each feasible integer point (with
-    respect to covering and multiplicity) satisfies it, and that no
-    coefficient exceeds its residual demand.  Pins sit at integral
-    bounds, so a fractional d is refused (``normalize_width`` floors it).
+    For every pinnable subset F of the finite-bound variables with
+    d_j > 0, builds the residual system and checks that each feasible
+    integer point (with respect to covering and multiplicity) satisfies
+    it, and that no coefficient exceeds its residual demand.  Pinning a
+    variable with d_j = 0 leaves every residual demand as it is and zeroes
+    a column that no feasible point uses, so it cannot change the verdict.
+    Pins sit at integral bounds, so a fractional d is refused
+    (``normalize_width`` floors it).  A box too deep to enumerate is
+    ``BUDGET_EXCEEDED``, as is one over ``max_points``.
     """
-    finite = [j for j in range(inst.n) if inst.d[j] is not None]
+    finite = [j for j in range(inst.n) if inst.d[j]]  # finite and positive
     caps = effective_bounds(inst)
     space = 1
     for cap in caps:
@@ -140,8 +144,10 @@ def check_kc_validity(inst: CpipInstance, *, max_points: int = 2_000_000) -> KcV
     sets = 2 ** len(finite)
     if sets * space > max_points:
         return KcValidityReport("BUDGET_EXCEEDED", (), (), 0, space)
-
-    points = feasible_points(inst, caps)
+    try:
+        points = feasible_points(inst, caps)
+    except LimitError:
+        return KcValidityReport("BUDGET_EXCEEDED", (), (), 0, space)
     counterexamples: list = []
     structural: list = []
     for mask in range(sets):

@@ -13,6 +13,7 @@ sets with ``feasible_points`` and ``validate_kc_system``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -24,6 +25,7 @@ from coverpack.model import (
     CpipInstance,
     InstanceError,
     IntegerVector,
+    LimitError,
     ViolationReport,
     as_fraction,
     integers,
@@ -70,6 +72,19 @@ def _reach(cols, caps, m: int) -> list[list[int]]:
     return reach[::-1]
 
 
+def _too_deep(levels: int) -> bool:
+    """Whether ``levels`` nested calls below the caller could pass the recursion limit.
+
+    The enumerations recurse once per variable they can raise; a box with
+    more of them than the stack holds is refused up front like one over
+    the point budget, with a margin for the frames between the levels.
+    """
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth + levels + 50 > sys.getrecursionlimit()
+
+
 def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> BruteForceResult:
     """Exhaustive integer optimum over the capped box, if it has at most ``max_points``.
 
@@ -82,17 +97,19 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
     smallest vector -- enumeration order is ascending lexicographic and
     the incumbent is only replaced on strict improvement.  Rows, demands,
     capacities and costs are integers (``inst.int_rows`` and the costs
-    over their common denominator), so every tally is an int.
+    over their common denominator), so every tally is an int.  A box with
+    more such variables than the recursion limit leaves room for is
+    ``BUDGET_EXCEEDED`` too.
     """
     u = effective_bounds(inst)
     space = 1
     for cap in u:
         space *= cap + 1
-    if space > max_points:
+    free = [j for j in range(inst.n) if u[j]]
+    if space > max_points or _too_deep(len(free)):
         return BruteForceResult("BUDGET_EXCEEDED", None, None, space, u)
 
     m = inst.m
-    free = [j for j in range(inst.n) if u[j]]
     caps = [u[j] for j in free]
     cover_rows, pack_rows = inst.int_rows[:m], inst.int_rows[m:]
     need = [S[-1] for S, _ in cover_rows]
@@ -225,9 +242,13 @@ def feasible_points(inst: CpipInstance, caps: tuple[int, ...]) -> list[tuple[int
 
     Lexicographic order.  Only the variables with a positive cap are
     enumerated, on the integer rows, and a subtree whose remaining
-    variables at their caps cannot fill some row is skipped.
+    variables at their caps cannot fill some row is skipped.  A box with
+    more such variables than the recursion limit leaves room for raises
+    ``LimitError``.
     """
     free = [j for j in range(inst.n) if caps[j]]
+    if _too_deep(len(free)):
+        raise LimitError(f"enumerating {len(free)} variables would pass the recursion limit")
     rows = inst.int_rows[: inst.m]
     need = [S[-1] for S, _ in rows]
     acols = [[S[j] for S, _ in rows] for j in free]

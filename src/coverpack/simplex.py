@@ -4,23 +4,26 @@ Dual simplex over the rationals, exactly, from the all-slack basis
 (Lemke 1954).  Every LP this package builds is min c.x with c >= 0, so
 that basis is dual feasible from the start and the objective is bounded
 below by 0: one pass of pivots ends at an optimum or at a row that proves
-infeasibility.  Inside the tableau each row is a list of Python integers
-over one positive row denominator, and pivots are integer-preserving
+infeasibility.  The tableau is condensed (Tucker's Jordan exchange): a
+basic column is a unit vector, so each row stores only the ``n``
+nonbasic columns and the rhs, and a pivot exchanges the labels of the
+entering and leaving variables.  A row is ``n + 1`` Python integers over
+one positive row denominator, and pivots are integer-preserving
 (Edmonds; Bareiss), so no ``Fraction`` is built while pivoting.  Every
 pivot choice compares the rationals the integers stand for, exactly.
 Problems come in and results go out as ``Fraction``: an OPTIMAL result
 carries a primal point and a dual vector whose objectives agree with zero
 gap, and an INFEASIBLE result carries an exact Farkas ray;
 ``verify_certificate`` checks either certificate, the ray included,
-exactly, with integer sums.  Dense tableaus are fine at the scales this
-package targets (a few hundred rows including cut rows).
+exactly, with integer sums.
 
 Row order inside an ``LpProblem`` built from an instance is fixed and
 documented: covering rows, then packing rows, then any cut rows in
 insertion order.  A variable upper bound is a bound row, never a big-M
 term, and it enters the tableau only once it is violated: until then its
 slack is basic at ``u_j - x_j`` and the row is implied by ``x_j``'s row.
-The pivots are those of the tableau with every bound row present.
+Ties are broken on the indices of the full tableau, every column and
+every bound row present, so the pivots are that tableau's.
 
 Dual sign convention (minimization): duals of >= rows are >= 0, duals of
 <= rows and of upper bounds are <= 0, and the dual objective is
@@ -32,7 +35,6 @@ solves on distinct problems are safe.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -135,20 +137,23 @@ def lp_from_instance(
 
 
 def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int, nz: list[int]):
-    """``row/den - (row[e]/den) * prow/p`` as (integers, positive denominator).
+    """One row's exchange step, ``row/den - (row[e]/den) * prow/p`` with ``row[e]`` as 0.
 
-    ``prow/p`` is a pivot row whose entry ``e`` is ``p > 0``, so the result
-    is zero in column ``e``; only the columns ``nz`` where ``prow`` is
-    nonzero need the subtraction.  ``p`` and ``f = row[e]`` are first divided
-    by their gcd, and where ``p`` becomes 1 the row is copied, not
-    multiplied.  The result is divided by the gcd of its entries and
-    denominator; that form, with a positive denominator, is unique, so it
-    does not depend on the multipliers.
+    ``prow / p`` is the pivot row after the exchange: ``p > 0`` and column
+    ``e`` holds the leaving variable's entry, so the result there is
+    ``-row[e] * prow[e]``; that is the full tableau's update, which zeroes
+    the entering column.  Only the columns ``nz`` where ``prow`` is nonzero
+    need the subtraction.  ``p`` and ``f = row[e]`` are first divided by
+    their gcd, and where ``p`` becomes 1 the row is copied, not multiplied.
+    The result, as (integers, positive denominator), is divided by the gcd
+    of its entries and denominator (which stands for the row's basic unit
+    entry); that form is unique, so it does not depend on the multipliers.
     """
     f = row[e]
     g = gcd(p, f)
     p, f = p // g, f // g
     new = list(row) if p == 1 else [v * p for v in row]
+    new[e] = 0
     for j in nz:
         new[j] -= f * prow[j]
     den *= p
@@ -162,29 +167,32 @@ def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int, nz: li
 class _Tableau:
     """Mutable dual simplex state: the user rows, then each bound row once violated.
 
+    The tableau is condensed: only the ``n`` nonbasic columns are stored,
+    and ``nonbasic[q]`` is the full-tableau column of stored column ``q``.
     Row ``i`` is held as integers ``T[i]`` over one positive denominator
-    ``den[i]``, so its tableau entries are the rationals ``T[i][j] / den[i]``
-    and its last entry is the right-hand side.  Pivots are integer-preserving
-    (Edmonds 1967, Bareiss 1968) and every rewritten row is reduced by the
-    gcd of its entries and denominator.  The objective row ``obj`` over
-    ``obj_den`` holds the reduced costs, with ``-z`` last.
+    ``den[i]``, so its entries are the rationals ``T[i][q] / den[i]``, its
+    last entry is the right-hand side, and its basic column ``basis[i]``
+    holds the dropped unit entry ``den[i] / den[i]``.  Pivots are
+    integer-preserving (Edmonds 1967, Bareiss 1968) and every rewritten row
+    is reduced by the gcd of its entries and denominator, so every entry
+    and ``den[i]`` equal the full tableau's.  The objective row ``obj`` over
+    ``obj_den`` holds the nonbasic reduced costs, with ``-z`` last.
 
     Every user row is stored in ``<=`` form (a ``>=`` row is negated) with
-    its own slack at column ``n + i``, and the basis starts as all slacks.
-    The reduced costs start as the cost vector, so with no negative cost
-    that basis is dual feasible: a row with a negative rhs is only primal
-    infeasible.
+    its own slack, full column ``n + i``, basic: the basis starts as all
+    slacks.  The reduced costs start as the cost vector, so with no
+    negative cost that basis is dual feasible: a row with a negative rhs is
+    only primal infeasible.
 
     The bound ``x_j + s = u_j`` of the ``k``-th bounded variable is row
     ``M + k`` of the full tableau (``M`` user rows), with its slack at
     column ``n + M + k``.  That slack stays basic until the row leaves, and
     until then the row is ``e_j + s`` minus the row where ``x_j`` is basic,
     with value ``u_j - x_j``; so it is not stored until that value is chosen
-    to leave, and then it is appended with its slack column.  ``rows`` and
-    ``basis`` give each stored row's full-tableau row and basic column, and
-    ``cols`` each stored column's full-tableau column, in increasing order.
-    Every tie is broken on these indices, so the pivots are exactly those
-    of the full tableau.
+    to leave, and then it is appended.  ``rows`` and ``basis`` give each
+    stored row's full-tableau row and basic column.  Every tie is broken on
+    these and on ``nonbasic``, so the pivots are exactly those of the full
+    tableau.
     """
 
     def __init__(self, p: LpProblem):
@@ -197,57 +205,48 @@ class _Tableau:
             u = p.var_bounds[j]
             self.pending[j] = (k, u.numerator, u.denominator)
         self.rows = list(range(m))
-        self.cols = list(range(n + m))
+        self.nonbasic = list(range(n))
         self.basis = list(range(n, n + m))
         self.T: list[list[int]] = []
         self.den: list[int] = []
-        for i, (row, (scaled, D)) in enumerate(zip(p.rows, p.int_rows)):
+        for row, (scaled, D) in zip(p.rows, p.int_rows):
             # row i over the least common denominator D of its entries
-            sign = -1 if row.sense == GE else 1
-            trow = [sign * v for v in scaled[:n]] + [0] * m + [sign * scaled[n]]
-            trow[n + i] = D
-            self.T.append(trow)
+            self.T.append(list(scaled) if row.sense == LE else [-v for v in scaled])
             self.den.append(D)
         self.obj, self.obj_den = integers(p.objective)
-        self.obj += [0] * (m + 1)
+        self.obj.append(0)
         self.iterations = 0
 
     def add_bound_row(self, i: int, k: int) -> int:
         """Store bound row ``k``, whose variable is basic in row ``i``; its index.
 
         The row is ``e_j + s - T[i] / den[i]`` over ``lcm(den[i], u.denominator)``,
-        zero in column ``j``, with rhs ``u_j - x_j``.
+        with rhs ``u_j - x_j``.  ``x_j`` and ``s`` are basic, so its stored
+        entries are ``-T[i]``'s, with the rhs shifted by ``u_j``.
         """
         j = self.bounded[k]
         _, U, Du = self.pending[j]
         self.pending[j] = None
-        c = self.n + self.m + k
-        pos = bisect(self.cols, c)
-        self.cols.insert(pos, c)
-        for trow in self.T:
-            trow.insert(pos, 0)
-        self.obj.insert(pos, 0)
         d = self.den[i]
         L = lcm(d, Du)
         f = L // d
         new = [-v * f for v in self.T[i]]
-        new[j] = 0
-        new[pos] = L
         new[-1] += U * (L // Du)
         self.T.append(new)
         self.den.append(L)
         self.rows.append(self.m + k)
-        self.basis.append(c)
+        self.basis.append(self.n + self.m + k)
         return len(self.T) - 1
 
     def pivot(self, r: int, e: int) -> None:
-        """Pivot basis row r on column e, updating the objective row too."""
+        """Exchange basis row r's variable with column e's, updating the objective row too."""
         prow = self.T[r]
         p = prow[e]
+        prow[e] = self.den[r]  # the leaving variable's unit entry
         if p < 0:
             prow = [-v for v in prow]
             p = -p
-        g = gcd(*prow)
+        g = gcd(p, *prow)
         if g > 1:
             prow = [v // g for v in prow]
             p //= g
@@ -260,7 +259,7 @@ class _Tableau:
                 T[i], dens[i] = _eliminate(row, dens[i], prow, p, e, nz)
         if self.obj[e]:
             self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, e, nz)
-        self.basis[r] = self.cols[e]
+        self.basis[r], self.nonbasic[e] = self.nonbasic[e], self.basis[r]
 
     def leaving(self, bland: bool) -> tuple | None:
         """The row to leave as (stored row, bound k or -1), or None if all values are >= 0.
@@ -299,11 +298,12 @@ class _Tableau:
     def run(self, *, bland_after: int, max_iters: int) -> int:
         """Pivot until every basic value is >= 0; -1, or the row proving infeasibility.
 
-        The ratios ``obj[j] / -T[r][j]`` of the leaving row share the
+        The ratios ``obj[q] / -T[r][q]`` of the leaving row share the
         denominators ``obj_den`` and ``den[r]``, so they compare by
         cross-multiplying numerators.
         """
         degenerate_streak = 0
+        nonbasic = self.nonbasic
         while True:
             found = self.leaving(degenerate_streak >= bland_after)
             if found is None:
@@ -311,12 +311,15 @@ class _Tableau:
             leave, k = found
             if k >= 0:
                 leave = self.add_bound_row(leave, k)
-            # least obj[j] / -a_j over the negative entries a_j, ties to the lowest column
+            # least obj[q] / -a_q over the negative entries a_q, ties to the lowest label
             lrow, obj, enter = self.T[leave], self.obj, -1
-            for j in range(len(lrow) - 1):
-                a = lrow[j]
-                if a < 0 and (enter < 0 or obj[j] * -lrow[enter] < obj[enter] * -a):
-                    enter = j
+            for q in range(self.n):
+                a = lrow[q]
+                if a < 0 and (
+                    enter < 0
+                    or (obj[q] * -lrow[enter], nonbasic[q]) < (obj[enter] * -a, nonbasic[enter])
+                ):
+                    enter = q
             if enter < 0:
                 return leave  # every entry is >= 0 and the rhs is < 0
             if self.iterations >= max_iters:
@@ -348,7 +351,7 @@ def solve_lp(
     t = _Tableau(p)
     r = t.run(bland_after=bland_after, max_iters=max_iters)
     if r >= 0:
-        ray_rows, ray_bounds = _duals(p, t, t.T[r], t.den[r])
+        ray_rows, ray_bounds = _duals(p, t, t.T[r], t.den[r], t.basis[r])
         return LpSolution(
             "INFEASIBLE", t.iterations, ray_rows=ray_rows, ray_bounds=ray_bounds
         )
@@ -367,23 +370,30 @@ def solve_lp(
     )
 
 
-def _duals(p: LpProblem, t: _Tableau, vec: list[int], den: int):
+def _duals(p: LpProblem, t: _Tableau, vec: list[int], den: int, basic: int = -1):
     """Row and bound duals, or a Farkas ray, from the slack entries of ``vec / den``.
 
-    With the objective row, the slack reduced costs give the duals; with
-    a row whose entries are all >= 0 and whose rhs is < 0, its slack
-    entries ``w`` combine the ``<=``-form rows into an infeasible one, and
-    negating that combination gives the ray.  Either way a ``>=`` row,
-    stored negated, gets ``w_i`` and a ``<=`` row or a bound gets ``-w_i``.
+    With the objective row, the nonbasic slack reduced costs give the
+    duals, and a basic slack's is 0; with a row whose entries are all >= 0
+    and whose rhs is < 0, its slack entries ``w`` combine the ``<=``-form
+    rows into an infeasible one, and negating that combination gives the
+    ray.  Such a row's own basic column ``basic`` has the dropped unit
+    entry ``den / den``.  Either way a ``>=`` row, stored negated, gets
+    ``w_i`` and a ``<=`` row or a bound gets ``-w_i``.
     """
-    n, m = t.n, t.m
+    n = t.n
+    w = [0] * (t.m + len(t.bounded))  # by full-tableau column - n
+    for label, v in zip(t.nonbasic, vec):
+        if label >= n:
+            w[label - n] = v
+    if basic >= n:
+        w[basic - n] = den
     dual_rows = tuple(
-        Fraction(vec[n + i] if row.sense == GE else -vec[n + i], den)
-        for i, row in enumerate(p.rows)
+        Fraction(w[i] if row.sense == GE else -w[i], den) for i, row in enumerate(p.rows)
     )
     dual_bounds = [ZERO] * n
-    for pos in range(n + m, len(t.cols)):
-        dual_bounds[t.bounded[t.cols[pos] - n - m]] = Fraction(-vec[pos], den)
+    for k, j in enumerate(t.bounded, start=t.m):
+        dual_bounds[j] = Fraction(-w[k], den)
     return dual_rows, tuple(dual_bounds)
 
 

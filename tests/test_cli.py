@@ -517,6 +517,19 @@ class TestOracleAndCheck:
         rep = json.loads(out)
         assert (rep["opt"], rep["oracle_space"]) == (1, 2)
 
+    def test_oracle_box_deeper_than_the_recursion_limit_exits_three(self, tmp_path, capsys):
+        # a point budget of 2^1100 admits the box of 1,100 raisable
+        # variables, but the recursion cannot hold one level per variable
+        n = 1100
+        doc = json.dumps({"A": [[1] * n], "a": [1], "c": [1] * n, "d": [1] * n})
+        code, out, err = run(
+            ["oracle", write_gap(tmp_path, doc), "--max-points", str(2**n)], capsys=capsys
+        )
+        assert code == EXIT_LIMIT
+        assert out == ""
+        assert f"search space of {2**n} points is over budget" in err
+        assert "recursion limit" in err
+
     def test_check_good_and_bad(self, tmp_path, capsys, monkeypatch):
         inst_path = write_gap(tmp_path)
         good = tmp_path / "good.json"

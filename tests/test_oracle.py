@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from math import ceil
 
 import pytest
@@ -12,6 +13,7 @@ from coverpack.model import (
     ZERO,
     InstanceError,
     IntegerVector,
+    LimitError,
     SolveReport,
     ViolationReport,
     dot,
@@ -85,6 +87,45 @@ class TestBruteForce:
         assert (res.status, res.cost, res.space_size) == ("OPTIMAL", 1, 2)
         assert res.x.values == (1,) + (0,) * (n - 1)
         assert feasible_points(inst, res.bounds) == [res.x.values]
+
+    def test_box_deeper_than_the_recursion_limit_is_over_budget(self):
+        # 1,100 variables that can each be raised: a point budget of 2^1100
+        # admits the box, but one recursion level per variable does not fit
+        n = 1100
+        inst = make_inst(A=[[1] * n], a=[1], c=[1] * n, d=[1] * n)
+        res = brute_force_opt(inst, max_points=2**n)
+        assert (res.status, res.x, res.cost) == ("BUDGET_EXCEEDED", None, None)
+        assert (res.space_size, res.bounds) == (2**n, (1,) * n)
+        with pytest.raises(LimitError, match="recursion limit"):
+            feasible_points(inst, res.bounds)
+        assert check_kc_validity(inst, max_points=4**n).status == "BUDGET_EXCEEDED"
+
+    def test_depth_refusal_never_raises_recursion_error(self):
+        # around the deepest box the stack holds, each call enumerates or
+        # refuses, and past some limit every call enumerates; the one
+        # covering point is all ones, one recursion level per variable
+        n = 300
+        inst = make_inst(A=[[1] * n], a=[n], c=[1] * n, d=[1] * n)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old = sys.getrecursionlimit()
+        statuses, counts = [], []
+        try:
+            for limit in range(depth + n, depth + n + 80):
+                sys.setrecursionlimit(limit)
+                statuses.append(brute_force_opt(inst, max_points=2**n).status)
+                try:
+                    counts.append(len(feasible_points(inst, (1,) * n)))
+                except LimitError:
+                    counts.append(None)
+        finally:
+            sys.setrecursionlimit(old)
+        k = statuses.index("OPTIMAL")
+        assert statuses == ["BUDGET_EXCEEDED"] * k + ["OPTIMAL"] * (len(statuses) - k)
+        assert k > 0
+        assert [c is None for c in counts] == [s == "BUDGET_EXCEEDED" for s in statuses]
+        assert counts[-1] == 1
 
 
 class TestCheckSolution:
@@ -364,6 +405,21 @@ class TestKcValidity:
         system = kc_system(inst, frozenset())
         assert system.A_F == inst.A and system.a_F == inst.a
         assert check_kc_validity(inst).status == "OK"
+
+    def test_zero_bounds_are_not_swept(self):
+        # pinning x_j at d_j = 0 changes no residual demand, and no feasible
+        # point raises x_j, so only the subsets of {x_0} are checked
+        inst = make_inst(A=[[1, 0, 0]], a=[1], c=[1, 1, 1], d=[1, 0, 0])
+        report = check_kc_validity(inst)
+        assert (report.status, report.checked_sets, report.checked_points) == ("OK", 2, 1)
+
+    def test_box_of_two_points_with_zero_caps_fits_the_budget(self):
+        # 30 variables, 29 capped at 0: 2 pin sets over a box of 2 points,
+        # not 2^30 pin sets
+        n = 30
+        inst = make_inst(A=[[1] + [0] * (n - 1)], a=[1], c=[1] * n, d=[1] + [0] * (n - 1))
+        report = check_kc_validity(inst)
+        assert (report.status, report.checked_sets) == ("OK", 2)
 
     def test_budget_refusal(self):
         inst = make_inst(A=[[1] * 6], a=[3], c=[1] * 6, d=[2] * 6)

@@ -1,6 +1,7 @@
 import random
+from bisect import bisect
 from dataclasses import replace
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from coverpack.genbench import gen_random_cpip, gen_set_cover
 from coverpack.model import (
+    ZERO,
     FractionalVector,
     InstanceError,
     LimitError,
+    integers,
     normalize_width,
     parse_instance,
 )
@@ -20,6 +23,7 @@ from coverpack.simplex import (
     LpProblem,
     LpSolution,
     _eliminate,
+    _Tableau,
     dual_objective,
     lp_from_instance,
     solve_lp,
@@ -264,12 +268,10 @@ def test_bound_rows_match_explicit_rows_on_fixed_cases():
     _assert_bound_rows_parity(LpProblem.from_data([0], [((1,), GE, 1)], [F(1, 2)]))
 
 
-def test_bland_rule_from_first_pivot():
+def _beale_dual():
     # The LP dual of Beale's example, min h.w s.t. G^T w >= -c, w >= 0 for
-    # Beale's min c.x s.t. G x <= h, cycles under the dual simplex's
-    # most-negative-row rule alone; Bland's rule, from the first pivot or
-    # after a degenerate streak, ends it at minus Beale's optimum.
-    p = LpProblem.from_data(
+    # Beale's min c.x s.t. G x <= h
+    return LpProblem.from_data(
         [0, 0, 1],
         [
             ((F(1, 4), F(1, 2), 0), GE, F(3, 4)),
@@ -279,6 +281,13 @@ def test_bland_rule_from_first_pivot():
         ],
         [None] * 3,
     )
+
+
+def test_bland_rule_from_first_pivot():
+    # The dual of Beale's example cycles under the dual simplex's
+    # most-negative-row rule alone; Bland's rule, from the first pivot or
+    # after a degenerate streak, ends it at minus Beale's optimum.
+    p = _beale_dual()
     with pytest.raises(LimitError):
         solve_lp(p, bland_after=10**9, max_iters=500)
     for bland_after in (0, 40):
@@ -536,21 +545,216 @@ def test_negative_bound_rejected():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_eliminate_is_the_plain_update_reduced_by_its_gcd(data):
-    # dividing p and f = row[e] by gcd(p, f) first, and copying the row
-    # where p becomes 1, must leave the canonical (row, den) unchanged
+    # the exchange step: column e of the pivot row prow/p holds the leaving
+    # variable's entry, and the row's own entry f = row[e] is taken as 0 in
+    # the plain update, so the result there is -f * prow[e]; dividing p and
+    # f by gcd(p, f) first, and copying the row where p becomes 1, must
+    # leave the canonical (row, den) unchanged
     size = data.draw(st.integers(2, 8))
     entries = st.lists(st.integers(-60, 60), min_size=size, max_size=size)
     row, prow = data.draw(entries), data.draw(entries)
     e = data.draw(st.integers(0, size - 1))
-    p = prow[e] = data.draw(st.integers(1, 12))
+    prow[e] = data.draw(st.integers(-60, 60).filter(bool))
+    p = data.draw(st.integers(1, 12))
     den = data.draw(st.integers(1, 60))
     f = row[e]
     plain = [v * p - f * w for v, w in zip(row, prow)]
+    plain[e] = -f * prow[e]
     g = gcd(den * p, *plain)
     before = list(row)
     nz = [j for j, v in enumerate(prow) if v]
     assert _eliminate(row, den, prow, p, e, nz) == ([v // g for v in plain], den * p // g)
     assert row == before
+
+
+def _full_eliminate(row, den, prow, p, e, nz):
+    f = row[e]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    new = list(row) if p == 1 else [v * p for v in row]
+    for j in nz:
+        new[j] -= f * prow[j]
+    den *= p
+    g = gcd(den, *new)
+    if g > 1:
+        new = [v // g for v in new]
+        den //= g
+    return new, den
+
+
+class _FullTableau:
+    """The full-width tableau ``_Tableau`` replaced, kept as a reference.
+
+    Every stored column is kept, basic ones included: the user rows'
+    slacks at ``n + i`` and each stored bound row's slack at ``n + m + k``,
+    inserted in increasing order (``cols``).  Ties break on the lowest
+    stored column.
+    """
+
+    def __init__(self, p):
+        n = self.n = len(p.objective)
+        m = self.m = len(p.rows)
+        self.bounded = [j for j, u in enumerate(p.var_bounds) if u is not None]
+        self.pending = [None] * n
+        for k, j in enumerate(self.bounded):
+            u = p.var_bounds[j]
+            self.pending[j] = (k, u.numerator, u.denominator)
+        self.rows = list(range(m))
+        self.cols = list(range(n + m))
+        self.basis = list(range(n, n + m))
+        self.T, self.den = [], []
+        for i, (row, (scaled, D)) in enumerate(zip(p.rows, p.int_rows)):
+            sign = -1 if row.sense == GE else 1
+            trow = [sign * v for v in scaled[:n]] + [0] * m + [sign * scaled[n]]
+            trow[n + i] = D
+            self.T.append(trow)
+            self.den.append(D)
+        self.obj, self.obj_den = integers(p.objective)
+        self.obj += [0] * (m + 1)
+        self.iterations = 0
+
+    def add_bound_row(self, i, k):
+        j = self.bounded[k]
+        _, U, Du = self.pending[j]
+        self.pending[j] = None
+        c = self.n + self.m + k
+        pos = bisect(self.cols, c)
+        self.cols.insert(pos, c)
+        for trow in self.T:
+            trow.insert(pos, 0)
+        self.obj.insert(pos, 0)
+        d = self.den[i]
+        L = lcm(d, Du)
+        new = [-v * (L // d) for v in self.T[i]]
+        new[j] = 0
+        new[pos] = L
+        new[-1] += U * (L // Du)
+        self.T.append(new)
+        self.den.append(L)
+        self.rows.append(self.m + k)
+        self.basis.append(c)
+        return len(self.T) - 1
+
+    def pivot(self, r, e):
+        prow = self.T[r]
+        p = prow[e]
+        if p < 0:
+            prow = [-v for v in prow]
+            p = -p
+        g = gcd(*prow)
+        if g > 1:
+            prow = [v // g for v in prow]
+            p //= g
+        self.T[r] = prow
+        self.den[r] = p
+        nz = [j for j, v in enumerate(prow) if v]
+        for i, row in enumerate(self.T):
+            if i != r and row[e]:
+                self.T[i], self.den[i] = _full_eliminate(row, self.den[i], prow, p, e, nz)
+        if self.obj[e]:
+            self.obj, self.obj_den = _full_eliminate(self.obj, self.obj_den, prow, p, e, nz)
+        self.basis[r] = self.cols[e]
+
+    leaving = _Tableau.leaving
+
+    def run(self, *, bland_after, max_iters):
+        degenerate_streak = 0
+        while True:
+            found = self.leaving(degenerate_streak >= bland_after)
+            if found is None:
+                return -1
+            leave, k = found
+            if k >= 0:
+                leave = self.add_bound_row(leave, k)
+            lrow, obj, enter = self.T[leave], self.obj, -1
+            for j in range(len(lrow) - 1):
+                a = lrow[j]
+                if a < 0 and (enter < 0 or obj[j] * -lrow[enter] < obj[enter] * -a):
+                    enter = j
+            if enter < 0:
+                return leave
+            if self.iterations >= max_iters:
+                raise LimitError(f"simplex exceeded {max_iters} pivots")
+            self.iterations += 1
+            degenerate_streak = degenerate_streak + 1 if obj[enter] == 0 else 0
+            self.pivot(leave, enter)
+
+
+def _full_duals(p, t, vec, den):
+    n, m = t.n, t.m
+    dual_rows = tuple(
+        F(vec[n + i] if row.sense == GE else -vec[n + i], den)
+        for i, row in enumerate(p.rows)
+    )
+    dual_bounds = [ZERO] * n
+    for pos in range(n + m, len(t.cols)):
+        dual_bounds[t.bounded[t.cols[pos] - n - m]] = F(-vec[pos], den)
+    return dual_rows, tuple(dual_bounds)
+
+
+def reference_solve_lp(p, *, bland_after=40, max_iters=50_000):
+    """``solve_lp`` on the full-width tableau; returns the solution and the tableau."""
+    t = _FullTableau(p)
+    r = t.run(bland_after=bland_after, max_iters=max_iters)
+    if r >= 0:
+        ray_rows, ray_bounds = _full_duals(p, t, t.T[r], t.den[r])
+        return LpSolution("INFEASIBLE", t.iterations, ray_rows=ray_rows, ray_bounds=ray_bounds), t
+    x = [ZERO] * t.n
+    for i, bi in enumerate(t.basis):
+        if bi < t.n:
+            x[bi] = F(t.T[i][-1], t.den[i])
+    dual_rows, dual_bounds = _full_duals(p, t, t.obj, t.obj_den)
+    solution = LpSolution(
+        "OPTIMAL",
+        t.iterations,
+        primal=FractionalVector(tuple(x)),
+        objective_value=F(-t.obj[-1], t.obj_den),
+        dual_rows=dual_rows,
+        dual_bounds=dual_bounds,
+    )
+    return solution, t
+
+
+def _assert_condensed_parity(p, bland_after):
+    want, full = reference_solve_lp(p, bland_after=bland_after)
+    got = solve_lp(p, bland_after=bland_after)
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert (got.primal, got.objective_value) == (want.primal, want.objective_value)
+    assert (got.dual_rows, got.dual_bounds) == (want.dual_rows, want.dual_bounds)
+    assert (got.ray_rows, got.ray_bounds) == (want.ray_rows, want.ray_bounds)
+    # the last tableau too: each stored row's entries and denominator are
+    # the full row's, whose basic columns hold den on its own row and 0 off it
+    t = _Tableau(p)
+    t.run(bland_after=bland_after, max_iters=50_000)
+    assert (t.rows, t.basis, t.den) == (full.rows, full.basis, full.den)
+    assert sorted(t.nonbasic + t.basis) == full.cols
+    pos = {c: q for q, c in enumerate(full.cols)}
+    for crow, frow, b, d in zip(t.T, full.T, t.basis, t.den):
+        assert crow == [frow[pos[c]] for c in t.nonbasic] + [frow[-1]]
+        assert [frow[pos[c]] for c in t.basis] == [d if c == b else 0 for c in t.basis]
+    assert t.obj == [full.obj[pos[c]] for c in t.nonbasic] + [full.obj[-1]]
+    assert t.obj_den == full.obj_den
+    assert not any(full.obj[pos[c]] for c in t.basis)
+    return got.status
+
+
+@pytest.mark.parametrize("bland_after", [0, 1, 40], ids=["bland-0", "bland-1", "bland-default"])
+@settings(max_examples=100, deadline=None)
+@given(p=st.one_of(cpip_lps(), general_lps()))
+def test_condensed_tableau_equals_full_reference(p, bland_after):
+    _assert_condensed_parity(p, bland_after)
+
+
+@pytest.mark.parametrize("bland_after", [0, 1, 40], ids=["bland-0", "bland-1", "bland-default"])
+def test_condensed_tableau_equals_full_reference_on_fixed_cases(bland_after):
+    cases = [lp_from_instance(inst) for inst in _scale_instances()]
+    cases += [
+        _tied_bound_slacks(),
+        LpProblem.from_data([0], [((1,), GE, 1)], [F(1, 2)]),
+        _beale_dual(),
+    ]
+    statuses = {_assert_condensed_parity(p, bland_after) for p in cases}
+    assert statuses == {"OPTIMAL", "INFEASIBLE"}
 
 
 @settings(max_examples=60, deadline=None)
