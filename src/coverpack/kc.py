@@ -3,17 +3,19 @@
 The solvers here take width-normalized instances, whose finite bounds
 d_j are integers (``normalize_width`` floors them; integer x_j <= d_j
 iff x_j <= floor(d_j)).  For a set F of variables imagined pinned at
-their bounds, each covering row keeps a residual demand
+their bounds, each covering row ``(S, D)`` of ``CpipInstance.int_rows``
+(its coefficients, then its demand, as integers over D) keeps a residual
+demand
 
-    a_F[i] = max(0, a[i] - sum_{j in F} A[i][j] d[j])
+    a'_F = max(0, S[n] - sum_{j in F} S[j] d_j)
 
-and truncated coefficients A_F[i][j] = min(A[i][j], a_F[i]) for j not in
-F (zero on F itself).  The inequalities A_F x >= a_F hold for every
-integer point satisfying the covering and multiplicity constraints, and
-adding them can close the (arbitrarily large) integrality gap of the
-plain relaxation.  Truncation keeps the width of every residual row at
-least 1, which is what lets the rounding machinery run on the residual
-system at full strength.
+and truncated coefficients min(S[j], a'_F) for j not in F (zero on F
+itself), over the same D: the residual row ``(S_F, D)``.  These rows
+hold for every integer point satisfying the covering and multiplicity
+constraints, and adding them can close the (arbitrarily large)
+integrality gap of the plain relaxation.  Truncation keeps the width of
+every residual row at least 1, which is what lets the rounding machinery
+run on the residual system at full strength.
 
 Because there are exponentially many sets F, the relaxation is solved to
 lambda-relaxed form by a cutting-plane loop: solve the current LP,
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from time import perf_counter
 
 from coverpack.model import (
@@ -47,11 +50,10 @@ from coverpack.model import (
     InstanceError,
     IntegerVector,
     LimitError,
-    Matrix,
     SolveReport,
-    Vector,
     as_fraction,
     dot,
+    integers,
     is_width_normalized,
 )
 from coverpack.oracle import check_solution, effective_bounds, feasible_points, validate_kc_system
@@ -61,11 +63,10 @@ from coverpack.rounding import bicriteria_round
 
 @dataclass(frozen=True)
 class KcSystem:
-    """Residual covering system for a pinned set F."""
+    """Residual system of a pinned set F: ``rows[i]`` is covering row i as ``(S_F, D)``."""
 
     F: frozenset
-    a_F: Vector
-    A_F: Matrix
+    rows: tuple[tuple[tuple[int, ...], int], ...]
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,16 @@ class CutLoop:
     pin_sets_seen: tuple[tuple[int, ...], ...]
 
 
-def residual_demand(inst: CpipInstance, F) -> Vector:
-    """a_F[i] = max(0, a[i] - sum_{j in F} A[i][j] d[j]); each pinned d_j an integer."""
+def kc_system(inst: CpipInstance, F) -> KcSystem:
+    """Residual system: coefficients truncated at the residual demand, zero on F.
+
+    Each pin must be a variable index with a finite integral bound.
+    """
+    F = frozenset(F)
+    n = inst.n
     for j in F:
+        if not (isinstance(j, int) and 0 <= j < n):
+            raise InstanceError(f"cannot pin {j!r}: the variables are 0..{n - 1}")
         if inst.d[j] is None:
             raise InstanceError(f"cannot pin variable {j}: its multiplicity is unbounded")
         if inst.d[j].denominator != 1:
@@ -95,23 +103,13 @@ def residual_demand(inst: CpipInstance, F) -> Vector:
                 f"cannot pin variable {j}: its bound {inst.d[j]} is not an integer "
                 "(normalize width first)"
             )
-    return tuple(
-        max(ZERO, inst.a[i] - sum((inst.A[i][j] * inst.d[j] for j in F), ZERO))
-        for i in range(inst.m)
-    )
-
-
-def kc_system(inst: CpipInstance, F) -> KcSystem:
-    """Residual system: coefficients truncated at the residual demand, zero on F."""
-    F = frozenset(F)
-    a_F = residual_demand(inst, F)
-    A_F = tuple(
-        tuple(
-            ZERO if j in F else min(inst.A[i][j], a_F[i]) for j in range(inst.n)
-        )
-        for i in range(inst.m)
-    )
-    return KcSystem(F=F, a_F=a_F, A_F=A_F)
+    pins = [(j, inst.d[j].numerator) for j in F]
+    free = [j not in F for j in range(n)]
+    rows = []
+    for S, D in inst.int_rows[: inst.m]:
+        demand = max(0, S[n] - sum(S[j] * dj for j, dj in pins))
+        rows.append(((*(min(v, demand) if f else 0 for v, f in zip(S, free)), demand), D))
+    return KcSystem(F=F, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -153,22 +151,13 @@ def check_kc_validity(inst: CpipInstance, *, max_points: int = 2_000_000) -> KcV
     for mask in range(sets):
         F = frozenset(finite[k] for k in range(len(finite)) if mask >> k & 1)
         system = kc_system(inst, F)
-        bad, defects = validate_kc_system(inst, F, system.A_F, system.a_F, points)
+        bad, defects = validate_kc_system(inst, F, system.rows, points)
         counterexamples.extend(bad)
         structural.extend(defects)
     status = "OK" if not (counterexamples or structural) else "COUNTEREXAMPLE"
     return KcValidityReport(
         status, tuple(counterexamples), tuple(structural), sets, len(points)
     )
-
-
-def cut_rows(system: KcSystem) -> list[tuple[int, Vector, Fraction]]:
-    """Rows worth emitting: positive residual demand only (others are vacuous)."""
-    return [
-        (i, system.A_F[i], system.a_F[i])
-        for i in range(len(system.a_F))
-        if system.a_F[i] > 0
-    ]
 
 
 def high_set(x, d, lam) -> frozenset:
@@ -181,17 +170,26 @@ def find_violated_kc(
 ) -> tuple[KcSystem, list[tuple[int, Fraction]]]:
     """The residual system of the point's own high set, and the rows it violates.
 
-    Each violated row comes with its shortfall a_F[i] - A_F[i] x.  No
-    violated rows means x satisfies the cut family required of a
-    lambda-relaxed solution.
+    Each violated row comes with its exact shortfall a'_F - A'_F x, one
+    integer dot product with x over one denominator.  No violated rows
+    means x satisfies the cut family required of a lambda-relaxed
+    solution.  x must have one entry per variable.
     """
     lam = as_fraction(lam, "lambda")
     if lam <= 1:
         raise InstanceError(f"lambda = {lam} must exceed 1")
     xv = tuple(Fraction(v) for v in x)
+    n = inst.n
+    if len(xv) != n:
+        raise InstanceError(f"x has {len(xv)} entries, expected {n}")
     system = kc_system(inst, high_set(xv, inst.d, lam))
-    shortfalls = ((i, rhs - dot(coeffs, xv)) for i, coeffs, rhs in cut_rows(system))
-    return system, [(i, short) for i, short in shortfalls if short > 0]
+    X, Dx = integers(xv)
+    violated = []
+    for i, (S, D) in enumerate(system.rows):
+        short = S[n] * Dx - sum(map(mul, S, X))  # (a'_F - A'_F x) * D * Dx
+        if short > 0:
+            violated.append((i, Fraction(short, D * Dx)))
+    return system, violated
 
 
 def solve_lp_kc(inst: CpipInstance, lam, max_rounds: int = 1000) -> CutLoop:
@@ -211,11 +209,11 @@ def solve_lp_kc(inst: CpipInstance, lam, max_rounds: int = 1000) -> CutLoop:
         raise InstanceError(f"max_rounds = {max_rounds} must be >= 1")
     if not is_width_normalized(inst):
         raise InstanceError("normalize width first")
-    cuts: list[tuple[Vector, Fraction]] = []
+    cuts: list[tuple[tuple[int, ...], int]] = []
     objectives: list[Fraction] = []
     pin_sets: list[tuple[int, ...]] = []
     for round_no in range(1, max_rounds + 1):
-        problem = lp_from_instance(inst, cut_rows=cuts)
+        problem = lp_from_instance(inst, cuts)
         sol = solve_lp(problem)
         failed = verify_certificate(problem, sol)
         if failed:
@@ -234,7 +232,7 @@ def solve_lp_kc(inst: CpipInstance, lam, max_rounds: int = 1000) -> CutLoop:
         system, violated = find_violated_kc(inst, sol.primal, lam)
         if not violated:
             return CutLoop(sol.primal, system, tuple(objectives), len(cuts), tuple(pin_sets))
-        cuts.extend((system.A_F[i], system.a_F[i]) for i, _ in violated)
+        cuts.extend(system.rows[i] for i, _ in violated)
         pins = tuple(sorted(system.F))
         if pins not in pin_sets:
             pin_sets.append(pins)
@@ -261,11 +259,12 @@ def solve_cip_strict(
     loop = solve_lp_kc(inst, lam, max_rounds=max_rounds)
     # the loop's last high set, at lambda = 1+eps, is the pinned set, and
     # xbar violates none of its residual rows (derandomized_round re-checks;
-    # CoverRows skips the zero-demand ones)
+    # CoverRows skips the zero-demand ones); the integer rows round as they are
     xbar, system = loop.x, loop.system
     xres = tuple(ZERO if j in system.F else v for j, v in enumerate(xbar))
     info: dict = {}
-    xhat_rest = bicriteria_round(xres, system.A_F, system.a_F, inst.c, xres, eps, info_out=info)
+    A, a = [S[:-1] for S, _ in system.rows], [S[-1] for S, _ in system.rows]
+    xhat_rest = bicriteria_round(xres, A, a, inst.c, xres, eps, info_out=info)
     xhat = IntegerVector(
         tuple(int(inst.d[j]) if j in system.F else xhat_rest[j] for j in range(inst.n))
     )

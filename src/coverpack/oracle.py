@@ -29,7 +29,6 @@ from coverpack.model import (
     ViolationReport,
     as_fraction,
     integers,
-    scale_rows,
 )
 
 
@@ -209,8 +208,7 @@ def check_solution(
 def validate_kc_system(
     inst: CpipInstance,
     F: frozenset,
-    A_F,
-    a_F,
+    rows: Sequence[tuple[Sequence[int], int]],
     points: Sequence[tuple[int, ...]],
 ) -> tuple[list, list]:
     """Check one pinned-set system against every feasible integer point.
@@ -218,13 +216,12 @@ def validate_kc_system(
     Returns (counterexamples, structural_defects).  A counterexample is a
     feasible point violating a residual row.  A structural defect is a
     coefficient exceeding its row's residual demand, which would let the
-    restricted system's width drop below 1.  Each row is scaled to
-    integers with its demand once (``scale_rows``); the amounts reported
-    are the exact rationals.
+    restricted system's width drop below 1.  Each row is ``(S, D)``, its
+    coefficients then its demand as integers over D (``kc.KcSystem``), and
+    is read as given; the amounts reported are the exact rationals.
     """
     counterexamples = []
     structural = []
-    rows = scale_rows(zip(A_F, a_F))
     for i, (S, D) in enumerate(rows):
         for j in range(inst.n):
             if S[j] > S[-1]:

@@ -28,11 +28,11 @@ All guarantees are re-verified exactly before an answer is returned;
 floats appear only inside the estimator, whose role is to pick between
 floor and ceiling.  Each public rounding call scans the dense A once, into
 ``CoverRows``: its demanded rows scaled to Python ints and kept over their
-nonzeros, by row and by column (``solve_cpip_bicriteria`` scans the
-instance's ``int_rows``, which are integers already).  The width, the
-estimator's weights, every coverage, cost and slack check and the trim
-run on those rows; the calls below a public one are handed the rows
-rather than rebuilding them.
+nonzeros, by row and by column (both solvers hand ``bicriteria_round``
+integer rows, whose lcm is 1).  The width, the estimator's weights,
+every coverage, cost and slack check and the trim run on those rows;
+the calls below a public one are handed the rows rather than rebuilding
+them.
 """
 
 from __future__ import annotations
@@ -382,7 +382,6 @@ def bicriteria_round(
     epsilon,
     *,
     info_out: dict | None = None,
-    rows: CoverRows | None = None,
 ) -> IntegerVector:
     """Integer cover within ceil((1+eps) xbar) at cost <= 4K cost(xbar).
 
@@ -390,8 +389,9 @@ def bicriteria_round(
     (W eps^2)).  Ceiling a positive (1/K)-granular coordinate multiplies
     it by at most K, and the granular scale factor is at most 1 + eps,
     which yields both bounds; a final cleanup pass drops whole surplus
-    units.  All three guarantees are re-checked exactly.  ``rows``, if
-    given, must be ``CoverRows`` of exactly (A, a).
+    units.  All three guarantees are re-checked exactly.  A row's scale
+    changes no choice here: (A, a) may be integer rows over any positive
+    row denominators, as the solvers pass them.
     """
     eps = as_fraction(epsilon, "epsilon")
     if not (0 < eps <= 1):
@@ -400,8 +400,7 @@ def bicriteria_round(
     for j, bound in enumerate(d):
         if bound is not None and xv[j] > bound:
             raise InstanceError(f"xbar[{j}] = {xv[j]} exceeds its multiplicity bound {bound}")
-    if rows is None:
-        rows = CoverRows(A, a)
+    rows = CoverRows(A, a)
     if not rows.demands:
         if info_out is not None:
             info_out.update({"K": 0, "L": Fraction(1)})
@@ -460,12 +459,10 @@ def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, S
     t0 = perf_counter()
     sol = solve_relaxation(inst)
     info: dict = {}
-    # the integer rows give the same CoverRows as (A, a): each row's lcm is 1
+    # the integer rows round exactly as (A, a) does: CoverRows keeps them as they are
     cover = inst.int_rows[: inst.m]
-    rows = CoverRows([S[:-1] for S, _ in cover], [S[-1] for S, _ in cover])
-    xhat = bicriteria_round(
-        sol.primal, inst.A, inst.a, inst.c, inst.d, eps, info_out=info, rows=rows
-    )
+    A, a = [S[:-1] for S, _ in cover], [S[-1] for S, _ in cover]
+    xhat = bicriteria_round(sol.primal, A, a, inst.c, inst.d, eps, info_out=info)
     violations = check_solution(inst, xhat, eps)
     if not violations.ok_bicriteria:
         raise GuaranteeError(f"bicriteria guarantees violated: {violations}")

@@ -68,8 +68,8 @@ class LpRow:
 class LpProblem:
     """min objective . x  s.t.  rows, 0 <= x_j <= var_bounds[j] (None = free above).
 
-    ``int_rows`` holds each row's coefficients then rhs as integers over
-    their least common denominator (``model.scale_rows``); the tableau and
+    ``int_rows`` holds each row's coefficients then rhs as integers over a
+    common denominator (``from_data`` takes the least); the tableau and
     ``verify_certificate`` read the rows through it.
     """
 
@@ -118,22 +118,29 @@ class LpSolution:
 
 
 def lp_from_instance(
-    inst: CpipInstance, cut_rows: Sequence[tuple[Sequence[Fraction], Fraction]] = ()
+    inst: CpipInstance, cut_rows: Sequence[tuple[Sequence[int], int]] = ()
 ) -> LpProblem:
     """Standard relaxation of an instance plus optional >= cut rows.
 
     Row order: covering rows, packing rows, then cut rows in insertion
     order.  The variable bounds are the instance multiplicity vector.  The
     instance's rows, already validated, are taken as they are, with their
-    integers from ``inst.int_rows``; only the cut rows are read and scaled.
+    integers from ``inst.int_rows``.  Each cut row comes in that form,
+    ``(S, D)``: n coefficients then the rhs, all ints, over an int D >= 1
+    (``InstanceError`` otherwise); it is appended to ``int_rows`` as given.
     """
-    cuts = LpProblem.from_data(inst.c, [(coeffs, GE, rhs) for coeffs, rhs in cut_rows], inst.d)
+    n, cut_rows = inst.n, tuple(cut_rows)
+    cuts = []
+    for k, (S, D) in enumerate(cut_rows):
+        if len(S) != n + 1 or not all(isinstance(v, int) for v in (*S, D)) or D < 1:
+            raise InstanceError(f"cut row {k} is not {n + 1} ints over an int D >= 1")
+        cuts.append(LpRow(tuple(Fraction(v, D) for v in S[:n]), GE, Fraction(S[n], D)))
     rows = (
         *(LpRow(row, GE, rhs) for row, rhs in zip(inst.A, inst.a)),
         *(LpRow(row, LE, rhs) for row, rhs in zip(inst.B, inst.b)),
-        *cuts.rows,
+        *cuts,
     )
-    return LpProblem(cuts.objective, rows, cuts.var_bounds, inst.int_rows + cuts.int_rows)
+    return LpProblem(inst.c, rows, inst.d, inst.int_rows + cut_rows)
 
 
 def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int, nz: list[int]):
@@ -210,7 +217,7 @@ class _Tableau:
         self.T: list[list[int]] = []
         self.den: list[int] = []
         for row, (scaled, D) in zip(p.rows, p.int_rows):
-            # row i over the least common denominator D of its entries
+            # row i over its denominator D, as given in int_rows
             self.T.append(list(scaled) if row.sense == LE else [-v for v in scaled])
             self.den.append(D)
         self.obj, self.obj_den = integers(p.objective)
@@ -435,12 +442,12 @@ def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation
     ``LpSolution`` can have one, and it raises ``InstanceError``, as does
     a primal, dual or ray vector without one entry per variable or row.
 
-    The sums run in integers: each row over the least common denominator
-    ``D_i`` of its entries (``LpProblem.int_rows``), ``x`` over one
-    denominator and the weights ``y_i / D_i`` over one denominator, so
-    every ``A x`` and ``y^T A`` entry is an integer dot product.  Only the
-    O(m + n) scalar checks and the amount of each violation are
-    ``Fraction``, and every amount is the exact rational.
+    The sums run in integers: each row over its denominator ``D_i``
+    (``LpProblem.int_rows``), ``x`` over one denominator and the weights
+    ``y_i / D_i`` over one denominator, so every ``A x`` and ``y^T A``
+    entry is an integer dot product.  Only the O(m + n) scalar checks and
+    the amount of each violation are ``Fraction``, and every amount is the
+    exact rational.
     """
     n, m = len(p.objective), len(p.rows)
     out: list[CertificateViolation] = []

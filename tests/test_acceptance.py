@@ -17,7 +17,7 @@ import pytest
 
 from coverpack import kc
 from coverpack.genbench import gen_multiset_multicover, gen_random_cpip, knapsack_gap
-from coverpack.kc import check_kc_validity, cut_rows, kc_system, solve_cip_strict, solve_lp_kc
+from coverpack.kc import check_kc_validity, kc_system, solve_cip_strict, solve_lp_kc
 from coverpack.model import dot, normalize_width, vec_ceil, width
 from coverpack.oracle import brute_force_opt
 from coverpack.rounding import (
@@ -255,9 +255,10 @@ def test_ac6_kc_validity_and_width():
         for mask in range(2 ** len(finite)):
             pins = frozenset(finite[k] for k in range(len(finite)) if mask >> k & 1)
             system = kc_system(inst, pins)
-            for i, coeffs, rhs in cut_rows(system):
-                row_width = min(rhs / v for v in coeffs if v > 0)
-                assert row_width >= 1
+            for S, _ in system.rows:
+                if S[-1] > 0:  # a zero-demand row is vacuous and never a cut
+                    row_width = min(F(S[-1], v) for v in S[:-1] if v > 0)
+                    assert row_width >= 1
     _line("AC-6", True, "50 instances exhaustively valid; every residual row width >= 1")
 
 

@@ -29,12 +29,14 @@ class TestKnapsackGap:
         assert brute_force_opt(inst).cost / fopt == 100
 
     def test_pinned_cut_is_delta_row(self):
-        from coverpack.kc import cut_rows, kc_system
+        from coverpack.kc import kc_system
 
         delta = F(3, 10)
         inst = knapsack_gap(delta)
         system = kc_system(inst, {0})
-        assert cut_rows(system) == [(0, (F(0), delta), delta)]
+        # 0 x1 + delta x2 >= delta, over the row's denominator 10
+        assert system.rows == (((0, 3, 3), 10),)
+        assert [F(v, 10) for v in system.rows[0][0]] == [0, delta, delta]
 
     def test_delta_range_validated(self):
         for bad in (0, 1, F(3, 2)):

@@ -1,19 +1,20 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coverpack import kc, rounding
 from coverpack.genbench import gen_random_cpip, knapsack_gap
 from coverpack.kc import (
-    cut_rows,
     find_violated_kc,
     high_set,
     kc_system,
-    residual_demand,
     solve_cip_strict,
     solve_lp_kc,
 )
 from coverpack.model import (
+    ZERO,
     GuaranteeError,
     InstanceError,
     IntegerVector,
@@ -21,57 +22,102 @@ from coverpack.model import (
     dot,
     normalize_width,
 )
-from coverpack.simplex import CertificateViolation, lp_from_instance, solve_lp, verify_certificate
+from coverpack.simplex import (
+    GE,
+    CertificateViolation,
+    LpProblem,
+    lp_from_instance,
+    solve_lp,
+    verify_certificate,
+)
 from coverpack.oracle import brute_force_opt
-from coverpack.rounding import solve_cpip_bicriteria
+from coverpack.rounding import bicriteria_round, solve_cpip_bicriteria
 from conftest import F, make_inst
+
+
+def reference_residual_demand(inst, F_):
+    """a_F[i] = max(0, a[i] - sum_{j in F} A[i][j] d[j]), in Fraction arithmetic."""
+    return tuple(
+        max(ZERO, inst.a[i] - sum((inst.A[i][j] * inst.d[j] for j in F_), ZERO))
+        for i in range(inst.m)
+    )
+
+
+def reference_kc_system(inst, F_):
+    """The residual system as (A_F, a_F) over the rationals: entries min(A_ij, a_F[i]), 0 on F."""
+    a_F = reference_residual_demand(inst, F_)
+    A_F = tuple(
+        tuple(ZERO if j in F_ else min(inst.A[i][j], a_F[i]) for j in range(inst.n))
+        for i in range(inst.m)
+    )
+    return A_F, a_F
+
+
+def rationals(rows):
+    """Integer rows ``(S, D)`` as (coefficient rows, rhs) over the rationals."""
+    A = tuple(tuple(F(v, D) for v in S[:-1]) for S, D in rows)
+    return A, tuple(F(S[-1], D) for S, D in rows)
+
+
+def demands(system):
+    return tuple(F(S[-1], D) for S, D in system.rows)
 
 
 class TestResidualDemand:
     def test_gap_instance_single_pin(self):
         inst = knapsack_gap(F(1, 10))
-        a_F = residual_demand(inst, {0})
-        assert a_F == (F(1, 10),)
+        system = kc_system(inst, {0})
+        assert [(S[-1], D) for S, D in system.rows] == [(1, 10)]
+        assert demands(system) == (F(1, 10),)
 
     def test_empty_pin_set(self):
         inst = knapsack_gap(F(1, 4))
-        assert residual_demand(inst, set()) == inst.a
+        assert demands(kc_system(inst, set())) == inst.a
 
     def test_full_cover_clamps_to_zero(self):
         inst = make_inst(A=[[2, 1]], a=[2], c=[1, 1], d=[1, 1])
-        a_F = residual_demand(inst, {0})
-        assert a_F == (F(0),)
+        assert demands(kc_system(inst, {0})) == (F(0),)
 
     def test_unbounded_pin_rejected(self):
         inst = knapsack_gap(F(1, 10))
         with pytest.raises(InstanceError, match="unbounded"):
-            residual_demand(inst, {1})
+            kc_system(inst, {1})
 
     def test_fractional_pin_rejected(self):
         inst = make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None])
         with pytest.raises(InstanceError, match="not an integer"):
-            residual_demand(inst, {0})
-        assert residual_demand(normalize_width(inst), {0}) == (F(1, 10),)
+            kc_system(inst, {0})
+        assert demands(kc_system(normalize_width(inst), {0})) == (F(1, 10),)
+
+    @pytest.mark.parametrize("pin", [-1, 2, 5])
+    def test_pin_outside_the_variables_rejected(self, pin):
+        # -1 would otherwise pin the last variable, and 2 index past d
+        inst = make_inst(A=[[1, 1]], a=[2], c=[1, 1], d=[1, 1])
+        with pytest.raises(InstanceError, match=f"cannot pin {pin}: the variables are 0..1"):
+            kc_system(inst, {pin})
 
 
 class TestKcSystem:
     def test_gap_truncation(self):
         inst = knapsack_gap(F(1, 4))
         system = kc_system(inst, {0})
-        assert system.a_F == (F(1, 4),)
-        assert system.A_F == ((F(0), F(1, 4)),)  # the "delta x2 >= delta" row
+        # the "delta x2 >= delta" row, over the instance row's denominator 4
+        assert system.rows == (((0, 1, 1), 4),)
+        assert rationals(system.rows) == (((F(0), F(1, 4)),), (F(1, 4),))
 
     def test_empty_set_is_original_system(self):
         inst = normalize_width(gen_random_cpip(3, 4, 0, seed=1))
         system = kc_system(inst, frozenset())
-        assert system.A_F == inst.A
-        assert system.a_F == inst.a
+        assert system.rows == inst.int_rows[: inst.m]
+        assert rationals(system.rows) == (inst.A, inst.a)
 
     def test_zero_residual_rows_not_emitted(self):
         inst = make_inst(A=[[2, 1], [1, 1]], a=[2, 2], c=[1, 1], d=[2, 2])
         system = kc_system(inst, {0})
-        assert system.a_F == (F(0), F(0))
-        assert cut_rows(system) == []
+        assert demands(system) == (F(0), F(0))
+        assert [S for S, _ in system.rows] == [(0, 0, 0), (0, 0, 0)]
+        # x_0 = 2 pins {0}; x_1 = 0 meets neither zero-demand row, and neither is reported
+        assert find_violated_kc(inst, (F(2), F(0)), 2) == (system, [])
 
     def test_coefficients_never_exceed_residual(self):
         rng = random.Random(3)
@@ -82,9 +128,99 @@ class TestKcSystem:
                 j for j in range(inst.n) if df[j] is not None and rng.random() < 0.5
             )
             system = kc_system(inst, pins)
-            for i, coeffs, rhs in cut_rows(system):
-                positive = [rhs / v for v in coeffs if v > 0]
-                assert min(positive, default=F(1)) >= 1  # restricted width
+            for S, _ in system.rows:
+                if S[-1] > 0:
+                    positive = [F(S[-1], v) for v in S[:-1] if v > 0]
+                    assert min(positive, default=F(1)) >= 1  # restricted width
+
+
+@st.composite
+def pinned_instances(draw):
+    """Fractional rows, entries above their demand, integral or absent bounds, and a pin set."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    number = st.fractions(min_value=0, max_value=4, max_denominator=6)
+    entry = st.one_of(st.just(F(0)), number)
+    inst = make_inst(
+        A=[[draw(entry) for _ in range(n)] for _ in range(m)],
+        a=[draw(number) for _ in range(m)],
+        c=[draw(number) for _ in range(n)],
+        d=[draw(st.one_of(st.none(), st.integers(0, 3))) for _ in range(n)],
+    )
+    finite = [j for j in range(n) if inst.d[j] is not None]
+    return inst, frozenset(draw(st.sets(st.sampled_from(finite)))) if finite else frozenset()
+
+
+class TestFractionParity:
+    """The integer residual rows against the Fraction system they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pinned_instances())
+    def test_rows_equal_reference_rationals(self, case):
+        inst, pins = case
+        system = kc_system(inst, pins)
+        assert system.F == pins
+        assert [D for _, D in system.rows] == [D for _, D in inst.int_rows[: inst.m]]
+        assert rationals(system.rows) == reference_kc_system(inst, pins)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pinned_instances(), st.data())
+    def test_shortfalls_equal_reference(self, case, data):
+        inst, _ = case
+        coordinate = st.fractions(min_value=0, max_value=4, max_denominator=5)
+        x = [data.draw(coordinate) for _ in range(inst.n)]
+        lam = data.draw(st.sampled_from([F(5, 4), F(2), F(3)]))
+        system, violated = find_violated_kc(inst, x, lam)
+        A_F, a_F = reference_kc_system(inst, high_set(x, inst.d, lam))
+        want = [(i, a_F[i] - dot(A_F[i], x)) for i in range(inst.m) if a_F[i] > dot(A_F[i], x)]
+        assert violated == want
+        assert system == kc_system(inst, high_set(x, inst.d, lam))
+
+    @settings(max_examples=80, deadline=None)
+    @given(pinned_instances(), st.data())
+    def test_lp_from_integer_cuts_equals_from_data(self, case, data):
+        inst, pins = case
+        system = kc_system(inst, pins)
+        # residual rows, some over a multiple of their denominator, as a caller may give them
+        picks = st.tuples(st.integers(0, inst.m - 1), st.integers(1, 3))
+        cuts = [
+            (tuple(k * v for v in system.rows[i][0]), k * system.rows[i][1])
+            for i, k in data.draw(st.lists(picks, max_size=3))
+        ]
+        got = lp_from_instance(inst, cuts)
+        A, a = rationals(cuts)
+        rows = (
+            [(row, GE, rhs) for row, rhs in zip(inst.A, inst.a)]
+            + [(row, GE, rhs) for row, rhs in zip(A, a)]
+        )
+        want = LpProblem.from_data(inst.c, rows, inst.d)
+        assert (got.objective, got.rows, got.var_bounds) == (
+            want.objective, want.rows, want.var_bounds
+        )
+        assert got.int_rows[inst.m :] == tuple(cuts)
+        assert [rationals([row]) for row in got.int_rows] == [
+            rationals([row]) for row in want.int_rows
+        ]
+        sol = solve_lp(got)
+        assert sol == solve_lp(want)
+        assert verify_certificate(got, sol) == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(pinned_instances(), st.sampled_from([F(1, 4), F(1, 2), F(1)]))
+    def test_bicriteria_round_on_integer_rows_equals_fraction_rows(self, case, eps):
+        inst, pins = case
+        system = kc_system(inst, pins)
+        A_F, a_F = reference_kc_system(inst, pins)
+        # a vertex of the residual relaxation, the pinned variables at 0
+        bounds = [0 if j in pins else inst.d[j] for j in range(inst.n)]
+        residual = [(row, GE, rhs) for row, rhs in zip(A_F, a_F)]
+        sol = solve_lp(LpProblem.from_data(inst.c, residual, bounds))
+        assume(sol.status == "OPTIMAL")
+        A, a = [S[:-1] for S, _ in system.rows], [S[-1] for S, _ in system.rows]
+        got_info, want_info = {}, {}
+        got = bicriteria_round(sol.primal, A, a, inst.c, inst.d, eps, info_out=got_info)
+        want = bicriteria_round(sol.primal, A_F, a_F, inst.c, inst.d, eps, info_out=want_info)
+        assert got == want
+        assert got_info == want_info
 
 
 class TestFindViolated:
@@ -114,6 +250,12 @@ class TestFindViolated:
         inst = knapsack_gap(F(1, 10))
         with pytest.raises(InstanceError):
             find_violated_kc(inst, (F(0), F(0)), 1)
+
+    @pytest.mark.parametrize("x", [(F(1),), (F(1), F(1, 10), F(0))], ids=["short", "long"])
+    def test_point_of_wrong_length_rejected(self, x):
+        inst = knapsack_gap(F(1, 10))
+        with pytest.raises(InstanceError, match=f"x has {len(x)} entries, expected 2"):
+            find_violated_kc(inst, x, 2)
 
 
 class TestHighSet:

@@ -312,8 +312,10 @@ def reference_feasible_points(inst, caps):
     return pts
 
 
-def reference_validate(inst, F_, A_F, a_F, points):
-    """validate_kc_system in Fraction arithmetic."""
+def reference_validate(inst, F_, rows, points):
+    """validate_kc_system in Fraction arithmetic, on the rows' rationals."""
+    A_F = [[F(v, D) for v in S[:-1]] for S, D in rows]
+    a_F = [F(S[-1], D) for S, D in rows]
     structural = [
         (F_, i, j, A_F[i][j] - a_F[i])
         for i in range(len(a_F))
@@ -366,16 +368,19 @@ class TestOracleParity:
     @settings(max_examples=60, deadline=None)
     @given(oracle_instances(), st.data())
     def test_validate_kc_system_equals_fraction_reference(self, inst, data):
-        # halves up to 3 make a point that meets a row exactly common
-        half = st.fractions(min_value=0, max_value=3, max_denominator=2)
+        # halves up to 3 make a point that meets a row exactly common; a row
+        # over D = 2 with even entries is not in lowest terms, as a caller may give it
         k = data.draw(st.integers(1, 3))
-        A_F = tuple(tuple(data.draw(half) for _ in range(inst.n)) for _ in range(k))
-        a_F = tuple(data.draw(half) for _ in range(k))
+        rows = []
+        for _ in range(k):
+            D = data.draw(st.integers(1, 2))
+            S = tuple(data.draw(st.integers(0, 3 * D)) for _ in range(inst.n + 1))
+            rows.append((S, D))
         point = st.tuples(*(st.integers(0, 3) for _ in range(inst.n)))
         points = data.draw(st.lists(point, max_size=8))
         F_ = frozenset({0})
-        assert validate_kc_system(inst, F_, A_F, a_F, points) == reference_validate(
-            inst, F_, A_F, a_F, points
+        assert validate_kc_system(inst, F_, rows, points) == reference_validate(
+            inst, F_, rows, points
         )
 
     def test_statuses_all_reached(self):
@@ -403,7 +408,7 @@ class TestKcValidity:
     def test_empty_pin_set_matches_original_rows(self):
         inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[1, 1])
         system = kc_system(inst, frozenset())
-        assert system.A_F == inst.A and system.a_F == inst.a
+        assert system.rows == inst.int_rows[: inst.m]
         assert check_kc_validity(inst).status == "OK"
 
     def test_zero_bounds_are_not_swept(self):
@@ -430,24 +435,25 @@ class TestKcValidity:
         # corrupted system: raw coefficients where the residual demand is
         # smaller; the width check must name the offending entry
         inst = knapsack_gap(F(1, 4))
-        df = inst.d
         system = kc_system(inst, {0})
+        # the instance's own coefficients, zero on F, over the residual demand
         raw = tuple(
-            tuple(F(0) if j in {0} else inst.A[i][j] for j in range(inst.n))
-            for i in range(inst.m)
+            ((*(0 if j in {0} else S[j] for j in range(inst.n)), R[-1]), D)
+            for (S, D), (R, _) in zip(inst.int_rows, system.rows)
         )
-        assert raw[0][1] > system.a_F[0]
-        bad, defects = validate_kc_system(inst, frozenset({0}), raw, system.a_F, [])
-        assert defects and defects[0][1] == 0 and defects[0][2] == 1
+        assert raw == (((0, 4, 1), 4),)
+        assert raw[0][0][1] > system.rows[0][0][-1]
+        bad, defects = validate_kc_system(inst, frozenset({0}), raw, [])
+        assert defects == [(frozenset({0}), 0, 1, F(3, 4))]
 
     def test_inflated_residual_is_caught_by_feasible_point(self):
         # corrupted residual demand: a feasible integer point must violate it
         inst = knapsack_gap(F(1, 4))
-        df = inst.d
         system = kc_system(inst, {0})
-        inflated = tuple(v + 1 for v in system.a_F)
+        # each residual demand raised by 1, that is by D over D
+        inflated = tuple(((*S[:-1], S[-1] + D), D) for S, D in system.rows)
         feasible = [(1, 1), (0, 1)]
-        bad, _ = validate_kc_system(inst, frozenset({0}), system.A_F, inflated, feasible)
+        bad, _ = validate_kc_system(inst, frozenset({0}), inflated, feasible)
         assert bad
 
     def test_random_small_instances_valid(self):

@@ -594,14 +594,14 @@ class TestSolveCpipBicriteria:
         ids=["knapsack-gap", "random-cpip", "set-cover", "multiset-multicover", "rational"],
     )
     def test_rows_from_int_rows_equal_rows_from_A(self, inst, monkeypatch):
-        # solve_cpip_bicriteria scans the instance's integer rows, whose lcm
-        # spans each row's zero entries too; the rows it hands
-        # bicriteria_round must be the ones a scan of (A, a) gives
+        # solve_cpip_bicriteria hands bicriteria_round the instance's integer
+        # rows, whose lcm spans each row's zero entries too; a scan of them
+        # must give the rows a scan of (A, a) gives
         handed = []
 
-        def spy(*args, rows=None, **kwargs):
-            handed.append(rows)
-            return bicriteria_round(*args, rows=rows, **kwargs)
+        def spy(xbar, A, a, *args, **kwargs):
+            handed.append(CoverRows(A, a))
+            return bicriteria_round(xbar, A, a, *args, **kwargs)
 
         monkeypatch.setattr(rounding, "bicriteria_round", spy)
         inst = normalize_width(inst)

@@ -765,20 +765,46 @@ def test_condensed_tableau_equals_full_reference_on_fixed_cases(bland_after):
 def test_lp_from_instance_equals_from_data(m, n, r, seed, cut_count):
     inst = gen_random_cpip(m, n, r, seed=seed)
     rng = random.Random(seed)
+    # integer cut rows over denominators 1..12, not always in lowest terms
     cuts = [
-        ([F(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n)], rng.randint(0, 9))
+        (tuple(rng.randint(0, 9) for _ in range(n + 1)), rng.randint(1, 12))
         for _ in range(cut_count)
     ]
     rows = (
         [(row, GE, rhs) for row, rhs in zip(inst.A, inst.a)]
         + [(row, LE, rhs) for row, rhs in zip(inst.B, inst.b)]
-        + [(coeffs, GE, rhs) for coeffs, rhs in cuts]
+        + [([F(v, D) for v in S[:n]], GE, F(S[n], D)) for S, D in cuts]
     )
     got = lp_from_instance(inst, cut_rows=cuts)
     want = LpProblem.from_data(inst.c, rows, inst.d)
     assert (got.objective, got.rows, got.var_bounds) == (
         want.objective, want.rows, want.var_bounds
     )
-    assert got.int_rows == want.int_rows
-    # the instance rows' integers are the instance's own, not a rescaling
+    # every row's integers stand for the rationals from_data reads; the cut
+    # rows are kept as given, and the instance rows' integers are the
+    # instance's own, not a rescaling
+    assert len(got.int_rows) == len(want.int_rows)
+    for (S, D), (T, E) in zip(got.int_rows, want.int_rows):
+        assert [F(v, D) for v in S] == [F(v, E) for v in T]
+    assert got.int_rows[m + r :] == tuple(cuts)
     assert all(a is b for a, b in zip(got.int_rows, inst.int_rows))
+    assert solve_lp(got) == solve_lp(want)
+
+
+@pytest.mark.parametrize(
+    "cut, why",
+    [
+        (((1, 1), 1), "too short"),
+        (((1, 1, 1, 1), 1), "too long"),
+        (((1, F(1, 2), 1), 1), "a Fraction entry"),
+        (((1, 1.0, 1), 1), "a float entry"),
+        (((1, 1, 1), F(2)), "a Fraction denominator"),
+        (((1, 1, 1), 0), "a zero denominator"),
+        (((1, 1, 1), -2), "a negative denominator"),
+    ],
+)
+def test_lp_from_instance_rejects_malformed_cut_rows(cut, why):
+    inst = gen_random_cpip(2, 2, 0, seed=1)
+    lp_from_instance(inst, [((1, 1, 1), 3)])  # a well-formed row over D = 3
+    with pytest.raises(InstanceError, match="cut row 1 is not 3 ints over an int D >= 1"):
+        lp_from_instance(inst, [((1, 1, 1), 3), cut])
