@@ -26,7 +26,9 @@ The chain, from primitive to end-to-end:
 
 All guarantees are re-verified exactly before an answer is returned;
 floats appear only inside the estimator, whose role is to pick between
-floor and ceiling.  Each public rounding call scans the dense A once, into
+floor and ceiling.  Each public rounding call checks once that its
+argument lengths agree, and a call that rounds rejects a negative cost;
+both are ``InstanceError``.  It then scans the dense A once, into
 ``CoverRows``: its demanded rows scaled to Python ints and kept over their
 nonzeros, by row and by column (both solvers hand ``bicriteria_round``
 integer rows, whose lcm is 1).  The width, the estimator's weights,
@@ -162,6 +164,33 @@ class CoverRows:
         ]
 
 
+def _cover_rows(xv, A, a, c, d=None) -> CoverRows:
+    """``CoverRows(A, a)`` for a public call, once the argument lengths agree.
+
+    ``InstanceError`` unless A has a row per entry of a, and each row of A,
+    c and (if given) d has an entry per coordinate of xbar.  Only lengths
+    are checked, so this is O(m + n).
+    """
+    n = len(xv)
+    if len(A) != len(a):
+        raise InstanceError(f"A has {len(A)} rows but a has {len(a)} entries")
+    for i, row in enumerate(A):
+        if len(row) != n:
+            raise InstanceError(f"row {i} of A has {len(row)} entries, xbar has {n}")
+    for name, vec in (("c", c), ("d", d)):
+        if vec is not None and len(vec) != n:
+            raise InstanceError(f"{name} has {len(vec)} entries, xbar has {n}")
+    return CoverRows(A, a)
+
+
+def _costs(c) -> list[int]:
+    """c over its least common denominator; ``InstanceError`` on a negative cost."""
+    costs, _ = integers(c)
+    if min(costs, default=0) < 0:
+        raise InstanceError("costs must be nonnegative")
+    return costs
+
+
 class EstimatorState:
     """Incremental pessimistic estimator for one derandomization run.
 
@@ -257,7 +286,8 @@ def derandomized_round(
     L = as_fraction(L, "L")
     n = len(xv)
     if rows is None:
-        rows = CoverRows(A, a)
+        rows = _cover_rows(xv, A, a, c)
+    costs = _costs(c)
     X, D = integers(xv)
     for k, s in enumerate(rows.slack(X, D)):
         if s < 0:
@@ -286,7 +316,6 @@ def derandomized_round(
         if trace_out is not None:
             trace_out.append(state.phi())
 
-    costs, _ = integers(c)
     # c.xhat > 2 L c.xbar, multiplied through by the denominators of c, xbar and L
     over_cost = _cost(costs, xhat) * D * L.denominator > 2 * L.numerator * _cost(costs, X)
     if over_cost or min(rows.slack(xhat)) < 0:
@@ -347,11 +376,11 @@ def granular_round(
     K = 1 is exactly ``derandomized_round``.  ``rows``, if given, must be
     ``CoverRows`` of exactly (A, a); the rows for K a are derived from them.
     """
-    if K < 1:
-        raise InstanceError(f"granularity K = {K} must be >= 1")
+    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
+        raise InstanceError(f"granularity K = {K!r} must be an int >= 1")
     xv = tuple(Fraction(v) for v in xbar)
     if rows is None:
-        rows = CoverRows(A, a)
+        rows = _cover_rows(xv, A, a, c)
     if not rows.demands:
         if info_out is not None:
             info_out.update({"K": K, "L": Fraction(1)})
@@ -397,19 +426,18 @@ def bicriteria_round(
     if not (0 < eps <= 1):
         raise InstanceError(f"epsilon {eps} outside (0, 1]")
     xv = tuple(Fraction(v) for v in xbar)
+    rows = _cover_rows(xv, A, a, c, d)
+    costs = _costs(c)
     for j, bound in enumerate(d):
         if bound is not None and xv[j] > bound:
             raise InstanceError(f"xbar[{j}] = {xv[j]} exceeds its multiplicity bound {bound}")
-    rows = CoverRows(A, a)
     if not rows.demands:
         if info_out is not None:
             info_out.update({"K": 0, "L": Fraction(1)})
         return IntegerVector(tuple(0 for _ in xv))
     K = granularity_K(len(rows.demands), rows.width, eps)
-    inner: dict = {}
-    xgran = granular_round(xv, A, a, c, K, info_out=inner, rows=rows)
+    xgran = granular_round(xv, A, a, c, K, info_out=info_out, rows=rows)
     xhat = list(vec_ceil(xgran.values))
-    costs, _ = integers(c)
     _trim_surplus(xhat, rows, costs)
 
     X, D = integers(xv)
@@ -421,8 +449,6 @@ def bicriteria_round(
         raise GuaranteeError("rounded solution exceeded the 4K cost bound")
     if min(rows.slack(xhat)) < 0:
         raise GuaranteeError("rounded solution lost coverage")
-    if info_out is not None:
-        info_out.update({"K": K, "L": inner["L"]})
     return IntegerVector(tuple(xhat))
 
 

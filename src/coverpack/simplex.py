@@ -11,7 +11,8 @@ entering and leaving variables.  A row is ``n + 1`` Python integers over
 one positive row denominator, and pivots are integer-preserving
 (Edmonds; Bareiss), so no ``Fraction`` is built while pivoting.  Every
 pivot choice compares the rationals the integers stand for, exactly.
-Problems come in and results go out as ``Fraction``: an OPTIMAL result
+Problems come in as rationals, and each row is stored once, as integers
+over its denominator.  Results go out as ``Fraction``: an OPTIMAL result
 carries a primal point and a dual vector whose objectives agree with zero
 gap, and an INFEASIBLE result carries an exact Farkas ray;
 ``verify_certificate`` checks either certificate, the ray included,
@@ -59,7 +60,6 @@ LE = "<="
 
 @dataclass(frozen=True)
 class LpRow:
-    coeffs: tuple[Fraction, ...]
     sense: str
     rhs: Fraction
 
@@ -68,9 +68,9 @@ class LpRow:
 class LpProblem:
     """min objective . x  s.t.  rows, 0 <= x_j <= var_bounds[j] (None = free above).
 
-    ``int_rows`` holds each row's coefficients then rhs as integers over a
-    common denominator (``from_data`` takes the least); the tableau and
-    ``verify_certificate`` read the rows through it.
+    Each row is stored once, as integers: ``int_rows[i]`` holds row ``i``'s
+    coefficients then rhs over a common denominator (``from_data`` takes
+    the least), and ``rows[i]`` holds only its sense and rhs.
     """
 
     objective: tuple[Fraction, ...]
@@ -80,19 +80,23 @@ class LpProblem:
 
     @classmethod
     def from_data(cls, objective, rows, var_bounds) -> "LpProblem":
+        """Read rationals, each row as ``(coeffs, sense, rhs)``; ``InstanceError`` if malformed."""
         obj = tuple(as_fraction(v, f"objective[{j}]") for j, v in enumerate(objective))
         n = len(obj)
-        out_rows = []
+        out_rows, coeffs_in = [], []
         for i, row in enumerate(rows):
-            coeffs, sense, rhs = (
-                (row.coeffs, row.sense, row.rhs) if isinstance(row, LpRow) else row
-            )
+            try:
+                coeffs, sense, rhs = row
+                coeffs = tuple(coeffs)
+            except (TypeError, ValueError) as exc:
+                raise InstanceError(f"row {i} is not (coeffs, sense, rhs)") from exc
             if sense not in (GE, LE):
                 raise InstanceError(f"row {i}: sense must be '>=' or '<='")
             cf = tuple(as_fraction(v, f"row {i} coeff {j}") for j, v in enumerate(coeffs))
             if len(cf) != n:
                 raise InstanceError(f"row {i} has {len(cf)} coeffs, expected {n}")
-            out_rows.append(LpRow(cf, sense, as_fraction(rhs, f"row {i} rhs")))
+            out_rows.append(LpRow(sense, as_fraction(rhs, f"row {i} rhs")))
+            coeffs_in.append(cf)
         ub = tuple(
             None if v is None else as_fraction(v, f"bound[{j}]") for j, v in enumerate(var_bounds)
         )
@@ -101,8 +105,7 @@ class LpProblem:
                 raise InstanceError(f"bound[{j}] = {u} is negative")
         if len(ub) != n:
             raise InstanceError(f"var_bounds has {len(ub)} entries, expected {n}")
-        int_rows = scale_rows((row.coeffs, row.rhs) for row in out_rows)
-        return cls(objective=obj, rows=tuple(out_rows), var_bounds=ub, int_rows=int_rows)
+        return cls(obj, tuple(out_rows), ub, scale_rows(zip(coeffs_in, (r.rhs for r in out_rows))))
 
 
 @dataclass(frozen=True)
@@ -134,12 +137,8 @@ def lp_from_instance(
     for k, (S, D) in enumerate(cut_rows):
         if len(S) != n + 1 or not all(isinstance(v, int) for v in (*S, D)) or D < 1:
             raise InstanceError(f"cut row {k} is not {n + 1} ints over an int D >= 1")
-        cuts.append(LpRow(tuple(Fraction(v, D) for v in S[:n]), GE, Fraction(S[n], D)))
-    rows = (
-        *(LpRow(row, GE, rhs) for row, rhs in zip(inst.A, inst.a)),
-        *(LpRow(row, LE, rhs) for row, rhs in zip(inst.B, inst.b)),
-        *cuts,
-    )
+        cuts.append(LpRow(GE, Fraction(S[n], D)))
+    rows = (*(LpRow(GE, rhs) for rhs in inst.a), *(LpRow(LE, rhs) for rhs in inst.b), *cuts)
     return LpProblem(inst.c, rows, inst.d, inst.int_rows + cut_rows)
 
 

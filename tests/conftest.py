@@ -15,6 +15,15 @@ def make_inst(A, a, c, d, B=(), b=()):
     return CpipInstance.from_data(A=A, a=a, c=c, d=d, B=B, b=b)
 
 
+def lp_rows(problem):
+    """Each row of an ``LpProblem`` as ``(coeffs, sense, rhs)``, read from its integer rows."""
+    n = len(problem.objective)
+    return [
+        (tuple(F(v, D) for v in S[:n]), row.sense, F(S[n], D))
+        for row, (S, D) in zip(problem.rows, problem.int_rows)
+    ]
+
+
 def gauss_solve(M, rhs):
     """Exact Gaussian elimination; None if the system is singular."""
     n = len(M)
@@ -43,8 +52,8 @@ def vertex_enum_optimum(problem):
     """
     n = len(problem.objective)
     cons = []
-    for row in problem.rows:
-        cons.append((list(row.coeffs), row.rhs, row.sense))
+    for coeffs, sense, rhs in lp_rows(problem):
+        cons.append((list(coeffs), rhs, sense))
     for j, u in enumerate(problem.var_bounds):
         if u is not None:
             e = [F(0)] * n

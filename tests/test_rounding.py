@@ -578,6 +578,70 @@ class TestBicriteriaRound:
             bicriteria_round(xbar, A, a, c, (None, F(1, 4)), 1)
 
 
+_A, _a, _c, _xbar = ((1, 1), (1, 0)), (1, 1), (1, 1), (F(1), F(1))
+# x = (0, 1) covers the first row of _A_LONG and misses the second
+_A_LONG, _x_LONG = ((0, 1), (1, 0)), (F(0), F(1))
+# one row, half of each column, and a negative cost
+_A1, _a1, _c_NEG, _x_HALF = ((1, 1),), (1,), (-1, 0), (F(1, 2), F(1, 2))
+_L = compute_scale_factor(2, 1)
+_NONE = (None, None)
+
+BAD_ARGUMENTS = {
+    "derandomized-short-xbar": (
+        lambda: derandomized_round(_xbar[:1], _A, _a, _c, _L), "row 0 of A has 2 entries"
+    ),
+    "derandomized-long-xbar": (
+        lambda: derandomized_round(_xbar + (F(1),), _A, _a, _c, _L), "row 0 of A has 2 entries"
+    ),
+    "derandomized-short-c": (
+        lambda: derandomized_round(_xbar, _A, _a, _c[:1], _L), "c has 1 entries"
+    ),
+    "derandomized-ragged-A": (
+        lambda: derandomized_round(_xbar, ((1, 1), (1, 1, 1)), _a, _c, _L),
+        "row 1 of A has 3 entries",
+    ),
+    "derandomized-short-a": (
+        lambda: derandomized_round(_x_LONG, _A_LONG, _a[:1], _c, _L), "A has 2 rows but a has 1"
+    ),
+    "granular-short-a": (
+        lambda: granular_round(_x_LONG, _A_LONG, _a[:1], _c, 2), "A has 2 rows but a has 1"
+    ),
+    "bicriteria-short-a": (
+        lambda: bicriteria_round(_x_LONG, _A_LONG, _a[:1], _c, _NONE, 1),
+        "A has 2 rows but a has 1",
+    ),
+    "granular-float-K": (lambda: granular_round(_xbar, _A, _a, _c, 2.5), "K = 2.5"),
+    "granular-bool-K": (lambda: granular_round(_xbar, _A, _a, _c, True), "K = True"),
+    "bicriteria-short-d": (
+        lambda: bicriteria_round(_xbar, _A, _a, _c, (1,), 1), "d has 1 entries"
+    ),
+    "bicriteria-long-d": (
+        lambda: bicriteria_round(_xbar, _A, _a, _c, (1, 1, 1), 1), "d has 3 entries"
+    ),
+    "bicriteria-short-c": (
+        lambda: bicriteria_round(_xbar, _A, _a, _c[:1], _NONE, 1), "c has 1 entries"
+    ),
+    "derandomized-negative-cost": (
+        lambda: derandomized_round(_x_HALF, _A1, _a1, _c_NEG, _L), "costs must be nonnegative"
+    ),
+    "granular-negative-cost": (
+        lambda: granular_round(_x_HALF, _A1, _a1, _c_NEG, 2), "costs must be nonnegative"
+    ),
+    "bicriteria-negative-cost": (
+        lambda: bicriteria_round(_x_HALF, _A1, _a1, _c_NEG, _NONE, 1),
+        "costs must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, match", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_bad_arguments_are_instance_errors(call, match):
+    # a wrong length, a non-int K or a negative cost is bad input, not an
+    # IndexError, a silently ignored row or a guarantee fault
+    with pytest.raises(InstanceError, match=match):
+        call()
+
+
 class TestSolveCpipBicriteria:
     @pytest.mark.parametrize(
         "inst",

@@ -1,6 +1,6 @@
 import random
 from bisect import bisect
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import gcd, lcm
 
 import pytest
@@ -21,6 +21,7 @@ from coverpack.simplex import (
     GE,
     LE,
     LpProblem,
+    LpRow,
     LpSolution,
     _eliminate,
     _Tableau,
@@ -29,7 +30,7 @@ from coverpack.simplex import (
     solve_lp,
     verify_certificate,
 )
-from conftest import F, vertex_enum_optimum
+from conftest import F, lp_rows, vertex_enum_optimum
 
 
 GAP_DOC = '{"A": [[0.9, 1]], "a": [1], "c": [0, 1], "d": [1, null]}'
@@ -49,7 +50,8 @@ def test_contradictory_bounds_infeasible_with_ray():
     s = solve_lp(p)
     assert s.status == "INFEASIBLE"
     # Farkas: combining rows by the ray proves 0 >= positive demand.
-    combo = s.ray_rows[0] * p.rows[0].coeffs[0] + s.ray_bounds[0]
+    coeffs, _, _ = lp_rows(p)[0]
+    combo = s.ray_rows[0] * coeffs[0] + s.ray_bounds[0]
     assert combo <= 0
     rhs_combo = s.ray_rows[0] * p.rows[0].rhs + s.ray_bounds[0] * p.var_bounds[0]
     assert rhs_combo > 0
@@ -81,10 +83,10 @@ def _scipy_linprog(p):
     """
     scipy_opt = pytest.importorskip("scipy.optimize")
     A_ub, b_ub = [], []
-    for row in p.rows:
-        sign = -1 if row.sense == GE else 1
-        A_ub.append([sign * float(v) for v in row.coeffs])
-        b_ub.append(sign * float(row.rhs))
+    for coeffs, sense, rhs in lp_rows(p):
+        sign = -1 if sense == GE else 1
+        A_ub.append([sign * float(v) for v in coeffs])
+        b_ub.append(sign * float(rhs))
     bounds = [(0, None if u is None else float(u)) for u in p.var_bounds]
     c = [float(v) for v in p.objective]
 
@@ -132,8 +134,9 @@ def _farkas_certifies(p, s):
             return False
     if any(yb > 0 for yb in s.ray_bounds):
         return False
+    rows = lp_rows(p)
     for j in range(len(p.objective)):
-        combo = sum((y * row.coeffs[j] for y, row in zip(s.ray_rows, p.rows)), F(0))
+        combo = sum((y * coeffs[j] for y, (coeffs, _, _) in zip(s.ray_rows, rows)), F(0))
         if combo + s.ray_bounds[j] > 0:
             return False
     rhs = sum((y * row.rhs for y, row in zip(s.ray_rows, p.rows)), F(0))
@@ -210,7 +213,7 @@ def _explicit_bounds(p):
     """The same LP with each finite bound as a trailing ``<=`` row ``e_j <= u_j``."""
     n = len(p.objective)
     bounded = [j for j, u in enumerate(p.var_bounds) if u is not None]
-    rows = list(p.rows) + [
+    rows = lp_rows(p) + [
         (tuple(F(int(k == j)) for k in range(n)), LE, p.var_bounds[j]) for j in bounded
     ]
     return LpProblem.from_data(p.objective, rows, [None] * n), bounded
@@ -508,7 +511,7 @@ def test_adding_row_never_decreases_optimum():
     base = solve_lp(p).objective_value
     # demand a little more of everything
     extra = ((F(1),) * inst.n, GE, F(1))
-    p2 = LpProblem.from_data(p.objective, list(p.rows) + [extra], p.var_bounds)
+    p2 = LpProblem.from_data(p.objective, lp_rows(p) + [extra], p.var_bounds)
     assert solve_lp(p2).objective_value >= base
 
 
@@ -535,6 +538,25 @@ def test_status_without_certificate_is_bad_input():
 def test_non_finite_input_rejected():
     with pytest.raises(InstanceError):
         LpProblem.from_data([float("inf")], [], [None])
+
+
+@pytest.mark.parametrize(
+    "row",
+    [((1,), GE), ((1,), GE, 1, 1), 1, (1, GE, 1)],
+    ids=["two-items", "four-items", "not-a-sequence", "coeffs-not-iterable"],
+)
+def test_malformed_row_rejected(row):
+    with pytest.raises(InstanceError, match=r"row 0 is not \(coeffs, sense, rhs\)"):
+        LpProblem.from_data([1], [row], [None])
+
+
+def test_rows_hold_sense_and_rhs_only():
+    # the coefficients are stored once, in int_rows
+    assert [f.name for f in fields(LpRow)] == ["sense", "rhs"]
+    p = LpProblem.from_data([1, 1], [((F(1, 2), 1), GE, F(3, 4)), ((2, 0), LE, 5)], [None, 1])
+    assert [(row.sense, row.rhs) for row in p.rows] == [(GE, F(3, 4)), (LE, 5)]
+    assert p.int_rows == (((2, 4, 3), 4), ((2, 0, 5), 1))
+    assert lp_rows(p) == [((F(1, 2), F(1)), GE, F(3, 4)), ((F(2), F(0)), LE, F(5))]
 
 
 def test_negative_bound_rejected():
