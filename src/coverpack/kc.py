@@ -18,13 +18,14 @@ every residual row at least 1, which is what lets the rounding machinery
 run on the residual system at full strength.
 
 Because there are exponentially many sets F, the relaxation is solved to
-lambda-relaxed form by a cutting-plane loop: solve the current LP,
-separate cuts for the set of variables at least d/lambda in the current
-point, add them, repeat.  Only valid rows are ever added, so every
-iterate's value is a lower bound on the cut-strengthened relaxation
-optimum, and there are finitely many (F, row) pairs, so the loop
-terminates.  ``solve_lp_kc`` returns the loop as a ``CutLoop``: the
-point, the residual system of its high set, and each round's LP value.
+lambda-relaxed form by a cutting-plane loop: solve the current LP
+(``rounding.solve_relaxation`` with the cuts so far), separate cuts for
+the variables at least d/lambda in the current point, add them, repeat.
+Only valid rows are ever added, so every iterate's value is a lower
+bound on the cut-strengthened relaxation optimum, and there are finitely
+many (F, row) pairs, so the loop terminates.  ``solve_lp_kc`` returns
+the loop as a ``CutLoop``: the point, the residual system of its high
+set, and each round's LP value.
 
 ``solve_cip_strict`` then pins the high variables of a (1+eps)-relaxed
 point at their bounds and rounds the rest against that residual system,
@@ -46,19 +47,21 @@ from coverpack.model import (
     CpipInstance,
     FractionalVector,
     GuaranteeError,
-    InfeasibleError,
     InstanceError,
     IntegerVector,
     LimitError,
     SolveReport,
     as_fraction,
+    as_fractions,
+    as_int,
     dot,
     integers,
     is_width_normalized,
 )
 from coverpack.oracle import check_solution, effective_bounds, feasible_points, validate_kc_system
-from coverpack.simplex import lp_from_instance, solve_lp, verify_certificate
-from coverpack.rounding import bicriteria_round
+# solve_lp and verify_certificate are unused here; perfbench/spans.py patches them by name
+from coverpack.simplex import solve_lp, verify_certificate
+from coverpack.rounding import bicriteria_round, solve_relaxation
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,7 @@ def check_kc_validity(inst: CpipInstance, *, max_points: int = 2_000_000) -> KcV
     (``normalize_width`` floors it).  A box too deep to enumerate is
     ``BUDGET_EXCEEDED``, as is one over ``max_points``.
     """
+    max_points = as_int(max_points, "max_points")
     finite = [j for j in range(inst.n) if inst.d[j]]  # finite and positive
     caps = effective_bounds(inst)
     space = 1
@@ -178,7 +182,7 @@ def find_violated_kc(
     lam = as_fraction(lam, "lambda")
     if lam <= 1:
         raise InstanceError(f"lambda = {lam} must exceed 1")
-    xv = tuple(Fraction(v) for v in x)
+    xv = as_fractions(x, "x")
     n = inst.n
     if len(xv) != n:
         raise InstanceError(f"x has {len(xv)} entries, expected {n}")
@@ -198,28 +202,21 @@ def solve_lp_kc(inst: CpipInstance, lam, max_rounds: int = 1000) -> CutLoop:
     The returned loop's x has A x >= a, B x <= b, x <= d, no violated
     residual rows for its own high set, and cost at most the optimum of
     the relaxation with all cuts (each round solves a relaxation of that
-    program, and values only grow as cuts are added).  Each round's LP
-    certificate, a Farkas ray included, is checked (``GuaranteeError`` if
-    it fails).
+    program, and values only grow as cuts are added).  Each round is one
+    ``solve_relaxation`` with the cuts so far, which checks its
+    certificate, a Farkas ray included.
     """
     lam = as_fraction(lam, "lambda")
     if lam <= 1:
         raise InstanceError(f"lambda = {lam} must exceed 1")
-    if max_rounds < 1:
-        raise InstanceError(f"max_rounds = {max_rounds} must be >= 1")
+    max_rounds = as_int(max_rounds, "max_rounds", 1)
     if not is_width_normalized(inst):
         raise InstanceError("normalize width first")
     cuts: list[tuple[tuple[int, ...], int]] = []
     objectives: list[Fraction] = []
     pin_sets: list[tuple[int, ...]] = []
     for round_no in range(1, max_rounds + 1):
-        problem = lp_from_instance(inst, cuts)
-        sol = solve_lp(problem)
-        failed = verify_certificate(problem, sol)
-        if failed:
-            raise GuaranteeError("LP certificate failed: " + ", ".join(map(str, failed)))
-        if sol.status == "INFEASIBLE":
-            raise InfeasibleError("no fractional solution")
+        sol = solve_relaxation(inst, cuts)
         # only valid rows were added, so values never decrease
         if objectives and sol.objective_value < objectives[-1]:
             raise GuaranteeError(

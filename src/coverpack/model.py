@@ -92,6 +92,27 @@ def as_fraction(value, where: str = "value") -> Fraction:
     raise InstanceError(f"{where}: unsupported number type {type(value).__name__}")
 
 
+def as_fractions(values, name: str) -> tuple[Fraction, ...]:
+    """Each entry by ``as_fraction``; the text ``name[j]`` is built only for a bad one."""
+    out = []
+    for v in values:
+        try:
+            out.append(as_fraction(v))
+        except InstanceError:
+            as_fraction(v, f"{name}[{len(out)}]")  # raises again, naming the entry
+    return tuple(out)
+
+
+def as_int(value, where: str, minimum: int | None = None) -> int:
+    """An int that is not a bool, at least ``minimum`` if given; ``InstanceError`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        minimum is not None and value < minimum
+    ):
+        need = "an int" if minimum is None else f"an int >= {minimum}"
+        raise InstanceError(f"{where} = {value!r} must be {need}")
+    return value
+
+
 def _rational(value: str | float) -> Fraction:
     """Fraction(value), refusing more decimal digits than the int-string limit (0: none).
 
@@ -162,20 +183,14 @@ class CpipInstance:
     @classmethod
     def from_data(cls, A, a, c, d, B=(), b=()) -> "CpipInstance":
         """Validate raw (possibly mixed int/str/float) data and build an instance."""
-        cf = tuple(as_fraction(v, f"c[{j}]") for j, v in enumerate(c))
+        cf = as_fractions(c, "c")
         n = len(cf)
         if n == 0:
             raise InstanceError("instance has no variables")
-        Af = tuple(
-            tuple(as_fraction(v, f"A[{i}][{j}]") for j, v in enumerate(row))
-            for i, row in enumerate(A)
-        )
-        af = tuple(as_fraction(v, f"a[{i}]") for i, v in enumerate(a))
-        Bf = tuple(
-            tuple(as_fraction(v, f"B[{i}][{j}]") for j, v in enumerate(row))
-            for i, row in enumerate(B)
-        )
-        bf = tuple(as_fraction(v, f"b[{i}]") for i, v in enumerate(b))
+        Af = tuple(as_fractions(row, f"A[{i}]") for i, row in enumerate(A))
+        af = as_fractions(a, "a")
+        Bf = tuple(as_fractions(row, f"B[{i}]") for i, row in enumerate(B))
+        bf = as_fractions(b, "b")
         df = tuple(
             None if v is None else as_fraction(v, f"d[{j}]") for j, v in enumerate(d)
         )
@@ -426,7 +441,7 @@ def parse_solution(doc: str, n: int) -> IntegerVector:
     x = raw.get("x") if isinstance(raw, dict) else None
     if not isinstance(x, list) or len(x) != n:
         raise ParseError(f'a solution is an object whose "x" lists {n} numbers')
-    values = tuple(as_fraction(v, f"x[{j}]") for j, v in enumerate(x))
+    values = as_fractions(x, "x")
     for j, v in enumerate(values):
         if v < 0 or v.denominator != 1:
             raise ParseError(f"x[{j}] = {v} is not a nonnegative integer")

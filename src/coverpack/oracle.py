@@ -28,6 +28,8 @@ from coverpack.model import (
     LimitError,
     ViolationReport,
     as_fraction,
+    as_fractions,
+    as_int,
     integers,
 )
 
@@ -100,6 +102,7 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
     more such variables than the recursion limit leaves room for is
     ``BUDGET_EXCEEDED`` too.
     """
+    max_points = as_int(max_points, "max_points")
     u = effective_bounds(inst)
     space = 1
     for cap in u:
@@ -167,7 +170,7 @@ def check_solution(
     sum of the scaled row over ``D_i``, and each amount is the exact rational.
     """
     eps = as_fraction(epsilon, "epsilon")
-    xv = tuple(Fraction(v) for v in x)
+    xv = as_fractions(x, "x")
     if len(xv) != inst.n:
         raise InstanceError(f"x has {len(xv)} entries, expected {inst.n}")
     for j, v in enumerate(xv):

@@ -27,8 +27,9 @@ The chain, from primitive to end-to-end:
 All guarantees are re-verified exactly before an answer is returned;
 floats appear only inside the estimator, whose role is to pick between
 floor and ceiling.  Each public rounding call checks once that its
-argument lengths agree, and a call that rounds rejects a negative cost;
-both are ``InstanceError``.  It then scans the dense A once, into
+argument lengths agree and that any ``rows=`` it is handed was built from
+its very A and a, and a call that rounds rejects a negative cost; all
+are ``InstanceError``.  It then scans the dense A once, into
 ``CoverRows``: its demanded rows scaled to Python ints and kept over their
 nonzeros, by row and by column (both solvers hand ``bicriteria_round``
 integer rows, whose lcm is 1).  The width, the estimator's weights,
@@ -57,6 +58,8 @@ from coverpack.model import (
     LimitError,
     SolveReport,
     as_fraction,
+    as_fractions,
+    as_int,
     dot,
     integers,
     is_width_normalized,
@@ -75,8 +78,7 @@ def compute_scale_factor(m: int, W) -> Fraction:
 
     L is a float: ``LimitError`` when W overflows a float or L rounds to 1.0.
     """
-    if m < 1:
-        raise InstanceError(f"need at least one covering row, got m = {m}")
+    m = as_int(m, "m", 1)
     W = as_fraction(W, "W")
     if W < 1:
         raise InstanceError(f"normalize width first: width {W} < 1")
@@ -100,10 +102,10 @@ def randomized_round(xbar, L, seed: int) -> IntegerVector:
     L = as_fraction(L, "L")
     if L < 1:
         raise InstanceError(f"scale factor L = {L} must be >= 1")
-    rng = random.Random(seed)
+    rng = random.Random(as_int(seed, "seed"))
     out = []
-    for v in xbar:
-        scaled = L * Fraction(v)
+    for v in as_fractions(xbar, "xbar"):
+        scaled = L * v
         fl = math.floor(scaled)
         frac = scaled - fl
         if frac == 0:
@@ -128,9 +130,11 @@ class CoverRows:
     all Python ints, and ``columns[j]`` lists (k, A'_kj) in slot order.
     Scaling a row changes no ratio a_i / A_ij, so every coverage and slack
     test on these rows is exact, and ``width`` is the width of (A, a).
+    ``A`` and ``a`` are the very objects the rows were built from.
     """
 
     def __init__(self, A, a):
+        self.A, self.a = A, a
         self.active = [i for i, ai in enumerate(a) if ai > 0]
         self.rows: list[list[tuple[int, int]]] = []
         self.demands: list[int] = []
@@ -149,9 +153,10 @@ class CoverRows:
     def width(self) -> Fraction:
         return width(([v for _, v in row] for row in self.rows), self.demands)
 
-    def scaled(self, K: int) -> "CoverRows":
-        """The rows of (A, K a): the same entries, demands and width times K."""
+    def scaled(self, K: int, a) -> "CoverRows":
+        """These rows for (A, a), ``a`` being K times this one: demands and width times K."""
         out = copy.copy(self)
+        out.a = a
         out.demands = [K * d for d in self.demands]
         out.width = K * self.width
         return out
@@ -164,12 +169,14 @@ class CoverRows:
         ]
 
 
-def _cover_rows(xv, A, a, c, d=None) -> CoverRows:
+def _cover_rows(xv, A, a, c, d=None, rows: CoverRows | None = None) -> CoverRows:
     """``CoverRows(A, a)`` for a public call, once the argument lengths agree.
 
     ``InstanceError`` unless A has a row per entry of a, and each row of A,
     c and (if given) d has an entry per coordinate of xbar.  Only lengths
-    are checked, so this is O(m + n).
+    are checked, so this is O(m + n).  ``rows``, if given, is returned in
+    place of a new scan, and must have been built from these very A and a
+    objects (an ``is`` test, so O(1)); ``InstanceError`` otherwise.
     """
     n = len(xv)
     if len(A) != len(a):
@@ -180,7 +187,11 @@ def _cover_rows(xv, A, a, c, d=None) -> CoverRows:
     for name, vec in (("c", c), ("d", d)):
         if vec is not None and len(vec) != n:
             raise InstanceError(f"{name} has {len(vec)} entries, xbar has {n}")
-    return CoverRows(A, a)
+    if rows is None:
+        return CoverRows(A, a)
+    if rows.A is not A or rows.a is not a:
+        raise InstanceError("rows must be the CoverRows built from this very (A, a)")
+    return rows
 
 
 def _costs(c) -> list[int]:
@@ -279,14 +290,14 @@ def derandomized_round(
     the final solution provably covers every row and costs at most
     2 L cost(xbar); both facts are re-checked exactly before returning.
 
-    ``rows``, if given, must be ``CoverRows`` of exactly this (A, a); the
-    other rounding functions pass theirs down so that A is scanned once.
+    ``rows``, if given, must be the ``CoverRows`` built from these very A
+    and a objects (``InstanceError`` otherwise); the other rounding
+    functions pass theirs down so that A is scanned once.
     """
-    xv = tuple(Fraction(v) for v in xbar)
+    xv = as_fractions(xbar, "xbar")
     L = as_fraction(L, "L")
     n = len(xv)
-    if rows is None:
-        rows = _cover_rows(xv, A, a, c)
+    rows = _cover_rows(xv, A, a, c, rows=rows)
     costs = _costs(c)
     X, D = integers(xv)
     for k, s in enumerate(rows.slack(X, D)):
@@ -374,13 +385,12 @@ def granular_round(
     L' = scale(m, K W) shrinks as K grows), then divides by K.  The result
     covers a, stays below ceil(L' xbar), and costs at most 2 L' cost(xbar).
     K = 1 is exactly ``derandomized_round``.  ``rows``, if given, must be
-    ``CoverRows`` of exactly (A, a); the rows for K a are derived from them.
+    the ``CoverRows`` built from these very A and a objects (``InstanceError``
+    otherwise); the rows for K a are derived from them.
     """
-    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
-        raise InstanceError(f"granularity K = {K!r} must be an int >= 1")
-    xv = tuple(Fraction(v) for v in xbar)
-    if rows is None:
-        rows = _cover_rows(xv, A, a, c)
+    K = as_int(K, "granularity K", 1)
+    xv = as_fractions(xbar, "xbar")
+    rows = _cover_rows(xv, A, a, c, rows=rows)
     if not rows.demands:
         if info_out is not None:
             info_out.update({"K": K, "L": Fraction(1)})
@@ -388,7 +398,7 @@ def granular_round(
     L = compute_scale_factor(len(rows.demands), K * rows.width)
     scaled_a = tuple(K * v for v in a)
     scaled_xbar = tuple(K * v for v in xv)
-    xhat = derandomized_round(scaled_xbar, A, scaled_a, c, L, rows=rows.scaled(K))
+    xhat = derandomized_round(scaled_xbar, A, scaled_a, c, L, rows=rows.scaled(K, scaled_a))
     if info_out is not None:
         info_out.update({"K": K, "L": L})
     return FractionalVector(tuple(Fraction(v, K) for v in xhat))
@@ -425,7 +435,7 @@ def bicriteria_round(
     eps = as_fraction(epsilon, "epsilon")
     if not (0 < eps <= 1):
         raise InstanceError(f"epsilon {eps} outside (0, 1]")
-    xv = tuple(Fraction(v) for v in xbar)
+    xv = as_fractions(xbar, "xbar")
     rows = _cover_rows(xv, A, a, c, d)
     costs = _costs(c)
     for j, bound in enumerate(d):
@@ -452,13 +462,14 @@ def bicriteria_round(
     return IntegerVector(tuple(xhat))
 
 
-def solve_relaxation(inst: CpipInstance) -> LpSolution:
-    """Optimum of the standard LP relaxation, its certificate checked.
+def solve_relaxation(inst: CpipInstance, cut_rows=()) -> LpSolution:
+    """Optimum of the standard LP relaxation plus ``cut_rows``, its certificate checked.
 
-    Raises ``InfeasibleError`` on a checked Farkas ray and ``GuaranteeError``
-    when the certificate of either status fails.
+    ``cut_rows`` are extra >= rows as ``lp_from_instance`` takes them (the
+    cut loop's cuts).  Raises ``InfeasibleError`` on a checked Farkas ray
+    and ``GuaranteeError`` when the certificate of either status fails.
     """
-    problem = lp_from_instance(inst)
+    problem = lp_from_instance(inst, cut_rows)
     sol = solve_lp(problem)
     failed = verify_certificate(problem, sol)
     if failed:

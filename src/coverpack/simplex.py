@@ -129,13 +129,19 @@ def lp_from_instance(
     order.  The variable bounds are the instance multiplicity vector.  The
     instance's rows, already validated, are taken as they are, with their
     integers from ``inst.int_rows``.  Each cut row comes in that form,
-    ``(S, D)``: n coefficients then the rhs, all ints, over an int D >= 1
-    (``InstanceError`` otherwise); it is appended to ``int_rows`` as given.
+    ``(S, D)``: n coefficients then the rhs, all ints (not bools), over an
+    int D >= 1 (``InstanceError`` otherwise, a cut that is not such a pair
+    included); it is appended to ``int_rows`` as given.
     """
     n, cut_rows = inst.n, tuple(cut_rows)
     cuts = []
-    for k, (S, D) in enumerate(cut_rows):
-        if len(S) != n + 1 or not all(isinstance(v, int) for v in (*S, D)) or D < 1:
+    for k, cut in enumerate(cut_rows):
+        try:
+            S, D = cut
+            ok = len(S) == n + 1 and all(type(v) is int for v in (*S, D)) and D >= 1
+        except (TypeError, ValueError):  # not a pair, or an S with no length
+            ok = False
+        if not ok:
             raise InstanceError(f"cut row {k} is not {n + 1} ints over an int D >= 1")
         cuts.append(LpRow(GE, Fraction(S[n], D)))
     rows = (*(LpRow(GE, rhs) for rhs in inst.a), *(LpRow(LE, rhs) for rhs in inst.b), *cuts)

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from coverpack import kc
+from coverpack import rounding
 from coverpack.genbench import gen_multiset_multicover, gen_random_cpip, knapsack_gap
 from coverpack.kc import check_kc_validity, kc_system, solve_cip_strict, solve_lp_kc
 from coverpack.model import dot, normalize_width, vec_ceil, width
@@ -77,19 +77,22 @@ def _lp_opt(ledger, inst):
 
 @contextlib.contextmanager
 def _recording_cut_rounds(ledger):
-    """Record each LP the cut loop solves, as (problem, solution), for AC-8."""
-    solve = kc.solve_lp
+    """Record each LP the cut loop solves, as (problem, solution), for AC-8.
+
+    Every round solves through ``rounding.solve_relaxation``, so its ``solve_lp``.
+    """
+    solve = rounding.solve_lp
 
     def recorded(problem, *args, **kwargs):
         sol = solve(problem, *args, **kwargs)
         ledger.lp_solves.append((problem, sol))
         return sol
 
-    kc.solve_lp = recorded
+    rounding.solve_lp = recorded
     try:
         yield
     finally:
-        kc.solve_lp = solve
+        rounding.solve_lp = solve
 
 
 def _random_cip(seed: int, max_m: int = 12, max_n: int = 12):

@@ -118,6 +118,17 @@ class TestSolve:
         assert code == EXIT_INFEASIBLE
         assert "infeasible" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--mode", "strict"], ["oracle"]], ids=["strict", "oracle"]
+    )
+    def test_infeasible_strict_and_oracle_exit_one(self, argv, tmp_path, capsys):
+        # the cut loop's first round proves it by a checked Farkas ray, the
+        # oracle by searching its whole box
+        doc = '{"A": [[1]], "a": [2], "c": [1], "d": [1]}'
+        code, out, err = run([*argv, write_gap(tmp_path, doc)], capsys=capsys)
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert err.startswith("infeasible: ")
+
     def test_malformed_document_exits_two(self, tmp_path, capsys, monkeypatch):
         code, _, err = run(
             ["solve", write_gap(tmp_path, '{"A": [[1], "a"')], capsys=capsys

@@ -138,3 +138,9 @@ class TestRunBench:
         for fam in ("SET_COVER", "MULTISET_MULTICOVER", "RANDOM_CPIP"):
             inst = generate(GeneratorSpec(fam, m=3, n=4, seed=1))
             assert inst.n >= 1
+
+
+@pytest.mark.parametrize("density", [0, -0.5, 1.5])
+def test_spec_density_outside_unit_interval_rejected(density):
+    with pytest.raises(InstanceError, match=r"density .* outside \(0, 1\]"):
+        GeneratorSpec(family="SET_COVER", density=density)

@@ -291,7 +291,7 @@ class TestSolveLpKc:
             solves.append((problem, sol))
             return sol
 
-        monkeypatch.setattr(kc, "solve_lp", recorded)
+        monkeypatch.setattr(rounding, "solve_lp", recorded)
         for seed in range(100):
             inst = normalize_width(gen_random_cpip(3, 4, 1, seed=600 + seed, d_max=3))
             loop = solve_lp_kc(inst, 2)
@@ -395,7 +395,7 @@ class TestSolveCipStrict:
             return wrapped
 
         for name, fn in (("solve_lp", solve_lp), ("verify_certificate", verify_certificate)):
-            monkeypatch.setattr(kc, name, counting(name, fn))
+            monkeypatch.setattr(rounding, name, counting(name, fn))
         _, report = solve_cip_strict(knapsack_gap(F(1, 10)), F(1, 4))
         assert report.fopt == F(1, 10)
         assert calls == {"solve_lp": 2, "verify_certificate": 2}
@@ -404,7 +404,7 @@ class TestSolveCipStrict:
         def one_violation(*args):
             return [CertificateViolation("duality_gap", 0, F(1))]
 
-        monkeypatch.setattr(kc, "verify_certificate", one_violation)
+        monkeypatch.setattr(rounding, "verify_certificate", one_violation)
         inst = normalize_width(make_inst(A=[["9/10", 1]], a=[1], c=[0, 1], d=["3/2", None]))
         with pytest.raises(GuaranteeError, match="LP certificate failed: duality_gap"):
             solve_cip_strict(inst, F(1, 2))

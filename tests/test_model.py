@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverpack.genbench import GeneratorSpec, knapsack_gap, run_bench
-from coverpack.kc import find_violated_kc, solve_cip_strict, solve_lp_kc
+from coverpack.kc import check_kc_validity, find_violated_kc, solve_cip_strict, solve_lp_kc
 from coverpack.model import (
+    CpipInstance,
     InstanceError,
     ParseError,
     as_fraction,
@@ -23,11 +24,12 @@ from coverpack.model import (
     serialize_instance,
     width,
 )
-from coverpack.oracle import check_solution
+from coverpack.oracle import brute_force_opt, check_solution
 from coverpack.rounding import (
     bicriteria_round,
     compute_scale_factor,
     derandomized_round,
+    granular_round,
     randomized_round,
     solve_cpip_bicriteria,
 )
@@ -129,6 +131,42 @@ class TestParse:
         inst = parse_instance('{"A": [[1]], "a": [1e5000], "c": ["1e-5000"]}')
         assert inst.a == (F(10**5000),) and inst.c == (F(1, 10**5000),)
 
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ("[1]", "top-level value must be an object"),
+            ('{"A": [[1]], "a": [1], "c": [1], "e": [1]}', r"unknown fields: \['e'\]"),
+            ('{"A": [[1]], "c": [1]}', "missing required field 'a'"),
+            ('{"A": [], "a": [], "c": [1]}', "at least one covering row"),
+        ],
+        ids=["not-an-object", "unknown-field", "missing-field", "empty-A"],
+    )
+    def test_malformed_document_rejected(self, doc, match):
+        with pytest.raises(ParseError, match=match):
+            parse_instance(doc)
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            (dict(c=[]), "instance has no variables"),
+            (dict(B=[[1]], b=[]), "B has 1 rows but b has 0 entries"),
+            (dict(A=[[1, 1]]), "A row 0 has 2 entries, expected 1"),
+            (dict(B=[[1, 1]], b=[1]), "B row 0 has 2 entries, expected 1"),
+            (dict(d=[1, 1]), "d has 2 entries, expected 1"),
+            (dict(a=[-1]), r"a\[0\] = -1 is negative"),
+            (dict(B=[[1]], b=[-1]), r"b\[0\] = -1 is negative"),
+            (dict(c=[-1]), r"c\[0\] = -1 is negative"),
+            (dict(d=[-1]), r"d\[0\] = -1 is negative"),
+        ],
+        ids=[
+            "no-variables", "B-b-count", "A-row-length", "B-row-length", "d-length",
+            "negative-a", "negative-b", "negative-c", "negative-d",
+        ],
+    )
+    def test_from_data_refuses(self, data, match):
+        with pytest.raises(InstanceError, match=match):
+            CpipInstance.from_data(**{"A": [[1]], "a": [1], "c": [1], "d": [1], **data})
+
     def test_round_trip(self):
         inst = parse_instance(GAP_DOC)
         assert parse_instance(serialize_instance(inst)) == inst
@@ -169,6 +207,31 @@ SCALARS = {
     "check_solution(epsilon)": (lambda v: check_solution(GAP, (1, 1), v), "1/2"),
 }
 
+#: every int parameter of a public function, with its least value (None: no least)
+INTS = {
+    "solve_lp_kc(max_rounds)": (lambda v: solve_lp_kc(GAP, 2, max_rounds=v), 1),
+    "solve_cip_strict(max_rounds)": (lambda v: solve_cip_strict(GAP, 1, max_rounds=v), 1),
+    "brute_force_opt(max_points)": (lambda v: brute_force_opt(GAP, max_points=v), None),
+    "check_kc_validity(max_points)": (lambda v: check_kc_validity(GAP, max_points=v), None),
+    "compute_scale_factor(m)": (lambda v: compute_scale_factor(v, 2), 1),
+    "randomized_round(seed)": (lambda v: randomized_round([F(1, 3)] * 12, 2, v), None),
+    "granular_round(K)": (lambda v: granular_round(GAP_XBAR, GAP.A, GAP.a, GAP.c, v), 1),
+}
+
+#: every vector argument of a public function read entry by entry, and its name
+VECTORS = {
+    "check_solution(x)": (lambda x: check_solution(GAP, x, 1), "x"),
+    "find_violated_kc(x)": (lambda x: find_violated_kc(GAP, x, 2), "x"),
+    "randomized_round(xbar)": (lambda x: randomized_round(x, 2, 0), "xbar"),
+    "derandomized_round(xbar)": (
+        lambda x: derandomized_round(x, GAP.A, GAP.a, GAP.c, 100), "xbar"
+    ),
+    "granular_round(xbar)": (lambda x: granular_round(x, GAP.A, GAP.a, GAP.c, 2), "xbar"),
+    "bicriteria_round(xbar)": (
+        lambda x: bicriteria_round(x, GAP.A, GAP.a, GAP.c, GAP.d, "1/2"), "xbar"
+    ),
+}
+
 #: the int-string limit: a number with more decimal digits cannot be printed
 DIGITS = sys.get_int_max_str_digits()
 
@@ -197,6 +260,81 @@ class TestOneReader:
         assert as_fraction(f"1e{DIGITS - 1}") == 10 ** (DIGITS - 1)
         assert as_fraction(f"1e-{DIGITS - 1}") == F(1, 10 ** (DIGITS - 1))
         assert as_fraction(f"{'9' * (DIGITS - 1)}.5") == F(10**DIGITS - 5, 10)
+
+
+class TestIntReader:
+    """Every int parameter is read by ``as_int``: an int, never a bool."""
+
+    @pytest.mark.parametrize("entry", sorted(INTS))
+    def test_accepts_an_int(self, entry):
+        INTS[entry][0](5)
+
+    @pytest.mark.parametrize(
+        "value", ["3", 2.5, None, True, F(3)], ids=["str", "float", "None", "bool", "Fraction"]
+    )
+    @pytest.mark.parametrize("entry", sorted(INTS))
+    def test_refuses_what_is_not_an_int(self, entry, value):
+        with pytest.raises(InstanceError, match="must be an int"):
+            INTS[entry][0](value)
+
+    @pytest.mark.parametrize("entry", sorted(e for e in INTS if INTS[e][1] is not None))
+    def test_refuses_below_its_least_value(self, entry):
+        call, least = INTS[entry]
+        with pytest.raises(InstanceError, match=f"= {least - 1} must be an int >= {least}"):
+            call(least - 1)
+
+
+class TestVectorEntries:
+    """Every vector entry is read by ``as_fraction``, and a bad one is named."""
+
+    @pytest.mark.parametrize("entry", sorted(VECTORS))
+    def test_reads_rational_strings_exactly(self, entry):
+        call, _ = VECTORS[entry]
+        assert call(("1", "1/10")) == call(GAP_XBAR)
+
+    @pytest.mark.parametrize("value", [None, "x", float("nan"), True])
+    @pytest.mark.parametrize("entry", sorted(VECTORS))
+    def test_refuses_a_bad_entry_by_its_index(self, entry, value):
+        call, name = VECTORS[entry]
+        with pytest.raises(InstanceError, match=rf"^{name}\[1\]: "):
+            call((GAP_XBAR[0], value))
+
+
+#: a solver argument outside its range, and the message that names it
+RANGES = {
+    "solve_lp_kc(lambda=1)": (lambda: solve_lp_kc(GAP, 1), "lambda = 1 must exceed 1"),
+    "solve_lp_kc(max_rounds=0)": (
+        lambda: solve_lp_kc(GAP, 2, max_rounds=0), "max_rounds = 0 must be an int >= 1"
+    ),
+    "solve_cip_strict(epsilon=0)": (
+        lambda: solve_cip_strict(GAP, 0), r"epsilon 0 outside \(0, 1\]"
+    ),
+    "solve_cip_strict(epsilon=2)": (
+        lambda: solve_cip_strict(GAP, 2), r"epsilon 2 outside \(0, 1\]"
+    ),
+    "solve_cpip_bicriteria(epsilon=0)": (
+        lambda: solve_cpip_bicriteria(GAP, 0), r"epsilon 0 outside \(0, 1\]"
+    ),
+    "solve_cpip_bicriteria(epsilon=3/2)": (
+        lambda: solve_cpip_bicriteria(GAP, "3/2"), r"epsilon 3/2 outside \(0, 1\]"
+    ),
+    "solve_cpip_bicriteria(not normalized)": (
+        lambda: solve_cpip_bicriteria(make_inst(A=[[2]], a=[1], c=[1], d=[1]), 1),
+        "normalize width first",
+    ),
+    "compute_scale_factor(m=0)": (
+        lambda: compute_scale_factor(0, 2), "m = 0 must be an int >= 1"
+    ),
+    "randomized_round(L=1/2)": (
+        lambda: randomized_round(GAP_XBAR, "1/2", 0), "scale factor L = 1/2 must be >= 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, match", RANGES.values(), ids=RANGES.keys())
+def test_solver_argument_out_of_range(call, match):
+    with pytest.raises(InstanceError, match=match):
+        call()
 
 
 class TestNormalize:
@@ -374,6 +512,23 @@ class TestStructure:
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and self.package_imports(fn)
         ]
         assert inner == []
+
+    def test_lp_solved_and_certified_in_one_place(self):
+        # outside simplex.py, solve_lp and verify_certificate are called only
+        # by rounding.solve_relaxation, which every LP relaxation goes through
+        calls = set()
+        for name, tree in self.trees().items():
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for node in ast.walk(fn):
+                        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                            "solve_lp", "verify_certificate"
+                        ):
+                            calls.add((name, fn.name, node.func.id))
+        assert {c for c in calls if c[0] != "simplex.py"} == {
+            ("rounding.py", "solve_relaxation", "solve_lp"),
+            ("rounding.py", "solve_relaxation", "verify_certificate"),
+        }
 
     def test_no_bare_assert(self):
         # python -O strips assert; every check must raise in every mode

@@ -642,6 +642,36 @@ def test_bad_arguments_are_instance_errors(call, match):
         call()
 
 
+_A2, _a2, _c2 = [[1, 0], [0, 1]], [1, 1], [1, 1]
+#: each public rounding that takes rows=, called on (_A2, _a2) with the rows given
+WITH_ROWS = {
+    "derandomized": lambda rows: derandomized_round([1, 1], _A2, _a2, _c2, _L, rows=rows),
+    "granular": lambda rows: granular_round([1, 1], _A2, _a2, _c2, 2, rows=rows),
+}
+
+
+@pytest.mark.parametrize("call", WITH_ROWS.values(), ids=WITH_ROWS.keys())
+def test_rows_of_other_objects_refused(call):
+    # rows of A's first row alone used to return x = (1, 0), which leaves
+    # row 1 uncovered, since the final coverage check read the same rows;
+    # rows of equal copies are refused too, as the test is one of identity
+    for rows in (CoverRows([[1, 0]], [1]), CoverRows([[1, 0], [0, 1]], [1, 1])):
+        with pytest.raises(InstanceError, match="rows must be the CoverRows built from this"):
+            call(rows)
+    rows = CoverRows(_A2, _a2)
+    assert call(rows) == call(None)
+    assert all(call(rows).values)  # each row is covered by its own variable
+
+
+def test_scaled_rows_keep_the_scaled_demands():
+    rows = CoverRows(_A2, _a2)
+    scaled_a = [3 * v for v in _a2]
+    scaled = rows.scaled(3, scaled_a)
+    assert (scaled.A, scaled.a) == (rows.A, scaled_a) and scaled.a is scaled_a
+    assert scaled.demands == [3, 3] and scaled.width == 3 * rows.width
+    assert (rows.a, rows.demands) == (_a2, [1, 1])
+
+
 class TestSolveCpipBicriteria:
     @pytest.mark.parametrize(
         "inst",

@@ -550,6 +550,46 @@ def test_malformed_row_rejected(row):
         LpProblem.from_data([1], [row], [None])
 
 
+@pytest.mark.parametrize(
+    "objective, rows, bounds, match",
+    [
+        ([1], [((1,), "==", 1)], [None], "row 0: sense must be"),
+        ([1, 1], [((1,), GE, 1)], [None, None], "row 0 has 1 coeffs, expected 2"),
+        ([1, 1], [((1, 1), GE, 1)], [None], "var_bounds has 1 entries, expected 2"),
+    ],
+    ids=["bad-sense", "short-coeffs", "short-var-bounds"],
+)
+def test_from_data_refuses_a_bad_sense_or_length(objective, rows, bounds, match):
+    with pytest.raises(InstanceError, match=match):
+        LpProblem.from_data(objective, rows, bounds)
+
+
+def test_primal_sign_and_bound_violations_reported():
+    # x0 >= 1 and x0 <= 2: the optimum is x0 = 1; hand-built points break
+    # x0 >= 0 and x0 <= 2, and each break is named with its exact amount
+    p = LpProblem.from_data([1], [((1,), GE, 1)], [2])
+    s = solve_lp(p)
+    assert verify_certificate(p, s) == []
+    negative = object.__new__(FractionalVector)
+    object.__setattr__(negative, "values", (F(-1),))
+    kinds = {(v.kind, v.amount) for v in verify_certificate(p, replace(s, primal=negative))}
+    assert ("primal_nonneg", F(1)) in kinds
+    kinds = {
+        (v.kind, v.amount)
+        for v in verify_certificate(p, replace(s, primal=FractionalVector((F(3),))))
+    }
+    assert ("primal_bound", F(1)) in kinds
+
+
+def test_pivot_row_reduced_by_its_gcd():
+    # the cut 4 x0 >= 4 over D = 2 leaves a pivot row whose entries share a
+    # factor; reduced by it, the solve is the one of 2 x0 >= 2 over D = 1
+    inst = parse_instance('{"A": [[1, 1]], "a": [1], "c": [1, 2], "d": [3, 3]}')
+    got = solve_lp(lp_from_instance(inst, [((4, 0, 4), 2)]))
+    assert got == solve_lp(lp_from_instance(inst, [((2, 0, 2), 1)]))
+    assert got.status == "OPTIMAL" and got.primal.values == (F(1), F(0))
+
+
 def test_rows_hold_sense_and_rhs_only():
     # the coefficients are stored once, in int_rows
     assert [f.name for f in fields(LpRow)] == ["sense", "rhs"]
@@ -823,6 +863,12 @@ def test_lp_from_instance_equals_from_data(m, n, r, seed, cut_count):
         (((1, 1, 1), F(2)), "a Fraction denominator"),
         (((1, 1, 1), 0), "a zero denominator"),
         (((1, 1, 1), -2), "a negative denominator"),
+        (((1, True, 1), 1), "a bool entry"),
+        (((1, 1, 1), True), "a bool denominator"),
+        (((1, 1, 1),), "not a pair: one item"),
+        (((1, 1, 1), 1, 1), "not a pair: three items"),
+        ((5, 1), "an S with no length"),
+        ((None, 1), "an S of None"),
     ],
 )
 def test_lp_from_instance_rejects_malformed_cut_rows(cut, why):
