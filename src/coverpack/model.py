@@ -97,7 +97,7 @@ def as_fractions(values, name: str) -> tuple[Fraction, ...]:
     out = []
     for v in values:
         try:
-            out.append(as_fraction(v))
+            out.append(v if type(v) is Fraction else as_fraction(v))  # a Fraction: no call
         except InstanceError:
             as_fraction(v, f"{name}[{len(out)}]")  # raises again, naming the entry
     return tuple(out)

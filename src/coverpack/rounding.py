@@ -26,9 +26,9 @@ The chain, from primitive to end-to-end:
 
 All guarantees are re-verified exactly before an answer is returned;
 floats appear only inside the estimator, whose role is to pick between
-floor and ceiling.  Each public rounding call checks once that its
-argument lengths agree and that any ``rows=`` it is handed was built from
-its very A and a, and a call that rounds rejects a negative cost; all
+floor and ceiling.  Each public rounding call reads its arguments once
+(``_read``): it checks that their lengths agree, that no cost is negative
+and that any ``rows=`` it is handed was built from its very A and a; all
 are ``InstanceError``.  It then scans the dense A once, into
 ``CoverRows``: its demanded rows scaled to Python ints and kept over their
 nonzeros, by row and by column (both solvers hand ``bicriteria_round``
@@ -129,21 +129,34 @@ class CoverRows:
     lists (j, A'_kj) over the nonzero entries and ``demands[k]`` is a'_k,
     all Python ints, and ``columns[j]`` lists (k, A'_kj) in slot order.
     Scaling a row changes no ratio a_i / A_ij, so every coverage and slack
-    test on these rows is exact, and ``width`` is the width of (A, a).
-    ``A`` and ``a`` are the very objects the rows were built from.
+    test on these rows is exact, and ``width`` is the width of (A, a);
+    ``scales[k]`` is row k's multiplier.  ``A`` and ``a`` are the very
+    objects the rows were built from.  Int (a bool reads as one) and
+    ``Fraction`` entries are scanned as they are; a float or ``"p/q"``
+    entry sends the scan to ``as_fraction`` copies of A and a, and an entry
+    that it cannot read is ``InstanceError``.
     """
 
     def __init__(self, A, a):
         self.A, self.a = A, a
+        try:
+            self._scan(A, a)
+        except (TypeError, AttributeError):  # an entry with no numerator or order
+            rows = [as_fractions(row, f"A[{i}]") for i, row in enumerate(A)]
+            self._scan(rows, as_fractions(a, "a"))
+
+    def _scan(self, A, a) -> None:
         self.active = [i for i, ai in enumerate(a) if ai > 0]
         self.rows: list[list[tuple[int, int]]] = []
         self.demands: list[int] = []
+        self.scales: list[int] = []
         self.columns: list[list[tuple[int, int]]] = [[] for _ in range(len(A[0]) if A else 0)]
         for k, i in enumerate(self.active):
             support = [j for j, v in enumerate(A[i]) if v]
-            (demand, *entries), _ = integers([a[i], *(A[i][j] for j in support)])
+            (demand, *entries), scale = integers([a[i], *(A[i][j] for j in support)])
             self.rows.append(list(zip(support, entries)))
             self.demands.append(demand)
+            self.scales.append(scale)
             for j, v in self.rows[-1]:
                 self.columns[j].append((k, v))
 
@@ -169,15 +182,18 @@ class CoverRows:
         ]
 
 
-def _cover_rows(xv, A, a, c, d=None, rows: CoverRows | None = None) -> CoverRows:
-    """``CoverRows(A, a)`` for a public call, once the argument lengths agree.
+def _read(xbar, A, a, c, d=None, rows: CoverRows | None = None):
+    """A public rounding call's arguments, checked once: ``(xbar, c, integer costs, rows)``.
 
-    ``InstanceError`` unless A has a row per entry of a, and each row of A,
-    c and (if given) d has an entry per coordinate of xbar.  Only lengths
-    are checked, so this is O(m + n).  ``rows``, if given, is returned in
-    place of a new scan, and must have been built from these very A and a
-    objects (an ``is`` test, so O(1)); ``InstanceError`` otherwise.
+    ``xbar``, ``c`` and each finite bound of ``d`` are read by ``as_fraction``;
+    ``InstanceError`` unless A has a row per entry of a, each row of A, c and
+    (if given) d has an entry per coordinate of xbar, no cost is negative and
+    no coordinate of xbar exceeds its bound.  The integer costs are c over its
+    least common denominator.  ``rows``, if given, is returned in place of a
+    new scan of A, and must have been built from these very A and a objects
+    (an ``is`` test, so O(1)); ``InstanceError`` otherwise.
     """
+    xv = as_fractions(xbar, "xbar")
     n = len(xv)
     if len(A) != len(a):
         raise InstanceError(f"A has {len(A)} rows but a has {len(a)} entries")
@@ -187,19 +203,18 @@ def _cover_rows(xv, A, a, c, d=None, rows: CoverRows | None = None) -> CoverRows
     for name, vec in (("c", c), ("d", d)):
         if vec is not None and len(vec) != n:
             raise InstanceError(f"{name} has {len(vec)} entries, xbar has {n}")
-    if rows is None:
-        return CoverRows(A, a)
-    if rows.A is not A or rows.a is not a:
-        raise InstanceError("rows must be the CoverRows built from this very (A, a)")
-    return rows
-
-
-def _costs(c) -> list[int]:
-    """c over its least common denominator; ``InstanceError`` on a negative cost."""
-    costs, _ = integers(c)
+    cf = as_fractions(c, "c")
+    costs, _ = integers(cf)
     if min(costs, default=0) < 0:
         raise InstanceError("costs must be nonnegative")
-    return costs
+    for j, u in enumerate(d or ()):
+        if u is not None and xv[j] > as_fraction(u, f"d[{j}]"):
+            raise InstanceError(f"xbar[{j}] = {xv[j]} exceeds its multiplicity bound {u}")
+    if rows is None:
+        rows = CoverRows(A, a)
+    elif rows.A is not A or rows.a is not a:
+        raise InstanceError("rows must be the CoverRows built from this very (A, a)")
+    return xv, cf, costs, rows
 
 
 class EstimatorState:
@@ -294,18 +309,14 @@ def derandomized_round(
     and a objects (``InstanceError`` otherwise); the other rounding
     functions pass theirs down so that A is scanned once.
     """
-    xv = as_fractions(xbar, "xbar")
+    xv, c, costs, rows = _read(xbar, A, a, c, rows=rows)
     L = as_fraction(L, "L")
     n = len(xv)
-    rows = _cover_rows(xv, A, a, c, rows=rows)
-    costs = _costs(c)
     X, D = integers(xv)
     for k, s in enumerate(rows.slack(X, D)):
-        if s < 0:
-            i = rows.active[k]
-            raise InstanceError(
-                f"xbar is not a fractional cover: row {i} short by {a[i] - dot(A[i], xv)}"
-            )
+        if s < 0:  # s is D scales[k] (A_i xbar - a_i)
+            i, short = rows.active[k], Fraction(-s, D * rows.scales[k])
+            raise InstanceError(f"xbar is not a fractional cover: row {i} short by {short}")
     if not rows.demands:
         return IntegerVector(tuple(0 for _ in range(n)))
 
@@ -389,14 +400,13 @@ def granular_round(
     otherwise); the rows for K a are derived from them.
     """
     K = as_int(K, "granularity K", 1)
-    xv = as_fractions(xbar, "xbar")
-    rows = _cover_rows(xv, A, a, c, rows=rows)
+    xv, c, _, rows = _read(xbar, A, a, c, rows=rows)
     if not rows.demands:
         if info_out is not None:
             info_out.update({"K": K, "L": Fraction(1)})
         return FractionalVector(tuple(ZERO for _ in xv))
     L = compute_scale_factor(len(rows.demands), K * rows.width)
-    scaled_a = tuple(K * v for v in a)
+    scaled_a = tuple(K * v for v in a)  # length and identity only: values come from rows
     scaled_xbar = tuple(K * v for v in xv)
     xhat = derandomized_round(scaled_xbar, A, scaled_a, c, L, rows=rows.scaled(K, scaled_a))
     if info_out is not None:
@@ -435,12 +445,7 @@ def bicriteria_round(
     eps = as_fraction(epsilon, "epsilon")
     if not (0 < eps <= 1):
         raise InstanceError(f"epsilon {eps} outside (0, 1]")
-    xv = as_fractions(xbar, "xbar")
-    rows = _cover_rows(xv, A, a, c, d)
-    costs = _costs(c)
-    for j, bound in enumerate(d):
-        if bound is not None and xv[j] > bound:
-            raise InstanceError(f"xbar[{j}] = {xv[j]} exceeds its multiplicity bound {bound}")
+    xv, c, costs, rows = _read(xbar, A, a, c, d)
     if not rows.demands:
         if info_out is not None:
             info_out.update({"K": 0, "L": Fraction(1)})

@@ -56,6 +56,10 @@ from coverpack.model import (
 
 GE = ">="
 LE = "<="
+#: consecutive degenerate pivots after which Bland's rule picks the leaving row
+BLAND_AFTER = 40
+#: pivots one ``solve_lp`` may make before it raises ``LimitError``
+MAX_PIVOTS = 50_000
 
 
 @dataclass(frozen=True)
@@ -307,14 +311,15 @@ class _Tableau:
             best = cand
         return None if best is None else best[4:]
 
-    def run(self, *, bland_after: int, max_iters: int) -> int:
+    def run(self) -> int:
         """Pivot until every basic value is >= 0; -1, or the row proving infeasibility.
 
-        The ratios ``obj[q] / -T[r][q]`` of the leaving row share the
-        denominators ``obj_den`` and ``den[r]``, so they compare by
-        cross-multiplying numerators.
+        ``BLAND_AFTER`` and ``MAX_PIVOTS`` are read as the run starts.  The
+        ratios ``obj[q] / -T[r][q]`` of the leaving row share the denominators
+        ``obj_den`` and ``den[r]``, so they compare by cross-multiplying
+        numerators.
         """
-        degenerate_streak = 0
+        degenerate_streak, bland_after, max_pivots = 0, BLAND_AFTER, MAX_PIVOTS
         nonbasic = self.nonbasic
         while True:
             found = self.leaving(degenerate_streak >= bland_after)
@@ -334,34 +339,30 @@ class _Tableau:
                     enter = q
             if enter < 0:
                 return leave  # every entry is >= 0 and the rhs is < 0
-            if self.iterations >= max_iters:
-                raise LimitError(f"simplex exceeded {max_iters} pivots")
+            if self.iterations >= max_pivots:
+                raise LimitError(f"simplex exceeded {max_pivots} pivots")
             self.iterations += 1
             degenerate_streak = degenerate_streak + 1 if obj[enter] == 0 else 0
             self.pivot(leave, enter)
 
 
-def solve_lp(
-    p: LpProblem,
-    *,
-    bland_after: int = 40,
-    max_iters: int = 50_000,
-) -> LpSolution:
+def solve_lp(p: LpProblem) -> LpSolution:
     """Dual simplex from the all-slack basis with exact certificates.
 
     Every cost must be nonnegative (``InstanceError`` otherwise), so the
     objective is bounded below by 0 and the result is OPTIMAL or
     INFEASIBLE.  The leaving row has the most negative basic value and the
     entering column the least ratio, deterministic ties by lowest index;
-    after ``bland_after`` consecutive degenerate pivots Bland's rule picks
-    the leaving row, so termination is guaranteed.  Same problem and
-    configuration always yield the same solution.
+    after ``BLAND_AFTER`` consecutive degenerate pivots Bland's rule picks
+    the leaving row, so termination is guaranteed, and more than
+    ``MAX_PIVOTS`` pivots raise ``LimitError``.  The same problem always
+    yields the same solution.
     """
     for j, cj in enumerate(p.objective):
         if cj < 0:
             raise InstanceError(f"objective[{j}] = {cj} is negative")
     t = _Tableau(p)
-    r = t.run(bland_after=bland_after, max_iters=max_iters)
+    r = t.run()
     if r >= 0:
         ray_rows, ray_bounds = _duals(p, t, t.T[r], t.den[r], t.basis[r])
         return LpSolution(
@@ -409,15 +410,6 @@ def _duals(p: LpProblem, t: _Tableau, vec: list[int], den: int, basic: int = -1)
     return dual_rows, tuple(dual_bounds)
 
 
-def dual_objective(p: LpProblem, rows, bounds) -> Fraction:
-    """``sum_i rows_i rhs_i + sum_j bounds_j u_j`` over the finite bounds ``u``."""
-    total = sum((y * row.rhs for y, row in zip(rows, p.rows)), ZERO)
-    for j, u in enumerate(p.var_bounds):
-        if u is not None:
-            total += bounds[j] * u
-    return total
-
-
 @dataclass(frozen=True)
 class CertificateViolation:
     kind: str
@@ -449,10 +441,10 @@ def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation
 
     The sums run in integers: each row over its denominator ``D_i``
     (``LpProblem.int_rows``), ``x`` over one denominator and the weights
-    ``y_i / D_i`` over one denominator, so every ``A x`` and ``y^T A``
-    entry is an integer dot product.  Only the O(m + n) scalar checks and
-    the amount of each violation are ``Fraction``, and every amount is the
-    exact rational.
+    ``y_i / D_i`` over one denominator, so every entry of ``A x``, ``y^T A``
+    and ``y^T rhs`` is an integer dot product.  Only the O(m + n) scalar
+    checks and the amount of each violation are ``Fraction``, and every
+    amount is the exact rational.
     """
     n, m = len(p.objective), len(p.rows)
     out: list[CertificateViolation] = []
@@ -488,16 +480,19 @@ def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation
         # a bound dual is <= 0, and 0 where there is no bound to price it
         if bounds[j] > 0 or (u is None and bounds[j]):
             out.append(CertificateViolation("dual_sign_bound", j, abs(bounds[j])))
-    # y^T A over Dw: the rows with a nonzero weight, summed column by column
+    # y^T A over Dw, rhs column last: the rows with a nonzero weight, column by column
     W, Dw = integers([Fraction(y, D) for y, (_, D) in zip(rows, p.int_rows)])
     live = [(w, A) for w, (A, _) in zip(W, p.int_rows) if w]
     weights = [w for w, _ in live]
-    yA = [sum(map(mul, weights, col)) for col in zip(*(A for _, A in live))] or [0] * n
+    yA = [sum(map(mul, weights, col)) for col in zip(*(A for _, A in live))] or [0] * (n + 1)
     for j, cj in enumerate(cost):
         lhs = bounds[j] + Fraction(yA[j], Dw)
         if lhs > cj:
             out.append(CertificateViolation("dual_feasibility", j, lhs - cj))
-    value = dual_objective(p, rows, bounds)
+    value = Fraction(yA[n], Dw)  # the dual objective, y^T rhs + z^T u
+    for j, u in enumerate(p.var_bounds):
+        if u is not None:
+            value += bounds[j] * u
     if s.status == "OPTIMAL":
         for primal_value in (s.objective_value, dot(p.objective, x)):
             if primal_value != value:

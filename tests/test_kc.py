@@ -371,7 +371,6 @@ class TestSolveCipStrict:
             calls.append(problem)
             return solve_lp(problem)
 
-        monkeypatch.setattr(kc, "solve_lp", counting_solve_lp)
         monkeypatch.setattr(rounding, "solve_lp", counting_solve_lp)
         integral = normalize_width(gen_random_cpip(4, 5, 1, seed=3, d_max=3))
         fractional = normalize_width(

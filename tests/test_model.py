@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import random
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coverpack
 from coverpack.genbench import GeneratorSpec, knapsack_gap, run_bench
 from coverpack.kc import check_kc_validity, find_violated_kc, solve_cip_strict, solve_lp_kc
 from coverpack.model import (
@@ -529,6 +531,61 @@ class TestStructure:
             ("rounding.py", "solve_relaxation", "solve_lp"),
             ("rounding.py", "solve_relaxation", "verify_certificate"),
         }
+
+    #: the parameter names of every public callable but the failure classes
+    PUBLIC_PARAMETERS = {
+        "CpipInstance": ("A", "a", "B", "b", "c", "d"),
+        "CutLoop": ("x", "system", "round_objectives", "cut_rows_added", "pin_sets_seen"),
+        "FractionalVector": ("values",),
+        "GeneratorSpec": ("family", "m", "n", "r", "density", "d_max", "seed", "delta"),
+        "IntegerVector": ("values",),
+        "KcSystem": ("F", "rows"),
+        "LpProblem": ("objective", "rows", "var_bounds", "int_rows"),
+        "LpSolution": (
+            "status", "iterations", "primal", "objective_value", "dual_rows", "dual_bounds",
+            "ray_rows", "ray_bounds",
+        ),
+        "SolveReport": (
+            "mode", "cost", "fopt", "fopt_kc", "opt", "ratio_cost_fopt", "epsilon", "lam", "K",
+            "L", "seed", "rng", "x", "violations", "guarantees_ok", "certificate_ok", "pinned",
+            "pin_sets_seen", "cut_rows_added", "lp_rounds", "oracle_bounds", "oracle_space",
+            "status", "elapsed_s",
+        ),
+        "bicriteria_round": ("xbar", "A", "a", "c", "d", "epsilon", "info_out"),
+        "brute_force_opt": ("inst", "max_points"),
+        "check_kc_validity": ("inst", "max_points"),
+        "check_solution": ("inst", "x", "epsilon"),
+        "compute_scale_factor": ("m", "W"),
+        "derandomized_round": ("xbar", "A", "a", "c", "L", "trace_out", "rows"),
+        "find_violated_kc": ("inst", "x", "lam"),
+        "gen_random_cpip": ("m", "n", "r", "seed", "d_max", "density"),
+        "gen_set_cover": ("num_elements", "num_sets", "density", "seed"),
+        "granular_round": ("xbar", "A", "a", "c", "K", "info_out", "rows"),
+        "kc_system": ("inst", "F"),
+        "knapsack_gap": ("delta",),
+        "lp_from_instance": ("inst", "cut_rows"),
+        "normalize_width": ("inst",),
+        "parse_instance": ("doc",),
+        "randomized_round": ("xbar", "L", "seed"),
+        "run_bench": ("specs", "epsilons", "include_timing"),
+        "serialize_instance": ("inst",),
+        "solve_cip_strict": ("inst", "epsilon", "max_rounds"),
+        "solve_cpip_bicriteria": ("inst", "epsilon"),
+        "solve_lp": ("p",),
+        "solve_lp_kc": ("inst", "lam", "max_rounds"),
+        "verify_certificate": ("p", "s"),
+        "width": ("A", "a"),
+    }
+
+    def test_public_parameters_pinned(self):
+        # the knob inventory: a new parameter of a public callable is an edit
+        # here; the failure classes take only a message
+        got = {
+            name: tuple(inspect.signature(obj).parameters)
+            for name, obj in ((name, getattr(coverpack, name)) for name in coverpack.__all__)
+            if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
+        }
+        assert got == self.PUBLIC_PARAMETERS
 
     def test_no_bare_assert(self):
         # python -O strips assert; every check must raise in every mode

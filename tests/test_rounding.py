@@ -631,13 +631,26 @@ BAD_ARGUMENTS = {
         lambda: bicriteria_round(_x_HALF, _A1, _a1, _c_NEG, _NONE, 1),
         "costs must be nonnegative",
     ),
+    "bicriteria-unreadable-d": (
+        lambda: bicriteria_round(_xbar, _A, _a, _c, ("x", None), 1), r"d\[0\]: cannot read 'x'"
+    ),
+    "bicriteria-unreadable-c": (
+        lambda: bicriteria_round(_xbar, _A, _a, (1, "x"), _NONE, 1), r"c\[1\]: cannot read 'x'"
+    ),
+    "derandomized-unreadable-a": (
+        lambda: derandomized_round(_xbar, _A, (None, 1), _c, _L), r"a\[0\]: expected a number"
+    ),
+    "granular-unreadable-A": (
+        lambda: granular_round(_xbar, ((1, "x"), (1, 0)), _a, _c, 2), r"A\[0\]\[1\]: cannot read"
+    ),
 }
 
 
 @pytest.mark.parametrize("call, match", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
 def test_bad_arguments_are_instance_errors(call, match):
-    # a wrong length, a non-int K or a negative cost is bad input, not an
-    # IndexError, a silently ignored row or a guarantee fault
+    # a wrong length, a non-int K, a negative cost or an entry that is not a
+    # number is bad input, not an IndexError, a TypeError, a silently
+    # ignored row or a guarantee fault
     with pytest.raises(InstanceError, match=match):
         call()
 
@@ -661,6 +674,33 @@ def test_rows_of_other_objects_refused(call):
     rows = CoverRows(_A2, _a2)
     assert call(rows) == call(None)
     assert all(call(rows).values)  # each row is covered by its own variable
+
+
+#: (A, a, c) with float, str or bool entries, and the exact values they stand for
+READABLE_ENTRIES = {
+    "float-cost": ((_A2, _a2, [0.5, 1]), (_A2, _a2, [F(1, 2), 1])),
+    "str-demand": ((_A2, ["1", 1], _c2), (_A2, _a2, _c2)),
+    "float-entry": (([[0.5, 0], [0, 1]], _a2, _c2), ([[F(1, 2), 0], [0, 1]], _a2, _c2)),
+    "pq-strings": (
+        ([["1/2", 0], ["1/3", "1"]], ["3/4", 1], _c2),
+        ([[F(1, 2), 0], [F(1, 3), 1]], [F(3, 4), 1], _c2),
+    ),
+    "bool-entry": (([[True, 0], [0, 1]], _a2, _c2), (_A2, _a2, _c2)),
+}
+_X_COVER = [F(5, 2), F(5, 4)]  # covers each system above
+
+
+@pytest.mark.parametrize("given, exact", READABLE_ENTRIES.values(), ids=READABLE_ENTRIES.keys())
+def test_entries_round_as_the_values_they_stand_for(given, exact):
+    # a float entry used to raise AttributeError and a str demand TypeError;
+    # a bool is read as the int it is
+    calls = (
+        lambda A, a, c: derandomized_round(_X_COVER, A, a, c, compute_scale_factor(2, 1)),
+        lambda A, a, c: granular_round(_X_COVER, A, a, c, 3),
+        lambda A, a, c: bicriteria_round(_X_COVER, A, a, c, _NONE, 1),
+    )
+    for call in calls:
+        assert call(*given) == call(*exact)
 
 
 def test_scaled_rows_keep_the_scaled_demands():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coverpack import simplex
 from coverpack.genbench import gen_random_cpip, gen_set_cover
 from coverpack.model import (
     ZERO,
@@ -25,7 +26,6 @@ from coverpack.simplex import (
     LpSolution,
     _eliminate,
     _Tableau,
-    dual_objective,
     lp_from_instance,
     solve_lp,
     verify_certificate,
@@ -286,22 +286,28 @@ def _beale_dual():
     )
 
 
-def test_bland_rule_from_first_pivot():
+def test_bland_rule_from_first_pivot(monkeypatch):
     # The dual of Beale's example cycles under the dual simplex's
     # most-negative-row rule alone; Bland's rule, from the first pivot or
     # after a degenerate streak, ends it at minus Beale's optimum.
     p = _beale_dual()
-    with pytest.raises(LimitError):
-        solve_lp(p, bland_after=10**9, max_iters=500)
+    with monkeypatch.context() as mp:
+        mp.setattr(simplex, "BLAND_AFTER", 10**9)
+        mp.setattr(simplex, "MAX_PIVOTS", 500)
+        with pytest.raises(LimitError):
+            solve_lp(p)
     for bland_after in (0, 40):
-        s = solve_lp(p, bland_after=bland_after)
+        monkeypatch.setattr(simplex, "BLAND_AFTER", bland_after)
+        s = solve_lp(p)
         assert s.status == "OPTIMAL"
         assert s.objective_value == F(5, 4)
         assert verify_certificate(p, s) == []
     for seed in range(5):
         p = lp_from_instance(gen_random_cpip(6, 8, 2, seed=seed))
-        s = solve_lp(p, bland_after=0)
+        monkeypatch.setattr(simplex, "BLAND_AFTER", 0)
+        s = solve_lp(p)
         assert verify_certificate(p, s) == []
+        monkeypatch.setattr(simplex, "BLAND_AFTER", 40)
         assert s.objective_value == solve_lp(p).objective_value
 
 
@@ -495,7 +501,10 @@ def test_duality_gap_zero_exactly():
         inst = gen_random_cpip(4, 4, 1, seed=seed)
         p = lp_from_instance(inst)
         s = solve_lp(p)
-        assert s.objective_value == dual_objective(p, s.dual_rows, s.dual_bounds)
+        # the dual objective sum_i y_i rhs_i + sum_j z_j u_j, in Fractions
+        value = sum(y * rhs for y, (_, _, rhs) in zip(s.dual_rows, lp_rows(p)))
+        value += sum(z * u for z, u in zip(s.dual_bounds, p.var_bounds) if u is not None)
+        assert s.objective_value == value
 
 
 def test_deterministic():
@@ -522,11 +531,12 @@ def test_negative_cost_rejected():
         solve_lp(p)
 
 
-def test_iteration_limit_raises():
+def test_iteration_limit_raises(monkeypatch):
     inst = gen_random_cpip(6, 6, 2, seed=4)
     p = lp_from_instance(inst)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
     with pytest.raises(LimitError):
-        solve_lp(p, max_iters=1)
+        solve_lp(p)
 
 
 def test_status_without_certificate_is_bad_input():
@@ -779,15 +789,18 @@ def reference_solve_lp(p, *, bland_after=40, max_iters=50_000):
 
 def _assert_condensed_parity(p, bland_after):
     want, full = reference_solve_lp(p, bland_after=bland_after)
-    got = solve_lp(p, bland_after=bland_after)
+    # a context, not the fixture: hypothesis reruns the body per example
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "BLAND_AFTER", bland_after)
+        got = solve_lp(p)
+        t = _Tableau(p)
+        t.run()
     assert (got.status, got.iterations) == (want.status, want.iterations)
     assert (got.primal, got.objective_value) == (want.primal, want.objective_value)
     assert (got.dual_rows, got.dual_bounds) == (want.dual_rows, want.dual_bounds)
     assert (got.ray_rows, got.ray_bounds) == (want.ray_rows, want.ray_bounds)
     # the last tableau too: each stored row's entries and denominator are
     # the full row's, whose basic columns hold den on its own row and 0 off it
-    t = _Tableau(p)
-    t.run(bland_after=bland_after, max_iters=50_000)
     assert (t.rows, t.basis, t.den) == (full.rows, full.basis, full.den)
     assert sorted(t.nonbasic + t.basis) == full.cols
     pos = {c: q for q, c in enumerate(full.cols)}
