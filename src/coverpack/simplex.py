@@ -9,14 +9,15 @@ basic column is a unit vector, so each row stores only the ``n``
 nonbasic columns and the rhs, and a pivot exchanges the labels of the
 entering and leaving variables.  A row is ``n + 1`` Python integers over
 one positive row denominator, and pivots are integer-preserving
-(Edmonds; Bareiss), so no ``Fraction`` is built while pivoting.  Every
-pivot choice compares the rationals the integers stand for, exactly.
+(Edmonds; Bareiss), so no ``Fraction`` is built while pivoting.  A row is
+reduced by its gcd only once its denominator passes ``2**REDUCE_BITS``;
+every pivot choice compares the rationals the integers stand for, exactly.
 Problems come in as rationals, and each row is stored once, as integers
 over its denominator.  Results go out as ``Fraction``: an OPTIMAL result
 carries a primal point and a dual vector whose objectives agree with zero
 gap, and an INFEASIBLE result carries an exact Farkas ray;
 ``verify_certificate`` checks either certificate, the ray included,
-exactly, with integer sums.
+exactly, in integers.
 
 Row order inside an ``LpProblem`` built from an instance is fixed and
 documented: covering rows, then packing rows, then any cut rows in
@@ -49,7 +50,7 @@ from coverpack.model import (
     InstanceError,
     LimitError,
     as_fraction,
-    dot,
+    as_fractions,
     integers,
     scale_rows,
 )
@@ -60,6 +61,8 @@ LE = "<="
 BLAND_AFTER = 40
 #: pivots one ``solve_lp`` may make before it raises ``LimitError``
 MAX_PIVOTS = 50_000
+#: a tableau row is reduced by its gcd once its denominator has more bits than this
+REDUCE_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -152,31 +155,32 @@ def lp_from_instance(
     return LpProblem(inst.c, rows, inst.d, inst.int_rows + cut_rows)
 
 
-def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int, nz: list[int]):
+def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int):
     """One row's exchange step, ``row/den - (row[e]/den) * prow/p`` with ``row[e]`` as 0.
 
     ``prow / p`` is the pivot row after the exchange: ``p > 0`` and column
     ``e`` holds the leaving variable's entry, so the result there is
     ``-row[e] * prow[e]``; that is the full tableau's update, which zeroes
-    the entering column.  Only the columns ``nz`` where ``prow`` is nonzero
-    need the subtraction.  ``p`` and ``f = row[e]`` are first divided by
-    their gcd, and where ``p`` becomes 1 the row is copied, not multiplied.
-    The result, as (integers, positive denominator), is divided by the gcd
-    of its entries and denominator (which stands for the row's basic unit
-    entry); that form is unique, so it does not depend on the multipliers.
+    the entering column.  ``p`` and ``f = row[e]`` are first divided by
+    their gcd, and where ``p`` becomes 1 the row is not multiplied.  The
+    result, as (integers, positive denominator), is divided by the gcd of
+    its entries and denominator only once the denominator passes
+    ``2**REDUCE_BITS``.
     """
     f = row[e]
     g = gcd(p, f)
     p, f = p // g, f // g
-    new = list(row) if p == 1 else [v * p for v in row]
-    new[e] = 0
-    for j in nz:
-        new[j] -= f * prow[j]
-    den *= p
-    g = gcd(den, *new)
-    if g > 1:
-        new = [v // g for v in new]
-        den //= g
+    if p == 1:
+        new = [v - f * w for v, w in zip(row, prow)]
+    else:
+        new = [v * p - f * w for v, w in zip(row, prow)]
+        den *= p
+    new[e] = -f * prow[e]
+    if den.bit_length() > REDUCE_BITS:
+        g = gcd(den, *new)
+        if g > 1:
+            new = [v // g for v in new]
+            den //= g
     return new, den
 
 
@@ -189,10 +193,11 @@ class _Tableau:
     ``den[i]``, so its entries are the rationals ``T[i][q] / den[i]``, its
     last entry is the right-hand side, and its basic column ``basis[i]``
     holds the dropped unit entry ``den[i] / den[i]``.  Pivots are
-    integer-preserving (Edmonds 1967, Bareiss 1968) and every rewritten row
-    is reduced by the gcd of its entries and denominator, so every entry
-    and ``den[i]`` equal the full tableau's.  The objective row ``obj`` over
-    ``obj_den`` holds the nonbasic reduced costs, with ``-z`` last.
+    integer-preserving (Edmonds 1967, Bareiss 1968), so every row equals the
+    full tableau's as rationals; a rewritten row is reduced by the gcd of
+    its entries and denominator once that denominator passes
+    ``2**REDUCE_BITS``.  The objective row ``obj`` over ``obj_den`` holds
+    the nonbasic reduced costs, with ``-z`` last.
 
     Every user row is stored in ``<=`` form (a ``>=`` row is negated) with
     its own slack, full column ``n + i``, basic: the basis starts as all
@@ -262,19 +267,19 @@ class _Tableau:
         if p < 0:
             prow = [-v for v in prow]
             p = -p
-        g = gcd(p, *prow)
-        if g > 1:
-            prow = [v // g for v in prow]
-            p //= g
+        if p.bit_length() > REDUCE_BITS:
+            g = gcd(p, *prow)
+            if g > 1:
+                prow = [v // g for v in prow]
+                p //= g
         self.T[r] = prow
         self.den[r] = p
-        nz = [j for j, v in enumerate(prow) if v]
         T, dens = self.T, self.den
         for i, row in enumerate(T):
             if i != r and row[e]:
-                T[i], dens[i] = _eliminate(row, dens[i], prow, p, e, nz)
+                T[i], dens[i] = _eliminate(row, dens[i], prow, p, e)
         if self.obj[e]:
-            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, e, nz)
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, e)
         self.basis[r], self.nonbasic[e] = self.nonbasic[e], self.basis[r]
 
     def leaving(self, bland: bool) -> tuple | None:
@@ -420,11 +425,13 @@ class CertificateViolation:
         return f"{self.kind}[{self.index}]: off by {float(self.amount):.3g}"
 
 
-def _check_length(name: str, vec, n: int) -> None:
+def _read_vector(name: str, vec, n: int) -> tuple[Fraction, ...]:
+    """``vec``'s n entries by ``as_fractions``; ``InstanceError`` if missing or not n long."""
     if vec is None:
         raise InstanceError(f"{name} is missing")
     if len(vec) != n:
         raise InstanceError(f"{name} has {len(vec)} entries, expected {n}")
+    return as_fractions(vec, name)
 
 
 def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation]:
@@ -437,64 +444,65 @@ def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation
     and y^T rhs + z^T u > 0, so no x >= 0 meets the rows and bounds.
     Any other status carries no certificate: only a hand-built
     ``LpSolution`` can have one, and it raises ``InstanceError``, as does
-    a primal, dual or ray vector without one entry per variable or row.
+    a primal, dual or ray vector without one entry per variable or row,
+    and an entry or a reported value that ``as_fraction`` cannot read.
 
-    The sums run in integers: each row over its denominator ``D_i``
-    (``LpProblem.int_rows``), ``x`` over one denominator and the weights
-    ``y_i / D_i`` over one denominator, so every entry of ``A x``, ``y^T A``
-    and ``y^T rhs`` is an integer dot product.  Only the O(m + n) scalar
-    checks and the amount of each violation are ``Fraction``, and every
-    amount is the exact rational.
+    Every check runs in integers: each row over its ``D_i`` (``int_rows``),
+    and ``x``, the bound duals, the costs and the weights ``y_i / D_i`` each
+    over one denominator.  Only the amount of each violation, the exact
+    rational, and the values the gap check compares are ``Fraction``.
     """
     n, m = len(p.objective), len(p.rows)
     out: list[CertificateViolation] = []
     if s.status == "OPTIMAL":
-        rows, bounds, cost = s.dual_rows, s.dual_bounds, p.objective
-        x = None if s.primal is None else s.primal.values
-        _check_length("primal", x, n)
-        _check_length("dual_rows", rows, m)
-        _check_length("dual_bounds", bounds, n)
-        for j, v in enumerate(x):
-            if v < 0:
-                out.append(CertificateViolation("primal_nonneg", j, -v))
+        x = _read_vector("primal", None if s.primal is None else s.primal.values, n)
+        rows = _read_vector("dual_rows", s.dual_rows, m)
+        bounds, cost = _read_vector("dual_bounds", s.dual_bounds, n), p.objective
         X, Dx = integers(x)
+        for j, v in enumerate(X):
+            if v < 0:
+                out.append(CertificateViolation("primal_nonneg", j, -x[j]))
         for i, (row, (A, D)) in enumerate(zip(p.rows, p.int_rows)):
             lhs = sum(map(mul, A, X))  # X has no entry for A's last, the rhs
             gap = lhs - A[n] * Dx if row.sense == GE else A[n] * Dx - lhs
             if gap < 0:
                 out.append(CertificateViolation("primal_row", i, Fraction(-gap, D * Dx)))
         for j, u in enumerate(p.var_bounds):
-            if u is not None and x[j] > u:
+            if u is not None and X[j] * u.denominator > u.numerator * Dx:
                 out.append(CertificateViolation("primal_bound", j, x[j] - u))
     elif s.status == "INFEASIBLE":
-        rows, bounds, cost = s.ray_rows, s.ray_bounds, (ZERO,) * n
-        _check_length("ray_rows", rows, m)
-        _check_length("ray_bounds", bounds, n)
+        rows = _read_vector("ray_rows", s.ray_rows, m)
+        bounds, cost = _read_vector("ray_bounds", s.ray_bounds, n), (ZERO,) * n
     else:
         raise InstanceError(f"an {s.status} result carries no certificate")
     for i, row in enumerate(p.rows):
-        y = rows[i]
+        y = rows[i].numerator
         if (y < 0) if row.sense == GE else (y > 0):
-            out.append(CertificateViolation("dual_sign_row", i, abs(y)))
+            out.append(CertificateViolation("dual_sign_row", i, abs(rows[i])))
     for j, u in enumerate(p.var_bounds):
         # a bound dual is <= 0, and 0 where there is no bound to price it
-        if bounds[j] > 0 or (u is None and bounds[j]):
+        z = bounds[j].numerator
+        if z > 0 or (u is None and z):
             out.append(CertificateViolation("dual_sign_bound", j, abs(bounds[j])))
     # y^T A over Dw, rhs column last: the rows with a nonzero weight, column by column
     W, Dw = integers([Fraction(y, D) for y, (_, D) in zip(rows, p.int_rows)])
     live = [(w, A) for w, (A, _) in zip(W, p.int_rows) if w]
     weights = [w for w, _ in live]
     yA = [sum(map(mul, weights, col)) for col in zip(*(A for _, A in live))] or [0] * (n + 1)
-    for j, cj in enumerate(cost):
-        lhs = bounds[j] + Fraction(yA[j], Dw)
-        if lhs > cj:
-            out.append(CertificateViolation("dual_feasibility", j, lhs - cj))
-    value = Fraction(yA[n], Dw)  # the dual objective, y^T rhs + z^T u
-    for j, u in enumerate(p.var_bounds):
-        if u is not None:
-            value += bounds[j] * u
+    # z_j + (y^T A)_j - c_j over Dz * Dw * Dc
+    (Z, Dz), (C, Dc) = integers(bounds), integers(cost)
+    DwDc, DzDc, DzDw = Dw * Dc, Dz * Dc, Dz * Dw
+    for j in range(n):
+        over = Z[j] * DwDc + yA[j] * DzDc - C[j] * DzDw
+        if over > 0:
+            out.append(CertificateViolation("dual_feasibility", j, Fraction(over, DzDw * Dc)))
+    # the dual objective, y^T rhs + z^T u, over Dw * Dz * Du
+    U, Du = integers([u for u in p.var_bounds if u is not None])
+    zu = sum(map(mul, (z for z, u in zip(Z, p.var_bounds) if u is not None), U))
+    value = Fraction(yA[n] * Dz * Du + Dw * zu, DzDw * Du)
     if s.status == "OPTIMAL":
-        for primal_value in (s.objective_value, dot(p.objective, x)):
+        cx = Fraction(sum(map(mul, C, X)), Dc * Dx)
+        for primal_value in (as_fraction(s.objective_value, "objective_value"), cx):
             if primal_value != value:
                 out.append(CertificateViolation("duality_gap", 0, abs(primal_value - value)))
     elif value <= 0:

@@ -2,6 +2,7 @@ import random
 from bisect import bisect
 from dataclasses import fields, replace
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from coverpack.model import (
     FractionalVector,
     InstanceError,
     LimitError,
+    dot,
     integers,
     normalize_width,
     parse_instance,
@@ -21,6 +23,7 @@ from coverpack.model import (
 from coverpack.simplex import (
     GE,
     LE,
+    CertificateViolation,
     LpProblem,
     LpRow,
     LpSolution,
@@ -446,6 +449,48 @@ def test_ray_of_wrong_length_is_bad_input(field, value, message):
         verify_certificate(p, replace(s, **{field: value}))
 
 
+@pytest.mark.parametrize(
+    "field, value, report",
+    [
+        ("dual_bounds", (0.0, 0), []),
+        (
+            "dual_bounds",
+            ("1/2", 0),
+            [("dual_sign_bound", 0, F(1, 2)), ("dual_feasibility", 0, F(1, 2))]
+            + [("duality_gap", 0, F(1))] * 2,
+        ),
+        ("dual_rows", (1.0,), []),
+        ("dual_rows", (0.5,), [("duality_gap", 0, F(1, 2))] * 2),
+        ("objective_value", "3/2", [("duality_gap", 0, F(1, 2))]),
+    ],
+    ids=["float-zero-bound", "pq-bound", "float-row", "float-half-row", "pq-value"],
+)
+def test_certificate_entries_read_as_the_values_they_stand_for(field, value, report):
+    # min x0 + x1 s.t. x0 + x1 >= 1, x0 <= 2: y = 1 certifies x = (1, 0)
+    p = LpProblem.from_data([1, 1], [((1, 1), GE, 1)], [2, None])
+    s = replace(solve_lp(p), **{field: value})
+    assert [(v.kind, v.index, v.amount) for v in verify_certificate(p, s)] == report
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dual_bounds", ("x", 0), r"dual_bounds\[0\]"),
+        ("dual_rows", (None,), r"dual_rows\[0\]"),
+        ("primal", FractionalVector((F(1), True)), r"primal\[1\]"),
+        ("objective_value", None, "objective_value: expected a number"),
+    ],
+    ids=["str-bound", "none-row", "bool-primal", "none-value"],
+)
+def test_unreadable_certificate_entry_is_bad_input(field, value, message):
+    p = LpProblem.from_data([1, 1], [((1, 1), GE, 1)], [2, None])
+    with pytest.raises(InstanceError, match=message):
+        verify_certificate(p, replace(solve_lp(p), **{field: value}))
+    s = replace(LpSolution("INFEASIBLE", 0), ray_rows=(F(1),), ray_bounds=(F(0), float("nan")))
+    with pytest.raises(InstanceError, match=r"ray_bounds\[1\]"):
+        verify_certificate(p, s)
+
+
 def test_certificate_flags_gap():
     p = lp_from_instance(parse_instance(GAP_DOC))
     s = solve_lp(p)
@@ -593,7 +638,9 @@ def test_primal_sign_and_bound_violations_reported():
 
 def test_pivot_row_reduced_by_its_gcd():
     # the cut 4 x0 >= 4 over D = 2 leaves a pivot row whose entries share a
-    # factor; reduced by it, the solve is the one of 2 x0 >= 2 over D = 1
+    # factor; whether or not the row is reduced by it (only once its
+    # denominator passes 2**REDUCE_BITS), the solve is the one of 2 x0 >= 2
+    # over D = 1
     inst = parse_instance('{"A": [[1, 1]], "a": [1], "c": [1, 2], "d": [3, 3]}')
     got = solve_lp(lp_from_instance(inst, [((4, 0, 4), 2)]))
     assert got == solve_lp(lp_from_instance(inst, [((2, 0, 2), 1)]))
@@ -620,8 +667,10 @@ def test_eliminate_is_the_plain_update_reduced_by_its_gcd(data):
     # the exchange step: column e of the pivot row prow/p holds the leaving
     # variable's entry, and the row's own entry f = row[e] is taken as 0 in
     # the plain update, so the result there is -f * prow[e]; dividing p and
-    # f by gcd(p, f) first, and copying the row where p becomes 1, must
-    # leave the canonical (row, den) unchanged
+    # f by gcd(p, f) first, and not multiplying the row where p becomes 1,
+    # must leave the canonical (row, den) unchanged when every row is
+    # reduced (REDUCE_BITS = 0), and the rationals unchanged at the shipped
+    # budget, where these small rows are not reduced
     size = data.draw(st.integers(2, 8))
     entries = st.lists(st.integers(-60, 60), min_size=size, max_size=size)
     row, prow = data.draw(entries), data.draw(entries)
@@ -634,8 +683,12 @@ def test_eliminate_is_the_plain_update_reduced_by_its_gcd(data):
     plain[e] = -f * prow[e]
     g = gcd(den * p, *plain)
     before = list(row)
-    nz = [j for j, v in enumerate(prow) if v]
-    assert _eliminate(row, den, prow, p, e, nz) == ([v // g for v in plain], den * p // g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "REDUCE_BITS", 0)
+        assert _eliminate(row, den, prow, p, e) == ([v // g for v in plain], den * p // g)
+    assert row == before
+    lazy, lazy_den = _eliminate(row, den, prow, p, e)
+    assert [F(v, lazy_den) for v in lazy] == [F(v, den * p) for v in plain]
     assert row == before
 
 
@@ -787,14 +840,23 @@ def reference_solve_lp(p, *, bland_after=40, max_iters=50_000):
     return solution, t
 
 
-def _assert_condensed_parity(p, bland_after):
-    want, full = reference_solve_lp(p, bland_after=bland_after)
+def _condensed_solve(p, bland_after, reduce_bits):
+    """``solve_lp(p)`` and its last tableau, under the given pivot constants."""
     # a context, not the fixture: hypothesis reruns the body per example
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "BLAND_AFTER", bland_after)
+        mp.setattr(simplex, "REDUCE_BITS", reduce_bits)
         got = solve_lp(p)
         t = _Tableau(p)
         t.run()
+    return got, t
+
+
+def _assert_condensed_parity(p, bland_after):
+    want, full = reference_solve_lp(p, bland_after=bland_after)
+    # with every row reduced by its gcd (REDUCE_BITS = 0), each stored row's
+    # integers and denominator are the full tableau's
+    got, t = _condensed_solve(p, bland_after, 0)
     assert (got.status, got.iterations) == (want.status, want.iterations)
     assert (got.primal, got.objective_value) == (want.primal, want.objective_value)
     assert (got.dual_rows, got.dual_bounds) == (want.dual_rows, want.dual_bounds)
@@ -810,6 +872,19 @@ def _assert_condensed_parity(p, bland_after):
     assert t.obj == [full.obj[pos[c]] for c in t.nonbasic] + [full.obj[-1]]
     assert t.obj_den == full.obj_den
     assert not any(full.obj[pos[c]] for c in t.basis)
+    # at the shipped budget a row is reduced only once its denominator
+    # grows, so its integers may differ, but not the rationals they stand
+    # for, the labels or the solution
+    lazy, u = _condensed_solve(p, bland_after, simplex.REDUCE_BITS)
+    assert lazy == want
+    assert (u.rows, u.basis, u.nonbasic) == (t.rows, t.basis, t.nonbasic)
+    for crow, frow, d, fd in zip(u.T, full.T, u.den, full.den):
+        assert [F(v, d) for v in crow] == [F(frow[pos[c]], fd) for c in u.nonbasic] + [
+            F(frow[-1], fd)
+        ]
+    assert [F(v, u.obj_den) for v in u.obj] == [
+        F(full.obj[pos[c]], full.obj_den) for c in u.nonbasic
+    ] + [F(full.obj[-1], full.obj_den)]
     return got.status
 
 
@@ -830,6 +905,189 @@ def test_condensed_tableau_equals_full_reference_on_fixed_cases(bland_after):
     ]
     statuses = {_assert_condensed_parity(p, bland_after) for p in cases}
     assert statuses == {"OPTIMAL", "INFEASIBLE"}
+
+
+_BUDGETS = (0, 8, simplex.REDUCE_BITS)  # every row, tiny LPs' rows, the shipped budget
+
+
+def _solve_at_budgets(p):
+    """``solve_lp(p)`` with rows reduced by their gcd at each budget of ``_BUDGETS``."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for bits in _BUDGETS:
+            mp.setattr(simplex, "REDUCE_BITS", bits)
+            out.append(solve_lp(p))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(cpip_lps(), general_lps()))
+def test_solution_independent_of_reduce_budget(p):
+    # status, pivots, point, value, duals and rays: every field is equal
+    first, *rest = _solve_at_budgets(p)
+    assert all(s == first for s in rest)
+
+
+def test_solution_independent_of_reduce_budget_on_fixed_cases():
+    # a reduction is a gcd over a whole row, more than two arguments; each
+    # budget must make some on these LPs, and fewer the larger it is
+    fired = dict.fromkeys(_BUDGETS, 0)
+
+    def counting_gcd(*args):
+        if len(args) > 2:
+            fired[simplex.REDUCE_BITS] += 1
+        return gcd(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "gcd", counting_gcd)
+        for inst in _scale_instances():
+            first, *rest = _solve_at_budgets(lp_from_instance(inst))
+            assert all(s == first for s in rest)
+    assert fired[0] > fired[8] > fired[simplex.REDUCE_BITS] > 0
+
+
+def _check_length(name, vec, n):
+    if vec is None:
+        raise InstanceError(f"{name} is missing")
+    if len(vec) != n:
+        raise InstanceError(f"{name} has {len(vec)} entries, expected {n}")
+
+
+def reference_verify_certificate(p, s):
+    """The ``Fraction`` certificate check ``verify_certificate`` replaced, kept as a reference.
+
+    The row sums run in integers, as there; the signs, the dual
+    constraints, the dual objective and ``c . x`` are ``Fraction`` arithmetic.
+    """
+    n, m = len(p.objective), len(p.rows)
+    out = []
+    if s.status == "OPTIMAL":
+        rows, bounds, cost = s.dual_rows, s.dual_bounds, p.objective
+        x = None if s.primal is None else s.primal.values
+        _check_length("primal", x, n)
+        _check_length("dual_rows", rows, m)
+        _check_length("dual_bounds", bounds, n)
+        for j, v in enumerate(x):
+            if v < 0:
+                out.append(CertificateViolation("primal_nonneg", j, -v))
+        X, Dx = integers(x)
+        for i, (row, (A, D)) in enumerate(zip(p.rows, p.int_rows)):
+            lhs = sum(map(mul, A, X))
+            gap = lhs - A[n] * Dx if row.sense == GE else A[n] * Dx - lhs
+            if gap < 0:
+                out.append(CertificateViolation("primal_row", i, F(-gap, D * Dx)))
+        for j, u in enumerate(p.var_bounds):
+            if u is not None and x[j] > u:
+                out.append(CertificateViolation("primal_bound", j, x[j] - u))
+    elif s.status == "INFEASIBLE":
+        rows, bounds, cost = s.ray_rows, s.ray_bounds, (ZERO,) * n
+        _check_length("ray_rows", rows, m)
+        _check_length("ray_bounds", bounds, n)
+    else:
+        raise InstanceError(f"an {s.status} result carries no certificate")
+    for i, row in enumerate(p.rows):
+        y = rows[i]
+        if (y < 0) if row.sense == GE else (y > 0):
+            out.append(CertificateViolation("dual_sign_row", i, abs(y)))
+    for j, u in enumerate(p.var_bounds):
+        if bounds[j] > 0 or (u is None and bounds[j]):
+            out.append(CertificateViolation("dual_sign_bound", j, abs(bounds[j])))
+    W, Dw = integers([F(y, D) for y, (_, D) in zip(rows, p.int_rows)])
+    live = [(w, A) for w, (A, _) in zip(W, p.int_rows) if w]
+    weights = [w for w, _ in live]
+    yA = [sum(map(mul, weights, col)) for col in zip(*(A for _, A in live))] or [0] * (n + 1)
+    for j, cj in enumerate(cost):
+        lhs = bounds[j] + F(yA[j], Dw)
+        if lhs > cj:
+            out.append(CertificateViolation("dual_feasibility", j, lhs - cj))
+    value = F(yA[n], Dw)
+    for j, u in enumerate(p.var_bounds):
+        if u is not None:
+            value += bounds[j] * u
+    if s.status == "OPTIMAL":
+        for primal_value in (s.objective_value, dot(p.objective, x)):
+            if primal_value != value:
+                out.append(CertificateViolation("duality_gap", 0, abs(primal_value - value)))
+    elif value <= 0:
+        out.append(CertificateViolation("farkas_value", 0, -value))
+    return out
+
+
+_FORGED_FIELDS = {
+    "OPTIMAL": ("primal", "dual_rows", "dual_bounds", "objective_value"),
+    "INFEASIBLE": ("ray_rows", "ray_bounds"),
+}
+
+
+def _forge(s, field, index, delta):
+    """``s`` with one entry of ``field`` moved by ``delta``; a forged point may go negative."""
+    if field == "objective_value":
+        return replace(s, objective_value=s.objective_value + delta)
+    values = list(s.primal.values if field == "primal" else getattr(s, field))
+    values[index % len(values)] += delta
+    if field != "primal":
+        return replace(s, **{field: tuple(values)})
+    point = object.__new__(FractionalVector)
+    object.__setattr__(point, "values", tuple(values))
+    return replace(s, primal=point)
+
+
+def _assert_check_matches_reference(p, s, moves):
+    """Each one-entry forgery of ``s``, and all of them at once, gets the reference's report."""
+    forged, combined = [s], s
+    for field, index, delta in moves:
+        forged.append(_forge(s, field, index, delta))
+        combined = _forge(combined, field, index, delta)
+    kinds = set()
+    for f in [*forged, combined]:
+        want = [(v.kind, v.index, v.amount) for v in reference_verify_certificate(p, f)]
+        assert [(v.kind, v.index, v.amount) for v in verify_certificate(p, f)] == want
+        kinds.update(kind for kind, _, _ in want)
+    return kinds
+
+
+_deltas = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(cpip_lps(), general_lps()), st.data())
+def test_certificate_check_equals_fraction_reference(p, data):
+    s = solve_lp(p)
+    moves = [
+        (field, data.draw(st.integers(0, 20)), data.draw(_deltas))
+        for field in _FORGED_FIELDS[s.status]
+    ]
+    _assert_check_matches_reference(p, s, moves)
+
+
+def test_certificate_check_equals_fraction_reference_on_fixed_cases():
+    # large denominators at scale, rays on the infeasible cases; between
+    # them the forgeries raise every kind of violation
+    rng = random.Random(24)
+    cases = [lp_from_instance(inst) for inst in _scale_instances()]
+    cases += [
+        _tied_bound_slacks(),
+        LpProblem.from_data([0], [((1,), GE, 1)], [F(1, 2)]),
+        _beale_dual(),
+        LpProblem.from_data(
+            [3, 3, 2],
+            [((1, 0, -1), GE, 2), ((3, -3, -3), LE, -3), ((-2, -1, 3), GE, -2)],
+            [3, None, F(3, 2)],
+        ),
+    ]
+    kinds = set()
+    for p in cases:
+        s = solve_lp(p)
+        for _ in range(4):
+            moves = [
+                (field, rng.randrange(100), F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+                for field in _FORGED_FIELDS[s.status]
+            ]
+            kinds |= _assert_check_matches_reference(p, s, moves)
+    assert kinds == {
+        "primal_nonneg", "primal_row", "primal_bound", "dual_sign_row", "dual_sign_bound",
+        "dual_feasibility", "duality_gap", "farkas_value",
+    }
 
 
 @settings(max_examples=60, deadline=None)
