@@ -255,7 +255,7 @@ def solve_cip_strict(
     t0 = perf_counter()
     loop = solve_lp_kc(inst, lam, max_rounds=max_rounds)
     # the loop's last high set, at lambda = 1+eps, is the pinned set, and
-    # xbar violates none of its residual rows (derandomized_round re-checks;
+    # xbar violates none of its residual rows (the rounding re-checks;
     # CoverRows skips the zero-demand ones); the integer rows round as they are
     xbar, system = loop.x, loop.system
     xres = tuple(ZERO if j in system.F else v for j, v in enumerate(xbar))

@@ -27,15 +27,16 @@ The chain, from primitive to end-to-end:
 All guarantees are re-verified exactly before an answer is returned;
 floats appear only inside the estimator, whose role is to pick between
 floor and ceiling.  Each public rounding call reads its arguments once
-(``_read``): it checks that their lengths agree, that no cost is negative
-and that any ``rows=`` it is handed was built from its very A and a; all
-are ``InstanceError``.  It then scans the dense A once, into
+(``_read``): it checks that their lengths agree and that no cost is
+negative, both ``InstanceError``, and scans the dense A once, into
 ``CoverRows``: its demanded rows scaled to Python ints and kept over their
 nonzeros, by row and by column (both solvers hand ``bicriteria_round``
 integer rows, whose lcm is 1).  The width, the estimator's weights,
-every coverage, cost and slack check and the trim run on those rows;
-the calls below a public one are handed the rows rather than rebuilding
-them.
+every coverage, cost and slack check and the trim run on those rows.
+The public calls then run private cores on what was read:
+``derandomized_round`` runs ``_derandomize``, ``granular_round`` runs
+``_granular`` (``_derandomize`` on the K-scaled rows), and
+``bicriteria_round`` runs ``_granular`` and takes the ceiling.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import operator
 import random
 from fractions import Fraction
 from time import perf_counter
 
 from coverpack.model import (
-    ZERO,
     CpipInstance,
     FractionalVector,
     GuaranteeError,
@@ -63,7 +64,6 @@ from coverpack.model import (
     dot,
     integers,
     is_width_normalized,
-    vec_ceil,
     width,
 )
 from coverpack.oracle import check_solution
@@ -130,15 +130,13 @@ class CoverRows:
     all Python ints, and ``columns[j]`` lists (k, A'_kj) in slot order.
     Scaling a row changes no ratio a_i / A_ij, so every coverage and slack
     test on these rows is exact, and ``width`` is the width of (A, a);
-    ``scales[k]`` is row k's multiplier.  ``A`` and ``a`` are the very
-    objects the rows were built from.  Int (a bool reads as one) and
-    ``Fraction`` entries are scanned as they are; a float or ``"p/q"``
-    entry sends the scan to ``as_fraction`` copies of A and a, and an entry
-    that it cannot read is ``InstanceError``.
+    ``scales[k]`` is row k's multiplier.  Int (a bool reads as one) and
+    ``Fraction`` entries are scanned as they are; an entry with no
+    ``numerator`` (a float, a string, None) sends the scan to ``as_fraction``
+    copies of A and a, and an entry that it cannot read is ``InstanceError``.
     """
 
     def __init__(self, A, a):
-        self.A, self.a = A, a
         try:
             self._scan(A, a)
         except (TypeError, AttributeError):  # an entry with no numerator or order
@@ -151,8 +149,9 @@ class CoverRows:
         self.demands: list[int] = []
         self.scales: list[int] = []
         self.columns: list[list[tuple[int, int]]] = [[] for _ in range(len(A[0]) if A else 0)]
+        numerator = operator.attrgetter("numerator")  # None or "" has none: not read as 0
         for k, i in enumerate(self.active):
-            support = [j for j, v in enumerate(A[i]) if v]
+            support = [j for j, p in enumerate(map(numerator, A[i])) if p]
             (demand, *entries), scale = integers([a[i], *(A[i][j] for j in support)])
             self.rows.append(list(zip(support, entries)))
             self.demands.append(demand)
@@ -161,15 +160,14 @@ class CoverRows:
                 self.columns[j].append((k, v))
 
     # lazy: a demanded system with no nonzero entry has no width, and
-    # derandomized_round reports it as an uncovered xbar first
+    # _derandomize reports it as an uncovered xbar first
     @functools.cached_property
     def width(self) -> Fraction:
         return width(([v for _, v in row] for row in self.rows), self.demands)
 
-    def scaled(self, K: int, a) -> "CoverRows":
-        """These rows for (A, a), ``a`` being K times this one: demands and width times K."""
+    def scaled(self, K: int) -> "CoverRows":
+        """These rows with K times the demands, so K times the width."""
         out = copy.copy(self)
-        out.a = a
         out.demands = [K * d for d in self.demands]
         out.width = K * self.width
         return out
@@ -182,16 +180,15 @@ class CoverRows:
         ]
 
 
-def _read(xbar, A, a, c, d=None, rows: CoverRows | None = None):
-    """A public rounding call's arguments, checked once: ``(xbar, c, integer costs, rows)``.
+def _read(xbar, A, a, c, d=None):
+    """A public rounding call's arguments, checked once: ``(xbar, costs, c_den, rows)``.
 
     ``xbar``, ``c`` and each finite bound of ``d`` are read by ``as_fraction``;
     ``InstanceError`` unless A has a row per entry of a, each row of A, c and
     (if given) d has an entry per coordinate of xbar, no cost is negative and
-    no coordinate of xbar exceeds its bound.  The integer costs are c over its
-    least common denominator.  ``rows``, if given, is returned in place of a
-    new scan of A, and must have been built from these very A and a objects
-    (an ``is`` test, so O(1)); ``InstanceError`` otherwise.
+    no coordinate of xbar exceeds its bound.  The integer costs are c times
+    its least common denominator ``c_den``; ``rows`` is the ``CoverRows`` of
+    (A, a).
     """
     xv = as_fractions(xbar, "xbar")
     n = len(xv)
@@ -203,18 +200,13 @@ def _read(xbar, A, a, c, d=None, rows: CoverRows | None = None):
     for name, vec in (("c", c), ("d", d)):
         if vec is not None and len(vec) != n:
             raise InstanceError(f"{name} has {len(vec)} entries, xbar has {n}")
-    cf = as_fractions(c, "c")
-    costs, _ = integers(cf)
+    costs, c_den = integers(as_fractions(c, "c"))
     if min(costs, default=0) < 0:
         raise InstanceError("costs must be nonnegative")
     for j, u in enumerate(d or ()):
         if u is not None and xv[j] > as_fraction(u, f"d[{j}]"):
             raise InstanceError(f"xbar[{j}] = {xv[j]} exceeds its multiplicity bound {u}")
-    if rows is None:
-        rows = CoverRows(A, a)
-    elif rows.A is not A or rows.a is not a:
-        raise InstanceError("rows must be the CoverRows built from this very (A, a)")
-    return xv, cf, costs, rows
+    return xv, costs, c_den, CoverRows(A, a)
 
 
 class EstimatorState:
@@ -232,13 +224,14 @@ class EstimatorState:
     The state is one log-exponent E_i per demanded row, one running
     expected cost, and for each column j a list of (row slot, t w_ij,
     log E[exp(-t w_ij B_j)]) over the rows with A_ij > 0, read off the
-    columns of ``rows`` (a ``CoverRows``).  Each weight is the float of the
-    exact rational A'_kj W / a'_k, by one correctly rounded int division.
+    columns of ``rows`` (a ``CoverRows``); the costs are ``costs / c_den``.
+    Each weight is the float of the exact rational A'_kj W / a'_k, by one
+    correctly rounded int division.
     Deciding and fixing coordinate j touch only the rows in its list, so a
     full run is O(nnz) float work; phi() itself is O(m).
     """
 
-    def __init__(self, xprime, rows: CoverRows, c, L):
+    def __init__(self, xprime, rows: CoverRows, costs: list[int], c_den: int, L):
         t = math.log(float(L))
         W = rows.width
         # xprime_j = P_j / den; an int division rounds as float(Fraction) does
@@ -249,12 +242,11 @@ class EstimatorState:
         # divided by 2^shift, which keeps every float below 2^1021 (the
         # largest, 2 c.(xprime + 1), is under 2^(bits(top) - bits(bottom) + 1));
         # the shift is 0 unless some cost float would overflow.
-        C, c_den = integers(c)
-        top, bottom = 2 * _cost(C, [p + den for p in P]), c_den * den
+        top, bottom = 2 * _cost(costs, [p + den for p in P]), c_den * den
         c_den <<= max(0, top.bit_length() - bottom.bit_length() - 1020)
-        self.costs = [cj / c_den for cj in C]
+        self.costs = [cj / c_den for cj in costs]
         # 2 L c.xbar = 2 c.xprime since xprime = L xbar; zero iff c.xbar == 0.
-        self.cost_denom = 2.0 * (_cost(C, P) / (c_den * den))
+        self.cost_denom = 2.0 * (_cost(costs, P) / (c_den * den))
         self.expected_cost = 0.0
         for j, cj in enumerate(self.costs):
             self.expected_cost += cj * (self.floors[j] + self.fracs[j])
@@ -293,9 +285,7 @@ class EstimatorState:
             self.exponents[k] = self.exponents[k] - log_bern - tw * up
 
 
-def derandomized_round(
-    xbar, A, a, c, L, *, trace_out: list | None = None, rows: CoverRows | None = None
-) -> IntegerVector:
+def derandomized_round(xbar, A, a, c, L, *, trace_out: list | None = None) -> IntegerVector:
     """Deterministic rounding by the method of conditional probabilities.
 
     Walks coordinates in index order, fixing each to floor or ceiling of
@@ -304,13 +294,14 @@ def derandomized_round(
     and each coordinate's two branches average back to the current value,
     the final solution provably covers every row and costs at most
     2 L cost(xbar); both facts are re-checked exactly before returning.
-
-    ``rows``, if given, must be the ``CoverRows`` built from these very A
-    and a objects (``InstanceError`` otherwise); the other rounding
-    functions pass theirs down so that A is scanned once.
     """
-    xv, c, costs, rows = _read(xbar, A, a, c, rows=rows)
-    L = as_fraction(L, "L")
+    xv, costs, c_den, rows = _read(xbar, A, a, c)
+    xhat = _derandomize(xv, costs, c_den, rows, as_fraction(L, "L"), trace_out)
+    return IntegerVector(tuple(xhat))
+
+
+def _derandomize(xv, costs, c_den, rows: CoverRows, L: Fraction, trace_out) -> list[int]:
+    """``derandomized_round`` on arguments ``_read`` has checked: the integer x."""
     n = len(xv)
     X, D = integers(xv)
     for k, s in enumerate(rows.slack(X, D)):
@@ -318,10 +309,10 @@ def derandomized_round(
             i, short = rows.active[k], Fraction(-s, D * rows.scales[k])
             raise InstanceError(f"xbar is not a fractional cover: row {i} short by {short}")
     if not rows.demands:
-        return IntegerVector(tuple(0 for _ in range(n)))
+        return [0] * n
 
     xprime = tuple(L * v for v in xv)
-    state = EstimatorState(xprime, rows, c, L)
+    state = EstimatorState(xprime, rows, costs, c_den, L)
     phi = state.phi()
     if phi >= 1.0:
         raise InstanceError(
@@ -344,7 +335,7 @@ def derandomized_round(
         raise GuaranteeError("conditional-probabilities rounding missed a guarantee")
 
     _trim_surplus(xhat, rows, costs, floors=state.floors)
-    return IntegerVector(tuple(xhat))
+    return xhat
 
 
 def _trim_surplus(xhat: list[int], rows: CoverRows, costs, floors=None) -> None:
@@ -380,38 +371,28 @@ def _trim_surplus(xhat: list[int], rows: CoverRows, costs, floors=None) -> None:
             remove(j, removable)
 
 
-def granular_round(
-    xbar,
-    A,
-    a,
-    c,
-    K: int,
-    *,
-    info_out: dict | None = None,
-    rows: CoverRows | None = None,
-) -> FractionalVector:
+def granular_round(xbar, A, a, c, K: int, *, info_out: dict | None = None) -> FractionalVector:
     """Deterministic cover whose coordinates are integer multiples of 1/K.
 
     Rounds K xbar against demands K a (width K W, so the scale factor
     L' = scale(m, K W) shrinks as K grows), then divides by K.  The result
     covers a, stays below ceil(L' xbar), and costs at most 2 L' cost(xbar).
-    K = 1 is exactly ``derandomized_round``.  ``rows``, if given, must be
-    the ``CoverRows`` built from these very A and a objects (``InstanceError``
-    otherwise); the rows for K a are derived from them.
+    K = 1 is exactly ``derandomized_round``.
     """
     K = as_int(K, "granularity K", 1)
-    xv, c, _, rows = _read(xbar, A, a, c, rows=rows)
-    if not rows.demands:
-        if info_out is not None:
-            info_out.update({"K": K, "L": Fraction(1)})
-        return FractionalVector(tuple(ZERO for _ in xv))
-    L = compute_scale_factor(len(rows.demands), K * rows.width)
-    scaled_a = tuple(K * v for v in a)  # length and identity only: values come from rows
-    scaled_xbar = tuple(K * v for v in xv)
-    xhat = derandomized_round(scaled_xbar, A, scaled_a, c, L, rows=rows.scaled(K, scaled_a))
+    xv, costs, c_den, rows = _read(xbar, A, a, c)
+    kx, L = _granular(xv, costs, c_den, rows, K)
     if info_out is not None:
         info_out.update({"K": K, "L": L})
-    return FractionalVector(tuple(Fraction(v, K) for v in xhat))
+    return FractionalVector(tuple(Fraction(v, K) for v in kx))
+
+
+def _granular(xv, costs, c_den, rows: CoverRows, K: int) -> tuple[list[int], Fraction]:
+    """``granular_round`` on arguments ``_read`` has checked: (K x as ints, L')."""
+    if not rows.demands:
+        return [0] * len(xv), Fraction(1)
+    L = compute_scale_factor(len(rows.demands), K * rows.width)
+    return _derandomize([K * v for v in xv], costs, c_den, rows.scaled(K), L, None), L
 
 
 def granularity_K(m: int, W, epsilon) -> int:
@@ -445,14 +426,16 @@ def bicriteria_round(
     eps = as_fraction(epsilon, "epsilon")
     if not (0 < eps <= 1):
         raise InstanceError(f"epsilon {eps} outside (0, 1]")
-    xv, c, costs, rows = _read(xbar, A, a, c, d)
+    xv, costs, c_den, rows = _read(xbar, A, a, c, d)
     if not rows.demands:
         if info_out is not None:
             info_out.update({"K": 0, "L": Fraction(1)})
         return IntegerVector(tuple(0 for _ in xv))
     K = granularity_K(len(rows.demands), rows.width, eps)
-    xgran = granular_round(xv, A, a, c, K, info_out=info_out, rows=rows)
-    xhat = list(vec_ceil(xgran.values))
+    kx, L = _granular(xv, costs, c_den, rows, K)
+    if info_out is not None:
+        info_out.update({"K": K, "L": L})
+    xhat = [-(-v // K) for v in kx]  # the ceiling of the granular x = kx / K
     _trim_surplus(xhat, rows, costs)
 
     X, D = integers(xv)

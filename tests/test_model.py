@@ -556,11 +556,11 @@ class TestStructure:
         "check_kc_validity": ("inst", "max_points"),
         "check_solution": ("inst", "x", "epsilon"),
         "compute_scale_factor": ("m", "W"),
-        "derandomized_round": ("xbar", "A", "a", "c", "L", "trace_out", "rows"),
+        "derandomized_round": ("xbar", "A", "a", "c", "L", "trace_out"),
         "find_violated_kc": ("inst", "x", "lam"),
         "gen_random_cpip": ("m", "n", "r", "seed", "d_max", "density"),
         "gen_set_cover": ("num_elements", "num_sets", "density", "seed"),
-        "granular_round": ("xbar", "A", "a", "c", "K", "info_out", "rows"),
+        "granular_round": ("xbar", "A", "a", "c", "K", "info_out"),
         "kc_system": ("inst", "F"),
         "knapsack_gap": ("delta",),
         "lp_from_instance": ("inst", "cut_rows"),

@@ -22,6 +22,7 @@ from coverpack.model import (
     InstanceError,
     LimitError,
     dot,
+    integers,
     normalize_width,
     vec_ceil,
     width,
@@ -228,7 +229,7 @@ class TestEstimatorState:
         W = min(a[i] / v for i in active for v in A[i] if v > 0)
         # the formulas hold for any width; L only needs a width of at least 1
         L = compute_scale_factor(len(active), max(W, 1))
-        state = EstimatorState(xprime, CoverRows(A, a), c, L)
+        state = EstimatorState(xprime, CoverRows(A, a), *integers(c), L)
         fixed = [None] * len(xprime)
         # the starting value is the same float, not merely a close one
         assert state.phi() == dense_phi(xprime, A, a, c, L, active, W, fixed)
@@ -261,7 +262,7 @@ class TestEstimatorState:
         support = min(sum(1 for v in row if v > 0) for row in inst.A)
         L = compute_scale_factor(inst.m, width(inst.A, inst.a))
         xprime = tuple(L * F(1, support) for _ in inst.c)
-        state = EstimatorState(xprime, CoverRows(inst.A, inst.a), [F(0)] * inst.n, L)
+        state = EstimatorState(xprime, CoverRows(inst.A, inst.a), [0] * inst.n, 1, L)
         for j in range(inst.n):
             terms = [math.exp(min(e, 60.0)) for e in state.exponents]
             assert state.phi() == _left_to_right(terms)
@@ -643,6 +644,15 @@ BAD_ARGUMENTS = {
     "granular-unreadable-A": (
         lambda: granular_round(_xbar, ((1, "x"), (1, 0)), _a, _c, 2), r"A\[0\]\[1\]: cannot read"
     ),
+    # a falsy non-number used to be skipped as a zero entry, returning (1, 1)
+    "derandomized-None-in-A": (
+        lambda: derandomized_round([1, 1], [[1, None], [0, 1]], [1, 1], [1, 1], _L),
+        r"A\[0\]\[1\]: expected a number",
+    ),
+    "bicriteria-empty-string-in-A": (
+        lambda: bicriteria_round([1, 1], [[1, ""], [0, 1]], [1, 1], [1, 1], _NONE, 1),
+        r"A\[0\]\[1\]: cannot read ''",
+    ),
 }
 
 
@@ -656,24 +666,27 @@ def test_bad_arguments_are_instance_errors(call, match):
 
 
 _A2, _a2, _c2 = [[1, 0], [0, 1]], [1, 1], [1, 1]
-#: each public rounding that takes rows=, called on (_A2, _a2) with the rows given
-WITH_ROWS = {
-    "derandomized": lambda rows: derandomized_round([1, 1], _A2, _a2, _c2, _L, rows=rows),
-    "granular": lambda rows: granular_round([1, 1], _A2, _a2, _c2, 2, rows=rows),
+#: each public rounding, called on (_A2, _a2)
+ROUNDINGS = {
+    "derandomized": lambda: derandomized_round([1, 1], _A2, _a2, _c2, _L),
+    "granular": lambda: granular_round([1, 1], _A2, _a2, _c2, 2),
+    "bicriteria": lambda: bicriteria_round([1, 1], _A2, _a2, _c2, _NONE, 1),
 }
 
 
-@pytest.mark.parametrize("call", WITH_ROWS.values(), ids=WITH_ROWS.keys())
-def test_rows_of_other_objects_refused(call):
-    # rows of A's first row alone used to return x = (1, 0), which leaves
-    # row 1 uncovered, since the final coverage check read the same rows;
-    # rows of equal copies are refused too, as the test is one of identity
-    for rows in (CoverRows([[1, 0]], [1]), CoverRows([[1, 0], [0, 1]], [1, 1])):
-        with pytest.raises(InstanceError, match="rows must be the CoverRows built from this"):
-            call(rows)
-    rows = CoverRows(_A2, _a2)
-    assert call(rows) == call(None)
-    assert all(call(rows).values)  # each row is covered by its own variable
+@pytest.mark.parametrize("call", ROUNDINGS.values(), ids=ROUNDINGS.keys())
+def test_each_rounding_scans_A_once(call, monkeypatch):
+    # one CoverRows per public call, however many cores the call runs
+    built = []
+
+    class Counted(CoverRows):
+        def __init__(self, A, a):
+            built.append(A)
+            super().__init__(A, a)
+
+    monkeypatch.setattr(rounding, "CoverRows", Counted)
+    assert all(call().values)  # each row is covered by its own variable
+    assert built == [_A2]
 
 
 #: (A, a, c) with float, str or bool entries, and the exact values they stand for
@@ -705,11 +718,10 @@ def test_entries_round_as_the_values_they_stand_for(given, exact):
 
 def test_scaled_rows_keep_the_scaled_demands():
     rows = CoverRows(_A2, _a2)
-    scaled_a = [3 * v for v in _a2]
-    scaled = rows.scaled(3, scaled_a)
-    assert (scaled.A, scaled.a) == (rows.A, scaled_a) and scaled.a is scaled_a
+    scaled = rows.scaled(3)
     assert scaled.demands == [3, 3] and scaled.width == 3 * rows.width
-    assert (rows.a, rows.demands) == (_a2, [1, 1])
+    assert (scaled.rows, scaled.columns) == (rows.rows, rows.columns)
+    assert (rows.demands, rows.width) == ([1, 1], 1)
 
 
 class TestSolveCpipBicriteria:
