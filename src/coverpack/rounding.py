@@ -123,11 +123,12 @@ def _cost(costs: list[int], x) -> int:
 class CoverRows:
     """The demanded rows of a covering system (A, a) as integer sparse rows.
 
-    One scan of A builds them.  Slot k holds row ``active[k]``, the k-th
-    row with a_i > 0 (zero-demand rows are vacuous), multiplied by the
-    lcm of the denominators of its demand and its entries: ``rows[k]``
-    lists (j, A'_kj) over the nonzero entries and ``demands[k]`` is a'_k,
-    all Python ints, and ``columns[j]`` lists (k, A'_kj) in slot order.
+    One scan of A builds them, and reads every row.  Slot k holds row
+    ``active[k]``, the k-th row with a_i > 0 (the others are vacuous),
+    multiplied by the lcm of the denominators of its demand and its
+    entries: ``rows[k]`` lists (j, A'_kj) over the nonzero entries and
+    ``demands[k]`` is a'_k, all Python ints, and ``columns[j]`` lists
+    (k, A'_kj) in slot order.
     Scaling a row changes no ratio a_i / A_ij, so every coverage and slack
     test on these rows is exact, and ``width`` is the width of (A, a);
     ``scales[k]`` is row k's multiplier.  Int (a bool reads as one) and
@@ -144,15 +145,20 @@ class CoverRows:
             self._scan(rows, as_fractions(a, "a"))
 
     def _scan(self, A, a) -> None:
-        self.active = [i for i, ai in enumerate(a) if ai > 0]
+        self.active: list[int] = []
         self.rows: list[list[tuple[int, int]]] = []
         self.demands: list[int] = []
         self.scales: list[int] = []
         self.columns: list[list[tuple[int, int]]] = [[] for _ in range(len(A[0]) if A else 0)]
         numerator = operator.attrgetter("numerator")  # None or "" has none: not read as 0
-        for k, i in enumerate(self.active):
-            support = [j for j, p in enumerate(map(numerator, A[i])) if p]
-            (demand, *entries), scale = integers([a[i], *(A[i][j] for j in support)])
+        for i, (row, ai) in enumerate(zip(A, a)):
+            # every row is read, a vacuous one too, so no entry goes unchecked
+            support = [j for j, p in enumerate(map(numerator, row)) if p]
+            if numerator(ai) <= 0:
+                continue
+            k = len(self.active)
+            self.active.append(i)
+            (demand, *entries), scale = integers([ai, *(row[j] for j in support)])
             self.rows.append(list(zip(support, entries)))
             self.demands.append(demand)
             self.scales.append(scale)

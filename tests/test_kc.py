@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -455,3 +456,67 @@ class TestSolveCipStrict:
         monkeypatch.setattr(kc, "bicriteria_round", over_cost_round)
         with pytest.raises(GuaranteeError, match="cost"):
             solve_cip_strict(inst, 1)
+
+
+class TestInjectedFaults:
+    """Each guarantee check of the cut loop and the strict solver fires on a fault one layer down.
+
+    Each fault is just past the bound, so a check loosened by a little
+    lets it through.
+    """
+
+    # a strict solve at eps = 1/4 that pins variable 1 (cost 9) and costs
+    # 19 against a relaxed cost of 281/20: above (1 + eps) times it
+    STRICT = normalize_width(gen_random_cpip(3, 4, 1, seed=38, d_max=3))
+    EPS = F(1, 4)
+
+    def test_lp_value_that_falls_raises(self, monkeypatch):
+        # the gap instance takes two cut rounds at lambda 2; round 2 reports
+        # a value 1/100 below round 1's
+        values = []
+
+        def falling(inst, cut_rows=()):
+            sol = rounding.solve_relaxation(inst, cut_rows)
+            if values:
+                sol = dataclasses.replace(sol, objective_value=values[0] - F(1, 100))
+            values.append(sol.objective_value)
+            return sol
+
+        monkeypatch.setattr(kc, "solve_relaxation", falling)
+        with pytest.raises(
+            GuaranteeError, match=r"^cut round 2 lowered the LP value from 1/10 to 9/100$"
+        ):
+            solve_lp_kc(knapsack_gap(F(1, 10)), 2)
+
+    def test_pinned_cost_above_its_bound_raises(self, monkeypatch):
+        # the relaxed cost reported so that the pinned cost 9 lies between
+        # (1 + eps) and (1 + 2 eps) times it
+        relaxed = 9 / (1 + F(3, 2) * self.EPS)
+
+        def lowered(inst, lam, max_rounds):
+            real = solve_lp_kc(inst, lam, max_rounds=max_rounds)
+            assert real.system.F == {1}
+            objectives = (*real.round_objectives[:-1], relaxed)
+            return dataclasses.replace(real, round_objectives=objectives)
+
+        monkeypatch.setattr(kc, "solve_lp_kc", lowered)
+        with pytest.raises(GuaranteeError, match=rf"^pinned cost 9 above \(1\+eps\) \* {relaxed}$"):
+            solve_cip_strict(self.STRICT, self.EPS)
+
+    def test_cost_above_the_4K_bound_raises(self, monkeypatch):
+        # the rounding reports a K for which the cost 19 lies between
+        # (1 + eps + 4K) and (1 + eps + 8K) times the relaxed cost
+        relaxed = F(281, 20)
+        K = (19 - (1 + self.EPS) * relaxed) / (6 * relaxed)
+
+        def small_K(*args, info_out):
+            out = bicriteria_round(*args, info_out=info_out)
+            info_out["K"] = K
+            return out
+
+        monkeypatch.setattr(kc, "bicriteria_round", small_K)
+        with pytest.raises(
+            GuaranteeError,
+            match=rf"^cost 19 above \(1 \+ eps \+ 4K\) \* {relaxed} with K = {K}$",
+        ):
+            solve_cip_strict(self.STRICT, self.EPS)

@@ -3,6 +3,7 @@ import functools
 import math
 import operator
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
@@ -653,6 +654,15 @@ BAD_ARGUMENTS = {
         lambda: bicriteria_round([1, 1], [[1, ""], [0, 1]], [1, 1], [1, 1], _NONE, 1),
         r"A\[0\]\[1\]: cannot read ''",
     ),
+    # a row with no positive demand used to go unread, returning (0, 1)
+    "derandomized-None-in-zero-demand-row": (
+        lambda: derandomized_round([1, 1], [[None, "x"], [0, 1]], [0, 1], [1, 1], _L),
+        r"A\[0\]\[0\]: expected a number",
+    ),
+    "derandomized-Decimal-zero-demand": (
+        lambda: derandomized_round([1, 1], [[1, 0], [0, 1]], [Decimal(0), 1], [1, 1], _L),
+        r"a\[0\]: unsupported number type Decimal",
+    ),
 }
 
 
@@ -699,6 +709,10 @@ READABLE_ENTRIES = {
         ([[F(1, 2), 0], [F(1, 3), 1]], [F(3, 4), 1], _c2),
     ),
     "bool-entry": (([[True, 0], [0, 1]], _a2, _c2), (_A2, _a2, _c2)),
+    "float-in-zero-demand-row": (
+        ([[0.5, 0], [0, 1]], [0, 1], _c2),
+        ([[F(1, 2), 0], [0, 1]], [0, 1], _c2),
+    ),
 }
 _X_COVER = [F(5, 2), F(5, 4)]  # covers each system above
 
@@ -835,3 +849,33 @@ def test_every_epsilon_solves_or_hits_the_float_limit(name):
             assert getattr(check_solution(inst, xhat, eps), ok) and report.guarantees_ok
             solved.add((solver, k))
     assert solved >= {(solver, k) for solver in solvers for k in range(1, 53)}
+
+
+#: (xbar, A, a, c, the granular K x that _granular is made to return, message):
+#: each K x is just past the check, so a check loosened by a little lets it through
+GRANULAR_FAULTS = {
+    # ceil(2 * 1) = 2 units of x_0 allowed, 3 returned; the row needs all 3
+    "above-ceil": (
+        (1, 2), [[1, 1]], [3], [1, 1], lambda K: [3 * K, 0],
+        r"^rounded solution exceeded ceil\(\(1\+eps\) xbar\)$",
+    ),
+    # cost 20 against 4K c.xbar = 12.24 and 8K c.xbar = 24.48 (K = 3)
+    "above-4K-cost": (
+        (F(1, 1000), 1), [[1, 1]], [1], [20, 1], lambda K: [K, 0],
+        r"^rounded solution exceeded the 4K cost bound$",
+    ),
+    # one unit for a demand of 2: short by exactly one
+    "short-by-one": (
+        (2,), [[1]], [2], [1], lambda K: [K],
+        r"^rounded solution lost coverage$",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "xbar, A, a, c, kx, match", GRANULAR_FAULTS.values(), ids=GRANULAR_FAULTS.keys()
+)
+def test_bicriteria_checks_catch_a_faulty_granular_core(monkeypatch, xbar, A, a, c, kx, match):
+    monkeypatch.setattr(rounding, "_granular", lambda xv, costs, c_den, rows, K: (kx(K), F(1)))
+    with pytest.raises(GuaranteeError, match=match):
+        bicriteria_round(xbar, A, a, c, None, 1)

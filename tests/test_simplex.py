@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverpack import simplex
+from coverpack import rounding, simplex
 from coverpack.genbench import gen_random_cpip, gen_set_cover
 from coverpack.model import (
     ZERO,
@@ -20,6 +20,7 @@ from coverpack.model import (
     normalize_width,
     parse_instance,
 )
+from coverpack.kc import solve_lp_kc
 from coverpack.simplex import (
     GE,
     LE,
@@ -33,10 +34,13 @@ from coverpack.simplex import (
     solve_lp,
     verify_certificate,
 )
-from conftest import F, lp_rows, vertex_enum_optimum
+from conftest import F, gauss_solve, lp_rows, vertex_enum_optimum
 
 
 GAP_DOC = '{"A": [[0.9, 1]], "a": [1], "c": [0, 1], "d": [1, null]}'
+#: a ``GUIDED_MIN_CELLS`` no LP reaches: the tests that probe the exact
+#: tableau's pivots keep every LP on it
+ALL_COLD = 10**18
 
 
 def test_gap_instance_relaxation():
@@ -294,6 +298,7 @@ def test_bland_rule_from_first_pivot(monkeypatch):
     # most-negative-row rule alone; Bland's rule, from the first pivot or
     # after a degenerate streak, ends it at minus Beale's optimum.
     p = _beale_dual()
+    monkeypatch.setattr(simplex, "GUIDED_MIN_CELLS", ALL_COLD)
     with monkeypatch.context() as mp:
         mp.setattr(simplex, "BLAND_AFTER", 10**9)
         mp.setattr(simplex, "MAX_PIVOTS", 500)
@@ -579,6 +584,7 @@ def test_negative_cost_rejected():
 def test_iteration_limit_raises(monkeypatch):
     inst = gen_random_cpip(6, 6, 2, seed=4)
     p = lp_from_instance(inst)
+    monkeypatch.setattr(simplex, "GUIDED_MIN_CELLS", ALL_COLD)
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
     with pytest.raises(LimitError):
         solve_lp(p)
@@ -780,7 +786,7 @@ class _FullTableau:
             self.obj, self.obj_den = _full_eliminate(self.obj, self.obj_den, prow, p, e, nz)
         self.basis[r] = self.cols[e]
 
-    leaving = _Tableau.leaving
+    leaving, tie = _Tableau.leaving, _Tableau.tie
 
     def run(self, *, bland_after, max_iters):
         degenerate_streak = 0
@@ -844,6 +850,7 @@ def _condensed_solve(p, bland_after, reduce_bits):
     """``solve_lp(p)`` and its last tableau, under the given pivot constants."""
     # a context, not the fixture: hypothesis reruns the body per example
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "GUIDED_MIN_CELLS", ALL_COLD)
         mp.setattr(simplex, "BLAND_AFTER", bland_after)
         mp.setattr(simplex, "REDUCE_BITS", reduce_bits)
         got = solve_lp(p)
@@ -911,9 +918,10 @@ _BUDGETS = (0, 8, simplex.REDUCE_BITS)  # every row, tiny LPs' rows, the shipped
 
 
 def _solve_at_budgets(p):
-    """``solve_lp(p)`` with rows reduced by their gcd at each budget of ``_BUDGETS``."""
+    """``solve_lp(p)`` on the exact tableau, rows reduced by their gcd at each of ``_BUDGETS``."""
     out = []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "GUIDED_MIN_CELLS", ALL_COLD)
         for bits in _BUDGETS:
             mp.setattr(simplex, "REDUCE_BITS", bits)
             out.append(solve_lp(p))
@@ -1147,3 +1155,173 @@ def test_lp_from_instance_rejects_malformed_cut_rows(cut, why):
     lp_from_instance(inst, [((1, 1, 1), 3)])  # a well-formed row over D = 3
     with pytest.raises(InstanceError, match="cut row 1 is not 3 ints over an int D >= 1"):
         lp_from_instance(inst, [((1, 1, 1), 3), cut])
+
+
+# --- the float-guided path: the same LpSolution as the exact tableau -------
+
+
+def _cold_and_guided(p):
+    """``solve_lp(p)`` on the exact tableau alone, then with every LP guided first."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "GUIDED_MIN_CELLS", ALL_COLD)
+        cold = solve_lp(p)
+        mp.setattr(simplex, "GUIDED_MIN_CELLS", 0)
+        guided = solve_lp(p)
+    return cold, guided
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(cpip_lps(), general_lps()))
+def test_guided_solution_equals_cold(p):
+    # status, point, value, both dual vectors, rays and iterations; an
+    # optimum comes from the float run's basis itself, with no fallback
+    cold, guided = _cold_and_guided(p)
+    assert guided == cold
+    assert simplex._guided(p) == (cold if cold.status == "OPTIMAL" else None)
+
+
+def _cut_loop_lps(inst, lam):
+    """Every LP the cut loop of ``inst`` at ``lam`` solves, in order."""
+    seen = []
+
+    def recording(p):
+        seen.append(p)
+        return solve_lp(p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rounding, "solve_lp", recording)
+        solve_lp_kc(normalize_width(inst), lam)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "m, n, seeds", [(20, 30, (1, 3, 10)), (40, 60, (1, 11))], ids=["20x30", "40x60"]
+)
+def test_guided_equals_cold_on_every_cut_loop_lp(m, n, seeds):
+    # seeds 3 and 10 at 20x30 and 1 and 11 at 40x60 take two cut rounds at lambda 5/4
+    lps = [p for seed in seeds for p in _cut_loop_lps(gen_random_cpip(m, n, 3, seed), F(5, 4))]
+    assert len(lps) > len(seeds)
+    for p in lps:
+        assert len(p.rows) * n >= simplex.GUIDED_MIN_CELLS  # guided at the shipped size rule
+        cold, guided = _cold_and_guided(p)
+        assert guided == cold
+        assert simplex._guided(p) == cold  # from the float run's basis, with no fallback
+
+
+def _assert_falls_back(p, monkeypatch):
+    """With every LP guided, ``_guided`` gives up on ``p`` and ``solve_lp`` is the exact run's."""
+    monkeypatch.setattr(simplex, "GUIDED_MIN_CELLS", ALL_COLD)
+    cold = solve_lp(p)
+    monkeypatch.setattr(simplex, "GUIDED_MIN_CELLS", 0)
+    assert simplex._guided(p) is None
+    assert solve_lp(p) == cold
+    return cold
+
+
+class _CutShort(simplex._FloatTableau):
+    """Stops after 3 pivots: a dual feasible basis whose point has a negative entry."""
+
+    def leaving(self, bland):
+        return None if self.iterations == 3 else super().leaving(bland)
+
+
+class _WrongRatio(simplex._FloatTableau):
+    """Enters the greatest ratio: a primal feasible basis whose duals fail the certificate."""
+
+    def entering(self, lrow):
+        negative = [q for q in range(self.n) if lrow[q] < -simplex.FLOAT_TIE]
+        return max(negative, key=lambda q: self.obj[q] / -lrow[q], default=-1)
+
+
+@pytest.mark.parametrize("wrong", [_CutShort, _WrongRatio], ids=["cut-short", "wrong-ratio"])
+def test_wrong_float_basis_falls_back_to_exact(monkeypatch, wrong):
+    p = lp_from_instance(gen_random_cpip(20, 30, 3, seed=1))
+    reports = []
+
+    def spy(p, s):
+        reports.append(verify_certificate(p, s))
+        return reports[-1]
+
+    monkeypatch.setattr(simplex, "_FloatTableau", wrong)
+    monkeypatch.setattr(simplex, "verify_certificate", spy)
+    cold = _assert_falls_back(p, monkeypatch)
+    assert cold.iterations == 32  # the exact run's pivots, not the float run's
+    if wrong is _WrongRatio:
+        assert reports and all(reports)  # each guided certificate failed
+
+
+def test_infeasible_lp_falls_back_to_exact(monkeypatch):
+    ends = []
+
+    class Recording(simplex._FloatTableau):
+        def run(self):
+            ends.append(super().run())
+            return ends[-1]
+
+    monkeypatch.setattr(simplex, "_FloatTableau", Recording)
+    p = LpProblem.from_data([0], [((1,), GE, 1)], [F(1, 2)])
+    cold = _assert_falls_back(p, monkeypatch)
+    assert cold.status == "INFEASIBLE" and verify_certificate(p, cold) == []
+    assert ends and all(r >= 0 for r in ends)  # the float run found the infeasible row
+
+
+def test_float_pivot_cap_falls_back_to_exact(monkeypatch):
+    class AtCap(simplex._FloatTableau):
+        def __init__(self, p):
+            super().__init__(p)
+            self.iterations = simplex.MAX_PIVOTS
+
+    monkeypatch.setattr(simplex, "_FloatTableau", AtCap)
+    p = lp_from_instance(gen_random_cpip(20, 30, 3, seed=1))
+    assert _assert_falls_back(p, monkeypatch).iterations == 32
+    # a cap both runs reach is still LimitError
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
+    with pytest.raises(LimitError):
+        solve_lp(p)
+
+
+def test_singular_basis_falls_back_to_exact(monkeypatch):
+    # the second row is twice the first: with both rows tight and both
+    # variables basic the k x k system is singular
+    p = LpProblem.from_data([1, 1], [((1, 1), GE, 1), ((2, 2), GE, 2)], [None, None])
+
+    class Singular(simplex._FloatTableau):
+        def run(self):
+            out = super().run()
+            self.basis[:], self.nonbasic[:] = [0, 1], [2, 3]
+            return out
+
+    monkeypatch.setattr(simplex, "_FloatTableau", Singular)
+    assert _assert_falls_back(p, monkeypatch).status == "OPTIMAL"
+    assert simplex._fraction_free_solve([[1, 1, 1], [2, 2, 2]]) is None
+
+
+@pytest.mark.parametrize(
+    "objective, row",
+    [
+        ([10**400, 1], ((1, 1), GE, 1)),  # a cost beyond the float range
+        ([10**300], ((F(1, 10**8),), GE, 1000)),  # a float value that overflows to inf
+    ],
+    ids=["cost-overflow", "value-overflow"],
+)
+def test_float_out_of_range_falls_back_to_exact(monkeypatch, objective, row):
+    p = LpProblem.from_data(objective, [row], [None] * len(objective))
+    s = _assert_falls_back(p, monkeypatch)
+    assert s.status == "OPTIMAL" and verify_certificate(p, s) == []
+
+
+def test_fraction_free_solve_equals_fraction_elimination():
+    rng = random.Random(26)
+    for trial in range(300):
+        k = rng.randint(0, 6)
+        M = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
+        if trial % 5 == 0 and k > 1:
+            M[-1] = [2 * v for v in M[0]]  # singular
+        rhs = [rng.randint(-9, 9) for _ in range(k)]
+        want = gauss_solve(M, rhs)
+        got = simplex._fraction_free_solve([row + [b] for row, b in zip(M, rhs)])
+        if want is None:
+            assert got is None
+        else:
+            X, det = got
+            assert [F(v, det) for v in X] == list(want)
