@@ -1,0 +1,177 @@
+"""Mutation check of the guarantee checks: every listed mutant must fail its tests.
+
+Each mutant changes one line of ``src/coverpack``: it deletes, narrows or
+loosens a check that raises ``GuaranteeError``, or breaks the knapsack-cover
+rows that the test suite's audit must reject.  For each one the script copies
+``src``, ``tests`` and ``pyproject.toml`` to a temporary directory, replaces
+the mutant's ``old`` text (which must occur exactly once) with ``new``, and
+runs ``pytest -x`` on the mutant's named tests there.  A mutant is killed when
+pytest reports a failing test (exit 1); a pass, or any other exit, is a
+survivor.  Before the mutants, the unmutated copy must pass every named test.
+
+Usage::
+
+    python scripts/mutants.py            # every mutant
+    python scripts/mutants.py NAME ...   # the named mutants only
+
+Prints one line per mutant and exits 1 if any survived.  Stdlib only; the
+tests need pytest and hypothesis.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+KC = "src/coverpack/kc.py"
+ROUNDING = "src/coverpack/rounding.py"
+INJECTED = "tests/test_kc.py::TestInjectedFaults"
+DERANDOMIZED = "tests/test_rounding.py::test_derandomization_check_catches_a_faulty_estimator"
+GRANULAR = "tests/test_rounding.py::test_bicriteria_checks_catch_a_faulty_granular_core"
+AUDIT = "tests/test_oracle.py::TestKcValidity"
+
+#: name -> (file, old, new, the tests that must fail)
+MUTANTS = {
+    "cut-round-value-may-fall-by-1": (
+        KC,
+        "if objectives and sol.objective_value < objectives[-1]:",
+        "if objectives and sol.objective_value < objectives[-1] - 1:",
+        [INJECTED],
+    ),
+    "pinned-cost-bound-1+2eps": (
+        KC,
+        "if pinned_cost > (1 + eps) * relaxed_cost:",
+        "if pinned_cost > (1 + 2 * eps) * relaxed_cost:",
+        [INJECTED],
+    ),
+    "strict-cost-bound-8K": (
+        KC,
+        "if cost > (1 + eps + 4 * K) * relaxed_cost:",
+        "if cost > (1 + eps + 8 * K) * relaxed_cost:",
+        [INJECTED],
+    ),
+    "strict-check-reads-bicriteria": (
+        KC,
+        "if not violations.ok_strict:",
+        "if not violations.ok_bicriteria:",
+        [INJECTED],
+    ),
+    "derandomized-cost-bound-3L": (
+        ROUNDING,
+        "> 2 * L.numerator * _cost(costs, X)",
+        "> 3 * L.numerator * _cost(costs, X)",
+        [DERANDOMIZED],
+    ),
+    "derandomized-coverage-unchecked": (
+        ROUNDING,
+        "if over_cost or min(rows.slack(xhat)) < 0:",
+        "if over_cost:",
+        [DERANDOMIZED],
+    ),
+    "bicriteria-ceiling-plus-1": (
+        ROUNDING,
+        "if any(xhat[j] > -(-top * X[j] // bottom) for j in range(len(xhat))):",
+        "if any(xhat[j] > -(-top * X[j] // bottom) + 1 for j in range(len(xhat))):",
+        [GRANULAR],
+    ),
+    "bicriteria-cost-bound-8K": (
+        ROUNDING,
+        "if _cost(costs, xhat) * D > 4 * K * _cost(costs, X):",
+        "if _cost(costs, xhat) * D > 8 * K * _cost(costs, X):",
+        [GRANULAR],
+    ),
+    "bicriteria-coverage-short-by-1": (
+        ROUNDING,
+        "if min(rows.slack(xhat)) < 0:",
+        "if min(rows.slack(xhat)) < -1:",
+        [GRANULAR],
+    ),
+    "lp-certificate-one-violation-passes": (
+        ROUNDING,
+        "    if failed:",
+        "    if len(failed) > 1:",
+        ["tests/test_kc.py::TestSolveCipStrict::test_fractional_bound_fopt_certified"],
+    ),
+    "bicriteria-check-reads-packing-only": (
+        ROUNDING,
+        "if not violations.ok_bicriteria:",
+        "if violations.packing_relaxed:",
+        [
+            "tests/test_rounding.py::TestSolveCpipBicriteria::"
+            "test_failed_final_check_is_a_guarantee_fault"
+        ],
+    ),
+    "kc-rows-untruncated": (
+        KC,
+        "min(v, demand) if f else 0",
+        "v if f else 0",
+        [AUDIT],
+    ),
+    "kc-demand-ignores-pins": (
+        KC,
+        "demand = max(0, S[n] - sum(S[j] * dj for j, dj in pins))",
+        "demand = S[n]",
+        [AUDIT],
+    ),
+}
+
+
+def tree_copy(dest: Path) -> None:
+    """The parts of the repository the tests read, without bytecode."""
+    skip = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def pytest_exit(tree: Path, tests: list[str]) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def main(argv: list[str]) -> int:
+    unknown = [name for name in argv if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}; known: {', '.join(MUTANTS)}")
+        return 2
+    names = argv or list(MUTANTS)
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        tree_copy(clean)
+        named = sorted({t for name in names for t in MUTANTS[name][3]})
+        if pytest_exit(clean, named) != 0:
+            print("the unmutated tree fails the named tests; no mutant can be judged")
+            return 1
+        survivors = []
+        for k, name in enumerate(names):
+            file, old, new, tests = MUTANTS[name]
+            tree = Path(tmp) / f"mutant-{k}"
+            tree_copy(tree)
+            path = tree / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"STALE    {name}: {old!r} occurs {text.count(old)} times in {file}")
+                survivors.append(name)
+                continue
+            path.write_text(text.replace(old, new))
+            t0 = time.perf_counter()
+            code = pytest_exit(tree, tests)
+            verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
+            print(f"{verdict:8} {name} ({file}, {time.perf_counter() - t0:.1f} s)")
+            if code != 1:
+                survivors.append(name)
+            shutil.rmtree(tree)
+    print(f"{len(names) - len(survivors)} of {len(names)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -36,6 +36,7 @@ from coverpack.model import (
     LimitError,
     ParseError,
     SolveReport,
+    as_epsilon,
     as_fraction,
     dot,
     normalize_width,
@@ -84,9 +85,9 @@ def _rationals(text: str) -> list:
 
 
 _fraction = _typed(as_fraction, "a rational number")
-_epsilon = _typed(as_fraction, "an epsilon in (0, 1]", lambda v: 0 < v <= 1)
+_epsilon = _typed(as_epsilon, "an epsilon in (0, 1]")
 _epsilons = _typed(
-    _rationals, "a list of epsilons in (0, 1]", lambda vs: all(0 < v <= 1 for v in vs)
+    lambda text: [as_epsilon(v) for v in text.split(",")], "a list of epsilons in (0, 1]"
 )
 _deltas = _typed(_rationals, "a list of deltas in (0, 1)", lambda vs: all(0 < v < 1 for v in vs))
 _lambda = _typed(as_fraction, "a lambda above 1", lambda v: v > 1)

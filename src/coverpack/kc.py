@@ -12,10 +12,12 @@ demand
 and truncated coefficients min(S[j], a'_F) for j not in F (zero on F
 itself), over the same D: the residual row ``(S_F, D)``.  These rows
 hold for every integer point satisfying the covering and multiplicity
-constraints, and adding them can close the (arbitrarily large)
-integrality gap of the plain relaxation.  Truncation keeps the width of
-every residual row at least 1, which is what lets the rounding machinery
-run on the residual system at full strength.
+constraints (the test suite checks this at desk scale, with
+``oracle.brute_force_opt`` taking each residual row as its costs), and
+adding them can close the (arbitrarily large) integrality gap of the
+plain relaxation.  Truncation keeps the width of every residual row at
+least 1, which is what lets the rounding machinery run on the residual
+system at full strength.
 
 Because there are exponentially many sets F, the relaxation is solved to
 lambda-relaxed form by a cutting-plane loop: solve the current LP
@@ -30,9 +32,6 @@ set, and each round's LP value.
 ``solve_cip_strict`` then pins the high variables of a (1+eps)-relaxed
 point at their bounds and rounds the rest against that residual system,
 giving an integer solution with x <= d exactly.
-
-``check_kc_validity`` checks the residual system of every pinnable set
-against every feasible integer point, at desk scale.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from coverpack.model import (
     IntegerVector,
     LimitError,
     SolveReport,
+    as_epsilon,
     as_fraction,
     as_fractions,
     as_int,
@@ -58,7 +58,7 @@ from coverpack.model import (
     integers,
     is_width_normalized,
 )
-from coverpack.oracle import check_solution, effective_bounds, feasible_points, validate_kc_system
+from coverpack.oracle import check_solution
 # solve_lp and verify_certificate are unused here; perfbench/spans.py patches them by name
 from coverpack.simplex import solve_lp, verify_certificate
 from coverpack.rounding import bicriteria_round, solve_relaxation
@@ -97,7 +97,7 @@ def kc_system(inst: CpipInstance, F) -> KcSystem:
     F = frozenset(F)
     n = inst.n
     for j in F:
-        if not (isinstance(j, int) and 0 <= j < n):
+        if isinstance(j, bool) or not (isinstance(j, int) and 0 <= j < n):
             raise InstanceError(f"cannot pin {j!r}: the variables are 0..{n - 1}")
         if inst.d[j] is None:
             raise InstanceError(f"cannot pin variable {j}: its multiplicity is unbounded")
@@ -113,55 +113,6 @@ def kc_system(inst: CpipInstance, F) -> KcSystem:
         demand = max(0, S[n] - sum(S[j] * dj for j, dj in pins))
         rows.append(((*(min(v, demand) if f else 0 for v, f in zip(S, free)), demand), D))
     return KcSystem(F=F, rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class KcValidityReport:
-    status: str  # OK | COUNTEREXAMPLE | BUDGET_EXCEEDED
-    counterexamples: tuple[tuple[frozenset, int, tuple[int, ...], Fraction], ...]
-    structural_defects: tuple[tuple[frozenset, int, int, Fraction], ...]
-    checked_sets: int
-    checked_points: int
-
-
-def check_kc_validity(inst: CpipInstance, *, max_points: int = 2_000_000) -> KcValidityReport:
-    """Exhaustively verify residual covering rows against all feasible points.
-
-    For every pinnable subset F of the finite-bound variables with
-    d_j > 0, builds the residual system and checks that each feasible
-    integer point (with respect to covering and multiplicity) satisfies
-    it, and that no coefficient exceeds its residual demand.  Pinning a
-    variable with d_j = 0 leaves every residual demand as it is and zeroes
-    a column that no feasible point uses, so it cannot change the verdict.
-    Pins sit at integral bounds, so a fractional d is refused
-    (``normalize_width`` floors it).  A box too deep to enumerate is
-    ``BUDGET_EXCEEDED``, as is one over ``max_points``.
-    """
-    max_points = as_int(max_points, "max_points")
-    finite = [j for j in range(inst.n) if inst.d[j]]  # finite and positive
-    caps = effective_bounds(inst)
-    space = 1
-    for cap in caps:
-        space *= cap + 1
-    sets = 2 ** len(finite)
-    if sets * space > max_points:
-        return KcValidityReport("BUDGET_EXCEEDED", (), (), 0, space)
-    try:
-        points = feasible_points(inst, caps)
-    except LimitError:
-        return KcValidityReport("BUDGET_EXCEEDED", (), (), 0, space)
-    counterexamples: list = []
-    structural: list = []
-    for mask in range(sets):
-        F = frozenset(finite[k] for k in range(len(finite)) if mask >> k & 1)
-        system = kc_system(inst, F)
-        bad, defects = validate_kc_system(inst, F, system.rows, points)
-        counterexamples.extend(bad)
-        structural.extend(defects)
-    status = "OK" if not (counterexamples or structural) else "COUNTEREXAMPLE"
-    return KcValidityReport(
-        status, tuple(counterexamples), tuple(structural), sets, len(points)
-    )
 
 
 def high_set(x, d, lam) -> frozenset:
@@ -248,9 +199,7 @@ def solve_cip_strict(
     xhat <= d exactly, B xhat <= (1+eps) b + beta, and
     cost <= (1 + eps + 4K) times the relaxed point's cost.
     """
-    eps = as_fraction(epsilon, "epsilon")
-    if not (0 < eps <= 1):
-        raise InstanceError(f"epsilon {eps} outside (0, 1]")
+    eps = as_epsilon(epsilon)
     lam = 1 + eps
     t0 = perf_counter()
     loop = solve_lp_kc(inst, lam, max_rounds=max_rounds)

@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, lcm
+from math import floor, lcm
 from typing import Iterator, Sequence
 
 #: Sentinel for a missing multiplicity bound (d_j = infinity).
@@ -111,6 +111,14 @@ def as_int(value, where: str, minimum: int | None = None) -> int:
         need = "an int" if minimum is None else f"an int >= {minimum}"
         raise InstanceError(f"{where} = {value!r} must be {need}")
     return value
+
+
+def as_epsilon(value) -> Fraction:
+    """An epsilon by ``as_fraction``, in (0, 1]; ``InstanceError`` otherwise."""
+    eps = as_fraction(value, "epsilon")
+    if not (0 < eps <= 1):
+        raise InstanceError(f"epsilon {eps} outside (0, 1]")
+    return eps
 
 
 def _rational(value: str | float) -> Fraction:
@@ -261,10 +269,6 @@ class IntegerVector:
 
     def __getitem__(self, j: int) -> int:
         return self.values[j]
-
-
-def vec_ceil(x: Sequence[Fraction]) -> tuple[int, ...]:
-    return tuple(ceil(v) for v in x)
 
 
 def normalize_width(inst: CpipInstance) -> CpipInstance:

@@ -1,4 +1,4 @@
-"""Ground-truth engines: brute-force integer optimum and exhaustive checkers.
+"""Ground-truth engines: the brute-force integer optimum and the solution checker.
 
 These exist to verify every guarantee the solvers claim, so they stay
 independent of the solver code paths: this module imports only
@@ -7,8 +7,9 @@ integer rows (``CpipInstance.int_rows``), exact because every row is
 scaled by the lcm of its denominators, with no LP bounding and no shared
 rounding machinery.  The enumeration skips variables capped at 0 and
 subtrees that cannot meet a covering row.  Usable only at desk scale,
-which is the point.  ``kc.check_kc_validity`` sweeps the pin
-sets with ``feasible_points`` and ``validate_kc_system``.
+which is the point.  ``brute_force_opt`` is the one enumeration of the
+box; the test suite's knapsack-cover audit runs it with each residual
+row as the costs.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from coverpack.model import (
     CpipInstance,
     InstanceError,
     IntegerVector,
-    LimitError,
     ViolationReport,
-    as_fraction,
+    as_epsilon,
     as_fractions,
     as_int,
     integers,
@@ -65,27 +65,6 @@ class BruteForceResult:
     bounds: tuple[int, ...]
 
 
-def _reach(cols, caps, m: int) -> list[list[int]]:
-    """``reach[k][i]``: the most that columns k, k+1, ... at their caps add to row i."""
-    reach = [[0] * m]
-    for col, cap in zip(reversed(cols), reversed(caps)):
-        reach.append([r + cap * v for r, v in zip(reach[-1], col)])
-    return reach[::-1]
-
-
-def _too_deep(levels: int) -> bool:
-    """Whether ``levels`` nested calls below the caller could pass the recursion limit.
-
-    The enumerations recurse once per variable they can raise; a box with
-    more of them than the stack holds is refused up front like one over
-    the point budget, with a margin for the frames between the levels.
-    """
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    return depth + levels + 50 > sys.getrecursionlimit()
-
-
 def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> BruteForceResult:
     """Exhaustive integer optimum over the capped box, if it has at most ``max_points``.
 
@@ -108,7 +87,12 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
     for cap in u:
         space *= cap + 1
     free = [j for j in range(inst.n) if u[j]]
-    if space > max_points or _too_deep(len(free)):
+    # one recursion level per variable in ``free``, with a margin for the
+    # frames between the levels
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    if space > max_points or depth + len(free) + 50 > sys.getrecursionlimit():
         return BruteForceResult("BUDGET_EXCEEDED", None, None, space, u)
 
     m = inst.m
@@ -118,7 +102,11 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
     room = [S[-1] for S, _ in pack_rows]
     acols = [[S[j] for S, _ in cover_rows] for j in free]
     bcols = [[S[j] for S, _ in pack_rows] for j in free]
-    reach = _reach(acols, caps, m)
+    # reach[k][i]: the most that variables k, k+1, ... at their caps add to row i
+    reach = [[0] * m]
+    for col, cap in zip(reversed(acols), reversed(caps)):
+        reach.append([r + cap * v for r, v in zip(reach[-1], col)])
+    reach.reverse()
     costs, cost_den = integers(inst.c)
     costs = [costs[j] for j in free]
     best_cost: int | None = None
@@ -169,7 +157,7 @@ def check_solution(
     every ``A_i x`` and ``B_i x`` is an integer dot product.  beta_i is the
     sum of the scaled row over ``D_i``, and each amount is the exact rational.
     """
-    eps = as_fraction(epsilon, "epsilon")
+    eps = as_epsilon(epsilon)
     xv = as_fractions(x, "x")
     if len(xv) != inst.n:
         raise InstanceError(f"x has {len(xv)} entries, expected {inst.n}")
@@ -206,72 +194,3 @@ def check_solution(
         multiplicity_strict=tuple(mult_strict),
         multiplicity_relaxed=tuple(mult_relaxed),
     )
-
-
-def validate_kc_system(
-    inst: CpipInstance,
-    F: frozenset,
-    rows: Sequence[tuple[Sequence[int], int]],
-    points: Sequence[tuple[int, ...]],
-) -> tuple[list, list]:
-    """Check one pinned-set system against every feasible integer point.
-
-    Returns (counterexamples, structural_defects).  A counterexample is a
-    feasible point violating a residual row.  A structural defect is a
-    coefficient exceeding its row's residual demand, which would let the
-    restricted system's width drop below 1.  Each row is ``(S, D)``, its
-    coefficients then its demand as integers over D (``kc.KcSystem``), and
-    is read as given; the amounts reported are the exact rationals.
-    """
-    counterexamples = []
-    structural = []
-    for i, (S, D) in enumerate(rows):
-        for j in range(inst.n):
-            if S[j] > S[-1]:
-                structural.append((F, i, j, Fraction(S[j] - S[-1], D)))
-    for y in points:
-        for i, (S, D) in enumerate(rows):
-            short = S[-1] - sum(map(mul, S, y))
-            if short > 0:
-                counterexamples.append((F, i, y, Fraction(short, D)))
-    return counterexamples, structural
-
-
-def feasible_points(inst: CpipInstance, caps: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every integer point in the box 0 <= x <= caps that meets the covering rows.
-
-    Lexicographic order.  Only the variables with a positive cap are
-    enumerated, on the integer rows, and a subtree whose remaining
-    variables at their caps cannot fill some row is skipped.  A box with
-    more such variables than the recursion limit leaves room for raises
-    ``LimitError``.
-    """
-    free = [j for j in range(inst.n) if caps[j]]
-    if _too_deep(len(free)):
-        raise LimitError(f"enumerating {len(free)} variables would pass the recursion limit")
-    rows = inst.int_rows[: inst.m]
-    need = [S[-1] for S, _ in rows]
-    acols = [[S[j] for S, _ in rows] for j in free]
-    reach = _reach(acols, [caps[j] for j in free], inst.m)
-    pts = []
-    x = [0] * inst.n
-    cover = [0] * inst.m
-
-    def descend(k):
-        if any(map(gt, need, map(add, cover, reach[k]))):
-            return
-        if k == len(free):
-            pts.append(tuple(x))
-            return
-        j, acol = free[k], acols[k]
-        for v in range(caps[j] + 1):
-            if v > 0:
-                x[j] = v
-                cover[:] = map(add, cover, acol)
-            descend(k + 1)
-        v = x[j]
-        cover[:] = (s - a * v for s, a in zip(cover, acol))
-        x[j] = 0
-
-    descend(0)
-    return pts

@@ -58,6 +58,7 @@ from coverpack.model import (
     IntegerVector,
     LimitError,
     SolveReport,
+    as_epsilon,
     as_fraction,
     as_fractions,
     as_int,
@@ -429,9 +430,7 @@ def bicriteria_round(
     changes no choice here: (A, a) may be integer rows over any positive
     row denominators, as the solvers pass them.
     """
-    eps = as_fraction(epsilon, "epsilon")
-    if not (0 < eps <= 1):
-        raise InstanceError(f"epsilon {eps} outside (0, 1]")
+    eps = as_epsilon(epsilon)
     xv, costs, c_den, rows = _read(xbar, A, a, c, d)
     if not rows.demands:
         if info_out is not None:
@@ -482,9 +481,7 @@ def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, S
     recorded in the report: A xhat >= a, xhat <= ceil((1+eps) d),
     B xhat <= (1+eps) b + beta, and cost <= 4K fopt.
     """
-    eps = as_fraction(epsilon, "epsilon")
-    if not (0 < eps <= 1):
-        raise InstanceError(f"epsilon {eps} outside (0, 1]")
+    eps = as_epsilon(epsilon)
     if not is_width_normalized(inst):
         raise InstanceError("normalize width first")
     t0 = perf_counter()

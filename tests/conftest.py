@@ -1,11 +1,15 @@
-"""Shared helpers: instance builders and an independent exact LP oracle."""
+"""Shared helpers: instance builders, an independent exact LP oracle and the cut audit."""
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 
+import pytest
+
+from coverpack import kc
 from coverpack.model import CpipInstance
+from coverpack.oracle import brute_force_opt
 from coverpack.simplex import GE, LE
 
 F = Fraction
@@ -13,6 +17,31 @@ F = Fraction
 
 def make_inst(A, a, c, d, B=(), b=()):
     return CpipInstance.from_data(A=A, a=a, c=c, d=d, B=B, b=b)
+
+
+def kc_defects(inst):
+    """Each way a residual system of ``inst`` breaks knapsack-cover validity, by the oracle.
+
+    For each set F of the variables with a positive finite bound, and each
+    row i ``(S, D)`` of ``kc.kc_system(inst, F)``: a coefficient above the
+    residual demand is ``("truncation", F, i, j)``, and a point that meets
+    the covering rows and the bounds but not the row is ``("cut-off", F, i,
+    x)``, x being ``brute_force_opt`` of the covering-only instance with the
+    row as its costs.  Pinning a zero bound changes no residual demand, so
+    those sets are not swept.  A box the oracle refuses fails the test.
+    """
+    finite = [j for j in range(inst.n) if inst.d[j]]  # finite and positive
+    defects = []
+    for mask in range(2 ** len(finite)):
+        pins = frozenset(finite[k] for k in range(len(finite)) if mask >> k & 1)
+        for i, (S, _) in enumerate(kc.kc_system(inst, pins).rows):
+            defects += [("truncation", pins, i, j) for j in range(inst.n) if S[j] > S[-1]]
+            res = brute_force_opt(make_inst(A=inst.A, a=inst.a, c=S[:-1], d=inst.d))
+            if res.status == "BUDGET_EXCEEDED":
+                pytest.fail(f"the oracle refused a box of {res.space_size} points")
+            if res.status == "OPTIMAL" and res.cost < S[-1]:
+                defects.append(("cut-off", pins, i, res.x.values))
+    return defects
 
 
 def lp_rows(problem):

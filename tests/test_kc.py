@@ -90,9 +90,10 @@ class TestResidualDemand:
             kc_system(inst, {0})
         assert demands(kc_system(normalize_width(inst), {0})) == (F(1, 10),)
 
-    @pytest.mark.parametrize("pin", [-1, 2, 5])
+    @pytest.mark.parametrize("pin", [-1, 2, 5, False, True])
     def test_pin_outside_the_variables_rejected(self, pin):
-        # -1 would otherwise pin the last variable, and 2 index past d
+        # -1 would otherwise pin the last variable, 2 index past d, and
+        # False and True pin x_0 and x_1 as the ints they subclass
         inst = make_inst(A=[[1, 1]], a=[2], c=[1, 1], d=[1, 1])
         with pytest.raises(InstanceError, match=f"cannot pin {pin}: the variables are 0..1"):
             kc_system(inst, {pin})
@@ -520,3 +521,22 @@ class TestInjectedFaults:
             match=rf"^cost 19 above \(1 \+ eps \+ 4K\) \* {relaxed} with K = {K}$",
         ):
             solve_cip_strict(self.STRICT, self.EPS)
+
+    def test_multiplicity_above_its_bound_raises(self, monkeypatch):
+        # the rounding returns d_0 + 1 = 5 copies of x_0, which is not pinned
+        # and costs 0, so only the strict check sees the excess
+        inst = normalize_width(gen_random_cpip(3, 5, 1, seed=69))
+        assert inst.c[0] == 0 and inst.d[0] == 4
+
+        def one_over(*args, info_out):
+            out = list(bicriteria_round(*args, info_out=info_out).values)
+            out[0] = 5
+            return IntegerVector(tuple(out))
+
+        monkeypatch.setattr(kc, "bicriteria_round", one_over)
+        with pytest.raises(
+            GuaranteeError,
+            match=r"^strict guarantees violated: "
+            r".*multiplicity_strict=\(\(0, Fraction\(1, 1\)\),\)",
+        ):
+            solve_cip_strict(inst, self.EPS)

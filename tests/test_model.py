@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import coverpack
 from coverpack.genbench import GeneratorSpec, knapsack_gap, run_bench
-from coverpack.kc import check_kc_validity, find_violated_kc, solve_cip_strict, solve_lp_kc
+from coverpack.kc import find_violated_kc, solve_cip_strict, solve_lp_kc
 from coverpack.model import (
     CpipInstance,
     InstanceError,
@@ -214,7 +214,6 @@ INTS = {
     "solve_lp_kc(max_rounds)": (lambda v: solve_lp_kc(GAP, 2, max_rounds=v), 1),
     "solve_cip_strict(max_rounds)": (lambda v: solve_cip_strict(GAP, 1, max_rounds=v), 1),
     "brute_force_opt(max_points)": (lambda v: brute_force_opt(GAP, max_points=v), None),
-    "check_kc_validity(max_points)": (lambda v: check_kc_validity(GAP, max_points=v), None),
     "compute_scale_factor(m)": (lambda v: compute_scale_factor(v, 2), 1),
     "randomized_round(seed)": (lambda v: randomized_round([F(1, 3)] * 12, 2, v), None),
     "granular_round(K)": (lambda v: granular_round(GAP_XBAR, GAP.A, GAP.a, GAP.c, v), 1),
@@ -323,6 +322,12 @@ RANGES = {
     "solve_cpip_bicriteria(not normalized)": (
         lambda: solve_cpip_bicriteria(make_inst(A=[[2]], a=[1], c=[1], d=[1]), 1),
         "normalize width first",
+    ),
+    "check_solution(epsilon=-5)": (
+        lambda: check_solution(GAP, (1, 1), -5), r"epsilon -5 outside \(0, 1\]"
+    ),
+    "check_solution(epsilon=2)": (
+        lambda: check_solution(GAP, (1, 1), 2), r"epsilon 2 outside \(0, 1\]"
     ),
     "compute_scale_factor(m=0)": (
         lambda: compute_scale_factor(0, 2), "m = 0 must be an int >= 1"
@@ -553,7 +558,6 @@ class TestStructure:
         ),
         "bicriteria_round": ("xbar", "A", "a", "c", "d", "epsilon", "info_out"),
         "brute_force_opt": ("inst", "max_points"),
-        "check_kc_validity": ("inst", "max_points"),
         "check_solution": ("inst", "x", "epsilon"),
         "compute_scale_factor": ("m", "W"),
         "derandomized_round": ("xbar", "A", "a", "c", "L", "trace_out"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverpack.genbench import BenchRow, gen_random_cpip, knapsack_gap
-from coverpack.kc import check_kc_validity, kc_system
+from coverpack import kc
+from coverpack.kc import kc_system
 from coverpack.model import (
     ZERO,
     InstanceError,
     IntegerVector,
-    LimitError,
     SolveReport,
     ViolationReport,
     dot,
@@ -25,10 +26,8 @@ from coverpack.oracle import (
     brute_force_opt,
     check_solution,
     effective_bounds,
-    feasible_points,
-    validate_kc_system,
 )
-from conftest import F, make_inst
+from conftest import F, kc_defects, make_inst
 
 
 class TestBruteForce:
@@ -86,7 +85,6 @@ class TestBruteForce:
         res = brute_force_opt(inst)
         assert (res.status, res.cost, res.space_size) == ("OPTIMAL", 1, 2)
         assert res.x.values == (1,) + (0,) * (n - 1)
-        assert feasible_points(inst, res.bounds) == [res.x.values]
 
     def test_box_deeper_than_the_recursion_limit_is_over_budget(self):
         # 1,100 variables that can each be raised: a point budget of 2^1100
@@ -96,9 +94,6 @@ class TestBruteForce:
         res = brute_force_opt(inst, max_points=2**n)
         assert (res.status, res.x, res.cost) == ("BUDGET_EXCEEDED", None, None)
         assert (res.space_size, res.bounds) == (2**n, (1,) * n)
-        with pytest.raises(LimitError, match="recursion limit"):
-            feasible_points(inst, res.bounds)
-        assert check_kc_validity(inst, max_points=4**n).status == "BUDGET_EXCEEDED"
 
     def test_depth_refusal_never_raises_recursion_error(self):
         # around the deepest box the stack holds, each call enumerates or
@@ -110,22 +105,16 @@ class TestBruteForce:
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
         old = sys.getrecursionlimit()
-        statuses, counts = [], []
+        statuses = []
         try:
             for limit in range(depth + n, depth + n + 80):
                 sys.setrecursionlimit(limit)
                 statuses.append(brute_force_opt(inst, max_points=2**n).status)
-                try:
-                    counts.append(len(feasible_points(inst, (1,) * n)))
-                except LimitError:
-                    counts.append(None)
         finally:
             sys.setrecursionlimit(old)
         k = statuses.index("OPTIMAL")
         assert statuses == ["BUDGET_EXCEEDED"] * k + ["OPTIMAL"] * (len(statuses) - k)
         assert k > 0
-        assert [c is None for c in counts] == [s == "BUDGET_EXCEEDED" for s in statuses]
-        assert counts[-1] == 1
 
 
 class TestCheckSolution:
@@ -293,44 +282,6 @@ def reference_brute_force(inst, max_points):
     return BruteForceResult("OPTIMAL", IntegerVector(best_x), best_cost, space, u)
 
 
-def reference_feasible_points(inst, caps):
-    """feasible_points as a Fraction enumeration of the whole box."""
-    pts = []
-    x = [0] * inst.n
-
-    def descend(j):
-        if j == inst.n:
-            if all(dot(inst.A[i], x) >= inst.a[i] for i in range(inst.m)):
-                pts.append(tuple(x))
-            return
-        for v in range(caps[j] + 1):
-            x[j] = v
-            descend(j + 1)
-        x[j] = 0
-
-    descend(0)
-    return pts
-
-
-def reference_validate(inst, F_, rows, points):
-    """validate_kc_system in Fraction arithmetic, on the rows' rationals."""
-    A_F = [[F(v, D) for v in S[:-1]] for S, D in rows]
-    a_F = [F(S[-1], D) for S, D in rows]
-    structural = [
-        (F_, i, j, A_F[i][j] - a_F[i])
-        for i in range(len(a_F))
-        for j in range(inst.n)
-        if A_F[i][j] > a_F[i]
-    ]
-    counterexamples = [
-        (F_, i, y, a_F[i] - dot(A_F[i], y))
-        for y in points
-        for i in range(len(a_F))
-        if dot(A_F[i], y) < a_F[i]
-    ]
-    return counterexamples, structural
-
-
 NUMBER = st.fractions(min_value=0, max_value=4, max_denominator=6)
 
 
@@ -359,30 +310,6 @@ class TestOracleParity:
             inst, max_points
         )
 
-    @settings(max_examples=80, deadline=None)
-    @given(oracle_instances(), st.data())
-    def test_feasible_points_equal_fraction_reference(self, inst, data):
-        caps = tuple(data.draw(st.lists(st.integers(0, 3), min_size=inst.n, max_size=inst.n)))
-        assert feasible_points(inst, caps) == reference_feasible_points(inst, caps)
-
-    @settings(max_examples=60, deadline=None)
-    @given(oracle_instances(), st.data())
-    def test_validate_kc_system_equals_fraction_reference(self, inst, data):
-        # halves up to 3 make a point that meets a row exactly common; a row
-        # over D = 2 with even entries is not in lowest terms, as a caller may give it
-        k = data.draw(st.integers(1, 3))
-        rows = []
-        for _ in range(k):
-            D = data.draw(st.integers(1, 2))
-            S = tuple(data.draw(st.integers(0, 3 * D)) for _ in range(inst.n + 1))
-            rows.append((S, D))
-        point = st.tuples(*(st.integers(0, 3) for _ in range(inst.n)))
-        points = data.draw(st.lists(point, max_size=8))
-        F_ = frozenset({0})
-        assert validate_kc_system(inst, F_, rows, points) == reference_validate(
-            inst, F_, rows, points
-        )
-
     def test_statuses_all_reached(self):
         # the strategy above draws every status; pinned on fixed instances
         cases = {
@@ -400,66 +327,67 @@ class TestOracleParity:
 
 
 class TestKcValidity:
+    """The knapsack-cover audit of ``conftest.kc_defects``, on the oracle."""
+
     def test_gap_instance_all_pin_sets_valid(self):
-        report = check_kc_validity(knapsack_gap(F(1, 10)))
-        assert report.status == "OK"
-        assert report.checked_sets == 2  # subsets of the finite-bound variable
+        assert kc_defects(knapsack_gap(F(1, 10))) == []
 
     def test_empty_pin_set_matches_original_rows(self):
         inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[1, 1])
         system = kc_system(inst, frozenset())
         assert system.rows == inst.int_rows[: inst.m]
-        assert check_kc_validity(inst).status == "OK"
-
-    def test_zero_bounds_are_not_swept(self):
-        # pinning x_j at d_j = 0 changes no residual demand, and no feasible
-        # point raises x_j, so only the subsets of {x_0} are checked
-        inst = make_inst(A=[[1, 0, 0]], a=[1], c=[1, 1, 1], d=[1, 0, 0])
-        report = check_kc_validity(inst)
-        assert (report.status, report.checked_sets, report.checked_points) == ("OK", 2, 1)
+        assert kc_defects(inst) == []
 
     def test_box_of_two_points_with_zero_caps_fits_the_budget(self):
         # 30 variables, 29 capped at 0: 2 pin sets over a box of 2 points,
         # not 2^30 pin sets
         n = 30
         inst = make_inst(A=[[1] + [0] * (n - 1)], a=[1], c=[1] * n, d=[1] + [0] * (n - 1))
-        report = check_kc_validity(inst)
-        assert (report.status, report.checked_sets) == ("OK", 2)
+        assert kc_defects(inst) == []
 
     def test_budget_refusal(self):
-        inst = make_inst(A=[[1] * 6], a=[3], c=[1] * 6, d=[2] * 6)
-        report = check_kc_validity(inst, max_points=50)
-        assert report.status == "BUDGET_EXCEEDED"
+        # a box of 3^14 points is over the oracle's budget: the audit fails
+        # rather than pass on rows it could not check
+        inst = make_inst(A=[[1] * 14], a=[3], c=[1] * 14, d=[2] * 14)
+        with pytest.raises(pytest.fail.Exception, match="refused a box of 4782969 points"):
+            kc_defects(inst)
 
-    def test_skipping_truncation_is_flagged(self):
-        # corrupted system: raw coefficients where the residual demand is
-        # smaller; the width check must name the offending entry
+    def test_skipping_truncation_is_flagged(self, monkeypatch):
+        # corrupted systems: the instance's own coefficients, zero on F, over
+        # the residual demand; the audit must name the offending entry
         inst = knapsack_gap(F(1, 4))
-        system = kc_system(inst, {0})
-        # the instance's own coefficients, zero on F, over the residual demand
-        raw = tuple(
-            ((*(0 if j in {0} else S[j] for j in range(inst.n)), R[-1]), D)
-            for (S, D), (R, _) in zip(inst.int_rows, system.rows)
-        )
-        assert raw == (((0, 4, 1), 4),)
-        assert raw[0][0][1] > system.rows[0][0][-1]
-        bad, defects = validate_kc_system(inst, frozenset({0}), raw, [])
-        assert defects == [(frozenset({0}), 0, 1, F(3, 4))]
 
-    def test_inflated_residual_is_caught_by_feasible_point(self):
-        # corrupted residual demand: a feasible integer point must violate it
+        def untruncated(inst, pins):
+            system = kc_system(inst, pins)
+            raw = tuple(
+                ((*(0 if j in pins else S[j] for j in range(inst.n)), R[-1]), D)
+                for (S, D), (R, _) in zip(inst.int_rows, system.rows)
+            )
+            return dataclasses.replace(system, rows=raw)
+
+        assert untruncated(inst, {0}).rows == (((0, 4, 1), 4),)
+        monkeypatch.setattr(kc, "kc_system", untruncated)
+        assert kc_defects(inst) == [("truncation", frozenset({0}), 0, 1)]
+
+    def test_inflated_residual_is_caught_by_feasible_point(self, monkeypatch):
+        # corrupted residual demands, each raised by 1, that is by D over D:
+        # the feasible point (0, 1) falls short of the inflated row of each pin set
         inst = knapsack_gap(F(1, 4))
-        system = kc_system(inst, {0})
-        # each residual demand raised by 1, that is by D over D
-        inflated = tuple(((*S[:-1], S[-1] + D), D) for S, D in system.rows)
-        feasible = [(1, 1), (0, 1)]
-        bad, _ = validate_kc_system(inst, frozenset({0}), inflated, feasible)
-        assert bad
+
+        def inflated(inst, pins):
+            system = kc_system(inst, pins)
+            rows = tuple(((*S[:-1], S[-1] + D), D) for S, D in system.rows)
+            return dataclasses.replace(system, rows=rows)
+
+        monkeypatch.setattr(kc, "kc_system", inflated)
+        assert kc_defects(inst) == [
+            ("cut-off", frozenset(), 0, (0, 1)), ("cut-off", frozenset({0}), 0, (0, 1))
+        ]
 
     def test_random_small_instances_valid(self):
         for seed in range(15):
             inst = normalize_width(gen_random_cpip(2, 3, 0, seed=40 + seed, d_max=2))
-            assert check_kc_validity(inst).status == "OK"
+            assert kc_defects(inst) == []
 
 
 def test_report_serializes_rationals():

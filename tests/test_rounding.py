@@ -25,7 +25,6 @@ from coverpack.model import (
     dot,
     integers,
     normalize_width,
-    vec_ceil,
     width,
 )
 from coverpack.oracle import brute_force_opt, check_solution
@@ -129,8 +128,7 @@ class TestDerandomizedRound:
             )
             assert all(dot(inst.A[i], xhat.values) >= inst.a[i] for i in range(inst.m))
             assert dot(inst.c, xhat.values) <= 2 * L * dot(inst.c, xbar)
-            caps = vec_ceil(tuple(L * v for v in xbar))
-            assert all(xhat[j] <= caps[j] for j in range(inst.n))
+            assert all(xhat[j] <= math.ceil(L * v) for j, v in enumerate(xbar))
             assert trace[0] < 1
             for before, after in zip(trace, trace[1:]):
                 assert after <= before + 1e-9 * (1 + before)
@@ -513,8 +511,7 @@ class TestGranularRound:
             L = info["L"]
             assert all(dot(inst.A[i], out.values) >= inst.a[i] for i in range(inst.m))
             assert dot(inst.c, out.values) <= 2 * L * dot(inst.c, xbar)
-            caps = vec_ceil(tuple(L * v for v in xbar))
-            assert all(out.values[j] <= caps[j] for j in range(inst.n))
+            assert all(out.values[j] <= math.ceil(L * v) for j, v in enumerate(xbar))
 
 
 @settings(max_examples=80, deadline=None)
@@ -549,8 +546,7 @@ class TestBicriteriaRound:
                 xhat = bicriteria_round(
                     xbar, inst.A, inst.a, inst.c, inst.d, eps
                 )
-                caps = vec_ceil(tuple((1 + eps) * v for v in xbar))
-                assert all(xhat[j] <= caps[j] for j in range(inst.n))
+                assert all(xhat[j] <= math.ceil((1 + eps) * v) for j, v in enumerate(xbar))
 
     def test_tight_integral_solution_is_fixed_point(self):
         # integral xbar covering the scaled demands exactly: the rounding
@@ -879,3 +875,18 @@ def test_bicriteria_checks_catch_a_faulty_granular_core(monkeypatch, xbar, A, a,
     monkeypatch.setattr(rounding, "_granular", lambda xv, costs, c_den, rows, K: (kx(K), F(1)))
     with pytest.raises(GuaranteeError, match=match):
         bicriteria_round(xbar, A, a, c, None, 1)
+
+
+@pytest.mark.parametrize(
+    "ceiling", [True, False], ids=["every-ceiling-over-cost", "every-floor-uncovered"]
+)
+def test_derandomization_check_catches_a_faulty_estimator(monkeypatch, ceiling):
+    # x_0 + ... + x_7 >= 1 at xbar_j = 1/8 and L = 3.77..., so each L xbar_j
+    # is 0.47...: eight ceilings cost 8 against 2 L c.xbar = 7.55, and eight
+    # floors cover nothing
+    monkeypatch.setattr(EstimatorState, "prefers_ceiling", lambda self, j: ceiling)
+    L = compute_scale_factor(1, 1)
+    with pytest.raises(
+        GuaranteeError, match=r"^conditional-probabilities rounding missed a guarantee$"
+    ):
+        derandomized_round([F(1, 8)] * 8, [[1] * 8], [1], [1] * 8, L)
