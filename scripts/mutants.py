@@ -1,13 +1,15 @@
 """Mutation check of the guarantee checks: every listed mutant must fail its tests.
 
 Each mutant changes one line of ``src/coverpack``: it deletes, narrows or
-loosens a check that raises ``GuaranteeError``, or breaks the knapsack-cover
-rows that the test suite's audit must reject.  For each one the script copies
-``src``, ``tests`` and ``pyproject.toml`` to a temporary directory, replaces
-the mutant's ``old`` text (which must occur exactly once) with ``new``, and
-runs ``pytest -x`` on the mutant's named tests there.  A mutant is killed when
-pytest reports a failing test (exit 1); a pass, or any other exit, is a
-survivor.  Before the mutants, the unmutated copy must pass every named test.
+loosens a check that raises ``GuaranteeError``, breaks the knapsack-cover
+rows that the test suite's audit must reject, or breaks a fast path of the
+rounding layer (the scan of A, the estimator's kept trace terms).  For
+each one the script copies ``src``, ``tests`` and ``pyproject.toml`` to a
+temporary directory, replaces the mutant's ``old`` text (which must occur
+exactly once) with ``new``, and runs ``pytest -x`` on the mutant's named
+tests there.  A mutant is killed when pytest reports a failing test (exit
+1); a pass, or any other exit, is a survivor.  Before the mutants, the
+unmutated copy must pass every named test.
 
 Usage::
 
@@ -36,6 +38,8 @@ INJECTED = "tests/test_kc.py::TestInjectedFaults"
 DERANDOMIZED = "tests/test_rounding.py::test_derandomization_check_catches_a_faulty_estimator"
 GRANULAR = "tests/test_rounding.py::test_bicriteria_checks_catch_a_faulty_granular_core"
 AUDIT = "tests/test_oracle.py::TestKcValidity"
+COVER_ROWS = "tests/test_rounding.py::test_cover_rows_alike_in_every_form"
+TRACE = "tests/test_rounding.py::test_trace_out_is_phi_recomputed_from_scratch"
 
 #: name -> (file, old, new, the tests that must fail)
 MUTANTS = {
@@ -71,7 +75,7 @@ MUTANTS = {
     ),
     "derandomized-coverage-unchecked": (
         ROUNDING,
-        "if over_cost or min(rows.slack(xhat)) < 0:",
+        "if over_cost or min(slack) < 0:",
         "if over_cost:",
         [DERANDOMIZED],
     ),
@@ -119,6 +123,18 @@ MUTANTS = {
         "demand = max(0, S[n] - sum(S[j] * dj for j, dj in pins))",
         "demand = S[n]",
         [AUDIT],
+    ),
+    "trace-term-not-refreshed": (
+        ROUNDING,
+        "terms[k] = _row_term(exponents[k])",
+        "pass",
+        [TRACE],
+    ),
+    "scan-takes-numerators-under-an-integer-demand": (
+        ROUNDING,
+        "if scale == 1:",
+        "if scale == 1 or ai.denominator == 1:",
+        [COVER_ROWS],
     ),
 }
 

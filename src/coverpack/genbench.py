@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
-from coverpack.model import CpipInstance, InstanceError, as_fraction, dot, normalize_width, report_dict
+from coverpack.model import (
+    CpipInstance, InstanceError, as_epsilon, as_fraction, dot, normalize_width, report_dict
+)
 from coverpack.oracle import brute_force_opt
 from coverpack.rounding import solve_cpip_bicriteria
 from coverpack.kc import solve_cip_strict
@@ -274,15 +276,16 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
     strict cost, the granularity and scale parameters, and wall time.
     Individual failures are recorded and the harness keeps going.  With
     ``include_timing=False`` the output is bit-identical across runs for
-    a fixed seed.
+    a fixed seed.  Every epsilon is read by ``as_epsilon`` before any
+    instance is generated, so one outside (0, 1] is ``InstanceError``.
     """
+    epsilons = [as_epsilon(eps) for eps in epsilons]
     result = BenchResult()
     ratios_fopt: list[float] = []
     ratios_opt: list[float] = []
     for idx, spec in enumerate(specs):
         inst_id = f"{spec.family.lower()}-{idx}"
         for eps in epsilons:
-            eps = as_fraction(eps, "epsilon")
             row = BenchRow(
                 instance_id=inst_id,
                 family=spec.family,

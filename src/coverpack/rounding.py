@@ -27,14 +27,19 @@ The chain, from primitive to end-to-end:
 All guarantees are re-verified exactly before an answer is returned;
 floats appear only inside the estimator, whose role is to pick between
 floor and ceiling.  Each public rounding call reads its arguments once
-(``_read``): it checks that their lengths agree and that no cost is
-negative, both ``InstanceError``, and scans the dense A once, into
+(``_read``): it takes xbar as ints X over one denominator D, and checks
+that the lengths agree and that no coordinate of xbar and no cost is
+negative, all ``InstanceError``; it scans the dense A once, into
 ``CoverRows``: its demanded rows scaled to Python ints and kept over their
 nonzeros, by row and by column (both solvers hand ``bicriteria_round``
-integer rows, whose lcm is 1).  The width, the estimator's weights,
-every coverage, cost and slack check and the trim run on those rows.
-The public calls then run private cores on what was read:
-``derandomized_round`` runs ``_derandomize``, ``granular_round`` runs
+integer rows, whose lcm is 1, and the scan takes such a row's numerators
+as they are).  The width, the estimator's weights, every coverage, cost
+and slack check and the trim run on those rows, and the scaled point L xbar
+is L.numerator X over L.denominator D.  The estimator's work is O(nnz);
+a traced run (``trace_out``) keeps each row's term of the estimator and
+refreshes only the rows a decision touches, so it calls no more exp than
+an untraced one.  The public calls then run private cores on what was
+read: ``derandomized_round`` runs ``_derandomize``, ``granular_round`` runs
 ``_granular`` (``_derandomize`` on the K-scaled rows), and
 ``bicriteria_round`` runs ``_granular`` and takes the ceiling.
 """
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import math
 import operator
 import random
@@ -104,15 +110,13 @@ def randomized_round(xbar, L, seed: int) -> IntegerVector:
     if L < 1:
         raise InstanceError(f"scale factor L = {L} must be >= 1")
     rng = random.Random(as_int(seed, "seed"))
+    X, D = _read_xbar(xbar)
+    den = L.denominator * D
     out = []
-    for v in as_fractions(xbar, "xbar"):
-        scaled = L * v
-        fl = math.floor(scaled)
-        frac = scaled - fl
-        if frac == 0:
-            out.append(fl)
-        else:
-            out.append(fl + 1 if rng.random() < float(frac) else fl)
+    for p in X:
+        fl, rest = divmod(L.numerator * p, den)  # L xbar_j = fl + rest / den
+        # rest / den rounds as float(Fraction(rest, den)) does
+        out.append(fl + 1 if rest and rng.random() < rest / den else fl)
     return IntegerVector(tuple(out))
 
 
@@ -150,16 +154,23 @@ class CoverRows:
         self.rows: list[list[tuple[int, int]]] = []
         self.demands: list[int] = []
         self.scales: list[int] = []
-        self.columns: list[list[tuple[int, int]]] = [[] for _ in range(len(A[0]) if A else 0)]
+        indices = range(len(A[0]) if A else 0)
+        self.columns: list[list[tuple[int, int]]] = [[] for _ in indices]
         numerator = operator.attrgetter("numerator")  # None or "" has none: not read as 0
+        denominator = operator.attrgetter("denominator")
         for i, (row, ai) in enumerate(zip(A, a)):
             # every row is read, a vacuous one too, so no entry goes unchecked
-            support = [j for j, p in enumerate(map(numerator, row)) if p]
+            support = list(itertools.compress(indices, map(numerator, row)))
             if numerator(ai) <= 0:
                 continue
             k = len(self.active)
             self.active.append(i)
-            (demand, *entries), scale = integers([ai, *(row[j] for j in support)])
+            entries = [row[j] for j in support]
+            scale = math.lcm(ai.denominator, *map(denominator, entries))
+            if scale == 1:  # integer entries (all of them in a 0/1 row): as they are
+                demand, entries = ai.numerator, list(map(numerator, entries))
+            else:
+                (demand, *entries), scale = integers([ai, *entries])
             self.rows.append(list(zip(support, entries)))
             self.demands.append(demand)
             self.scales.append(scale)
@@ -187,18 +198,31 @@ class CoverRows:
         ]
 
 
-def _read(xbar, A, a, c, d=None):
-    """A public rounding call's arguments, checked once: ``(xbar, costs, c_den, rows)``.
+def _read_xbar(xbar) -> tuple[list[int], int]:
+    """xbar by ``as_fractions``, over its least common denominator: (X, D).
 
-    ``xbar``, ``c`` and each finite bound of ``d`` are read by ``as_fraction``;
-    ``InstanceError`` unless A has a row per entry of a, each row of A, c and
-    (if given) d has an entry per coordinate of xbar, no cost is negative and
-    no coordinate of xbar exceeds its bound.  The integer costs are c times
-    its least common denominator ``c_den``; ``rows`` is the ``CoverRows`` of
-    (A, a).
+    ``InstanceError`` names the first negative entry.
     """
     xv = as_fractions(xbar, "xbar")
-    n = len(xv)
+    X, D = integers(xv)
+    if min(X, default=0) < 0:
+        j = next(j for j, p in enumerate(X) if p < 0)
+        raise InstanceError(f"xbar[{j}] = {xv[j]} is negative")
+    return X, D
+
+
+def _read(xbar, A, a, c, d=None):
+    """A public rounding call's arguments, checked once: ``((X, D), costs, c_den, rows)``.
+
+    ``xbar`` is X / D (``_read_xbar``), ``c`` and each finite bound of ``d``
+    are read by ``as_fractions``; ``InstanceError`` unless A has a row per
+    entry of a, each row of A, c and (if given) d has an entry per
+    coordinate of xbar, no cost is negative and no coordinate of xbar
+    exceeds its bound.  The integer costs are c times its least common
+    denominator ``c_den``; ``rows`` is the ``CoverRows`` of (A, a).
+    """
+    X, D = _read_xbar(xbar)
+    n = len(X)
     if len(A) != len(a):
         raise InstanceError(f"A has {len(A)} rows but a has {len(a)} entries")
     for i, row in enumerate(A):
@@ -210,10 +234,18 @@ def _read(xbar, A, a, c, d=None):
     costs, c_den = integers(as_fractions(c, "c"))
     if min(costs, default=0) < 0:
         raise InstanceError("costs must be nonnegative")
-    for j, u in enumerate(d or ()):
-        if u is not None and xv[j] > as_fraction(u, f"d[{j}]"):
-            raise InstanceError(f"xbar[{j}] = {xv[j]} exceeds its multiplicity bound {u}")
-    return xv, costs, c_den, CoverRows(A, a)
+    if d is not None:
+        finite = [j for j, u in enumerate(d) if u is not None]
+        try:
+            bounds = zip(finite, as_fractions([d[j] for j in finite], "d"))
+        except InstanceError:  # read again in index order, to name the entry d[j]
+            bounds = ((j, as_fraction(d[j], f"d[{j}]")) for j in finite)
+        for j, u in bounds:
+            if X[j] * u.denominator > u.numerator * D:
+                raise InstanceError(
+                    f"xbar[{j}] = {Fraction(X[j], D)} exceeds its multiplicity bound {d[j]}"
+                )
+    return (X, D), costs, c_den, CoverRows(A, a)
 
 
 class EstimatorState:
@@ -234,15 +266,20 @@ class EstimatorState:
     columns of ``rows`` (a ``CoverRows``); the costs are ``costs / c_den``.
     Each weight is the float of the exact rational A'_kj W / a'_k, by one
     correctly rounded int division.
+    ``xprime`` is the scaled point L xbar as a pair (P, den) of ints.
     Deciding and fixing coordinate j touch only the rows in its list, so a
-    full run is O(nnz) float work; phi() itself is O(m).
+    full run is O(nnz) float work.  phi() adds the m row terms left to
+    right; with ``traced`` the state keeps each row's term exp(min(E_i, 60))
+    in ``terms``, and ``fix`` refreshes the terms of the rows it touches, so
+    a phi() after every decision adds m floats but calls no exp.
     """
 
-    def __init__(self, xprime, rows: CoverRows, costs: list[int], c_den: int, L):
+    def __init__(self, xprime, rows: CoverRows, costs: list[int], c_den: int, L, *, traced=False):
         t = math.log(float(L))
         W = rows.width
-        # xprime_j = P_j / den; an int division rounds as float(Fraction) does
-        P, den = integers(xprime)
+        # xprime_j = P_j / den, a common denominator though not always the
+        # least; an int division rounds as float(Fraction) does
+        P, den = xprime
         self.floors = [p // den for p in P]
         self.fracs = [p % den / den for p in P]
         # Costs enter phi only as ratios to cost_denom, so all of them are
@@ -257,39 +294,52 @@ class EstimatorState:
         self.expected_cost = 0.0
         for j, cj in enumerate(self.costs):
             self.expected_cost += cj * (self.floors[j] + self.fracs[j])
-        self.exponents = [t * float(W)] * len(rows.demands)
-        weight_den = [demand * W.denominator for demand in rows.demands]
+        self.exponents = exponents = [t * float(W)] * len(rows.demands)
+        w_num, weight_den = W.numerator, [demand * W.denominator for demand in rows.demands]
         self.columns: list[list[tuple[int, float, float]]] = []
         for j, (fl, frac) in enumerate(zip(self.floors, self.fracs)):
             column = []
             for k, v in rows.columns[j]:
-                tw = t * ((v * W.numerator) / weight_den[k])
+                tw = t * ((v * w_num) / weight_den[k])
                 log_bern = math.log1p(frac * math.expm1(-tw))
-                self.exponents[k] = self.exponents[k] - tw * fl + log_bern
+                exponents[k] = exponents[k] - tw * fl + log_bern
                 column.append((k, tw, log_bern))
             self.columns.append(column)
+        self.terms = list(map(_row_term, exponents)) if traced else None
 
     def phi(self) -> float:
         cost_term = self.expected_cost / self.cost_denom if self.cost_denom else 0.0
+        terms = map(_row_term, self.exponents) if self.terms is None else self.terms
         # left to right: the builtin sum compensates floats from CPython 3.12 on
-        rows_term = 0.0
-        for e in self.exponents:
-            rows_term += math.exp(min(e, 60.0))
-        return cost_term + rows_term
+        return cost_term + functools.reduce(operator.add, terms, 0.0)
 
     def prefers_ceiling(self, j: int) -> bool:
         """True iff phi(x_j = floor + 1) < phi(x_j = floor); ties go to the floor."""
         diff = -self.costs[j] / self.cost_denom if self.cost_denom else 0.0
+        exponents = self.exponents
         for k, tw, log_bern in self.columns[j]:
-            e_floor = self.exponents[k] - log_bern
-            diff += math.exp(min(e_floor, 60.0)) - math.exp(min(e_floor - tw, 60.0))
+            e_floor = exponents[k] - log_bern
+            e_ceil = e_floor - tw
+            # 60.0 if x > 60.0 else x is min(x, 60.0), a nan included, with no call
+            diff += math.exp(60.0 if e_floor > 60.0 else e_floor) - math.exp(
+                60.0 if e_ceil > 60.0 else e_ceil
+            )
         return diff > 0.0
 
     def fix(self, j: int, value: int) -> None:
         up = value - self.floors[j]
         self.expected_cost += self.costs[j] * (up - self.fracs[j])
+        exponents, terms = self.exponents, self.terms
         for k, tw, log_bern in self.columns[j]:
-            self.exponents[k] = self.exponents[k] - log_bern - tw * up
+            exponents[k] = exponents[k] - log_bern - tw * up
+        if terms is not None:
+            for k, _, _ in self.columns[j]:
+                terms[k] = _row_term(exponents[k])
+
+
+def _row_term(e: float) -> float:
+    """A row's term of phi: exp(E_i), clamped at exp(60)."""
+    return math.exp(60.0 if e > 60.0 else e)
 
 
 def derandomized_round(xbar, A, a, c, L, *, trace_out: list | None = None) -> IntegerVector:
@@ -302,15 +352,18 @@ def derandomized_round(xbar, A, a, c, L, *, trace_out: list | None = None) -> In
     the final solution provably covers every row and costs at most
     2 L cost(xbar); both facts are re-checked exactly before returning.
     """
-    xv, costs, c_den, rows = _read(xbar, A, a, c)
-    xhat = _derandomize(xv, costs, c_den, rows, as_fraction(L, "L"), trace_out)
+    xbar, costs, c_den, rows = _read(xbar, A, a, c)
+    xhat = _derandomize(xbar, costs, c_den, rows, as_fraction(L, "L"), trace_out)
     return IntegerVector(tuple(xhat))
 
 
-def _derandomize(xv, costs, c_den, rows: CoverRows, L: Fraction, trace_out) -> list[int]:
-    """``derandomized_round`` on arguments ``_read`` has checked: the integer x."""
-    n = len(xv)
-    X, D = integers(xv)
+def _derandomize(xbar, costs, c_den, rows: CoverRows, L: Fraction, trace_out) -> list[int]:
+    """``derandomized_round`` on arguments ``_read`` has checked: the integer x.
+
+    ``xbar`` is the pair (X, D) of ints with xbar = X / D.
+    """
+    X, D = xbar
+    n = len(X)
     for k, s in enumerate(rows.slack(X, D)):
         if s < 0:  # s is D scales[k] (A_i xbar - a_i)
             i, short = rows.active[k], Fraction(-s, D * rows.scales[k])
@@ -318,8 +371,8 @@ def _derandomize(xv, costs, c_den, rows: CoverRows, L: Fraction, trace_out) -> l
     if not rows.demands:
         return [0] * n
 
-    xprime = tuple(L * v for v in xv)
-    state = EstimatorState(xprime, rows, costs, c_den, L)
+    xprime = [L.numerator * p for p in X], L.denominator * D
+    state = EstimatorState(xprime, rows, costs, c_den, L, traced=trace_out is not None)
     phi = state.phi()
     if phi >= 1.0:
         raise InstanceError(
@@ -338,14 +391,15 @@ def _derandomize(xv, costs, c_den, rows: CoverRows, L: Fraction, trace_out) -> l
 
     # c.xhat > 2 L c.xbar, multiplied through by the denominators of c, xbar and L
     over_cost = _cost(costs, xhat) * D * L.denominator > 2 * L.numerator * _cost(costs, X)
-    if over_cost or min(rows.slack(xhat)) < 0:
+    slack = rows.slack(xhat)
+    if over_cost or min(slack) < 0:
         raise GuaranteeError("conditional-probabilities rounding missed a guarantee")
 
-    _trim_surplus(xhat, rows, costs, floors=state.floors)
+    _trim_surplus(xhat, rows, costs, slack, floors=state.floors)
     return xhat
 
 
-def _trim_surplus(xhat: list[int], rows: CoverRows, costs, floors=None) -> None:
+def _trim_surplus(xhat: list[int], rows: CoverRows, costs, slack: list[int], floors=None) -> None:
     """Return units the rounding over-bought, keeping every row covered.
 
     First pass hands back ceiling bumps (units above the scaled floor),
@@ -353,9 +407,8 @@ def _trim_surplus(xhat: list[int], rows: CoverRows, costs, floors=None) -> None:
     costliest variables first.  Each removal is feasibility-checked, so
     all upper-bound and coverage guarantees survive.  Slacks are ints on
     the integer rows; a zero entry would only test slack >= 0, which
-    every step keeps.
+    every step keeps.  ``slack`` is ``rows.slack(xhat)``, updated in place.
     """
-    slack = rows.slack(xhat)
     columns = rows.columns
 
     def remove(j: int, units: int) -> None:
@@ -387,19 +440,20 @@ def granular_round(xbar, A, a, c, K: int, *, info_out: dict | None = None) -> Fr
     K = 1 is exactly ``derandomized_round``.
     """
     K = as_int(K, "granularity K", 1)
-    xv, costs, c_den, rows = _read(xbar, A, a, c)
-    kx, L = _granular(xv, costs, c_den, rows, K)
+    xbar, costs, c_den, rows = _read(xbar, A, a, c)
+    kx, L = _granular(xbar, costs, c_den, rows, K)
     if info_out is not None:
         info_out.update({"K": K, "L": L})
     return FractionalVector(tuple(Fraction(v, K) for v in kx))
 
 
-def _granular(xv, costs, c_den, rows: CoverRows, K: int) -> tuple[list[int], Fraction]:
+def _granular(xbar, costs, c_den, rows: CoverRows, K: int) -> tuple[list[int], Fraction]:
     """``granular_round`` on arguments ``_read`` has checked: (K x as ints, L')."""
+    X, D = xbar
     if not rows.demands:
-        return [0] * len(xv), Fraction(1)
+        return [0] * len(X), Fraction(1)
     L = compute_scale_factor(len(rows.demands), K * rows.width)
-    return _derandomize([K * v for v in xv], costs, c_den, rows.scaled(K), L, None), L
+    return _derandomize(([K * p for p in X], D), costs, c_den, rows.scaled(K), L, None), L
 
 
 def granularity_K(m: int, W, epsilon) -> int:
@@ -431,19 +485,19 @@ def bicriteria_round(
     row denominators, as the solvers pass them.
     """
     eps = as_epsilon(epsilon)
-    xv, costs, c_den, rows = _read(xbar, A, a, c, d)
+    xbar, costs, c_den, rows = _read(xbar, A, a, c, d)
+    X, D = xbar
     if not rows.demands:
         if info_out is not None:
             info_out.update({"K": 0, "L": Fraction(1)})
-        return IntegerVector(tuple(0 for _ in xv))
+        return IntegerVector(tuple(0 for _ in X))
     K = granularity_K(len(rows.demands), rows.width, eps)
-    kx, L = _granular(xv, costs, c_den, rows, K)
+    kx, L = _granular(xbar, costs, c_den, rows, K)
     if info_out is not None:
         info_out.update({"K": K, "L": L})
     xhat = [-(-v // K) for v in kx]  # the ceiling of the granular x = kx / K
-    _trim_surplus(xhat, rows, costs)
+    _trim_surplus(xhat, rows, costs, rows.slack(xhat))
 
-    X, D = integers(xv)
     # (1+eps) xbar_j = top X_j / bottom, and -(-p // q) = ceil(p / q)
     top, bottom = eps.denominator + eps.numerator, eps.denominator * D
     if any(xhat[j] > -(-top * X[j] // bottom) for j in range(len(xhat))):

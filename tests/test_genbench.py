@@ -1,5 +1,6 @@
 import pytest
 
+from coverpack import genbench
 from coverpack.genbench import (
     GeneratorSpec,
     gen_multiset_multicover,
@@ -129,6 +130,17 @@ class TestRunBench:
         result = run_bench(specs, [F(1)], include_timing=False)
         assert result.rows[0].error
         assert result.rows[1].error is None
+
+    @pytest.mark.parametrize("eps", [2, 0, F(-1, 2), "x"])
+    def test_epsilon_refused_before_any_instance(self, eps, monkeypatch):
+        # an epsilon of 2 used to reach every row's error text, after each
+        # instance was generated and normalized
+        generated = []
+        monkeypatch.setattr(genbench, "generate", lambda spec: generated.append(spec))
+        spec = GeneratorSpec("KNAPSACK_GAP", delta=F(1, 2))
+        with pytest.raises(InstanceError, match="epsilon"):
+            run_bench([spec], [F(1), eps], include_timing=False)
+        assert generated == []
 
     def test_unknown_family_rejected(self):
         with pytest.raises(InstanceError):

@@ -22,6 +22,7 @@ from coverpack.model import (
     InfeasibleError,
     InstanceError,
     LimitError,
+    as_fraction,
     dot,
     integers,
     normalize_width,
@@ -228,7 +229,7 @@ class TestEstimatorState:
         W = min(a[i] / v for i in active for v in A[i] if v > 0)
         # the formulas hold for any width; L only needs a width of at least 1
         L = compute_scale_factor(len(active), max(W, 1))
-        state = EstimatorState(xprime, CoverRows(A, a), *integers(c), L)
+        state = EstimatorState(integers(xprime), CoverRows(A, a), *integers(c), L)
         fixed = [None] * len(xprime)
         # the starting value is the same float, not merely a close one
         assert state.phi() == dense_phi(xprime, A, a, c, L, active, W, fixed)
@@ -261,12 +262,71 @@ class TestEstimatorState:
         support = min(sum(1 for v in row if v > 0) for row in inst.A)
         L = compute_scale_factor(inst.m, width(inst.A, inst.a))
         xprime = tuple(L * F(1, support) for _ in inst.c)
-        state = EstimatorState(xprime, CoverRows(inst.A, inst.a), [0] * inst.n, 1, L)
+        state = EstimatorState(integers(xprime), CoverRows(inst.A, inst.a), [0] * inst.n, 1, L)
         for j in range(inst.n):
             terms = [math.exp(min(e, 60.0)) for e in state.exponents]
             assert state.phi() == _left_to_right(terms)
             ceiling = state.fracs[j] and state.prefers_ceiling(j)
             state.fix(j, state.floors[j] + 1 if ceiling else state.floors[j])
+
+
+def derandomized_cases():
+    """(name, xbar, A, a, c, L) on set covers and random CPIPs at their LP optimum.
+
+    A set cover's xbar_j is 1 / (smallest row support), so every row is covered.
+    """
+    for m, n, density, seed in ((30, 60, 0.1, 0), (50, 100, 0.1, 2), (20, 40, 0.3, 1)):
+        inst = gen_set_cover(m, n, density, seed)
+        support = min(sum(1 for v in row if v > 0) for row in inst.A)
+        xbar = tuple(F(1, support) for _ in inst.c)
+        L = compute_scale_factor(m, width(inst.A, inst.a))
+        yield f"set-cover {m}x{n} {seed}", xbar, inst.A, inst.a, inst.c, L
+    for m, n, r, seed in ((4, 6, 1, 0), (6, 8, 2, 11), (10, 15, 2, 4)):
+        inst, xbar, _ = cip_with_lp(m, n, seed, r)
+        L = compute_scale_factor(m, width(inst.A, inst.a))
+        yield f"random-cpip {m}x{n} {seed}", xbar, inst.A, inst.a, inst.c, L
+
+
+DERANDOMIZED_CASES = {case[0]: case[1:] for case in derandomized_cases()}
+
+
+@pytest.mark.parametrize("case", DERANDOMIZED_CASES.values(), ids=DERANDOMIZED_CASES.keys())
+def test_traced_and_untraced_round_alike(case):
+    xbar, A, a, c, L = case
+    trace = []
+    assert derandomized_round(xbar, A, a, c, L, trace_out=trace) == derandomized_round(
+        xbar, A, a, c, L
+    )
+    assert len(trace) == len(xbar) + 1
+
+
+@pytest.mark.parametrize("case", DERANDOMIZED_CASES.values(), ids=DERANDOMIZED_CASES.keys())
+def test_trace_out_is_phi_recomputed_from_scratch(case, monkeypatch):
+    # a traced state keeps its row terms between decisions; each trace_out
+    # value must still be the left-to-right sum of exp(min(e, 60)) over the
+    # exponents as they stand, plus the cost term
+    recomputed = []
+
+    def phi_from_scratch(state):
+        cost_term = state.expected_cost / state.cost_denom if state.cost_denom else 0.0
+        return cost_term + _left_to_right([math.exp(min(e, 60.0)) for e in state.exponents])
+
+    init, fix = EstimatorState.__init__, EstimatorState.fix
+
+    def init_then_recompute(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        recomputed.append(phi_from_scratch(self))
+
+    def fix_then_recompute(self, j, value):
+        fix(self, j, value)
+        recomputed.append(phi_from_scratch(self))
+
+    monkeypatch.setattr(EstimatorState, "__init__", init_then_recompute)
+    monkeypatch.setattr(EstimatorState, "fix", fix_then_recompute)
+    xbar, A, a, c, L = case
+    trace = []
+    derandomized_round(xbar, A, a, c, L, trace_out=trace)
+    assert trace == recomputed and len(set(trace)) > 1
 
 
 # nonzero coordinates (all equal to 1) that the dense estimator gave, at
@@ -659,6 +719,23 @@ BAD_ARGUMENTS = {
         lambda: derandomized_round([1, 1], [[1, 0], [0, 1]], [Decimal(0), 1], [1, 1], _L),
         r"a\[0\]: unsupported number type Decimal",
     ),
+    # a negative xbar used to be rounded, or to fail only on the output:
+    # bicriteria_round returned (0, 2) and the others named x[0], not xbar[0]
+    "derandomized-negative-xbar": (
+        lambda: derandomized_round([-1 / 2, 3], [[1, 1]], [2], [1, 1], _L),
+        r"^xbar\[0\] = -1/2 is negative$",
+    ),
+    "granular-negative-xbar": (
+        lambda: granular_round([3, F(-1, 3)], [[1, 1]], [2], [1, 1], 2),
+        r"^xbar\[1\] = -1/3 is negative$",
+    ),
+    "bicriteria-negative-xbar": (
+        lambda: bicriteria_round([-1 / 2, 3], [[1, 1]], [2], [1, 1], _NONE, 1 / 4),
+        r"^xbar\[0\] = -1/2 is negative$",
+    ),
+    "randomized-negative-xbar": (
+        lambda: randomized_round([1, -1 / 2, -2], 2, 0), r"^xbar\[1\] = -1/2 is negative$"
+    ),
 }
 
 
@@ -732,6 +809,60 @@ def test_scaled_rows_keep_the_scaled_demands():
     assert scaled.demands == [3, 3] and scaled.width == 3 * rows.width
     assert (scaled.rows, scaled.columns) == (rows.rows, rows.columns)
     assert (rows.demands, rows.width) == ([1, 1], 1)
+
+
+def reference_cover_rows(A, a):
+    """(active, rows, demands, scales) by one ``integers`` call per demanded row."""
+    active, rows, demands, scales = [], [], [], []
+    for i, (row, ai) in enumerate(zip(A, a)):
+        row, ai = [as_fraction(v) for v in row], as_fraction(ai)
+        if ai > 0:
+            support = [j for j, v in enumerate(row) if v]
+            (demand, *entries), scale = integers([ai, *(row[j] for j in support)])
+            active.append(i)
+            rows.append(list(zip(support, entries)))
+            demands.append(demand)
+            scales.append(scale)
+    return active, rows, demands, scales
+
+
+# a zero-demand row, an empty column (2), a row of integer entries under a
+# fractional demand, and rows of fractional entries under an integer demand
+_A_INT, _a_INT = [[1, 0, 0, 2], [3, 1, 0, 0], [0, 2, 0, 1]], [0, 2, 3]
+_A_HALF = [[F(1, 2), 0, 0, 2], [3, F(3, 4), 0, 0], [0, F(5, 4), 0, 1], [F(1, 4), 1, 0, 0]]
+_a_HALF = [F(3, 2), 1, 0, 2]
+#: each form of the two matrices above: (A, a) as given, and the (A, a) it stands for
+COVER_ROW_FORMS = {
+    "int": ((_A_INT, _a_INT), (_A_INT, _a_INT)),
+    "int-as-Fraction": (([[F(v) for v in r] for r in _A_INT], [F(v) for v in _a_INT]),
+                        (_A_INT, _a_INT)),
+    "int-mixed": (([[1, F(0), 0, 2], [F(3), True, False, 0], [0, 2, 0, F(1)]], [0, F(2), 3]),
+                  (_A_INT, _a_INT)),
+    "int-as-float": (([[float(v) for v in r] for r in _A_INT], _a_INT), (_A_INT, _a_INT)),
+    "int-as-str": (([[str(v) for v in r] for r in _A_INT], [str(v) for v in _a_INT]),
+                   (_A_INT, _a_INT)),
+    "half": ((_A_HALF, _a_HALF), (_A_HALF, _a_HALF)),
+    "half-mixed": (([[F(1, 2), 0, F(0), F(2)], [3, F(3, 4), 0, 0], [F(0), F(5, 4), 0, 1],
+                     [F(1, 4), True, 0, 0]], [F(3, 2), F(1), 0, 2]), (_A_HALF, _a_HALF)),
+    "half-as-float": (([[float(v) for v in r] for r in _A_HALF], [float(v) for v in _a_HALF]),
+                      (_A_HALF, _a_HALF)),
+    "half-as-p/q": (([[str(v) for v in r] for r in _A_HALF], [str(v) for v in _a_HALF]),
+                    (_A_HALF, _a_HALF)),
+}
+
+
+@pytest.mark.parametrize("given, exact", COVER_ROW_FORMS.values(), ids=COVER_ROW_FORMS.keys())
+def test_cover_rows_alike_in_every_form(given, exact):
+    # the scan takes a row over lcm 1 as its numerators and sends the rest
+    # to integers(); every form must give the rows of one integers() call
+    # per row, and the same width
+    A, a = exact
+    got, want = CoverRows(*given), CoverRows([[F(v) for v in r] for r in A], [F(v) for v in a])
+    assert (got.active, got.rows, got.demands, got.scales) == reference_cover_rows(A, a)
+    assert (got.active, got.rows, got.demands, got.scales, got.columns, got.width) == (
+        want.active, want.rows, want.demands, want.scales, want.columns, want.width
+    )
+    assert all(type(v) is int for v in got.demands + [v for row in got.rows for _, v in row])
 
 
 class TestSolveCpipBicriteria:
