@@ -2,8 +2,10 @@
 
 Each mutant changes one line of ``src/coverpack``: it deletes, narrows or
 loosens a check that raises ``GuaranteeError``, breaks the knapsack-cover
-rows that the test suite's audit must reject, or breaks a fast path of the
-rounding layer (the scan of A, the estimator's kept trace terms).  For
+rows that the test suite's audit must reject, breaks ``check_solution``
+(which every guarantee check leans on), or breaks a fast path: the rounding
+layer's scan of A and the estimator's kept trace terms, and the oracle's
+cost bound and value skip, which must leave its answer as it is.  For
 each one the script copies ``src``, ``tests`` and ``pyproject.toml`` to a
 temporary directory, replaces the mutant's ``old`` text (which must occur
 exactly once) with ``new``, and runs ``pytest -x`` on the mutant's named
@@ -40,6 +42,19 @@ GRANULAR = "tests/test_rounding.py::test_bicriteria_checks_catch_a_faulty_granul
 AUDIT = "tests/test_oracle.py::TestKcValidity"
 COVER_ROWS = "tests/test_rounding.py::test_cover_rows_alike_in_every_form"
 TRACE = "tests/test_rounding.py::test_trace_out_is_phi_recomputed_from_scratch"
+ORACLE = "src/coverpack/oracle.py"
+ORACLE_PARITY = [
+    "tests/test_oracle.py::TestOracleParity::test_edge_cases_the_bound_must_not_prune",
+    "tests/test_oracle.py::TestOracleParity::test_knapsack_gap_equals_fraction_reference",
+    "tests/test_oracle.py::TestOracleParity::test_desk_sizes_equal_fraction_reference",
+]
+# the fixed cases first: with -x they fail before hypothesis starts to shrink
+CHECK_PARITY = [
+    "tests/test_oracle.py::TestCheckSolutionParity::test_shortfall_of_the_least_unit_is_reported",
+    "tests/test_oracle.py::TestCheckSolutionParity::"
+    "test_violated_rows_of_every_family_reported_exactly",
+    "tests/test_oracle.py::TestCheckSolutionParity::test_equals_fraction_reference",
+]
 
 #: name -> (file, old, new, the tests that must fail)
 MUTANTS = {
@@ -135,6 +150,36 @@ MUTANTS = {
         "if scale == 1:",
         "if scale == 1 or ai.denominator == 1:",
         [COVER_ROWS],
+    ),
+    "oracle-bound-deficit-doubled": (
+        ORACLE,
+        "map(mul, map(sub, need, cover), C)",
+        "map(mul, map(sub, need, cover), map(add, C, C))",
+        ORACLE_PARITY,
+    ),
+    "oracle-skip-one-value-too-high": (
+        ORACLE,
+        "low = max(0, -min(map(floordiv, slack, divisors[k]), default=0))",
+        "low = max(0, 1 - min(map(floordiv, slack, divisors[k]), default=0))",
+        ORACLE_PARITY,
+    ),
+    "check-shortfall-of-one-unit-passes": (
+        ORACLE,
+        "if short > 0:",
+        "if short > 1:",
+        CHECK_PARITY,
+    ),
+    "check-packing-slack-subtracts-eps": (
+        ORACLE,
+        "((q + p) * S[n] + q * sum(S[:n]))",
+        "((q - p) * S[n] + q * sum(S[:n]))",
+        CHECK_PARITY,
+    ),
+    "check-packing-slack-without-beta": (
+        ORACLE,
+        "((q + p) * S[n] + q * sum(S[:n]))",
+        "((q + p) * S[n])",
+        CHECK_PARITY,
     ),
 }
 

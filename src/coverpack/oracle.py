@@ -5,9 +5,12 @@ independent of the solver code paths: this module imports only
 ``coverpack.model`` and works by plain enumeration on each instance's
 integer rows (``CpipInstance.int_rows``), exact because every row is
 scaled by the lcm of its denominators, with no LP bounding and no shared
-rounding machinery.  The enumeration skips variables capped at 0 and
-subtrees that cannot meet a covering row.  Usable only at desk scale,
-which is the point.  ``brute_force_opt`` is the one enumeration of the
+rounding machinery.  The enumeration skips variables capped at 0, values
+too small for the later variables to still meet every covering row, and
+subtrees that a per-row cost bound shows cannot beat the incumbent (the
+bound step of branch and bound: Land & Doig, *Econometrica* 28, 1960);
+neither prune changes the answer.  Usable only at desk scale, which is
+the point.  ``brute_force_opt`` is the one enumeration of the
 box; the test suite's knapsack-cover audit runs it with each residual
 row as the costs.
 """
@@ -18,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from operator import add, gt, mul
+from operator import add, floordiv, ge, gt, mul, sub
 from typing import Sequence
 
 from coverpack.model import (
@@ -69,16 +72,21 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
     """Exhaustive integer optimum over the capped box, if it has at most ``max_points``.
 
     Odometer-style depth-first enumeration (last coordinate fastest) over
-    the variables with a positive cap (the rest stay 0), with early
-    pruning: a packing row already exceeded, a cost prefix that cannot
-    beat the incumbent, or a covering row that the remaining variables at
-    their caps cannot fill kills the subtree.  The last prune removes only
-    points that cover nothing, so ties in cost keep the lexicographically
-    smallest vector -- enumeration order is ascending lexicographic and
-    the incumbent is only replaced on strict improvement.  Rows, demands,
-    capacities and costs are integers (``inst.int_rows`` and the costs
-    over their common denominator), so every tally is an int.  A box with
-    more such variables than the recursion limit leaves room for is
+    the variables with a positive cap (the rest stay 0).  A variable's
+    values start at the least one at which the later variables at their
+    caps can still fill every covering row.  A packing row already
+    exceeded, or a cost prefix that cannot beat the incumbent, kills the
+    subtree, and so does the cost bound: a covering row short by delta
+    costs the later variables at least delta times their least ratio
+    c_j / S_ij over S_ij > 0, and when that closes the gap to the
+    incumbent, nothing below is cheaper.  So every point skipped covers
+    nothing or costs at least the incumbent, and ties in cost keep the
+    lexicographically smallest vector: enumeration order is ascending
+    lexicographic, the incumbent is only replaced on strict improvement,
+    and a skipped point of the incumbent's cost comes after it.  Rows,
+    demands, capacities and costs are integers (``inst.int_rows`` and the
+    costs over their common denominator), so every tally is an int.  A box
+    with more such variables than the recursion limit leaves room for is
     ``BUDGET_EXCEEDED`` too.
     """
     max_points = as_int(max_points, "max_points")
@@ -109,6 +117,21 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
     reach.reverse()
     costs, cost_den = integers(inst.c)
     costs = [costs[j] for j in free]
+    # ratios[k] = (C, S): C[i] / S[i] is the least cost per unit of row i
+    # among variables k, k+1, ...; (0, 1) where none of them covers row i
+    ratios = [([0] * m, [1] * m)]
+    for k in reversed(range(len(free))):
+        C, S = map(list, ratios[-1])
+        for i, s in enumerate(acols[k]):
+            if s and (not reach[k + 1][i] or costs[k] * S[i] < C[i] * s):
+                C[i], S[i] = costs[k], s
+        ratios.append((C, S))
+    ratios.reverse()
+    # spare[k][i]: how far variables k, k+1, ... at their caps overshoot row i
+    spare = [list(map(sub, r, need)) for r in reach]
+    # a zero in a column divides as 1: that row's slack below is never
+    # negative, so it never raises the start value
+    divisors = [[s or 1 for s in col] for col in acols]
     best_cost: int | None = None
     best_x: tuple[int, ...] | None = None
     x = [0] * inst.n
@@ -116,30 +139,43 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
     pack = [0] * len(room)
 
     def descend(k: int, cost: int) -> None:
+        # every covering row can still be filled by variables k, k+1, ...
         nonlocal best_cost, best_x
-        if any(map(gt, need, map(add, cover, reach[k]))):
-            return  # some row stays short even with every later variable at its cap
         if k == len(free):
             best_cost = cost  # the loop below let only a cheaper cost through
             best_x = tuple(x)
             return
         j, acol, bcol, cj = free[k], acols[k], bcols[k], costs[k]
-        for v in range(caps[k] + 1):
-            if v > 0:
+        C, S = ratios[k + 1]
+        # the least v at which the later variables can still fill every row
+        slack = map(add, cover, spare[k + 1])
+        low = max(0, -min(map(floordiv, slack, divisors[k]), default=0))
+        if low:
+            x[j] = low
+            cover[:] = map(add, cover, map(low.__mul__, acol))
+            pack[:] = map(add, pack, map(low.__mul__, bcol))
+        for v in range(low, caps[k] + 1):
+            if v > low:
                 x[j] = v
                 cover[:] = map(add, cover, acol)
                 pack[:] = map(add, pack, bcol)
             if any(map(gt, pack, room)):
                 break  # larger v only packs more
-            if best_cost is not None and cost + cj * v >= best_cost:
-                break  # costs are nonnegative; nothing cheaper down here
+            if best_cost is not None:
+                gap = best_cost - cost - cj * v
+                if gap <= 0:
+                    break  # costs are nonnegative; nothing cheaper down here
+                if any(map(ge, map(mul, map(sub, need, cover), C), map(gap.__mul__, S))):
+                    continue  # filling some row costs the later variables at least gap
             descend(k + 1, cost + cj * v)
         v = x[j]
-        cover[:] = (s - a * v for s, a in zip(cover, acol))
-        pack[:] = (s - b * v for s, b in zip(pack, bcol))
-        x[j] = 0
+        if v:
+            cover[:] = map(sub, cover, map(v.__mul__, acol))
+            pack[:] = map(sub, pack, map(v.__mul__, bcol))
+            x[j] = 0
 
-    descend(0, 0)
+    if not any(map(gt, need, reach[0])):
+        descend(0, 0)
     if best_x is None:
         return BruteForceResult("INFEASIBLE", None, None, space, u)
     return BruteForceResult(

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverpack.genbench import BenchRow, gen_random_cpip, knapsack_gap
+from coverpack.genbench import (
+    BenchRow,
+    gen_multiset_multicover,
+    gen_random_cpip,
+    gen_set_cover,
+    knapsack_gap,
+)
 from coverpack import kc
 from coverpack.kc import kc_system
 from coverpack.model import (
@@ -233,9 +239,19 @@ class TestCheckSolutionParity:
         assert report.multiplicity_relaxed == ((0, F(3)),)
         assert report == reference_check(inst, [5, F(1, 2)], F(1, 4))
 
+    def test_shortfall_of_the_least_unit_is_reported(self):
+        # the row is (2, 3 | 6) over D = 6: x = (1, 1) falls short by 1/6, one
+        # unit of the integer tally, and x = (0, 2) meets the row exactly
+        inst = make_inst(A=[["1/3", "1/2"]], a=[1], c=[1, 1], d=[None, None])
+        assert check_solution(inst, [1, 1], 1).covering == ((0, F(1, 6)),)
+        assert check_solution(inst, [0, 2], 1).covering == ()
+        # over Dx = 2 the unit is 1/12: A x = 11/12 at x = (1/2, 3/2)
+        assert check_solution(inst, [F(1, 2), F(3, 2)], 1).covering == ((0, F(1, 12)),)
+
 
 def reference_brute_force(inst, max_points):
-    """brute_force_opt as a Fraction enumeration over every variable, with no coverage prune."""
+    """brute_force_opt as a Fraction enumeration over every variable, with no coverage
+    prune, value skip or cost bound."""
     u = effective_bounds(inst)
     space = 1
     for cap in u:
@@ -324,6 +340,66 @@ class TestOracleParity:
             res = brute_force_opt(inst, max_points=max_points)
             assert res.status == status
             assert res == reference_brute_force(inst, max_points)
+
+    # The hypothesis draw above stays at n <= 5 and m <= 3, where the cost
+    # bound and the value skip rarely fire; these are the desk-oracle sizes.
+    DESK = {
+        "random-cpip 7x8": (lambda s: gen_random_cpip(7, 8, 2, s), range(3)),
+        "set-cover 8x12": (lambda s: gen_set_cover(8, 12, 0.4, s), range(12)),
+        "multiset-multicover 6x8": (
+            lambda s: gen_multiset_multicover(6, 8, s, d_max=2, r=1), range(8)
+        ),
+    }
+
+    @pytest.mark.parametrize("family", DESK)
+    def test_desk_sizes_equal_fraction_reference(self, family):
+        gen, seeds = self.DESK[family]
+        for seed in seeds:
+            raw = gen(seed)
+            for inst in (raw, normalize_width(raw)):
+                assert brute_force_opt(inst) == reference_brute_force(inst, 2_000_000)
+
+    def test_knapsack_gap_equals_fraction_reference(self):
+        for delta in (F(1, 2), F(1, 10), F(1, 100), F(1, 1000)):
+            inst = knapsack_gap(delta)
+            assert brute_force_opt(inst) == reference_brute_force(inst, 2_000_000)
+
+    EDGES = {
+        # (0, 0, 1, 1) at cost 5 comes first; after x0 = 1 the least cost per
+        # unit of the row is x2's 0, not x3's 5, so a deficit of 1 must not
+        # prune (1, 0, 1, 0)
+        "zero-cost column": (
+            make_inst(A=[[1, 1, 1, 1]], a=[2], c=[1, 5, 0, 5], d=[1, 2, 1, 2]),
+            (1, 0, 1, 0),
+            1,
+        ),
+        # only x0 covers row 0, so the later levels hold (0, 1) for it; with
+        # (1, 0, 1) at cost 6 found first, (1, 1, 0) must still be reached
+        "row no later variable covers": (
+            make_inst(A=[[1, 0, 0], [0, 1, 1]], a=[1, 1], c=[1, 1, 5], d=[1, 1, 1]),
+            (1, 1, 0),
+            2,
+        ),
+        # x0 + x1 <= 1 binds: the cheap columns cannot fill the row alone, and
+        # the bound, which ignores packing, only underestimates
+        "binding packing row": (
+            make_inst(A=[[1, 1, 1]], a=[2], c=[1, 1, 3], d=[2, 2, 2], B=[[1, 1, 0]], b=[1]),
+            (0, 1, 1),
+            4,
+        ),
+        # (0, 2), (1, 1) and (2, 0) all cost 2: the first in lexicographic
+        # order stays, and the bound drops the others on the tie
+        "tie of two optima": (
+            make_inst(A=[[1, 1]], a=[2], c=[1, 1], d=[2, 2]), (0, 2), 2
+        ),
+    }
+
+    @pytest.mark.parametrize("case", EDGES)
+    def test_edge_cases_the_bound_must_not_prune(self, case):
+        inst, x, cost = self.EDGES[case]
+        res = brute_force_opt(inst)
+        assert (res.status, res.x.values, res.cost) == ("OPTIMAL", x, cost)
+        assert res == reference_brute_force(inst, 2_000_000)
 
 
 class TestKcValidity:
