@@ -3,9 +3,12 @@
 Each mutant changes one line of ``src/coverpack``: it deletes, narrows or
 loosens a check that raises ``GuaranteeError``, breaks the knapsack-cover
 rows that the test suite's audit must reject, breaks ``check_solution``
-(which every guarantee check leans on), or breaks a fast path: the rounding
-layer's scan of A and the estimator's kept trace terms, and the oracle's
-cost bound and value skip, which must leave its answer as it is.  For
+(which every guarantee check leans on) or ``verify_certificate`` (which
+certifies every LP result), lets a bad argument through the one
+nonnegativity check of ``model``, or breaks a fast path: the rounding
+layer's scan of A and the estimator's kept trace terms, the oracle's cost
+bound and value skip, which must leave its answer as it is, and the guided
+simplex, which must not keep a basis that fails its certificate.  For
 each one the script copies ``src``, ``tests`` and ``pyproject.toml`` to a
 temporary directory, replaces the mutant's ``old`` text (which must occur
 exactly once) with ``new``, and runs ``pytest -x`` on the mutant's named
@@ -54,6 +57,14 @@ CHECK_PARITY = [
     "tests/test_oracle.py::TestCheckSolutionParity::"
     "test_violated_rows_of_every_family_reported_exactly",
     "tests/test_oracle.py::TestCheckSolutionParity::test_equals_fraction_reference",
+]
+
+SIMPLEX = "src/coverpack/simplex.py"
+# the fixed cases first: with -x they fail before hypothesis starts to shrink
+CERTIFICATE = [
+    "tests/test_simplex.py::test_certificate_amounts_exact_over_mixed_denominators",
+    "tests/test_simplex.py::test_certificate_check_equals_fraction_reference_on_fixed_cases",
+    "tests/test_simplex.py::test_certificate_check_equals_fraction_reference",
 ]
 
 #: name -> (file, old, new, the tests that must fail)
@@ -180,6 +191,48 @@ MUTANTS = {
         "((q + p) * S[n] + q * sum(S[:n]))",
         "((q + p) * S[n])",
         CHECK_PARITY,
+    ),
+    "certificate-le-row-gap-sign-flipped": (
+        SIMPLEX,
+        "gap = lhs - A[n] * Dx if row.sense == GE else A[n] * Dx - lhs",
+        "gap = lhs - A[n] * Dx if row.sense == GE else lhs - A[n] * Dx",
+        CERTIFICATE,
+    ),
+    "certificate-le-row-dual-sign-flipped": (
+        SIMPLEX,
+        "if (y < 0) if row.sense == GE else (y > 0):",
+        "if (y < 0) if row.sense == GE else (y < 0):",
+        CERTIFICATE,
+    ),
+    "certificate-dual-excess-of-1-passes": (
+        SIMPLEX,
+        "if over > 0:",
+        "if over > 1:",
+        CERTIFICATE,
+    ),
+    "certificate-gap-checked-one-way": (
+        SIMPLEX,
+        "if primal_value != value:",
+        "if primal_value > value:",
+        CERTIFICATE,
+    ),
+    "certificate-zero-farkas-value-passes": (
+        SIMPLEX,
+        "elif value <= 0:",
+        "elif value < 0:",
+        CERTIFICATE,
+    ),
+    "guided-keeps-a-basis-that-fails-its-certificate": (
+        SIMPLEX,
+        "return None if verify_certificate(p, s) else s",
+        "return s",
+        ["tests/test_simplex.py::test_wrong_float_basis_falls_back_to_exact"],
+    ),
+    "nonnegative-skips-entry-0": (
+        "src/coverpack/model.py",
+        'if min(map(getattr, values, repeat("numerator"), values), default=0) < 0:',
+        'if min(map(getattr, values[1:], repeat("numerator"), values[1:]), default=0) < 0:',
+        ["tests/test_model.py::TestParse::test_from_data_refuses"],
     ),
 }
 

@@ -38,6 +38,7 @@ from coverpack.model import (
     SolveReport,
     as_epsilon,
     as_fraction,
+    as_lambda,
     dot,
     normalize_width,
     parse_instance,
@@ -90,7 +91,7 @@ _epsilons = _typed(
     lambda text: [as_epsilon(v) for v in text.split(",")], "a list of epsilons in (0, 1]"
 )
 _deltas = _typed(_rationals, "a list of deltas in (0, 1)", lambda vs: all(0 < v < 1 for v in vs))
-_lambda = _typed(as_fraction, "a lambda above 1", lambda v: v > 1)
+_lambda = _typed(as_lambda, "a lambda above 1")
 _positive_int = _typed(int, "a positive integer", lambda v: v >= 1)
 
 
@@ -268,7 +269,10 @@ def _round_report(inst: CpipInstance, args) -> SolveReport:
     elif args.op == "derandomized":
         x = derandomized_round(xbar, inst.A, inst.a, inst.c, info["L"])
     elif args.op == "granular":
-        x = granular_round(xbar, inst.A, inst.a, inst.c, args.granularity, info_out=info)
+        K = info["K"] = args.granularity
+        x = granular_round(xbar, inst.A, inst.a, inst.c, K)
+        # the scale factor it rounded at: scale(m, K W), or 1 with no demanded row
+        info["L"] = compute_scale_factor(inst.m, K * width(inst.A, inst.a)) if inst.m else 1
     else:
         x = bicriteria_round(
             xbar, inst.A, inst.a, inst.c, inst.d, args.epsilon, info_out=info

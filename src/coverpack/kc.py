@@ -51,9 +51,10 @@ from coverpack.model import (
     LimitError,
     SolveReport,
     as_epsilon,
-    as_fraction,
-    as_fractions,
     as_int,
+    as_lambda,
+    as_sequence,
+    as_vector,
     dot,
     integers,
     is_width_normalized,
@@ -94,7 +95,7 @@ def kc_system(inst: CpipInstance, F) -> KcSystem:
 
     Each pin must be a variable index with a finite integral bound.
     """
-    F = frozenset(F)
+    F = frozenset(as_sequence(F, "F"))
     n = inst.n
     for j in F:
         if isinstance(j, bool) or not (isinstance(j, int) and 0 <= j < n):
@@ -130,13 +131,9 @@ def find_violated_kc(
     means x satisfies the cut family required of a lambda-relaxed
     solution.  x must have one entry per variable.
     """
-    lam = as_fraction(lam, "lambda")
-    if lam <= 1:
-        raise InstanceError(f"lambda = {lam} must exceed 1")
-    xv = as_fractions(x, "x")
+    lam = as_lambda(lam)
     n = inst.n
-    if len(xv) != n:
-        raise InstanceError(f"x has {len(xv)} entries, expected {n}")
+    xv = as_vector(x, "x", n)
     system = kc_system(inst, high_set(xv, inst.d, lam))
     X, Dx = integers(xv)
     violated = []
@@ -157,9 +154,7 @@ def solve_lp_kc(inst: CpipInstance, lam, max_rounds: int = 1000) -> CutLoop:
     ``solve_relaxation`` with the cuts so far, which checks its
     certificate, a Farkas ray included.
     """
-    lam = as_fraction(lam, "lambda")
-    if lam <= 1:
-        raise InstanceError(f"lambda = {lam} must exceed 1")
+    lam = as_lambda(lam)
     max_rounds = as_int(max_rounds, "max_rounds", 1)
     if not is_width_normalized(inst):
         raise InstanceError("normalize width first")

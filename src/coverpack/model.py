@@ -32,6 +32,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import floor, lcm
 from typing import Iterator, Sequence
 
@@ -92,15 +93,54 @@ def as_fraction(value, where: str = "value") -> Fraction:
     raise InstanceError(f"{where}: unsupported number type {type(value).__name__}")
 
 
-def as_fractions(values, name: str) -> tuple[Fraction, ...]:
-    """Each entry by ``as_fraction``; the text ``name[j]`` is built only for a bad one."""
+def as_sequence(values, name: str, n: int | None = None):
+    """``values`` if it is a sequence (no string or dict) of n entries, any number if n is None.
+
+    Its entries are not read; ``InstanceError`` otherwise, worded here for every vector argument.
+    """
+    if isinstance(values, (str, dict)) or not hasattr(values, "__len__"):
+        raise InstanceError(f"{name}: expected a sequence, got {type(values).__name__}")
+    if n is not None and len(values) != n:
+        raise InstanceError(f"{name} has {len(values)} entries, expected {n}")
+    return values
+
+
+def as_vector(values, name: str, n: int | None = None) -> tuple[Fraction, ...]:
+    """A vector argument: a sequence by ``as_sequence``, each entry by ``as_fraction``.
+
+    The text ``name[j]`` that names a bad entry is built only for it.
+    """
     out = []
-    for v in values:
+    for v in as_sequence(values, name, n):
         try:
             out.append(v if type(v) is Fraction else as_fraction(v))  # a Fraction: no call
         except InstanceError:
             as_fraction(v, f"{name}[{len(out)}]")  # raises again, naming the entry
     return tuple(out)
+
+
+def as_shape(rows, name: str, n: int):
+    """``rows`` if it is a sequence of sequences of n entries each; the entries are not read."""
+    for i, row in enumerate(as_sequence(rows, name)):
+        if type(row) not in (tuple, list) or len(row) != n:  # the name is built only here
+            as_sequence(row, f"{name}[{i}]", n)
+    return rows
+
+
+def nonnegative(values, name: str):
+    """``values``, real numbers; ``InstanceError`` names the first negative entry."""
+    # a rational has its numerator's sign; getattr's default keeps any other number
+    if min(map(getattr, values, repeat("numerator"), values), default=0) < 0:
+        j = next(j for j, v in enumerate(values) if v < 0)
+        raise InstanceError(f"{name}[{j}] = {values[j]} is negative")
+    return values
+
+
+def as_bounds(values, name: str, n: int) -> tuple[Fraction | None, ...]:
+    """n bounds by ``as_vector``, each None (no bound) or a nonnegative rational."""
+    finite = [ZERO if v is None else v for v in as_sequence(values, name, n)]
+    read = nonnegative(as_vector(finite, name), name)
+    return tuple(None if v is None else u for v, u in zip(values, read))
 
 
 def as_int(value, where: str, minimum: int | None = None) -> int:
@@ -119,6 +159,14 @@ def as_epsilon(value) -> Fraction:
     if not (0 < eps <= 1):
         raise InstanceError(f"epsilon {eps} outside (0, 1]")
     return eps
+
+
+def as_lambda(value) -> Fraction:
+    """A lambda by ``as_fraction``, above 1; ``InstanceError`` otherwise."""
+    lam = as_fraction(value, "lambda")
+    if lam <= 1:
+        raise InstanceError(f"lambda = {lam} must exceed 1")
+    return lam
 
 
 def _rational(value: str | float) -> Fraction:
@@ -191,84 +239,55 @@ class CpipInstance:
     @classmethod
     def from_data(cls, A, a, c, d, B=(), b=()) -> "CpipInstance":
         """Validate raw (possibly mixed int/str/float) data and build an instance."""
-        cf = as_fractions(c, "c")
+        cf = nonnegative(as_vector(c, "c"), "c")
         n = len(cf)
         if n == 0:
             raise InstanceError("instance has no variables")
-        Af = tuple(as_fractions(row, f"A[{i}]") for i, row in enumerate(A))
-        af = as_fractions(a, "a")
-        Bf = tuple(as_fractions(row, f"B[{i}]") for i, row in enumerate(B))
-        bf = as_fractions(b, "b")
-        df = tuple(
-            None if v is None else as_fraction(v, f"d[{j}]") for j, v in enumerate(d)
-        )
-        if len(Af) != len(af):
-            raise InstanceError(f"A has {len(Af)} rows but a has {len(af)} entries")
-        if len(Bf) != len(bf):
-            raise InstanceError(f"B has {len(Bf)} rows but b has {len(bf)} entries")
-        for i, row in enumerate(Af):
-            if len(row) != n:
-                raise InstanceError(f"A row {i} has {len(row)} entries, expected {n}")
-        for i, row in enumerate(Bf):
-            if len(row) != n:
-                raise InstanceError(f"B row {i} has {len(row)} entries, expected {n}")
-        if len(df) != n:
-            raise InstanceError(f"d has {len(df)} entries, expected {n}")
-        for name, vecs in (("A", Af), ("B", Bf)):
-            for i, row in enumerate(vecs):
-                for j, v in enumerate(row):
-                    if v < 0:
-                        raise InstanceError(f"{name}[{i}][{j}] = {v} is negative")
-        for name, vec in (("a", af), ("b", bf), ("c", cf)):
-            for i, v in enumerate(vec):
-                if v < 0:
-                    raise InstanceError(f"{name}[{i}] = {v} is negative")
-        for j, v in enumerate(df):
-            if v is not None and v < 0:
-                raise InstanceError(f"d[{j}] = {v} is negative")
-        return cls(A=Af, a=af, B=Bf, b=bf, c=cf, d=df)
+
+        def rows(M, name):  # one read and one sign pass over each row
+            return tuple(
+                nonnegative(as_vector(row, f"{name}[{i}]", n), f"{name}[{i}]")
+                for i, row in enumerate(as_sequence(M, name))
+            )
+
+        Af, Bf = rows(A, "A"), rows(B, "B")
+        af = nonnegative(as_vector(a, "a", len(Af)), "a")
+        bf = nonnegative(as_vector(b, "b", len(Bf)), "b")
+        return cls(A=Af, a=af, B=Bf, b=bf, c=cf, d=as_bounds(d, "d", n))
 
 
 @dataclass(frozen=True)
-class FractionalVector:
-    """Nonnegative rational candidate solution."""
+class _Vector:
+    """A candidate solution: the tuple ``values``, of rationals or of ints, read as a sequence."""
 
-    values: Vector
-
-    def __post_init__(self):
-        for j, v in enumerate(self.values):
-            if v < 0:
-                raise InstanceError(f"x[{j}] = {v} is negative")
+    values: tuple
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def __iter__(self) -> Iterator[Fraction]:
+    def __iter__(self) -> Iterator:
         return iter(self.values)
 
-    def __getitem__(self, j: int) -> Fraction:
+    def __getitem__(self, j: int):
         return self.values[j]
 
 
 @dataclass(frozen=True)
-class IntegerVector:
-    """Nonnegative integer candidate solution."""
+class FractionalVector(_Vector):
+    """Nonnegative rational candidate solution."""
 
-    values: tuple[int, ...]
+    def __post_init__(self):
+        nonnegative(self.values, "x")
+
+
+@dataclass(frozen=True)
+class IntegerVector(_Vector):
+    """Nonnegative integer candidate solution."""
 
     def __post_init__(self):
         for j, v in enumerate(self.values):
             if not isinstance(v, int) or v < 0:
                 raise InstanceError(f"x[{j}] = {v!r} is not a nonnegative integer")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def __getitem__(self, j: int) -> int:
-        return self.values[j]
 
 
 def normalize_width(inst: CpipInstance) -> CpipInstance:
@@ -307,7 +326,7 @@ def width(A, a) -> Fraction:
     Entries may be Fractions or ints.
     """
     best = None  # (a_i, largest A_ij) of the narrowest row so far
-    for row, ai in zip(A, a):
+    for row, ai in zip(as_sequence(A, "A"), as_sequence(a, "a", len(A))):
         if ai > 0:
             peak = max(row, default=0)
             if peak > 0 and (best is None or ai * best[1] < best[0] * peak):
@@ -445,7 +464,7 @@ def parse_solution(doc: str, n: int) -> IntegerVector:
     x = raw.get("x") if isinstance(raw, dict) else None
     if not isinstance(x, list) or len(x) != n:
         raise ParseError(f'a solution is an object whose "x" lists {n} numbers')
-    values = as_fractions(x, "x")
+    values = as_vector(x, "x")
     for j, v in enumerate(values):
         if v < 0 or v.denominator != 1:
             raise ParseError(f"x[{j}] = {v} is not a nonnegative integer")

@@ -27,13 +27,13 @@ from typing import Sequence
 from coverpack.model import (
     ZERO,
     CpipInstance,
-    InstanceError,
     IntegerVector,
     ViolationReport,
     as_epsilon,
-    as_fractions,
     as_int,
+    as_vector,
     integers,
+    nonnegative,
 )
 
 
@@ -194,12 +194,7 @@ def check_solution(
     sum of the scaled row over ``D_i``, and each amount is the exact rational.
     """
     eps = as_epsilon(epsilon)
-    xv = as_fractions(x, "x")
-    if len(xv) != inst.n:
-        raise InstanceError(f"x has {len(xv)} entries, expected {inst.n}")
-    for j, v in enumerate(xv):
-        if v < 0:
-            raise InstanceError(f"x[{j}] = {v} is negative")
+    xv = nonnegative(as_vector(x, "x", inst.n), "x")
     n, m = inst.n, inst.m
     X, Dx = integers(xv)
     covering = []

@@ -27,9 +27,8 @@ The chain, from primitive to end-to-end:
 All guarantees are re-verified exactly before an answer is returned;
 floats appear only inside the estimator, whose role is to pick between
 floor and ceiling.  Each public rounding call reads its arguments once
-(``_read``): it takes xbar as ints X over one denominator D, and checks
-that the lengths agree and that no coordinate of xbar and no cost is
-negative, all ``InstanceError``; it scans the dense A once, into
+(``_read``, by the readers of ``model``): it takes xbar as ints X over one
+denominator D, checks each shape and sign, and scans the dense A once, into
 ``CoverRows``: its demanded rows scaled to Python ints and kept over their
 nonzeros, by row and by column (both solvers hand ``bicriteria_round``
 integer rows, whose lcm is 1, and the scan takes such a row's numerators
@@ -64,13 +63,17 @@ from coverpack.model import (
     IntegerVector,
     LimitError,
     SolveReport,
+    as_bounds,
     as_epsilon,
     as_fraction,
-    as_fractions,
     as_int,
+    as_sequence,
+    as_shape,
+    as_vector,
     dot,
     integers,
     is_width_normalized,
+    nonnegative,
     width,
 )
 from coverpack.oracle import check_solution
@@ -110,7 +113,7 @@ def randomized_round(xbar, L, seed: int) -> IntegerVector:
     if L < 1:
         raise InstanceError(f"scale factor L = {L} must be >= 1")
     rng = random.Random(as_int(seed, "seed"))
-    X, D = _read_xbar(xbar)
+    X, D = _read_ints(xbar, "xbar")
     den = L.denominator * D
     out = []
     for p in X:
@@ -146,8 +149,8 @@ class CoverRows:
         try:
             self._scan(A, a)
         except (TypeError, AttributeError):  # an entry with no numerator or order
-            rows = [as_fractions(row, f"A[{i}]") for i, row in enumerate(A)]
-            self._scan(rows, as_fractions(a, "a"))
+            rows = [as_vector(row, f"A[{i}]") for i, row in enumerate(A)]
+            self._scan(rows, as_vector(a, "a"))
 
     def _scan(self, A, a) -> None:
         self.active: list[int] = []
@@ -181,7 +184,7 @@ class CoverRows:
     # _derandomize reports it as an uncovered xbar first
     @functools.cached_property
     def width(self) -> Fraction:
-        return width(([v for _, v in row] for row in self.rows), self.demands)
+        return width([[v for _, v in row] for row in self.rows], self.demands)
 
     def scaled(self, K: int) -> "CoverRows":
         """These rows with K times the demands, so K times the width."""
@@ -198,52 +201,32 @@ class CoverRows:
         ]
 
 
-def _read_xbar(xbar) -> tuple[list[int], int]:
-    """xbar by ``as_fractions``, over its least common denominator: (X, D).
-
-    ``InstanceError`` names the first negative entry.
-    """
-    xv = as_fractions(xbar, "xbar")
-    X, D = integers(xv)
-    if min(X, default=0) < 0:
-        j = next(j for j, p in enumerate(X) if p < 0)
-        raise InstanceError(f"xbar[{j}] = {xv[j]} is negative")
-    return X, D
+def _read_ints(values, name: str, n: int | None = None) -> tuple[list[int], int]:
+    """A nonnegative vector by ``as_vector``, over its least common denominator (``integers``)."""
+    read = as_vector(values, name, n)
+    ints, D = integers(read)
+    if min(ints, default=0) < 0:  # the ints give the sign at C speed
+        nonnegative(read, name)  # raises, naming the entry
+    return ints, D
 
 
 def _read(xbar, A, a, c, d=None):
     """A public rounding call's arguments, checked once: ``((X, D), costs, c_den, rows)``.
 
-    ``xbar`` is X / D (``_read_xbar``), ``c`` and each finite bound of ``d``
-    are read by ``as_fractions``; ``InstanceError`` unless A has a row per
-    entry of a, each row of A, c and (if given) d has an entry per
-    coordinate of xbar, no cost is negative and no coordinate of xbar
-    exceeds its bound.  The integer costs are c times its least common
-    denominator ``c_den``; ``rows`` is the ``CoverRows`` of (A, a).
+    xbar is X / D and c is ``costs / c_den`` (``_read_ints``); c, d (bounds, if
+    given) and each row of A have an entry per coordinate, a one per row of A,
+    and no coordinate exceeds its bound, or ``InstanceError``.  ``rows`` is the
+    ``CoverRows`` of (A, a), which reads the entries of A and a.
     """
-    X, D = _read_xbar(xbar)
+    X, D = _read_ints(xbar, "xbar")
     n = len(X)
-    if len(A) != len(a):
-        raise InstanceError(f"A has {len(A)} rows but a has {len(a)} entries")
-    for i, row in enumerate(A):
-        if len(row) != n:
-            raise InstanceError(f"row {i} of A has {len(row)} entries, xbar has {n}")
-    for name, vec in (("c", c), ("d", d)):
-        if vec is not None and len(vec) != n:
-            raise InstanceError(f"{name} has {len(vec)} entries, xbar has {n}")
-    costs, c_den = integers(as_fractions(c, "c"))
-    if min(costs, default=0) < 0:
-        raise InstanceError("costs must be nonnegative")
+    as_sequence(a, "a", len(as_shape(A, "A", n)))
+    costs, c_den = _read_ints(c, "c", n)
     if d is not None:
-        finite = [j for j, u in enumerate(d) if u is not None]
-        try:
-            bounds = zip(finite, as_fractions([d[j] for j in finite], "d"))
-        except InstanceError:  # read again in index order, to name the entry d[j]
-            bounds = ((j, as_fraction(d[j], f"d[{j}]")) for j in finite)
-        for j, u in bounds:
-            if X[j] * u.denominator > u.numerator * D:
+        for j, u in enumerate(as_bounds(d, "d", n)):
+            if u is not None and X[j] * u.denominator > u.numerator * D:
                 raise InstanceError(
-                    f"xbar[{j}] = {Fraction(X[j], D)} exceeds its multiplicity bound {d[j]}"
+                    f"xbar[{j}] = {Fraction(X[j], D)} exceeds its multiplicity bound {u}"
                 )
     return (X, D), costs, c_den, CoverRows(A, a)
 
@@ -431,7 +414,7 @@ def _trim_surplus(xhat: list[int], rows: CoverRows, costs, slack: list[int], flo
             remove(j, removable)
 
 
-def granular_round(xbar, A, a, c, K: int, *, info_out: dict | None = None) -> FractionalVector:
+def granular_round(xbar, A, a, c, K: int) -> FractionalVector:
     """Deterministic cover whose coordinates are integer multiples of 1/K.
 
     Rounds K xbar against demands K a (width K W, so the scale factor
@@ -441,9 +424,7 @@ def granular_round(xbar, A, a, c, K: int, *, info_out: dict | None = None) -> Fr
     """
     K = as_int(K, "granularity K", 1)
     xbar, costs, c_den, rows = _read(xbar, A, a, c)
-    kx, L = _granular(xbar, costs, c_den, rows, K)
-    if info_out is not None:
-        info_out.update({"K": K, "L": L})
+    kx, _ = _granular(xbar, costs, c_den, rows, K)
     return FractionalVector(tuple(Fraction(v, K) for v in kx))
 
 

@@ -69,9 +69,12 @@ from coverpack.model import (
     FractionalVector,
     InstanceError,
     LimitError,
+    as_bounds,
     as_fraction,
-    as_fractions,
+    as_sequence,
+    as_vector,
     integers,
+    nonnegative,
     scale_rows,
 )
 
@@ -113,30 +116,19 @@ class LpProblem:
     @classmethod
     def from_data(cls, objective, rows, var_bounds) -> "LpProblem":
         """Read rationals, each row as ``(coeffs, sense, rhs)``; ``InstanceError`` if malformed."""
-        obj = tuple(as_fraction(v, f"objective[{j}]") for j, v in enumerate(objective))
+        obj = as_vector(objective, "objective")
         n = len(obj)
         out_rows, coeffs_in = [], []
-        for i, row in enumerate(rows):
+        for i, row in enumerate(as_sequence(rows, "rows")):
             try:
                 coeffs, sense, rhs = row
-                coeffs = tuple(coeffs)
             except (TypeError, ValueError) as exc:
                 raise InstanceError(f"row {i} is not (coeffs, sense, rhs)") from exc
             if sense not in (GE, LE):
                 raise InstanceError(f"row {i}: sense must be '>=' or '<='")
-            cf = tuple(as_fraction(v, f"row {i} coeff {j}") for j, v in enumerate(coeffs))
-            if len(cf) != n:
-                raise InstanceError(f"row {i} has {len(cf)} coeffs, expected {n}")
+            coeffs_in.append(as_vector(coeffs, f"row {i} coeffs", n))
             out_rows.append(LpRow(sense, as_fraction(rhs, f"row {i} rhs")))
-            coeffs_in.append(cf)
-        ub = tuple(
-            None if v is None else as_fraction(v, f"bound[{j}]") for j, v in enumerate(var_bounds)
-        )
-        for j, u in enumerate(ub):
-            if u is not None and u < 0:
-                raise InstanceError(f"bound[{j}] = {u} is negative")
-        if len(ub) != n:
-            raise InstanceError(f"var_bounds has {len(ub)} entries, expected {n}")
+        ub = as_bounds(var_bounds, "var_bounds", n)
         return cls(obj, tuple(out_rows), ub, scale_rows(zip(coeffs_in, (r.rhs for r in out_rows))))
 
 
@@ -448,9 +440,7 @@ def solve_lp(p: LpProblem) -> LpSolution:
     pivots of the run that found the basis: the float run's on the guided
     path.
     """
-    for j, cj in enumerate(p.objective):
-        if cj < 0:
-            raise InstanceError(f"objective[{j}] = {cj} is negative")
+    nonnegative(p.objective, "objective")
     if len(p.rows) * len(p.objective) >= GUIDED_MIN_CELLS:
         guided = _guided(p)
         if guided is not None:
@@ -602,15 +592,6 @@ class CertificateViolation:
         return f"{self.kind}[{self.index}]: off by {float(self.amount):.3g}"
 
 
-def _read_vector(name: str, vec, n: int) -> tuple[Fraction, ...]:
-    """``vec``'s n entries by ``as_fractions``; ``InstanceError`` if missing or not n long."""
-    if vec is None:
-        raise InstanceError(f"{name} is missing")
-    if len(vec) != n:
-        raise InstanceError(f"{name} has {len(vec)} entries, expected {n}")
-    return as_fractions(vec, name)
-
-
 def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation]:
     """List every violation of an OPTIMAL or INFEASIBLE certificate, exactly.
 
@@ -632,9 +613,9 @@ def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation
     n, m = len(p.objective), len(p.rows)
     out: list[CertificateViolation] = []
     if s.status == "OPTIMAL":
-        x = _read_vector("primal", None if s.primal is None else s.primal.values, n)
-        rows = _read_vector("dual_rows", s.dual_rows, m)
-        bounds, cost = _read_vector("dual_bounds", s.dual_bounds, n), p.objective
+        x = as_vector(s.primal, "primal", n)
+        rows = as_vector(s.dual_rows, "dual_rows", m)
+        bounds, cost = as_vector(s.dual_bounds, "dual_bounds", n), p.objective
         X, Dx = integers(x)
         for j, v in enumerate(X):
             if v < 0:
@@ -648,8 +629,8 @@ def verify_certificate(p: LpProblem, s: LpSolution) -> list[CertificateViolation
             if u is not None and X[j] * u.denominator > u.numerator * Dx:
                 out.append(CertificateViolation("primal_bound", j, x[j] - u))
     elif s.status == "INFEASIBLE":
-        rows = _read_vector("ray_rows", s.ray_rows, m)
-        bounds, cost = _read_vector("ray_bounds", s.ray_bounds, n), (ZERO,) * n
+        rows = as_vector(s.ray_rows, "ray_rows", m)
+        bounds, cost = as_vector(s.ray_bounds, "ray_bounds", n), (ZERO,) * n
     else:
         raise InstanceError(f"an {s.status} result carries no certificate")
     for i, row in enumerate(p.rows):

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import random
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 
 import coverpack
 from coverpack.genbench import GeneratorSpec, knapsack_gap, run_bench
-from coverpack.kc import find_violated_kc, solve_cip_strict, solve_lp_kc
+from coverpack.kc import find_violated_kc, kc_system, solve_cip_strict, solve_lp_kc
 from coverpack.model import (
     CpipInstance,
+    FractionalVector,
     InstanceError,
+    IntegerVector,
     ParseError,
     as_fraction,
     dot,
@@ -35,6 +38,7 @@ from coverpack.rounding import (
     randomized_round,
     solve_cpip_bicriteria,
 )
+from coverpack.simplex import LpProblem, lp_from_instance, solve_lp, verify_certificate
 from conftest import F, make_inst
 
 
@@ -151,18 +155,20 @@ class TestParse:
         "data, match",
         [
             (dict(c=[]), "instance has no variables"),
-            (dict(B=[[1]], b=[]), "B has 1 rows but b has 0 entries"),
-            (dict(A=[[1, 1]]), "A row 0 has 2 entries, expected 1"),
-            (dict(B=[[1, 1]], b=[1]), "B row 0 has 2 entries, expected 1"),
+            (dict(B=[[1]], b=[]), "b has 0 entries, expected 1"),
+            (dict(A=[[1, 1]]), r"A\[0\] has 2 entries, expected 1"),
+            (dict(B=[[1, 1]], b=[1]), r"B\[0\] has 2 entries, expected 1"),
             (dict(d=[1, 1]), "d has 2 entries, expected 1"),
             (dict(a=[-1]), r"a\[0\] = -1 is negative"),
             (dict(B=[[1]], b=[-1]), r"b\[0\] = -1 is negative"),
             (dict(c=[-1]), r"c\[0\] = -1 is negative"),
             (dict(d=[-1]), r"d\[0\] = -1 is negative"),
+            (dict(A=5), "A: expected a sequence, got int"),
+            (dict(a=None), "a: expected a sequence, got NoneType"),
         ],
         ids=[
             "no-variables", "B-b-count", "A-row-length", "B-row-length", "d-length",
-            "negative-a", "negative-b", "negative-c", "negative-d",
+            "negative-a", "negative-b", "negative-c", "negative-d", "int-A", "None-a",
         ],
     )
     def test_from_data_refuses(self, data, match):
@@ -187,6 +193,8 @@ class TestParse:
 
 GAP = normalize_width(knapsack_gap(F(1, 10)))
 GAP_XBAR = (F(1), F(1, 10))  # the relaxation optimum of GAP
+GAP_LP = lp_from_instance(GAP)
+GAP_SOL = solve_lp(GAP_LP)
 
 #: every scalar parameter of a public function, with a value it accepts
 SCALARS = {
@@ -335,6 +343,26 @@ RANGES = {
     "randomized_round(L=1/2)": (
         lambda: randomized_round(GAP_XBAR, "1/2", 0), "scale factor L = 1/2 must be >= 1"
     ),
+    # an argument that is not a sequence used to be a TypeError
+    "check_solution(x=5)": (
+        lambda: check_solution(GAP, 5, 1), "^x: expected a sequence, got int$"
+    ),
+    # a dict used to be read by its keys
+    "check_solution(x=dict)": (
+        lambda: check_solution(GAP, {0: 1, 1: 1}, 1), "^x: expected a sequence, got dict$"
+    ),
+    "find_violated_kc(x=5)": (
+        lambda: find_violated_kc(GAP, 5, 2), "^x: expected a sequence, got int$"
+    ),
+    "LpProblem.from_data(objective=3)": (
+        lambda: LpProblem.from_data(3, [], []), "^objective: expected a sequence, got int$"
+    ),
+    "verify_certificate(dual_rows=5)": (
+        lambda: verify_certificate(GAP_LP, replace(GAP_SOL, dual_rows=5)),
+        "^dual_rows: expected a sequence, got int$",
+    ),
+    "width(A=5)": (lambda: width(5, GAP.a), "^A: expected a sequence, got int$"),
+    "kc_system(F=5)": (lambda: kc_system(GAP, 5), "^F: expected a sequence, got int$"),
 }
 
 
@@ -342,6 +370,18 @@ RANGES = {
 def test_solver_argument_out_of_range(call, match):
     with pytest.raises(InstanceError, match=match):
         call()
+
+
+def test_candidate_vectors_are_sequences_of_nonnegative_entries():
+    # the two vector types share their sequence methods and keep their own checks
+    for vec in (FractionalVector((F(1, 2), 0.5, 0)), IntegerVector((2, 0, 1))):
+        assert len(vec) == 3 and list(vec) == list(vec.values) and vec[2] == vec.values[2]
+    with pytest.raises(InstanceError, match=r"^x\[1\] = -1/2 is negative$"):
+        FractionalVector((F(1), F(-1, 2)))
+    with pytest.raises(InstanceError, match=r"^x\[0\] = -0.5 is negative$"):
+        FractionalVector((-0.5, 1))
+    with pytest.raises(InstanceError, match=r"^x\[1\] = Fraction\(1, 2\) is not a nonneg"):
+        IntegerVector((1, F(1, 2)))
 
 
 class TestNormalize:
@@ -564,7 +604,7 @@ class TestStructure:
         "find_violated_kc": ("inst", "x", "lam"),
         "gen_random_cpip": ("m", "n", "r", "seed", "d_max", "density"),
         "gen_set_cover": ("num_elements", "num_sets", "density", "seed"),
-        "granular_round": ("xbar", "A", "a", "c", "K", "info_out"),
+        "granular_round": ("xbar", "A", "a", "c", "K"),
         "kc_system": ("inst", "F"),
         "knapsack_gap": ("delta",),
         "lp_from_instance": ("inst", "cut_rows"),

@@ -399,11 +399,12 @@ def run_rational_row_case(name):
     L = compute_scale_factor(len(active), width(A, a)) if active else F(2)
     trace = []
     derandomized = derandomized_round(xbar, A, a, c, L, trace_out=trace)
-    info = {}
-    granular = granular_round(xbar, A, a, c, 3, info_out=info)
+    granular = granular_round(xbar, A, a, c, 3)
+    # the scale factor of K = 3: scale(m, 3 W) over the demanded rows, 1 with none
+    L3 = compute_scale_factor(len(active), 3 * width(A, a)) if active else F(1)
     out = {
         "derandomized": (derandomized.values, tuple(trace)),
-        "granular": (tuple(str(v) for v in granular.values), float(info["L"])),
+        "granular": (tuple(str(v) for v in granular.values), float(L3)),
     }
     for eps in ("1/4", "1"):
         info = {}
@@ -566,9 +567,8 @@ class TestGranularRound:
         for seed in range(25):
             inst, xbar, _ = cip_with_lp(2 + seed % 5, 2 + seed % 6, seed=200 + seed)
             K = 3
-            info = {}
-            out = granular_round(xbar, inst.A, inst.a, inst.c, K, info_out=info)
-            L = info["L"]
+            out = granular_round(xbar, inst.A, inst.a, inst.c, K)
+            L = compute_scale_factor(inst.m, K * width(inst.A, inst.a))
             assert all(dot(inst.A[i], out.values) >= inst.a[i] for i in range(inst.m))
             assert dot(inst.c, out.values) <= 2 * L * dot(inst.c, xbar)
             assert all(out.values[j] <= math.ceil(L * v) for j, v in enumerate(xbar))
@@ -646,27 +646,28 @@ _NONE = (None, None)
 
 BAD_ARGUMENTS = {
     "derandomized-short-xbar": (
-        lambda: derandomized_round(_xbar[:1], _A, _a, _c, _L), "row 0 of A has 2 entries"
+        lambda: derandomized_round(_xbar[:1], _A, _a, _c, _L), r"A\[0\] has 2 entries, expected 1"
     ),
     "derandomized-long-xbar": (
-        lambda: derandomized_round(_xbar + (F(1),), _A, _a, _c, _L), "row 0 of A has 2 entries"
+        lambda: derandomized_round(_xbar + (F(1),), _A, _a, _c, _L),
+        r"A\[0\] has 2 entries, expected 3",
     ),
     "derandomized-short-c": (
         lambda: derandomized_round(_xbar, _A, _a, _c[:1], _L), "c has 1 entries"
     ),
     "derandomized-ragged-A": (
         lambda: derandomized_round(_xbar, ((1, 1), (1, 1, 1)), _a, _c, _L),
-        "row 1 of A has 3 entries",
+        r"A\[1\] has 3 entries, expected 2",
     ),
     "derandomized-short-a": (
-        lambda: derandomized_round(_x_LONG, _A_LONG, _a[:1], _c, _L), "A has 2 rows but a has 1"
+        lambda: derandomized_round(_x_LONG, _A_LONG, _a[:1], _c, _L), "a has 1 entries, expected 2"
     ),
     "granular-short-a": (
-        lambda: granular_round(_x_LONG, _A_LONG, _a[:1], _c, 2), "A has 2 rows but a has 1"
+        lambda: granular_round(_x_LONG, _A_LONG, _a[:1], _c, 2), "a has 1 entries, expected 2"
     ),
     "bicriteria-short-a": (
         lambda: bicriteria_round(_x_LONG, _A_LONG, _a[:1], _c, _NONE, 1),
-        "A has 2 rows but a has 1",
+        "a has 1 entries, expected 2",
     ),
     "granular-float-K": (lambda: granular_round(_xbar, _A, _a, _c, 2.5), "K = 2.5"),
     "granular-bool-K": (lambda: granular_round(_xbar, _A, _a, _c, True), "K = True"),
@@ -680,14 +681,14 @@ BAD_ARGUMENTS = {
         lambda: bicriteria_round(_xbar, _A, _a, _c[:1], _NONE, 1), "c has 1 entries"
     ),
     "derandomized-negative-cost": (
-        lambda: derandomized_round(_x_HALF, _A1, _a1, _c_NEG, _L), "costs must be nonnegative"
+        lambda: derandomized_round(_x_HALF, _A1, _a1, _c_NEG, _L), r"^c\[0\] = -1 is negative$"
     ),
     "granular-negative-cost": (
-        lambda: granular_round(_x_HALF, _A1, _a1, _c_NEG, 2), "costs must be nonnegative"
+        lambda: granular_round(_x_HALF, _A1, _a1, _c_NEG, 2), r"^c\[0\] = -1 is negative$"
     ),
     "bicriteria-negative-cost": (
         lambda: bicriteria_round(_x_HALF, _A1, _a1, _c_NEG, _NONE, 1),
-        "costs must be nonnegative",
+        r"^c\[0\] = -1 is negative$",
     ),
     "bicriteria-unreadable-d": (
         lambda: bicriteria_round(_xbar, _A, _a, _c, ("x", None), 1), r"d\[0\]: cannot read 'x'"
@@ -735,6 +736,16 @@ BAD_ARGUMENTS = {
     ),
     "randomized-negative-xbar": (
         lambda: randomized_round([1, -1 / 2, -2], 2, 0), r"^xbar\[1\] = -1/2 is negative$"
+    ),
+    # an argument that is not a sequence used to be a TypeError
+    "bicriteria-int-xbar": (
+        lambda: bicriteria_round(5, _A, _a, _c, _NONE, 1), r"^xbar: expected a sequence, got int$"
+    ),
+    "bicriteria-int-c": (
+        lambda: bicriteria_round(_xbar, _A, _a, 5, _NONE, 1), r"^c: expected a sequence, got int$"
+    ),
+    "randomized-None-xbar": (
+        lambda: randomized_round(None, 2, 0), r"^xbar: expected a sequence, got NoneType$"
     ),
 }
 

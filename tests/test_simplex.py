@@ -428,7 +428,7 @@ def _optimal(x, rows, bounds):
         (_optimal((1, 0, 5), (1,), (0, 0)), "primal has 3 entries, expected 2"),
         (_optimal((1, 0), (1, 7), (0, 0)), "dual_rows has 2 entries, expected 1"),
         (_optimal((1, 0), (1,), (0, 0, -1)), "dual_bounds has 3 entries, expected 2"),
-        (LpSolution("OPTIMAL", 0), "primal is missing"),
+        (LpSolution("OPTIMAL", 0), "primal: expected a sequence, got NoneType"),
     ],
     ids=["primal-short", "primal-long", "dual-rows", "dual-bounds", "primal-missing"],
 )
@@ -601,13 +601,21 @@ def test_non_finite_input_rejected():
         LpProblem.from_data([float("inf")], [], [None])
 
 
+_NOT_A_ROW = r"row 0 is not \(coeffs, sense, rhs\)"
+
+
 @pytest.mark.parametrize(
-    "row",
-    [((1,), GE), ((1,), GE, 1, 1), 1, (1, GE, 1)],
+    "row, match",
+    [
+        (((1,), GE), _NOT_A_ROW),
+        (((1,), GE, 1, 1), _NOT_A_ROW),
+        (1, _NOT_A_ROW),
+        ((1, GE, 1), "row 0 coeffs: expected a sequence, got int"),
+    ],
     ids=["two-items", "four-items", "not-a-sequence", "coeffs-not-iterable"],
 )
-def test_malformed_row_rejected(row):
-    with pytest.raises(InstanceError, match=r"row 0 is not \(coeffs, sense, rhs\)"):
+def test_malformed_row_rejected(row, match):
+    with pytest.raises(InstanceError, match=match):
         LpProblem.from_data([1], [row], [None])
 
 
@@ -615,7 +623,7 @@ def test_malformed_row_rejected(row):
     "objective, rows, bounds, match",
     [
         ([1], [((1,), "==", 1)], [None], "row 0: sense must be"),
-        ([1, 1], [((1,), GE, 1)], [None, None], "row 0 has 1 coeffs, expected 2"),
+        ([1, 1], [((1,), GE, 1)], [None, None], "row 0 coeffs has 1 entries, expected 2"),
         ([1, 1], [((1, 1), GE, 1)], [None], "var_bounds has 1 entries, expected 2"),
     ],
     ids=["bad-sense", "short-coeffs", "short-var-bounds"],
@@ -663,7 +671,7 @@ def test_rows_hold_sense_and_rhs_only():
 
 
 def test_negative_bound_rejected():
-    with pytest.raises(InstanceError, match=r"bound\[0\] = -1 is negative"):
+    with pytest.raises(InstanceError, match=r"^var_bounds\[0\] = -1 is negative$"):
         LpProblem.from_data([1, 1], [((1, 1), GE, 1)], [-1, None])
 
 
