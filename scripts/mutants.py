@@ -4,8 +4,10 @@ Each mutant changes one line of ``src/coverpack``: it deletes, narrows or
 loosens a check that raises ``GuaranteeError``, breaks the knapsack-cover
 rows that the test suite's audit must reject, breaks ``check_solution``
 (which every guarantee check leans on) or ``verify_certificate`` (which
-certifies every LP result), lets a bad argument through the one
-nonnegativity check of ``model``, or breaks a fast path: the rounding
+certifies every LP result), lets a bad argument through a reader of
+``model`` (the nonnegativity check, the sequence reader, ``IntegerVector``'s
+entry check) or lets a document's field error out as a bare
+``InstanceError``, or breaks a fast path: the rounding
 layer's scan of A and the estimator's kept trace terms, the oracle's cost
 bound and value skip, which must leave its answer as it is, and the guided
 simplex, which must not keep a basis that fails its certificate.  For
@@ -66,6 +68,10 @@ CERTIFICATE = [
     "tests/test_simplex.py::test_certificate_check_equals_fraction_reference_on_fixed_cases",
     "tests/test_simplex.py::test_certificate_check_equals_fraction_reference",
 ]
+
+MODEL = "src/coverpack/model.py"
+EVERY_ARGUMENT = "tests/test_model.py::test_every_argument_refused_in_its_readers_words"
+CANDIDATES = "tests/test_model.py::test_candidate_vectors_are_sequences_of_nonnegative_entries"
 
 #: name -> (file, old, new, the tests that must fail)
 MUTANTS = {
@@ -229,10 +235,35 @@ MUTANTS = {
         ["tests/test_simplex.py::test_wrong_float_basis_falls_back_to_exact"],
     ),
     "nonnegative-skips-entry-0": (
-        "src/coverpack/model.py",
+        MODEL,
         'if min(map(getattr, values, repeat("numerator"), values), default=0) < 0:',
         'if min(map(getattr, values[1:], repeat("numerator"), values[1:]), default=0) < 0:',
         ["tests/test_model.py::TestParse::test_from_data_refuses"],
+    ),
+    "sequence-reader-takes-a-set": (
+        MODEL,
+        "isinstance(values, (str, dict, set, frozenset))",
+        "isinstance(values, (str, dict))",
+        [EVERY_ARGUMENT],
+    ),
+    "integer-vector-takes-a-negative-entry": (
+        MODEL,
+        'as_int(v, f"x[{j}]", 0)',
+        'as_int(v, f"x[{j}]")',
+        [CANDIDATES],
+    ),
+    "integer-vector-fast-path-takes-a-bool": (
+        MODEL,
+        "if {type(v) for v in values} - {int} or",
+        "if {type(v) for v in values} - {int, bool} or",
+        [CANDIDATES],
+    ),
+    "document-field-error-not-a-parse-error": (
+        MODEL,
+        "inst = CpipInstance.from_data(**raw)\n    except InstanceError as exc:\n"
+        "        raise ParseError(str(exc)) from exc",
+        "inst = CpipInstance.from_data(**raw)\n    except InstanceError as exc:\n        raise",
+        ["tests/test_model.py::TestParse::test_field_of_wrong_type_rejected"],
     ),
 }
 

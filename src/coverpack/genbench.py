@@ -15,7 +15,8 @@ Families:
   width-normalized and the relaxation always solves.
 
 All generation is driven by one seeded ``random.Random``; the same spec
-and seed reproduce the same instance bit for bit.
+and seed reproduce the same instance bit for bit.  Sizes and seeds are read
+by ``as_int``; a density by ``as_epsilon``, then compared with each draw as a float.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from fractions import Fraction
 from time import perf_counter
 
 from coverpack.model import (
-    CpipInstance, InstanceError, as_epsilon, as_fraction, dot, normalize_width, report_dict
+    CpipInstance, InstanceError, as_epsilon, as_fraction, as_int, as_sequence, dot,
+    normalize_width, report_dict,
 )
 from coverpack.oracle import brute_force_opt
 from coverpack.rounding import solve_cpip_bicriteria
@@ -55,8 +57,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InstanceError(f"unknown family {self.family!r}")
-        if not (0 < self.density <= 1):
-            raise InstanceError(f"density {self.density} outside (0, 1]")
+        as_epsilon(self.density, "density")
 
 
 def knapsack_gap(delta) -> CpipInstance:
@@ -75,9 +76,9 @@ def knapsack_gap(delta) -> CpipInstance:
 
 def gen_set_cover(num_elements: int, num_sets: int, density: float, seed: int) -> CpipInstance:
     """0/1 set-cover instance; every element is guaranteed a covering set."""
-    if num_elements < 1 or num_sets < 1:
-        raise InstanceError("set cover needs at least one element and one set")
-    rng = random.Random(seed)
+    num_elements = as_int(num_elements, "num_elements", 1)
+    num_sets, density = as_int(num_sets, "num_sets", 1), float(as_epsilon(density, "density"))
+    rng = random.Random(as_int(seed, "seed"))
     A = []
     for _ in range(num_elements):
         row = [1 if rng.random() < density else 0 for _ in range(num_sets)]
@@ -105,9 +106,9 @@ def gen_multiset_multicover(
     Demands are capped at the row's total supply, so x = d is always an
     integer solution; max_j d_j equals d_max exactly.
     """
-    if m < 1 or n < 1 or r < 0 or d_max < 1:
-        raise InstanceError("need m >= 1, n >= 1, r >= 0, d_max >= 1")
-    rng = random.Random(seed)
+    m, n, r = as_int(m, "m", 1), as_int(n, "n", 1), as_int(r, "r", 0)
+    coeff_max, d_max = as_int(coeff_max, "coeff_max", 1), as_int(d_max, "d_max", 1)
+    density, rng = float(as_epsilon(density, "density")), random.Random(as_int(seed, "seed"))
     d = [rng.randint(1, d_max) for _ in range(n)]
     d[rng.randrange(n)] = d_max
     A = []
@@ -146,9 +147,9 @@ def gen_random_cpip(
     the row value at d/2: the instance comes out width-normalized and the
     relaxation is feasible by construction.
     """
-    if m < 1 or n < 1 or r < 0 or d_max < 2:
-        raise InstanceError("need m >= 1, n >= 1, r >= 0, d_max >= 2")
-    rng = random.Random(seed)
+    m, n, r = as_int(m, "m", 1), as_int(n, "n", 1), as_int(r, "r", 0)
+    d_max, density = as_int(d_max, "d_max", 2), float(as_epsilon(density, "density"))
+    rng = random.Random(as_int(seed, "seed"))
     d = [rng.randint(2, d_max) for _ in range(n)]
     x0 = [Fraction(v, 2) for v in d]
     A = []
@@ -174,8 +175,6 @@ def gen_random_cpip(
 
 def generate(spec: GeneratorSpec) -> CpipInstance:
     if spec.family == "KNAPSACK_GAP":
-        if spec.delta is None:
-            raise InstanceError("KNAPSACK_GAP needs delta")
         return knapsack_gap(spec.delta)
     if spec.family == "SET_COVER":
         return gen_set_cover(spec.m, spec.n, spec.density, spec.seed)
@@ -277,13 +276,14 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
     Individual failures are recorded and the harness keeps going.  With
     ``include_timing=False`` the output is bit-identical across runs for
     a fixed seed.  Every epsilon is read by ``as_epsilon`` before any
-    instance is generated, so one outside (0, 1] is ``InstanceError``.
+    instance is generated, so one outside (0, 1] is ``InstanceError``, as
+    is a non-sequence ``specs`` or ``epsilons``.
     """
-    epsilons = [as_epsilon(eps) for eps in epsilons]
+    epsilons = [as_epsilon(eps) for eps in as_sequence(epsilons, "epsilons")]
     result = BenchResult()
     ratios_fopt: list[float] = []
     ratios_opt: list[float] = []
-    for idx, spec in enumerate(specs):
+    for idx, spec in enumerate(as_sequence(specs, "specs")):
         inst_id = f"{spec.family.lower()}-{idx}"
         for eps in epsilons:
             row = BenchRow(

@@ -93,9 +93,9 @@ class CutLoop:
 def kc_system(inst: CpipInstance, F) -> KcSystem:
     """Residual system: coefficients truncated at the residual demand, zero on F.
 
-    Each pin must be a variable index with a finite integral bound.
+    The pins F, a set or a sequence, must be variable indexes with finite integral bounds.
     """
-    F = frozenset(as_sequence(F, "F"))
+    F = frozenset(F if isinstance(F, (set, frozenset)) else as_sequence(F, "F"))
     n = inst.n
     for j in F:
         if isinstance(j, bool) or not (isinstance(j, int) and 0 <= j < n):
@@ -205,7 +205,7 @@ def solve_cip_strict(
     xres = tuple(ZERO if j in system.F else v for j, v in enumerate(xbar))
     info: dict = {}
     A, a = [S[:-1] for S, _ in system.rows], [S[-1] for S, _ in system.rows]
-    xhat_rest = bicriteria_round(xres, A, a, inst.c, xres, eps, info_out=info)
+    xhat_rest = bicriteria_round(xres, A, a, inst.c, None, eps, info_out=info)
     xhat = IntegerVector(
         tuple(int(inst.d[j]) if j in system.F else xhat_rest[j] for j in range(inst.n))
     )

@@ -94,11 +94,11 @@ def as_fraction(value, where: str = "value") -> Fraction:
 
 
 def as_sequence(values, name: str, n: int | None = None):
-    """``values`` if it is a sequence (no string or dict) of n entries, any number if n is None.
+    """``values`` if it is a sequence of n entries, any number if n is None; no str, dict or set.
 
-    Its entries are not read; ``InstanceError`` otherwise, worded here for every vector argument.
+    Its entries are not read (a set has no order to read them in); ``InstanceError`` otherwise.
     """
-    if isinstance(values, (str, dict)) or not hasattr(values, "__len__"):
+    if isinstance(values, (str, dict, set, frozenset)) or not hasattr(values, "__len__"):
         raise InstanceError(f"{name}: expected a sequence, got {type(values).__name__}")
     if n is not None and len(values) != n:
         raise InstanceError(f"{name} has {len(values)} entries, expected {n}")
@@ -153,11 +153,11 @@ def as_int(value, where: str, minimum: int | None = None) -> int:
     return value
 
 
-def as_epsilon(value) -> Fraction:
-    """An epsilon by ``as_fraction``, in (0, 1]; ``InstanceError`` otherwise."""
-    eps = as_fraction(value, "epsilon")
+def as_epsilon(value, where: str = "epsilon") -> Fraction:
+    """An epsilon, or a density, by ``as_fraction``, in (0, 1]; ``InstanceError`` otherwise."""
+    eps = as_fraction(value, where)
     if not (0 < eps <= 1):
-        raise InstanceError(f"epsilon {eps} outside (0, 1]")
+        raise InstanceError(f"{where} {eps} outside (0, 1]")
     return eps
 
 
@@ -277,17 +277,18 @@ class FractionalVector(_Vector):
     """Nonnegative rational candidate solution."""
 
     def __post_init__(self):
-        nonnegative(self.values, "x")
+        nonnegative(as_sequence(self.values, "x"), "x")
 
 
 @dataclass(frozen=True)
 class IntegerVector(_Vector):
-    """Nonnegative integer candidate solution."""
+    """Nonnegative integer candidate solution: each entry by ``as_int``'s rule, at least 0."""
 
     def __post_init__(self):
-        for j, v in enumerate(self.values):
-            if not isinstance(v, int) or v < 0:
-                raise InstanceError(f"x[{j}] = {v!r} is not a nonnegative integer")
+        values = as_sequence(self.values, "x")
+        if {type(v) for v in values} - {int} or min(values, default=0) < 0:  # at C speed
+            for j, v in enumerate(values):
+                as_int(v, f"x[{j}]", 0)
 
 
 def normalize_width(inst: CpipInstance) -> CpipInstance:
@@ -429,7 +430,10 @@ def _load_json(doc: str):
 
 
 def parse_instance(doc: str) -> CpipInstance:
-    """Parse an instance document (see module docstring for the format)."""
+    """Parse an instance document (see module docstring for the format).
+
+    Each field is read by ``CpipInstance.from_data``; its ``InstanceError`` is a ``ParseError``.
+    """
     raw = _load_json(doc)
     if not isinstance(raw, dict):
         raise ParseError("top-level value must be an object")
@@ -439,36 +443,31 @@ def parse_instance(doc: str) -> CpipInstance:
     for field in ("A", "a", "c"):
         if field not in raw:
             raise ParseError(f"missing required field {field!r}")
-    if ("B" in raw) != ("b" in raw):
-        raise ParseError("fields B and b must be given together")
-    for field in ("A", "B"):
-        rows = raw.get(field, [])
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise ParseError(f"field {field} must be a list of rows")
-    for field in ("a", "b", "c", "d"):
-        if not isinstance(raw.get(field, []), list):
-            raise ParseError(f"field {field} must be a list")
-    A, c = raw["A"], raw["c"]
-    if not A:
+    try:
+        if "d" not in raw:  # every variable unbounded, once c is read as a sequence
+            raw["d"] = [None] * len(as_sequence(raw["c"], "c"))
+        inst = CpipInstance.from_data(**raw)
+    except InstanceError as exc:
+        raise ParseError(str(exc)) from exc
+    if inst.m == 0:
         raise ParseError("field A must contain at least one covering row")
-    if not c:
-        raise ParseError("field c must be a non-empty list (empty variable list)")
-    d = raw.get("d", [None] * len(c))
-    B, b = raw.get("B", []), raw.get("b", [])
-    return CpipInstance.from_data(A=A, a=raw["a"], c=c, d=d, B=B, b=b)
+    return inst
 
 
 def parse_solution(doc: str, n: int) -> IntegerVector:
-    """Read a solution document ``{"x": [...]}`` exactly: n nonnegative integers."""
+    """Read a solution document ``{"x": [...]}`` exactly: n nonnegative integers.
+
+    ``x`` is read by ``as_vector`` and ``IntegerVector``, and their errors are ``ParseError``.
+    """
+    n = as_int(n, "n", 0)
     raw = _load_json(doc)
-    x = raw.get("x") if isinstance(raw, dict) else None
-    if not isinstance(x, list) or len(x) != n:
-        raise ParseError(f'a solution is an object whose "x" lists {n} numbers')
-    values = as_vector(x, "x")
-    for j, v in enumerate(values):
-        if v < 0 or v.denominator != 1:
-            raise ParseError(f"x[{j}] = {v} is not a nonnegative integer")
-    return IntegerVector(tuple(int(v) for v in values))
+    if not isinstance(raw, dict) or "x" not in raw:
+        raise ParseError('a solution is an object with an "x" field')
+    try:
+        x = as_vector(raw["x"], "x", n)
+        return IntegerVector(tuple(int(v) if v.denominator == 1 else v for v in x))
+    except InstanceError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def serialize_instance(inst: CpipInstance) -> str:

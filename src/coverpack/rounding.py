@@ -525,7 +525,8 @@ def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, S
     # the integer rows round exactly as (A, a) does: CoverRows keeps them as they are
     cover = inst.int_rows[: inst.m]
     A, a = [S[:-1] for S, _ in cover], [S[-1] for S, _ in cover]
-    xhat = bicriteria_round(sol.primal, A, a, inst.c, inst.d, eps, info_out=info)
+    # xbar <= d is proved by the certificate solve_relaxation checked: no bound to read
+    xhat = bicriteria_round(sol.primal, A, a, inst.c, None, eps, info_out=info)
     violations = check_solution(inst, xhat, eps)
     if not violations.ok_bicriteria:
         raise GuaranteeError(f"bicriteria guarantees violated: {violations}")

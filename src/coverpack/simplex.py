@@ -120,10 +120,7 @@ class LpProblem:
         n = len(obj)
         out_rows, coeffs_in = [], []
         for i, row in enumerate(as_sequence(rows, "rows")):
-            try:
-                coeffs, sense, rhs = row
-            except (TypeError, ValueError) as exc:
-                raise InstanceError(f"row {i} is not (coeffs, sense, rhs)") from exc
+            coeffs, sense, rhs = as_sequence(row, f"row {i}", 3)
             if sense not in (GE, LE):
                 raise InstanceError(f"row {i}: sense must be '>=' or '<='")
             coeffs_in.append(as_vector(coeffs, f"row {i} coeffs", n))
@@ -157,7 +154,7 @@ def lp_from_instance(
     int D >= 1 (``InstanceError`` otherwise, a cut that is not such a pair
     included); it is appended to ``int_rows`` as given.
     """
-    n, cut_rows = inst.n, tuple(cut_rows)
+    n, cut_rows = inst.n, tuple(as_sequence(cut_rows, "cut_rows"))
     cuts = []
     for k, cut in enumerate(cut_rows):
         try:

@@ -122,14 +122,19 @@ class TestRunBench:
         assert a.to_text() == b.to_text()
 
     def test_failures_recorded_not_raised(self):
-        # delta missing: generation fails, harness keeps going
+        # delta missing, or a size that is not an int (once a TypeError):
+        # generation fails in the generator's readers, harness keeps going
         specs = [
             GeneratorSpec("KNAPSACK_GAP"),
+            GeneratorSpec("SET_COVER", m="a"),
             GeneratorSpec("KNAPSACK_GAP", delta=F(1, 2)),
         ]
         result = run_bench(specs, [F(1)], include_timing=False)
-        assert result.rows[0].error
-        assert result.rows[1].error is None
+        assert [row.error for row in result.rows] == [
+            "InstanceError: delta: expected a number, got None",
+            "InstanceError: num_elements = 'a' must be an int >= 1",
+            None,
+        ]
 
     @pytest.mark.parametrize("eps", [2, 0, F(-1, 2), "x"])
     def test_epsilon_refused_before_any_instance(self, eps, monkeypatch):

@@ -1,7 +1,9 @@
 import ast
 import inspect
 import itertools
+import json
 import random
+import re
 import sys
 from dataclasses import replace
 from decimal import Decimal
@@ -12,9 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverpack
-from coverpack.genbench import GeneratorSpec, knapsack_gap, run_bench
+from coverpack.genbench import (
+    GeneratorSpec,
+    gen_multiset_multicover,
+    gen_random_cpip,
+    gen_set_cover,
+    generate,
+    knapsack_gap,
+    run_bench,
+)
 from coverpack.kc import find_violated_kc, kc_system, solve_cip_strict, solve_lp_kc
 from coverpack.model import (
+    CoverpackError,
     CpipInstance,
     FractionalVector,
     InstanceError,
@@ -25,6 +36,7 @@ from coverpack.model import (
     is_width_normalized,
     normalize_width,
     parse_instance,
+    parse_solution,
     report_dict,
     serialize_instance,
     width,
@@ -90,22 +102,25 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_instance('{"A": [[1]], "a": [1], "c": [1], "d": [1], "B": [[1]]}')
 
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            '{"A": [[1]], "a": 5, "c": [1]}',
-            '{"A": [[1]], "a": "1", "c": [1]}',
-            '{"A": [[1]], "a": [1], "c": 1}',
-            '{"A": [[1]], "a": [1], "c": [1], "d": 1}',
-            '{"A": [[1]], "a": [1], "c": [1], "d": {"0": 1}}',
-            '{"A": [1], "a": [1], "c": [1]}',
-            '{"A": [[1]], "a": [1], "c": [1], "B": [[1]], "b": 3}',
-            '{"A": [[1]], "a": [1], "c": [1], "B": [1], "b": [3]}',
-            '{"A": [[1]], "a": [1], "c": [1], "B": 7, "b": [3]}',
-        ],
-    )
+    #: a document with a field of the wrong type, and the reader's message for it
+    WRONG_TYPE = {
+        '{"A": [[1]], "a": 5, "c": [1]}': "a: expected a sequence, got int",
+        '{"A": [[1]], "a": "1", "c": [1]}': "a: expected a sequence, got str",
+        '{"A": [[1]], "a": [1], "c": 1}': "c: expected a sequence, got int",
+        '{"A": [[1]], "a": [1], "c": [1], "d": 1}': "d: expected a sequence, got int",
+        '{"A": [[1]], "a": [1], "c": [1], "d": {"0": 1}}': "d: expected a sequence, got dict",
+        '{"A": [1], "a": [1], "c": [1]}': r"A\[0\]: expected a sequence, got int",
+        '{"A": [[1]], "a": [1], "c": [1], "B": [[1]], "b": 3}': "b: expected a sequence, got int",
+        '{"A": [[1]], "a": [1], "c": [1], "B": [1], "b": [3]}': (
+            r"B\[0\]: expected a sequence, got int"
+        ),
+        '{"A": [[1]], "a": [1], "c": [1], "B": 7, "b": [3]}': "B: expected a sequence, got int",
+    }
+
+    @pytest.mark.parametrize("doc", WRONG_TYPE)
     def test_field_of_wrong_type_rejected(self, doc):
-        with pytest.raises(ParseError, match="must be a list"):
+        # a reader's InstanceError comes out as a ParseError, in the reader's wording
+        with pytest.raises(ParseError, match=f"^{self.WRONG_TYPE[doc]}$"):
             parse_instance(doc)
 
     @pytest.mark.parametrize(
@@ -215,6 +230,12 @@ SCALARS = {
         lambda v: run_bench([GeneratorSpec("KNAPSACK_GAP", delta=F(1, 2))], [v]), "1/2"
     ),
     "check_solution(epsilon)": (lambda v: check_solution(GAP, (1, 1), v), "1/2"),
+    "GeneratorSpec(density)": (lambda v: GeneratorSpec("SET_COVER", density=v), "1/2"),
+    "gen_set_cover(density)": (lambda v: gen_set_cover(2, 2, v, 0), "1/2"),
+    "gen_random_cpip(density)": (lambda v: gen_random_cpip(2, 2, 0, 0, density=v), "1/2"),
+    "gen_multiset_multicover(density)": (
+        lambda v: gen_multiset_multicover(2, 2, 0, density=v), "1/2"
+    ),
 }
 
 #: every int parameter of a public function, with its least value (None: no least)
@@ -225,6 +246,30 @@ INTS = {
     "compute_scale_factor(m)": (lambda v: compute_scale_factor(v, 2), 1),
     "randomized_round(seed)": (lambda v: randomized_round([F(1, 3)] * 12, 2, v), None),
     "granular_round(K)": (lambda v: granular_round(GAP_XBAR, GAP.A, GAP.a, GAP.c, v), 1),
+    "parse_solution(n)": (lambda v: parse_solution('{"x": [1, 1, 1, 1, 1]}', v), 0),
+    "gen_set_cover(num_elements)": (lambda v: gen_set_cover(v, 2, 0.5, 0), 1),
+    "gen_set_cover(num_sets)": (lambda v: gen_set_cover(2, v, 0.5, 0), 1),
+    "gen_set_cover(seed)": (lambda v: gen_set_cover(2, 2, 0.5, v), None),
+    "gen_random_cpip(m)": (lambda v: gen_random_cpip(v, 2, 0, 0), 1),
+    "gen_random_cpip(n)": (lambda v: gen_random_cpip(2, v, 0, 0), 1),
+    "gen_random_cpip(r)": (lambda v: gen_random_cpip(2, 2, v, 0), 0),
+    "gen_random_cpip(seed)": (lambda v: gen_random_cpip(2, 2, 0, v), None),
+    "gen_random_cpip(d_max)": (lambda v: gen_random_cpip(2, 2, 0, 0, d_max=v), 2),
+    "gen_multiset_multicover(m)": (lambda v: gen_multiset_multicover(v, 2, 0), 1),
+    "gen_multiset_multicover(n)": (lambda v: gen_multiset_multicover(2, v, 0), 1),
+    "gen_multiset_multicover(seed)": (lambda v: gen_multiset_multicover(2, 2, v), None),
+    "gen_multiset_multicover(coeff_max)": (
+        lambda v: gen_multiset_multicover(2, 2, 0, coeff_max=v), 1
+    ),
+    "gen_multiset_multicover(d_max)": (lambda v: gen_multiset_multicover(2, 2, 0, d_max=v), 1),
+    "gen_multiset_multicover(r)": (lambda v: gen_multiset_multicover(2, 2, 0, r=v), 0),
+    # a spec's sizes are read when it is generated, by the generator's readers
+    **{
+        f"GeneratorSpec({size})": (
+            lambda v, size=size: generate(GeneratorSpec("RANDOM_CPIP", **{size: v})), least
+        )
+        for size, least in (("m", 1), ("n", 1), ("r", 0), ("d_max", 2), ("seed", None))
+    },
 }
 
 #: every vector argument of a public function read entry by entry, and its name
@@ -309,6 +354,101 @@ class TestVectorEntries:
             call((GAP_XBAR[0], value))
 
 
+#: the first four arguments of a rounding of GAP
+GAP_ROUND = (GAP_XBAR, GAP.A, GAP.a, GAP.c)
+
+#: every vector and matrix argument (a matrix is a sequence of rows) of a public
+#: callable and of parse_solution, read whole by ``as_sequence``; the types it
+#: takes besides a sequence.  The records (CpipInstance, LpProblem) are built by
+#: their ``from_data``; the result records and object arguments are left out.
+SEQUENCES = {
+    **{
+        f"CpipInstance.from_data({name})": (
+            lambda v, name=name: CpipInstance.from_data(
+                **{"A": [[1]], "a": [1], "c": [1], "d": [1], name: v}
+            ),
+            (),
+        )
+        for name in ("A", "a", "B", "b", "c", "d")
+    },
+    "FractionalVector(values)": (FractionalVector, ()),
+    "IntegerVector(values)": (IntegerVector, ()),
+    "LpProblem.from_data(objective)": (lambda v: LpProblem.from_data(v, [], [None]), ()),
+    "LpProblem.from_data(rows)": (lambda v: LpProblem.from_data([1], v, [None]), ()),
+    "LpProblem.from_data(var_bounds)": (lambda v: LpProblem.from_data([1], [], v), ()),
+    **{
+        f"{fn.__name__}({name})": (
+            lambda v, fn=fn, k=k, rest=rest: fn(*GAP_ROUND[:k], v, *GAP_ROUND[k + 1:], *rest),
+            (),
+        )
+        for fn, rest in (
+            (derandomized_round, (100,)), (granular_round, (2,)), (bicriteria_round, (None, 1))
+        )
+        for k, name in enumerate(("xbar", "A", "a", "c"))
+    },
+    # None is no bound
+    "bicriteria_round(d)": (
+        lambda v: bicriteria_round(GAP_XBAR, GAP.A, GAP.a, GAP.c, v, 1), (type(None),)
+    ),
+    "randomized_round(xbar)": (lambda v: randomized_round(v, 2, 0), ()),
+    "check_solution(x)": (lambda v: check_solution(GAP, v, 1), ()),
+    "find_violated_kc(x)": (lambda v: find_violated_kc(GAP, v, 2), ()),
+    # the pins are read as a set
+    "kc_system(F)": (lambda v: kc_system(GAP, v), (set,)),
+    "lp_from_instance(cut_rows)": (lambda v: lp_from_instance(GAP, v), ()),
+    "run_bench(specs)": (lambda v: run_bench(v, [1]), ()),
+    "run_bench(epsilons)": (lambda v: run_bench([GeneratorSpec("SET_COVER")], v), ()),
+    "width(A)": (lambda v: width(v, GAP.a), ()),
+    "width(a)": (lambda v: width(GAP.A, v), ()),
+    # a document holds no set
+    "parse_solution(x)": (lambda v: parse_solution(json.dumps({"x": v}), 2), (set,)),
+}
+
+#: the bad values of each kind of argument: 5 is a number and an int, 1.5 a number
+BAD = {
+    "number": (None, "x", {}, {1}, True),
+    "int": (None, "x", {}, {1}, True, 1.5),
+    "sequence": (5, None, "x", {}, {1}, True),
+}
+
+
+def reader_wording(kind: str, value) -> str:
+    """The end of the message with which ``kind``'s reader refuses ``value``."""
+    if kind == "sequence":
+        return f": expected a sequence, got {type(value).__name__}"
+    if kind == "int":
+        return f" = {value!r} must be an int"
+    if value is None or isinstance(value, bool):
+        return f": expected a number, got {value!r}"
+    if isinstance(value, str):
+        return f": cannot read {value!r} as a rational"
+    return f": unsupported number type {type(value).__name__}"
+
+
+#: the table of each kind of argument
+TABLES = {"number": SCALARS, "int": INTS, "sequence": SEQUENCES}
+
+#: (entry, kind, bad value) for every argument of the three tables
+ARGUMENTS = [
+    (entry, kind, value)
+    for kind, table in TABLES.items()
+    for entry in sorted(table)
+    for value in BAD[kind]
+    if not (kind == "sequence" and isinstance(value, SEQUENCES[entry][1]))
+]
+
+
+@pytest.mark.parametrize(
+    "entry, kind, value", ARGUMENTS, ids=[f"{e}={v!r}" for e, _, v in ARGUMENTS]
+)
+def test_every_argument_refused_in_its_readers_words(entry, kind, value):
+    # a non-sequence used to be a TypeError, a set was read in its iteration
+    # order, and a generator size a TypeError or, for True, the size 1
+    call = TABLES[kind][entry][0]
+    with pytest.raises(CoverpackError, match=re.escape(reader_wording(kind, value))):
+        call(value)
+
+
 #: a solver argument outside its range, and the message that names it
 RANGES = {
     "solve_lp_kc(lambda=1)": (lambda: solve_lp_kc(GAP, 1), "lambda = 1 must exceed 1"),
@@ -380,8 +520,15 @@ def test_candidate_vectors_are_sequences_of_nonnegative_entries():
         FractionalVector((F(1), F(-1, 2)))
     with pytest.raises(InstanceError, match=r"^x\[0\] = -0.5 is negative$"):
         FractionalVector((-0.5, 1))
-    with pytest.raises(InstanceError, match=r"^x\[1\] = Fraction\(1, 2\) is not a nonneg"):
-        IntegerVector((1, F(1, 2)))
+    # IntegerVector reads each entry by as_int's rule: an int, not a bool, at least 0
+    for values, bad in (
+        ((1, F(1, 2)), r"x\[1\] = Fraction\(1, 2\)"),
+        ((True, 0), r"x\[0\] = True"),
+        ((0, -1), r"x\[1\] = -1"),
+        ((1.0,), r"x\[0\] = 1.0"),
+    ):
+        with pytest.raises(InstanceError, match=f"^{bad} must be an int >= 0$"):
+            IntegerVector(values)
 
 
 class TestNormalize:

@@ -601,15 +601,13 @@ def test_non_finite_input_rejected():
         LpProblem.from_data([float("inf")], [], [None])
 
 
-_NOT_A_ROW = r"row 0 is not \(coeffs, sense, rhs\)"
-
-
 @pytest.mark.parametrize(
     "row, match",
     [
-        (((1,), GE), _NOT_A_ROW),
-        (((1,), GE, 1, 1), _NOT_A_ROW),
-        (1, _NOT_A_ROW),
+        # a row is read by as_sequence as (coeffs, sense, rhs)
+        (((1,), GE), "^row 0 has 2 entries, expected 3$"),
+        (((1,), GE, 1, 1), "^row 0 has 4 entries, expected 3$"),
+        (1, "^row 0: expected a sequence, got int$"),
         ((1, GE, 1), "row 0 coeffs: expected a sequence, got int"),
     ],
     ids=["two-items", "four-items", "not-a-sequence", "coeffs-not-iterable"],
