@@ -10,7 +10,12 @@ entry check) or lets a document's field error out as a bare
 ``InstanceError``, or breaks a fast path: the rounding
 layer's scan of A and the estimator's kept trace terms, the oracle's cost
 bound and value skip, which must leave its answer as it is, and the guided
-simplex, which must not keep a basis that fails its certificate.  For
+simplex, which must not keep a basis that fails its certificate, whose
+bounded float run flips bounds by the long-step rule (a flip moves the
+basic values, a breakpoint whose flip would meet the row is not passed,
+nor one without a bound, and a flipped variable enters from its bound),
+whose bounded run's optimum is kept only where it is the LP's only one,
+and which tries that run only where a bound can bind a row.  For
 each one the script copies ``src``, ``tests`` and ``pyproject.toml`` to a
 temporary directory, replaces the mutant's ``old`` text (which must occur
 exactly once) with ``new``, and runs ``pytest -x`` on the mutant's named
@@ -67,6 +72,25 @@ CERTIFICATE = [
     "tests/test_simplex.py::test_certificate_amounts_exact_over_mixed_denominators",
     "tests/test_simplex.py::test_certificate_check_equals_fraction_reference_on_fixed_cases",
     "tests/test_simplex.py::test_certificate_check_equals_fraction_reference",
+]
+
+# the float run's flip rule: the hand-built flips first, then the no-fallback parity
+FLIPS = [
+    "tests/test_simplex.py::test_ratio_test_flips_a_bounded_breakpoint",
+    "tests/test_simplex.py::test_ratio_test_stops_where_a_flip_would_meet_the_row",
+    "tests/test_simplex.py::test_flipped_variable_enters_from_its_bound",
+    "tests/test_simplex.py::test_float_pivot_path_pinned",
+    "tests/test_simplex.py::test_guided_equals_cold_on_every_cut_loop_lp",
+    "tests/test_simplex.py::test_guided_equals_cold_on_boxed_lps",
+]
+
+# the bounded run's optimum is kept only where it is the only one: the hand-built
+# cases first, then the parity and the reference on boxed LPs
+UNIQUE = [
+    "tests/test_simplex.py::test_bounded_run_hands_on_an_optimum_that_is_one_of_several",
+    "tests/test_simplex.py::test_bounded_run_hands_on_a_basic_value_at_0",
+    "tests/test_simplex.py::test_several_duals_take_the_exact_runs",
+    "tests/test_simplex.py::test_guided_equals_cold_on_boxed_lps",
 ]
 
 MODEL = "src/coverpack/model.py"
@@ -230,9 +254,74 @@ MUTANTS = {
     ),
     "guided-keeps-a-basis-that-fails-its-certificate": (
         SIMPLEX,
-        "return None if verify_certificate(p, s) else s",
-        "return s",
-        ["tests/test_simplex.py::test_wrong_float_basis_falls_back_to_exact"],
+        "    if verify_certificate(p, s):\n        return None",
+        "    if False:\n        return None",
+        [
+            "tests/test_simplex.py::test_wrong_float_basis_falls_back_to_exact",
+            "tests/test_simplex.py::test_wrong_mirror_basis_falls_back_to_exact",
+        ],
+    ),
+    "guided-keeps-an-optimum-that-is-one-of-several": (
+        SIMPLEX,
+        "if only and not _unique(",
+        "if False and not _unique(",
+        UNIQUE,
+    ),
+    "unique-takes-a-zero-dual": (SIMPLEX, "if 0 in Y or 0 in", "if 0 in", UNIQUE),
+    "unique-takes-a-zero-reduced-cost": (
+        SIMPLEX,
+        "or 0 in reduced.values() or",
+        "or",
+        UNIQUE,
+    ),
+    "unique-takes-a-zero-bound": (
+        SIMPLEX,
+        "or ZERO in p.var_bounds:",
+        ":",
+        UNIQUE,
+    ),
+    "unique-takes-a-basic-value-at-0": (SIMPLEX, "if x[j] <= 0 or", "if x[j] < 0 or", UNIQUE),
+    "unique-takes-a-basic-value-at-its-bound": (
+        SIMPLEX,
+        "(u is not None and x[j] >= u)",
+        "(u is not None and x[j] > u)",
+        UNIQUE,
+    ),
+    "unique-takes-a-slack-at-0": (
+        SIMPLEX,
+        "        if i not in tight:",
+        "        if False:",
+        UNIQUE,
+    ),
+    "bounded-run-tried-where-every-bound-meets-its-rows": (
+        SIMPLEX,
+        "S[j] * un < S[-1] * ud",
+        "S[j] * un <= S[-1] * ud",
+        ["tests/test_simplex.py::test_set_cover_runs_the_mirror_alone"],
+    ),
+    "flip-moves-no-basic-value": (
+        SIMPLEX,
+        "row[-1] -= sum(row[q] * u for q, u in steps)",
+        "row[-1] -= 0 * sum(row[q] * u for q, u in steps)",
+        FLIPS,
+    ),
+    "ratio-test-passes-the-breakpoint-that-meets-the-row": (
+        SIMPLEX,
+        "if u is None or slope - a * u <= FLOAT_TIE:",
+        "if u is None or slope - a * u < -FLOAT_TIE:",
+        FLIPS,
+    ),
+    "ratio-test-passes-an-unbounded-breakpoint": (
+        SIMPLEX,
+        "if u is None or slope - a * u <= FLOAT_TIE:",
+        "if u is not None and slope - a * u <= FLOAT_TIE:",
+        FLIPS,
+    ),
+    "variable-enters-from-its-bound-at-0": (
+        SIMPLEX,
+        "prow[-1] += self.upper[enter]",
+        "prow[-1] += 0 * self.upper[enter]",
+        FLIPS,
     ),
     "nonnegative-skips-entry-0": (
         MODEL,

@@ -274,10 +274,20 @@ class _Vector:
 
 @dataclass(frozen=True)
 class FractionalVector(_Vector):
-    """Nonnegative rational candidate solution."""
+    """Nonnegative rational candidate solution: each entry an int or a ``Fraction``.
+
+    Any other entry is read by ``as_fraction`` and stored as what it reads.
+    """
 
     def __post_init__(self):
-        nonnegative(as_sequence(self.values, "x"), "x")
+        values = as_sequence(self.values, "x")
+        if {type(v) for v in values} - {int, Fraction}:  # at C speed
+            values = tuple(
+                v if type(v) in (int, Fraction) else as_fraction(v, f"x[{j}]")
+                for j, v in enumerate(values)
+            )
+            object.__setattr__(self, "values", values)
+        nonnegative(values, "x")
 
 
 @dataclass(frozen=True)

@@ -22,30 +22,43 @@ exactly, in integers.
 An LP of at least ``GUIDED_MIN_CELLS`` cells (rows times variables) is
 first solved the way exact LP solvers certify a float basis (Dhiflaoui et
 al., SODA 2003; Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 35,
-2007): the same dual simplex runs in floats, with ties within
-``FLOAT_TIE``, and its final basis is solved exactly, by fraction-free
-(Bareiss) elimination on the tight rows and basic structural columns for
-the point and on their transpose for the row duals.  The result is kept
-only if ``verify_certificate`` passes; otherwise, and on an infeasible
-row, the pivot cap, a float out of range or a singular basis, the exact
-tableau runs as for every smaller LP.  The size rule comes from a
-break-even ladder of ``solve_lp`` alone on random CPIPs, six seeds a size
-(CPython 3.11, 2 vCPUs): the guided path ran 0.5-0.8x as fast, in the
-median, up to 8x12 (120 cells); at 10x15 and 11x16 (180-208 cells)
-1.1-1.3x in the median but down to 0.81x on single LPs; from 12x17 (238
-cells) on never below 1.0x, and 2.4x at 20x30 (690 cells) and 3.5x at
-40x60 (2,580).  The rule sees only the size: 0/1 set-cover LPs, whose
-exact pivots stay small, ran 0.5-0.7x guided at 200-800 cells.
-``LpSolution.iterations`` counts the pivots of the run that found the
-basis: the float run's on the guided path.
+2007): a dual simplex runs in floats, with ties within ``FLOAT_TIE``, and
+its final basis is solved exactly, by fraction-free (Bareiss) elimination
+on the tight rows and basic structural columns for the point and on their
+transpose for the row duals.  The result is kept only if
+``verify_certificate`` passes; otherwise, and on an infeasible row, the
+pivot cap, a float out of range or a singular basis, the exact tableau
+runs as for every smaller LP.  Two float runs can give the basis.  The
+bounded run keeps every bound implicit: a nonbasic variable sits at 0 or
+at its bound, and the long-step ratio test of the bounded dual simplex
+moves it from one to the other without a pivot (Fourer, "Notes on the
+dual simplex method", 1994; Kostina, Math. Methods Oper. Res. 55, 2002),
+so it stores no bound row.  It takes another path than the exact run, so
+its optimum is kept only where it is the LP's only optimal point and dual
+vector, which every path ends at.  Elsewhere the mirror run, the exact
+run's own pivots in floats, gives the exact run's basis.  The bounded run
+goes first only where a bound can bind a row by itself (some variable at
+its bound falls short of a ``>=`` row it is in); elsewhere, as in a set
+cover, the mirror run goes alone.  The size rule comes from a break-even
+ladder of ``solve_lp`` alone on random CPIPs, six seeds a size (CPython
+3.11, 2 vCPUs), measured with the mirror run alone: the guided path ran
+0.5-0.8x as fast, in the median, up to 8x12 (120 cells); at 10x15 and
+11x16 (180-208 cells) 1.1-1.3x in the median but down to 0.81x on single
+LPs; from 12x17 (238 cells) on never below 1.0x, and 2.4x at 20x30 (690
+cells) and 3.5x at 40x60 (2,580).  The rule sees only the size: 0/1
+set-cover LPs, whose exact pivots stay small, ran 0.5-0.7x guided at
+200-800 cells.  ``LpSolution.iterations`` counts the pivots of the run
+that found the basis: a float run's on the guided path, where a flip is
+not a pivot.
 
 Row order inside an ``LpProblem`` built from an instance is fixed and
 documented: covering rows, then packing rows, then any cut rows in
-insertion order.  A variable upper bound is a bound row, never a big-M
-term, and it enters the tableau only once it is violated: until then its
-slack is basic at ``u_j - x_j`` and the row is implied by ``x_j``'s row.
-Ties are broken on the indices of the full tableau, every column and
-every bound row present, so the pivots are that tableau's.
+insertion order.  In the exact tableau a variable upper bound is a bound
+row, never a big-M term, and it enters the tableau only once it is
+violated: until then its slack is basic at ``u_j - x_j`` and the row is
+implied by ``x_j``'s row.  The exact run breaks ties on the indices of the
+full tableau, every column and every bound row present, so its pivots are
+that tableau's.
 
 Dual sign convention (minimization): duals of >= rows are >= 0, duals of
 <= rows and of upper bounds are <= 0, and the dual objective is
@@ -60,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Sequence
 
 from coverpack.model import (
@@ -376,8 +389,185 @@ class _Tableau:
         return enter
 
 
-class _FloatTableau(_Tableau):
-    """``_Tableau``'s dual simplex in floats, to find a basis for ``_guided``.
+class _FloatTableau:
+    """A bounded dual simplex in floats, to find a basis for ``_guided``.
+
+    The condensed tableau of ``_Tableau`` in floats, one row per user row
+    and no bound row: a bound is kept implicit (Dantzig's upper-bounding
+    technique).  A nonbasic structural sits at 0 or, once its label is in
+    ``at_upper``, at its bound; the last entry of a row is the value of its
+    basic variable with every nonbasic at its own value, and ``obj[-1]`` is
+    ``-z``.  A basic value below 0, or a basic structural's above its bound,
+    is infeasible, and the most infeasible row leaves (ties within
+    ``FLOAT_TIE`` to the lowest row, a bound after every user row), under
+    Bland's rule the one with the lowest label.  ``entering`` is the
+    long-step ratio test of the bounded dual simplex (Fourer 1994; Kostina
+    2002): it passes each breakpoint whose variable has a bound, flipping
+    that variable to its other bound, while the leaving row stays
+    infeasible.  A pivot counts toward ``MAX_PIVOTS`` and Bland's switch, a
+    flip toward neither; ``flips`` counts them apart.  Each entry is the
+    float of its rational; one beyond the float range raises
+    ``OverflowError``.  A pivot skips a row whose entry in the entering
+    column is 0 within ``FLOAT_TIE``.
+    """
+
+    def __init__(self, p: LpProblem):
+        n = self.n = len(p.objective)
+        m = self.m = len(p.rows)
+        self.nonbasic = list(range(n))
+        self.basis = list(range(n, n + m))
+        # by label: a structural's bound, and None for no bound and for a slack
+        self.upper = [None if u is None else u.numerator / u.denominator for u in p.var_bounds]
+        self.upper += [None] * m
+        self.at_upper: set[int] = set()
+        self.T = [
+            [v / D for v in S] if row.sense == LE else [-v / D for v in S]
+            for row, (S, D) in zip(p.rows, p.int_rows)
+        ]
+        obj, obj_den = integers(p.objective)
+        self.obj = [v / obj_den for v in obj] + [0.0]
+        self.iterations = self.flips = 0
+
+    def leaving(self, bland: bool) -> tuple[int, bool] | None:
+        """The row to leave and whether it leaves at its bound; None if all are in bounds."""
+        n, m, upper, basis = self.n, self.m, self.upper, self.basis
+        best = None  # (infeasibility, tie key, label, row, above its bound)
+        for i, row in enumerate(self.T):
+            v, b = row[-1], basis[i]
+            if v < -FLOAT_TIE:
+                cand = (-v, i, b, i, False)
+            else:
+                u = upper[b]
+                if u is None or v - u <= FLOAT_TIE:
+                    continue
+                cand = (v - u, m + b, n + m + b, i, True)
+            if best is not None:
+                if bland:
+                    if cand[2] > best[2]:
+                        continue
+                elif cand[0] < best[0] - FLOAT_TIE or (
+                    cand[0] <= best[0] + FLOAT_TIE and cand[1] > best[1]
+                ):
+                    continue
+            best = cand
+        return None if best is None else best[3:]
+
+    def run(self) -> int:
+        """Pivot until every basic value is in its bounds; -1, or the row proving infeasibility.
+
+        A row above its bound is read as the bound row ``u_j - x_j`` would
+        be: negated, with the bound added to its value.  ``BLAND_AFTER``
+        and ``MAX_PIVOTS`` are read as the run starts.  A pivot is
+        degenerate when the entering reduced cost is 0 within ``FLOAT_TIE``.
+        """
+        degenerate_streak, bland_after, max_pivots = 0, BLAND_AFTER, MAX_PIVOTS
+        while True:
+            found = self.leaving(degenerate_streak >= bland_after)
+            if found is None:
+                return -1
+            leave, high = found
+            lrow = self.T[leave]
+            if high:
+                lrow = [-v for v in lrow]
+                lrow[-1] += self.upper[self.basis[leave]]
+            enter, flips = self.entering(lrow)
+            if enter < 0:
+                return leave  # not even every flip makes the row feasible
+            if self.iterations >= max_pivots:
+                raise LimitError(f"simplex exceeded {max_pivots} pivots")
+            self.iterations += 1
+            degenerate = abs(self.obj[enter]) <= FLOAT_TIE
+            degenerate_streak = degenerate_streak + 1 if degenerate else 0
+            self.flip(flips)
+            self.pivot(leave, enter, high)
+
+    def entering(self, lrow: list) -> tuple[int, list[int]]:
+        """The entering column by the long-step rule, and the columns to flip first.
+
+        ``lrow``'s value is negative.  A column is a breakpoint if its
+        variable is at 0 and its entry negative, or at its bound and its
+        entry positive; its ratio is its reduced cost over its entry, both
+        read toward its other bound.  The breakpoints are taken by ratio;
+        those within ``FLOAT_TIE`` of the least one left tie, and go lowest
+        label first.  One whose variable has a bound is passed, and flipped,
+        while the row's value stays below ``-FLOAT_TIE`` after its flip; the
+        first that is not passed enters.  (-1, flips) if every breakpoint is
+        passed: then no point meets the row.
+        """
+        obj, nonbasic, upper, at_upper = self.obj, self.nonbasic, self.upper, self.at_upper
+        breaks = []  # (ratio, label, column, |entry|)
+        for q, (a, d, label) in enumerate(zip(lrow, obj, nonbasic)):
+            if label in at_upper:
+                a, d = -a, -d
+            if a < -FLOAT_TIE:
+                breaks.append((d / -a, label, q, -a))
+        breaks.sort()
+        slope, flips, k = -lrow[-1], [], 0
+        while k < len(breaks):
+            j, top = k + 1, breaks[k][0] + FLOAT_TIE
+            while j < len(breaks) and breaks[j][0] <= top:
+                j += 1
+            for _, label, q, a in sorted(breaks[k:j], key=itemgetter(1)):
+                u = upper[label]
+                if u is None or slope - a * u <= FLOAT_TIE:
+                    return q, flips
+                slope -= a * u
+                flips.append(q)
+            k = j
+        return -1, flips
+
+    def flip(self, cols: list[int]) -> None:
+        """Move each nonbasic column of ``cols`` to its other bound, with every value it moves."""
+        steps = []
+        for q in cols:
+            label = self.nonbasic[q]
+            u = self.upper[label]
+            if label in self.at_upper:
+                self.at_upper.remove(label)
+                u = -u
+            else:
+                self.at_upper.add(label)
+            if u:
+                steps.append((q, u))
+        self.flips += len(cols)
+        if steps:
+            for row in (*self.T, self.obj):
+                row[-1] -= sum(row[q] * u for q, u in steps)
+
+    def pivot(self, r: int, e: int, high: bool) -> None:
+        """Exchange row r's basic variable with column e's; it leaves at its bound if ``high``."""
+        prow = self.T[r]
+        p = prow[e]
+        prow[e] = 1.0
+        leave, enter = self.basis[r], self.nonbasic[e]
+        if high:
+            prow[-1] -= self.upper[leave]
+            self.at_upper.add(leave)
+        prow = self.T[r] = [v / p for v in prow]
+        T, inv = self.T, prow[e]
+        for i, row in enumerate(T):
+            f = row[e]
+            if i != r and abs(f) > FLOAT_TIE:
+                T[i] = new = [v - f * w for v, w in zip(row, prow)]
+                new[e] = -f * inv
+        f = self.obj[e]
+        if abs(f) > FLOAT_TIE:
+            self.obj = new = [v - f * w for v, w in zip(self.obj, prow)]
+            new[e] = -f * inv
+        if enter in self.at_upper:  # it enters from its bound, not from 0
+            self.at_upper.remove(enter)
+            prow[-1] += self.upper[enter]
+        self.basis[r], self.nonbasic[e] = enter, leave
+
+    def fixed(self) -> tuple[list[int], list[int], set[int]]:
+        """The tight rows, the variables at their bound, and every nonbasic structural."""
+        n, nonbasic = self.n, self.nonbasic
+        at_bound = [v for v in nonbasic if v in self.at_upper]
+        return [v - n for v in nonbasic if v >= n], at_bound, {v for v in nonbasic if v < n}
+
+
+class _FloatMirror(_Tableau):
+    """``_Tableau``'s dual simplex in floats: the exact run's basis, for ``_guided``.
 
     It runs the inherited rules: the same leaving and entering choices,
     bound rows stored once violated, and ties to the same indices, with
@@ -414,6 +604,17 @@ class _FloatTableau(_Tableau):
             new[e] = -f * inv
         self.basis[r], self.nonbasic[e] = self.nonbasic[e], self.basis[r]
 
+    def fixed(self) -> tuple[list[int], list[int], set[int]]:
+        """The tight rows, the variables at their bound, and every structural these fix.
+
+        A variable is at its bound where its bound row's slack is nonbasic,
+        whether the variable itself is basic or not.
+        """
+        n, m, nonbasic = self.n, self.m, self.nonbasic
+        at_bound = [self.bounded[v - n - m] for v in nonbasic if v >= n + m]
+        tight = [v - n for v in nonbasic if n <= v < n + m]
+        return tight, at_bound, {*at_bound, *(v for v in nonbasic if v < n)}
+
 
 def solve_lp(p: LpProblem) -> LpSolution:
     """Dual simplex from the all-slack basis with exact certificates.
@@ -428,14 +629,16 @@ def solve_lp(p: LpProblem) -> LpSolution:
     yields the same solution.
 
     Two paths give it.  An LP of at least ``GUIDED_MIN_CELLS`` cells (rows
-    times variables, read at call time) is first solved by ``_guided``:
-    these pivots in floats, then the final basis solved exactly and
-    certified by ``verify_certificate``.  Every other LP, and every one
-    ``_guided`` gives up on (an infeasible row, the pivot cap, a float out
-    of range, a singular basis or a failed certificate), runs the exact
-    tableau, the only source of a Farkas ray.  ``iterations`` counts the
-    pivots of the run that found the basis: the float run's on the guided
-    path.
+    times variables, read at call time) is first solved by ``_guided``: a
+    float run, then its final basis solved exactly and certified by
+    ``verify_certificate``.  The float run is the bounded one, with the
+    bounds kept implicit and flipped by the long-step ratio test, where its
+    optimum is the only one; otherwise these rules in floats.  Every other
+    LP, and every one ``_guided`` gives up on (an infeasible row, the pivot
+    cap, a float out of range, a singular basis or a failed certificate),
+    runs the exact tableau, the only source of a Farkas ray.  Either way
+    the answer is the exact run's.  ``iterations`` counts the pivots of the
+    run that found the basis: the float run's on the guided path.
     """
     nonnegative(p.objective, "objective")
     if len(p.rows) * len(p.objective) >= GUIDED_MIN_CELLS:
@@ -465,17 +668,60 @@ def solve_lp(p: LpProblem) -> LpSolution:
 
 
 def _guided(p: LpProblem) -> LpSolution | None:
+    """An optimal basis found in floats, solved exactly and certified; None to run exactly.
+
+    The bounded float run (``_FloatTableau``) goes first where a bound can
+    bind (``_bound_falls_short``).  Its answer is kept when it is the LP's
+    only optimal point and dual vector (``_unique``), so that the exact run,
+    or any other, could end at no other.  Elsewhere, and where there are
+    several, the exact run's own pivots in floats (``_FloatMirror``) give
+    the exact run's basis.  Either run gives up, and the exact run takes
+    over, as ``_certified`` says.
+    """
+    if _bound_falls_short(p):
+        s = _certified(p, _FloatTableau, only=True)
+        if s is not _SEVERAL:
+            return s
+    return _certified(p, _FloatMirror, only=False)
+
+
+def _bound_falls_short(p: LpProblem) -> bool:
+    """Whether some variable at its bound falls short of a ``>=`` row it is in.
+
+    Only then can the bounded float run's first ratio test on a row pass a
+    breakpoint.  Where every bounded variable alone meets each row it is
+    in, as in a set cover, the bounds seldom bind: on set covers at 60x90
+    (density 0.1, seeds 0-3) the bounded run made 1-29 flips an LP and 230
+    pivots against the exact run's 220, and each optimum was one of
+    several, so the mirror run had to follow it.
+    """
+    bounded = [(j, u.numerator, u.denominator) for j, u in enumerate(p.var_bounds) if u]
+    for row, (S, _) in zip(p.rows, p.int_rows):
+        if row.sense == GE and any(0 < S[j] and S[j] * un < S[-1] * ud for j, un, ud in bounded):
+            return True
+    return False
+
+
+#: what ``_certified`` returns, with ``only``, for an optimum that is one of several
+_SEVERAL = object()
+
+
+def _certified(p: LpProblem, tableau, only: bool):
     """The float run's optimal basis, solved exactly and certified; None to run exactly.
 
-    The basis fixes every nonbasic structural at 0, every variable whose
-    bound slack is nonbasic at ``u_j``, and every user row whose slack is
-    nonbasic as tight.  The other basic structurals (``cols``) then solve
-    the tight rows' k x k integer system, and the row duals of the tight
-    rows its transpose against the costs of ``cols``: every other row dual
-    is 0, and a bound dual is the reduced cost left at its bound.
+    ``tableau`` is the float run's class, and its ``fixed()`` reads the final
+    basis: the user rows whose slack is nonbasic, as tight, the variables
+    at their bound, and every nonbasic structural, at 0 unless at its bound.
+    The basic structurals (``cols``) then solve the tight rows' k x k
+    integer system, and the row duals of the tight rows its transpose
+    against the costs of ``cols``: every other row dual is 0, and a bound
+    dual is the reduced cost left at its bound.  None on an infeasible row,
+    the pivot cap, a float out of range, a singular basis or a failed
+    certificate; with ``only``, ``_SEVERAL`` for a certified optimum that
+    ``_unique`` does not find to be the only one.
     """
     try:
-        t = _FloatTableau(p)
+        t = tableau(p)
         if t.run() >= 0:
             return None  # the exact tableau finds the Farkas ray
     except (LimitError, OverflowError):
@@ -483,9 +729,7 @@ def _guided(p: LpProblem) -> LpSolution | None:
     if not all(map(isfinite, (*t.obj, *(row[-1] for row in t.T)))):
         return None
     n, m = t.n, t.m
-    tight = [v - n for v in t.nonbasic if n <= v < n + m]
-    at_bound = [t.bounded[v - n - m] for v in t.nonbasic if v >= n + m]
-    out = {*at_bound, *(v for v in t.nonbasic if v < n)}
+    tight, at_bound, out = t.fixed()
     cols = [j for j in range(n) if j not in out]
     if len(cols) != len(tight):
         return None
@@ -507,12 +751,15 @@ def _guided(p: LpProblem) -> LpSolution | None:
         x[j] = p.var_bounds[j]
     if min(x, default=ZERO) < 0:
         return None  # not primal feasible, and no FractionalVector
+    # reduced costs over dy * Dc: at every nonbasic structural if ``_unique`` reads them
+    priced = out if only else at_bound
+    reduced = {j: C[j] * dy - sum(v * S[j] for v, S in zip(Y, rows)) for j in priced}
     y = [ZERO] * m
     for i, v in zip(tight, Y):
         y[i] = Fraction(v * p.int_rows[i][1], dy * Dc)
     z = [ZERO] * n
     for j in at_bound:
-        z[j] = Fraction(C[j] * dy - sum(v * S[j] for v, S in zip(Y, rows)), dy * Dc)
+        z[j] = Fraction(reduced[j], dy * Dc)
     value = sum(C[j] * v for j, v in zip(cols, X)) + dx * sum(
         C[j] * u for j, u in zip(at_bound, U)
     )
@@ -524,7 +771,40 @@ def _guided(p: LpProblem) -> LpSolution | None:
         dual_rows=tuple(y),
         dual_bounds=tuple(z),
     )
-    return None if verify_certificate(p, s) else s
+    if verify_certificate(p, s):
+        return None
+    if only and not _unique(p, x, cols, X, dx, at_bound, U, Du, tight, Y, reduced):
+        return _SEVERAL
+    return s
+
+
+def _unique(p, x, cols, X, dx, at_bound, U, Du, tight, Y, reduced) -> bool:
+    """Whether the basis's optimum is the LP's only optimal point and dual vector.
+
+    The basic structurals ``cols`` take ``x``, that is ``X / (dx * Du)``,
+    those ``at_bound`` their bounds ``U / Du``, and the tight rows the
+    weights ``Y``; ``reduced`` holds each nonbasic structural's reduced
+    cost, scaled by a positive factor.  A nonzero reduced cost at every
+    nonbasic structural and a nonzero dual at every tight row leave one
+    optimal point; a value strictly inside its bounds at every basic
+    variable, a row's slack included, leaves one dual vector, unless a
+    bound of 0 leaves its own dual free below (Chvatal, *Linear
+    Programming*, 1983).  Every other optimal basis then gives the same
+    answer, the exact run's among them.
+    """
+    if 0 in Y or 0 in reduced.values() or ZERO in p.var_bounds:
+        return False
+    for j in cols:
+        u = p.var_bounds[j]
+        if x[j] <= 0 or (u is not None and x[j] >= u):
+            return False
+    n, tight = len(p.objective), set(tight)
+    for i, (S, _) in enumerate(p.int_rows):
+        if i not in tight:
+            lhs = sum(S[j] * v for j, v in zip(cols, X))
+            if lhs + dx * sum(S[j] * u for j, u in zip(at_bound, U)) == S[n] * dx * Du:
+                return False
+    return True
 
 
 def _fraction_free_solve(M: list[list[int]]) -> tuple[list[int], int] | None:

@@ -274,6 +274,7 @@ INTS = {
 
 #: every vector argument of a public function read entry by entry, and its name
 VECTORS = {
+    "FractionalVector(values)": (FractionalVector, "x"),
     "check_solution(x)": (lambda x: check_solution(GAP, x, 1), "x"),
     "find_violated_kc(x)": (lambda x: find_violated_kc(GAP, x, 2), "x"),
     "randomized_round(xbar)": (lambda x: randomized_round(x, 2, 0), "xbar"),
@@ -516,9 +517,12 @@ def test_candidate_vectors_are_sequences_of_nonnegative_entries():
     # the two vector types share their sequence methods and keep their own checks
     for vec in (FractionalVector((F(1, 2), 0.5, 0)), IntegerVector((2, 0, 1))):
         assert len(vec) == 3 and list(vec) == list(vec.values) and vec[2] == vec.values[2]
+    # FractionalVector stores an entry that is not an int or a Fraction as as_fraction reads it
+    assert FractionalVector([0.5, "1/3", 0]).values == (F(1, 2), F(1, 3), 0)
+    assert [type(v) for v in FractionalVector((0.5, 0)).values] == [F, int]
     with pytest.raises(InstanceError, match=r"^x\[1\] = -1/2 is negative$"):
         FractionalVector((F(1), F(-1, 2)))
-    with pytest.raises(InstanceError, match=r"^x\[0\] = -0.5 is negative$"):
+    with pytest.raises(InstanceError, match=r"^x\[0\] = -1/2 is negative$"):
         FractionalVector((-0.5, 1))
     # IntegerVector reads each entry by as_int's rule: an int, not a bool, at least 0
     for values, bad in (

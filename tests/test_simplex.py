@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverpack import rounding, simplex
-from coverpack.genbench import gen_random_cpip, gen_set_cover
+from coverpack import kc, rounding, simplex
+from coverpack.genbench import gen_multiset_multicover, gen_random_cpip, gen_set_cover
 from coverpack.model import (
     ZERO,
     FractionalVector,
@@ -227,11 +227,14 @@ def _explicit_bounds(p):
 
 
 def _assert_bound_rows_parity(p):
-    # bound rows enter the tableau only when violated; the pivots, point,
-    # duals and rays must be those of the LP with every bound written out
-    s = solve_lp(p)
-    q, bounded = _explicit_bounds(p)
-    t = solve_lp(q)
+    # the exact tableau's bound rows enter only when violated; its pivots,
+    # point, duals and rays must be those of the LP with every bound written
+    # out (the float run keeps its bounds implicit and flips them instead)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "GUIDED_MIN_CELLS", ALL_COLD)
+        s = solve_lp(p)
+        q, bounded = _explicit_bounds(p)
+        t = solve_lp(q)
     assert (s.status, s.iterations) == (t.status, t.iterations)
     if s.status == "OPTIMAL":
         assert (s.primal, s.objective_value) == (t.primal, t.objective_value)
@@ -324,8 +327,9 @@ def test_bland_rule_from_first_pivot(monkeypatch):
     [((10, 15, 2, 1), 13, F(91561, 2250)), ((20, 30, 3, 1), 32, F(985, 12))],
     ids=["cpip-10x15", "cpip-20x30"],
 )
-def test_pivot_path_pinned(shape, iterations, objective):
-    # a faster pivot must not silently change the vertex path
+def test_pivot_path_pinned(monkeypatch, shape, iterations, objective):
+    # a faster pivot must not silently change the exact tableau's vertex path
+    monkeypatch.setattr(simplex, "GUIDED_MIN_CELLS", ALL_COLD)
     s = solve_lp(lp_from_instance(gen_random_cpip(*shape)))
     assert (s.status, s.iterations, s.objective_value) == ("OPTIMAL", iterations, objective)
 
@@ -482,7 +486,7 @@ def test_certificate_entries_read_as_the_values_they_stand_for(field, value, rep
     [
         ("dual_bounds", ("x", 0), r"dual_bounds\[0\]"),
         ("dual_rows", (None,), r"dual_rows\[0\]"),
-        ("primal", FractionalVector((F(1), True)), r"primal\[1\]"),
+        ("primal", (F(1), True), r"primal\[1\]"),  # FractionalVector refuses the bool itself
         ("objective_value", None, "objective_value: expected a number"),
     ],
     ids=["str-bound", "none-row", "bool-primal", "none-value"],
@@ -1176,15 +1180,182 @@ def _cold_and_guided(p):
     return cold, guided
 
 
+def _nondegenerate(p, s):
+    """Whether the optimum ``s`` is primal and whether it is dual nondegenerate.
+
+    Primal: ``m`` of its values are off their bounds, a row's slack among
+    them.  Dual: ``n`` of its row duals and reduced costs are nonzero.  A
+    reference for ``simplex._unique``, read from the rationals.
+    """
+    rows = lp_rows(p)
+    x, n = s.primal, len(p.objective)
+    off = sum(0 < v and (u is None or v < u) for v, u in zip(x, p.var_bounds))
+    off += sum(dot(a, x) != rhs for a, _, rhs in rows)
+    reduced = [
+        p.objective[j] - sum(y * a[j] for y, (a, _, _) in zip(s.dual_rows, rows)) for j in range(n)
+    ]
+    return off == len(rows), sum(map(bool, (*reduced, *s.dual_rows))) == n
+
+
+def _assert_guided_equals_cold(p):
+    """Every field but the pivot count, and an optimum from a float run, not the exact run."""
+    cold, guided = _cold_and_guided(p)
+    assert replace(guided, iterations=0) == replace(cold, iterations=0)
+    assert simplex._guided(p) == (guided if cold.status == "OPTIMAL" else None)
+    return cold
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(cpip_lps(), general_lps()))
 def test_guided_solution_equals_cold(p):
-    # status, point, value, both dual vectors, rays and iterations; an
-    # optimum comes from the float run's basis itself, with no fallback
-    cold, guided = _cold_and_guided(p)
-    assert guided == cold
-    assert simplex._guided(p) == (cold if cold.status == "OPTIMAL" else None)
+    # status, point, value, both dual vectors and rays; the pivots are the
+    # float run's
+    _assert_guided_equals_cold(p)
 
+
+@st.composite
+def boxed_lps(draw):
+    """Covering and packing LPs with every variable bounded, some, or some bounds at 0."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    coeff = st.builds(F, st.integers(0, 5), st.integers(1, 3))
+    rows = [
+        (
+            draw(st.lists(coeff, min_size=n, max_size=n)),
+            draw(st.sampled_from([GE, GE, LE])),
+            draw(st.builds(F, st.integers(0, 20), st.integers(1, 4))),
+        )
+        for _ in range(m)
+    ]
+    bound = st.builds(F, st.integers(1, 4), st.integers(1, 2))
+    kind = draw(st.sampled_from(["every", "some", "zero"]))
+    if kind == "every":
+        bounds = draw(st.lists(bound, min_size=n, max_size=n))
+    else:
+        bounds = draw(st.lists(st.one_of(st.none(), bound), min_size=n, max_size=n))
+    if kind == "zero":
+        bounds[draw(st.integers(0, n - 1))] = ZERO
+    cost = st.builds(F, st.integers(0, 6), st.integers(1, 5))
+    objective = draw(st.lists(cost, min_size=n, max_size=n))
+    return LpProblem.from_data(objective, rows, bounds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_lps())
+def test_guided_equals_cold_on_boxed_lps(p):
+    cold = _assert_guided_equals_cold(p)
+    bounded = simplex._certified(p, simplex._FloatTableau, only=True)
+    if cold.status == "OPTIMAL" and bounded is not None:
+        # the bounded run's optimum is kept exactly where it is the only one
+        unique = all(_nondegenerate(p, cold)) and ZERO not in p.var_bounds
+        assert (bounded is not simplex._SEVERAL) == unique
+
+
+def _float_run(objective, rows, bounds):
+    """The float run on an LP: the LP, the run's end (-1 or the infeasible row) and the tableau."""
+    p = LpProblem.from_data(objective, rows, bounds)
+    t = simplex._FloatTableau(p)
+    return p, t.run(), t
+
+
+def test_ratio_test_flips_a_bounded_breakpoint():
+    # min x + 2y s.t. x + y >= 3, x <= 1: x's breakpoint comes first, and at
+    # its bound x leaves the row short by 2, so x flips to 1 and y enters
+    p, end, t = _float_run([1, 2], [((1, 1), GE, 3)], [1, None])
+    assert (end, t.iterations, t.flips, t.at_upper, t.basis) == (-1, 1, 1, {0}, [1])
+    assert (t.T[0][-1], t.obj[-1]) == (2.0, -5.0)  # the flip moved y's value and z
+    s = simplex._guided(p)
+    assert (s.primal.values, s.objective_value, s.dual_rows, s.dual_bounds) == (
+        (1, 2), 5, (2,), (-1, 0),
+    )
+
+
+@pytest.mark.parametrize("u, x", [(4, 0), (3, 0)], ids=["past-the-demand", "at-the-demand"])
+def test_ratio_test_stops_where_a_flip_would_meet_the_row(u, x):
+    # x <= 4 at its bound would carry the row past 3, and x <= 3 exactly to
+    # it: x enters at the first breakpoint, with no flip, and takes the value 3
+    p, end, t = _float_run([1, 2], [((1, 1), GE, 3)], [u, None])
+    assert (end, t.iterations, t.flips, t.at_upper, t.basis) == (-1, 1, 0, set(), [0])
+    assert simplex._guided(p).primal.values == (3, x)
+
+
+def test_flipped_variable_enters_from_its_bound():
+    # min x s.t. y <= 0, x + y >= 6, y <= 3: y flips to 3 and x enters at 3;
+    # then y <= 0 leaves, and y enters from its bound 3 down to 0, so x is 6
+    _, end, t = _float_run([1, 0], [((0, 1), LE, 0), ((1, 1), GE, 6)], [None, 3])
+    assert (end, t.iterations, t.flips, t.at_upper, t.basis) == (-1, 2, 1, set(), [1, 0])
+    assert ([row[-1] for row in t.T], t.obj[-1]) == ([0.0, 6.0], -6.0)
+
+
+def test_ratio_test_passes_every_breakpoint_of_an_infeasible_row():
+    # x <= 1 and y <= 1 cannot meet x + y >= 3: the ratio test passes both
+    # breakpoints, and the row ends the run with no flip made
+    _, end, t = _float_run([1, 2], [((1, 1), GE, 3)], [1, 1])
+    assert (end, t.iterations, t.flips, t.at_upper) == (0, 0, 0, set())
+    assert t.entering(t.T[0]) == (-1, [0, 1])
+
+
+def test_float_pivot_path_pinned():
+    # the float run's pivots and flips at cpip-20x30, where the exact run makes 32 pivots
+    p = lp_from_instance(gen_random_cpip(20, 30, 3, 1))
+    t = simplex._FloatTableau(p)
+    assert (t.run(), t.iterations, t.flips) == (-1, 15, 25)
+    s = solve_lp(p)
+    assert (s.status, s.iterations, s.objective_value) == ("OPTIMAL", 15, F(985, 12))
+
+
+
+@pytest.mark.parametrize(
+    "objective, row, bound",
+    [
+        ([2], ((1,), GE, 0), 2),  # x = 0 meets the row with its slack basic at 0
+        ([0], ((2,), GE, 2), None),  # the tight row's dual is 0: every x >= 1 is optimal
+        ([0], ((1,), LE, 2), 2),  # x's reduced cost is 0: every x in [0, 2] is optimal
+        ([1], ((0,), LE, 1), 0),  # a bound of 0: its dual is free below
+        ([2], ((2,), GE, 2), 1),  # x is basic at its bound: row and bound share the price
+    ],
+    ids=["slack-at-0", "zero-dual", "zero-reduced-cost", "zero-bound", "basic-at-bound"],
+)
+def test_bounded_run_hands_on_an_optimum_that_is_one_of_several(objective, row, bound):
+    p = LpProblem.from_data(objective, [row], [bound])
+    assert simplex._certified(p, simplex._FloatTableau, only=True) is simplex._SEVERAL
+    cold, guided = _cold_and_guided(p)
+    assert guided == cold  # the mirror run's basis: the exact run's, pivots and all
+
+
+def test_bounded_run_hands_on_a_basic_value_at_0():
+    # min x s.t. 2x + y >= 1, 2y <= 0, x <= 2, y <= 2: y is basic at 0
+    p = LpProblem.from_data([1, 0], [((2, 1), GE, 1), ((0, 2), LE, 0)], [2, 2])
+    assert simplex._certified(p, simplex._FloatTableau, only=True) is simplex._SEVERAL
+    assert _assert_guided_equals_cold(p).primal.values == (F(1, 2), 0)
+
+
+def test_several_duals_take_the_exact_runs():
+    # min 2x + 2y s.t. 2x + y >= 3, x + y >= 2, x <= 1: at (1, 1) both rows
+    # and the bound are tight; the bounded run prices the first row and the
+    # bound, the exact run the second row
+    p = LpProblem.from_data([2, 2], [((2, 1), GE, 3), ((1, 1), GE, 2)], [1, None])
+    bounded = simplex._certified(p, simplex._FloatTableau, only=False)
+    assert (bounded.dual_rows, bounded.dual_bounds) == ((2, 0), (-2, 0))
+    cold, guided = _cold_and_guided(p)
+    assert guided == cold and (cold.dual_rows, cold.dual_bounds) == ((0, 2), (0, 0))
+
+
+def test_set_cover_runs_the_mirror_alone(monkeypatch):
+    # every set at its bound 1 covers each of its elements: no bound binds a
+    # row by itself, so the bounded run is not tried
+    p = lp_from_instance(gen_set_cover(20, 30, 0.2, 1))
+    built = []
+
+    class Counting(simplex._FloatTableau):
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(simplex, "_FloatTableau", Counting)
+    assert not simplex._bound_falls_short(p)
+    assert simplex._bound_falls_short(lp_from_instance(gen_random_cpip(20, 30, 3, 1)))
+    cold, guided = _cold_and_guided(p)
+    assert guided == cold and simplex._guided(p) == cold and not built
 
 def _cut_loop_lps(inst, lam):
     """Every LP the cut loop of ``inst`` at ``lam`` solves, in order."""
@@ -1209,10 +1380,23 @@ def test_guided_equals_cold_on_every_cut_loop_lp(m, n, seeds):
     assert len(lps) > len(seeds)
     for p in lps:
         assert len(p.rows) * n >= simplex.GUIDED_MIN_CELLS  # guided at the shipped size rule
-        cold, guided = _cold_and_guided(p)
-        assert guided == cold
-        assert simplex._guided(p) == cold  # from the float run's basis, with no fallback
+        _assert_guided_equals_cold(p)
 
+
+
+def test_guided_solver_answers_equal_cold():
+    # at multiset-multicover 40x60 seed 1 a bounded run that kept its own
+    # optimum, one of several, moved both solvers' answers
+    inst = gen_multiset_multicover(40, 60, 1)
+
+    def answers():
+        solved = kc.solve_cip_strict(inst, F(1, 4)), rounding.solve_cpip_bicriteria(inst, F(1, 4))
+        return [(x, replace(report, elapsed_s=None)) for x, report in solved]
+
+    guided = answers()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "GUIDED_MIN_CELLS", ALL_COLD)
+        assert answers() == guided
 
 def _assert_falls_back(p, monkeypatch):
     """With every LP guided, ``_guided`` gives up on ``p`` and ``solve_lp`` is the exact run's."""
@@ -1232,11 +1416,17 @@ class _CutShort(simplex._FloatTableau):
 
 
 class _WrongRatio(simplex._FloatTableau):
-    """Enters the greatest ratio: a primal feasible basis whose duals fail the certificate."""
+    """Enters the greatest ratio and flips nothing: a primal feasible basis whose duals fail."""
 
     def entering(self, lrow):
-        negative = [q for q in range(self.n) if lrow[q] < -simplex.FLOAT_TIE]
-        return max(negative, key=lambda q: self.obj[q] / -lrow[q], default=-1)
+        breaks = []
+        for q in range(self.n):
+            a, d = lrow[q], self.obj[q]
+            if self.nonbasic[q] in self.at_upper:
+                a, d = -a, -d
+            if a < -simplex.FLOAT_TIE:
+                breaks.append((d / -a, q))
+        return max(breaks, default=(0, -1))[1], []
 
 
 @pytest.mark.parametrize("wrong", [_CutShort, _WrongRatio], ids=["cut-short", "wrong-ratio"])
@@ -1255,6 +1445,27 @@ def test_wrong_float_basis_falls_back_to_exact(monkeypatch, wrong):
     if wrong is _WrongRatio:
         assert reports and all(reports)  # each guided certificate failed
 
+
+
+class _MirrorWrongRatio(simplex._FloatMirror):
+    """Enters the greatest ratio: a primal feasible basis whose duals fail the certificate."""
+
+    def entering(self, lrow):
+        negative = [q for q in range(self.n) if lrow[q] < -simplex.FLOAT_TIE]
+        return max(negative, key=lambda q: self.obj[q] / -lrow[q], default=-1)
+
+
+@pytest.mark.parametrize(
+    "p, pivots",
+    [
+        (lp_from_instance(gen_set_cover(20, 30, 0.2, 1)), 18),  # the mirror run alone
+        (LpProblem.from_data([2, 2], [((2, 1), GE, 3), ((1, 1), GE, 2)], [1, None]), 2),
+    ],
+    ids=["set-cover", "after-several-duals"],
+)
+def test_wrong_mirror_basis_falls_back_to_exact(monkeypatch, p, pivots):
+    monkeypatch.setattr(simplex, "_FloatMirror", _MirrorWrongRatio)
+    assert _assert_falls_back(p, monkeypatch).iterations == pivots
 
 def test_infeasible_lp_falls_back_to_exact(monkeypatch):
     ends = []
@@ -1286,32 +1497,43 @@ def test_float_pivot_cap_falls_back_to_exact(monkeypatch):
         solve_lp(p)
 
 
-def test_singular_basis_falls_back_to_exact(monkeypatch):
+def _assert_singular_falls_back(monkeypatch, tableau, bound):
     # the second row is twice the first: with both rows tight and both
     # variables basic the k x k system is singular
-    p = LpProblem.from_data([1, 1], [((1, 1), GE, 1), ((2, 2), GE, 2)], [None, None])
+    p = LpProblem.from_data([1, 1], [((1, 1), GE, 1), ((2, 2), GE, 2)], [bound, bound])
 
-    class Singular(simplex._FloatTableau):
+    class Singular(getattr(simplex, tableau)):
         def run(self):
             out = super().run()
             self.basis[:], self.nonbasic[:] = [0, 1], [2, 3]
             return out
 
-    monkeypatch.setattr(simplex, "_FloatTableau", Singular)
+    monkeypatch.setattr(simplex, tableau, Singular)
     assert _assert_falls_back(p, monkeypatch).status == "OPTIMAL"
     assert simplex._fraction_free_solve([[1, 1, 1], [2, 2, 2]]) is None
 
 
+def test_singular_basis_falls_back_to_exact(monkeypatch):
+    # a bound of 1/2 falls short of the rows, so the bounded run goes first
+    _assert_singular_falls_back(monkeypatch, "_FloatTableau", F(1, 2))
+
+
+def test_singular_mirror_basis_falls_back_to_exact(monkeypatch):
+    # with no bound the mirror run goes alone
+    _assert_singular_falls_back(monkeypatch, "_FloatMirror", None)
+
+
 @pytest.mark.parametrize(
-    "objective, row",
+    "objective, row, bound",
     [
-        ([10**400, 1], ((1, 1), GE, 1)),  # a cost beyond the float range
-        ([10**300], ((F(1, 10**8),), GE, 1000)),  # a float value that overflows to inf
+        ([10**400, 1], ((1, 1), GE, 1), None),  # a cost beyond the float range
+        ([10**400, 1], ((1, 1), GE, 2), 1),  # the same, where the bounded run goes first
+        ([10**300], ((F(1, 10**8),), GE, 1000), None),  # a float value that overflows to inf
     ],
-    ids=["cost-overflow", "value-overflow"],
+    ids=["cost-overflow", "cost-overflow-bounded", "value-overflow"],
 )
-def test_float_out_of_range_falls_back_to_exact(monkeypatch, objective, row):
-    p = LpProblem.from_data(objective, [row], [None] * len(objective))
+def test_float_out_of_range_falls_back_to_exact(monkeypatch, objective, row, bound):
+    p = LpProblem.from_data(objective, [row], [bound] * len(objective))
     s = _assert_falls_back(p, monkeypatch)
     assert s.status == "OPTIMAL" and verify_certificate(p, s) == []
 
