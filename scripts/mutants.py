@@ -9,17 +9,17 @@ certifies every LP result), lets a bad argument through a reader of
 entry check) or lets a document's field error out as a bare
 ``InstanceError``, or breaks a fast path: the rounding
 layer's scan of A and the estimator's kept trace terms, the oracle's cost
-bound and value skip, which must leave its answer as it is, and the guided
-simplex, which must not keep a basis that fails its certificate, whose
-bounded float run flips bounds by the long-step rule (a flip moves the
-basic values, a breakpoint whose flip would meet the row is not passed,
-nor one without a bound, and a flipped variable enters from its bound),
-whose bounded run's optimum is kept only where it is the LP's only one,
-and which tries that run only where a bound can bind a row.  For
-each one the script copies ``src``, ``tests`` and ``pyproject.toml`` to a
-temporary directory, replaces the mutant's ``old`` text (which must occur
-exactly once) with ``new``, and runs ``pytest -x`` on the mutant's named
-tests there.  A mutant is killed when pytest reports a failing test (exit
+bound and value skip, which must leave its answer as it is, the guided
+simplex, which must not keep a basis that fails its certificate, the
+bounded dual simplex's flip rule, which both arithmetics share (a flip
+moves the basic values, a breakpoint whose flip would meet the row is not
+passed, nor one without a bound, and a flipped variable enters from its
+bound), or the exact run's own parts: the bound part of its duals and of
+a Farkas ray, and the scaling of every value by the lcm of the bounds'
+denominators.  For each one the script copies ``src``, ``tests`` and
+``pyproject.toml`` to a temporary directory, replaces the mutant's ``old``
+text (which must occur exactly once) with ``new``, and runs ``pytest -x``
+on the mutant's named tests there.  A mutant is killed when pytest reports a failing test (exit
 1); a pass, or any other exit, is a survivor.  Before the mutants, the
 unmutated copy must pass every named test.
 
@@ -74,7 +74,7 @@ CERTIFICATE = [
     "tests/test_simplex.py::test_certificate_check_equals_fraction_reference",
 ]
 
-# the float run's flip rule: the hand-built flips first, then the no-fallback parity
+# the flip rule both runs share: the hand-built flips first, then the pinned path and parity
 FLIPS = [
     "tests/test_simplex.py::test_ratio_test_flips_a_bounded_breakpoint",
     "tests/test_simplex.py::test_ratio_test_stops_where_a_flip_would_meet_the_row",
@@ -84,12 +84,17 @@ FLIPS = [
     "tests/test_simplex.py::test_guided_equals_cold_on_boxed_lps",
 ]
 
-# the bounded run's optimum is kept only where it is the only one: the hand-built
-# cases first, then the parity and the reference on boxed LPs
-UNIQUE = [
-    "tests/test_simplex.py::test_bounded_run_hands_on_an_optimum_that_is_one_of_several",
-    "tests/test_simplex.py::test_bounded_run_hands_on_a_basic_value_at_0",
-    "tests/test_simplex.py::test_several_duals_take_the_exact_runs",
+# the exact run's Farkas ray: the hand-built rays first, then infeasible boxes
+RAY = [
+    "tests/test_simplex.py::test_farkas_ray_pinned",
+    "tests/test_simplex.py::test_ray_of_a_row_above_its_bound",
+    "tests/test_simplex.py::test_ratio_test_passes_every_breakpoint_of_an_infeasible_row",
+    "tests/test_simplex.py::test_infeasible_box_gives_a_certified_ray",
+]
+
+# rational bounds: the hand-built case first, then boxed LPs against the float run
+SCALE = [
+    "tests/test_simplex.py::test_rational_bounds_scale_every_value",
     "tests/test_simplex.py::test_guided_equals_cold_on_boxed_lps",
 ]
 
@@ -254,74 +259,57 @@ MUTANTS = {
     ),
     "guided-keeps-a-basis-that-fails-its-certificate": (
         SIMPLEX,
-        "    if verify_certificate(p, s):\n        return None",
-        "    if False:\n        return None",
-        [
-            "tests/test_simplex.py::test_wrong_float_basis_falls_back_to_exact",
-            "tests/test_simplex.py::test_wrong_mirror_basis_falls_back_to_exact",
-        ],
-    ),
-    "guided-keeps-an-optimum-that-is-one-of-several": (
-        SIMPLEX,
-        "if only and not _unique(",
-        "if False and not _unique(",
-        UNIQUE,
-    ),
-    "unique-takes-a-zero-dual": (SIMPLEX, "if 0 in Y or 0 in", "if 0 in", UNIQUE),
-    "unique-takes-a-zero-reduced-cost": (
-        SIMPLEX,
-        "or 0 in reduced.values() or",
-        "or",
-        UNIQUE,
-    ),
-    "unique-takes-a-zero-bound": (
-        SIMPLEX,
-        "or ZERO in p.var_bounds:",
-        ":",
-        UNIQUE,
-    ),
-    "unique-takes-a-basic-value-at-0": (SIMPLEX, "if x[j] <= 0 or", "if x[j] < 0 or", UNIQUE),
-    "unique-takes-a-basic-value-at-its-bound": (
-        SIMPLEX,
-        "(u is not None and x[j] >= u)",
-        "(u is not None and x[j] > u)",
-        UNIQUE,
-    ),
-    "unique-takes-a-slack-at-0": (
-        SIMPLEX,
-        "        if i not in tight:",
-        "        if False:",
-        UNIQUE,
-    ),
-    "bounded-run-tried-where-every-bound-meets-its-rows": (
-        SIMPLEX,
-        "S[j] * un < S[-1] * ud",
-        "S[j] * un <= S[-1] * ud",
-        ["tests/test_simplex.py::test_set_cover_runs_the_mirror_alone"],
+        "return None if verify_certificate(p, s) else s",
+        "return s",
+        ["tests/test_simplex.py::test_wrong_float_basis_falls_back_to_exact"],
     ),
     "flip-moves-no-basic-value": (
         SIMPLEX,
-        "row[-1] -= sum(row[q] * u for q, u in steps)",
-        "row[-1] -= 0 * sum(row[q] * u for q, u in steps)",
+        "row[-1] -= row[q] * u",
+        "row[-1] -= 0 * row[q] * u",
         FLIPS,
     ),
     "ratio-test-passes-the-breakpoint-that-meets-the-row": (
         SIMPLEX,
-        "if u is None or slope - a * u <= FLOAT_TIE:",
-        "if u is None or slope - a * u < -FLOAT_TIE:",
+        "if u is None or slope - a * u <= tie:",
+        "if u is None or slope - a * u < -tie:",
         FLIPS,
     ),
     "ratio-test-passes-an-unbounded-breakpoint": (
         SIMPLEX,
-        "if u is None or slope - a * u <= FLOAT_TIE:",
-        "if u is not None and slope - a * u <= FLOAT_TIE:",
+        "if u is None or slope - a * u <= tie:",
+        "if u is not None and slope - a * u <= tie:",
         FLIPS,
     ),
     "variable-enters-from-its-bound-at-0": (
         SIMPLEX,
-        "prow[-1] += self.upper[enter]",
-        "prow[-1] += 0 * self.upper[enter]",
+        "self.T[r][-1] += self.upper[enter] * p",
+        "self.T[r][-1] += 0 * self.upper[enter] * p",
         FLIPS,
+    ),
+    "ray-and-duals-drop-their-bound-part": (
+        SIMPLEX,
+        "tuple(Fraction(v, den) if v < 0 else ZERO for v in w[:n])",
+        "tuple(ZERO for v in w[:n])",
+        RAY,
+    ),
+    "ray-keeps-the-basic-entry-of-a-row-above-its-bound": (
+        SIMPLEX,
+        "d if t.T[r][-1] < 0 else -d",
+        "d",
+        RAY,
+    ),
+    "values-not-scaled-by-the-bounds-lcm": (
+        SIMPLEX,
+        "new[-1] *= scale",
+        "pass",
+        SCALE,
+    ),
+    "point-read-unscaled": (
+        SIMPLEX,
+        "x[b] = Fraction(t.T[i][-1], t.den[i] * t.scale)",
+        "x[b] = Fraction(t.T[i][-1], t.den[i])",
+        SCALE,
     ),
     "nonnegative-skips-entry-0": (
         MODEL,

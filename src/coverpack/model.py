@@ -280,13 +280,13 @@ class FractionalVector(_Vector):
     """
 
     def __post_init__(self):
-        values = as_sequence(self.values, "x")
+        values = tuple(as_sequence(self.values, "x"))
         if {type(v) for v in values} - {int, Fraction}:  # at C speed
             values = tuple(
                 v if type(v) in (int, Fraction) else as_fraction(v, f"x[{j}]")
                 for j, v in enumerate(values)
             )
-            object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", values)
         nonnegative(values, "x")
 
 
@@ -295,10 +295,11 @@ class IntegerVector(_Vector):
     """Nonnegative integer candidate solution: each entry by ``as_int``'s rule, at least 0."""
 
     def __post_init__(self):
-        values = as_sequence(self.values, "x")
+        values = tuple(as_sequence(self.values, "x"))
         if {type(v) for v in values} - {int} or min(values, default=0) < 0:  # at C speed
             for j, v in enumerate(values):
                 as_int(v, f"x[{j}]", 0)
+        object.__setattr__(self, "values", values)
 
 
 def normalize_width(inst: CpipInstance) -> CpipInstance:

@@ -1,64 +1,56 @@
 """Dense exact LP solver with primal/dual certificates.
 
-Dual simplex over the rationals, exactly, from the all-slack basis
-(Lemke 1954).  Every LP this package builds is min c.x with c >= 0, so
-that basis is dual feasible from the start and the objective is bounded
-below by 0: one pass of pivots ends at an optimum or at a row that proves
-infeasibility.  The tableau is condensed (Tucker's Jordan exchange): a
-basic column is a unit vector, so each row stores only the ``n``
-nonbasic columns and the rhs, and a pivot exchanges the labels of the
-entering and leaving variables.  A row is ``n + 1`` Python integers over
-one positive row denominator, and pivots are integer-preserving
-(Edmonds; Bareiss), so no ``Fraction`` is built while pivoting.  A row is
-reduced by its gcd only once its denominator passes ``2**REDUCE_BITS``;
-every pivot choice compares the rationals the integers stand for, exactly.
-Problems come in as rationals, and each row is stored once, as integers
-over its denominator.  Results go out as ``Fraction``: an OPTIMAL result
-carries a primal point and a dual vector whose objectives agree with zero
-gap, and an INFEASIBLE result carries an exact Farkas ray;
-``verify_certificate`` checks either certificate, the ray included,
-exactly, in integers.
+A bounded dual simplex from the all-slack basis (Lemke 1954).  Every LP
+this package builds is min c.x with c >= 0, so that basis is dual
+feasible from the start and the objective is bounded below by 0: one pass
+of pivots ends at an optimum or at a row that proves infeasibility.  Each
+user row is stored once, and every bound stays implicit (Dantzig's
+upper-bounding technique): a nonbasic structural sits at 0 or at its
+bound, a basic value below 0 or above its bound leaves, and the long-step
+ratio test passes each bounded breakpoint it can, flipping that variable
+to its other bound without a pivot (Fourer, "Notes on the dual simplex
+method", 1994; Kostina, Math. Methods Oper. Res. 55, 2002).  The tableau
+is condensed (Tucker's Jordan exchange): a basic column is a unit vector,
+so each row stores only the ``n`` nonbasic columns and the rhs, and a
+pivot exchanges the labels of the entering and leaving variables.
+
+The rules are written once and run in two arithmetics.  The exact run
+holds a row as ``n + 1`` Python integers over one positive row
+denominator, every value scaled by the lcm of the bounds' denominators so
+that each bound is an integer.  Its pivots are integer-preserving
+(Edmonds; Bareiss), so no ``Fraction`` is built while pivoting, and every
+choice compares the rationals the integers stand for by
+cross-multiplication.  A row is reduced by its gcd only once its
+denominator passes ``2**REDUCE_BITS``.  Results go out as ``Fraction``:
+an OPTIMAL result carries a primal point and a dual vector whose
+objectives agree with zero gap, and an INFEASIBLE result carries an exact
+Farkas ray; ``verify_certificate`` checks either certificate exactly, in
+integers.
 
 An LP of at least ``GUIDED_MIN_CELLS`` cells (rows times variables) is
 first solved the way exact LP solvers certify a float basis (Dhiflaoui et
 al., SODA 2003; Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 35,
-2007): a dual simplex runs in floats, with ties within ``FLOAT_TIE``, and
-its final basis is solved exactly, by fraction-free (Bareiss) elimination
+2007): the same rules run in floats, with ties within ``FLOAT_TIE``, and
+the final basis is solved exactly, by fraction-free (Bareiss) elimination
 on the tight rows and basic structural columns for the point and on their
 transpose for the row duals.  The result is kept only if
 ``verify_certificate`` passes; otherwise, and on an infeasible row, the
-pivot cap, a float out of range or a singular basis, the exact tableau
-runs as for every smaller LP.  Two float runs can give the basis.  The
-bounded run keeps every bound implicit: a nonbasic variable sits at 0 or
-at its bound, and the long-step ratio test of the bounded dual simplex
-moves it from one to the other without a pivot (Fourer, "Notes on the
-dual simplex method", 1994; Kostina, Math. Methods Oper. Res. 55, 2002),
-so it stores no bound row.  It takes another path than the exact run, so
-its optimum is kept only where it is the LP's only optimal point and dual
-vector, which every path ends at.  Elsewhere the mirror run, the exact
-run's own pivots in floats, gives the exact run's basis.  The bounded run
-goes first only where a bound can bind a row by itself (some variable at
-its bound falls short of a ``>=`` row it is in); elsewhere, as in a set
-cover, the mirror run goes alone.  The size rule comes from a break-even
-ladder of ``solve_lp`` alone on random CPIPs, six seeds a size (CPython
-3.11, 2 vCPUs), measured with the mirror run alone: the guided path ran
-0.5-0.8x as fast, in the median, up to 8x12 (120 cells); at 10x15 and
-11x16 (180-208 cells) 1.1-1.3x in the median but down to 0.81x on single
-LPs; from 12x17 (238 cells) on never below 1.0x, and 2.4x at 20x30 (690
-cells) and 3.5x at 40x60 (2,580).  The rule sees only the size: 0/1
-set-cover LPs, whose exact pivots stay small, ran 0.5-0.7x guided at
-200-800 cells.  ``LpSolution.iterations`` counts the pivots of the run
-that found the basis: a float run's on the guided path, where a flip is
-not a pivot.
+pivot cap, a float out of range or a singular basis, the exact run takes
+over.  Unless two floats tie within ``FLOAT_TIE`` where their rationals
+differ, both runs make the same pivots and flips to the same basis, so the
+guided answer is the exact run's.  The size rule comes from a break-even
+ladder of ``solve_lp`` alone, guided against exact, median of six to ten
+seeds a size (CPython 3.11, 2 vCPUs): random CPIPs ran 0.5-0.7x up to 180
+cells, 0.9-1.0x from 221 to 374, 1.13x at 432, 1.3-1.5x from 540 to 660
+and 2.1x at 2,520; multiset multicovers 0.6-0.9x up to 864 cells (1.0x at
+600) and 1.4x at 2,400; set covers, whose exact pivots stay few, 0.5x at
+600, 0.9x at 1,350 and 1.3x at 2,400.  The rule sees only the size.
+``LpSolution.iterations`` counts the pivots of the run that found the
+basis; a flip is not a pivot.
 
 Row order inside an ``LpProblem`` built from an instance is fixed and
 documented: covering rows, then packing rows, then any cut rows in
-insertion order.  In the exact tableau a variable upper bound is a bound
-row, never a big-M term, and it enters the tableau only once it is
-violated: until then its slack is basic at ``u_j - x_j`` and the row is
-implied by ``x_j``'s row.  The exact run breaks ties on the indices of the
-full tableau, every column and every bound row present, so its pivots are
-that tableau's.
+insertion order.
 
 Dual sign convention (minimization): duals of >= rows are >= 0, duals of
 <= rows and of upper bounds are <= 0, and the dual objective is
@@ -73,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import Sequence
 
 from coverpack.model import (
@@ -101,7 +93,7 @@ MAX_PIVOTS = 50_000
 REDUCE_BITS = 128
 #: an LP with at least this many cells (rows x variables) is solved by ``_guided`` first;
 #: read at call time, and set from the break-even ladder in the module docstring
-GUIDED_MIN_CELLS = 250
+GUIDED_MIN_CELLS = 400
 #: floats of the guided run within this of each other tie, and within this of 0 are 0
 FLOAT_TIE = 1e-9
 
@@ -212,35 +204,35 @@ def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int):
 
 
 class _Tableau:
-    """Mutable dual simplex state: the user rows, then each bound row once violated.
+    """Mutable bounded dual simplex state, exactly: one stored row per user row.
 
     The tableau is condensed: only the ``n`` nonbasic columns are stored,
-    and ``nonbasic[q]`` is the full-tableau column of stored column ``q``.
-    Row ``i`` is held as integers ``T[i]`` over one positive denominator
-    ``den[i]``, so its entries are the rationals ``T[i][q] / den[i]``, its
-    last entry is the right-hand side, and its basic column ``basis[i]``
-    holds the dropped unit entry ``den[i] / den[i]``.  Pivots are
-    integer-preserving (Edmonds 1967, Bareiss 1968), so every row equals the
-    full tableau's as rationals; a rewritten row is reduced by the gcd of
-    its entries and denominator once that denominator passes
-    ``2**REDUCE_BITS``.  The objective row ``obj`` over ``obj_den`` holds
-    the nonbasic reduced costs, with ``-z`` last.
+    and ``nonbasic[q]`` is the label of stored column ``q``: ``j`` for a
+    structural, ``n + i`` for row ``i``'s slack.  Row ``i`` is held as
+    integers ``T[i]`` over one positive denominator ``den[i]``, so its
+    entries are the rationals ``T[i][q] / den[i]``, and its basic column
+    ``basis[i]`` holds the dropped unit entry ``den[i] / den[i]``.  Pivots
+    are integer-preserving (Edmonds 1967, Bareiss 1968); a rewritten row is
+    reduced by the gcd of its entries and denominator once that denominator
+    passes ``2**REDUCE_BITS``.  The objective row ``obj`` over ``obj_den``
+    holds the nonbasic reduced costs.
 
-    Every user row is stored in ``<=`` form (a ``>=`` row is negated) with
-    its own slack, full column ``n + i``, basic: the basis starts as all
-    slacks.  The reduced costs start as the cost vector, so with no
-    negative cost that basis is dual feasible: a row with a negative rhs is
-    only primal infeasible.
+    Every user row is stored once, in ``<=`` form (a ``>=`` row is negated),
+    with its slack basic: the basis starts as all slacks.  Bounds stay
+    implicit (Dantzig's upper-bounding technique): a nonbasic structural
+    sits at 0 or, where ``up[q]``, at its bound, and the last entry of a
+    row is the value of its basic variable with every nonbasic at its own
+    value, ``-z`` in ``obj``.  Every value is scaled by ``scale``, the lcm
+    of the bounds' denominators, so each bound ``upper[label]`` is an
+    integer (None for no bound and for a slack).  The reduced costs start
+    as the costs, so with no negative cost the first basis is dual
+    feasible.
 
-    The bound ``x_j + s = u_j`` of the ``k``-th bounded variable is row
-    ``M + k`` of the full tableau (``M`` user rows), with its slack at
-    column ``n + M + k``.  That slack stays basic until the row leaves, and
-    until then the row is ``e_j + s`` minus the row where ``x_j`` is basic,
-    with value ``u_j - x_j``; so it is not stored until that value is chosen
-    to leave, and then it is appended.  ``rows`` and ``basis`` give each
-    stored row's full-tableau row and basic column.  Every tie is broken on
-    these and on ``nonbasic``, so the pivots are exactly those of the full
-    tableau.  Values tie, and count as 0, within ``tie``: exactly, here.
+    The rules are written once, for both arithmetics: values compare by
+    cross-multiplying numerators and tie, and count as 0, within ``tie``,
+    exactly here.  ``_FloatTableau`` overrides only ``__init__`` and
+    ``exchange``.  A pivot counts toward ``MAX_PIVOTS`` and Bland's switch,
+    a flip toward neither; ``flips`` counts them apart.
     """
 
     tie = 0
@@ -248,48 +240,157 @@ class _Tableau:
     def __init__(self, p: LpProblem):
         n = self.n = len(p.objective)
         m = self.m = len(p.rows)
-        self.bounded = [j for j, u in enumerate(p.var_bounds) if u is not None]
-        # (k, numerator, denominator) of x_j's bound while its row is not stored
-        self.pending: list[tuple[int, int, int] | None] = [None] * n
-        for k, j in enumerate(self.bounded):
-            u = p.var_bounds[j]
-            self.pending[j] = (k, u.numerator, u.denominator)
-        self.rows = list(range(m))
         self.nonbasic = list(range(n))
         self.basis = list(range(n, n + m))
+        ub = p.var_bounds
+        scale = self.scale = lcm(*{u.denominator for u in ub if u is not None})
+        self.upper = [None if u is None else u.numerator * (scale // u.denominator) for u in ub]
+        self.upper += [None] * m
+        self.up = [False] * n
         self.T: list[list[int]] = []
         self.den: list[int] = []
-        for row, (scaled, D) in zip(p.rows, p.int_rows):
-            # row i over its denominator D, as given in int_rows
-            self.T.append(list(scaled) if row.sense == LE else [-v for v in scaled])
+        for row, (S, D) in zip(p.rows, p.int_rows):
+            new = list(S) if row.sense == LE else [-v for v in S]
+            new[-1] *= scale
+            self.T.append(new)
             self.den.append(D)
         self.obj, self.obj_den = integers(p.objective)
         self.obj.append(0)
-        self.iterations = 0
+        self.iterations = self.flips = 0
 
-    def add_bound_row(self, i: int, k: int) -> int:
-        """Store bound row ``k``, whose variable is basic in row ``i``; its index.
+    def run(self) -> int:
+        """Pivot until every basic value is in its bounds; -1, or the row proving infeasibility.
 
-        The row is ``e_j + s - T[i] / den[i]`` over ``lcm(den[i], u.denominator)``,
-        with rhs ``u_j - x_j``.  ``x_j`` and ``s`` are basic, so its stored
-        entries are ``-T[i]``'s, with the rhs shifted by ``u_j``.
+        ``BLAND_AFTER`` and ``MAX_PIVOTS`` are read as the run starts.  A
+        pivot is degenerate when the entering reduced cost is 0 (within
+        ``tie``).
         """
-        j = self.bounded[k]
-        _, U, Du = self.pending[j]
-        self.pending[j] = None
-        d = self.den[i]
-        L = lcm(d, Du)
-        f = L // d
-        new = [-v * f for v in self.T[i]]
-        new[-1] += U * (L // Du)
-        self.T.append(new)
-        self.den.append(L)
-        self.rows.append(self.m + k)
-        self.basis.append(self.n + self.m + k)
-        return len(self.T) - 1
+        degenerate_streak, bland_after, max_pivots = 0, BLAND_AFTER, MAX_PIVOTS
+        while True:
+            found = self.leaving(degenerate_streak >= bland_after)
+            if found is None:
+                return -1
+            leave, high = found
+            enter, flips = self.entering(self.facing(leave))
+            if enter < 0:
+                return leave  # not even every flip makes the row feasible
+            if self.iterations >= max_pivots:
+                raise LimitError(f"simplex exceeded {max_pivots} pivots")
+            self.iterations += 1
+            degenerate = abs(self.obj[enter]) <= self.tie
+            degenerate_streak = degenerate_streak + 1 if degenerate else 0
+            self.flip(flips)
+            self.pivot(leave, enter, high)
 
-    def pivot(self, r: int, e: int) -> None:
-        """Exchange basis row r's variable with column e's, updating the objective row too."""
+    def leaving(self, bland: bool) -> tuple[int, bool] | None:
+        """The row to leave and whether it leaves at its bound; None if all are in bounds.
+
+        A basic value below 0, or a basic structural's above its bound, is
+        infeasible.  The most infeasible row leaves, ties to the lowest row
+        and a row above its bound after every row below 0; under Bland's
+        rule the one with the lowest label, a bound's after every variable's.
+        """
+        n, m, upper, basis, den, tie = self.n, self.m, self.upper, self.basis, self.den, self.tie
+        best = None  # (infeasibility over d, d, tie key, Bland key, row, above its bound)
+        for i, row in enumerate(self.T):
+            v, d, b = row[-1], den[i], basis[i]
+            if v < -tie:
+                cand = (-v, d, i, b, i, False)
+            else:
+                u = upper[b]
+                if u is None or v - u * d <= tie:
+                    continue
+                cand = (v - u * d, d, m + b, n + m + b, i, True)
+            if best is not None:
+                if bland:
+                    if cand[3] > best[3]:
+                        continue
+                else:
+                    lhs, rhs = cand[0] * best[1], best[0] * cand[1]
+                    if lhs < rhs - tie or (lhs <= rhs + tie and cand[2] > best[2]):
+                        continue
+            best = cand
+        return None if best is None else best[4:]
+
+    def facing(self, r: int) -> list:
+        """Row r read toward feasibility: as stored if its value is below 0.
+
+        A row above its bound is read as the bound's slack ``u - x`` would
+        be: negated, with the bound added to its value.
+        """
+        row = self.T[r]
+        if row[-1] < 0:
+            return row
+        out = [-v for v in row]
+        out[-1] += self.upper[self.basis[r]] * self.den[r]
+        return out
+
+    def entering(self, lrow: list) -> tuple[int, list[int]]:
+        """The entering column by the long-step rule, and the columns to flip first.
+
+        ``lrow``'s value is negative.  A column is a breakpoint if its
+        variable is at 0 and its entry negative, or at its bound and its
+        entry positive; its ratio is its reduced cost over its entry, both
+        read toward its other bound.  The breakpoints are taken least ratio
+        first, ties to the lowest label; the ratios share the denominators
+        ``obj_den`` and the row's, so they compare by cross-multiplying
+        numerators.  One whose variable has a bound is passed, and flipped,
+        while the row's value stays below ``-tie`` after its flip; the first
+        that is not passed enters (Fourer, 1994; Kostina, 2002).  (-1,
+        flips) if every breakpoint is passed: then no point meets the row.
+        """
+        obj, nonbasic, upper, up, tie = self.obj, self.nonbasic, self.upper, self.up, self.tie
+        breaks = []  # (|entry|, reduced cost toward the other bound, label, column)
+        for q, (a, high) in enumerate(zip(lrow, up)):
+            if high:
+                if a > tie:
+                    breaks.append((a, -obj[q], nonbasic[q], q))
+            elif a < -tie:
+                breaks.append((-a, obj[q], nonbasic[q], q))
+        slope, flips = -lrow[-1], []
+        while breaks:
+            k, (a, d, label, q) = 0, breaks[0]
+            for i in range(1, len(breaks)):
+                b = breaks[i]
+                lhs, rhs = b[1] * a, d * b[0]
+                if lhs < rhs - tie or (lhs <= rhs + tie and b[2] < label):
+                    k, (a, d, label, q) = i, b
+            u = upper[label]
+            if u is None or slope - a * u <= tie:
+                return q, flips
+            slope -= a * u
+            flips.append(q)
+            del breaks[k]
+        return -1, flips
+
+    def flip(self, cols: list[int]) -> None:
+        """Move each nonbasic column of ``cols`` to its other bound, with every value it moves."""
+        steps = []
+        for q in cols:
+            u = self.upper[self.nonbasic[q]]
+            if self.up[q]:
+                u = -u
+            self.up[q] = not self.up[q]
+            if u:
+                steps.append((q, u))
+        self.flips += len(cols)
+        for row in (*self.T, self.obj) if steps else ():
+            for q, u in steps:
+                row[-1] -= row[q] * u
+
+    def pivot(self, r: int, e: int, high: bool) -> None:
+        """Exchange row r's basic variable with column e's; it leaves at its bound if ``high``."""
+        leave, enter = self.basis[r], self.nonbasic[e]
+        if high:
+            self.T[r][-1] -= self.upper[leave] * self.den[r]
+        p = self.exchange(r, e)
+        if self.up[e]:  # it enters from its bound, not from 0
+            self.T[r][-1] += self.upper[enter] * p
+        self.up[e] = high
+        self.basis[r], self.nonbasic[e] = enter, leave
+
+    def exchange(self, r: int, e: int) -> int:
+        """A pivot's arithmetic on every row and the objective; the pivot row's new denominator."""
         prow = self.T[r]
         p = prow[e]
         prow[e] = self.den[r]  # the leaving variable's unit entry
@@ -309,240 +410,33 @@ class _Tableau:
                 T[i], dens[i] = _eliminate(row, dens[i], prow, p, e)
         if self.obj[e]:
             self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, e)
-        self.basis[r], self.nonbasic[e] = self.nonbasic[e], self.basis[r]
-
-    def leaving(self, bland: bool) -> tuple | None:
-        """The row to leave as (stored row, bound k or -1), or None if all values are >= 0.
-
-        The most negative basic value leaves, ties to the lowest full-tableau
-        row; under Bland's rule the negative row with the lowest basic
-        column.  A stored row whose basic ``x_j`` has an unstored bound row
-        also stands for that row, at value ``u_j - x_j``.  Values compare
-        by cross-multiplication, equal within ``tie``.
-        """
-        n, m, pending, tie = self.n, self.m, self.pending, self.tie
-        best = None  # (numerator, denominator, full row, basic column, stored row, k)
-        for i, trow in enumerate(self.T):
-            v, d, b = trow[-1], self.den[i], self.basis[i]
-            if v < -tie:
-                cand = (v, d, self.rows[i], b, i, -1)
-            elif b < n and pending[b] is not None:
-                k, U, Du = pending[b]
-                w = U * d - v * Du  # (u_j - x_j) * d * Du
-                if w >= -tie:
-                    continue
-                cand = (w, d * Du, m + k, n + m + k, i, k)
-            else:
-                continue
-            if best is not None:
-                if bland:
-                    if cand[3] > best[3]:
-                        continue
-                else:
-                    lhs, rhs = cand[0] * best[1], best[0] * cand[1]
-                    if lhs > rhs + tie or (lhs >= rhs - tie and cand[2] > best[2]):
-                        continue
-            best = cand
-        return None if best is None else best[4:]
-
-    def run(self) -> int:
-        """Pivot until every basic value is >= 0; -1, or the row proving infeasibility.
-
-        ``BLAND_AFTER`` and ``MAX_PIVOTS`` are read as the run starts.  A
-        pivot is degenerate when the entering reduced cost is 0 (within
-        ``tie``).
-        """
-        degenerate_streak, bland_after, max_pivots = 0, BLAND_AFTER, MAX_PIVOTS
-        while True:
-            found = self.leaving(degenerate_streak >= bland_after)
-            if found is None:
-                return -1
-            leave, k = found
-            if k >= 0:
-                leave = self.add_bound_row(leave, k)
-            enter = self.entering(self.T[leave])
-            if enter < 0:
-                return leave  # every entry is >= 0 and the rhs is < 0
-            if self.iterations >= max_pivots:
-                raise LimitError(f"simplex exceeded {max_pivots} pivots")
-            self.iterations += 1
-            degenerate = abs(self.obj[enter]) <= self.tie
-            degenerate_streak = degenerate_streak + 1 if degenerate else 0
-            self.pivot(leave, enter)
-
-    def entering(self, lrow: list) -> int:
-        """The least ``obj[q] / -a_q`` over the negative entries ``a_q``, ties to the lowest label.
-
-        -1 if no entry is negative.  The ratios of one row share the
-        denominators ``obj_den`` and the row's, so they compare by
-        cross-multiplying numerators, equal within ``tie``.
-        """
-        obj, nonbasic, tie, enter = self.obj, self.nonbasic, self.tie, -1
-        for q in range(self.n):
-            a = lrow[q]
-            if a < -tie:
-                if enter >= 0:
-                    lhs, rhs = obj[q] * -lrow[enter], obj[enter] * -a
-                    if lhs > rhs + tie or (lhs >= rhs - tie and nonbasic[q] > nonbasic[enter]):
-                        continue
-                enter = q
-        return enter
+        return p
 
 
-class _FloatTableau:
-    """A bounded dual simplex in floats, to find a basis for ``_guided``.
+class _FloatTableau(_Tableau):
+    """``_Tableau``'s bounded dual simplex in floats, to find a basis for ``_guided``.
 
-    The condensed tableau of ``_Tableau`` in floats, one row per user row
-    and no bound row: a bound is kept implicit (Dantzig's upper-bounding
-    technique).  A nonbasic structural sits at 0 or, once its label is in
-    ``at_upper``, at its bound; the last entry of a row is the value of its
-    basic variable with every nonbasic at its own value, and ``obj[-1]`` is
-    ``-z``.  A basic value below 0, or a basic structural's above its bound,
-    is infeasible, and the most infeasible row leaves (ties within
-    ``FLOAT_TIE`` to the lowest row, a bound after every user row), under
-    Bland's rule the one with the lowest label.  ``entering`` is the
-    long-step ratio test of the bounded dual simplex (Fourer 1994; Kostina
-    2002): it passes each breakpoint whose variable has a bound, flipping
-    that variable to its other bound, while the leaving row stays
-    infeasible.  A pivot counts toward ``MAX_PIVOTS`` and Bland's switch, a
-    flip toward neither; ``flips`` counts them apart.  Each entry is the
-    float of its rational; one beyond the float range raises
-    ``OverflowError``.  A pivot skips a row whose entry in the entering
-    column is 0 within ``FLOAT_TIE``.
+    It runs the inherited rules, with ``tie`` set to ``FLOAT_TIE``.  Each
+    entry is the float of its rational, and each denominator is 1, so the
+    inherited cross-multiplications work on the values as they are.  A
+    rational beyond the float range raises ``OverflowError``.  A pivot
+    skips a row whose entry in the entering column is 0 within ``tie``.
     """
 
+    tie = FLOAT_TIE
+
     def __init__(self, p: LpProblem):
-        n = self.n = len(p.objective)
-        m = self.m = len(p.rows)
-        self.nonbasic = list(range(n))
-        self.basis = list(range(n, n + m))
-        # by label: a structural's bound, and None for no bound and for a slack
-        self.upper = [None if u is None else u.numerator / u.denominator for u in p.var_bounds]
-        self.upper += [None] * m
-        self.at_upper: set[int] = set()
-        self.T = [
-            [v / D for v in S] if row.sense == LE else [-v / D for v in S]
-            for row, (S, D) in zip(p.rows, p.int_rows)
-        ]
-        obj, obj_den = integers(p.objective)
-        self.obj = [v / obj_den for v in obj] + [0.0]
-        self.iterations = self.flips = 0
+        super().__init__(p)
+        self.T = [[v / d for v in row] for row, d in zip(self.T, self.den)]
+        self.den = [1] * self.m
+        self.obj = [v / self.obj_den for v in self.obj]
+        self.obj_den = 1
+        self.upper = [None if u is None else float(u) for u in self.upper]
 
-    def leaving(self, bland: bool) -> tuple[int, bool] | None:
-        """The row to leave and whether it leaves at its bound; None if all are in bounds."""
-        n, m, upper, basis = self.n, self.m, self.upper, self.basis
-        best = None  # (infeasibility, tie key, label, row, above its bound)
-        for i, row in enumerate(self.T):
-            v, b = row[-1], basis[i]
-            if v < -FLOAT_TIE:
-                cand = (-v, i, b, i, False)
-            else:
-                u = upper[b]
-                if u is None or v - u <= FLOAT_TIE:
-                    continue
-                cand = (v - u, m + b, n + m + b, i, True)
-            if best is not None:
-                if bland:
-                    if cand[2] > best[2]:
-                        continue
-                elif cand[0] < best[0] - FLOAT_TIE or (
-                    cand[0] <= best[0] + FLOAT_TIE and cand[1] > best[1]
-                ):
-                    continue
-            best = cand
-        return None if best is None else best[3:]
-
-    def run(self) -> int:
-        """Pivot until every basic value is in its bounds; -1, or the row proving infeasibility.
-
-        A row above its bound is read as the bound row ``u_j - x_j`` would
-        be: negated, with the bound added to its value.  ``BLAND_AFTER``
-        and ``MAX_PIVOTS`` are read as the run starts.  A pivot is
-        degenerate when the entering reduced cost is 0 within ``FLOAT_TIE``.
-        """
-        degenerate_streak, bland_after, max_pivots = 0, BLAND_AFTER, MAX_PIVOTS
-        while True:
-            found = self.leaving(degenerate_streak >= bland_after)
-            if found is None:
-                return -1
-            leave, high = found
-            lrow = self.T[leave]
-            if high:
-                lrow = [-v for v in lrow]
-                lrow[-1] += self.upper[self.basis[leave]]
-            enter, flips = self.entering(lrow)
-            if enter < 0:
-                return leave  # not even every flip makes the row feasible
-            if self.iterations >= max_pivots:
-                raise LimitError(f"simplex exceeded {max_pivots} pivots")
-            self.iterations += 1
-            degenerate = abs(self.obj[enter]) <= FLOAT_TIE
-            degenerate_streak = degenerate_streak + 1 if degenerate else 0
-            self.flip(flips)
-            self.pivot(leave, enter, high)
-
-    def entering(self, lrow: list) -> tuple[int, list[int]]:
-        """The entering column by the long-step rule, and the columns to flip first.
-
-        ``lrow``'s value is negative.  A column is a breakpoint if its
-        variable is at 0 and its entry negative, or at its bound and its
-        entry positive; its ratio is its reduced cost over its entry, both
-        read toward its other bound.  The breakpoints are taken by ratio;
-        those within ``FLOAT_TIE`` of the least one left tie, and go lowest
-        label first.  One whose variable has a bound is passed, and flipped,
-        while the row's value stays below ``-FLOAT_TIE`` after its flip; the
-        first that is not passed enters.  (-1, flips) if every breakpoint is
-        passed: then no point meets the row.
-        """
-        obj, nonbasic, upper, at_upper = self.obj, self.nonbasic, self.upper, self.at_upper
-        breaks = []  # (ratio, label, column, |entry|)
-        for q, (a, d, label) in enumerate(zip(lrow, obj, nonbasic)):
-            if label in at_upper:
-                a, d = -a, -d
-            if a < -FLOAT_TIE:
-                breaks.append((d / -a, label, q, -a))
-        breaks.sort()
-        slope, flips, k = -lrow[-1], [], 0
-        while k < len(breaks):
-            j, top = k + 1, breaks[k][0] + FLOAT_TIE
-            while j < len(breaks) and breaks[j][0] <= top:
-                j += 1
-            for _, label, q, a in sorted(breaks[k:j], key=itemgetter(1)):
-                u = upper[label]
-                if u is None or slope - a * u <= FLOAT_TIE:
-                    return q, flips
-                slope -= a * u
-                flips.append(q)
-            k = j
-        return -1, flips
-
-    def flip(self, cols: list[int]) -> None:
-        """Move each nonbasic column of ``cols`` to its other bound, with every value it moves."""
-        steps = []
-        for q in cols:
-            label = self.nonbasic[q]
-            u = self.upper[label]
-            if label in self.at_upper:
-                self.at_upper.remove(label)
-                u = -u
-            else:
-                self.at_upper.add(label)
-            if u:
-                steps.append((q, u))
-        self.flips += len(cols)
-        if steps:
-            for row in (*self.T, self.obj):
-                row[-1] -= sum(row[q] * u for q, u in steps)
-
-    def pivot(self, r: int, e: int, high: bool) -> None:
-        """Exchange row r's basic variable with column e's; it leaves at its bound if ``high``."""
+    def exchange(self, r: int, e: int) -> int:
         prow = self.T[r]
         p = prow[e]
         prow[e] = 1.0
-        leave, enter = self.basis[r], self.nonbasic[e]
-        if high:
-            prow[-1] -= self.upper[leave]
-            self.at_upper.add(leave)
         prow = self.T[r] = [v / p for v in prow]
         T, inv = self.T, prow[e]
         for i, row in enumerate(T):
@@ -554,90 +448,28 @@ class _FloatTableau:
         if abs(f) > FLOAT_TIE:
             self.obj = new = [v - f * w for v, w in zip(self.obj, prow)]
             new[e] = -f * inv
-        if enter in self.at_upper:  # it enters from its bound, not from 0
-            self.at_upper.remove(enter)
-            prow[-1] += self.upper[enter]
-        self.basis[r], self.nonbasic[e] = enter, leave
-
-    def fixed(self) -> tuple[list[int], list[int], set[int]]:
-        """The tight rows, the variables at their bound, and every nonbasic structural."""
-        n, nonbasic = self.n, self.nonbasic
-        at_bound = [v for v in nonbasic if v in self.at_upper]
-        return [v - n for v in nonbasic if v >= n], at_bound, {v for v in nonbasic if v < n}
-
-
-class _FloatMirror(_Tableau):
-    """``_Tableau``'s dual simplex in floats: the exact run's basis, for ``_guided``.
-
-    It runs the inherited rules: the same leaving and entering choices,
-    bound rows stored once violated, and ties to the same indices, with
-    ``tie`` set to ``FLOAT_TIE`` as it is built.  Each entry is the float
-    of its rational, and each denominator (``den`` and the bounds') is 1,
-    so the inherited cross-multiplications and ``add_bound_row`` work on
-    the values as they are.  A rational beyond the float range raises
-    ``OverflowError``.  A pivot skips a row whose entry in the entering
-    column is 0 within ``tie``.
-    """
-
-    def __init__(self, p: LpProblem):
-        super().__init__(p)
-        self.tie = FLOAT_TIE
-        self.T = [[v / d for v in row] for row, d in zip(self.T, self.den)]
-        self.den = [1] * len(self.T)
-        self.obj = [v / self.obj_den for v in self.obj]
-        self.pending = [None if b is None else (b[0], b[1] / b[2], 1) for b in self.pending]
-
-    def pivot(self, r: int, e: int) -> None:
-        prow = self.T[r]
-        p = prow[e]
-        prow[e] = 1.0
-        prow = self.T[r] = [v / p for v in prow]
-        T, inv, tie = self.T, prow[e], self.tie
-        for i, row in enumerate(T):
-            f = row[e]
-            if i != r and abs(f) > tie:
-                T[i] = new = [v - f * w for v, w in zip(row, prow)]
-                new[e] = -f * inv
-        f = self.obj[e]
-        if abs(f) > tie:
-            self.obj = new = [v - f * w for v, w in zip(self.obj, prow)]
-            new[e] = -f * inv
-        self.basis[r], self.nonbasic[e] = self.nonbasic[e], self.basis[r]
-
-    def fixed(self) -> tuple[list[int], list[int], set[int]]:
-        """The tight rows, the variables at their bound, and every structural these fix.
-
-        A variable is at its bound where its bound row's slack is nonbasic,
-        whether the variable itself is basic or not.
-        """
-        n, m, nonbasic = self.n, self.m, self.nonbasic
-        at_bound = [self.bounded[v - n - m] for v in nonbasic if v >= n + m]
-        tight = [v - n for v in nonbasic if n <= v < n + m]
-        return tight, at_bound, {*at_bound, *(v for v in nonbasic if v < n)}
+        return 1
 
 
 def solve_lp(p: LpProblem) -> LpSolution:
-    """Dual simplex from the all-slack basis with exact certificates.
+    """Bounded dual simplex from the all-slack basis with exact certificates.
 
     Every cost must be nonnegative (``InstanceError`` otherwise), so the
     objective is bounded below by 0 and the result is OPTIMAL or
-    INFEASIBLE.  The leaving row has the most negative basic value and the
-    entering column the least ratio, deterministic ties by lowest index;
-    after ``BLAND_AFTER`` consecutive degenerate pivots Bland's rule picks
-    the leaving row, so termination is guaranteed, and more than
-    ``MAX_PIVOTS`` pivots raise ``LimitError``.  The same problem always
-    yields the same solution.
+    INFEASIBLE.  The leaving row is the most infeasible one, and the
+    entering column comes from the long-step ratio test, which flips each
+    bounded variable it passes to its other bound; ties go to the lowest
+    index.  After ``BLAND_AFTER`` consecutive degenerate pivots Bland's
+    rule picks the leaving row, and more than ``MAX_PIVOTS`` pivots raise
+    ``LimitError``.  The same problem always yields the same solution.
 
-    Two paths give it.  An LP of at least ``GUIDED_MIN_CELLS`` cells (rows
-    times variables, read at call time) is first solved by ``_guided``: a
-    float run, then its final basis solved exactly and certified by
-    ``verify_certificate``.  The float run is the bounded one, with the
-    bounds kept implicit and flipped by the long-step ratio test, where its
-    optimum is the only one; otherwise these rules in floats.  Every other
-    LP, and every one ``_guided`` gives up on (an infeasible row, the pivot
-    cap, a float out of range, a singular basis or a failed certificate),
-    runs the exact tableau, the only source of a Farkas ray.  Either way
-    the answer is the exact run's.  ``iterations`` counts the pivots of the
+    An LP of at least ``GUIDED_MIN_CELLS`` cells (rows times variables,
+    read at call time) is first solved by ``_guided``: the same rules in
+    floats, then the final basis solved exactly and certified by
+    ``verify_certificate``.  Every other LP, and every one ``_guided`` gives
+    up on (an infeasible row, the pivot cap, a float out of range, a
+    singular basis or a failed certificate), runs the exact tableau, the
+    only source of a Farkas ray.  ``iterations`` counts the pivots of the
     run that found the basis: the float run's on the guided path.
     """
     nonnegative(p.objective, "objective")
@@ -648,80 +480,44 @@ def solve_lp(p: LpProblem) -> LpSolution:
     t = _Tableau(p)
     r = t.run()
     if r >= 0:
-        ray_rows, ray_bounds = _duals(p, t, t.T[r], t.den[r], t.basis[r])
+        d = t.den[r]  # the basic entry: negated with the row if it is above its bound
+        basic = ((t.basis[r], d if t.T[r][-1] < 0 else -d),)
+        ray_rows, ray_bounds = _duals(p, t, t.facing(r), d, basic)
         return LpSolution(
             "INFEASIBLE", t.iterations, ray_rows=ray_rows, ray_bounds=ray_bounds
         )
     x = [ZERO] * t.n
-    for i, bi in enumerate(t.basis):
-        if bi < t.n:
-            x[bi] = Fraction(t.T[i][-1], t.den[i])
+    for i, b in enumerate(t.basis):
+        if b < t.n:
+            x[b] = Fraction(t.T[i][-1], t.den[i] * t.scale)
+    for j, up in zip(t.nonbasic, t.up):
+        if up:
+            x[j] = p.var_bounds[j]
     dual_rows, dual_bounds = _duals(p, t, t.obj, t.obj_den)
     return LpSolution(
         "OPTIMAL",
         t.iterations,
         primal=FractionalVector(tuple(x)),
-        objective_value=Fraction(-t.obj[-1], t.obj_den),
+        objective_value=Fraction(-t.obj[-1], t.obj_den * t.scale),
         dual_rows=dual_rows,
         dual_bounds=dual_bounds,
     )
 
 
 def _guided(p: LpProblem) -> LpSolution | None:
-    """An optimal basis found in floats, solved exactly and certified; None to run exactly.
-
-    The bounded float run (``_FloatTableau``) goes first where a bound can
-    bind (``_bound_falls_short``).  Its answer is kept when it is the LP's
-    only optimal point and dual vector (``_unique``), so that the exact run,
-    or any other, could end at no other.  Elsewhere, and where there are
-    several, the exact run's own pivots in floats (``_FloatMirror``) give
-    the exact run's basis.  Either run gives up, and the exact run takes
-    over, as ``_certified`` says.
-    """
-    if _bound_falls_short(p):
-        s = _certified(p, _FloatTableau, only=True)
-        if s is not _SEVERAL:
-            return s
-    return _certified(p, _FloatMirror, only=False)
-
-
-def _bound_falls_short(p: LpProblem) -> bool:
-    """Whether some variable at its bound falls short of a ``>=`` row it is in.
-
-    Only then can the bounded float run's first ratio test on a row pass a
-    breakpoint.  Where every bounded variable alone meets each row it is
-    in, as in a set cover, the bounds seldom bind: on set covers at 60x90
-    (density 0.1, seeds 0-3) the bounded run made 1-29 flips an LP and 230
-    pivots against the exact run's 220, and each optimum was one of
-    several, so the mirror run had to follow it.
-    """
-    bounded = [(j, u.numerator, u.denominator) for j, u in enumerate(p.var_bounds) if u]
-    for row, (S, _) in zip(p.rows, p.int_rows):
-        if row.sense == GE and any(0 < S[j] and S[j] * un < S[-1] * ud for j, un, ud in bounded):
-            return True
-    return False
-
-
-#: what ``_certified`` returns, with ``only``, for an optimum that is one of several
-_SEVERAL = object()
-
-
-def _certified(p: LpProblem, tableau, only: bool):
     """The float run's optimal basis, solved exactly and certified; None to run exactly.
 
-    ``tableau`` is the float run's class, and its ``fixed()`` reads the final
-    basis: the user rows whose slack is nonbasic, as tight, the variables
-    at their bound, and every nonbasic structural, at 0 unless at its bound.
-    The basic structurals (``cols``) then solve the tight rows' k x k
-    integer system, and the row duals of the tight rows its transpose
-    against the costs of ``cols``: every other row dual is 0, and a bound
-    dual is the reduced cost left at its bound.  None on an infeasible row,
-    the pivot cap, a float out of range, a singular basis or a failed
-    certificate; with ``only``, ``_SEVERAL`` for a certified optimum that
-    ``_unique`` does not find to be the only one.
+    The final basis is read off the float tableau: the user rows whose
+    slack is nonbasic, as tight, the variables at their bound, and every
+    other nonbasic structural at 0.  The basic structurals (``cols``) then
+    solve the tight rows' k x k integer system, and the row duals of the
+    tight rows its transpose against the costs of ``cols``: every other row
+    dual is 0, and a bound dual is the reduced cost left at its bound.
+    None on an infeasible row, the pivot cap, a float out of range, a
+    singular basis or a failed certificate.
     """
     try:
-        t = tableau(p)
+        t = _FloatTableau(p)
         if t.run() >= 0:
             return None  # the exact tableau finds the Farkas ray
     except (LimitError, OverflowError):
@@ -729,8 +525,9 @@ def _certified(p: LpProblem, tableau, only: bool):
     if not all(map(isfinite, (*t.obj, *(row[-1] for row in t.T)))):
         return None
     n, m = t.n, t.m
-    tight, at_bound, out = t.fixed()
-    cols = [j for j in range(n) if j not in out]
+    tight = [v - n for v in t.nonbasic if v >= n]
+    at_bound = [j for j, up in zip(t.nonbasic, t.up) if up]
+    cols = sorted(b for b in t.basis if b < n)
     if len(cols) != len(tight):
         return None
     rows = [p.int_rows[i][0] for i in tight]
@@ -751,15 +548,12 @@ def _certified(p: LpProblem, tableau, only: bool):
         x[j] = p.var_bounds[j]
     if min(x, default=ZERO) < 0:
         return None  # not primal feasible, and no FractionalVector
-    # reduced costs over dy * Dc: at every nonbasic structural if ``_unique`` reads them
-    priced = out if only else at_bound
-    reduced = {j: C[j] * dy - sum(v * S[j] for v, S in zip(Y, rows)) for j in priced}
     y = [ZERO] * m
     for i, v in zip(tight, Y):
         y[i] = Fraction(v * p.int_rows[i][1], dy * Dc)
     z = [ZERO] * n
-    for j in at_bound:
-        z[j] = Fraction(reduced[j], dy * Dc)
+    for j in at_bound:  # the reduced cost, over dy * Dc
+        z[j] = Fraction(C[j] * dy - sum(v * S[j] for v, S in zip(Y, rows)), dy * Dc)
     value = sum(C[j] * v for j, v in zip(cols, X)) + dx * sum(
         C[j] * u for j, u in zip(at_bound, U)
     )
@@ -771,40 +565,7 @@ def _certified(p: LpProblem, tableau, only: bool):
         dual_rows=tuple(y),
         dual_bounds=tuple(z),
     )
-    if verify_certificate(p, s):
-        return None
-    if only and not _unique(p, x, cols, X, dx, at_bound, U, Du, tight, Y, reduced):
-        return _SEVERAL
-    return s
-
-
-def _unique(p, x, cols, X, dx, at_bound, U, Du, tight, Y, reduced) -> bool:
-    """Whether the basis's optimum is the LP's only optimal point and dual vector.
-
-    The basic structurals ``cols`` take ``x``, that is ``X / (dx * Du)``,
-    those ``at_bound`` their bounds ``U / Du``, and the tight rows the
-    weights ``Y``; ``reduced`` holds each nonbasic structural's reduced
-    cost, scaled by a positive factor.  A nonzero reduced cost at every
-    nonbasic structural and a nonzero dual at every tight row leave one
-    optimal point; a value strictly inside its bounds at every basic
-    variable, a row's slack included, leaves one dual vector, unless a
-    bound of 0 leaves its own dual free below (Chvatal, *Linear
-    Programming*, 1983).  Every other optimal basis then gives the same
-    answer, the exact run's among them.
-    """
-    if 0 in Y or 0 in reduced.values() or ZERO in p.var_bounds:
-        return False
-    for j in cols:
-        u = p.var_bounds[j]
-        if x[j] <= 0 or (u is not None and x[j] >= u):
-            return False
-    n, tight = len(p.objective), set(tight)
-    for i, (S, _) in enumerate(p.int_rows):
-        if i not in tight:
-            lhs = sum(S[j] * v for j, v in zip(cols, X))
-            if lhs + dx * sum(S[j] * u for j, u in zip(at_bound, U)) == S[n] * dx * Du:
-                return False
-    return True
+    return None if verify_certificate(p, s) else s
 
 
 def _fraction_free_solve(M: list[list[int]]) -> tuple[list[int], int] | None:
@@ -832,31 +593,29 @@ def _fraction_free_solve(M: list[list[int]]) -> tuple[list[int], int] | None:
     return [row[k] for row in M], prev
 
 
-def _duals(p: LpProblem, t: _Tableau, vec: list[int], den: int, basic: int = -1):
-    """Row and bound duals, or a Farkas ray, from the slack entries of ``vec / den``.
+def _duals(p: LpProblem, t: _Tableau, vec: list[int], den: int, basic: tuple = ()):
+    """Row and bound duals, or a Farkas ray, from the entries of ``vec / den``.
 
-    With the objective row, the nonbasic slack reduced costs give the
-    duals, and a basic slack's is 0; with a row whose entries are all >= 0
-    and whose rhs is < 0, its slack entries ``w`` combine the ``<=``-form
-    rows into an infeasible one, and negating that combination gives the
-    ray.  Such a row's own basic column ``basic`` has the dropped unit
-    entry ``den / den``.  Either way a ``>=`` row, stored negated, gets
-    ``w_i`` and a ``<=`` row or a bound gets ``-w_i``.
+    With the objective row, the nonbasic slack reduced costs give the row
+    duals, a basic slack's is 0, and each bound dual is the reduced cost of
+    a variable at its bound, at most 0.  With an infeasible row as
+    ``facing`` reads it, and ``basic`` its basic column's (label, entry):
+    ``den``, or ``-den`` where the row was negated.  Its slack entries ``w``
+    combine the ``<=``-form rows into one that no point in the bounds
+    meets, and negating that combination gives the ray; its bound part is
+    each negative structural entry, the variables the ratio test passed to
+    their bound and those it found there.  Either way a ``>=`` row, stored
+    negated, gets ``w_i`` and a ``<=`` row ``-w_i``.
     """
     n = t.n
-    w = [0] * (t.m + len(t.bounded))  # by full-tableau column - n
-    for label, v in zip(t.nonbasic, vec):
-        if label >= n:
-            w[label - n] = v
-    if basic >= n:
-        w[basic - n] = den
+    w = [0] * (n + t.m)  # by label
+    for label, v in (*zip(t.nonbasic, vec), *basic):
+        w[label] = v
     dual_rows = tuple(
-        Fraction(w[i] if row.sense == GE else -w[i], den) for i, row in enumerate(p.rows)
+        Fraction(v if row.sense == GE else -v, den) if v else ZERO
+        for v, row in zip(w[n:], p.rows)
     )
-    dual_bounds = [ZERO] * n
-    for k, j in enumerate(t.bounded, start=t.m):
-        dual_bounds[j] = Fraction(-w[k], den)
-    return dual_rows, tuple(dual_bounds)
+    return dual_rows, tuple(Fraction(v, den) if v < 0 else ZERO for v in w[:n])
 
 
 @dataclass(frozen=True)

@@ -535,6 +535,15 @@ def test_candidate_vectors_are_sequences_of_nonnegative_entries():
             IntegerVector(values)
 
 
+@pytest.mark.parametrize("kind, values", [(FractionalVector, (F(1), 0)), (IntegerVector, (1, 0))])
+def test_candidate_vectors_store_a_tuple_and_hash_by_value(kind, values):
+    # a list and a tuple of the same entries make equal vectors with one hash
+    from_list, from_tuple = kind(list(values)), kind(values)
+    assert type(from_list.values) is tuple and from_list.values == values
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert len({from_list, from_tuple, kind(values[::-1])}) == 2
+
+
 class TestNormalize:
     def test_truncates_large_coefficients(self):
         inst = make_inst(A=[[5, "1/2"]], a=[2], c=[1, 1], d=[None, None])

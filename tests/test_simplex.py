@@ -1,5 +1,4 @@
 import random
-from bisect import bisect
 from dataclasses import fields, replace
 from math import gcd, lcm
 from operator import mul
@@ -41,6 +40,8 @@ GAP_DOC = '{"A": [[0.9, 1]], "a": [1], "c": [0, 1], "d": [1, null]}'
 #: a ``GUIDED_MIN_CELLS`` no LP reaches: the tests that probe the exact
 #: tableau's pivots keep every LP on it
 ALL_COLD = 10**18
+#: the exact run's pivots and flips at cpip-20x30 seed 1, and its pivots at set cover 20x30 seed 1
+PIVOTS_20X30, FLIPS_20X30, PIVOTS_SET_COVER = 15, 25, 17
 
 
 def test_gap_instance_relaxation():
@@ -226,22 +227,46 @@ def _explicit_bounds(p):
     return LpProblem.from_data(p.objective, rows, [None] * n), bounded
 
 
+def _nondegenerate(p, s):
+    """Whether the optimum ``s`` is primal and whether it is dual nondegenerate.
+
+    Primal: ``m`` of its values are off their bounds, a row's slack among
+    them.  Dual: ``n`` of its row duals and reduced costs are nonzero.  A
+    primal nondegenerate optimum has one dual vector, unless a bound of 0
+    leaves its dual free below, and a dual nondegenerate one is the only
+    optimal point (Chvatal, *Linear Programming*, 1983).
+    """
+    rows = lp_rows(p)
+    x, n = s.primal, len(p.objective)
+    off = sum(0 < v and (u is None or v < u) for v, u in zip(x, p.var_bounds))
+    off += sum(dot(a, x) != rhs for a, _, rhs in rows)
+    reduced = [
+        p.objective[j] - sum(y * a[j] for y, (a, _, _) in zip(s.dual_rows, rows)) for j in range(n)
+    ]
+    return off == len(rows), sum(map(bool, (*reduced, *s.dual_rows))) == n
+
+
 def _assert_bound_rows_parity(p):
-    # the exact tableau's bound rows enter only when violated; its pivots,
-    # point, duals and rays must be those of the LP with every bound written
-    # out (the float run keeps its bounds implicit and flips them instead)
+    # the tableau keeps each bound implicit and flips it; written out as a
+    # row, the same bound must give the same status and value, each
+    # certified, and the same point and duals wherever the optimum has only
+    # one (the pivots differ: a bound row has no bound to flip)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "GUIDED_MIN_CELLS", ALL_COLD)
         s = solve_lp(p)
         q, bounded = _explicit_bounds(p)
         t = solve_lp(q)
-    assert (s.status, s.iterations) == (t.status, t.iterations)
+    assert s.status == t.status
+    assert verify_certificate(p, s) == [] and verify_certificate(q, t) == []
     if s.status == "OPTIMAL":
-        assert (s.primal, s.objective_value) == (t.primal, t.objective_value)
-        assert t.dual_rows == s.dual_rows + tuple(s.dual_bounds[j] for j in bounded)
+        assert s.objective_value == t.objective_value
         assert not any(t.dual_bounds)
+        one_dual, one_point = _nondegenerate(p, s)
+        if one_point:
+            assert s.primal == t.primal
+        if one_dual and ZERO not in p.var_bounds:  # a bound of 0 leaves its dual free below
+            assert t.dual_rows == s.dual_rows + tuple(s.dual_bounds[j] for j in bounded)
     else:
-        assert t.ray_rows == s.ray_rows + tuple(s.ray_bounds[j] for j in bounded)
         assert not any(t.ray_bounds)
 
 
@@ -257,10 +282,9 @@ def test_bound_rows_match_explicit_rows(p):
     _assert_bound_rows_parity(p)
 
 
-def _tied_bound_slacks():
+def _degenerate_cut_round():
     # a cut round of a desk-oracle random-cpip 6x7, rows permuted, whose
-    # degenerate ratio tests tie between bound slack columns stored out of
-    # their full-tableau order
+    # ratio tests tie and whose pivots are degenerate
     rows = [
         ((0, 0, 0, 0, 4, 4, 0), GE, F(48, 5)),
         ((2, 2, 2, 3, 0, 0, 4), GE, F(127, 10)),
@@ -277,7 +301,7 @@ def _tied_bound_slacks():
 def test_bound_rows_match_explicit_rows_on_fixed_cases():
     for inst in _scale_instances():
         _assert_bound_rows_parity(lp_from_instance(inst))
-    _assert_bound_rows_parity(_tied_bound_slacks())
+    _assert_bound_rows_parity(_degenerate_cut_round())
     _assert_bound_rows_parity(LpProblem.from_data([0], [((1,), GE, 1)], [F(1, 2)]))
 
 
@@ -324,7 +348,7 @@ def test_bland_rule_from_first_pivot(monkeypatch):
 
 @pytest.mark.parametrize(
     "shape, iterations, objective",
-    [((10, 15, 2, 1), 13, F(91561, 2250)), ((20, 30, 3, 1), 32, F(985, 12))],
+    [((10, 15, 2, 1), 5, F(91561, 2250)), ((20, 30, 3, 1), PIVOTS_20X30, F(985, 12))],
     ids=["cpip-10x15", "cpip-20x30"],
 )
 def test_pivot_path_pinned(monkeypatch, shape, iterations, objective):
@@ -358,7 +382,7 @@ def test_farkas_ray_pinned():
         [3, None, F(3, 2)],
     )
     s = solve_lp(p)
-    assert (s.status, s.iterations) == ("INFEASIBLE", 3)
+    assert (s.status, s.iterations) == ("INFEASIBLE", 2)
     assert s.ray_rows == (F(4), F(-1, 3), F(1))
     assert s.ray_bounds == (F(-1), F(0), F(0))
     assert _farkas_certifies(p, s)
@@ -724,29 +748,28 @@ def _full_eliminate(row, den, prow, p, e, nz):
 
 
 class _FullTableau:
-    """The full-width tableau ``_Tableau`` replaced, kept as a reference.
+    """The full-width tableau, kept as a reference for ``_Tableau``.
 
-    Every stored column is kept, basic ones included: the user rows'
-    slacks at ``n + i`` and each stored bound row's slack at ``n + m + k``,
-    inserted in increasing order (``cols``).  Ties break on the lowest
-    stored column.
+    Every column is stored, basic ones included: the structurals, then the
+    user rows' slacks at ``n + i``; ties break on the lowest column.  Bounds
+    are implicit: ``at_bound`` holds the nonbasic columns at their bound,
+    and the last entry of a row is its basic value with every nonbasic at
+    its own, scaled as ``_Tableau`` scales it.  The ratio test sorts the
+    breakpoints as ``Fraction`` ratios.
     """
 
     def __init__(self, p):
         n = self.n = len(p.objective)
         m = self.m = len(p.rows)
-        self.bounded = [j for j, u in enumerate(p.var_bounds) if u is not None]
-        self.pending = [None] * n
-        for k, j in enumerate(self.bounded):
-            u = p.var_bounds[j]
-            self.pending[j] = (k, u.numerator, u.denominator)
-        self.rows = list(range(m))
-        self.cols = list(range(n + m))
+        self.scale = lcm(*(u.denominator for u in p.var_bounds if u is not None))
+        self.upper = [None if u is None else int(u * self.scale) for u in p.var_bounds]
+        self.upper += [None] * m
+        self.at_bound = set()
         self.basis = list(range(n, n + m))
         self.T, self.den = [], []
         for i, (row, (scaled, D)) in enumerate(zip(p.rows, p.int_rows)):
             sign = -1 if row.sense == GE else 1
-            trow = [sign * v for v in scaled[:n]] + [0] * m + [sign * scaled[n]]
+            trow = [sign * v for v in scaled[:n]] + [0] * m + [sign * scaled[n] * self.scale]
             trow[n + i] = D
             self.T.append(trow)
             self.den.append(D)
@@ -754,27 +777,14 @@ class _FullTableau:
         self.obj += [0] * (m + 1)
         self.iterations = 0
 
-    def add_bound_row(self, i, k):
-        j = self.bounded[k]
-        _, U, Du = self.pending[j]
-        self.pending[j] = None
-        c = self.n + self.m + k
-        pos = bisect(self.cols, c)
-        self.cols.insert(pos, c)
-        for trow in self.T:
-            trow.insert(pos, 0)
-        self.obj.insert(pos, 0)
-        d = self.den[i]
-        L = lcm(d, Du)
-        new = [-v * (L // d) for v in self.T[i]]
-        new[j] = 0
-        new[pos] = L
-        new[-1] += U * (L // Du)
-        self.T.append(new)
-        self.den.append(L)
-        self.rows.append(self.m + k)
-        self.basis.append(c)
-        return len(self.T) - 1
+    def facing(self, r):
+        """Row r, negated with its bound added if it is above its bound."""
+        row = self.T[r]
+        if row[-1] < 0:
+            return list(row)
+        out = [-v for v in row]
+        out[-1] += self.upper[self.basis[r]] * self.den[r]
+        return out
 
     def pivot(self, r, e):
         prow = self.T[r]
@@ -794,43 +804,60 @@ class _FullTableau:
                 self.T[i], self.den[i] = _full_eliminate(row, self.den[i], prow, p, e, nz)
         if self.obj[e]:
             self.obj, self.obj_den = _full_eliminate(self.obj, self.obj_den, prow, p, e, nz)
-        self.basis[r] = self.cols[e]
 
     leaving, tie = _Tableau.leaving, _Tableau.tie
 
     def run(self, *, bland_after, max_iters):
-        degenerate_streak = 0
+        degenerate_streak, n, m = 0, self.n, self.m
         while True:
             found = self.leaving(degenerate_streak >= bland_after)
             if found is None:
                 return -1
-            leave, k = found
-            if k >= 0:
-                leave = self.add_bound_row(leave, k)
-            lrow, obj, enter = self.T[leave], self.obj, -1
-            for j in range(len(lrow) - 1):
-                a = lrow[j]
-                if a < 0 and (enter < 0 or obj[j] * -lrow[enter] < obj[enter] * -a):
-                    enter = j
+            r, high = found
+            lrow, breaks = self.facing(r), []
+            for c in range(n + m):
+                a, d = lrow[c], self.obj[c]
+                if c in self.at_bound:
+                    a, d = -a, -d
+                if c not in self.basis and a < 0:
+                    breaks.append((F(d, -a), c, -a))
+            slope, flips, enter = -lrow[-1], [], -1
+            for _, c, a in sorted(breaks):
+                u = self.upper[c]
+                if u is None or slope <= a * u:
+                    enter = c
+                    break
+                slope -= a * u
+                flips.append(c)
             if enter < 0:
-                return leave
+                return r
             if self.iterations >= max_iters:
                 raise LimitError(f"simplex exceeded {max_iters} pivots")
             self.iterations += 1
-            degenerate_streak = degenerate_streak + 1 if obj[enter] == 0 else 0
-            self.pivot(leave, enter)
+            degenerate_streak = degenerate_streak + 1 if self.obj[enter] == 0 else 0
+            for c in flips:
+                u = -self.upper[c] if c in self.at_bound else self.upper[c]
+                self.at_bound ^= {c}
+                for row in (*self.T, self.obj):
+                    row[-1] -= row[c] * u
+            leave = self.basis[r]
+            if high:
+                self.T[r][-1] -= self.upper[leave] * self.den[r]
+                self.at_bound.add(leave)
+            self.pivot(r, enter)
+            if enter in self.at_bound:
+                self.T[r][-1] += self.upper[enter] * self.den[r]
+                self.at_bound.remove(enter)
+            self.basis[r] = enter
 
 
 def _full_duals(p, t, vec, den):
-    n, m = t.n, t.m
+    """Row duals from the slack columns of ``vec``; bound duals from its negative structurals."""
+    n = t.n
     dual_rows = tuple(
-        F(vec[n + i] if row.sense == GE else -vec[n + i], den)
-        for i, row in enumerate(p.rows)
+        F(vec[n + i] if row.sense == GE else -vec[n + i], den) for i, row in enumerate(p.rows)
     )
-    dual_bounds = [ZERO] * n
-    for pos in range(n + m, len(t.cols)):
-        dual_bounds[t.bounded[t.cols[pos] - n - m]] = F(-vec[pos], den)
-    return dual_rows, tuple(dual_bounds)
+    return dual_rows, tuple(F(min(v, 0), den) for v in vec[:n])
 
 
 def reference_solve_lp(p, *, bland_after=40, max_iters=50_000):
@@ -838,18 +865,21 @@ def reference_solve_lp(p, *, bland_after=40, max_iters=50_000):
     t = _FullTableau(p)
     r = t.run(bland_after=bland_after, max_iters=max_iters)
     if r >= 0:
-        ray_rows, ray_bounds = _full_duals(p, t, t.T[r], t.den[r])
+        # the row as it faces its bounds: its basic column holds den, or -den if negated
+        ray_rows, ray_bounds = _full_duals(p, t, t.facing(r), t.den[r])
         return LpSolution("INFEASIBLE", t.iterations, ray_rows=ray_rows, ray_bounds=ray_bounds), t
     x = [ZERO] * t.n
     for i, bi in enumerate(t.basis):
         if bi < t.n:
-            x[bi] = F(t.T[i][-1], t.den[i])
+            x[bi] = F(t.T[i][-1], t.den[i] * t.scale)
+    for j in t.at_bound:
+        x[j] = p.var_bounds[j]
     dual_rows, dual_bounds = _full_duals(p, t, t.obj, t.obj_den)
     solution = LpSolution(
         "OPTIMAL",
         t.iterations,
         primal=FractionalVector(tuple(x)),
-        objective_value=F(-t.obj[-1], t.obj_den),
+        objective_value=F(-t.obj[-1], t.obj_den * t.scale),
         dual_rows=dual_rows,
         dual_bounds=dual_bounds,
     )
@@ -880,27 +910,27 @@ def _assert_condensed_parity(p, bland_after):
     assert (got.ray_rows, got.ray_bounds) == (want.ray_rows, want.ray_bounds)
     # the last tableau too: each stored row's entries and denominator are
     # the full row's, whose basic columns hold den on its own row and 0 off it
-    assert (t.rows, t.basis, t.den) == (full.rows, full.basis, full.den)
-    assert sorted(t.nonbasic + t.basis) == full.cols
-    pos = {c: q for q, c in enumerate(full.cols)}
+    assert (t.basis, t.den, t.scale) == (full.basis, full.den, full.scale)
+    assert sorted(t.nonbasic + t.basis) == list(range(t.n + t.m))
+    assert _at_bound(t) == full.at_bound
     for crow, frow, b, d in zip(t.T, full.T, t.basis, t.den):
-        assert crow == [frow[pos[c]] for c in t.nonbasic] + [frow[-1]]
-        assert [frow[pos[c]] for c in t.basis] == [d if c == b else 0 for c in t.basis]
-    assert t.obj == [full.obj[pos[c]] for c in t.nonbasic] + [full.obj[-1]]
+        assert crow == [frow[c] for c in t.nonbasic] + [frow[-1]]
+        assert [frow[c] for c in t.basis] == [d if c == b else 0 for c in t.basis]
+    assert t.obj == [full.obj[c] for c in t.nonbasic] + [full.obj[-1]]
     assert t.obj_den == full.obj_den
-    assert not any(full.obj[pos[c]] for c in t.basis)
+    assert not any(full.obj[c] for c in t.basis)
     # at the shipped budget a row is reduced only once its denominator
     # grows, so its integers may differ, but not the rationals they stand
     # for, the labels or the solution
     lazy, u = _condensed_solve(p, bland_after, simplex.REDUCE_BITS)
     assert lazy == want
-    assert (u.rows, u.basis, u.nonbasic) == (t.rows, t.basis, t.nonbasic)
+    assert (u.basis, u.nonbasic, u.up) == (t.basis, t.nonbasic, t.up)
     for crow, frow, d, fd in zip(u.T, full.T, u.den, full.den):
-        assert [F(v, d) for v in crow] == [F(frow[pos[c]], fd) for c in u.nonbasic] + [
+        assert [F(v, d) for v in crow] == [F(frow[c], fd) for c in u.nonbasic] + [
             F(frow[-1], fd)
         ]
     assert [F(v, u.obj_den) for v in u.obj] == [
-        F(full.obj[pos[c]], full.obj_den) for c in u.nonbasic
+        F(full.obj[c], full.obj_den) for c in u.nonbasic
     ] + [F(full.obj[-1], full.obj_den)]
     return got.status
 
@@ -916,7 +946,7 @@ def test_condensed_tableau_equals_full_reference(p, bland_after):
 def test_condensed_tableau_equals_full_reference_on_fixed_cases(bland_after):
     cases = [lp_from_instance(inst) for inst in _scale_instances()]
     cases += [
-        _tied_bound_slacks(),
+        _degenerate_cut_round(),
         LpProblem.from_data([0], [((1,), GE, 1)], [F(1, 2)]),
         _beale_dual(),
     ]
@@ -1084,7 +1114,7 @@ def test_certificate_check_equals_fraction_reference_on_fixed_cases():
     rng = random.Random(24)
     cases = [lp_from_instance(inst) for inst in _scale_instances()]
     cases += [
-        _tied_bound_slacks(),
+        _degenerate_cut_round(),
         LpProblem.from_data([0], [((1,), GE, 1)], [F(1, 2)]),
         _beale_dual(),
         LpProblem.from_data(
@@ -1180,42 +1210,40 @@ def _cold_and_guided(p):
     return cold, guided
 
 
-def _nondegenerate(p, s):
-    """Whether the optimum ``s`` is primal and whether it is dual nondegenerate.
-
-    Primal: ``m`` of its values are off their bounds, a row's slack among
-    them.  Dual: ``n`` of its row duals and reduced costs are nonzero.  A
-    reference for ``simplex._unique``, read from the rationals.
-    """
-    rows = lp_rows(p)
-    x, n = s.primal, len(p.objective)
-    off = sum(0 < v and (u is None or v < u) for v, u in zip(x, p.var_bounds))
-    off += sum(dot(a, x) != rhs for a, _, rhs in rows)
-    reduced = [
-        p.objective[j] - sum(y * a[j] for y, (a, _, _) in zip(s.dual_rows, rows)) for j in range(n)
-    ]
-    return off == len(rows), sum(map(bool, (*reduced, *s.dual_rows))) == n
-
-
 def _assert_guided_equals_cold(p):
-    """Every field but the pivot count, and an optimum from a float run, not the exact run."""
+    """Every field, the pivots too, and an optimum from the float run, not the exact run."""
     cold, guided = _cold_and_guided(p)
-    assert replace(guided, iterations=0) == replace(cold, iterations=0)
+    assert guided == cold
     assert simplex._guided(p) == (guided if cold.status == "OPTIMAL" else None)
     return cold
+
+
+def _at_bound(t):
+    """The labels of a tableau's nonbasic variables at their bound."""
+    return {label for label, up in zip(t.nonbasic, t.up) if up}
+
+
+def _runs(p):
+    """The exact and the float run on ``p``: each one's end, pivots, flips and final basis."""
+    ends = []
+    for tableau in (_Tableau, simplex._FloatTableau):
+        t = tableau(p)
+        ends.append((t.run(), t.iterations, t.flips, t.basis, t.nonbasic, t.up))
+    return ends
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(cpip_lps(), general_lps()))
 def test_guided_solution_equals_cold(p):
-    # status, point, value, both dual vectors and rays; the pivots are the
-    # float run's
+    # status, pivots, point, value, both dual vectors and rays
     _assert_guided_equals_cold(p)
 
 
 @st.composite
-def boxed_lps(draw):
-    """Covering and packing LPs with every variable bounded, some, or some bounds at 0."""
+def boxed_lps(draw, infeasible=False):
+    """Covering and packing LPs with every variable bounded, some, some bounds at 0, or
+    rational bounds; with ``infeasible``, every variable bounded and one more row that
+    the box cannot meet."""
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     coeff = st.builds(F, st.integers(0, 5), st.integers(1, 3))
     rows = [
@@ -1227,13 +1255,20 @@ def boxed_lps(draw):
         for _ in range(m)
     ]
     bound = st.builds(F, st.integers(1, 4), st.integers(1, 2))
-    kind = draw(st.sampled_from(["every", "some", "zero"]))
+    kind = "every" if infeasible else draw(st.sampled_from(["every", "some", "zero", "rational"]))
     if kind == "every":
         bounds = draw(st.lists(bound, min_size=n, max_size=n))
+    elif kind == "rational":
+        rational = st.builds(F, st.integers(1, 12), st.integers(2, 7))
+        bounds = draw(st.lists(st.one_of(st.none(), rational), min_size=n, max_size=n))
     else:
         bounds = draw(st.lists(st.one_of(st.none(), bound), min_size=n, max_size=n))
     if kind == "zero":
         bounds[draw(st.integers(0, n - 1))] = ZERO
+    if infeasible:
+        a = draw(st.lists(coeff, min_size=n, max_size=n))
+        short = draw(st.builds(F, st.integers(1, 6), st.integers(1, 4)))
+        rows.insert(draw(st.integers(0, m)), (a, GE, dot(a, bounds) + short))
     cost = st.builds(F, st.integers(0, 6), st.integers(1, 5))
     objective = draw(st.lists(cost, min_size=n, max_size=n))
     return LpProblem.from_data(objective, rows, bounds)
@@ -1242,66 +1277,113 @@ def boxed_lps(draw):
 @settings(max_examples=200, deadline=None)
 @given(boxed_lps())
 def test_guided_equals_cold_on_boxed_lps(p):
+    # one set of rules in both arithmetics: the same pivots and flips to the same basis
+    exact, floats = _runs(p)
+    assert exact == floats
+    assert verify_certificate(p, _assert_guided_equals_cold(p)) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxed_lps(infeasible=True))
+def test_infeasible_box_gives_a_certified_ray(p):
+    # both runs end at the same row; the exact run's ray takes its bound part
+    # from the variables the ratio test passed to their bound
+    exact, floats = _runs(p)
+    assert exact == floats and exact[0] >= 0
     cold = _assert_guided_equals_cold(p)
-    bounded = simplex._certified(p, simplex._FloatTableau, only=True)
-    if cold.status == "OPTIMAL" and bounded is not None:
-        # the bounded run's optimum is kept exactly where it is the only one
-        unique = all(_nondegenerate(p, cold)) and ZERO not in p.var_bounds
-        assert (bounded is not simplex._SEVERAL) == unique
+    assert cold.status == "INFEASIBLE" and verify_certificate(p, cold) == []
+    assert _farkas_certifies(p, cold)
 
 
-def _float_run(objective, rows, bounds):
-    """The float run on an LP: the LP, the run's end (-1 or the infeasible row) and the tableau."""
+def _run_both(objective, rows, bounds):
+    """The float run on an LP, once the exact run ends alike: the LP, its end and the run."""
     p = LpProblem.from_data(objective, rows, bounds)
-    t = simplex._FloatTableau(p)
-    return p, t.run(), t
+    runs = []
+    for tableau in (_Tableau, simplex._FloatTableau):
+        t = tableau(p)
+        end = t.run()
+        values = [F(row[-1]) / (d * t.scale) for row, d in zip((*t.T, t.obj), (*t.den, t.obj_den))]
+        runs.append((end, t.iterations, t.flips, t.basis, _at_bound(t), values))
+    assert runs[0] == runs[1]
+    return p, end, t
 
 
 def test_ratio_test_flips_a_bounded_breakpoint():
     # min x + 2y s.t. x + y >= 3, x <= 1: x's breakpoint comes first, and at
     # its bound x leaves the row short by 2, so x flips to 1 and y enters
-    p, end, t = _float_run([1, 2], [((1, 1), GE, 3)], [1, None])
-    assert (end, t.iterations, t.flips, t.at_upper, t.basis) == (-1, 1, 1, {0}, [1])
+    p, end, t = _run_both([1, 2], [((1, 1), GE, 3)], [1, None])
+    assert (end, t.iterations, t.flips, _at_bound(t), t.basis) == (-1, 1, 1, {0}, [1])
     assert (t.T[0][-1], t.obj[-1]) == (2.0, -5.0)  # the flip moved y's value and z
     s = simplex._guided(p)
     assert (s.primal.values, s.objective_value, s.dual_rows, s.dual_bounds) == (
         (1, 2), 5, (2,), (-1, 0),
     )
+    assert _cold_and_guided(p) == (s, s)
 
 
 @pytest.mark.parametrize("u, x", [(4, 0), (3, 0)], ids=["past-the-demand", "at-the-demand"])
 def test_ratio_test_stops_where_a_flip_would_meet_the_row(u, x):
     # x <= 4 at its bound would carry the row past 3, and x <= 3 exactly to
     # it: x enters at the first breakpoint, with no flip, and takes the value 3
-    p, end, t = _float_run([1, 2], [((1, 1), GE, 3)], [u, None])
-    assert (end, t.iterations, t.flips, t.at_upper, t.basis) == (-1, 1, 0, set(), [0])
+    p, end, t = _run_both([1, 2], [((1, 1), GE, 3)], [u, None])
+    assert (end, t.iterations, t.flips, _at_bound(t), t.basis) == (-1, 1, 0, set(), [0])
     assert simplex._guided(p).primal.values == (3, x)
 
 
 def test_flipped_variable_enters_from_its_bound():
     # min x s.t. y <= 0, x + y >= 6, y <= 3: y flips to 3 and x enters at 3;
     # then y <= 0 leaves, and y enters from its bound 3 down to 0, so x is 6
-    _, end, t = _float_run([1, 0], [((0, 1), LE, 0), ((1, 1), GE, 6)], [None, 3])
-    assert (end, t.iterations, t.flips, t.at_upper, t.basis) == (-1, 2, 1, set(), [1, 0])
+    _, end, t = _run_both([1, 0], [((0, 1), LE, 0), ((1, 1), GE, 6)], [None, 3])
+    assert (end, t.iterations, t.flips, _at_bound(t), t.basis) == (-1, 2, 1, set(), [1, 0])
     assert ([row[-1] for row in t.T], t.obj[-1]) == ([0.0, 6.0], -6.0)
 
 
 def test_ratio_test_passes_every_breakpoint_of_an_infeasible_row():
     # x <= 1 and y <= 1 cannot meet x + y >= 3: the ratio test passes both
     # breakpoints, and the row ends the run with no flip made
-    _, end, t = _float_run([1, 2], [((1, 1), GE, 3)], [1, 1])
-    assert (end, t.iterations, t.flips, t.at_upper) == (0, 0, 0, set())
+    p, end, t = _run_both([1, 2], [((1, 1), GE, 3)], [1, 1])
+    assert (end, t.iterations, t.flips, _at_bound(t)) == (0, 0, 0, set())
     assert t.entering(t.T[0]) == (-1, [0, 1])
+    # the ray prices both bounds: 1 * (x + y >= 3) with x <= 1 and y <= 1 leaves 0 >= 1
+    s = solve_lp(p)
+    assert (s.status, s.ray_rows, s.ray_bounds) == ("INFEASIBLE", (1,), (-1, -1))
+
+
+def test_ray_of_a_row_above_its_bound():
+    # min x s.t. 2x >= 4, x >= 3, x <= 2: x enters at its bound 2 for the
+    # first row, then the first row's slack enters for the second and lifts
+    # x to 3, above its bound, where no breakpoint is left; the ray reads
+    # x's row negated, so x's bound takes -1: 1 * (x >= 3) with x <= 2
+    p = LpProblem.from_data([1], [((2,), GE, 4), ((1,), GE, 3)], [2])
+    _, end, t = _run_both([1], [((2,), GE, 4), ((1,), GE, 3)], [2])
+    assert (end, t.iterations, t.basis[end]) == (0, 2, 0) and t.T[end][-1] > 2
+    s = solve_lp(p)
+    assert (s.status, s.ray_rows, s.ray_bounds) == ("INFEASIBLE", (0, 1), (-1,))
+    assert verify_certificate(p, s) == [] and _farkas_certifies(p, s)
+
+
+def test_rational_bounds_scale_every_value():
+    # min x + 2y s.t. x + y >= 1, x <= 1/2, y <= 2/3: every value is kept
+    # over the bounds' lcm 6, so x flips to 3/6 and y enters at 3/6
+    p = LpProblem.from_data([1, 2], [((1, 1), GE, 1)], [F(1, 2), F(2, 3)])
+    t = _Tableau(p)
+    assert (t.run(), t.scale, t.upper, t.iterations, t.flips) == (-1, 6, [3, 4, None], 1, 1)
+    assert (t.T, t.den, _at_bound(t)) == ([[1, -1, 3]], [1], {0})
+    s = solve_lp(p)
+    assert (s.primal.values, s.objective_value, s.dual_rows, s.dual_bounds) == (
+        (F(1, 2), F(1, 2)), F(3, 2), (2,), (-1, 0),
+    )
+    assert verify_certificate(p, s) == []
 
 
 def test_float_pivot_path_pinned():
-    # the float run's pivots and flips at cpip-20x30, where the exact run makes 32 pivots
+    # one set of rules in both arithmetics: the float run's pivots and flips
+    # at cpip-20x30 are the exact run's
     p = lp_from_instance(gen_random_cpip(20, 30, 3, 1))
-    t = simplex._FloatTableau(p)
-    assert (t.run(), t.iterations, t.flips) == (-1, 15, 25)
+    exact, floats = _runs(p)
+    assert exact == floats and exact[:3] == (-1, PIVOTS_20X30, FLIPS_20X30)
     s = solve_lp(p)
-    assert (s.status, s.iterations, s.objective_value) == ("OPTIMAL", 15, F(985, 12))
-
+    assert (s.status, s.iterations, s.objective_value) == ("OPTIMAL", PIVOTS_20X30, F(985, 12))
 
 
 @pytest.mark.parametrize(
@@ -1316,46 +1398,35 @@ def test_float_pivot_path_pinned():
     ids=["slack-at-0", "zero-dual", "zero-reduced-cost", "zero-bound", "basic-at-bound"],
 )
 def test_bounded_run_hands_on_an_optimum_that_is_one_of_several(objective, row, bound):
+    # the float run's basis is the exact run's, so its optimum is kept: pivots and all
     p = LpProblem.from_data(objective, [row], [bound])
-    assert simplex._certified(p, simplex._FloatTableau, only=True) is simplex._SEVERAL
-    cold, guided = _cold_and_guided(p)
-    assert guided == cold  # the mirror run's basis: the exact run's, pivots and all
+    exact, floats = _runs(p)
+    assert exact == floats
+    _assert_guided_equals_cold(p)
 
 
 def test_bounded_run_hands_on_a_basic_value_at_0():
     # min x s.t. 2x + y >= 1, 2y <= 0, x <= 2, y <= 2: y is basic at 0
     p = LpProblem.from_data([1, 0], [((2, 1), GE, 1), ((0, 2), LE, 0)], [2, 2])
-    assert simplex._certified(p, simplex._FloatTableau, only=True) is simplex._SEVERAL
     assert _assert_guided_equals_cold(p).primal.values == (F(1, 2), 0)
 
 
 def test_several_duals_take_the_exact_runs():
     # min 2x + 2y s.t. 2x + y >= 3, x + y >= 2, x <= 1: at (1, 1) both rows
-    # and the bound are tight; the bounded run prices the first row and the
-    # bound, the exact run the second row
+    # and the bound are tight; both runs price the first row and the bound
     p = LpProblem.from_data([2, 2], [((2, 1), GE, 3), ((1, 1), GE, 2)], [1, None])
-    bounded = simplex._certified(p, simplex._FloatTableau, only=False)
-    assert (bounded.dual_rows, bounded.dual_bounds) == ((2, 0), (-2, 0))
-    cold, guided = _cold_and_guided(p)
-    assert guided == cold and (cold.dual_rows, cold.dual_bounds) == ((0, 2), (0, 0))
+    cold = _assert_guided_equals_cold(p)
+    assert (cold.dual_rows, cold.dual_bounds) == ((2, 0), (-2, 0))
 
 
-def test_set_cover_runs_the_mirror_alone(monkeypatch):
-    # every set at its bound 1 covers each of its elements: no bound binds a
-    # row by itself, so the bounded run is not tried
+def test_set_cover_takes_the_float_run():
+    # every LP of the guided size takes the float run, a set cover too, and
+    # keeps its answer
     p = lp_from_instance(gen_set_cover(20, 30, 0.2, 1))
-    built = []
+    exact, floats = _runs(p)
+    assert exact == floats
+    assert _assert_guided_equals_cold(p).status == "OPTIMAL"
 
-    class Counting(simplex._FloatTableau):
-        def __init__(self, p):
-            built.append(p)
-            super().__init__(p)
-
-    monkeypatch.setattr(simplex, "_FloatTableau", Counting)
-    assert not simplex._bound_falls_short(p)
-    assert simplex._bound_falls_short(lp_from_instance(gen_random_cpip(20, 30, 3, 1)))
-    cold, guided = _cold_and_guided(p)
-    assert guided == cold and simplex._guided(p) == cold and not built
 
 def _cut_loop_lps(inst, lam):
     """Every LP the cut loop of ``inst`` at ``lam`` solves, in order."""
@@ -1383,10 +1454,8 @@ def test_guided_equals_cold_on_every_cut_loop_lp(m, n, seeds):
         _assert_guided_equals_cold(p)
 
 
-
 def test_guided_solver_answers_equal_cold():
-    # at multiset-multicover 40x60 seed 1 a bounded run that kept its own
-    # optimum, one of several, moved both solvers' answers
+    # multiset-multicover 40x60 seed 1 has LPs with several optima
     inst = gen_multiset_multicover(40, 60, 1)
 
     def answers():
@@ -1397,6 +1466,7 @@ def test_guided_solver_answers_equal_cold():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "GUIDED_MIN_CELLS", ALL_COLD)
         assert answers() == guided
+
 
 def _assert_falls_back(p, monkeypatch):
     """With every LP guided, ``_guided`` gives up on ``p`` and ``solve_lp`` is the exact run's."""
@@ -1422,7 +1492,7 @@ class _WrongRatio(simplex._FloatTableau):
         breaks = []
         for q in range(self.n):
             a, d = lrow[q], self.obj[q]
-            if self.nonbasic[q] in self.at_upper:
+            if self.up[q]:
                 a, d = -a, -d
             if a < -simplex.FLOAT_TIE:
                 breaks.append((d / -a, q))
@@ -1431,7 +1501,6 @@ class _WrongRatio(simplex._FloatTableau):
 
 @pytest.mark.parametrize("wrong", [_CutShort, _WrongRatio], ids=["cut-short", "wrong-ratio"])
 def test_wrong_float_basis_falls_back_to_exact(monkeypatch, wrong):
-    p = lp_from_instance(gen_random_cpip(20, 30, 3, seed=1))
     reports = []
 
     def spy(p, s):
@@ -1440,32 +1509,15 @@ def test_wrong_float_basis_falls_back_to_exact(monkeypatch, wrong):
 
     monkeypatch.setattr(simplex, "_FloatTableau", wrong)
     monkeypatch.setattr(simplex, "verify_certificate", spy)
-    cold = _assert_falls_back(p, monkeypatch)
-    assert cold.iterations == 32  # the exact run's pivots, not the float run's
+    for p, pivots in (
+        (lp_from_instance(gen_random_cpip(20, 30, 3, seed=1)), PIVOTS_20X30),
+        (lp_from_instance(gen_set_cover(20, 30, 0.2, 1)), PIVOTS_SET_COVER),
+    ):
+        cold = _assert_falls_back(p, monkeypatch)
+        assert cold.iterations == pivots  # the exact run's pivots, not the float run's
     if wrong is _WrongRatio:
         assert reports and all(reports)  # each guided certificate failed
 
-
-
-class _MirrorWrongRatio(simplex._FloatMirror):
-    """Enters the greatest ratio: a primal feasible basis whose duals fail the certificate."""
-
-    def entering(self, lrow):
-        negative = [q for q in range(self.n) if lrow[q] < -simplex.FLOAT_TIE]
-        return max(negative, key=lambda q: self.obj[q] / -lrow[q], default=-1)
-
-
-@pytest.mark.parametrize(
-    "p, pivots",
-    [
-        (lp_from_instance(gen_set_cover(20, 30, 0.2, 1)), 18),  # the mirror run alone
-        (LpProblem.from_data([2, 2], [((2, 1), GE, 3), ((1, 1), GE, 2)], [1, None]), 2),
-    ],
-    ids=["set-cover", "after-several-duals"],
-)
-def test_wrong_mirror_basis_falls_back_to_exact(monkeypatch, p, pivots):
-    monkeypatch.setattr(simplex, "_FloatMirror", _MirrorWrongRatio)
-    assert _assert_falls_back(p, monkeypatch).iterations == pivots
 
 def test_infeasible_lp_falls_back_to_exact(monkeypatch):
     ends = []
@@ -1490,44 +1542,34 @@ def test_float_pivot_cap_falls_back_to_exact(monkeypatch):
 
     monkeypatch.setattr(simplex, "_FloatTableau", AtCap)
     p = lp_from_instance(gen_random_cpip(20, 30, 3, seed=1))
-    assert _assert_falls_back(p, monkeypatch).iterations == 32
+    assert _assert_falls_back(p, monkeypatch).iterations == PIVOTS_20X30
     # a cap both runs reach is still LimitError
     monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
     with pytest.raises(LimitError):
         solve_lp(p)
 
 
-def _assert_singular_falls_back(monkeypatch, tableau, bound):
+def test_singular_basis_falls_back_to_exact(monkeypatch):
     # the second row is twice the first: with both rows tight and both
     # variables basic the k x k system is singular
-    p = LpProblem.from_data([1, 1], [((1, 1), GE, 1), ((2, 2), GE, 2)], [bound, bound])
-
-    class Singular(getattr(simplex, tableau)):
+    class Singular(simplex._FloatTableau):
         def run(self):
             out = super().run()
-            self.basis[:], self.nonbasic[:] = [0, 1], [2, 3]
+            self.basis[:], self.nonbasic[:], self.up[:] = [0, 1], [2, 3], [False, False]
             return out
 
-    monkeypatch.setattr(simplex, tableau, Singular)
-    assert _assert_falls_back(p, monkeypatch).status == "OPTIMAL"
+    monkeypatch.setattr(simplex, "_FloatTableau", Singular)
+    for bound in (F(1, 2), None):
+        p = LpProblem.from_data([1, 1], [((1, 1), GE, 1), ((2, 2), GE, 2)], [bound, bound])
+        assert _assert_falls_back(p, monkeypatch).status == "OPTIMAL"
     assert simplex._fraction_free_solve([[1, 1, 1], [2, 2, 2]]) is None
-
-
-def test_singular_basis_falls_back_to_exact(monkeypatch):
-    # a bound of 1/2 falls short of the rows, so the bounded run goes first
-    _assert_singular_falls_back(monkeypatch, "_FloatTableau", F(1, 2))
-
-
-def test_singular_mirror_basis_falls_back_to_exact(monkeypatch):
-    # with no bound the mirror run goes alone
-    _assert_singular_falls_back(monkeypatch, "_FloatMirror", None)
 
 
 @pytest.mark.parametrize(
     "objective, row, bound",
     [
         ([10**400, 1], ((1, 1), GE, 1), None),  # a cost beyond the float range
-        ([10**400, 1], ((1, 1), GE, 2), 1),  # the same, where the bounded run goes first
+        ([10**400, 1], ((1, 1), GE, 2), 1),  # the same, with bounds to flip
         ([10**300], ((F(1, 10**8),), GE, 1000), None),  # a float value that overflows to inf
     ],
     ids=["cost-overflow", "cost-overflow-bounded", "value-overflow"],
