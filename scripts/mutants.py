@@ -6,12 +6,14 @@ rows that the test suite's audit must reject, breaks ``check_solution``
 (which every guarantee check leans on) or ``verify_certificate`` (which
 certifies every LP result), lets a bad argument through a reader of
 ``model`` (the nonnegativity check, the sequence reader, ``IntegerVector``'s
-entry check) or lets a document's field error out as a bare
-``InstanceError``, or breaks a fast path: the rounding
+entry check) or of the rounding layer (a scale factor L below 1, a point
+beyond the estimator's float range), or lets a document's field error out as
+a bare ``InstanceError``, or breaks a fast path: the rounding
 layer's scan of A and the estimator's kept trace terms, the oracle's cost
 bound and value skip, which must leave its answer as it is, the guided
-simplex, which must not keep a basis that fails its certificate, the
-bounded dual simplex's flip rule, which both arithmetics share (a flip
+simplex, which must not keep a basis that fails its certificate or whose
+point has a negative coordinate, the bounded dual simplex's flip rule,
+which both arithmetics share (a flip
 moves the basic values, a breakpoint whose flip would meet the row is not
 passed, nor one without a bound, and a flipped variable enters from its
 bound), or the exact run's own parts: the bound part of its duals and of
@@ -185,6 +187,21 @@ MUTANTS = {
         "demand = S[n]",
         [AUDIT],
     ),
+    "derandomized-takes-L-below-1": (
+        ROUNDING,
+        "_derandomize(xbar, costs, c_den, rows, _read_scale(L), trace_out)",
+        '_derandomize(xbar, costs, c_den, rows, as_fraction(L, "L"), trace_out)',
+        [
+            f"tests/test_model.py::test_solver_argument_out_of_range[derandomized_round(L={L})]"
+            for L in (0, -1)
+        ],
+    ),
+    "estimator-overflow-escapes": (
+        ROUNDING,
+        "except OverflowError as exc:  # ln L, the width or a scaled coordinate",
+        "except () as exc:",
+        ["tests/test_model.py::test_estimator_float_range_is_a_limit"],
+    ),
     "trace-term-not-refreshed": (
         ROUNDING,
         "terms[k] = _row_term(exponents[k])",
@@ -262,6 +279,12 @@ MUTANTS = {
         "return None if verify_certificate(p, s) else s",
         "return s",
         ["tests/test_simplex.py::test_wrong_float_basis_falls_back_to_exact"],
+    ),
+    "guided-keeps-a-negative-point": (
+        SIMPLEX,
+        "if min(x, default=ZERO) < 0:",
+        "if False:",
+        ["tests/test_simplex.py::test_negative_point_falls_back_to_exact"],
     ),
     "flip-moves-no-basic-value": (
         SIMPLEX,

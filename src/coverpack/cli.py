@@ -212,8 +212,8 @@ def _lp_report(inst: CpipInstance, args) -> SolveReport:
         fopt=sol.objective_value,
         cost=sol.objective_value,
         epsilon=args.epsilon,
-        x=sol.primal.values,
-        violations=check_solution(inst, sol.primal.values, args.epsilon),
+        x=sol.primal,
+        violations=check_solution(inst, sol.primal, args.epsilon),
         certificate_ok=True,
     )
 
@@ -227,8 +227,8 @@ def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
         cost=objective,
         lam=args.lam,
         epsilon=args.epsilon,
-        x=loop.x.values,
-        violations=check_solution(inst, loop.x.values, args.epsilon),
+        x=loop.x,
+        violations=check_solution(inst, loop.x, args.epsilon),
         cut_rows_added=loop.cut_rows_added,
         lp_rounds=len(loop.round_objectives),
         pin_sets_seen=loop.pin_sets_seen,
@@ -250,7 +250,7 @@ def _oracle_report(inst: CpipInstance, args) -> SolveReport:
         cost=res.cost,
         opt=res.cost,
         epsilon=args.epsilon,
-        x=res.x.values,
+        x=res.x,
         violations=check_solution(inst, res.x, args.epsilon),
         oracle_bounds=res.bounds,
         oracle_space=res.space_size,
@@ -281,14 +281,14 @@ def _round_report(inst: CpipInstance, args) -> SolveReport:
     return SolveReport(
         mode=f"round-{args.op}",
         fopt=sol.objective_value,
-        cost=dot(inst.c, x.values),
+        cost=dot(inst.c, x),
         epsilon=args.epsilon if args.op == "bicriteria" else None,
         K=info.get("K"),
         L=info["L"],
         seed=args.seed if randomized else None,
         rng=RNG_NAME if randomized else None,
-        x=x.values,
-        violations=check_solution(inst, x.values, args.epsilon),
+        x=x,
+        violations=check_solution(inst, x, args.epsilon),
     )
 
 
@@ -344,8 +344,8 @@ def _cmd_check(args) -> int:
     ok = violations.ok_strict if args.mode == "strict" else violations.ok_bicriteria
     report = SolveReport(
         mode=f"check-{args.mode}",
-        cost=dot(inst.c, x.values),
-        x=x.values,
+        cost=dot(inst.c, x),
+        x=x,
         violations=violations,
         guarantees_ok=ok,
         epsilon=args.epsilon,

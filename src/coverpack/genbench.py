@@ -306,7 +306,7 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
                 row.L = rep_b.L
                 beta = inst.beta()
                 excesses = [
-                    dot(inst.B[i], xb.values) - ((1 + eps) * inst.b[i] + beta[i])
+                    dot(inst.B[i], xb) - ((1 + eps) * inst.b[i] + beta[i])
                     for i in range(inst.r)
                 ]
                 row.max_pack_excess = max(excesses, default=None)

@@ -206,16 +206,14 @@ def solve_cip_strict(
     info: dict = {}
     A, a = [S[:-1] for S, _ in system.rows], [S[-1] for S, _ in system.rows]
     xhat_rest = bicriteria_round(xres, A, a, inst.c, None, eps, info_out=info)
-    xhat = IntegerVector(
-        tuple(int(inst.d[j]) if j in system.F else xhat_rest[j] for j in range(inst.n))
-    )
+    xhat = IntegerVector([int(inst.d[j]) if j in system.F else v for j, v in enumerate(xhat_rest)])
     relaxed_cost = loop.round_objectives[-1]  # c . xbar, by its certificate
     pinned_cost = sum((inst.c[j] * inst.d[j] for j in system.F), ZERO)
     if pinned_cost > (1 + eps) * relaxed_cost:
         raise GuaranteeError(
             f"pinned cost {pinned_cost} above (1+eps) * {relaxed_cost}"
         )
-    cost = dot(inst.c, xhat.values)
+    cost = dot(inst.c, xhat)
     K = info["K"]
     if cost > (1 + eps + 4 * K) * relaxed_cost:
         raise GuaranteeError(
@@ -237,7 +235,7 @@ def solve_cip_strict(
         lam=lam,
         K=K,
         L=info["L"],
-        x=xhat.values,
+        x=xhat,
         violations=violations,
         guarantees_ok=violations.ok_strict,
         certificate_ok=True,

@@ -21,8 +21,9 @@ The canonical interchange format is a UTF-8 JSON document::
 mean unbounded.  Numbers are plain decimals or strings "p/q" for exact
 rationals; a decimal exponent is bounded by ``sys.get_int_max_str_digits()``.
 
-The package's reports live here too, ``SolveReport`` and
-``ViolationReport``, with ``report_dict``, their one JSON form.
+Candidate solutions are ``IntegerVector`` and ``FractionalVector``, tuples
+whose constructors check each entry.  The package's reports live here too,
+``SolveReport`` and ``ViolationReport``, with ``report_dict``, their one JSON form.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import floor, lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 #: Sentinel for a missing multiplicity bound (d_j = infinity).
 UNBOUNDED = None
@@ -60,8 +61,8 @@ class InfeasibleError(CoverpackError):
 class LimitError(CoverpackError):
     """A budget ran out first: simplex pivots, cut rounds or oracle points.
 
-    Also raised when floats cannot resolve the rounding scale factor of a
-    width: it rounds to 1.0, or the width overflows a float.
+    Also raised where a rounding's floats fail: a width's scale factor rounds
+    to 1.0, or a width, a scale factor or a scaled point overflows a float.
     """
 
 
@@ -256,50 +257,37 @@ class CpipInstance:
         return cls(A=Af, a=af, B=Bf, b=bf, c=cf, d=as_bounds(d, "d", n))
 
 
-@dataclass(frozen=True)
-class _Vector:
-    """A candidate solution: the tuple ``values``, of rationals or of ints, read as a sequence."""
-
-    values: tuple
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator:
-        return iter(self.values)
-
-    def __getitem__(self, j: int):
-        return self.values[j]
-
-
-@dataclass(frozen=True)
-class FractionalVector(_Vector):
-    """Nonnegative rational candidate solution: each entry an int or a ``Fraction``.
+class FractionalVector(tuple):
+    """Nonnegative rational candidate solution: a tuple, each entry an int or a ``Fraction``.
 
     Any other entry is read by ``as_fraction`` and stored as what it reads.
     """
 
-    def __post_init__(self):
-        values = tuple(as_sequence(self.values, "x"))
+    def __new__(cls, values):
+        values = super().__new__(cls, as_sequence(values, "x"))
         if {type(v) for v in values} - {int, Fraction}:  # at C speed
-            values = tuple(
+            read = [
                 v if type(v) in (int, Fraction) else as_fraction(v, f"x[{j}]")
                 for j, v in enumerate(values)
-            )
-        object.__setattr__(self, "values", values)
-        nonnegative(values, "x")
+            ]
+            values = super().__new__(cls, read)
+        return nonnegative(values, "x")
+
+    # the entries as a plain tuple; perfbench/workloads.py, perfbench/spans.py and tests read it
+    values = property(tuple)
 
 
-@dataclass(frozen=True)
-class IntegerVector(_Vector):
-    """Nonnegative integer candidate solution: each entry by ``as_int``'s rule, at least 0."""
+class IntegerVector(tuple):
+    """Nonnegative integer candidate solution: a tuple, each entry by ``as_int``'s rule, >= 0."""
 
-    def __post_init__(self):
-        values = tuple(as_sequence(self.values, "x"))
+    def __new__(cls, values):
+        values = super().__new__(cls, as_sequence(values, "x"))
         if {type(v) for v in values} - {int} or min(values, default=0) < 0:  # at C speed
             for j, v in enumerate(values):
                 as_int(v, f"x[{j}]", 0)
-        object.__setattr__(self, "values", values)
+        return values
+
+    values = property(tuple)  # the entries as a plain tuple, as in FractionalVector
 
 
 def normalize_width(inst: CpipInstance) -> CpipInstance:
@@ -476,7 +464,7 @@ def parse_solution(doc: str, n: int) -> IntegerVector:
         raise ParseError('a solution is an object with an "x" field')
     try:
         x = as_vector(raw["x"], "x", n)
-        return IntegerVector(tuple(int(v) if v.denominator == 1 else v for v in x))
+        return IntegerVector([int(v) if v.denominator == 1 else v for v in x])
     except InstanceError as exc:
         raise ParseError(str(exc)) from exc
 

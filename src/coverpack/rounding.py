@@ -109,9 +109,7 @@ def randomized_round(xbar, L, seed: int) -> IntegerVector:
     The per-coordinate distribution is exactly the stated Bernoulli; the
     output is deterministic given the seed (generator: ``RNG_NAME``).
     """
-    L = as_fraction(L, "L")
-    if L < 1:
-        raise InstanceError(f"scale factor L = {L} must be >= 1")
+    L = _read_scale(L)
     rng = random.Random(as_int(seed, "seed"))
     X, D = _read_ints(xbar, "xbar")
     den = L.denominator * D
@@ -120,7 +118,15 @@ def randomized_round(xbar, L, seed: int) -> IntegerVector:
         fl, rest = divmod(L.numerator * p, den)  # L xbar_j = fl + rest / den
         # rest / den rounds as float(Fraction(rest, den)) does
         out.append(fl + 1 if rest and rng.random() < rest / den else fl)
-    return IntegerVector(tuple(out))
+    return IntegerVector(out)
+
+
+def _read_scale(L) -> Fraction:
+    """A scale factor L by ``as_fraction``, at least 1; ``InstanceError`` otherwise."""
+    L = as_fraction(L, "L")
+    if L < 1:
+        raise InstanceError(f"scale factor L = {L} must be >= 1")
+    return L
 
 
 def _cost(costs: list[int], x) -> int:
@@ -334,10 +340,12 @@ def derandomized_round(xbar, A, a, c, L, *, trace_out: list | None = None) -> In
     and each coordinate's two branches average back to the current value,
     the final solution provably covers every row and costs at most
     2 L cost(xbar); both facts are re-checked exactly before returning.
+    L is read as ``randomized_round`` reads it; ``LimitError`` when the
+    estimator's floats cannot hold ln L, the width or the scaled point.
     """
     xbar, costs, c_den, rows = _read(xbar, A, a, c)
-    xhat = _derandomize(xbar, costs, c_den, rows, as_fraction(L, "L"), trace_out)
-    return IntegerVector(tuple(xhat))
+    xhat = _derandomize(xbar, costs, c_den, rows, _read_scale(L), trace_out)
+    return IntegerVector(xhat)
 
 
 def _derandomize(xbar, costs, c_den, rows: CoverRows, L: Fraction, trace_out) -> list[int]:
@@ -355,7 +363,10 @@ def _derandomize(xbar, costs, c_den, rows: CoverRows, L: Fraction, trace_out) ->
         return [0] * n
 
     xprime = [L.numerator * p for p in X], L.denominator * D
-    state = EstimatorState(xprime, rows, costs, c_den, L, traced=trace_out is not None)
+    try:
+        state = EstimatorState(xprime, rows, costs, c_den, L, traced=trace_out is not None)
+    except OverflowError as exc:  # ln L, the width or a scaled coordinate
+        raise LimitError(f"L, xbar or width beyond the estimator's float range: {exc}") from exc
     phi = state.phi()
     if phi >= 1.0:
         raise InstanceError(
@@ -425,7 +436,7 @@ def granular_round(xbar, A, a, c, K: int) -> FractionalVector:
     K = as_int(K, "granularity K", 1)
     xbar, costs, c_den, rows = _read(xbar, A, a, c)
     kx, _ = _granular(xbar, costs, c_den, rows, K)
-    return FractionalVector(tuple(Fraction(v, K) for v in kx))
+    return FractionalVector([Fraction(v, K) for v in kx])
 
 
 def _granular(xbar, costs, c_den, rows: CoverRows, K: int) -> tuple[list[int], Fraction]:
@@ -471,7 +482,7 @@ def bicriteria_round(
     if not rows.demands:
         if info_out is not None:
             info_out.update({"K": 0, "L": Fraction(1)})
-        return IntegerVector(tuple(0 for _ in X))
+        return IntegerVector([0] * len(X))
     K = granularity_K(len(rows.demands), rows.width, eps)
     kx, L = _granular(xbar, costs, c_den, rows, K)
     if info_out is not None:
@@ -487,7 +498,7 @@ def bicriteria_round(
         raise GuaranteeError("rounded solution exceeded the 4K cost bound")
     if min(rows.slack(xhat)) < 0:
         raise GuaranteeError("rounded solution lost coverage")
-    return IntegerVector(tuple(xhat))
+    return IntegerVector(xhat)
 
 
 def solve_relaxation(inst: CpipInstance, cut_rows=()) -> LpSolution:
@@ -531,7 +542,7 @@ def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, S
     if not violations.ok_bicriteria:
         raise GuaranteeError(f"bicriteria guarantees violated: {violations}")
     elapsed_s = perf_counter() - t0
-    cost = dot(inst.c, xhat.values)
+    cost = dot(inst.c, xhat)
     fopt = sol.objective_value
     report = SolveReport(
         mode="bicriteria",
@@ -541,7 +552,7 @@ def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, S
         epsilon=eps,
         K=info.get("K"),
         L=info.get("L"),
-        x=xhat.values,
+        x=xhat,
         violations=violations,
         guarantees_ok=violations.ok_bicriteria,
         certificate_ok=True,

@@ -497,7 +497,7 @@ def solve_lp(p: LpProblem) -> LpSolution:
     return LpSolution(
         "OPTIMAL",
         t.iterations,
-        primal=FractionalVector(tuple(x)),
+        primal=FractionalVector(x),
         objective_value=Fraction(-t.obj[-1], t.obj_den * t.scale),
         dual_rows=dual_rows,
         dual_bounds=dual_bounds,
@@ -514,7 +514,7 @@ def _guided(p: LpProblem) -> LpSolution | None:
     tight rows its transpose against the costs of ``cols``: every other row
     dual is 0, and a bound dual is the reduced cost left at its bound.
     None on an infeasible row, the pivot cap, a float out of range, a
-    singular basis or a failed certificate.
+    singular basis, a negative point or a failed certificate.
     """
     try:
         t = _FloatTableau(p)
@@ -527,9 +527,7 @@ def _guided(p: LpProblem) -> LpSolution | None:
     n, m = t.n, t.m
     tight = [v - n for v in t.nonbasic if v >= n]
     at_bound = [j for j, up in zip(t.nonbasic, t.up) if up]
-    cols = sorted(b for b in t.basis if b < n)
-    if len(cols) != len(tight):
-        return None
+    cols = sorted(b for b in t.basis if b < n)  # one label a row: as many as the tight rows
     rows = [p.int_rows[i][0] for i in tight]
     U, Du = integers([p.var_bounds[j] for j in at_bound])
     # sum over cols of S[j] x_j = S[n] - sum over at_bound of S[j] u_j, times Du
@@ -560,7 +558,7 @@ def _guided(p: LpProblem) -> LpSolution | None:
     s = LpSolution(
         "OPTIMAL",
         t.iterations,
-        primal=FractionalVector(tuple(x)),
+        primal=FractionalVector(x),
         objective_value=Fraction(value, Dc * dx * Du),
         dual_rows=tuple(y),
         dual_bounds=tuple(z),

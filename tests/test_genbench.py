@@ -11,7 +11,7 @@ from coverpack.genbench import (
     run_bench,
 )
 from coverpack.kc import solve_cip_strict
-from coverpack.model import InstanceError
+from coverpack.model import InstanceError, normalize_width
 from coverpack.oracle import brute_force_opt
 from coverpack.rounding import solve_cpip_bicriteria
 from coverpack.simplex import lp_from_instance, solve_lp
@@ -135,6 +135,26 @@ class TestRunBench:
             "InstanceError: num_elements = 'a' must be an int >= 1",
             None,
         ]
+
+    def test_text_renders_an_error_row_and_an_oracle_over_budget(self):
+        # a missing delta fails its row; a 589,824-point box is over the oracle's budget
+        specs = [
+            GeneratorSpec("KNAPSACK_GAP", delta=None),
+            GeneratorSpec("RANDOM_CPIP", m=4, n=10, r=2, seed=0),
+        ]
+        box = normalize_width(generate(specs[1]))
+        assert brute_force_opt(box, max_points=genbench.ORACLE_MAX_POINTS).space_size > (
+            genbench.ORACLE_MAX_POINTS
+        )
+        result = run_bench(specs, [F(1)], include_timing=False)
+        _, error, over = result.to_text().splitlines()[:3]
+        assert error.rstrip().split(None, 2) == [
+            "knapsack_gap-0", "1", "ERROR: InstanceError: delta: expected a number, got None"
+        ]
+        # opt, strict/opt and time_ms: the "-" of a value not found
+        cells = over.split()
+        assert len(cells) == 11 and cells[4] == cells[8] == cells[10] == "-"
+        assert result.rows[1].opt is None and result.rows[1].strict_cost is not None
 
     @pytest.mark.parametrize("eps", [2, 0, F(-1, 2), "x"])
     def test_epsilon_refused_before_any_instance(self, eps, monkeypatch):

@@ -30,6 +30,7 @@ from coverpack.model import (
     FractionalVector,
     InstanceError,
     IntegerVector,
+    LimitError,
     ParseError,
     as_fraction,
     dot,
@@ -484,6 +485,19 @@ RANGES = {
     "randomized_round(L=1/2)": (
         lambda: randomized_round(GAP_XBAR, "1/2", 0), "scale factor L = 1/2 must be >= 1"
     ),
+    # derandomized_round reads L as randomized_round does: 0 and -1 were a math domain error
+    "derandomized_round(L=0)": (
+        lambda: derandomized_round(GAP_XBAR, GAP.A, GAP.a, GAP.c, 0),
+        "scale factor L = 0 must be >= 1",
+    ),
+    "derandomized_round(L=-1)": (
+        lambda: derandomized_round(GAP_XBAR, GAP.A, GAP.a, GAP.c, -1),
+        "scale factor L = -1 must be >= 1",
+    ),
+    "derandomized_round(L=1/2)": (
+        lambda: derandomized_round(GAP_XBAR, GAP.A, GAP.a, GAP.c, "1/2"),
+        "scale factor L = 1/2 must be >= 1",
+    ),
     # an argument that is not a sequence used to be a TypeError
     "check_solution(x=5)": (
         lambda: check_solution(GAP, 5, 1), "^x: expected a sequence, got int$"
@@ -510,6 +524,26 @@ RANGES = {
 @pytest.mark.parametrize("call, match", RANGES.values(), ids=RANGES.keys())
 def test_solver_argument_out_of_range(call, match):
     with pytest.raises(InstanceError, match=match):
+        call()
+
+
+#: a rounding whose estimator floats cannot hold ln L or the scaled point
+FLOAT_RANGE = {
+    "derandomized_round(L=10**400)": lambda: derandomized_round(
+        GAP_XBAR, GAP.A, GAP.a, GAP.c, 10**400
+    ),
+    "derandomized_round(xbar)": lambda: derandomized_round((10**400, 1), GAP.A, GAP.a, GAP.c, 2),
+    "granular_round(xbar)": lambda: granular_round((10**400, 1), GAP.A, GAP.a, GAP.c, 2),
+    "bicriteria_round(xbar)": lambda: bicriteria_round(
+        (10**400, 1), GAP.A, GAP.a, GAP.c, None, 1
+    ),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_RANGE.values(), ids=FLOAT_RANGE.keys())
+def test_estimator_float_range_is_a_limit(call):
+    # each used to escape as OverflowError from the float of L or of a coordinate
+    with pytest.raises(LimitError, match="beyond the estimator's float range"):
         call()
 
 
@@ -542,6 +576,9 @@ def test_candidate_vectors_store_a_tuple_and_hash_by_value(kind, values):
     assert type(from_list.values) is tuple and from_list.values == values
     assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
     assert len({from_list, from_tuple, kind(values[::-1])}) == 2
+    # a vector is the tuple of its entries: it equals it, hashes and prints as it
+    assert isinstance(from_list, tuple) and from_list == values and hash(from_list) == hash(values)
+    assert repr(from_list) == repr(values) and IntegerVector((1, 0)) == FractionalVector((1, 0))
 
 
 class TestNormalize:

@@ -665,8 +665,7 @@ def test_primal_sign_and_bound_violations_reported():
     p = LpProblem.from_data([1], [((1,), GE, 1)], [2])
     s = solve_lp(p)
     assert verify_certificate(p, s) == []
-    negative = object.__new__(FractionalVector)
-    object.__setattr__(negative, "values", (F(-1),))
+    negative = tuple.__new__(FractionalVector, (F(-1),))  # past the sign check
     kinds = {(v.kind, v.amount) for v in verify_certificate(p, replace(s, primal=negative))}
     assert ("primal_nonneg", F(1)) in kinds
     kinds = {
@@ -1075,9 +1074,7 @@ def _forge(s, field, index, delta):
     values[index % len(values)] += delta
     if field != "primal":
         return replace(s, **{field: tuple(values)})
-    point = object.__new__(FractionalVector)
-    object.__setattr__(point, "values", tuple(values))
-    return replace(s, primal=point)
+    return replace(s, primal=tuple.__new__(FractionalVector, values))  # past the sign check
 
 
 def _assert_check_matches_reference(p, s, moves):
@@ -1563,6 +1560,21 @@ def test_singular_basis_falls_back_to_exact(monkeypatch):
         p = LpProblem.from_data([1, 1], [((1, 1), GE, 1), ((2, 2), GE, 2)], [bound, bound])
         assert _assert_falls_back(p, monkeypatch).status == "OPTIMAL"
     assert simplex._fraction_free_solve([[1, 1, 1], [2, 2, 2]]) is None
+
+
+def test_negative_point_falls_back_to_exact(monkeypatch):
+    # x0 at its bound 2 overfills the tight row x0 + x1 >= 1, so the basis
+    # solve gives x1 = -1: no primal point, and no FractionalVector
+    class Overfilled(simplex._FloatTableau):
+        def run(self):
+            out = super().run()
+            self.basis[:], self.nonbasic[:], self.up[:] = [1], [0, 2], [True, False]
+            return out
+
+    monkeypatch.setattr(simplex, "_FloatTableau", Overfilled)
+    p = LpProblem.from_data([1, 1], [((1, 1), GE, 1)], [2, None])
+    s = _assert_falls_back(p, monkeypatch)
+    assert s.status == "OPTIMAL" and verify_certificate(p, s) == []
 
 
 @pytest.mark.parametrize(
