@@ -8,7 +8,8 @@ certifies every LP result), lets a bad argument through a reader of
 ``model`` (the nonnegativity check, the sequence reader, ``IntegerVector``'s
 entry check) or of the rounding layer (a scale factor L below 1, a point
 beyond the estimator's float range), or lets a document's field error out as
-a bare ``InstanceError``, or breaks a fast path: the rounding
+a bare ``InstanceError``, or lets ``run_bench`` take a spec that is not a
+``GeneratorSpec``, or breaks a fast path: the rounding
 layer's scan of A and the estimator's kept trace terms, the oracle's cost
 bound and value skip, which must leave its answer as it is, the guided
 simplex, which must not keep a basis that fails its certificate or whose
@@ -364,6 +365,12 @@ MUTANTS = {
         "        raise ParseError(str(exc)) from exc",
         "inst = CpipInstance.from_data(**raw)\n    except InstanceError as exc:\n        raise",
         ["tests/test_model.py::TestParse::test_field_of_wrong_type_rejected"],
+    ),
+    "run-bench-takes-any-spec": (
+        "src/coverpack/genbench.py",
+        "if not isinstance(spec, GeneratorSpec):",
+        "if False:",
+        ["tests/test_model.py::test_solver_argument_out_of_range"],
     ),
 }
 

@@ -249,10 +249,10 @@ class BenchResult:
                 str(row.K) if row.K is not None else "-",
                 f"{row.time_ms:.1f}" if row.time_ms is not None else "-",
             ])
-        widths = [max(len(r[i]) for r in table if i < len(r)) for i in range(len(headers))]
-        out = []
-        for r in table:
-            out.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)))
+        # an error row's one long cell widens no column
+        full = [r for r in table if len(r) == len(headers)]
+        widths = [max(len(r[i]) for r in full) for i in range(len(headers))]
+        out = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in table]
         if self.aggregates:
             out.append("")
             for k, v in self.aggregates.items():
@@ -275,15 +275,19 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
     strict cost, the granularity and scale parameters, and wall time.
     Individual failures are recorded and the harness keeps going.  With
     ``include_timing=False`` the output is bit-identical across runs for
-    a fixed seed.  Every epsilon is read by ``as_epsilon`` before any
-    instance is generated, so one outside (0, 1] is ``InstanceError``, as
-    is a non-sequence ``specs`` or ``epsilons``.
+    a fixed seed.  Every epsilon and spec is read before any instance is
+    generated: an epsilon outside (0, 1], a spec that is not a
+    ``GeneratorSpec``, or a non-sequence ``specs`` or ``epsilons`` is ``InstanceError``.
     """
     epsilons = [as_epsilon(eps) for eps in as_sequence(epsilons, "epsilons")]
+    specs = as_sequence(specs, "specs")
+    for k, spec in enumerate(specs):
+        if not isinstance(spec, GeneratorSpec):
+            raise InstanceError(f"specs[{k}] is not a GeneratorSpec")
     result = BenchResult()
     ratios_fopt: list[float] = []
     ratios_opt: list[float] = []
-    for idx, spec in enumerate(as_sequence(specs, "specs")):
+    for idx, spec in enumerate(specs):
         inst_id = f"{spec.family.lower()}-{idx}"
         for eps in epsilons:
             row = BenchRow(

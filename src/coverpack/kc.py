@@ -238,7 +238,6 @@ def solve_cip_strict(
         x=xhat,
         violations=violations,
         guarantees_ok=violations.ok_strict,
-        certificate_ok=True,
         pinned=tuple(sorted(system.F)),
         pin_sets_seen=loop.pin_sets_seen,
         cut_rows_added=loop.cut_rows_added,

@@ -367,7 +367,7 @@ class ViolationReport:
         return not (self.covering or self.packing_relaxed or self.multiplicity_strict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     """Everything a run learned: cost, lower bounds, ratios, checks, config echo."""
 
@@ -386,7 +386,6 @@ class SolveReport:
     x: tuple[int, ...] | None = None
     violations: ViolationReport | None = None
     guarantees_ok: bool | None = None
-    certificate_ok: bool | None = None
     pinned: tuple[int, ...] | None = None
     pin_sets_seen: tuple[tuple[int, ...], ...] | None = None
     cut_rows_added: int | None = None
@@ -395,6 +394,9 @@ class SolveReport:
     oracle_space: int | None = None
     status: str = "OPTIMAL"
     elapsed_s: float | None = None
+
+    # not a field, so in no output: a failed certificate raises; perfbench/workloads.py reads it
+    certificate_ok = True
 
 
 def report_dict(report) -> dict:

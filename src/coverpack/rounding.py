@@ -555,7 +555,6 @@ def solve_cpip_bicriteria(inst: CpipInstance, epsilon) -> tuple[IntegerVector, S
         x=xhat,
         violations=violations,
         guarantees_ok=violations.ok_bicriteria,
-        certificate_ok=True,
         elapsed_s=elapsed_s,
     )
     return xhat, report

@@ -518,6 +518,13 @@ RANGES = {
     ),
     "width(A=5)": (lambda: width(5, GAP.a), "^A: expected a sequence, got int$"),
     "kc_system(F=5)": (lambda: kc_system(GAP, 5), "^F: expected a sequence, got int$"),
+    # each used to escape as AttributeError on spec.family, outside the per-row try
+    **{
+        f"run_bench(specs=[{spec!r}])": (
+            lambda spec=spec: run_bench([spec], [1]), r"^specs\[0\] is not a GeneratorSpec$"
+        )
+        for spec in (1, None, "SET_COVER")
+    },
 }
 
 
@@ -789,9 +796,8 @@ class TestStructure:
         ),
         "SolveReport": (
             "mode", "cost", "fopt", "fopt_kc", "opt", "ratio_cost_fopt", "epsilon", "lam", "K",
-            "L", "seed", "rng", "x", "violations", "guarantees_ok", "certificate_ok", "pinned",
-            "pin_sets_seen", "cut_rows_added", "lp_rounds", "oracle_bounds", "oracle_space",
-            "status", "elapsed_s",
+            "L", "seed", "rng", "x", "violations", "guarantees_ok", "pinned", "pin_sets_seen",
+            "cut_rows_added", "lp_rounds", "oracle_bounds", "oracle_space", "status", "elapsed_s",
         ),
         "bicriteria_round": ("xbar", "A", "a", "c", "d", "epsilon", "info_out"),
         "brute_force_opt": ("inst", "max_points"),
