@@ -10,7 +10,9 @@ entry check) or of the rounding layer (a scale factor L below 1, a point
 beyond the estimator's float range), or lets a document's field error out as
 a bare ``InstanceError``, or lets ``run_bench`` take a spec that is not a
 ``GeneratorSpec``, or breaks a fast path: the rounding
-layer's scan of A and the estimator's kept trace terms, the oracle's cost
+layer's scan of A (its integer rows, its width over every column and the
+support of xbar it keeps), the estimator's kept trace terms,
+``check_solution``'s integer multiplicity test, the oracle's cost
 bound and value skip, which must leave its answer as it is, the guided
 simplex, which must not keep a basis that fails its certificate or whose
 point has a negative coordinate, the bounded dual simplex's flip rule,
@@ -55,6 +57,7 @@ GRANULAR = "tests/test_rounding.py::test_bicriteria_checks_catch_a_faulty_granul
 AUDIT = "tests/test_oracle.py::TestKcValidity"
 COVER_ROWS = "tests/test_rounding.py::test_cover_rows_alike_in_every_form"
 TRACE = "tests/test_rounding.py::test_trace_out_is_phi_recomputed_from_scratch"
+RATIONAL_ROWS = "tests/test_rounding.py::test_rational_row_outputs_pinned"
 ORACLE = "src/coverpack/oracle.py"
 ORACLE_PARITY = [
     "tests/test_oracle.py::TestOracleParity::test_edge_cases_the_bound_must_not_prune",
@@ -215,6 +218,26 @@ MUTANTS = {
         "if scale == 1 or ai.denominator == 1:",
         [COVER_ROWS],
     ),
+    "width-over-the-kept-columns-only": (
+        ROUNDING,
+        "            peak = max(entries, default=0)\n"
+        "            if keep is not None:\n"
+        "                kept = list(map(keep.__getitem__, support))\n"
+        "                support = list(itertools.compress(support, kept))\n"
+        "                entries = list(itertools.compress(entries, kept))\n",
+        "            if keep is not None:\n"
+        "                kept = list(map(keep.__getitem__, support))\n"
+        "                support = list(itertools.compress(support, kept))\n"
+        "                entries = list(itertools.compress(entries, kept))\n"
+        "            peak = max(entries, default=0)\n",
+        ["tests/test_rounding.py::test_an_entry_of_a_zero_column_sets_the_width", COVER_ROWS],
+    ),
+    "support-drops-the-last-coordinate": (
+        ROUNDING,
+        "rows = CoverRows(A, a, X)",
+        "rows = CoverRows(A, a, X[:-1] + [0])",
+        [RATIONAL_ROWS, "tests/test_rounding.py::test_a_zero_column_changes_no_rounding"],
+    ),
     "oracle-bound-deficit-doubled": (
         ORACLE,
         "map(mul, map(sub, need, cover), C)",
@@ -231,6 +254,12 @@ MUTANTS = {
         ORACLE,
         "if short > 0:",
         "if short > 1:",
+        CHECK_PARITY,
+    ),
+    "check-multiplicity-at-its-bound-is-a-violation": (
+        ORACLE,
+        "if u is None or v * u.denominator <= u.numerator * Dx:",
+        "if u is None or v * u.denominator < u.numerator * Dx:",
         CHECK_PARITY,
     ),
     "check-packing-slack-subtracts-eps": (

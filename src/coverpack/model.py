@@ -35,12 +35,15 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import floor, lcm
+from operator import attrgetter, mul
 from typing import Sequence
 
 #: Sentinel for a missing multiplicity bound (d_j = infinity).
 UNBOUNDED = None
 
 ZERO = Fraction(0)
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -191,13 +194,16 @@ def _rational(value: str | float) -> Fraction:
 
 
 def dot(u: Sequence[Fraction], v: Sequence) -> Fraction:
-    return sum((ui * vi for ui, vi in zip(u, v) if ui), ZERO)
+    """u . v for ints and Fractions: one integer sum over the two ``integers`` denominators."""
+    (U, Du), (V, Dv) = integers(u), integers(v)
+    return Fraction(sum(map(mul, U, V)), Du * Dv)
 
 
 def integers(values) -> tuple[list[int], int]:
     """Rationals (or ints) over their least common denominator D: (values * D, D)."""
-    D = lcm(*(v.denominator for v in values))
-    return [v.numerator * (D // v.denominator) for v in values], D
+    dens = list(map(_denominator, values))
+    D, nums = lcm(*dens), list(map(_numerator, values))
+    return (nums if D == 1 else list(map(mul, nums, map(D.__floordiv__, dens)))), D
 
 
 def scale_rows(rows) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -31,6 +31,7 @@ from coverpack.model import (
     ViolationReport,
     as_epsilon,
     as_int,
+    as_sequence,
     as_vector,
     integers,
     nonnegative,
@@ -191,12 +192,20 @@ def check_solution(
     The row sums run in integers: each row over its least common
     denominator ``D_i`` (``inst.int_rows``) and x over one denominator, so
     every ``A_i x`` and ``B_i x`` is an integer dot product.  beta_i is the
-    sum of the scaled row over ``D_i``, and each amount is the exact rational.
+    sum of the scaled row over ``D_i``; an ``IntegerVector`` x is read as
+    the ints it holds, any other x by ``as_vector``.  Each multiplicity
+    bound x_j <= d_j is tested in integers too, and ceil((1+eps) d_j) is
+    built only where x_j exceeds d_j: below d_j the relaxed bound holds as
+    well.  Each amount is the exact rational.
     """
     eps = as_epsilon(epsilon)
-    xv = nonnegative(as_vector(x, "x", inst.n), "x")
+    if isinstance(x, IntegerVector):  # nonnegative ints, checked when it was built
+        xv = as_sequence(x, "x", inst.n)
+        X, Dx = list(xv), 1
+    else:
+        xv = nonnegative(as_vector(x, "x", inst.n), "x")
+        X, Dx = integers(xv)
     n, m = inst.n, inst.m
-    X, Dx = integers(xv)
     covering = []
     for i, (S, D) in enumerate(inst.int_rows[:m]):
         short = S[n] * Dx - sum(map(mul, S, X))  # (a_i - A_i x) * D * Dx
@@ -209,15 +218,17 @@ def check_solution(
         excess = q * sum(map(mul, S, X)) - ((q + p) * S[n] + q * sum(S[:n])) * Dx
         if excess > 0:
             packing.append((i, Fraction(excess, D * q * Dx)))
+    # x_j <= d_j in integers; ceil((1+eps) d_j) >= d_j, so only a coordinate
+    # above d_j can exceed the relaxed bound
     mult_strict = []
     mult_relaxed = []
-    for j in range(inst.n):
-        if inst.d[j] is None:
+    lam = 1 + eps
+    for j, (v, u) in enumerate(zip(X, inst.d)):
+        if u is None or v * u.denominator <= u.numerator * Dx:
             continue
-        if xv[j] > inst.d[j]:
-            mult_strict.append((j, xv[j] - inst.d[j]))
-        relaxed = ceil((1 + eps) * inst.d[j])
-        if xv[j] > relaxed:
+        mult_strict.append((j, xv[j] - u))
+        relaxed = ceil(lam * u)
+        if v > relaxed * Dx:
             mult_relaxed.append((j, xv[j] - relaxed))
     return ViolationReport(
         covering=tuple(covering),

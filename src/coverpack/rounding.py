@@ -30,17 +30,24 @@ floor and ceiling.  Each public rounding call reads its arguments once
 (``_read``, by the readers of ``model``): it takes xbar as ints X over one
 denominator D, checks each shape and sign, and scans the dense A once, into
 ``CoverRows``: its demanded rows scaled to Python ints and kept over their
-nonzeros, by row and by column (both solvers hand ``bicriteria_round``
-integer rows, whose lcm is 1, and the scan takes such a row's numerators
-as they are).  The width, the estimator's weights, every coverage, cost
-and slack check and the trim run on those rows, and the scaled point L xbar
-is L.numerator X over L.denominator D.  The estimator's work is O(nnz);
-a traced run (``trace_out``) keeps each row's term of the estimator and
+nonzeros on the support of xbar (the j with X_j > 0), by row and by column
+(both solvers hand ``bicriteria_round`` integer rows, whose lcm is 1, and
+the scan takes such a row's numerators as they are).  A zero coordinate
+rounds to 0, moves no estimator term and has nothing to trim, so the
+coverage check of xbar, the estimator, the decisions, every slack and the
+trim cost O(nonzeros on the support), not O(nnz(A)); the LP vertices the
+solvers round are mostly zeros.  The same pass reads every entry, so a bad
+one in any column is ``InstanceError``, and takes each demanded row's
+largest entry over every column: an entry in a zero column can set the
+width, and with it K and L.  The scaled point L xbar is L.numerator X over
+L.denominator D, and an integral coordinate of it takes no decision.  A
+traced run (``trace_out``) keeps each row's term of the estimator and
 refreshes only the rows a decision touches, so it calls no more exp than
 an untraced one.  The public calls then run private cores on what was
 read: ``derandomized_round`` runs ``_derandomize``, ``granular_round`` runs
 ``_granular`` (``_derandomize`` on the K-scaled rows), and
-``bicriteria_round`` runs ``_granular`` and takes the ceiling.
+``bicriteria_round`` runs ``_granular`` and takes the ceiling, or, where
+the float L' rounds to 1.0, takes the ceiling of xbar itself.
 """
 
 from __future__ import annotations
@@ -74,7 +81,6 @@ from coverpack.model import (
     integers,
     is_width_normalized,
     nonnegative,
-    width,
 )
 from coverpack.oracle import check_solution
 from coverpack.simplex import LpSolution, lp_from_instance, solve_lp, verify_certificate
@@ -131,40 +137,48 @@ def _read_scale(L) -> Fraction:
 
 def _cost(costs: list[int], x) -> int:
     """c . x for integer costs and integer coordinates."""
-    return sum(cj * xj for cj, xj in zip(costs, x) if xj)
+    return sum(map(operator.mul, costs, x))
 
 
 class CoverRows:
     """The demanded rows of a covering system (A, a) as integer sparse rows.
 
-    One scan of A builds them, and reads every row.  Slot k holds row
-    ``active[k]``, the k-th row with a_i > 0 (the others are vacuous),
-    multiplied by the lcm of the denominators of its demand and its
-    entries: ``rows[k]`` lists (j, A'_kj) over the nonzero entries and
-    ``demands[k]`` is a'_k, all Python ints, and ``columns[j]`` lists
-    (k, A'_kj) in slot order.
-    Scaling a row changes no ratio a_i / A_ij, so every coverage and slack
-    test on these rows is exact, and ``width`` is the width of (A, a);
-    ``scales[k]`` is row k's multiplier.  Int (a bool reads as one) and
-    ``Fraction`` entries are scanned as they are; an entry with no
-    ``numerator`` (a float, a string, None) sends the scan to ``as_fraction``
-    copies of A and a, and an entry that it cannot read is ``InstanceError``.
+    One scan of A builds them, and reads every entry of every row.  Slot k
+    holds row ``active[k]``, the k-th row with a_i > 0 (the others are
+    vacuous), multiplied by the lcm of the denominators of its demand and
+    its entries: ``demands[k]`` is a'_k and ``scales[k]`` the multiplier,
+    all Python ints.  With a point ``x``, only the columns of its nonzero
+    coordinates are kept, and ``support`` lists them (every column without
+    ``x``): ``rows[k]`` is the pair of lists (columns j, entries A'_kj) over
+    the kept nonzero entries, and ``columns[j]`` lists (k, A'_kj) in slot
+    order, empty for a column not kept.  So for a point that is 0 off
+    ``support``, every coverage and slack test on these rows is exact:
+    scaling a row changes no ratio a_i / A_ij.  ``width`` is the width of
+    all of (A, a), every column included, read off each demanded row's
+    largest entry in the same scan.
+    Int (a bool reads as one) and ``Fraction`` entries are scanned as they
+    are; an entry with no ``numerator`` (a float, a string, None) sends the
+    scan to ``as_fraction`` copies of A and a, and an entry that it cannot
+    read is ``InstanceError``.
     """
 
-    def __init__(self, A, a):
+    def __init__(self, A, a, x=None):
         try:
-            self._scan(A, a)
+            self._scan(A, a, x)
         except (TypeError, AttributeError):  # an entry with no numerator or order
             rows = [as_vector(row, f"A[{i}]") for i, row in enumerate(A)]
-            self._scan(rows, as_vector(a, "a"))
+            self._scan(rows, as_vector(a, "a"), x)
 
-    def _scan(self, A, a) -> None:
+    def _scan(self, A, a, x) -> None:
         self.active: list[int] = []
-        self.rows: list[list[tuple[int, int]]] = []
+        self.rows: list[tuple[list[int], list[int]]] = []
         self.demands: list[int] = []
         self.scales: list[int] = []
         indices = range(len(A[0]) if A else 0)
         self.columns: list[list[tuple[int, int]]] = [[] for _ in indices]
+        keep = None if x is None or all(x) else x  # a point with no zero keeps every column
+        self.support = list(indices if keep is None else itertools.compress(indices, keep))
+        narrowest = None  # (a'_k, largest A'_kj) of the narrowest demanded row
         numerator = operator.attrgetter("numerator")  # None or "" has none: not read as 0
         denominator = operator.attrgetter("denominator")
         for i, (row, ai) in enumerate(zip(A, a)):
@@ -174,23 +188,34 @@ class CoverRows:
                 continue
             k = len(self.active)
             self.active.append(i)
-            entries = [row[j] for j in support]
+            entries = list(map(row.__getitem__, support))
             scale = math.lcm(ai.denominator, *map(denominator, entries))
             if scale == 1:  # integer entries (all of them in a 0/1 row): as they are
                 demand, entries = ai.numerator, list(map(numerator, entries))
             else:
                 (demand, *entries), scale = integers([ai, *entries])
-            self.rows.append(list(zip(support, entries)))
+            # over every column: an entry off the kept ones can set the width
+            peak = max(entries, default=0)
+            if keep is not None:
+                kept = list(map(keep.__getitem__, support))
+                support = list(itertools.compress(support, kept))
+                entries = list(itertools.compress(entries, kept))
+            if peak > 0 and (narrowest is None or demand * narrowest[1] < narrowest[0] * peak):
+                narrowest = demand, peak
+            self.rows.append((support, entries))
             self.demands.append(demand)
             self.scales.append(scale)
-            for j, v in self.rows[-1]:
+            for j, v in zip(support, entries):
                 self.columns[j].append((k, v))
+        self._narrowest = narrowest
 
     # lazy: a demanded system with no nonzero entry has no width, and
-    # _derandomize reports it as an uncovered xbar first
+    # _read reports it as an uncovered xbar first
     @functools.cached_property
     def width(self) -> Fraction:
-        return width([[v for _, v in row] for row in self.rows], self.demands)
+        if self._narrowest is None:
+            raise InstanceError("no covering structure: A is all zeros on demanded rows")
+        return Fraction(*self._narrowest)
 
     def scaled(self, K: int) -> "CoverRows":
         """These rows with K times the demands, so K times the width."""
@@ -200,10 +225,10 @@ class CoverRows:
         return out
 
     def slack(self, x, den: int = 1) -> list[int]:
-        """den (A x - a), slot by slot, for x = (integers x_j) / den."""
+        """den (A x - a), slot by slot, for x = (integers x_j) / den, 0 off ``support``."""
         return [
-            sum(v * x[j] for j, v in row) - demand * den
-            for row, demand in zip(self.rows, self.demands)
+            sum(map(operator.mul, entries, map(x.__getitem__, support))) - demand * den
+            for (support, entries), demand in zip(self.rows, self.demands)
         ]
 
 
@@ -221,8 +246,9 @@ def _read(xbar, A, a, c, d=None):
 
     xbar is X / D and c is ``costs / c_den`` (``_read_ints``); c, d (bounds, if
     given) and each row of A have an entry per coordinate, a one per row of A,
-    and no coordinate exceeds its bound, or ``InstanceError``.  ``rows`` is the
-    ``CoverRows`` of (A, a), which reads the entries of A and a.
+    no coordinate exceeds its bound, and xbar covers (A, a), or
+    ``InstanceError``.  ``rows`` is the ``CoverRows`` of (A, a) on the support
+    of xbar, which reads the entries of A and a.
     """
     X, D = _read_ints(xbar, "xbar")
     n = len(X)
@@ -234,7 +260,12 @@ def _read(xbar, A, a, c, d=None):
                 raise InstanceError(
                     f"xbar[{j}] = {Fraction(X[j], D)} exceeds its multiplicity bound {u}"
                 )
-    return (X, D), costs, c_den, CoverRows(A, a)
+    rows = CoverRows(A, a, X)
+    for k, s in enumerate(rows.slack(X, D)):
+        if s < 0:  # s is D scales[k] (A_i xbar - a_i)
+            i, short = rows.active[k], Fraction(-s, D * rows.scales[k])
+            raise InstanceError(f"xbar is not a fractional cover: row {i} short by {short}")
+    return (X, D), costs, c_den, rows
 
 
 class EstimatorState:
@@ -252,7 +283,8 @@ class EstimatorState:
     The state is one log-exponent E_i per demanded row, one running
     expected cost, and for each column j a list of (row slot, t w_ij,
     log E[exp(-t w_ij B_j)]) over the rows with A_ij > 0, read off the
-    columns of ``rows`` (a ``CoverRows``); the costs are ``costs / c_den``.
+    columns of ``rows`` (a ``CoverRows``, whose columns off its support are
+    empty: xprime is 0 there); the costs are ``costs / c_den``.
     Each weight is the float of the exact rational A'_kj W / a'_k, by one
     correctly rounded int division.
     ``xprime`` is the scaled point L xbar as a pair (P, den) of ints.
@@ -275,25 +307,27 @@ class EstimatorState:
         # divided by 2^shift, which keeps every float below 2^1021 (the
         # largest, 2 c.(xprime + 1), is under 2^(bits(top) - bits(bottom) + 1));
         # the shift is 0 unless some cost float would overflow.
-        top, bottom = 2 * _cost(costs, [p + den for p in P]), c_den * den
+        cost_P = _cost(costs, P)
+        top, bottom = 2 * (cost_P + den * sum(costs)), c_den * den
         c_den <<= max(0, top.bit_length() - bottom.bit_length() - 1020)
         self.costs = [cj / c_den for cj in costs]
         # 2 L c.xbar = 2 c.xprime since xprime = L xbar; zero iff c.xbar == 0.
-        self.cost_denom = 2.0 * (_cost(costs, P) / (c_den * den))
+        self.cost_denom = 2.0 * (cost_P / (c_den * den))
         self.expected_cost = 0.0
-        for j, cj in enumerate(self.costs):
-            self.expected_cost += cj * (self.floors[j] + self.fracs[j])
         self.exponents = exponents = [t * float(W)] * len(rows.demands)
         w_num, weight_den = W.numerator, [demand * W.denominator for demand in rows.demands]
-        self.columns: list[list[tuple[int, float, float]]] = []
-        for j, (fl, frac) in enumerate(zip(self.floors, self.fracs)):
-            column = []
+        log1p, expm1 = math.log1p, math.expm1
+        # a coordinate off rows.support is 0: it adds no cost and has no column
+        self.columns: list[list[tuple[int, float, float]]] = [[] for _ in P]
+        for j in rows.support:
+            fl, frac = self.floors[j], self.fracs[j]
+            self.expected_cost += self.costs[j] * (fl + frac)
+            column = self.columns[j]
             for k, v in rows.columns[j]:
                 tw = t * ((v * w_num) / weight_den[k])
-                log_bern = math.log1p(frac * math.expm1(-tw))
+                log_bern = log1p(frac * expm1(-tw))
                 exponents[k] = exponents[k] - tw * fl + log_bern
                 column.append((k, tw, log_bern))
-            self.columns.append(column)
         self.terms = list(map(_row_term, exponents)) if traced else None
 
     def phi(self) -> float:
@@ -355,10 +389,6 @@ def _derandomize(xbar, costs, c_den, rows: CoverRows, L: Fraction, trace_out) ->
     """
     X, D = xbar
     n = len(X)
-    for k, s in enumerate(rows.slack(X, D)):
-        if s < 0:  # s is D scales[k] (A_i xbar - a_i)
-            i, short = rows.active[k], Fraction(-s, D * rows.scales[k])
-            raise InstanceError(f"xbar is not a fractional cover: row {i} short by {short}")
     if not rows.demands:
         return [0] * n
 
@@ -374,14 +404,18 @@ def _derandomize(xbar, costs, c_den, rows: CoverRows, L: Fraction, trace_out) ->
         )
     if trace_out is not None:
         trace_out.append(phi)
-    xhat = [0] * n
-    for j in range(n):
-        fl = state.floors[j]
-        choice = fl + 1 if state.fracs[j] and state.prefers_ceiling(j) else fl
-        state.fix(j, choice)
-        xhat[j] = choice
+    # an integral coordinate (every zero one) keeps its value, and fixing it
+    # would change no term of phi by even one bit: it takes no decision
+    xhat = state.floors[:]
+    for j, frac in enumerate(state.fracs):
+        if frac:
+            if state.prefers_ceiling(j):
+                xhat[j] += 1
+            state.fix(j, xhat[j])
+            if trace_out is not None:
+                phi = state.phi()
         if trace_out is not None:
-            trace_out.append(state.phi())
+            trace_out.append(phi)
 
     # c.xhat > 2 L c.xbar, multiplied through by the denominators of c, xbar and L
     over_cost = _cost(costs, xhat) * D * L.denominator > 2 * L.numerator * _cost(costs, X)
@@ -402,8 +436,9 @@ def _trim_surplus(xhat: list[int], rows: CoverRows, costs, slack: list[int], flo
     all upper-bound and coverage guarantees survive.  Slacks are ints on
     the integer rows; a zero entry would only test slack >= 0, which
     every step keeps.  ``slack`` is ``rows.slack(xhat)``, updated in place.
+    Only the coordinates on ``rows.support`` are visited: xhat is 0 off it.
     """
-    columns = rows.columns
+    columns, support = rows.columns, rows.support
 
     def remove(j: int, units: int) -> None:
         xhat[j] -= units
@@ -411,16 +446,20 @@ def _trim_surplus(xhat: list[int], rows: CoverRows, costs, slack: list[int], flo
             slack[k] -= aij * units
 
     if floors is not None:
-        for j in range(len(xhat)):
+        for j in support:
             while xhat[j] > floors[j] and all(slack[k] >= aij for k, aij in columns[j]):
                 remove(j, 1)
-    order = sorted(range(len(xhat)), key=lambda j: (-costs[j], j))
+    order = sorted(support, key=lambda j: (-costs[j], j))
     for j in order:
         if xhat[j] == 0:
             continue
         removable = xhat[j]
         for k, aij in columns[j]:
-            removable = min(removable, slack[k] // aij)
+            spare = slack[k] // aij
+            if spare < removable:
+                removable = spare
+                if spare <= 0:
+                    break  # nothing of x_j can go
         if removable > 0:
             remove(j, removable)
 
@@ -435,25 +474,28 @@ def granular_round(xbar, A, a, c, K: int) -> FractionalVector:
     """
     K = as_int(K, "granularity K", 1)
     xbar, costs, c_den, rows = _read(xbar, A, a, c)
-    kx, _ = _granular(xbar, costs, c_den, rows, K)
+    kx = [0] * len(xbar[0])
+    if rows.demands:
+        L = compute_scale_factor(len(rows.demands), K * rows.width)
+        kx = _granular(xbar, costs, c_den, rows, K, L)
     return FractionalVector([Fraction(v, K) for v in kx])
 
 
-def _granular(xbar, costs, c_den, rows: CoverRows, K: int) -> tuple[list[int], Fraction]:
-    """``granular_round`` on arguments ``_read`` has checked: (K x as ints, L')."""
+def _granular(xbar, costs, c_den, rows: CoverRows, K: int, L: Fraction) -> list[int]:
+    """``granular_round`` on checked arguments at L' = scale(m, K W): K x as ints."""
     X, D = xbar
-    if not rows.demands:
-        return [0] * len(X), Fraction(1)
-    L = compute_scale_factor(len(rows.demands), K * rows.width)
-    return _derandomize(([K * p for p in X], D), costs, c_den, rows.scaled(K), L, None), L
+    return _derandomize(([K * p for p in X], D), costs, c_den, rows.scaled(K), L, None)
 
 
 def granularity_K(m: int, W, epsilon) -> int:
-    """K = ceil(4 ln(2m) / (W eps^2)); makes scale(m, K W) <= 1 + eps.
+    """K = ceil(4 ln(2m) / (W eps^2)) for rational W and eps; makes scale(m, K W) <= 1 + eps.
 
-    Only 4 ln(2m) is a float; the division is exact, so no epsilon underflows.
+    Only 4 ln(2m) is a float, the exact rational p / q; the quotient is
+    taken in ints, so no epsilon underflows.
     """
-    return max(1, math.ceil(Fraction(4.0 * math.log(2 * m)) / (W * epsilon**2)))
+    p, q = (4.0 * math.log(2 * m)).as_integer_ratio()
+    top = p * W.denominator * epsilon.denominator**2
+    return max(1, -(-top // (q * W.numerator * epsilon.numerator**2)))
 
 
 def bicriteria_round(
@@ -474,7 +516,12 @@ def bicriteria_round(
     which yields both bounds; a final cleanup pass drops whole surplus
     units.  All three guarantees are re-checked exactly.  A row's scale
     changes no choice here: (A, a) may be integer rows over any positive
-    row denominators, as the solvers pass them.
+    row denominators, as the solvers pass them.  Where the float L' rounds
+    to 1.0 (``compute_scale_factor``'s ``LimitError``, from about eps =
+    2^-53) and the lcm D of xbar's denominators is at most K, xbar
+    itself is the granular cover at K' = D and L' = 1, so the answer is the
+    trimmed ceil(xbar) and ``info_out`` gets K' and L'; with D > K the
+    ``LimitError`` stands.
     """
     eps = as_epsilon(epsilon)
     xbar, costs, c_den, rows = _read(xbar, A, a, c, d)
@@ -484,7 +531,16 @@ def bicriteria_round(
             info_out.update({"K": 0, "L": Fraction(1)})
         return IntegerVector([0] * len(X))
     K = granularity_K(len(rows.demands), rows.width, eps)
-    kx, L = _granular(xbar, costs, c_den, rows, K)
+    try:
+        L = compute_scale_factor(len(rows.demands), K * rows.width)
+    except LimitError:
+        if D > K:
+            raise
+        # xbar is its own granular cover at K' = D, and ceil(xbar_j) <= D xbar_j
+        # <= K xbar_j where xbar_j > 0: both bounds hold
+        K, L, kx = D, Fraction(1), X
+    else:
+        kx = _granular(xbar, costs, c_den, rows, K, L)
     if info_out is not None:
         info_out.update({"K": K, "L": L})
     xhat = [-(-v // K) for v in kx]  # the ceiling of the granular x = kx / K
@@ -507,10 +563,12 @@ def solve_relaxation(inst: CpipInstance, cut_rows=()) -> LpSolution:
     ``cut_rows`` are extra >= rows as ``lp_from_instance`` takes them (the
     cut loop's cuts).  Raises ``InfeasibleError`` on a checked Farkas ray
     and ``GuaranteeError`` when the certificate of either status fails.
+    Each certificate is checked once: a guided optimum by ``solve_lp``,
+    every other result here.
     """
     problem = lp_from_instance(inst, cut_rows)
     sol = solve_lp(problem)
-    failed = verify_certificate(problem, sol)
+    failed = [] if sol.guided else verify_certificate(problem, sol)
     if failed:
         raise GuaranteeError("LP certificate failed: " + ", ".join(map(str, failed)))
     if sol.status == "INFEASIBLE":

@@ -62,7 +62,7 @@ solves on distinct problems are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 from operator import mul
@@ -144,6 +144,9 @@ class LpSolution:
     dual_bounds: tuple[Fraction, ...] | None = None
     ray_rows: tuple[Fraction, ...] | None = None
     ray_bounds: tuple[Fraction, ...] | None = None
+    #: the float-guided run found this optimum, and ``solve_lp`` has checked
+    #: its certificate; how it was found is no part of the answer
+    guided: bool = field(default=False, compare=False)
 
 
 def lp_from_instance(
@@ -470,7 +473,8 @@ def solve_lp(p: LpProblem) -> LpSolution:
     up on (an infeasible row, the pivot cap, a float out of range, a
     singular basis or a failed certificate), runs the exact tableau, the
     only source of a Farkas ray.  ``iterations`` counts the pivots of the
-    run that found the basis: the float run's on the guided path.
+    run that found the basis: the float run's on the guided path.  Only a
+    guided result (``guided``) has had its certificate checked here.
     """
     nonnegative(p.objective, "objective")
     if len(p.rows) * len(p.objective) >= GUIDED_MIN_CELLS:
@@ -562,6 +566,7 @@ def _guided(p: LpProblem) -> LpSolution | None:
         objective_value=Fraction(value, Dc * dx * Du),
         dual_rows=tuple(y),
         dual_bounds=tuple(z),
+        guided=True,
     )
     return None if verify_certificate(p, s) else s
 

@@ -172,12 +172,26 @@ class TestSolve:
 
     @pytest.mark.parametrize("mode", ["strict", "bicriteria"])
     @pytest.mark.parametrize("eps", ["1e-20", "1e-300"])
-    def test_epsilon_below_float_resolution_exits_three(
+    def test_epsilon_below_float_resolution_solves(
         self, mode, eps, tmp_path, capsys, monkeypatch
     ):
-        # 1e-20: the float scale factor 1 + eps is 1.0; 1e-300: eps^2 underflows
+        # 1e-20: the float scale factor 1 + eps is 1.0; 1e-300: eps^2 underflows;
+        # xbar is then rounded at K' = its own denominator and L' = 1 (it
+        # used to exit 3 on the float scale factor)
+        code, out, _ = run(
+            ["solve", "--mode", mode, "--epsilon", eps, write_gap(tmp_path),
+             "--format", "machine"],
+            capsys=capsys,
+        )
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["guarantees_ok"] and rep["L"] == 1
+
+    def test_granularity_beyond_float_resolution_exits_three(self, tmp_path, capsys):
+        # granular_round takes K as given: at K W = 10^40 the float L' is 1.0
         code, out, err = run(
-            ["solve", "--mode", mode, "--epsilon", eps, write_gap(tmp_path)], capsys=capsys
+            ["round", "--op", "granular", "--granularity", str(10**40), write_gap(tmp_path)],
+            capsys=capsys,
         )
         assert (code, out) == (EXIT_LIMIT, "")
         assert err.startswith("limit:") and "float scale factor" in err

@@ -34,6 +34,7 @@ from coverpack.model import (
     ParseError,
     as_fraction,
     dot,
+    integers,
     is_width_normalized,
     normalize_width,
     parse_instance,
@@ -661,6 +662,25 @@ class TestWidthNormalized:
         assert is_width_normalized(inst) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-9, max_value=9, max_denominator=12),
+            st.one_of(st.integers(-5, 5), st.booleans(), st.fractions(max_denominator=7)),
+        ),
+        max_size=8,
+    )
+)
+def test_dot_and_integers_are_the_fraction_sums(pairs):
+    # both run on ints over common denominators; the values are the rationals'
+    u, v = [p for p, _ in pairs], [q for _, q in pairs]
+    got = dot(u, v)
+    assert type(got) is F and got == sum((p * q for p, q in pairs), F(0))
+    ints, D = integers(v)
+    assert [F(k, D) for k in ints] == v and all(type(k) is int for k in ints)
+
+
 class TestIntRows:
     def test_covering_then_packing_rows_over_their_denominators(self):
         inst = make_inst(A=[["1/2", "2/3"]], a=[1], c=[1, 1], d=[None, 1], B=[[2, "1/4"]], b=[3])
@@ -766,7 +786,10 @@ class TestStructure:
 
     def test_lp_solved_and_certified_in_one_place(self):
         # outside simplex.py, solve_lp and verify_certificate are called only
-        # by rounding.solve_relaxation, which every LP relaxation goes through
+        # by rounding.solve_relaxation, which every LP relaxation goes through;
+        # inside it, only _guided checks a certificate, the one of its own
+        # answer, which solve_relaxation then leaves unchecked
+        # (test_rounding.py::test_each_relaxation_certificate_checked_once)
         calls = set()
         for name, tree in self.trees().items():
             for fn in ast.walk(tree):
@@ -780,6 +803,9 @@ class TestStructure:
             ("rounding.py", "solve_relaxation", "solve_lp"),
             ("rounding.py", "solve_relaxation", "verify_certificate"),
         }
+        assert {c for c in calls if c[0] == "simplex.py"} == {
+            ("simplex.py", "_guided", "verify_certificate"),
+        }
 
     #: the parameter names of every public callable but the failure classes
     PUBLIC_PARAMETERS = {
@@ -792,7 +818,7 @@ class TestStructure:
         "LpProblem": ("objective", "rows", "var_bounds", "int_rows"),
         "LpSolution": (
             "status", "iterations", "primal", "objective_value", "dual_rows", "dual_bounds",
-            "ray_rows", "ray_bounds",
+            "ray_rows", "ray_bounds", "guided",
         ),
         "SolveReport": (
             "mode", "cost", "fopt", "fopt_kc", "opt", "ratio_cost_fopt", "epsilon", "lam", "K",

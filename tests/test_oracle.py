@@ -218,7 +218,10 @@ class TestCheckSolutionParity:
     @given(checked_candidates())
     def test_equals_fraction_reference(self, case):
         inst, x, eps = case
-        assert check_solution(inst, x, eps) == reference_check(inst, x, eps)
+        want = reference_check(inst, x, eps)
+        assert check_solution(inst, x, eps) == want
+        if all(type(v) is int for v in x):  # an IntegerVector is read as its ints
+            assert check_solution(inst, IntegerVector(x), eps) == want
 
     def test_violated_rows_of_every_family_reported_exactly(self):
         inst = make_inst(
@@ -238,6 +241,12 @@ class TestCheckSolutionParity:
         assert report.multiplicity_strict == ((0, F(4)),)
         assert report.multiplicity_relaxed == ((0, F(3)),)
         assert report == reference_check(inst, [5, F(1, 2)], F(1, 4))
+        # x = (2, 2) as an IntegerVector: x_0 is d_0 + 1 = ceil(5/4), so only
+        # the strict bound fails; x_1 = 2 is ceil((5/4)(3/2)) and above d_1
+        report = check_solution(inst, IntegerVector((2, 2)), F(1, 4))
+        assert report.multiplicity_strict == ((0, F(1)), (1, F(1, 2)))
+        assert report.multiplicity_relaxed == ()
+        assert report == reference_check(inst, [2, 2], F(1, 4))
 
     def test_shortfall_of_the_least_unit_is_reported(self):
         # the row is (2, 3 | 6) over D = 6: x = (1, 1) falls short by 1/6, one

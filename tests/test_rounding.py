@@ -15,7 +15,7 @@ from coverpack.genbench import (
     gen_set_cover,
     knapsack_gap,
 )
-from coverpack import rounding
+from coverpack import rounding, simplex
 from coverpack.kc import solve_cip_strict
 from coverpack.model import (
     GuaranteeError,
@@ -40,7 +40,7 @@ from coverpack.rounding import (
     randomized_round,
     solve_cpip_bicriteria,
 )
-from coverpack.simplex import lp_from_instance, solve_lp
+from coverpack.simplex import lp_from_instance, solve_lp, verify_certificate
 from conftest import F, make_inst
 
 
@@ -304,8 +304,9 @@ def test_traced_and_untraced_round_alike(case):
 def test_trace_out_is_phi_recomputed_from_scratch(case, monkeypatch):
     # a traced state keeps its row terms between decisions; each trace_out
     # value must still be the left-to-right sum of exp(min(e, 60)) over the
-    # exponents as they stand, plus the cost term
-    recomputed = []
+    # exponents as they stand, plus the cost term; an integral coordinate
+    # takes no decision, so the state and phi after it are those before it
+    recomputed = {}  # coordinate fixed (-1 for the start) -> phi from scratch
 
     def phi_from_scratch(state):
         cost_term = state.expected_cost / state.cost_denom if state.cost_denom else 0.0
@@ -315,18 +316,22 @@ def test_trace_out_is_phi_recomputed_from_scratch(case, monkeypatch):
 
     def init_then_recompute(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        recomputed.append(phi_from_scratch(self))
+        recomputed[-1] = phi_from_scratch(self)
 
     def fix_then_recompute(self, j, value):
         fix(self, j, value)
-        recomputed.append(phi_from_scratch(self))
+        recomputed[j] = phi_from_scratch(self)
 
     monkeypatch.setattr(EstimatorState, "__init__", init_then_recompute)
     monkeypatch.setattr(EstimatorState, "fix", fix_then_recompute)
     xbar, A, a, c, L = case
     trace = []
     derandomized_round(xbar, A, a, c, L, trace_out=trace)
-    assert trace == recomputed and len(set(trace)) > 1
+    want = [recomputed[-1]]
+    for j, v in enumerate(xbar):
+        assert (j in recomputed) == ((L * v).denominator > 1)
+        want.append(recomputed.get(j, want[-1]))
+    assert trace == want and len(set(trace)) > 1
 
 
 # nonzero coordinates (all equal to 1) that the dense estimator gave, at
@@ -536,6 +541,62 @@ def test_each_public_call_reads_each_row_of_A_once():
         reads.clear()
         call()
         assert sorted(reads) == sorted(id(row) for row in A)
+
+
+def three_roundings(xbar, A, a, c, L):
+    """The outputs of the three public roundings: x with the trace, granular x, x with K and L."""
+    trace, info = [], {}
+    derandomized = derandomized_round(xbar, A, a, c, L, trace_out=trace)
+    granular = granular_round(xbar, A, a, c, 3)
+    bicriteria = bicriteria_round(xbar, A, a, c, None, F(1, 4), info_out=info)
+    return (derandomized.values, trace), granular.values, (bicriteria.values, info)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.data(),
+    st.sampled_from([F(0), F(1, 7), F(3), F(10**6)]),
+)
+def test_a_zero_column_changes_no_rounding(seed, data, cost):
+    # a zero coordinate rounds to 0 and, when its column does not exceed any
+    # row's largest entry, moves neither the width nor any estimator term:
+    # with such a column appended, each rounding is the old one with a 0
+    # appended (the trace repeats its last value), at the same K and L
+    rng = random.Random(seed)
+    inst, xbar, _ = cip_with_lp(rng.randint(1, 6), rng.randint(2, 8), seed, rng.randint(0, 2))
+    share = st.sampled_from([F(0), F(1, 3), F(1, 2), F(1)])
+    column = [max(row) * data.draw(share) for row in inst.A]
+    A = [(*row, v) for row, v in zip(inst.A, column)]
+    L = compute_scale_factor(inst.m, width(inst.A, inst.a))
+    (x, trace), granular, (xb, info) = three_roundings(xbar, inst.A, inst.a, inst.c, L)
+    assert three_roundings((*xbar, F(0)), A, inst.a, (*inst.c, cost), L) == (
+        ((*x, 0), trace + trace[-1:]), (*granular, 0), ((*xb, 0), info)
+    )
+
+
+def test_an_entry_of_a_zero_column_sets_the_width():
+    # the zero coordinate's column holds the row's largest entry: W = 2/2 = 1,
+    # where the other column alone gives 2, so K = ceil(4 ln 2 / W) is 3, not 2
+    xbar, A, a, c = (F(2), F(0)), [[1, 2]], [2], [1, 1]
+    assert CoverRows(A, a, [2, 0]).width == 1
+    info = {}
+    assert bicriteria_round(xbar, A, a, c, None, 1, info_out=info) == (2, 0)
+    assert info["K"] == 3
+
+
+@pytest.mark.parametrize("entry, match", [("x", "cannot read 'x'"), (None, "expected a number")])
+def test_a_bad_entry_of_a_zero_column_is_refused(entry, match):
+    # the scan reads every entry, the ones in columns it does not keep too
+    xbar, A, a, c = (F(2), F(0)), [[1, entry]], [2], [1, 1]
+    calls = (
+        lambda: derandomized_round(xbar, A, a, c, compute_scale_factor(1, 2)),
+        lambda: granular_round(xbar, A, a, c, 3),
+        lambda: bicriteria_round(xbar, A, a, c, None, 1),
+    )
+    for call in calls:
+        with pytest.raises(InstanceError, match=rf"A\[0\]\[1\]: {match}"):
+            call()
 
 
 class TestGranularRound:
@@ -774,9 +835,9 @@ def test_each_rounding_scans_A_once(call, monkeypatch):
     built = []
 
     class Counted(CoverRows):
-        def __init__(self, A, a):
+        def __init__(self, A, a, x=None):
             built.append(A)
-            super().__init__(A, a)
+            super().__init__(A, a, x)
 
     monkeypatch.setattr(rounding, "CoverRows", Counted)
     assert all(call().values)  # each row is covered by its own variable
@@ -831,7 +892,7 @@ def reference_cover_rows(A, a):
             support = [j for j, v in enumerate(row) if v]
             (demand, *entries), scale = integers([ai, *(row[j] for j in support)])
             active.append(i)
-            rows.append(list(zip(support, entries)))
+            rows.append((support, entries))
             demands.append(demand)
             scales.append(scale)
     return active, rows, demands, scales
@@ -873,7 +934,16 @@ def test_cover_rows_alike_in_every_form(given, exact):
     assert (got.active, got.rows, got.demands, got.scales, got.columns, got.width) == (
         want.active, want.rows, want.demands, want.scales, want.columns, want.width
     )
-    assert all(type(v) is int for v in got.demands + [v for row in got.rows for _, v in row])
+    assert all(type(v) is int for v in got.demands + [v for _, row in got.rows for v in row])
+    # on a point's support: the same rows on its nonzero columns, the same width
+    x = [1, 0, 3, 0]
+    kept = CoverRows(*given, x)
+    assert kept.support == [0, 2] and kept.width == got.width
+    assert kept.rows == [
+        ([j for j in cols if x[j]], [v for j, v in zip(cols, row) if x[j]])
+        for cols, row in got.rows
+    ]
+    assert kept.columns == [column if x[j] else [] for j, column in enumerate(got.columns)]
 
 
 class TestSolveCpipBicriteria:
@@ -961,10 +1031,40 @@ class TestSolveCpipBicriteria:
         assert report.violations.ok_bicriteria
 
 
+RELAXATIONS = {
+    "exact": (lambda: gen_random_cpip(4, 6, 3, 1), False),
+    "guided": (lambda: gen_random_cpip(20, 30, 3, 1), True),
+    "infeasible": (lambda: make_inst(A=[[1]], a=[1], c=[1], d=["1/2"]), False),
+}
+
+
+@pytest.mark.parametrize("make, guided", RELAXATIONS.values(), ids=RELAXATIONS.keys())
+def test_each_relaxation_certificate_checked_once(monkeypatch, make, guided):
+    # solve_lp checks a guided optimum's certificate (it falls back to the
+    # exact run on a failed one), and solve_relaxation checks every other
+    # result, a Farkas ray included: one check on every path
+    checked = []
+
+    def counted(p, s):
+        checked.append(s)
+        return verify_certificate(p, s)
+
+    monkeypatch.setattr(simplex, "verify_certificate", counted)
+    monkeypatch.setattr(rounding, "verify_certificate", counted)
+    inst = normalize_width(make())
+    try:
+        sol = rounding.solve_relaxation(inst)
+    except InfeasibleError:
+        sol = solve_lp(lp_from_instance(inst))
+    assert sol.guided is guided
+    assert checked == [sol]
+
+
 SWEEP_INSTANCES = {
     "knapsack-gap": lambda: knapsack_gap(F(1, 10)),
     "random-cpip": lambda: gen_random_cpip(6, 7, 2, 0),
     "set-cover": lambda: gen_set_cover(8, 12, 0.4, 0),
+    "multiset-multicover": lambda: gen_multiset_multicover(4, 6, 1, d_max=2, r=1),
 }
 
 
@@ -972,11 +1072,13 @@ SWEEP_INSTANCES = {
 def test_every_epsilon_solves_or_hits_the_float_limit(name):
     # eps = 2^-k crosses each point where floats give out: from k = 53 the
     # float 1 + eps is 1.0, from about k = 510 K W overflows a float, and
-    # from k = 1000 eps^2 underflows
+    # from k = 1000 eps^2 underflows; past the first, xbar is rounded at
+    # K' = D, so the float limit stands only where D > K, and no k hits it here
     inst = normalize_width(SWEEP_INSTANCES[name]())
     solvers = {solve_cip_strict: "ok_strict", solve_cpip_bicriteria: "ok_bicriteria"}
+    ks = [*range(1, 61), *range(100, 1101, 50)]
     solved = set()
-    for k in [*range(1, 61), *range(100, 1101, 50)]:
+    for k in ks:
         eps = F(1, 2**k)
         for solver, ok in solvers.items():
             try:
@@ -985,8 +1087,23 @@ def test_every_epsilon_solves_or_hits_the_float_limit(name):
                 assert "float scale factor" in str(exc)
                 continue
             assert getattr(check_solution(inst, xhat, eps), ok) and report.guarantees_ok
+            assert k < 53 or report.L == 1  # the float L' is 1.0: xbar is rounded at K' = D
             solved.add((solver, k))
-    assert solved >= {(solver, k) for solver in solvers for k in range(1, 53)}
+    assert solved == {(solver, k) for solver in solvers for k in ks}
+
+
+def test_float_limit_rounds_xbar_at_its_own_denominator():
+    # at eps = 2^-120, K is about 2^241.5 and L' rounds to 1.0: xbar, over
+    # D = 2^200 <= K, is rounded at K' = D; at eps = 2^-60, K is about
+    # 2^121.5 < D, and the LimitError stands
+    D = 2**200
+    xbar, A, a, c = (F(D - 1, D), F(1, D)), [[1, 1]], [1], [1, 1]
+    info = {}
+    # ceil(xbar) = (1, 1) covers the row twice; the trim drops x_0 first
+    assert bicriteria_round(xbar, A, a, c, None, F(1, 2**120), info_out=info) == (0, 1)
+    assert info == {"K": D, "L": 1}
+    with pytest.raises(LimitError, match="float scale factor rounds to 1.0"):
+        bicriteria_round(xbar, A, a, c, None, F(1, 2**60))
 
 
 #: (xbar, A, a, c, the granular K x that _granular is made to return, message):
@@ -1014,7 +1131,7 @@ GRANULAR_FAULTS = {
     "xbar, A, a, c, kx, match", GRANULAR_FAULTS.values(), ids=GRANULAR_FAULTS.keys()
 )
 def test_bicriteria_checks_catch_a_faulty_granular_core(monkeypatch, xbar, A, a, c, kx, match):
-    monkeypatch.setattr(rounding, "_granular", lambda xv, costs, c_den, rows, K: (kx(K), F(1)))
+    monkeypatch.setattr(rounding, "_granular", lambda xv, costs, c_den, rows, K, L: kx(K))
     with pytest.raises(GuaranteeError, match=match):
         bicriteria_round(xbar, A, a, c, None, 1)
 
