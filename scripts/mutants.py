@@ -6,11 +6,12 @@ rows that the test suite's audit must reject, breaks ``check_solution``
 (which every guarantee check leans on) or ``verify_certificate`` (which
 certifies every LP result), lets a bad argument through a reader of
 ``model`` (the nonnegativity check, the sequence reader, ``IntegerVector``'s
-entry check) or of the rounding layer (a scale factor L below 1, a point
+entry check, the vector reader's int path, which must refuse a bool and
+check signs as the per-entry reference readers do) or of the rounding layer (a scale factor L below 1, a point
 beyond the estimator's float range), or lets a document's field error out as
 a bare ``InstanceError``, or lets ``run_bench`` take a spec that is not a
-``GeneratorSpec``, or breaks a fast path: the rounding
-layer's scan of A (its integer rows, its width over every column and the
+``GeneratorSpec``, or breaks a fast path: ``normalize_width``'s integer
+row test, the integer test of ``kc.high_set``, the rounding layer's scan of A (its integer rows, its width over every column and the
 support of xbar it keeps), the estimator's kept trace terms,
 ``check_solution``'s integer multiplicity test, the oracle's cost
 bound and value skip, which must leave its answer as it is, the guided
@@ -107,6 +108,11 @@ SCALE = [
 MODEL = "src/coverpack/model.py"
 EVERY_ARGUMENT = "tests/test_model.py::test_every_argument_refused_in_its_readers_words"
 CANDIDATES = "tests/test_model.py::test_candidate_vectors_are_sequences_of_nonnegative_entries"
+# the fixed cases first: with -x they fail before hypothesis starts to shrink
+READERS = [
+    "tests/test_model.py::TestReadersEqualThePerEntryReference::test_fixed_cases",
+    "tests/test_model.py::TestReadersEqualThePerEntryReference::test_equal_on_generated_data",
+]
 
 #: name -> (file, old, new, the tests that must fail)
 MUTANTS = {
@@ -133,6 +139,15 @@ MUTANTS = {
         "if not violations.ok_strict:",
         "if not violations.ok_bicriteria:",
         [INJECTED],
+    ),
+    "high-set-leaves-out-the-threshold": (
+        KC,
+        "if u is not None and v * p * u.denominator >= u.numerator * q",
+        "if u is not None and v * p * u.denominator > u.numerator * q",
+        [
+            "tests/test_kc.py::TestHighSet::test_threshold",
+            "tests/test_kc.py::TestHighSet::test_equals_fraction_reference",
+        ],
     ),
     "derandomized-cost-bound-3L": (
         ROUNDING,
@@ -394,6 +409,24 @@ MUTANTS = {
         "        raise ParseError(str(exc)) from exc",
         "inst = CpipInstance.from_data(**raw)\n    except InstanceError as exc:\n        raise",
         ["tests/test_model.py::TestParse::test_field_of_wrong_type_rejected"],
+    ),
+    "vector-int-path-takes-a-bool": (
+        MODEL,
+        "if kinds == {int} and min(values) >= 0",
+        "if kinds <= {int, bool} and min(values) >= 0",
+        READERS,
+    ),
+    "vector-int-path-skips-its-sign-check": (
+        MODEL,
+        "if kinds == {int} and min(values) >= 0 and max(values) < len(_SMALL):",
+        "if kinds == {int} and max(values) < len(_SMALL):",
+        READERS,
+    ),
+    "normalize-keeps-an-entry-above-its-demand": (
+        MODEL,
+        "if max(S) > demand:",
+        "if max(S) > 2 * demand:",
+        ["tests/test_model.py::TestNormalize::test_truncates_large_coefficients", *READERS],
     ),
     "run-bench-takes-any-spec": (
         "src/coverpack/genbench.py",

@@ -117,8 +117,17 @@ def kc_system(inst: CpipInstance, F) -> KcSystem:
 
 
 def high_set(x, d, lam) -> frozenset:
-    """Variables at or above d/lambda in x (finite bounds only); lam, x and d exact."""
-    return frozenset(j for j in range(len(d)) if d[j] is not None and x[j] >= d[j] / lam)
+    """Variables at or above d/lambda in x (finite bounds only); lam > 0, x and d exact."""
+    return _high_set(*integers(x), d, lam)
+
+
+def _high_set(X, Dx, d, lam) -> frozenset:
+    """``high_set`` of x = X / Dx: x_j >= d_j / lambda as one integer comparison per j."""
+    p, q = lam.numerator, lam.denominator * Dx
+    return frozenset(
+        j for j, (v, u) in enumerate(zip(X, d))
+        if u is not None and v * p * u.denominator >= u.numerator * q
+    )
 
 
 def find_violated_kc(
@@ -133,9 +142,8 @@ def find_violated_kc(
     """
     lam = as_lambda(lam)
     n = inst.n
-    xv = as_vector(x, "x", n)
-    system = kc_system(inst, high_set(xv, inst.d, lam))
-    X, Dx = integers(xv)
+    X, Dx = integers(as_vector(x, "x", n))
+    system = kc_system(inst, _high_set(X, Dx, inst.d, lam))
     violated = []
     for i, (S, D) in enumerate(system.rows):
         short = S[n] * Dx - sum(map(mul, S, X))  # (a'_F - A'_F x) * D * Dx

@@ -21,6 +21,11 @@ The canonical interchange format is a UTF-8 JSON document::
 mean unbounded.  Numbers are plain decimals or strings "p/q" for exact
 rationals; a decimal exponent is bounded by ``sys.get_int_max_str_digits()``.
 
+The readers build their tuples from lists, not iterators: ``tuple`` of an
+iterator of unknown length over-allocates and resizes, and CPython keeps
+each resized tuple on the free list of its size, so a process that reads
+many instances would keep growing.
+
 Candidate solutions are ``IntegerVector`` and ``FractionalVector``, tuples
 whose constructors check each entry.  The package's reports live here too,
 ``SolveReport`` and ``ViolationReport``, with ``report_dict``, their one JSON form.
@@ -34,7 +39,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import floor, lcm
+from math import floor, gcd, lcm
 from operator import attrgetter, mul
 from typing import Sequence
 
@@ -81,14 +86,20 @@ class GuaranteeError(CoverpackError):
     """A solver's own result broke a guarantee it proves; an internal fault."""
 
 
+#: The Fractions of 0..255, shared by every vector read from ints: a small int costs no new object.
+_SMALL = tuple(map(Fraction, range(256)))
+
+
 def as_fraction(value, where: str = "value") -> Fraction:
     """Coerce an int, Fraction, float, or 'p/q'/decimal string exactly."""
+    if type(value) is Fraction:  # before the ABC isinstance checks below
+        return value
     if isinstance(value, bool) or value is None:
         raise InstanceError(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, int):
+        return _SMALL[value] if 0 <= value < len(_SMALL) else Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, (str, float)):
         try:
             return _rational(value)
@@ -112,10 +123,19 @@ def as_sequence(values, name: str, n: int | None = None):
 def as_vector(values, name: str, n: int | None = None) -> tuple[Fraction, ...]:
     """A vector argument: a sequence by ``as_sequence``, each entry by ``as_fraction``.
 
-    The text ``name[j]`` that names a bad entry is built only for it.
+    The entry types are read once: all ``Fraction``s pass as they are, and
+    all ints (not bools) of 0..255 map to shared Fractions; either way there
+    is no call per entry.  The text ``name[j]`` that names a bad entry is
+    built only for it.
     """
+    values = as_sequence(values, name, n)
+    kinds = set(map(type, values))
+    if kinds <= {Fraction}:
+        return tuple(values)
+    if kinds == {int} and min(values) >= 0 and max(values) < len(_SMALL):
+        return tuple(list(map(_SMALL.__getitem__, values)))
     out = []
-    for v in as_sequence(values, name, n):
+    for v in values:
         try:
             out.append(v if type(v) is Fraction else as_fraction(v))  # a Fraction: no call
         except InstanceError:
@@ -144,7 +164,7 @@ def as_bounds(values, name: str, n: int) -> tuple[Fraction | None, ...]:
     """n bounds by ``as_vector``, each None (no bound) or a nonnegative rational."""
     finite = [ZERO if v is None else v for v in as_sequence(values, name, n)]
     read = nonnegative(as_vector(finite, name), name)
-    return tuple(None if v is None else u for v, u in zip(values, read))
+    return tuple([None if v is None else u for v, u in zip(values, read)])
 
 
 def as_int(value, where: str, minimum: int | None = None) -> int:
@@ -208,7 +228,7 @@ def integers(values) -> tuple[list[int], int]:
 
 def scale_rows(rows) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Each ``(coeffs, rhs)`` as ``((*coeffs, rhs) * D, D)`` by ``integers``."""
-    return tuple((tuple(S), D) for S, D in (integers((*coeffs, rhs)) for coeffs, rhs in rows))
+    return tuple([(tuple(S), D) for S, D in (integers((*coeffs, rhs)) for coeffs, rhs in rows)])
 
 
 @dataclass(frozen=True)
@@ -252,10 +272,10 @@ class CpipInstance:
             raise InstanceError("instance has no variables")
 
         def rows(M, name):  # one read and one sign pass over each row
-            return tuple(
+            return tuple([
                 nonnegative(as_vector(row, f"{name}[{i}]", n), f"{name}[{i}]")
                 for i, row in enumerate(as_sequence(M, name))
-            )
+            ])
 
         Af, Bf = rows(A, "A"), rows(B, "B")
         af = nonnegative(as_vector(a, "a", len(Af)), "a")
@@ -303,14 +323,31 @@ def normalize_width(inst: CpipInstance) -> CpipInstance:
     removed outright (keeping them would force the width to 0); each
     finite d_j becomes floor(d_j), since integer x_j <= d_j iff
     x_j <= floor(d_j).  The set of integer solutions is unchanged.
+
+    The rows are compared as integers (``int_rows``): a row with no entry
+    above its demand is kept as the same tuple, and the result's
+    ``int_rows`` are built from the input's, not read again.
     """
-    keep = [i for i in range(inst.m) if inst.a[i] > 0]
-    A = tuple(
-        tuple(min(inst.A[i][j], inst.a[i]) for j in range(inst.n)) for i in keep
-    )
-    a = tuple(inst.a[i] for i in keep)
-    d = tuple(None if v is None else Fraction(floor(v)) for v in inst.d)
-    return CpipInstance(A=A, a=a, B=inst.B, b=inst.b, c=inst.c, d=d)
+    A, a, rows = [], [], []
+    for row, ai, (S, D) in zip(inst.A, inst.a, inst.int_rows):
+        demand = S[-1]
+        if demand <= 0:
+            continue
+        if max(S) > demand:  # min(A_ij, a_i), over the lcm of the new row's denominators
+            row = tuple([v if s <= demand else ai for v, s in zip(row, S)])
+            S = [min(s, demand) for s in S]
+            g = gcd(D, *S)
+            S, D = tuple([s // g for s in S]), D // g
+        A.append(row)
+        a.append(ai)
+        rows.append((S, D))
+    d = tuple([
+        v if v is None or (type(v) is Fraction and v.denominator == 1) else Fraction(floor(v))
+        for v in inst.d
+    ])
+    out = CpipInstance(A=tuple(A), a=tuple(a), B=inst.B, b=inst.b, c=inst.c, d=d)
+    vars(out)["int_rows"] = (*rows, *inst.int_rows[inst.m :])  # where cached_property keeps it
+    return out
 
 
 def is_width_normalized(inst: CpipInstance) -> bool:
@@ -344,7 +381,7 @@ def width(A, a) -> Fraction:
 
 def number_out(v):
     """JSON form of an exact number: an int, or "p/q"; other values pass through."""
-    if not isinstance(v, Fraction):
+    if type(v) is not Fraction and not isinstance(v, Fraction):  # the ABC check last
         return v
     return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
@@ -480,12 +517,19 @@ def parse_solution(doc: str, n: int) -> IntegerVector:
 def serialize_instance(inst: CpipInstance) -> str:
     """Render an instance as a canonical document; exact round-trip."""
     obj = {
-        "A": [[number_out(v) for v in row] for row in inst.A],
-        "a": [number_out(v) for v in inst.a],
-        "c": [number_out(v) for v in inst.c],
+        "A": list(map(_numbers_out, inst.A)),
+        "a": _numbers_out(inst.a),
+        "c": _numbers_out(inst.c),
         "d": [number_out(v) for v in inst.d],
     }
     if inst.r > 0:
-        obj["B"] = [[number_out(v) for v in row] for row in inst.B]
-        obj["b"] = [number_out(v) for v in inst.b]
+        obj["B"] = list(map(_numbers_out, inst.B))
+        obj["b"] = _numbers_out(inst.b)
     return json.dumps(obj)
+
+
+def _numbers_out(values) -> list:
+    """``number_out`` of each entry; a vector whose denominators are all 1 as its numerators."""
+    if set(map(_denominator, values)) <= {1}:
+        return list(map(_numerator, values))
+    return [number_out(v) for v in values]

@@ -270,6 +270,23 @@ class TestHighSet:
         inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[0, None])
         assert high_set((F(0), F(2)), inst.d, 2) == frozenset({0})
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=0, max_value=4, max_denominator=6),
+                st.one_of(st.none(), st.fractions(min_value=0, max_value=4, max_denominator=3)),
+            ),
+            max_size=6,
+        ),
+        st.one_of(st.integers(1, 3), st.fractions(min_value=F(1, 3), max_value=3, max_denominator=5)),
+    )
+    def test_equals_fraction_reference(self, pairs, lam):
+        # the integer test x_j * lambda >= d_j picks the coordinates the Fraction quotient does
+        x, d = [v for v, _ in pairs], [u for _, u in pairs]
+        want = frozenset(j for j in range(len(d)) if d[j] is not None and x[j] >= d[j] / lam)
+        assert high_set(x, d, lam) == want
+
 
 class TestSolveLpKc:
     def test_gap_cut_lifts_bound_to_one(self):

@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverpack
+from coverpack import model
 from coverpack.genbench import (
     GeneratorSpec,
     gen_multiset_multicover,
@@ -32,14 +34,19 @@ from coverpack.model import (
     IntegerVector,
     LimitError,
     ParseError,
+    ZERO,
     as_fraction,
+    as_sequence,
+    as_vector,
     dot,
     integers,
     is_width_normalized,
+    nonnegative,
     normalize_width,
     parse_instance,
     parse_solution,
     report_dict,
+    scale_rows,
     serialize_instance,
     width,
 )
@@ -694,6 +701,209 @@ class TestIntRows:
         assert serialize_instance(cached) == serialize_instance(fresh)
         assert report_dict(cached) == report_dict(fresh)
         assert "int_rows" not in report_dict(cached)
+
+
+# -- the per-entry readers and writers, as they were before the C-level passes --
+# They read each entry by its own call; the package's readers must give the
+# same instances, documents, exceptions and messages.
+
+
+def reference_as_fraction(value, where="value"):
+    if isinstance(value, bool) or value is None:
+        raise InstanceError(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, F):
+        return value
+    if isinstance(value, int):
+        return F(value)
+    if isinstance(value, (str, float)):
+        try:
+            return model._rational(value)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise InstanceError(f"{where}: cannot read {value!r} as a rational") from exc
+    raise InstanceError(f"{where}: unsupported number type {type(value).__name__}")
+
+
+def reference_as_vector(values, name, n=None):
+    out = []
+    for v in as_sequence(values, name, n):
+        try:
+            out.append(v if type(v) is F else reference_as_fraction(v))
+        except InstanceError:
+            reference_as_fraction(v, f"{name}[{len(out)}]")
+    return tuple(out)
+
+
+def reference_from_data(A, a, c, d, B=(), b=()):
+    cf = nonnegative(reference_as_vector(c, "c"), "c")
+    n = len(cf)
+    if n == 0:
+        raise InstanceError("instance has no variables")
+
+    def rows(M, name):
+        return tuple(
+            nonnegative(reference_as_vector(row, f"{name}[{i}]", n), f"{name}[{i}]")
+            for i, row in enumerate(as_sequence(M, name))
+        )
+
+    Af, Bf = rows(A, "A"), rows(B, "B")
+    af = nonnegative(reference_as_vector(a, "a", len(Af)), "a")
+    bf = nonnegative(reference_as_vector(b, "b", len(Bf)), "b")
+    finite = [ZERO if v is None else v for v in as_sequence(d, "d", n)]
+    read = nonnegative(reference_as_vector(finite, "d"), "d")
+    df = tuple(None if v is None else u for v, u in zip(d, read))
+    return CpipInstance(A=Af, a=af, B=Bf, b=bf, c=cf, d=df)
+
+
+def reference_parse(doc):
+    raw = model._load_json(doc)
+    try:
+        if "d" not in raw:
+            raw["d"] = [None] * len(as_sequence(raw["c"], "c"))
+        inst = reference_from_data(**raw)
+    except InstanceError as exc:
+        raise ParseError(str(exc)) from exc
+    if inst.m == 0:
+        raise ParseError("field A must contain at least one covering row")
+    return inst
+
+
+def reference_normalize(inst):
+    keep = [i for i in range(inst.m) if inst.a[i] > 0]
+    A = tuple(tuple(min(inst.A[i][j], inst.a[i]) for j in range(inst.n)) for i in keep)
+    a = tuple(inst.a[i] for i in keep)
+    d = tuple(None if v is None else F(math.floor(v)) for v in inst.d)
+    return CpipInstance(A=A, a=a, B=inst.B, b=inst.b, c=inst.c, d=d)
+
+
+def reference_serialize(inst):
+    def out(v):
+        if not isinstance(v, F):
+            return v
+        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+    obj = {
+        "A": [[out(v) for v in row] for row in inst.A],
+        "a": [out(v) for v in inst.a],
+        "c": [out(v) for v in inst.c],
+        "d": [out(v) for v in inst.d],
+    }
+    if inst.r > 0:
+        obj["B"] = [[out(v) for v in row] for row in inst.B]
+        obj["b"] = [out(v) for v in inst.b]
+    return json.dumps(obj)
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the class and message of the package error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except CoverpackError as exc:
+        return type(exc), str(exc)
+
+
+def entries_are_fractions(inst):
+    vectors = (*inst.A, *inst.B, inst.a, inst.b, inst.c, [v for v in inst.d if v is not None])
+    return all(type(v) is F for vector in vectors for v in vector)
+
+
+def as_document(data):
+    """The JSON document of raw instance data, a Fraction entry written as "p/q"."""
+    return json.dumps(data, default=lambda v: f"{v.numerator}/{v.denominator}")
+
+
+def assert_readers_equal_the_reference(data):
+    """Every reader and writer of ``data`` against its per-entry reference."""
+    for name, vector in (("c", data["c"]), *(("A", row) for row in data["A"])):
+        assert outcome(as_vector, vector, name) == outcome(reference_as_vector, vector, name)
+    inst = outcome(CpipInstance.from_data, **data)
+    assert inst == outcome(reference_from_data, **data)
+    assert outcome(parse_instance, as_document(data)) == outcome(reference_parse, as_document(data))
+    if not isinstance(inst, CpipInstance):
+        return
+    assert entries_are_fractions(inst)
+    out = normalize_width(inst)
+    assert out == reference_normalize(inst) and entries_are_fractions(out)
+    # the int rows handed over are the ones a fresh instance computes
+    assert out.int_rows == replace(out).int_rows
+    kept = iter(out.A)
+    for row, ai in zip(inst.A, inst.a):
+        if ai > 0:
+            new = next(kept)
+            assert (new is row) == (max(row) <= ai)  # a row already normalized is not copied
+    for each in (inst, out):
+        doc = serialize_instance(each)
+        assert doc == reference_serialize(each)
+        assert outcome(parse_instance, doc) == outcome(reference_parse, doc)
+        assert each.m == 0 or parse_instance(doc) == each
+
+
+#: ints, the shared Fractions' range and just past it, negative, and above 2**64
+INT_ENTRIES = st.one_of(
+    st.integers(0, 3), st.integers(250, 260), st.integers(-3, -1), st.integers(2**64, 2**66)
+)
+ENTRIES = st.one_of(
+    INT_ENTRIES,
+    st.booleans(),
+    st.none(),
+    st.fractions(min_value=0, max_value=5, max_denominator=6),
+    st.fractions(min_value=-2, max_value=0, max_denominator=3),
+    st.floats(min_value=0, max_value=5, width=16),
+    st.sampled_from([float("nan"), float("inf"), -0.5]),
+    st.sampled_from(["1/2", "7", "2.5", "1e2", "-1/3", "1/0", "x", ""]),
+)
+
+
+@st.composite
+def raw_data(draw):
+    """Instance data whose rows are all ints, all Fractions, all small ints or mixed."""
+    n, m, r = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 2))
+
+    def vector(k):
+        kind = draw(st.sampled_from(["small", "ints", "fractions", "mixed"]))
+        entry = {
+            "small": st.integers(0, 6),
+            "ints": INT_ENTRIES,
+            "fractions": st.fractions(min_value=0, max_value=6, max_denominator=4),
+            "mixed": ENTRIES,
+        }[kind]
+        values = [draw(entry) for _ in range(k)]
+        return tuple(values) if kind == "fractions" and draw(st.booleans()) else values
+
+    bounds = st.one_of(st.none(), st.integers(0, 3), st.fractions(0, 3, max_denominator=2))
+    return dict(
+        A=[vector(n) for _ in range(m)],
+        a=vector(m),
+        c=vector(n),
+        d=[draw(bounds) for _ in range(n)],
+        B=[vector(n) for _ in range(r)],
+        b=vector(r),
+    )
+
+
+class TestReadersEqualThePerEntryReference:
+    """The readers and writers take C-level passes; every outcome is the per-entry code's."""
+
+    @pytest.mark.parametrize(
+        "A, a",
+        [
+            ([[1, True]], [1]),  # a bool is not an int
+            ([[1, -1]], [1]),  # a negative int
+            ([[255, 256]], [300]),  # the last shared Fraction and the first past it
+            ([[2**64, 0]], [1]),
+            ([[3, 1], [1, 1]], [2, 1]),  # one row truncated, one kept
+            ([["1/2", 1]], ["1/3"]),  # a truncated row over a smaller denominator
+            ([[F(3, 2), F(1)]], [F(3, 2)]),  # a row of Fractions, kept
+            ([[5, 5]], [0]),  # a row with no demand goes
+        ],
+    )
+    def test_fixed_cases(self, A, a):
+        n = len(A[0])
+        assert_readers_equal_the_reference(dict(A=A, a=a, c=[1] * n, d=[None] * n, B=[], b=[]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_data())
+    def test_equal_on_generated_data(self, data):
+        assert_readers_equal_the_reference(data)
 
 
 @st.composite
