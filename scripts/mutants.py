@@ -10,7 +10,9 @@ entry check, the vector reader's int path, which must refuse a bool and
 check signs as the per-entry reference readers do) or of the rounding layer (a scale factor L below 1, a point
 beyond the estimator's float range), or lets a document's field error out as
 a bare ``InstanceError``, or lets ``run_bench`` take a spec that is not a
-``GeneratorSpec``, or breaks a fast path: ``normalize_width``'s integer
+``GeneratorSpec``, or makes the CLI's report builder check violations at
+a fixed epsilon or ``check --mode strict`` read the bicriteria verdict,
+or breaks a fast path: ``normalize_width``'s integer
 row test, the integer test of ``kc.high_set``, the rounding layer's scan of A (its integer rows, its width over every column and the
 support of xbar it keeps), the estimator's kept trace terms,
 ``check_solution``'s integer multiplicity test, the oracle's cost
@@ -72,6 +74,9 @@ CHECK_PARITY = [
     "test_violated_rows_of_every_family_reported_exactly",
     "tests/test_oracle.py::TestCheckSolutionParity::test_equals_fraction_reference",
 ]
+
+CLI = "src/coverpack/cli.py"
+CLI_REPORTS = "tests/test_cli.py::test_report_states_cost_and_violations_of_its_x"
 
 SIMPLEX = "src/coverpack/simplex.py"
 # the fixed cases first: with -x they fail before hypothesis starts to shrink
@@ -433,6 +438,18 @@ MUTANTS = {
         "if not isinstance(spec, GeneratorSpec):",
         "if False:",
         ["tests/test_model.py::test_solver_argument_out_of_range"],
+    ),
+    "cli-report-checks-at-epsilon-1": (
+        CLI,
+        "violations=check_solution(inst, x, at)",
+        "violations=check_solution(inst, x, 1)",
+        [CLI_REPORTS],
+    ),
+    "cli-check-strict-reads-bicriteria": (
+        CLI,
+        'ok = getattr(report.violations, f"ok_{args.mode}")',
+        'ok = getattr(report.violations, "ok_bicriteria")',
+        ["tests/test_cli.py::TestOracleAndCheck::test_check_good_and_bad"],
     ),
 }
 

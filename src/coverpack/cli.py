@@ -17,7 +17,8 @@ fault (``GuaranteeError``, a failed LP certificate among them, or any
 other exception).  All randomness flows from --seed (default 0, never
 wall clock), so every run is reproducible.  Each subcommand takes only
 the flags it reads; any other flag exits 2.  Machine output is one JSON
-report per line; text output prints the same fields, one per line.
+report per line; text output prints the same fields, one per line.  A
+report's cost and violations are those of the ``x`` it prints.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import replace
 
 from coverpack.genbench import FAMILIES, GeneratorSpec, generate, run_bench
 from coverpack.kc import solve_cip_strict, solve_lp_kc
@@ -137,13 +139,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("gen", help="emit a generated instance")
     gen.add_argument("--family", required=True, choices=[f.lower().replace("_", "-") for f in FAMILIES])
-    gen.add_argument("--delta", type=_fraction, default=None)
-    gen.add_argument("--m", type=int, default=4)
-    gen.add_argument("--n", type=int, default=5)
-    gen.add_argument("--r", type=int, default=0)
-    gen.add_argument("--density", type=float, default=0.5)
-    gen.add_argument("--d-max", type=int, default=3)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--delta", type=_fraction, default=GeneratorSpec.delta)
+    gen.add_argument("--m", type=int, default=GeneratorSpec.m)
+    gen.add_argument("--n", type=int, default=GeneratorSpec.n)
+    gen.add_argument("--r", type=int, default=GeneratorSpec.r)
+    gen.add_argument("--density", type=float, default=GeneratorSpec.density)
+    gen.add_argument("--d-max", type=int, default=GeneratorSpec.d_max)
+    gen.add_argument("--seed", type=int, default=GeneratorSpec.seed)
 
     bench = subs.add_parser("bench", help="benchmark harness over generated families")
     bench.add_argument("--families", default="knapsack-gap",
@@ -185,29 +187,29 @@ def _emit(report: SolveReport, output: str) -> None:
         print(f"{key}: {value if isinstance(value, str) else json.dumps(value)}")
 
 
+def _report(mode: str, inst: CpipInstance, x, at, **fields) -> SolveReport:
+    """The report on the point ``x``: its cost c.x and its violations at slack ``at``."""
+    return SolveReport(
+        mode=mode, cost=dot(inst.c, x), x=x, violations=check_solution(inst, x, at), **fields
+    )
+
+
 def _lp_report(inst: CpipInstance, args) -> SolveReport:
     sol = solve_relaxation(inst)
-    return SolveReport(
-        mode="lp",
-        fopt=sol.objective_value,
-        cost=sol.objective_value,
-        epsilon=args.epsilon,
-        x=sol.primal,
-        violations=check_solution(inst, sol.primal, args.epsilon),
-    )
+    return _report("lp", inst, sol.primal, args.epsilon, fopt=sol.objective_value,
+                   epsilon=args.epsilon)
 
 
 def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
     loop = solve_lp_kc(inst, args.lam, max_rounds=args.max_rounds)
-    objective = loop.round_objectives[-1]
-    return SolveReport(
-        mode="lp-kc",
-        fopt_kc=objective,
-        cost=objective,
+    return _report(
+        "lp-kc",
+        inst,
+        loop.x,
+        args.epsilon,
+        fopt_kc=loop.round_objectives[-1],
         lam=args.lam,
         epsilon=args.epsilon,
-        x=loop.x,
-        violations=check_solution(inst, loop.x, args.epsilon),
         cut_rows_added=loop.cut_rows_added,
         lp_rounds=len(loop.round_objectives),
         pin_sets_seen=loop.pin_sets_seen,
@@ -223,50 +225,40 @@ def _oracle_report(inst: CpipInstance, args) -> SolveReport:
         )
     if res.status == "INFEASIBLE":
         raise InfeasibleError("no integer solution in the search box")
-    return SolveReport(
-        mode="oracle",
-        cost=res.cost,
-        opt=res.cost,
-        epsilon=args.epsilon,
-        x=res.x,
-        violations=check_solution(inst, res.x, args.epsilon),
-        oracle_bounds=res.bounds,
-        oracle_space=res.space_size,
-    )
+    return _report("oracle", inst, res.x, args.epsilon, opt=res.cost, epsilon=args.epsilon,
+                   oracle_bounds=res.bounds, oracle_space=res.space_size)
 
 
 def _round_report(inst: CpipInstance, args) -> SolveReport:
     sol = solve_relaxation(inst)
-    xbar = sol.primal
-    info: dict = {}
-    if args.op in ("randomized", "derandomized"):
-        # the two ops that read L; it needs a demanded row
-        info["L"] = compute_scale_factor(inst.m, width(inst.A, inst.a))
-    if args.op == "randomized":
-        x = randomized_round(xbar, info["L"], args.seed)
-    elif args.op == "derandomized":
-        x = derandomized_round(xbar, inst.A, inst.a, inst.c, info["L"])
-    elif args.op == "granular":
-        K = info["K"] = args.granularity
-        x = granular_round(xbar, inst.A, inst.a, inst.c, K)
-        # the scale factor it rounded at: scale(m, K W), or 1 with no demanded row
-        info["L"] = compute_scale_factor(inst.m, K * width(inst.A, inst.a)) if inst.m else 1
+    xbar, A, a, c, op = sol.primal, inst.A, inst.a, inst.c, args.op
+    K = args.granularity if op == "granular" else None
+    if op == "bicriteria":  # it reports the K' and L' it rounded at
+        info: dict = {}
+        x = bicriteria_round(xbar, A, a, c, inst.d, args.epsilon, info_out=info)
+        K, L = info["K"], info["L"]
     else:
-        x = bicriteria_round(
-            xbar, inst.A, inst.a, inst.c, inst.d, args.epsilon, info_out=info
-        )
-    randomized = args.op == "randomized"
-    return SolveReport(
-        mode=f"round-{args.op}",
+        if op == "granular":  # it checks K before the rule below reads it
+            x = granular_round(xbar, A, a, c, K)
+        # the scale factor the op rounds at: scale(m, K W) with K = 1 but for
+        # granular, and 1 where no row is demanded
+        L = compute_scale_factor(inst.m, (K or 1) * width(A, a)) if inst.m else 1
+        if op == "randomized":
+            x = randomized_round(xbar, L, args.seed)
+        elif op == "derandomized":
+            x = derandomized_round(xbar, A, a, c, L)
+    randomized = op == "randomized"
+    return _report(
+        f"round-{op}",
+        inst,
+        x,
+        args.epsilon,
         fopt=sol.objective_value,
-        cost=dot(inst.c, x),
-        epsilon=args.epsilon if args.op == "bicriteria" else None,
-        K=info.get("K"),
-        L=info["L"],
+        epsilon=args.epsilon if op == "bicriteria" else None,
+        K=K,
+        L=L,
         seed=args.seed if randomized else None,
         rng=RNG_NAME if randomized else None,
-        x=x,
-        violations=check_solution(inst, x, args.epsilon),
     )
 
 
@@ -318,18 +310,9 @@ def _cmd_check(args) -> int:
     # the document as given: its own row numbers and its own d
     inst = parse_instance(_read_text(args.input))
     x = parse_solution(_read_text(args.solution), inst.n)
-    violations = check_solution(inst, x, args.epsilon)
-    ok = violations.ok_strict if args.mode == "strict" else violations.ok_bicriteria
-    report = SolveReport(
-        mode=f"check-{args.mode}",
-        cost=dot(inst.c, x),
-        x=x,
-        violations=violations,
-        guarantees_ok=ok,
-        epsilon=args.epsilon,
-        status="OK" if ok else "VIOLATED",
-    )
-    _emit(report, args.output)
+    report = _report(f"check-{args.mode}", inst, x, args.epsilon, epsilon=args.epsilon)
+    ok = getattr(report.violations, f"ok_{args.mode}")
+    _emit(replace(report, guarantees_ok=ok, status="OK" if ok else "VIOLATED"), args.output)
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 

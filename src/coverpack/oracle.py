@@ -177,6 +177,7 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
 
     if not any(map(gt, need, reach[0])):
         descend(0, 0)
+    del descend  # it holds itself in its closure: free the search's lists now
     if best_x is None:
         return BruteForceResult("INFEASIBLE", None, None, space, u)
     return BruteForceResult(

@@ -21,9 +21,13 @@ from coverpack.model import (
     LimitError,
     ParseError,
     dot,
+    normalize_width,
+    number_out,
     parse_instance,
+    report_dict,
     serialize_instance,
 )
+from coverpack.oracle import check_solution
 from coverpack.simplex import CertificateViolation
 
 
@@ -268,6 +272,37 @@ def test_text_output_prints_the_machine_report(run_argv, tmp_path, capsys):
     assert [key for key, _ in got] == [key for key, _ in want]
     # elapsed_s is a wall time: compared by key only
     assert [p for p in got if p[0] != "elapsed_s"] == [p for p in want if p[0] != "elapsed_s"]
+
+
+#: a random CPIP whose rounded points break d and B by amounts that move with epsilon
+SMALL_CPIP = ["gen", "--family", "random-cpip", "--m", "6", "--n", "8", "--r", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("run_argv", REPORT_RUNS.values(), ids=REPORT_RUNS.keys())
+def test_report_states_cost_and_violations_of_its_x(run_argv, tmp_path, capsys):
+    # every report states the exact cost c.x of the x it prints and that x's
+    # violations at --epsilon, whichever layer found the x
+    code, doc, _ = run(SMALL_CPIP, capsys=capsys)
+    assert code == EXIT_OK
+    path = tmp_path / "inst.json"
+    path.write_text(doc)
+    argv = [*run_argv, str(path), "--epsilon", "1/4", "--format", "machine"]
+    inst = parse_instance(doc)
+    if run_argv[0] == "check":  # within d at epsilon 1, not at 1/4
+        sol = tmp_path / "sol.json"
+        sol.write_text('{"x": [0, 4, 2, 0, 0, 0, 1, 0]}')
+        argv += ["--solution", str(sol)]
+    else:  # the other subcommands read the program normalized
+        inst = normalize_width(inst)
+    code, out, _ = run(argv, capsys=capsys)
+    assert code == (EXIT_INFEASIBLE if run_argv[0] == "check" else EXIT_OK)
+    rep = json.loads(out)
+    x = [Fraction(v) for v in rep["x"]]
+    violations = check_solution(inst, x, Fraction(1, 4))
+    assert rep["cost"] == number_out(dot(inst.c, x))
+    assert rep["violations"] == report_dict(violations)
+    if run_argv[0] == "check":
+        assert (rep["guarantees_ok"], rep["status"]) == (False, "VIOLATED")
 
 
 class TestRationalFlags:
@@ -520,17 +555,23 @@ class TestRound:
             assert rep["seed"] == 0
             assert rep["rng"] == "python-random-mt19937"
 
-    @pytest.mark.parametrize("op", ["granular", "bicriteria"])
+    @pytest.mark.parametrize("op", ["randomized", "derandomized", "granular", "bicriteria"])
     def test_no_demanded_rows(self, op, tmp_path, capsys, monkeypatch):
-        # L is read only by randomized and derandomized, which need a demanded row
+        # with no demanded row every op rounds at L = 1 and answers x = 0
         path = write_gap(tmp_path, '{"A": [[1, 1]], "a": [0], "c": [1, 1], "d": [2, 2]}')
         code, out, _ = run(["round", "--op", op, path, "--format", "machine"], capsys=capsys)
         assert code == EXIT_OK
         rep = json.loads(out)
-        assert rep["x"] == [0, 0] and rep["cost"] == 0
-        code, _, err = run(["round", "--op", "derandomized", path], capsys=capsys)
-        assert code == EXIT_USAGE
-        assert "no covering structure" in err
+        assert (rep["x"], rep["cost"], rep["L"]) == ([0, 0], 0, 1)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_granularity_checked_before_the_scale_factor(self, value, tmp_path, capsys):
+        code, out, err = run(
+            ["round", "--op", "granular", "--granularity", value, write_gap(tmp_path)],
+            capsys=capsys,
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"granularity K = {value} must be an int >= 1" in err
 
     def test_granular_report_is_exact(self, capsys, monkeypatch):
         code, doc, _ = run(

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import random
 import sys
@@ -121,6 +122,21 @@ class TestBruteForce:
         k = statuses.index("OPTIMAL")
         assert statuses == ["BUDGET_EXCEEDED"] * k + ["OPTIMAL"] * (len(statuses) - k)
         assert k > 0
+
+    def test_search_leaves_no_reference_cycle(self):
+        # the recursive search holds itself in its closure: unless the call
+        # frees it, each call keeps its lists alive until a collection
+        insts = [gen_random_cpip(6, 7, 2, seed) for seed in range(10)]
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for inst in insts:
+                assert brute_force_opt(inst).status in ("OPTIMAL", "INFEASIBLE")
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestCheckSolution:
