@@ -8,7 +8,8 @@ certifies every LP result), lets a bad argument through a reader of
 ``model`` (the nonnegativity check, the sequence reader, ``IntegerVector``'s
 entry check, the vector reader's int path, which must refuse a bool and
 check signs as the per-entry reference readers do) or of the rounding layer (a scale factor L below 1, a point
-beyond the estimator's float range), or lets a document's field error out as
+beyond the estimator's float range, ragged rows of A to ``width``, a negative
+entry of A to the scan), or lets a document's field error out as
 a bare ``InstanceError``, or lets ``run_bench`` take a spec that is not a
 ``GeneratorSpec``, or makes the CLI's report builder check violations at
 a fixed epsilon or ``check --mode strict`` read the bicriteria verdict,
@@ -240,7 +241,7 @@ MUTANTS = {
     ),
     "width-over-the-kept-columns-only": (
         ROUNDING,
-        "            peak = max(entries, default=0)\n"
+        "            peak = max(entries or (0,))  # faster than default=0\n"
         "            if keep is not None:\n"
         "                kept = list(map(keep.__getitem__, support))\n"
         "                support = list(itertools.compress(support, kept))\n"
@@ -249,8 +250,20 @@ MUTANTS = {
         "                kept = list(map(keep.__getitem__, support))\n"
         "                support = list(itertools.compress(support, kept))\n"
         "                entries = list(itertools.compress(entries, kept))\n"
-        "            peak = max(entries, default=0)\n",
+        "            peak = max(entries or (0,))  # faster than default=0\n",
         ["tests/test_rounding.py::test_an_entry_of_a_zero_column_sets_the_width", COVER_ROWS],
+    ),
+    "width-skips-the-shape-check": (
+        ROUNDING,
+        'as_sequence(a, "a", len(as_shape(A, "A", columns)))',
+        'as_sequence(a, "a", len(A))',
+        ["tests/test_rounding.py::test_width_refuses_what_the_roundings_refuse[ragged-rows]"],
+    ),
+    "cover-rows-take-a-negative-entry": (
+        ROUNDING,
+        "if entries and min(entries) < 0:  # a scaled entry keeps its sign",
+        "if False:",
+        ["tests/test_rounding.py::test_negative_entries_refused"],
     ),
     "support-drops-the-last-coordinate": (
         ROUNDING,

@@ -9,8 +9,8 @@ Subcommands over the JSON instance document format:
 * ``bench``  -- run the benchmark harness over generated families
 * ``check``  -- violation report for a candidate solution vector
 
-Exit codes, one per failure class: 0 success, 1 infeasible
-(``InfeasibleError``), 2 usage, document or other input errors
+Exit codes, one per failure class: 0 success (a closed output pipe too), 1
+infeasible (``InfeasibleError``), 2 usage, document or other input errors
 (``InstanceError``, ``OSError``), 3 a solver limit (``LimitError``: pivots,
 cut rounds, oracle points or depth, or the float scale factor), 4 an internal
 fault (``GuaranteeError``, a failed LP certificate among them, or any
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from dataclasses import replace
@@ -47,7 +48,6 @@ from coverpack.model import (
     parse_solution,
     report_dict,
     serialize_instance,
-    width,
 )
 from coverpack.oracle import brute_force_opt, check_solution
 from coverpack.rounding import (
@@ -59,6 +59,7 @@ from coverpack.rounding import (
     randomized_round,
     solve_cpip_bicriteria,
     solve_relaxation,
+    width,
 )
 
 EXIT_OK = 0
@@ -181,10 +182,10 @@ def _emit(report: SolveReport, output: str) -> None:
     """Print the report's fields: one JSON line, or one ``key: value`` line each."""
     d = report_dict(report)
     if output == "machine":
-        print(json.dumps(d))
+        print(json.dumps(d), flush=True)
         return
     for key, value in d.items():
-        print(f"{key}: {value if isinstance(value, str) else json.dumps(value)}")
+        print(f"{key}: {value if isinstance(value, str) else json.dumps(value)}", flush=True)
 
 
 def _report(mode: str, inst: CpipInstance, x, at, **fields) -> SolveReport:
@@ -286,7 +287,7 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
         delta=args.delta,
     )
-    print(serialize_instance(generate(spec)))
+    print(serialize_instance(generate(spec)), flush=True)
     return EXIT_OK
 
 
@@ -302,7 +303,7 @@ def _cmd_bench(args) -> int:
                 for k in range(args.count)
             )
     result = run_bench(specs, args.epsilons, include_timing=not args.no_timing)
-    print(result.to_jsonl() if args.output == "machine" else result.to_text())
+    print(result.to_jsonl() if args.output == "machine" else result.to_text(), flush=True)
     return EXIT_OK
 
 
@@ -337,6 +338,11 @@ def main(argv=None) -> int:
         else:
             report = _round_report(inst, args)
         _emit(report, args.output)
+        return EXIT_OK
+    # each print flushes, so a reader that stopped early shows here: not an error
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:  # what stdout still holds goes there at exit
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_OK
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -360,25 +360,6 @@ def is_width_normalized(inst: CpipInstance) -> bool:
     )
 
 
-def width(A, a) -> Fraction:
-    """min a_i / A_ij over the positive entries of A in rows with a_i > 0.
-
-    Zero-demand rows are vacuous and do not count.  A row's narrowest
-    ratio is a_i over its largest entry, and rows are compared by
-    cross-multiplication, so one quotient is built, not one per entry.
-    Entries may be Fractions or ints.
-    """
-    best = None  # (a_i, largest A_ij) of the narrowest row so far
-    for row, ai in zip(as_sequence(A, "A"), as_sequence(a, "a", len(A))):
-        if ai > 0:
-            peak = max(row, default=0)
-            if peak > 0 and (best is None or ai * best[1] < best[0] * peak):
-                best = (ai, peak)
-    if best is None:
-        raise InstanceError("no covering structure: A is all zeros on demanded rows")
-    return Fraction(best[0]) / best[1]
-
-
 def number_out(v):
     """JSON form of an exact number: an int, or "p/q"; other values pass through."""
     if type(v) is not Fraction and not isinstance(v, Fraction):  # the ABC check last

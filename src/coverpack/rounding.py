@@ -37,14 +37,14 @@ rounds to 0, moves no estimator term and has nothing to trim, so the
 coverage check of xbar, the estimator, the decisions, every slack and the
 trim cost O(nonzeros on the support), not O(nnz(A)); the LP vertices the
 solvers round are mostly zeros.  The same pass reads every entry, so a bad
-one in any column is ``InstanceError``, and takes each demanded row's
-largest entry over every column: an entry in a zero column can set the
-width, and with it K and L.  The scaled point L xbar is L.numerator X over
-L.denominator D, and an integral coordinate of it takes no decision.  A
-traced run (``trace_out``) keeps each row's term of the estimator and
-refreshes only the rows a decision touches, so it calls no more exp than
-an untraced one.  The public calls then run private cores on what was
-read: ``derandomized_round`` runs ``_derandomize``, ``granular_round`` runs
+or negative one in any column is ``InstanceError``, and takes each demanded
+row's largest entry over every column: an entry in a zero column can set
+the width, and with it K and L.  The scaled point L xbar is L.numerator X
+over L.denominator D, and an integral coordinate of it takes no decision.
+A traced run (``trace_out``) keeps each row's term of the estimator and
+refreshes only the rows a decision touches, so it calls no more exp than an
+untraced one.  The public calls then run private cores on what was read:
+``derandomized_round`` runs ``_derandomize``, ``granular_round`` runs
 ``_granular`` (``_derandomize`` on the K-scaled rows), and
 ``bicriteria_round`` runs ``_granular`` and takes the ceiling, or, where
 the float L' rounds to 1.0, takes the ceiling of xbar itself.
@@ -153,13 +153,13 @@ class CoverRows:
     the kept nonzero entries, and ``columns[j]`` lists (k, A'_kj) in slot
     order, empty for a column not kept.  So for a point that is 0 off
     ``support``, every coverage and slack test on these rows is exact:
-    scaling a row changes no ratio a_i / A_ij.  ``width`` is the width of
+    scaling a row changes no ratio a_i / A_ij.  ``width`` is the width W of
     all of (A, a), every column included, read off each demanded row's
-    largest entry in the same scan.
+    largest entry in the same scan, or None where none is positive.
     Int (a bool reads as one) and ``Fraction`` entries are scanned as they
     are; an entry with no ``numerator`` (a float, a string, None) sends the
     scan to ``as_fraction`` copies of A and a, and an entry that it cannot
-    read is ``InstanceError``.
+    read, or a negative one, is ``InstanceError``.
     """
 
     def __init__(self, A, a, x=None):
@@ -185,6 +185,10 @@ class CoverRows:
             # every row is read, a vacuous one too, so no entry goes unchecked
             support = list(itertools.compress(indices, map(numerator, row)))
             if numerator(ai) <= 0:
+                if ai < 0:
+                    raise InstanceError(f"a[{i}] = {ai} is negative")
+                if support and min(map(row.__getitem__, support)) < 0:  # its nonzeros only
+                    nonnegative(row, f"A[{i}]")
                 continue
             k = len(self.active)
             self.active.append(i)
@@ -194,8 +198,10 @@ class CoverRows:
                 demand, entries = ai.numerator, list(map(numerator, entries))
             else:
                 (demand, *entries), scale = integers([ai, *entries])
+            if entries and min(entries) < 0:  # a scaled entry keeps its sign
+                nonnegative(row, f"A[{i}]")  # raises, naming the entry
             # over every column: an entry off the kept ones can set the width
-            peak = max(entries, default=0)
+            peak = max(entries or (0,))  # faster than default=0
             if keep is not None:
                 kept = list(map(keep.__getitem__, support))
                 support = list(itertools.compress(support, kept))
@@ -207,15 +213,7 @@ class CoverRows:
             self.scales.append(scale)
             for j, v in zip(support, entries):
                 self.columns[j].append((k, v))
-        self._narrowest = narrowest
-
-    # lazy: a demanded system with no nonzero entry has no width, and
-    # _read reports it as an uncovered xbar first
-    @functools.cached_property
-    def width(self) -> Fraction:
-        if self._narrowest is None:
-            raise InstanceError("no covering structure: A is all zeros on demanded rows")
-        return Fraction(*self._narrowest)
+        self.width = None if narrowest is None else Fraction(*narrowest)
 
     def scaled(self, K: int) -> "CoverRows":
         """These rows with K times the demands, so K times the width."""
@@ -230,6 +228,20 @@ class CoverRows:
             sum(map(operator.mul, entries, map(x.__getitem__, support))) - demand * den
             for (support, entries), demand in zip(self.rows, self.demands)
         ]
+
+
+def width(A, a) -> Fraction:
+    """The width W = min a_i / A_ij over the positive entries of rows with a_i > 0.
+
+    (A, a) is read as the roundings read it (``_read``, ``CoverRows``);
+    ``InstanceError`` where no demanded row has a positive entry.
+    """
+    columns = len(as_sequence(A[0], "A[0]")) if as_sequence(A, "A") else 0
+    as_sequence(a, "a", len(as_shape(A, "A", columns)))
+    W = CoverRows(A, a).width
+    if W is None:
+        raise InstanceError("no covering structure: A is all zeros on demanded rows")
+    return W
 
 
 def _read_ints(values, name: str, n: int | None = None) -> tuple[list[int], int]:

@@ -18,13 +18,14 @@ import pytest
 from coverpack import rounding
 from coverpack.genbench import gen_multiset_multicover, gen_random_cpip, knapsack_gap
 from coverpack.kc import kc_system, solve_cip_strict, solve_lp_kc
-from coverpack.model import dot, normalize_width, width
+from coverpack.model import dot, normalize_width
 from coverpack.oracle import brute_force_opt
 from coverpack.rounding import (
     compute_scale_factor,
     derandomized_round,
     granular_round,
     solve_cpip_bicriteria,
+    width,
 )
 from coverpack.simplex import lp_from_instance, solve_lp, verify_certificate
 from conftest import F, kc_defects

@@ -2,10 +2,13 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -519,6 +522,20 @@ class TestGen:
         assert code == EXIT_OK
         inst = parse_instance(doc)
         assert parse_instance(serialize_instance(inst)) == inst
+
+    def test_reader_that_stops_early_is_no_error(self):
+        # a closed pipe used to print "error: [Errno 32] Broken pipe" and exit 2;
+        # the document, about 360 KB, is more than a pipe holds, so a write meets it
+        argv = ["gen", "--family", "set-cover", "--m", "300", "--n", "400"]
+        env = dict(os.environ, PYTHONPATH=str(Path(coverpack.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coverpack.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (EXIT_OK, b"")
 
     def test_gap_needs_delta(self, capsys, monkeypatch):
         code, _, err = run(["gen", "--family", "knapsack-gap"], capsys=capsys)

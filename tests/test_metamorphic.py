@@ -22,13 +22,14 @@ from hypothesis import strategies as st
 
 from coverpack.genbench import gen_random_cpip
 from coverpack.kc import solve_cip_strict
-from coverpack.model import normalize_width, width
+from coverpack.model import normalize_width
 from coverpack.oracle import brute_force_opt, check_solution
 from coverpack.rounding import (
     compute_scale_factor,
     derandomized_round,
     solve_cpip_bicriteria,
     solve_relaxation,
+    width,
 )
 from conftest import F
 

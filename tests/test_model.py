@@ -48,7 +48,6 @@ from coverpack.model import (
     report_dict,
     scale_rows,
     serialize_instance,
-    width,
 )
 from coverpack.oracle import brute_force_opt, check_solution
 from coverpack.rounding import (
@@ -58,6 +57,7 @@ from coverpack.rounding import (
     granular_round,
     randomized_round,
     solve_cpip_bicriteria,
+    width,
 )
 from coverpack.simplex import LpProblem, lp_from_instance, solve_lp, verify_certificate
 from conftest import F, make_inst

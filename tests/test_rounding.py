@@ -3,6 +3,7 @@ import functools
 import math
 import operator
 import random
+import re
 from decimal import Decimal
 
 import pytest
@@ -26,7 +27,6 @@ from coverpack.model import (
     dot,
     integers,
     normalize_width,
-    width,
 )
 from coverpack.oracle import brute_force_opt, check_solution
 from coverpack.rounding import (
@@ -39,6 +39,7 @@ from coverpack.rounding import (
     granularity_K,
     randomized_round,
     solve_cpip_bicriteria,
+    width,
 )
 from coverpack.simplex import lp_from_instance, solve_lp, verify_certificate
 from conftest import F, make_inst
@@ -935,6 +936,7 @@ def test_cover_rows_alike_in_every_form(given, exact):
         want.active, want.rows, want.demands, want.scales, want.columns, want.width
     )
     assert all(type(v) is int for v in got.demands + [v for _, row in got.rows for v in row])
+    assert width(*given) == got.width
     # on a point's support: the same rows on its nonzero columns, the same width
     x = [1, 0, 3, 0]
     kept = CoverRows(*given, x)
@@ -944,6 +946,52 @@ def test_cover_rows_alike_in_every_form(given, exact):
         for cols, row in got.rows
     ]
     assert kept.columns == [column if x[j] else [] for j, column in enumerate(got.columns)]
+
+
+def test_width_reads_a_float_entry_exactly():
+    # the width read apart from the roundings compared floats and returned 2.0
+    W = width([[0.5]], [1])
+    assert W == F(2) and type(W) is F
+
+
+#: (A, a) that width refuses as the roundings refuse it, and the message
+WIDTH_REFUSES = {
+    "str-entry": (([["x"]], [1]), "A[0][0]: cannot read 'x' as a rational"),
+    "None-entry": (([[None]], [1]), "A[0][0]: expected a number, got None"),
+    "ragged-rows": (([[1, 2], [1]], [1, 1]), "A[1] has 1 entries, expected 2"),
+}
+
+
+@pytest.mark.parametrize("given, message", WIDTH_REFUSES.values(), ids=WIDTH_REFUSES.keys())
+def test_width_refuses_what_the_roundings_refuse(given, message):
+    # a bad entry used to escape as TypeError, and ragged rows gave a width
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        width(*given)
+
+
+#: a negative entry of A, a negative demand and a negative entry of a vacuous
+#: row, each in the column where xbar = (0, 1) is 0, and the message
+NEGATIVE = {
+    "A": (([[-1, 2]], [1]), "A[0][0] = -1 is negative"),
+    "a": (([[1, 2]], [-1]), "a[0] = -1 is negative"),
+    "vacuous-row": (([[-1, 2]], [0]), "A[0][0] = -1 is negative"),
+}
+#: every public reader of (A, a), called on it
+READERS_OF_A = {
+    "derandomized_round": lambda A, a: derandomized_round([0, 1], A, a, [1, 1], 2),
+    "granular_round": lambda A, a: granular_round([0, 1], A, a, [1, 1], 2),
+    "bicriteria_round": lambda A, a: bicriteria_round([0, 1], A, a, [1, 1], None, 1),
+    "width": width,
+}
+
+
+@pytest.mark.parametrize("call", READERS_OF_A.values(), ids=READERS_OF_A.keys())
+@pytest.mark.parametrize("given, message", NEGATIVE.values(), ids=NEGATIVE.keys())
+def test_negative_entries_refused(given, message, call):
+    # bicriteria_round rounded past a negative entry, derandomized_round read a
+    # negative demand as a vacuous row, and width read past both
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        call(*given)
 
 
 class TestSolveCpipBicriteria:
