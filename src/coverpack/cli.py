@@ -9,16 +9,17 @@ Subcommands over the JSON instance document format:
 * ``bench``  -- run the benchmark harness over generated families
 * ``check``  -- violation report for a candidate solution vector
 
-Exit codes, one per failure class: 0 success (a closed output pipe too), 1
-infeasible (``InfeasibleError``), 2 usage, document or other input errors
+Exit codes, one per failure class: 0 success, 1 infeasible
+(``InfeasibleError``), 2 usage, document or other input errors
 (``InstanceError``, ``OSError``), 3 a solver limit (``LimitError``: pivots,
 cut rounds, oracle points or depth, or the float scale factor), 4 an internal
-fault (``GuaranteeError``, a failed LP certificate among them, or any
-other exception).  All randomness flows from --seed (default 0, never
-wall clock), so every run is reproducible.  Each subcommand takes only
-the flags it reads; any other flag exits 2.  Machine output is one JSON
-report per line; text output prints the same fields, one per line.  A
-report's cost and violations are those of the ``x`` it prints.
+fault (``GuaranteeError``, a failed LP certificate among them, or any other
+exception).  A reader of stdout that stops early changes no exit code and
+prints nothing on stderr.  All randomness flows from --seed (default 0, never
+wall clock), so every run is reproducible.  Each subcommand takes only the
+flags it reads; any other flag exits 2.  Machine output is one JSON report per
+line; text output prints the same fields, one per line.  A report's cost and
+violations are those of the ``x`` it prints.
 """
 
 from __future__ import annotations
@@ -178,14 +179,18 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text") from exc
 
 
+def _out(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader stopped early: no error, and the exit code stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # what is left goes here
+
+
 def _emit(report: SolveReport, output: str) -> None:
     """Print the report's fields: one JSON line, or one ``key: value`` line each."""
     d = report_dict(report)
-    if output == "machine":
-        print(json.dumps(d), flush=True)
-        return
-    for key, value in d.items():
-        print(f"{key}: {value if isinstance(value, str) else json.dumps(value)}", flush=True)
+    text = "\n".join(f"{k}: {v if isinstance(v, str) else json.dumps(v)}" for k, v in d.items())
+    _out(json.dumps(d) if output == "machine" else text)
 
 
 def _report(mode: str, inst: CpipInstance, x, at, **fields) -> SolveReport:
@@ -287,7 +292,7 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
         delta=args.delta,
     )
-    print(serialize_instance(generate(spec)), flush=True)
+    _out(serialize_instance(generate(spec)))
     return EXIT_OK
 
 
@@ -303,7 +308,7 @@ def _cmd_bench(args) -> int:
                 for k in range(args.count)
             )
     result = run_bench(specs, args.epsilons, include_timing=not args.no_timing)
-    print(result.to_jsonl() if args.output == "machine" else result.to_text(), flush=True)
+    _out(result.to_jsonl() if args.output == "machine" else result.to_text())
     return EXIT_OK
 
 
@@ -338,11 +343,6 @@ def main(argv=None) -> int:
         else:
             report = _round_report(inst, args)
         _emit(report, args.output)
-        return EXIT_OK
-    # each print flushes, so a reader that stopped early shows here: not an error
-    except BrokenPipeError:
-        with open(os.devnull, "w") as devnull:  # what stdout still holds goes there at exit
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_OK
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -186,7 +186,7 @@ class CoverRows:
             support = list(itertools.compress(indices, map(numerator, row)))
             if numerator(ai) <= 0:
                 if ai < 0:
-                    raise InstanceError(f"a[{i}] = {ai} is negative")
+                    nonnegative(a, "a")  # raises: no earlier demand was negative
                 if support and min(map(row.__getitem__, support)) < 0:  # its nonzeros only
                     nonnegative(row, f"A[{i}]")
                 continue

@@ -665,6 +665,28 @@ class TestOracleAndCheck:
         assert code == EXIT_INFEASIBLE
         assert json.loads(out)["status"] == "VIOLATED"
 
+    @pytest.mark.parametrize("output", ["text", "machine"])
+    @pytest.mark.parametrize(
+        "x, code", [("[1, 1]", EXIT_OK), ("[2, 1]", EXIT_INFEASIBLE)], ids=["met", "violated"]
+    )
+    def test_check_verdict_stands_with_stdout_closed(self, x, code, output, tmp_path):
+        # a reader such as "grep -q VIOLATED" may close the pipe before the
+        # report is written; a violated point must still exit 1, not 0
+        sol = tmp_path / "sol.json"
+        sol.write_text(f'{{"x": {x}}}')
+        argv = ["check", "--solution", str(sol), write_gap(tmp_path), "--format", output]
+        env = dict(os.environ, PYTHONPATH=str(Path(coverpack.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "coverpack.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+
     def test_check_reads_document_as_given(self, tmp_path, capsys, monkeypatch):
         # row 0 has no demand; the violated row keeps its document number
         doc = '{"A": [[1, 1], [1, 0]], "a": [0, 1], "c": [1, 1], "d": [2, 2]}'
