@@ -11,7 +11,8 @@ check signs as the per-entry reference readers do) or of the rounding layer (a s
 beyond the estimator's float range, ragged rows of A to ``width``, a negative
 entry of A to the scan), or lets a document's field error out as
 a bare ``InstanceError``, or lets ``run_bench`` take a spec that is not a
-``GeneratorSpec``, or makes the CLI's report builder check violations at
+``GeneratorSpec``, or makes its text table drop a field of the rows or its
+aggregates count a failed row, or makes the CLI's report builder check violations at
 a fixed epsilon or ``check --mode strict`` read the bicriteria verdict,
 or breaks a fast path: ``normalize_width``'s integer
 row test, the integer test of ``kc.high_set``, the rounding layer's scan of A (its integer rows, its width over every column and the
@@ -451,6 +452,18 @@ MUTANTS = {
         "if not isinstance(spec, GeneratorSpec):",
         "if False:",
         ["tests/test_model.py::test_solver_argument_out_of_range"],
+    ),
+    "bench-text-drops-a-field": (
+        "src/coverpack/genbench.py",
+        "names = [f.name for f in fields(BenchRow)]",
+        'names = [f.name for f in fields(BenchRow) if f.name != "max_pack_excess"]',
+        ["tests/test_genbench.py::TestRunBench::test_text_carries_every_field_of_the_machine_rows"],
+    ),
+    "bench-aggregates-count-error-rows": (
+        "src/coverpack/genbench.py",
+        "done = [row for row in result.rows if not row.error]",
+        "done = result.rows",
+        ["tests/test_genbench.py::TestRunBench::test_a_failed_row_counts_in_no_aggregate"],
     ),
     "cli-report-checks-at-epsilon-1": (
         CLI,

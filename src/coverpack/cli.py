@@ -18,8 +18,9 @@ exception).  A reader of stdout that stops early changes no exit code and
 prints nothing on stderr.  All randomness flows from --seed (default 0, never
 wall clock), so every run is reproducible.  Each subcommand takes only the
 flags it reads; any other flag exits 2.  Machine output is one JSON report per
-line; text output prints the same fields, one per line.  A report's cost and
-violations are those of the ``x`` it prints.
+line; text output prints the same fields and values, one per line (``bench``:
+one column per field).  A report's cost and violations are those of the ``x``
+it prints.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from coverpack.genbench import FAMILIES, GeneratorSpec, generate, run_bench
+from coverpack.genbench import FAMILIES, GeneratorSpec, _text_cell, generate, run_bench
 from coverpack.kc import solve_cip_strict, solve_lp_kc
 from coverpack.model import (
     CpipInstance,
@@ -141,13 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("gen", help="emit a generated instance")
     gen.add_argument("--family", required=True, choices=[f.lower().replace("_", "-") for f in FAMILIES])
-    gen.add_argument("--delta", type=_fraction, default=GeneratorSpec.delta)
-    gen.add_argument("--m", type=int, default=GeneratorSpec.m)
-    gen.add_argument("--n", type=int, default=GeneratorSpec.n)
-    gen.add_argument("--r", type=int, default=GeneratorSpec.r)
-    gen.add_argument("--density", type=float, default=GeneratorSpec.density)
-    gen.add_argument("--d-max", type=int, default=GeneratorSpec.d_max)
-    gen.add_argument("--seed", type=int, default=GeneratorSpec.seed)
+    types = {"delta": _fraction, "density": float}  # every other field is an int
+    for f in fields(GeneratorSpec)[1:]:  # one flag per field after family
+        flag = "--" + f.name.replace("_", "-")
+        gen.add_argument(flag, type=types.get(f.name, int), default=f.default)
 
     bench = subs.add_parser("bench", help="benchmark harness over generated families")
     bench.add_argument("--families", default="knapsack-gap",
@@ -189,7 +187,7 @@ def _out(text: str) -> None:
 def _emit(report: SolveReport, output: str) -> None:
     """Print the report's fields: one JSON line, or one ``key: value`` line each."""
     d = report_dict(report)
-    text = "\n".join(f"{k}: {v if isinstance(v, str) else json.dumps(v)}" for k, v in d.items())
+    text = "\n".join(f"{k}: {_text_cell(v)}" for k, v in d.items())
     _out(json.dumps(d) if output == "machine" else text)
 
 
@@ -237,7 +235,9 @@ def _oracle_report(inst: CpipInstance, args) -> SolveReport:
 
 def _round_report(inst: CpipInstance, args) -> SolveReport:
     sol = solve_relaxation(inst)
-    xbar, A, a, c, op = sol.primal, inst.A, inst.a, inst.c, args.op
+    rows = [S for S, _ in inst.int_rows[: inst.m]]  # as the solvers round them: scale-free
+    A, a = [S[:-1] for S in rows], [S[-1] for S in rows]
+    xbar, c, op = sol.primal, inst.c, args.op
     K = args.granularity if op == "granular" else None
     if op == "bicriteria":  # it reports the K' and L' it rounded at
         info: dict = {}
@@ -282,16 +282,8 @@ def _solve_report(inst: CpipInstance, args) -> SolveReport:
 
 def _cmd_gen(args) -> int:
     family = args.family.upper().replace("-", "_")
-    spec = GeneratorSpec(
-        family=family,
-        m=args.m,
-        n=args.n,
-        r=args.r,
-        density=args.density,
-        d_max=args.d_max,
-        seed=args.seed,
-        delta=args.delta,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(GeneratorSpec)[1:]}
+    spec = GeneratorSpec(family, **given)
     _out(serialize_instance(generate(spec)))
     return EXIT_OK
 

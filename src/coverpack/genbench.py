@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from time import perf_counter
 
@@ -227,32 +227,14 @@ class BenchResult:
         return "\n".join(lines)
 
     def to_text(self) -> str:
-        headers = [
-            "id", "eps", "fopt", "fopt_kc", "opt",
-            "bic_cost", "bic/fopt", "strict", "strict/opt", "K", "time_ms",
-        ]
-        table = [headers]
-        for row in self.rows:
-            if row.error:
-                table.append([row.instance_id, str(row.epsilon), "ERROR: " + row.error])
-                continue
-            table.append([
-                row.instance_id,
-                str(row.epsilon),
-                _short(row.fopt),
-                _short(row.fopt_kc),
-                _short(row.opt),
-                _short(row.bicriteria_cost),
-                f"{row.bicriteria_ratio_fopt:.3f}" if row.bicriteria_ratio_fopt is not None else "-",
-                _short(row.strict_cost),
-                f"{row.strict_ratio_opt:.3f}" if row.strict_ratio_opt is not None else "-",
-                str(row.K) if row.K is not None else "-",
-                f"{row.time_ms:.1f}" if row.time_ms is not None else "-",
-            ])
-        # an error row's one long cell widens no column
-        full = [r for r in table if len(r) == len(headers)]
-        widths = [max(len(r[i]) for r in full) for i in range(len(headers))]
-        out = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in table]
+        """One column per ``BenchRow`` field, in field order, each cell the
+        value ``to_jsonl`` writes (``_text_cell``); ``error`` is last, so a long
+        error widens no column.  The aggregates follow as ``key: value`` lines."""
+        names = [f.name for f in fields(BenchRow)]
+        dicts = map(report_dict, self.rows)
+        table = [names, *([_text_cell(d.get(k)) for k in names] for d in dicts)]
+        widths = [max(map(len, column)) for column in zip(*table)][:-1]
+        out = ["  ".join([*map(str.ljust, cells, widths), cells[-1]]) for cells in table]
         if self.aggregates:
             out.append("")
             for k, v in self.aggregates.items():
@@ -260,11 +242,11 @@ class BenchResult:
         return "\n".join(out)
 
 
-def _short(v) -> str:
+def _text_cell(v) -> str:
+    """A report value as text: a string as it is, anything else as JSON, ``-`` where absent."""
     if v is None:
         return "-"
-    f = float(v)
-    return f"{f:.6g}"
+    return v if isinstance(v, str) else json.dumps(v)
 
 
 def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
@@ -273,7 +255,9 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
     Per row: relaxation value, cut-strengthened value, exact optimum when
     the oracle budget allows, bicriteria cost and worst packing excess,
     strict cost, the granularity and scale parameters, and wall time.
-    Individual failures are recorded and the harness keeps going.  With
+    Individual failures are recorded and the harness keeps going; the
+    aggregates (mean and max of the bicriteria/fopt and strict/opt ratios)
+    are taken over the rows that finished without one.  With
     ``include_timing=False`` the output is bit-identical across runs for
     a fixed seed.  Every epsilon and spec is read before any instance is
     generated: an epsilon outside (0, 1], a spec that is not a
@@ -285,8 +269,6 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
         if not isinstance(spec, GeneratorSpec):
             raise InstanceError(f"specs[{k}] is not a GeneratorSpec")
     result = BenchResult()
-    ratios_fopt: list[float] = []
-    ratios_opt: list[float] = []
     for idx, spec in enumerate(specs):
         inst_id = f"{spec.family.lower()}-{idx}"
         for eps in epsilons:
@@ -322,20 +304,17 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
                     row.opt = oracle.cost
                     if oracle.cost > 0:
                         row.strict_ratio_opt = float(rep_s.cost / oracle.cost)
-                        ratios_opt.append(row.strict_ratio_opt)
                 if include_timing:
                     row.time_ms = (perf_counter() - t0) * 1000.0
-                if row.bicriteria_ratio_fopt is not None:
-                    ratios_fopt.append(row.bicriteria_ratio_fopt)
             except Exception as exc:  # record and continue
                 row.error = f"{type(exc).__name__}: {exc}"
             result.rows.append(row)
-    if ratios_fopt:
-        result.aggregates["bicriteria_vs_fopt_mean"] = round(
-            sum(ratios_fopt) / len(ratios_fopt), 6
-        )
-        result.aggregates["bicriteria_vs_fopt_max"] = round(max(ratios_fopt), 6)
-    if ratios_opt:
-        result.aggregates["strict_vs_opt_mean"] = round(sum(ratios_opt) / len(ratios_opt), 6)
-        result.aggregates["strict_vs_opt_max"] = round(max(ratios_opt), 6)
+    done = [row for row in result.rows if not row.error]  # a failed row counts in no aggregate
+    for key, ratio in (
+        ("bicriteria_vs_fopt", "bicriteria_ratio_fopt"), ("strict_vs_opt", "strict_ratio_opt")
+    ):
+        ratios = [v for row in done if (v := getattr(row, ratio)) is not None]
+        if ratios:
+            result.aggregates[f"{key}_mean"] = round(sum(ratios) / len(ratios), 6)
+            result.aggregates[f"{key}_max"] = round(max(ratios), 6)
     return result

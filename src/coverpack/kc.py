@@ -207,12 +207,13 @@ def solve_cip_strict(
     t0 = perf_counter()
     loop = solve_lp_kc(inst, lam, max_rounds=max_rounds)
     # the loop's last high set, at lambda = 1+eps, is the pinned set, and
-    # xbar violates none of its residual rows (the rounding re-checks;
-    # CoverRows skips the zero-demand ones); the integer rows round as they are
+    # xbar violates none of its residual rows (the rounding re-checks); only
+    # the demanded ones go to the rounding, as the integer rows they are
     xbar, system = loop.x, loop.system
     xres = tuple(ZERO if j in system.F else v for j, v in enumerate(xbar))
     info: dict = {}
-    A, a = [S[:-1] for S, _ in system.rows], [S[-1] for S, _ in system.rows]
+    demanded = [S for S, _ in system.rows if S[-1] > 0]
+    A, a = [S[:-1] for S in demanded], [S[-1] for S in demanded]
     xhat_rest = bicriteria_round(xres, A, a, inst.c, None, eps, info_out=info)
     xhat = IntegerVector([int(inst.d[j]) if j in system.F else v for j, v in enumerate(xhat_rest)])
     relaxed_cost = loop.round_objectives[-1]  # c . xbar, by its certificate

@@ -15,7 +15,9 @@ import pytest
 
 import coverpack
 from coverpack import rounding
-from coverpack.cli import EXIT_FAULT, EXIT_INFEASIBLE, EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
+from coverpack.cli import (
+    EXIT_FAULT, EXIT_INFEASIBLE, EXIT_LIMIT, EXIT_OK, EXIT_USAGE, build_parser, main,
+)
 from coverpack.model import (
     CoverpackError,
     GuaranteeError,
@@ -537,6 +539,23 @@ class TestGen:
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (EXIT_OK, b"")
 
+    def test_flags_types_and_defaults(self, capsys):
+        # one flag per GeneratorSpec field after --family, each with the field's default
+        assert main(["gen", "--help"]) == EXIT_OK
+        flags = {word for word in capsys.readouterr().out.split() if word.startswith("--")}
+        assert flags == {
+            "--help", "--family", "--delta", "--m", "--n", "--r", "--density", "--d-max", "--seed"
+        }
+        defaults = build_parser().parse_args(["gen", "--family", "set-cover"])
+        assert vars(defaults) == {
+            "subcommand": "gen", "family": "set-cover", "m": 4, "n": 5, "r": 0,
+            "density": 0.5, "d_max": 3, "seed": 0, "delta": None,
+        }
+        argv = ["--delta", "1/10", "--density", "0.25", "--m", "7", "--d-max", "2"]
+        got = build_parser().parse_args(["gen", "--family", "set-cover", *argv])
+        assert (got.delta, got.density, got.m, got.d_max) == (Fraction(1, 10), 0.25, 7, 2)
+        assert type(got.delta) is Fraction and type(got.density) is float and type(got.m) is int
+
     def test_gap_needs_delta(self, capsys, monkeypatch):
         code, _, err = run(["gen", "--family", "knapsack-gap"], capsys=capsys)
         assert code == EXIT_USAGE
@@ -755,7 +774,7 @@ class TestBench:
             capsys=capsys,
         )
         assert code == EXIT_OK
-        assert "strict/opt" in text
+        assert "strict_ratio_opt" in text.splitlines()[0].split()
         code, lines, _ = run(
             ["bench", "--families", "knapsack-gap", "--deltas", "1/2",
              "--no-timing", "--format", "machine"],

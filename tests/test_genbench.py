@@ -1,7 +1,12 @@
+import json
+from dataclasses import fields, replace
+
 import pytest
 
 from coverpack import genbench
 from coverpack.genbench import (
+    BenchResult,
+    BenchRow,
     GeneratorSpec,
     gen_multiset_multicover,
     gen_random_cpip,
@@ -147,17 +152,67 @@ class TestRunBench:
             genbench.ORACLE_MAX_POINTS
         )
         result = run_bench(specs, [F(1)], include_timing=False)
+        names = [f.name for f in fields(BenchRow)]
         header, error, over = result.to_text().splitlines()[:3]
-        # the error row's long cell widens no column: the header is as without it
-        alone = run_bench(specs[1:], [F(1)], include_timing=False)
-        assert header == alone.to_text().splitlines()[0]
-        assert error.rstrip().split(None, 2) == [
-            "knapsack_gap-0", "1", "ERROR: InstanceError: delta: expected a number, got None"
-        ]
-        # opt, strict/opt and time_ms: the "-" of a value not found
+        assert header.split() == names
+        # the error row's long cell widens no column: the header is as with a short error
+        short = BenchResult([replace(result.rows[0], error="x"), result.rows[1]])
+        assert header == short.to_text().splitlines()[0]
+        cells = error.split(None, len(names) - 1)
+        assert cells[:6] == ["knapsack_gap-0", "KNAPSACK_GAP", "4", "5", "0", "1"]
+        assert set(cells[6:-1]) == {"-"}
+        assert cells[-1] == "InstanceError: delta: expected a number, got None"
+        # opt, strict_ratio_opt and time_ms: the "-" of a value not found
         cells = over.split()
-        assert len(cells) == 11 and cells[4] == cells[8] == cells[10] == "-"
+        assert len(cells) == len(names)
+        got = dict(zip(names, cells))
+        assert got["opt"] == got["strict_ratio_opt"] == got["time_ms"] == got["error"] == "-"
         assert result.rows[1].opt is None and result.rows[1].strict_cost is not None
+
+    def test_text_carries_every_field_of_the_machine_rows(self):
+        # an error row, packing rows (max_pack_excess) and timed rows, at two epsilons
+        specs = [
+            GeneratorSpec("KNAPSACK_GAP", delta=None),
+            GeneratorSpec("KNAPSACK_GAP", delta=F(1, 10)),
+            GeneratorSpec("MULTISET_MULTICOVER", m=3, n=4, r=1, seed=6),
+            GeneratorSpec("RANDOM_CPIP", m=3, n=4, r=1, seed=9),
+        ]
+        result = run_bench(specs, [F(1, 4), F(1)])
+        names = [f.name for f in fields(BenchRow)]
+        table, aggregates = result.to_text().split("\n\n")
+        header, *lines = table.splitlines()
+        assert header.split() == names
+        *machine, last = map(json.loads, result.to_jsonl().splitlines())
+        assert len(lines) == len(machine) == len(result.rows) == 8
+        for line, row in zip(lines, machine):
+            cells = line.split(None, len(names) - 1)
+            assert len(cells) == len(names)
+            for name, cell in zip(names, cells):
+                want = row.get(name)
+                if want is None:
+                    assert cell == "-"
+                else:
+                    assert cell == want if isinstance(want, str) else json.loads(cell) == want
+        assert {"max_pack_excess", "L", "time_ms", "error"} <= {k for r in machine for k in r}
+        assert aggregates.splitlines() == [f"{k}: {v}" for k, v in last["aggregates"].items()]
+
+    def test_a_failed_row_counts_in_no_aggregate(self, monkeypatch):
+        # the first strict solve fails after its row's bicriteria ratio was set
+        specs = [GeneratorSpec("RANDOM_CPIP", m=3, n=4, r=1, seed=s) for s in (9, 5)]
+        calls = []
+
+        def strict_failing_once(inst, eps):
+            calls.append(inst)
+            if len(calls) == 1:
+                raise RuntimeError("strict failed")
+            return solve_cip_strict(inst, eps)
+
+        monkeypatch.setattr(genbench, "solve_cip_strict", strict_failing_once)
+        result = run_bench(specs, [F(1)], include_timing=False)
+        failed, kept = result.rows
+        assert failed.error == "RuntimeError: strict failed"
+        assert failed.bicriteria_ratio_fopt != kept.bicriteria_ratio_fopt
+        assert result.aggregates == run_bench(specs[1:], [F(1)], include_timing=False).aggregates
 
     @pytest.mark.parametrize("eps", [2, 0, F(-1, 2), "x"])
     def test_epsilon_refused_before_any_instance(self, eps, monkeypatch):

@@ -461,6 +461,21 @@ class TestSolveCipStrict:
                 rounds.append(report.lp_rounds)
         assert max(rounds) > 1
 
+    def test_only_demanded_rows_are_rounded(self, monkeypatch):
+        # once the high set is pinned, most residual rows have no demand left
+        handed = []
+
+        def spy(xbar, A, a, *args, **kwargs):
+            handed.append(list(a))
+            return rounding.bicriteria_round(xbar, A, a, *args, **kwargs)
+
+        monkeypatch.setattr(kc, "bicriteria_round", spy)
+        for seed in range(6):
+            inst = normalize_width(gen_random_cpip(10, 15, 2, seed=seed))
+            assert solve_cip_strict(inst, F(1, 4))[1].guarantees_ok
+        assert len(handed) == 6 and all(v > 0 for a in handed for v in a)
+        assert min(map(len, handed)) < 10  # a vacuous row was left out
+
     def test_cost_bound_breach_raises(self, monkeypatch):
         inst = normalize_width(gen_random_cpip(3, 4, 1, seed=17))
         inst = make_inst(

@@ -596,6 +596,24 @@ def test_candidate_vectors_store_a_tuple_and_hash_by_value(kind, values):
     assert repr(from_list) == repr(values) and IntegerVector((1, 0)) == FractionalVector((1, 0))
 
 
+class Half(F):
+    """A ``Fraction`` subclass, as a caller's own number type may be."""
+
+
+def test_fraction_subclass_entry_reads_as_its_value():
+    half = Half(1, 2)
+    assert as_fraction(half, "v") is half
+    assert as_vector((half, 1), "v") == (F(1, 2), F(1))
+    inst = CpipInstance.from_data(
+        A=[[half, 1], [1, half]], a=[1, 1], c=[1, half], d=[2, 2], B=[[half, 1]], b=[3]
+    )
+    assert inst.A == ((F(1, 2), F(1)), (F(1), F(1, 2))) and inst.c == (1, F(1, 2))
+    norm = normalize_width(inst)
+    assert solve_cip_strict(norm, F(1, 4))[1].guarantees_ok
+    assert solve_cpip_bicriteria(norm, F(1, 4))[1].guarantees_ok
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
 class TestNormalize:
     def test_truncates_large_coefficients(self):
         inst = make_inst(A=[[5, "1/2"]], a=[2], c=[1, 1], d=[None, None])
