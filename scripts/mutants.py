@@ -16,7 +16,10 @@ aggregates count a failed row, or makes the CLI's report builder check violation
 a fixed epsilon or ``check --mode strict`` read the bicriteria verdict,
 or breaks a fast path: ``normalize_width``'s integer
 row test, the integer test of ``kc.high_set``, the rounding layer's scan of A (its integer rows, its width over every column and the
-support of xbar it keeps), the estimator's kept trace terms,
+support of xbar it keeps), the slot reads of a vector of ``Fraction``s
+(``model._parts``, which the scan, ``integers`` and ``nonnegative`` share: a
+numerator read from the denominator's slot, a dropped sign or dropped
+denominators), the estimator's kept trace terms,
 ``check_solution``'s integer multiplicity test, the oracle's cost
 bound and value skip, which must leave its answer as it is, the guided
 simplex, which must not keep a basis that fails its certificate or whose
@@ -119,6 +122,14 @@ CANDIDATES = "tests/test_model.py::test_candidate_vectors_are_sequences_of_nonne
 READERS = [
     "tests/test_model.py::TestReadersEqualThePerEntryReference::test_fixed_cases",
     "tests/test_model.py::TestReadersEqualThePerEntryReference::test_equal_on_generated_data",
+]
+
+FRACTION_ROWS = "tests/test_rounding.py::test_cover_rows_of_fractions_equal_the_rows_as_ints"
+PARTS = "tests/test_model.py::test_parts_and_its_readers_equal_the_property_reference"
+BAD_AMONG_FRACTIONS = [
+    "tests/test_model.py::test_a_bad_entry_among_fractions_refused_in_the_readers_words"
+    f"[negative-Fraction-{reader}]"
+    for reader in ("from_data-A", "vector", "width-A", "bicriteria_round")
 ]
 
 #: name -> (file, old, new, the tests that must fail)
@@ -235,9 +246,9 @@ MUTANTS = {
         [TRACE],
     ),
     "scan-takes-numerators-under-an-integer-demand": (
-        ROUNDING,
-        "if scale == 1:",
-        "if scale == 1 or ai.denominator == 1:",
+        MODEL,
+        "return (nums if D == 1 else",
+        "return (nums if D == 1 or dens[-1] == 1 else",  # the scan puts the demand last
         [COVER_ROWS],
     ),
     "width-over-the-kept-columns-only": (
@@ -400,8 +411,8 @@ MUTANTS = {
     ),
     "nonnegative-skips-entry-0": (
         MODEL,
-        'if min(map(getattr, values, repeat("numerator"), values), default=0) < 0:',
-        'if min(map(getattr, values[1:], repeat("numerator"), values[1:]), default=0) < 0:',
+        "negative = min(_parts(values), default=0) < 0",
+        "negative = min(_parts(values[1:]), default=0) < 0",
         ["tests/test_model.py::TestParse::test_from_data_refuses"],
     ),
     "sequence-reader-takes-a-set": (
@@ -446,6 +457,24 @@ MUTANTS = {
         "if max(S) > demand:",
         "if max(S) > 2 * demand:",
         ["tests/test_model.py::TestNormalize::test_truncates_large_coefficients", *READERS],
+    ),
+    "fraction-slots-read-the-denominator-as-the-numerator": (
+        MODEL,
+        'attrgetter("_numerator")',
+        'attrgetter("_denominator")',  # the numerators' getter reads the other slot
+        [FRACTION_ROWS],
+    ),
+    "fraction-slots-drop-the-sign": (
+        MODEL,
+        "nums = list(map(_slot_numerator, values))",
+        "nums = list(map(abs, map(_slot_numerator, values)))",
+        [*BAD_AMONG_FRACTIONS, PARTS],
+    ),
+    "fraction-slots-drop-the-d-scaling": (
+        MODEL,
+        "return (nums, list(map(_slot_denominator, values))) if denominators else nums",
+        "return (nums, [1] * len(nums)) if denominators else nums",
+        [PARTS],
     ),
     "run-bench-takes-any-spec": (
         "src/coverpack/genbench.py",

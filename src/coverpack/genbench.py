@@ -254,14 +254,16 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
 
     Per row: relaxation value, cut-strengthened value, exact optimum when
     the oracle budget allows, bicriteria cost and worst packing excess,
-    strict cost, the granularity and scale parameters, and wall time.
-    Individual failures are recorded and the harness keeps going; the
-    aggregates (mean and max of the bicriteria/fopt and strict/opt ratios)
-    are taken over the rows that finished without one.  With
-    ``include_timing=False`` the output is bit-identical across runs for
-    a fixed seed.  Every epsilon and spec is read before any instance is
-    generated: an epsilon outside (0, 1], a spec that is not a
-    ``GeneratorSpec``, or a non-sequence ``specs`` or ``epsilons`` is ``InstanceError``.
+    strict cost, the granularity and scale parameters, and wall time.  A
+    row's m, n and r are its spec's until the instance is generated, then
+    the instance's, then those of its ``normalize_width`` form.  Individual
+    failures are recorded and the harness keeps going; the aggregates (mean
+    and max of the bicriteria/fopt and strict/opt ratios) are taken over the
+    rows that finished without one.  With ``include_timing=False`` the
+    output is bit-identical across runs for a fixed seed.  Every epsilon and
+    spec is read before any instance is generated: an epsilon outside
+    (0, 1], a spec that is not a ``GeneratorSpec``, or a non-sequence
+    ``specs`` or ``epsilons`` is ``InstanceError``.
     """
     epsilons = [as_epsilon(eps) for eps in as_sequence(epsilons, "epsilons")]
     specs = as_sequence(specs, "specs")
@@ -281,7 +283,9 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
                 epsilon=eps,
             )
             try:
-                inst = normalize_width(generate(spec))
+                inst = generate(spec)
+                row.m, row.n, row.r = inst.m, inst.n, inst.r
+                inst = normalize_width(inst)
                 row.m, row.n, row.r = inst.m, inst.n, inst.r
                 t0 = perf_counter()
                 xb, rep_b = solve_cpip_bicriteria(inst, eps)

@@ -49,6 +49,8 @@ UNBOUNDED = None
 ZERO = Fraction(0)
 
 _numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+#: the slots under those properties that ``Fraction`` declares, read with no Python-level call
+_slot_numerator, _slot_denominator = attrgetter("_numerator"), attrgetter("_denominator")
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -152,9 +154,16 @@ def as_shape(rows, name: str, n: int):
 
 
 def nonnegative(values, name: str):
-    """``values``, real numbers; ``InstanceError`` names the first negative entry."""
-    # a rational has its numerator's sign; getattr's default keeps any other number
-    if min(map(getattr, values, repeat("numerator"), values), default=0) < 0:
+    """``values``, real numbers; ``InstanceError`` names the first negative entry.
+
+    A rational has its numerator's sign, read by ``_parts``; in a vector with
+    a number that has none (a float), each such number is its own sign.
+    """
+    try:
+        negative = min(_parts(values), default=0) < 0
+    except AttributeError:
+        negative = min(map(getattr, values, repeat("numerator"), values), default=0) < 0
+    if negative:
         j = next(j for j, v in enumerate(values) if v < 0)
         raise InstanceError(f"{name}[{j}] = {values[j]} is negative")
     return values
@@ -220,10 +229,32 @@ def dot(u: Sequence[Fraction], v: Sequence) -> Fraction:
 
 
 def integers(values) -> tuple[list[int], int]:
-    """Rationals (or ints) over their least common denominator D: (values * D, D)."""
-    dens = list(map(_denominator, values))
-    D, nums = lcm(*dens), list(map(_numerator, values))
+    """Rationals or ints over their least common denominator D, by ``_parts``: (values * D, D)."""
+    nums, dens = _parts(values, True)
+    D = lcm(*dens)
     return (nums if D == 1 else list(map(mul, nums, map(D.__floordiv__, dens)))), D
+
+
+def _parts(values, denominators: bool = False):
+    """A vector's numerators, or with ``denominators`` (numerators, denominators).
+
+    A vector that starts with a ``Fraction`` is read through the slots that
+    ``Fraction`` declares, into lists, with no Python-level call per entry.
+    Any other vector, or one with an entry that has no slots (an int or a
+    bool: ``AttributeError``), is read through the public properties, which
+    raise for a float, None or a string as they always did; its numerators
+    alone come as a lazy ``map``, read (and raising) where they are used.
+    """
+    if values and type(values[0]) is Fraction:
+        try:
+            nums = list(map(_slot_numerator, values))
+            return (nums, list(map(_slot_denominator, values))) if denominators else nums
+        except AttributeError:
+            pass
+    if not denominators:
+        return map(_numerator, values)
+    dens = list(map(_denominator, values))  # first: a bad entry raises as integers always did
+    return list(map(_numerator, values)), dens
 
 
 def scale_rows(rows) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -510,7 +541,8 @@ def serialize_instance(inst: CpipInstance) -> str:
 
 
 def _numbers_out(values) -> list:
-    """``number_out`` of each entry; a vector whose denominators are all 1 as its numerators."""
-    if set(map(_denominator, values)) <= {1}:
-        return list(map(_numerator, values))
-    return [number_out(v) for v in values]
+    """``number_out`` of each entry, read by ``_parts``; all denominators 1: the numerators."""
+    nums, dens = _parts(values, True)
+    if set(dens) <= {1}:
+        return nums
+    return [p if q == 1 else f"{p}/{q}" for p, q in zip(nums, dens)]

@@ -32,7 +32,8 @@ denominator D, checks each shape and sign, and scans the dense A once, into
 ``CoverRows``: its demanded rows scaled to Python ints and kept over their
 nonzeros on the support of xbar (the j with X_j > 0), by row and by column
 (both solvers hand ``bicriteria_round`` integer rows, whose lcm is 1, and
-the scan takes such a row's numerators as they are).  A zero coordinate
+the scan takes such a row's numerators as they are; a row of ``Fraction``s
+is read through their slots, by ``model``'s one reader).  A zero coordinate
 rounds to 0, moves no estimator term and has nothing to trim, so the
 coverage check of xbar, the estimator, the decisions, every slack and the
 trim cost O(nonzeros on the support), not O(nnz(A)); the LP vertices the
@@ -70,6 +71,7 @@ from coverpack.model import (
     IntegerVector,
     LimitError,
     SolveReport,
+    _parts,
     as_bounds,
     as_epsilon,
     as_fraction,
@@ -156,10 +158,13 @@ class CoverRows:
     scaling a row changes no ratio a_i / A_ij.  ``width`` is the width W of
     all of (A, a), every column included, read off each demanded row's
     largest entry in the same scan, or None where none is positive.
-    Int (a bool reads as one) and ``Fraction`` entries are scanned as they
-    are; an entry with no ``numerator`` (a float, a string, None) sends the
-    scan to ``as_fraction`` copies of A and a, and an entry that it cannot
-    read, or a negative one, is ``InstanceError``.
+    Each row's numerators, and its nonzeros' denominators, are read by
+    ``model._parts``: through the slots that ``Fraction`` declares where the
+    row starts with a ``Fraction``, at C speed, and otherwise (an int row, a
+    bool read as an int, a row that mixes ints into ``Fraction``s) through
+    the public properties.  An entry with no ``numerator`` (a float, a
+    string, None) sends the scan to ``as_fraction`` copies of A and a, and an
+    entry that it cannot read, or a negative one, is ``InstanceError``.
     """
 
     def __init__(self, A, a, x=None):
@@ -179,12 +184,11 @@ class CoverRows:
         keep = None if x is None or all(x) else x  # a point with no zero keeps every column
         self.support = list(indices if keep is None else itertools.compress(indices, keep))
         narrowest = None  # (a'_k, largest A'_kj) of the narrowest demanded row
-        numerator = operator.attrgetter("numerator")  # None or "" has none: not read as 0
-        denominator = operator.attrgetter("denominator")
         for i, (row, ai) in enumerate(zip(A, a)):
-            # every row is read, a vacuous one too, so no entry goes unchecked
-            support = list(itertools.compress(indices, map(numerator, row)))
-            if numerator(ai) <= 0:
+            # every row is read, a vacuous one too, so no entry goes unchecked; None
+            # or "" has no numerator, so it is not read as 0
+            support = list(itertools.compress(indices, _parts(row)))
+            if ai.numerator <= 0:
                 if ai < 0:
                     nonnegative(a, "a")  # raises: no earlier demand was negative
                 if support and min(map(row.__getitem__, support)) < 0:  # its nonzeros only
@@ -192,12 +196,9 @@ class CoverRows:
                 continue
             k = len(self.active)
             self.active.append(i)
-            entries = list(map(row.__getitem__, support))
-            scale = math.lcm(ai.denominator, *map(denominator, entries))
-            if scale == 1:  # integer entries (all of them in a 0/1 row): as they are
-                demand, entries = ai.numerator, list(map(numerator, entries))
-            else:
-                (demand, *entries), scale = integers([ai, *entries])
+            # the demand last: the first nonzero entry decides how _parts reads them
+            entries, scale = integers([*map(row.__getitem__, support), ai])
+            demand = entries.pop()
             if entries and min(entries) < 0:  # a scaled entry keeps its sign
                 nonnegative(row, f"A[{i}]")  # raises, naming the entry
             # over every column: an entry off the kept ones can set the width

@@ -214,6 +214,19 @@ class TestRunBench:
         assert failed.bicriteria_ratio_fopt != kept.bicriteria_ratio_fopt
         assert result.aggregates == run_bench(specs[1:], [F(1)], include_timing=False).aggregates
 
+    @pytest.mark.parametrize("stage", ["normalize_width", "solve_cpip_bicriteria"])
+    def test_a_failed_row_reports_the_sizes_of_its_instance(self, stage, monkeypatch):
+        # a knapsack-gap instance is 1x2 with r = 0, whatever the spec's m, n and r
+        # say; a failed normalize_width left the spec's 4, 5 and 0 in the row
+        def failing(*args):
+            raise RuntimeError(f"{stage} failed")
+
+        monkeypatch.setattr(genbench, stage, failing)
+        spec = GeneratorSpec("KNAPSACK_GAP", delta=F(1, 2))
+        assert (spec.m, spec.n, spec.r) == (4, 5, 0)
+        (row,) = run_bench([spec], [1]).rows
+        assert (row.m, row.n, row.r, row.error) == (1, 2, 0, f"RuntimeError: {stage} failed")
+
     @pytest.mark.parametrize("eps", [2, 0, F(-1, 2), "x"])
     def test_epsilon_refused_before_any_instance(self, eps, monkeypatch):
         # an epsilon of 2 used to reach every row's error text, after each

@@ -614,6 +614,116 @@ def test_fraction_subclass_entry_reads_as_its_value():
     assert parse_instance(serialize_instance(inst)) == inst
 
 
+def test_fraction_declares_the_slots_the_readers_read():
+    # model._parts reads these private slots of a Fraction vector; under other
+    # names every such vector would be read through the slower properties
+    assert F.__slots__ == ("_numerator", "_denominator")
+    for v in (F(0), F(-6, 4), F(10**30, 7), Half(3, 9)):
+        assert (v._numerator, v._denominator) == (v.numerator, v.denominator)
+
+
+# -- model._parts, the one reader of a vector's numerators and denominators --
+
+
+def reference_parts(values, denominators=False):
+    """The public properties, one entry at a time."""
+    nums = [v.numerator for v in values]
+    return (nums, [v.denominator for v in values]) if denominators else nums
+
+
+def reference_integers(values):
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
+def reference_nonnegative(values, name):
+    for j, v in enumerate(values):
+        if v < 0:
+            raise InstanceError(f"{name}[{j}] = {v} is negative")
+    return values
+
+
+def reference_numbers_out(values):
+    return [p if q == 1 else f"{p}/{q}" for p, q in ((v.numerator, v.denominator) for v in values)]
+
+
+EXACT = st.fractions(min_value=-4, max_value=6, max_denominator=6)
+#: entries that have a numerator and a denominator: those of a vector of one kind
+EXACT_KINDS = {
+    "fractions": EXACT,
+    "ints": st.one_of(st.integers(-3, 6), st.integers(2**64, 2**66)),
+    "bools": st.booleans(),
+    "halves": st.builds(Half, EXACT),
+}
+
+
+@st.composite
+def exact_vectors(draw):
+    """A list or tuple of one kind of ``EXACT_KINDS``, or of all of them mixed."""
+    kind = draw(st.sampled_from([*EXACT_KINDS, "mixed"]))
+    entry = st.one_of(*EXACT_KINDS.values()) if kind == "mixed" else EXACT_KINDS[kind]
+    values = draw(st.lists(entry, max_size=8))
+    return tuple(values) if draw(st.booleans()) else values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exact_vectors(), min_size=1, max_size=4))
+def test_parts_and_its_readers_equal_the_property_reference(matrix):
+    # a vector of Fractions is read through their slots, any other through the
+    # properties; the numbers, and the refusal of a negative entry, are the same
+    for values in matrix:
+        assert list(model._parts(values)) == reference_parts(values)
+        assert model._parts(values, True) == reference_parts(values, True)
+        assert integers(values) == reference_integers(values)
+        assert all(type(k) is int for k in model._parts(values))
+        assert outcome(nonnegative, values, "v") == outcome(reference_nonnegative, values, "v")
+        assert model._numbers_out(values) == reference_numbers_out(values)
+
+
+def test_parts_of_an_empty_vector():
+    for empty in ((), []):
+        assert list(model._parts(empty)) == [] and model._parts(empty, True) == ([], [])
+        assert integers(empty) == ([], 1) and model._numbers_out(empty) == []
+        assert nonnegative(empty, "v") is empty
+
+
+#: a bad entry, put third in a row of Fractions, and the end of every reader's refusal
+BAD_AMONG_FRACTIONS = {
+    "None": (None, ": expected a number, got None"),
+    "empty-string": ("", ": cannot read '' as a rational"),
+    "negative-float": (-0.5, " = -1/2 is negative"),
+    "negative-Fraction": (F(-1, 2), " = -1/2 is negative"),
+    "negative-int": (-3, " = -3 is negative"),
+}
+#: each reader of such a row, called on it, and the name its refusal gives the row
+READERS_OF_A_ROW = {
+    "from_data-A": (lambda row: CpipInstance.from_data([row], [1], [1] * 4, [None] * 4), "A[0]"),
+    "from_data-a": (lambda row: CpipInstance.from_data([[1] * 4] * 4, row, [1] * 4, [None] * 4),
+                    "a"),
+    "vector": (lambda row: nonnegative(as_vector(row, "v"), "v"), "v"),
+    "width-A": (lambda row: width([row], [F(1)]), "A[0]"),
+    "width-a": (lambda row: width([[F(1)] * 4] * 4, row), "a"),
+    "bicriteria_round": (lambda row: bicriteria_round([1] * 4, [row], [F(1)], [1] * 4, None, 1),
+                         "A[0]"),
+}
+
+
+@pytest.mark.parametrize("read, name", READERS_OF_A_ROW.values(), ids=READERS_OF_A_ROW.keys())
+@pytest.mark.parametrize("bad, refusal", BAD_AMONG_FRACTIONS.values(),
+                         ids=BAD_AMONG_FRACTIONS.keys())
+def test_a_bad_entry_among_fractions_refused_in_the_readers_words(bad, refusal, read, name):
+    # the row is read through the Fractions' slots until the bad entry, then
+    # as the readers always read it
+    with pytest.raises(InstanceError, match=f"^{re.escape(name + '[2]' + refusal)}$"):
+        read([F(1, 2), F(1), bad, F(3, 4)])
+
+
+@pytest.mark.parametrize("read, _", READERS_OF_A_ROW.values(), ids=READERS_OF_A_ROW.keys())
+@pytest.mark.parametrize("entry", [3, 0.5, Half(5, 2)])
+def test_an_int_float_or_subclass_among_fractions_reads_as_its_value(entry, read, _):
+    assert read([F(1, 2), F(1), entry, F(3, 4)]) == read([F(1, 2), F(1), F(entry), F(3, 4)])
+
+
 class TestNormalize:
     def test_truncates_large_coefficients(self):
         inst = make_inst(A=[[5, "1/2"]], a=[2], c=[1, 1], d=[None, None])

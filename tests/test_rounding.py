@@ -948,6 +948,41 @@ def test_cover_rows_alike_in_every_form(given, exact):
     assert kept.columns == [column if x[j] else [] for j, column in enumerate(got.columns)]
 
 
+def cover_rows_read(rows):
+    return (rows.active, rows.rows, rows.demands, rows.scales, rows.columns, rows.support,
+            rows.width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cover_rows_of_fractions_equal_the_rows_as_ints(data):
+    # a row of Fractions is read through their slots, an int row through the
+    # properties: the same rows, kept columns and width, with and without a point
+    m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(0, 3), st.integers(2**64, 2**65))
+    A = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+    a = [data.draw(entry) for _ in range(m)]
+    x = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    fractions = [[F(v) for v in row] for row in A], [F(v) for v in a]
+    for point in (None, x):
+        got, want = CoverRows(*fractions, point), CoverRows(A, a, point)
+        assert cover_rows_read(got) == cover_rows_read(want)
+    # rows of Fractions over other denominators: one integers() call per row
+    D = data.draw(st.integers(2, 6))
+    scaled = [[F(v, D) for v in row] for row in A], [F(v, D + 1) for v in a]
+    got = CoverRows(*scaled)
+    assert (got.active, got.rows, got.demands, got.scales) == reference_cover_rows(*scaled)
+
+
+@pytest.mark.parametrize("kind", [int, F])
+def test_cover_rows_of_a_zero_column_matrix(kind):
+    A, a = [[], []], [kind(1), kind(0)]
+    for point in (None, []):
+        assert cover_rows_read(CoverRows(A, a, point)) == ([0], [([], [])], [1], [1], [], [], None)
+    with pytest.raises(InstanceError, match="^no covering structure"):
+        width(A, a)
+
+
 def test_width_reads_a_float_entry_exactly():
     # the width read apart from the roundings compared floats and returned 2.0
     W = width([[0.5]], [1])
