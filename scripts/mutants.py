@@ -17,9 +17,11 @@ a fixed epsilon or ``check --mode strict`` read the bicriteria verdict,
 or breaks a fast path: ``normalize_width``'s integer
 row test, the integer test of ``kc.high_set``, the rounding layer's scan of A (its integer rows, its width over every column and the
 support of xbar it keeps), the slot reads of a vector of ``Fraction``s
-(``model._parts``, which the scan, ``integers`` and ``nonnegative`` share: a
+(``model._parts``' list displays, which the scan, ``integers`` and ``nonnegative`` share: a
 numerator read from the denominator's slot, a dropped sign or dropped
-denominators), the estimator's kept trace terms,
+denominators), the estimator's kept trace terms, the surplus trim (tied
+costs taken by descending index, a first pass that keeps a unit its rows
+can spare),
 ``check_solution``'s integer multiplicity test, the oracle's cost
 bound and value skip, which must leave its answer as it is, the guided
 simplex, which must not keep a basis that fails its certificate or whose
@@ -66,6 +68,7 @@ AUDIT = "tests/test_oracle.py::TestKcValidity"
 COVER_ROWS = "tests/test_rounding.py::test_cover_rows_alike_in_every_form"
 TRACE = "tests/test_rounding.py::test_trace_out_is_phi_recomputed_from_scratch"
 RATIONAL_ROWS = "tests/test_rounding.py::test_rational_row_outputs_pinned"
+TRIM = "tests/test_rounding.py::test_trim_surplus_equals_the_reference_loop"
 ORACLE = "src/coverpack/oracle.py"
 ORACLE_PARITY = [
     "tests/test_oracle.py::TestOracleParity::test_edge_cases_the_bound_must_not_prune",
@@ -241,7 +244,7 @@ MUTANTS = {
     ),
     "trace-term-not-refreshed": (
         ROUNDING,
-        "terms[k] = _row_term(exponents[k])",
+        "terms[k] = math.exp(60.0 if e > 60.0 else e)",
         "pass",
         [TRACE],
     ),
@@ -282,6 +285,18 @@ MUTANTS = {
         "rows = CoverRows(A, a, X)",
         "rows = CoverRows(A, a, X[:-1] + [0])",
         [RATIONAL_ROWS, "tests/test_rounding.py::test_a_zero_column_changes_no_rounding"],
+    ),
+    "trim-ties-go-by-descending-index": (
+        ROUNDING,
+        "for j in sorted(support, key=costs.__getitem__, reverse=True):",
+        "for j in sorted(reversed(support), key=costs.__getitem__, reverse=True):",
+        [TRIM],
+    ),
+    "trim-first-pass-keeps-a-unit-a-row-can-spare": (
+        ROUNDING,
+        "if slack[k] < aij:",
+        "if slack[k] <= aij:",
+        [TRIM],
     ),
     "oracle-bound-deficit-doubled": (
         ORACLE,
@@ -460,19 +475,19 @@ MUTANTS = {
     ),
     "fraction-slots-read-the-denominator-as-the-numerator": (
         MODEL,
-        'attrgetter("_numerator")',
-        'attrgetter("_denominator")',  # the numerators' getter reads the other slot
+        "nums = [v._numerator for v in values]",
+        "nums = [v._denominator for v in values]",  # the numerators' display reads the other slot
         [FRACTION_ROWS],
     ),
     "fraction-slots-drop-the-sign": (
         MODEL,
-        "nums = list(map(_slot_numerator, values))",
-        "nums = list(map(abs, map(_slot_numerator, values)))",
+        "nums = [v._numerator for v in values]",
+        "nums = [abs(v._numerator) for v in values]",
         [*BAD_AMONG_FRACTIONS, PARTS],
     ),
     "fraction-slots-drop-the-d-scaling": (
         MODEL,
-        "return (nums, list(map(_slot_denominator, values))) if denominators else nums",
+        "return (nums, [v._denominator for v in values]) if denominators else nums",
         "return (nums, [1] * len(nums)) if denominators else nums",
         [PARTS],
     ),

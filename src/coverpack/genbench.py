@@ -255,15 +255,17 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
     Per row: relaxation value, cut-strengthened value, exact optimum when
     the oracle budget allows, bicriteria cost and worst packing excess,
     strict cost, the granularity and scale parameters, and wall time.  A
-    row's m, n and r are its spec's until the instance is generated, then
-    the instance's, then those of its ``normalize_width`` form.  Individual
-    failures are recorded and the harness keeps going; the aggregates (mean
-    and max of the bicriteria/fopt and strict/opt ratios) are taken over the
-    rows that finished without one.  With ``include_timing=False`` the
-    output is bit-identical across runs for a fixed seed.  Every epsilon and
-    spec is read before any instance is generated: an epsilon outside
-    (0, 1], a spec that is not a ``GeneratorSpec``, or a non-sequence
-    ``specs`` or ``epsilons`` is ``InstanceError``.
+    row's m, n and r are its spec's (a ``KNAPSACK_GAP`` row's the 1x2, r = 0
+    of ``knapsack_gap``, which reads no size) until the instance is
+    generated, then the instance's, then those of its ``normalize_width``
+    form.  Individual failures are recorded and the harness keeps going; the
+    aggregates (mean and max of the bicriteria/fopt and strict/opt ratios)
+    are taken over the rows that finished without one.  With
+    ``include_timing=False`` the output is bit-identical across runs for a
+    fixed seed.  Every epsilon and spec is read before any instance is
+    generated: an epsilon outside (0, 1], a spec that is not a
+    ``GeneratorSpec``, or a non-sequence ``specs`` or ``epsilons`` is
+    ``InstanceError``.
     """
     epsilons = [as_epsilon(eps) for eps in as_sequence(epsilons, "epsilons")]
     specs = as_sequence(specs, "specs")
@@ -273,15 +275,9 @@ def run_bench(specs, epsilons, *, include_timing: bool = True) -> BenchResult:
     result = BenchResult()
     for idx, spec in enumerate(specs):
         inst_id = f"{spec.family.lower()}-{idx}"
+        shape = (1, 2, 0) if spec.family == "KNAPSACK_GAP" else (spec.m, spec.n, spec.r)
         for eps in epsilons:
-            row = BenchRow(
-                instance_id=inst_id,
-                family=spec.family,
-                m=spec.m,
-                n=spec.n,
-                r=spec.r,
-                epsilon=eps,
-            )
+            row = BenchRow(inst_id, spec.family, *shape, epsilon=eps)
             try:
                 inst = generate(spec)
                 row.m, row.n, row.r = inst.m, inst.n, inst.r

@@ -33,7 +33,8 @@ denominator D, checks each shape and sign, and scans the dense A once, into
 nonzeros on the support of xbar (the j with X_j > 0), by row and by column
 (both solvers hand ``bicriteria_round`` integer rows, whose lcm is 1, and
 the scan takes such a row's numerators as they are; a row of ``Fraction``s
-is read through their slots, by ``model``'s one reader).  A zero coordinate
+is read through their slots by two list displays, and an int row through
+the properties, by ``model``'s one reader).  A zero coordinate
 rounds to 0, moves no estimator term and has nothing to trim, so the
 coverage check of xbar, the estimator, the decisions, every slack and the
 trim cost O(nonzeros on the support), not O(nnz(A)); the LP vertices the
@@ -159,12 +160,13 @@ class CoverRows:
     all of (A, a), every column included, read off each demanded row's
     largest entry in the same scan, or None where none is positive.
     Each row's numerators, and its nonzeros' denominators, are read by
-    ``model._parts``: through the slots that ``Fraction`` declares where the
-    row starts with a ``Fraction``, at C speed, and otherwise (an int row, a
-    bool read as an int, a row that mixes ints into ``Fraction``s) through
-    the public properties.  An entry with no ``numerator`` (a float, a
-    string, None) sends the scan to ``as_fraction`` copies of A and a, and an
-    entry that it cannot read, or a negative one, is ``InstanceError``.
+    ``model._parts``: through the slots that ``Fraction`` declares, by a
+    list display each, where the row starts with a ``Fraction``, and
+    otherwise (an int row, a bool read as an int, a row that mixes ints into
+    ``Fraction``s) through the public properties.  An entry with no
+    ``numerator`` (a float, a string, None) sends the scan to
+    ``as_fraction`` copies of A and a, and an entry that it cannot read, or a
+    negative one, is ``InstanceError``.
     """
 
     def __init__(self, A, a, x=None):
@@ -370,7 +372,8 @@ class EstimatorState:
             exponents[k] = exponents[k] - log_bern - tw * up
         if terms is not None:
             for k, _, _ in self.columns[j]:
-                terms[k] = _row_term(exponents[k])
+                e = exponents[k]
+                terms[k] = math.exp(60.0 if e > 60.0 else e)  # _row_term, with no call
 
 
 def _row_term(e: float) -> float:
@@ -460,10 +463,16 @@ def _trim_surplus(xhat: list[int], rows: CoverRows, costs, slack: list[int], flo
 
     if floors is not None:
         for j in support:
-            while xhat[j] > floors[j] and all(slack[k] >= aij for k, aij in columns[j]):
-                remove(j, 1)
-    order = sorted(support, key=lambda j: (-costs[j], j))
-    for j in order:
+            while xhat[j] > floors[j]:
+                for k, aij in columns[j]:
+                    if slack[k] < aij:
+                        break
+                else:
+                    remove(j, 1)
+                    continue
+                break  # row k cannot spare a unit of x_j
+    # costliest first; the sort is stable, so ties stay in index order
+    for j in sorted(support, key=costs.__getitem__, reverse=True):
         if xhat[j] == 0:
             continue
         removable = xhat[j]

@@ -159,7 +159,8 @@ class TestRunBench:
         short = BenchResult([replace(result.rows[0], error="x"), result.rows[1]])
         assert header == short.to_text().splitlines()[0]
         cells = error.split(None, len(names) - 1)
-        assert cells[:6] == ["knapsack_gap-0", "KNAPSACK_GAP", "4", "5", "0", "1"]
+        # the 1x2, r = 0 shape that knapsack_gap always builds, not the spec's defaults
+        assert cells[:6] == ["knapsack_gap-0", "KNAPSACK_GAP", "1", "2", "0", "1"]
         assert set(cells[6:-1]) == {"-"}
         assert cells[-1] == "InstanceError: delta: expected a number, got None"
         # opt, strict_ratio_opt and time_ms: the "-" of a value not found
@@ -214,10 +215,10 @@ class TestRunBench:
         assert failed.bicriteria_ratio_fopt != kept.bicriteria_ratio_fopt
         assert result.aggregates == run_bench(specs[1:], [F(1)], include_timing=False).aggregates
 
-    @pytest.mark.parametrize("stage", ["normalize_width", "solve_cpip_bicriteria"])
+    @pytest.mark.parametrize("stage", ["generate", "normalize_width", "solve_cpip_bicriteria"])
     def test_a_failed_row_reports_the_sizes_of_its_instance(self, stage, monkeypatch):
         # a knapsack-gap instance is 1x2 with r = 0, whatever the spec's m, n and r
-        # say; a failed normalize_width left the spec's 4, 5 and 0 in the row
+        # say; a failed generate or normalize_width left the spec's 4, 5 and 0 in the row
         def failing(*args):
             raise RuntimeError(f"{stage} failed")
 

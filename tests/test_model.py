@@ -680,6 +680,24 @@ def test_parts_and_its_readers_equal_the_property_reference(matrix):
         assert model._numbers_out(values) == reference_numbers_out(values)
 
 
+class SlottedHalf(F):
+    """A ``Fraction`` subclass that declares its own slots, so it has no ``__dict__``."""
+
+    __slots__ = ("unit",)
+
+
+@pytest.mark.parametrize("kind", [Half, SlottedHalf], ids=["with-dict", "with-slots"])
+def test_parts_of_subclass_entries_equal_the_property_reference(kind):
+    # after a plain Fraction, subclass entries are read through the slots they
+    # inherit; a vector that starts with one is read through the properties
+    assert hasattr(kind(1), "__dict__") == (kind is Half)
+    entries = [kind(-3, 4), kind(5), kind(10**30, 7), kind(0)]
+    for values in ([F(1, 2), *entries], (F(2), *entries), entries, [*entries, F(1, 2)]):
+        assert list(model._parts(values)) == reference_parts(values)
+        assert model._parts(values, True) == reference_parts(values, True)
+        assert all(type(k) is int for k in model._parts(values))
+
+
 def test_parts_of_an_empty_vector():
     for empty in ((), []):
         assert list(model._parts(empty)) == [] and model._parts(empty, True) == ([], [])

@@ -983,6 +983,56 @@ def test_cover_rows_of_a_zero_column_matrix(kind):
         width(A, a)
 
 
+def reference_trim(xhat, rows, costs, slack, floors=None):
+    """``rounding._trim_surplus`` as first written: ``all`` over a generator, key (-c_j, j)."""
+    columns = rows.columns
+
+    def remove(j, units):
+        xhat[j] -= units
+        for k, aij in columns[j]:
+            slack[k] -= aij * units
+
+    if floors is not None:
+        for j in rows.support:
+            while xhat[j] > floors[j] and all(slack[k] >= aij for k, aij in columns[j]):
+                remove(j, 1)
+    for j in sorted(rows.support, key=lambda j: (-costs[j], j)):
+        removable = xhat[j]
+        for k, aij in columns[j]:
+            removable = min(removable, slack[k] // aij)
+        if removable > 0:
+            remove(j, removable)
+
+
+@st.composite
+def trim_cases(draw):
+    """(A, a, xhat, costs, floors, point): small int rows that xhat covers, costs often tied."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    A = [draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for _ in range(m)]
+    xhat = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    a = [draw(st.integers(0, sum(map(operator.mul, row, xhat)))) for row in A]
+    costs = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    floors = draw(st.none() | st.tuples(*(st.integers(0, v) for v in xhat)).map(list))
+    return A, a, xhat, costs, floors, draw(st.sampled_from([None, xhat]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trim_cases())
+# the first pass hands back x_0's bump; the second alone would drop x_1, the costlier
+@example(([[1, 1]], [1], [1, 1], [0, 5], [0, 0], None))
+# tied costs: the second pass drops x_0, the lower index, first
+@example(([[1, 1]], [1], [1, 1], [1, 1], None, None))
+def test_trim_surplus_equals_the_reference_loop(case):
+    A, a, xhat, costs, floors, point = case
+    rows = CoverRows(A, a, point)
+    got, want = xhat[:], xhat[:]
+    got_slack, want_slack = rows.slack(got), rows.slack(want)
+    rounding._trim_surplus(got, rows, costs, got_slack, floors)
+    reference_trim(want, rows, costs, want_slack, floors)
+    assert (got, got_slack) == (want, want_slack)
+    assert got_slack == rows.slack(got) and min(got_slack, default=0) >= 0
+
+
 def test_width_reads_a_float_entry_exactly():
     # the width read apart from the roundings compared floats and returned 2.0
     W = width([[0.5]], [1])
