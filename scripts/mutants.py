@@ -23,8 +23,10 @@ denominators), the estimator's kept trace terms, the surplus trim (tied
 costs taken by descending index, a first pass that keeps a unit its rows
 can spare),
 ``check_solution``'s integer multiplicity test, the oracle's cost
-bound and value skip, which must leave its answer as it is, the guided
-simplex, which must not keep a basis that fails its certificate or whose
+bound, value skip and closed-form last variable (a tie that replaces the
+incumbent, a dropped packing test, a value one too high), which must leave
+its answer as it is, the guided simplex, which must not keep a basis that
+fails its certificate or whose
 point has a negative coordinate, the bounded dual simplex's flip rule,
 which both arithmetics share (a flip
 moves the basic values, a breakpoint whose flip would meet the row is not
@@ -308,6 +310,24 @@ MUTANTS = {
         ORACLE,
         "low = max(0, -min(map(floordiv, slack, divisors[k]), default=0))",
         "low = max(0, 1 - min(map(floordiv, slack, divisors[k]), default=0))",
+        ORACLE_PARITY,
+    ),
+    "oracle-last-level-tie-replaces-the-incumbent": (
+        ORACLE,
+        "if (best_cost is None or cost < best_cost) and not any(",
+        "if (best_cost is None or cost <= best_cost) and not any(",
+        ORACLE_PARITY,
+    ),
+    "oracle-last-level-packing-test-dropped": (
+        ORACLE,
+        "map(gt, map(add, pack, map(low.__mul__, bcol)), room)",
+        "()",
+        ORACLE_PARITY,
+    ),
+    "oracle-last-value-one-too-high": (
+        ORACLE,
+        "best_x = cost, (*x[:j], low, *x[j + 1 :])",
+        "best_x = cost, (*x[:j], low + 1, *x[j + 1 :])",
         ORACLE_PARITY,
     ),
     "check-shortfall-of-one-unit-passes": (

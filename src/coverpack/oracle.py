@@ -8,11 +8,12 @@ scaled by the lcm of its denominators, with no LP bounding and no shared
 rounding machinery.  The enumeration skips variables capped at 0, values
 too small for the later variables to still meet every covering row, and
 subtrees that a per-row cost bound shows cannot beat the incumbent (the
-bound step of branch and bound: Land & Doig, *Econometrica* 28, 1960);
-neither prune changes the answer.  Usable only at desk scale, which is
-the point.  ``brute_force_opt`` is the one enumeration of the
-box; the test suite's knapsack-cover audit runs it with each residual
-row as the costs.
+bound step of branch and bound: Land & Doig, *Econometrica* 28, 1960),
+and decides the last variable in closed form: its least covering value is
+the only one that can beat the incumbent.  None of these changes the
+answer.  Usable only at desk scale, which is the point.
+``brute_force_opt`` is the one enumeration of the box; the test suite's
+knapsack-cover audit runs it with each residual row as the costs.
 """
 
 from __future__ import annotations
@@ -80,15 +81,22 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
     subtree, and so does the cost bound: a covering row short by delta
     costs the later variables at least delta times their least ratio
     c_j / S_ij over S_ij > 0, and when that closes the gap to the
-    incumbent, nothing below is cheaper.  So every point skipped covers
+    incumbent, nothing below is cheaper.  The last variable is decided
+    without a value loop: no later variable is left, so its start value
+    fills every covering row, and each larger value costs c_j >= 0 more and
+    packs B_ij >= 0 more per unit.  The search records that one value if it
+    fits every packing row and costs strictly less than the incumbent (or
+    there is none yet), and tries no other.  So every point skipped covers
     nothing or costs at least the incumbent, and ties in cost keep the
     lexicographically smallest vector: enumeration order is ascending
     lexicographic, the incumbent is only replaced on strict improvement,
-    and a skipped point of the incumbent's cost comes after it.  Rows,
-    demands, capacities and costs are integers (``inst.int_rows`` and the
-    costs over their common denominator), so every tally is an int.  A box
-    with more such variables than the recursion limit leaves room for is
-    ``BUDGET_EXCEEDED`` too.
+    and a skipped point of the incumbent's cost comes after it (a larger
+    last value comes after the start value of the same prefix).  A box
+    with no variable to raise is the point x = 0, optimal when it meets
+    every covering row.  Rows, demands, capacities and costs are integers
+    (``inst.int_rows`` and the costs over their common denominator), so
+    every tally is an int.  A box with more such variables than the
+    recursion limit leaves room for is ``BUDGET_EXCEEDED`` too.
     """
     max_points = as_int(max_points, "max_points")
     u = effective_bounds(inst)
@@ -138,19 +146,25 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
     x = [0] * inst.n
     cover = [0] * m
     pack = [0] * len(room)
+    last = len(free) - 1
 
     def descend(k: int, cost: int) -> None:
         # every covering row can still be filled by variables k, k+1, ...
         nonlocal best_cost, best_x
-        if k == len(free):
-            best_cost = cost  # the loop below let only a cheaper cost through
-            best_x = tuple(x)
-            return
         j, acol, bcol, cj = free[k], acols[k], bcols[k], costs[k]
-        C, S = ratios[k + 1]
         # the least v at which the later variables can still fill every row
         slack = map(add, cover, spare[k + 1])
         low = max(0, -min(map(floordiv, slack, divisors[k]), default=0))
+        if k == last:
+            # no later variable: low fills every covering row, and a larger v
+            # costs and packs no less, so only x_j = low can beat the incumbent
+            cost += cj * low
+            if (best_cost is None or cost < best_cost) and not any(
+                map(gt, map(add, pack, map(low.__mul__, bcol)), room)
+            ):
+                best_cost, best_x = cost, (*x[:j], low, *x[j + 1 :])
+            return
+        C, S = ratios[k + 1]
         if low:
             x[j] = low
             cover[:] = map(add, cover, map(low.__mul__, acol))
@@ -176,7 +190,10 @@ def brute_force_opt(inst: CpipInstance, *, max_points: int = 2_000_000) -> Brute
             x[j] = 0
 
     if not any(map(gt, need, reach[0])):
-        descend(0, 0)
+        if free:
+            descend(0, 0)
+        else:  # every cap is 0 and every demand is met: x = 0
+            best_cost, best_x = 0, tuple(x)
     del descend  # it holds itself in its closure: free the search's lists now
     if best_x is None:
         return BruteForceResult("INFEASIBLE", None, None, space, u)

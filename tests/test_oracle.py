@@ -341,6 +341,41 @@ def oracle_instances(draw):
     )
 
 
+#: the most points a box of ``desk_instances`` holds, so the Fraction reference stays quick
+DESK_POINTS = 8_000
+
+
+@st.composite
+def desk_instances(draw):
+    """Desk-oracle sizes: up to 8 variables, 7 covering and 2 packing rows, caps up to 4.
+
+    Deep enough that the search often reaches its last variable with an
+    incumbent in hand.  The caps are drawn under a box of at most
+    ``DESK_POINTS`` points, then shuffled.  Each demand and capacity is a
+    share of what its row reaches at the caps, so rows bind, and small
+    integer data make ties in cost common.
+    """
+    n, m, r = draw(st.integers(1, 8)), draw(st.integers(1, 7)), draw(st.integers(0, 2))
+    caps, points = [], 1
+    for _ in range(n):
+        cap = draw(st.integers(0, min(4, DESK_POINTS // points - 1)))
+        caps.append(cap)
+        points *= cap + 1
+    caps = draw(st.permutations(caps))
+    number = st.one_of(st.integers(0, 3).map(F), NUMBER)
+    share = st.fractions(min_value=0, max_value=1, max_denominator=4)
+    A = [[draw(number) for _ in range(n)] for _ in range(m)]
+    B = [[draw(number) for _ in range(n)] for _ in range(r)]
+    return make_inst(
+        A=A,
+        a=[draw(share) * sum(v * u for v, u in zip(row, caps)) for row in A],
+        c=[draw(number) for _ in range(n)],
+        d=caps,
+        B=B,
+        b=[draw(share) * sum(v * u for v, u in zip(row, caps)) for row in B],
+    )
+
+
 class TestOracleParity:
     """The integer enumeration against the Fraction enumeration it replaced."""
 
@@ -366,7 +401,7 @@ class TestOracleParity:
             assert res.status == status
             assert res == reference_brute_force(inst, max_points)
 
-    # The hypothesis draw above stays at n <= 5 and m <= 3, where the cost
+    # The first hypothesis draw stays at n <= 5 and m <= 3, where the cost
     # bound and the value skip rarely fire; these are the desk-oracle sizes.
     DESK = {
         "random-cpip 7x8": (lambda s: gen_random_cpip(7, 8, 2, s), range(3)),
@@ -417,14 +452,58 @@ class TestOracleParity:
         "tie of two optima": (
             make_inst(A=[[1, 1]], a=[2], c=[1, 1], d=[2, 2]), (0, 2), 2
         ),
+        # The cases below reach the last variable, which is decided in closed
+        # form at its least covering value; x = None is INFEASIBLE.
+        # x2 costs nothing, so (0, 0, 2), (0, 0, 3) and (1, 0, 1) all cost 0:
+        # the first found, at x2's least covering value, stays
+        "zero-cost last variable": (
+            make_inst(A=[[1, 1, 1]], a=[2], c=[0, 1, 0], d=[1, 1, 3]),
+            (0, 0, 2),
+            0,
+        ),
+        # (0, 2) costs 4 first; at x0 = 1 the bound, 3, lets the last level
+        # through, and its least value 2 ties at 4: (1, 2) must not replace it
+        "tie reached at the last level": (
+            make_inst(A=[[1, 2]], a=[4], c=[0, 2], d=[1, 2]), (0, 2), 4
+        ),
+        # at x0 = 0 the last variable's least covering value 2 packs past
+        # x1 <= 1, and larger values pack more; the dearer x0 = 1 fits
+        "last value the packing row refuses": (
+            make_inst(A=[[1, 1]], a=[2], c=[3, 1], d=[2, 2], B=[[0, 1]], b=[1]),
+            (1, 1),
+            4,
+        ),
+        # only x1 can be raised: its least covering value 2 fills the packing
+        # row exactly, and 3 would not fit
+        "one free variable": (
+            make_inst(A=[[1, 2, 1]], a=[3], c=[1, 1, 1], d=[0, 3, 0], B=[[1, 1, 1]], b=[2]),
+            (0, 2, 0),
+            2,
+        ),
+        # no variable can be raised: the box is the one point x = 0
+        "every cap 0, no demand": (
+            make_inst(A=[[1, 1]], a=[0], c=[1, 1], d=[0, 0], B=[[1, 1]], b=[1]),
+            (0, 0),
+            0,
+        ),
+        "every cap 0, a positive demand": (
+            make_inst(A=[[1, 1], [1, 0]], a=[0, 1], c=[1, 1], d=[0, 0]), None, None
+        ),
     }
 
     @pytest.mark.parametrize("case", EDGES)
     def test_edge_cases_the_bound_must_not_prune(self, case):
         inst, x, cost = self.EDGES[case]
         res = brute_force_opt(inst)
-        assert (res.status, res.x.values, res.cost) == ("OPTIMAL", x, cost)
+        status = "INFEASIBLE" if x is None else "OPTIMAL"
+        got = None if res.x is None else res.x.values
+        assert (res.status, got, res.cost) == (status, x, cost)
         assert res == reference_brute_force(inst, 2_000_000)
+
+    @settings(max_examples=100, deadline=None)
+    @given(desk_instances())
+    def test_desk_draw_equals_fraction_reference(self, inst):
+        assert brute_force_opt(inst) == reference_brute_force(inst, DESK_POINTS)
 
 
 class TestKcValidity:
