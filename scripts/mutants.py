@@ -446,8 +446,8 @@ MUTANTS = {
     ),
     "nonnegative-skips-entry-0": (
         MODEL,
-        "negative = min(_parts(values), default=0) < 0",
-        "negative = min(_parts(values[1:]), default=0) < 0",
+        "if min(_parts(values), default=0) < 0:",
+        "if min(_parts(values[1:]), default=0) < 0:",
         ["tests/test_model.py::TestParse::test_from_data_refuses"],
     ),
     "sequence-reader-takes-a-set": (

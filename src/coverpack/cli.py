@@ -43,7 +43,6 @@ from coverpack.model import (
     SolveReport,
     as_epsilon,
     as_fraction,
-    as_lambda,
     dot,
     normalize_width,
     parse_instance,
@@ -96,7 +95,6 @@ _epsilons = _typed(
     lambda text: [as_epsilon(v) for v in text.split(",")], "a list of epsilons in (0, 1]"
 )
 _deltas = _typed(_rationals, "a list of deltas in (0, 1)", lambda vs: all(0 < v < 1 for v in vs))
-_lambda = _typed(as_lambda, "a lambda above 1")
 _positive_int = _typed(int, "a positive integer", lambda v: v >= 1)
 
 
@@ -120,10 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("strict", "bicriteria", "lp", "lp-kc"),
         default="strict",
     )
-    solve.add_argument("--lambda", dest="lam", type=_lambda, default="2",
-                       help="cut threshold for --mode lp-kc")
-    solve.add_argument("--max-rounds", type=_positive_int, default=1000,
-                       help="cut-round cap for --mode strict and lp-kc")
     _add_common(solve)
 
     rnd = subs.add_parser("round", help="round the relaxation optimum")
@@ -205,14 +199,15 @@ def _lp_report(inst: CpipInstance, args) -> SolveReport:
 
 
 def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
-    loop = solve_lp_kc(inst, args.lam, max_rounds=args.max_rounds)
+    lam = 1 + args.epsilon  # the cut loop that --mode strict runs at this epsilon
+    loop = solve_lp_kc(inst, lam)
     return _report(
         "lp-kc",
         inst,
         loop.x,
         args.epsilon,
         fopt_kc=loop.round_objectives[-1],
-        lam=args.lam,
+        lam=lam,
         epsilon=args.epsilon,
         cut_rows_added=loop.cut_rows_added,
         lp_rounds=len(loop.round_objectives),
@@ -270,7 +265,7 @@ def _round_report(inst: CpipInstance, args) -> SolveReport:
 
 def _solve_report(inst: CpipInstance, args) -> SolveReport:
     if args.mode == "strict":
-        _, report = solve_cip_strict(inst, args.epsilon, max_rounds=args.max_rounds)
+        _, report = solve_cip_strict(inst, args.epsilon)
     elif args.mode == "bicriteria":
         _, report = solve_cpip_bicriteria(inst, args.epsilon)
     elif args.mode == "lp":

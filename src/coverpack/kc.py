@@ -51,7 +51,6 @@ from coverpack.model import (
     LimitError,
     SolveReport,
     as_epsilon,
-    as_int,
     as_lambda,
     as_sequence,
     as_vector,
@@ -63,6 +62,9 @@ from coverpack.oracle import check_solution
 # solve_lp and verify_certificate are unused here; perfbench/spans.py patches them by name
 from coverpack.simplex import solve_lp, verify_certificate
 from coverpack.rounding import bicriteria_round, solve_relaxation
+
+#: cut rounds one ``solve_lp_kc`` may run before it raises ``LimitError``; read at call time
+MAX_ROUNDS = 1000
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ def find_violated_kc(
     return system, violated
 
 
-def solve_lp_kc(inst: CpipInstance, lam, max_rounds: int = 1000) -> CutLoop:
+def solve_lp_kc(inst: CpipInstance, lam) -> CutLoop:
     """Lambda-relaxed point for the cut-strengthened relaxation.
 
     The returned loop's x has A x >= a, B x <= b, x <= d, no violated
@@ -160,10 +162,11 @@ def solve_lp_kc(inst: CpipInstance, lam, max_rounds: int = 1000) -> CutLoop:
     the relaxation with all cuts (each round solves a relaxation of that
     program, and values only grow as cuts are added).  Each round is one
     ``solve_relaxation`` with the cuts so far, which checks its
-    certificate, a Farkas ray included.
+    certificate, a Farkas ray included.  A loop with no lambda-relaxed
+    point after ``MAX_ROUNDS`` rounds raises ``LimitError``.
     """
     lam = as_lambda(lam)
-    max_rounds = as_int(max_rounds, "max_rounds", 1)
+    max_rounds = MAX_ROUNDS
     if not is_width_normalized(inst):
         raise InstanceError("normalize width first")
     cuts: list[tuple[tuple[int, ...], int]] = []
@@ -190,9 +193,7 @@ def solve_lp_kc(inst: CpipInstance, lam, max_rounds: int = 1000) -> CutLoop:
     raise LimitError(f"no lambda-relaxed point after {max_rounds} rounds")
 
 
-def solve_cip_strict(
-    inst: CpipInstance, epsilon, *, max_rounds: int = 1000
-) -> tuple[IntegerVector, SolveReport]:
+def solve_cip_strict(inst: CpipInstance, epsilon) -> tuple[IntegerVector, SolveReport]:
     """Integer solution meeting the multiplicity constraints exactly.
 
     Pipeline: take a (1+eps)-relaxed point xbar of the cut-strengthened
@@ -205,7 +206,7 @@ def solve_cip_strict(
     eps = as_epsilon(epsilon)
     lam = 1 + eps
     t0 = perf_counter()
-    loop = solve_lp_kc(inst, lam, max_rounds=max_rounds)
+    loop = solve_lp_kc(inst, lam)
     # the loop's last high set, at lambda = 1+eps, is the pinned set, and
     # xbar violates none of its residual rows (the rounding re-checks); only
     # the demanded ones go to the rounding, as the integer rows they are

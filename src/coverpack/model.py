@@ -38,7 +38,6 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from math import floor, gcd, lcm
 from operator import attrgetter, mul
 from typing import Sequence
@@ -152,16 +151,11 @@ def as_shape(rows, name: str, n: int):
 
 
 def nonnegative(values, name: str):
-    """``values``, real numbers; ``InstanceError`` names the first negative entry.
+    """``values``, rationals; ``InstanceError`` names the first negative entry.
 
-    A rational has its numerator's sign, read by ``_parts``; in a vector with
-    a number that has none (a float), each such number is its own sign.
+    A rational has its numerator's sign, read by ``_parts``.
     """
-    try:
-        negative = min(_parts(values), default=0) < 0
-    except AttributeError:
-        negative = min(map(getattr, values, repeat("numerator"), values), default=0) < 0
-    if negative:
+    if min(_parts(values), default=0) < 0:
         j = next(j for j, v in enumerate(values) if v < 0)
         raise InstanceError(f"{name}[{j}] = {values[j]} is negative")
     return values

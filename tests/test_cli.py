@@ -14,7 +14,7 @@ from time import perf_counter
 import pytest
 
 import coverpack
-from coverpack import rounding
+from coverpack import kc, rounding
 from coverpack.cli import (
     EXIT_FAULT, EXIT_INFEASIBLE, EXIT_LIMIT, EXIT_OK, EXIT_USAGE, build_parser, main,
 )
@@ -77,13 +77,33 @@ class TestSolve:
         code, doc, _ = run(["gen", "--family", "knapsack-gap", "--delta", "1/10"], capsys=capsys)
         assert code == EXIT_OK
         code, out, _ = run(
-            ["solve", "--mode", "lp-kc", "--lambda", "2", "-", "--format", "machine"],
+            ["solve", "--mode", "lp-kc", "--epsilon", "1", "-", "--format", "machine"],
             stdin=doc,
             monkeypatch=monkeypatch,
             capsys=capsys,
         )
         assert code == EXIT_OK
         assert json.loads(out)["fopt_kc"] == 1
+
+    @pytest.mark.parametrize("epsilon", ["1/4", "1"])
+    def test_lp_kc_reports_the_strict_cut_loop(self, epsilon, tmp_path, capsys):
+        # lp-kc runs the loop at lambda = 1 + epsilon, as the strict solver does
+        _, doc, _ = run(
+            ["gen", "--family", "multiset-multicover", "--m", "10", "--n", "15", "--seed", "1"],
+            capsys=capsys,
+        )
+        path = write_gap(tmp_path, doc)
+        keys = ("fopt_kc", "lam", "lp_rounds", "cut_rows_added", "pin_sets_seen")
+        loops = []
+        for mode in ("lp-kc", "strict"):
+            argv = ["solve", "--mode", mode, "--epsilon", epsilon, "--format", "machine", path]
+            code, out, _ = run(argv, capsys=capsys)
+            assert code == EXIT_OK
+            loops.append({k: json.loads(out)[k] for k in keys})
+        assert loops[0] == loops[1]
+        if epsilon == "1/4":
+            assert (loops[0]["lp_rounds"], loops[0]["cut_rows_added"]) == (3, 3)
+            assert loops[0]["fopt_kc"] == 83
 
     def test_bicriteria_mode(self, tmp_path, capsys, monkeypatch):
         code, out, _ = run(
@@ -315,7 +335,6 @@ class TestRationalFlags:
         "argv",
         [
             ["solve", "--epsilon"],
-            ["solve", "--mode", "lp-kc", "--lambda"],
             ["bench", "--no-timing", "--epsilons"],
             ["bench", "--no-timing", "--deltas"],
             ["gen", "--family", "knapsack-gap", "--delta"],
@@ -389,8 +408,8 @@ class TestFlagsPerSubcommand:
     @pytest.mark.parametrize(
         "subcommand, flags",
         [
-            ("solve", ["--mode", "lp-kc", "--lambda", "7", "--max-rounds", "3"]),
-            ("solve", ["--mode", "strict", "--max-rounds", "3"]),
+            ("solve", ["--mode", "lp-kc", "--epsilon", "1/4"]),
+            ("solve", ["--mode", "strict", "--epsilon", "1/4"]),
             ("round", ["--op", "randomized", "--seed", "9"]),
             ("oracle", ["--max-points", "4"]),
         ],
@@ -451,10 +470,8 @@ class TestExitCodes:
         }
 
     def test_cut_round_cap_exits_three(self, tmp_path, capsys, monkeypatch):
-        code, _, err = run(
-            ["solve", "--mode", "lp-kc", "--max-rounds", "1", write_gap(tmp_path)],
-            capsys=capsys,
-        )
+        monkeypatch.setattr(kc, "MAX_ROUNDS", 1)
+        code, _, err = run(["solve", "--mode", "lp-kc", write_gap(tmp_path)], capsys=capsys)
         assert code == EXIT_LIMIT
         assert "after 1 rounds" in err
 

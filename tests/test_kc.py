@@ -326,10 +326,12 @@ class TestSolveLpKc:
                 df[j] is None or x[j] <= df[j] for j in range(inst.n)
             )
 
-    def test_round_limit_raises(self):
+    def test_round_limit_raises(self, monkeypatch):
+        # the gap instance needs a second round; the cap is read at call time
+        monkeypatch.setattr(kc, "MAX_ROUNDS", 1)
         inst = knapsack_gap(F(1, 10))
         with pytest.raises(LimitError, match="after 1 rounds"):
-            solve_lp_kc(inst, 2, max_rounds=1)
+            solve_lp_kc(inst, 2)
 
 
 class TestSolveCipStrict:
@@ -526,8 +528,8 @@ class TestInjectedFaults:
         # (1 + eps) and (1 + 2 eps) times it
         relaxed = 9 / (1 + F(3, 2) * self.EPS)
 
-        def lowered(inst, lam, max_rounds):
-            real = solve_lp_kc(inst, lam, max_rounds=max_rounds)
+        def lowered(inst, lam):
+            real = solve_lp_kc(inst, lam)
             assert real.system.F == {1}
             objectives = (*real.round_objectives[:-1], relaxed)
             return dataclasses.replace(real, round_objectives=objectives)

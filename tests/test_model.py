@@ -249,8 +249,6 @@ SCALARS = {
 
 #: every int parameter of a public function, with its least value (None: no least)
 INTS = {
-    "solve_lp_kc(max_rounds)": (lambda v: solve_lp_kc(GAP, 2, max_rounds=v), 1),
-    "solve_cip_strict(max_rounds)": (lambda v: solve_cip_strict(GAP, 1, max_rounds=v), 1),
     "brute_force_opt(max_points)": (lambda v: brute_force_opt(GAP, max_points=v), None),
     "compute_scale_factor(m)": (lambda v: compute_scale_factor(v, 2), 1),
     "randomized_round(seed)": (lambda v: randomized_round([F(1, 3)] * 12, 2, v), None),
@@ -462,9 +460,6 @@ def test_every_argument_refused_in_its_readers_words(entry, kind, value):
 #: a solver argument outside its range, and the message that names it
 RANGES = {
     "solve_lp_kc(lambda=1)": (lambda: solve_lp_kc(GAP, 1), "lambda = 1 must exceed 1"),
-    "solve_lp_kc(max_rounds=0)": (
-        lambda: solve_lp_kc(GAP, 2, max_rounds=0), "max_rounds = 0 must be an int >= 1"
-    ),
     "solve_cip_strict(epsilon=0)": (
         lambda: solve_cip_strict(GAP, 0), r"epsilon 0 outside \(0, 1\]"
     ),
@@ -1198,10 +1193,10 @@ class TestStructure:
         "randomized_round": ("xbar", "L", "seed"),
         "run_bench": ("specs", "epsilons", "include_timing"),
         "serialize_instance": ("inst",),
-        "solve_cip_strict": ("inst", "epsilon", "max_rounds"),
+        "solve_cip_strict": ("inst", "epsilon"),
         "solve_cpip_bicriteria": ("inst", "epsilon"),
         "solve_lp": ("p",),
-        "solve_lp_kc": ("inst", "lam", "max_rounds"),
+        "solve_lp_kc": ("inst", "lam"),
         "verify_certificate": ("p", "s"),
         "width": ("A", "a"),
     }
