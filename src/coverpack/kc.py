@@ -51,6 +51,7 @@ from coverpack.model import (
     LimitError,
     SolveReport,
     as_epsilon,
+    as_int,
     as_lambda,
     as_sequence,
     as_vector,
@@ -63,7 +64,8 @@ from coverpack.oracle import check_solution
 from coverpack.simplex import solve_lp, verify_certificate
 from coverpack.rounding import bicriteria_round, solve_relaxation
 
-#: cut rounds one ``solve_lp_kc`` may run before it raises ``LimitError``; read at call time
+#: cut rounds one ``solve_lp_kc`` may run before it raises ``LimitError``; read at
+#: call time, by ``as_int``, so a cap set to a non-int or below 1 is refused by name
 MAX_ROUNDS = 1000
 
 
@@ -166,7 +168,7 @@ def solve_lp_kc(inst: CpipInstance, lam) -> CutLoop:
     point after ``MAX_ROUNDS`` rounds raises ``LimitError``.
     """
     lam = as_lambda(lam)
-    max_rounds = MAX_ROUNDS
+    max_rounds = as_int(MAX_ROUNDS, "kc.MAX_ROUNDS", 1)
     if not is_width_normalized(inst):
         raise InstanceError("normalize width first")
     cuts: list[tuple[tuple[int, ...], int]] = []

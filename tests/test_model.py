@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverpack
-from coverpack import model
+from coverpack import kc, model
 from coverpack.genbench import (
     GeneratorSpec,
     gen_multiset_multicover,
@@ -247,8 +247,19 @@ SCALARS = {
     ),
 }
 
-#: every int parameter of a public function, with its least value (None: no least)
+
+def capped(call, rounds):
+    """``call()`` with the cut loops' round cap ``kc.MAX_ROUNDS`` set to ``rounds``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kc, "MAX_ROUNDS", rounds)
+        return call()
+
+
+#: every int parameter of a public function, and the round cap each cut loop
+#: reads at call time, with its least value (None: no least)
 INTS = {
+    "solve_lp_kc(max_rounds)": (lambda v: capped(lambda: solve_lp_kc(GAP, 2), v), 1),
+    "solve_cip_strict(max_rounds)": (lambda v: capped(lambda: solve_cip_strict(GAP, 1), v), 1),
     "brute_force_opt(max_points)": (lambda v: brute_force_opt(GAP, max_points=v), None),
     "compute_scale_factor(m)": (lambda v: compute_scale_factor(v, 2), 1),
     "randomized_round(seed)": (lambda v: randomized_round([F(1, 3)] * 12, 2, v), None),
@@ -460,6 +471,9 @@ def test_every_argument_refused_in_its_readers_words(entry, kind, value):
 #: a solver argument outside its range, and the message that names it
 RANGES = {
     "solve_lp_kc(lambda=1)": (lambda: solve_lp_kc(GAP, 1), "lambda = 1 must exceed 1"),
+    "solve_lp_kc(max_rounds=0)": (
+        lambda: capped(lambda: solve_lp_kc(GAP, 2), 0), "kc.MAX_ROUNDS = 0 must be an int >= 1"
+    ),
     "solve_cip_strict(epsilon=0)": (
         lambda: solve_cip_strict(GAP, 0), r"epsilon 0 outside \(0, 1\]"
     ),
