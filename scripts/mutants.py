@@ -14,8 +14,9 @@ a bare ``InstanceError``, or lets ``run_bench`` take a spec that is not a
 ``GeneratorSpec``, or makes its text table drop a field of the rows or its
 aggregates count a failed row, or makes the CLI's report builder check violations at
 a fixed epsilon or ``check --mode strict`` read the bicriteria verdict,
+or derives the cut loop's lambda from epsilon by a rule other than 1 + eps,
 or breaks a fast path: ``normalize_width``'s integer
-row test, the integer test of ``kc.high_set``, the rounding layer's scan of A (its integer rows, its width over every column and the
+row test, the integer test of the cut loop's high set, the rounding layer's scan of A (its integer rows, its width over every column and the
 support of xbar it keeps), the slot reads of a vector of ``Fraction``s
 (``model._parts``' list displays, which the scan, ``integers`` and ``nonnegative`` share: a
 numerator read from the denominator's slot, a dropped sign or dropped
@@ -171,6 +172,12 @@ MUTANTS = {
             "tests/test_kc.py::TestHighSet::test_threshold",
             "tests/test_kc.py::TestHighSet::test_equals_fraction_reference",
         ],
+    ),
+    "lambda-is-1-plus-half-eps": (
+        KC,
+        "lam = 1 + eps",
+        "lam = 1 + eps / 2",
+        ["tests/test_kc.py::TestHighSet::test_threshold"],
     ),
     "derandomized-cost-bound-3L": (
         ROUNDING,

@@ -199,15 +199,13 @@ def _lp_report(inst: CpipInstance, args) -> SolveReport:
 
 
 def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
-    lam = 1 + args.epsilon  # the cut loop that --mode strict runs at this epsilon
-    loop = solve_lp_kc(inst, lam)
+    loop = solve_lp_kc(inst, args.epsilon)  # the cut loop that --mode strict runs
     return _report(
         "lp-kc",
         inst,
         loop.x,
         args.epsilon,
         fopt_kc=loop.round_objectives[-1],
-        lam=lam,
         epsilon=args.epsilon,
         cut_rows_added=loop.cut_rows_added,
         lp_rounds=len(loop.round_objectives),

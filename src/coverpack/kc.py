@@ -20,9 +20,10 @@ least 1, which is what lets the rounding machinery run on the residual
 system at full strength.
 
 Because there are exponentially many sets F, the relaxation is solved to
-lambda-relaxed form by a cutting-plane loop: solve the current LP
-(``rounding.solve_relaxation`` with the cuts so far), separate cuts for
-the variables at least d/lambda in the current point, add them, repeat.
+lambda-relaxed form, lambda = 1 + eps, by a cutting-plane loop: solve the
+current LP (``rounding.solve_relaxation`` with the cuts so far), separate
+cuts for the variables at least d/lambda in the current point, add them,
+repeat.
 Only valid rows are ever added, so every iterate's value is a lower
 bound on the cut-strengthened relaxation optimum, and there are finitely
 many (F, row) pairs, so the loop terminates.  ``solve_lp_kc`` returns
@@ -52,7 +53,6 @@ from coverpack.model import (
     SolveReport,
     as_epsilon,
     as_int,
-    as_lambda,
     as_sequence,
     as_vector,
     dot,
@@ -120,13 +120,9 @@ def kc_system(inst: CpipInstance, F) -> KcSystem:
     return KcSystem(F=F, rows=tuple(rows))
 
 
-def high_set(x, d, lam) -> frozenset:
-    """Variables at or above d/lambda in x (finite bounds only); lam > 0, x and d exact."""
-    return _high_set(*integers(x), d, lam)
-
-
-def _high_set(X, Dx, d, lam) -> frozenset:
-    """``high_set`` of x = X / Dx: x_j >= d_j / lambda as one integer comparison per j."""
+def _high_set(X, Dx, d, eps) -> frozenset:
+    """Variables with x_j >= d_j / (1+eps) in x = X / Dx, d_j finite: one integer test each."""
+    lam = 1 + eps
     p, q = lam.numerator, lam.denominator * Dx
     return frozenset(
         j for j, (v, u) in enumerate(zip(X, d))
@@ -135,19 +131,20 @@ def _high_set(X, Dx, d, lam) -> frozenset:
 
 
 def find_violated_kc(
-    inst: CpipInstance, x, lam
+    inst: CpipInstance, x, epsilon
 ) -> tuple[KcSystem, list[tuple[int, Fraction]]]:
     """The residual system of the point's own high set, and the rows it violates.
 
-    Each violated row comes with its exact shortfall a'_F - A'_F x, one
+    The high set holds the variables with x_j >= d_j / (1 + eps).  Each
+    violated row comes with its exact shortfall a'_F - A'_F x, one
     integer dot product with x over one denominator.  No violated rows
-    means x satisfies the cut family required of a lambda-relaxed
+    means x satisfies the cut family required of a (1+eps)-relaxed
     solution.  x must have one entry per variable.
     """
-    lam = as_lambda(lam)
+    eps = as_epsilon(epsilon)
     n = inst.n
     X, Dx = integers(as_vector(x, "x", n))
-    system = kc_system(inst, _high_set(X, Dx, inst.d, lam))
+    system = kc_system(inst, _high_set(X, Dx, inst.d, eps))
     violated = []
     for i, (S, D) in enumerate(system.rows):
         short = S[n] * Dx - sum(map(mul, S, X))  # (a'_F - A'_F x) * D * Dx
@@ -156,8 +153,8 @@ def find_violated_kc(
     return system, violated
 
 
-def solve_lp_kc(inst: CpipInstance, lam) -> CutLoop:
-    """Lambda-relaxed point for the cut-strengthened relaxation.
+def solve_lp_kc(inst: CpipInstance, epsilon) -> CutLoop:
+    """(1+eps)-relaxed point for the cut-strengthened relaxation.
 
     The returned loop's x has A x >= a, B x <= b, x <= d, no violated
     residual rows for its own high set, and cost at most the optimum of
@@ -167,7 +164,7 @@ def solve_lp_kc(inst: CpipInstance, lam) -> CutLoop:
     certificate, a Farkas ray included.  A loop with no lambda-relaxed
     point after ``MAX_ROUNDS`` rounds raises ``LimitError``.
     """
-    lam = as_lambda(lam)
+    eps = as_epsilon(epsilon)
     max_rounds = as_int(MAX_ROUNDS, "kc.MAX_ROUNDS", 1)
     if not is_width_normalized(inst):
         raise InstanceError("normalize width first")
@@ -185,7 +182,7 @@ def solve_lp_kc(inst: CpipInstance, lam) -> CutLoop:
         objectives.append(sol.objective_value)
         # an added cut holds exactly at every later iterate, so each
         # violated (F, row) pair is new and the loop terminates
-        system, violated = find_violated_kc(inst, sol.primal, lam)
+        system, violated = find_violated_kc(inst, sol.primal, eps)
         if not violated:
             return CutLoop(sol.primal, system, tuple(objectives), len(cuts), tuple(pin_sets))
         cuts.extend(system.rows[i] for i, _ in violated)
@@ -206,12 +203,11 @@ def solve_cip_strict(inst: CpipInstance, epsilon) -> tuple[IntegerVector, SolveR
     cost <= (1 + eps + 4K) times the relaxed point's cost.
     """
     eps = as_epsilon(epsilon)
-    lam = 1 + eps
     t0 = perf_counter()
-    loop = solve_lp_kc(inst, lam)
-    # the loop's last high set, at lambda = 1+eps, is the pinned set, and
-    # xbar violates none of its residual rows (the rounding re-checks); only
-    # the demanded ones go to the rounding, as the integer rows they are
+    loop = solve_lp_kc(inst, eps)
+    # the loop's last high set is the pinned set, and xbar violates none of
+    # its residual rows (the rounding re-checks); only the demanded ones go
+    # to the rounding, as the integer rows they are
     xbar, system = loop.x, loop.system
     xres = tuple(ZERO if j in system.F else v for j, v in enumerate(xbar))
     info: dict = {}
@@ -244,7 +240,6 @@ def solve_cip_strict(inst: CpipInstance, epsilon) -> tuple[IntegerVector, SolveR
         fopt_kc=relaxed_cost,
         ratio_cost_fopt=float(cost / fopt) if fopt else None,
         epsilon=eps,
-        lam=lam,
         K=K,
         L=info["L"],
         x=xhat,

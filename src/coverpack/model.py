@@ -186,14 +186,6 @@ def as_epsilon(value, where: str = "epsilon") -> Fraction:
     return eps
 
 
-def as_lambda(value) -> Fraction:
-    """A lambda by ``as_fraction``, above 1; ``InstanceError`` otherwise."""
-    lam = as_fraction(value, "lambda")
-    if lam <= 1:
-        raise InstanceError(f"lambda = {lam} must exceed 1")
-    return lam
-
-
 def _rational(value: str | float) -> Fraction:
     """Fraction(value), refusing more decimal digits than the int-string limit (0: none).
 
@@ -428,7 +420,6 @@ class SolveReport:
     opt: Fraction | None = None
     ratio_cost_fopt: float | None = None
     epsilon: Fraction | None = None
-    lam: Fraction | None = None
     K: int | None = None
     L: Fraction | None = None
     seed: int | None = None

@@ -115,7 +115,7 @@ def test_ac1_gap_family_exact_values(ledger):
         assert oracle.cost == 1
         recorded_before = len(ledger.lp_solves)
         with _recording_cut_rounds(ledger):
-            loop = solve_lp_kc(inst, 2)
+            loop = solve_lp_kc(inst, 1)
         assert len(ledger.lp_solves) - recorded_before == len(loop.round_objectives)
         kc_value = loop.round_objectives[-1]
         assert kc_value >= 1 - F(1, 10**9)

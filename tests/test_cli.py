@@ -87,13 +87,13 @@ class TestSolve:
 
     @pytest.mark.parametrize("epsilon", ["1/4", "1"])
     def test_lp_kc_reports_the_strict_cut_loop(self, epsilon, tmp_path, capsys):
-        # lp-kc runs the loop at lambda = 1 + epsilon, as the strict solver does
+        # lp-kc runs the cut loop that the strict solver runs at this epsilon
         _, doc, _ = run(
             ["gen", "--family", "multiset-multicover", "--m", "10", "--n", "15", "--seed", "1"],
             capsys=capsys,
         )
         path = write_gap(tmp_path, doc)
-        keys = ("fopt_kc", "lam", "lp_rounds", "cut_rows_added", "pin_sets_seen")
+        keys = ("fopt_kc", "lp_rounds", "cut_rows_added", "pin_sets_seen")
         loops = []
         for mode in ("lp-kc", "strict"):
             argv = ["solve", "--mode", mode, "--epsilon", epsilon, "--format", "machine", path]

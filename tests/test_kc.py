@@ -9,7 +9,6 @@ from coverpack import kc, rounding
 from coverpack.genbench import gen_random_cpip, knapsack_gap
 from coverpack.kc import (
     find_violated_kc,
-    high_set,
     kc_system,
     solve_cip_strict,
     solve_lp_kc,
@@ -52,6 +51,14 @@ def reference_kc_system(inst, F_):
         for i in range(inst.m)
     )
     return A_F, a_F
+
+
+def reference_high_set(x, d, eps):
+    """The variables with a finite bound and x_j >= d_j / (1 + eps), by the Fraction quotient."""
+    return frozenset(
+        j for j, (v, u) in enumerate(zip(x, d))
+        if u is not None and v >= u / (1 + eps)
+    )
 
 
 def rationals(rows):
@@ -119,7 +126,7 @@ class TestKcSystem:
         assert demands(system) == (F(0), F(0))
         assert [S for S, _ in system.rows] == [(0, 0, 0), (0, 0, 0)]
         # x_0 = 2 pins {0}; x_1 = 0 meets neither zero-demand row, and neither is reported
-        assert find_violated_kc(inst, (F(2), F(0)), 2) == (system, [])
+        assert find_violated_kc(inst, (F(2), F(0)), 1) == (system, [])
 
     def test_coefficients_never_exceed_residual(self):
         rng = random.Random(3)
@@ -170,12 +177,13 @@ class TestFractionParity:
         inst, _ = case
         coordinate = st.fractions(min_value=0, max_value=4, max_denominator=5)
         x = [data.draw(coordinate) for _ in range(inst.n)]
-        lam = data.draw(st.sampled_from([F(5, 4), F(2), F(3)]))
-        system, violated = find_violated_kc(inst, x, lam)
-        A_F, a_F = reference_kc_system(inst, high_set(x, inst.d, lam))
+        eps = data.draw(st.sampled_from([F(1, 4), F(1, 2), F(1)]))
+        system, violated = find_violated_kc(inst, x, eps)
+        high = reference_high_set(x, inst.d, eps)
+        A_F, a_F = reference_kc_system(inst, high)
         want = [(i, a_F[i] - dot(A_F[i], x)) for i in range(inst.m) if a_F[i] > dot(A_F[i], x)]
         assert violated == want
-        assert system == kc_system(inst, high_set(x, inst.d, lam))
+        assert system == kc_system(inst, high)
 
     @settings(max_examples=80, deadline=None)
     @given(pinned_instances(), st.data())
@@ -228,16 +236,14 @@ class TestFractionParity:
 class TestFindViolated:
     def test_gap_point_violates_pinned_row(self):
         inst = knapsack_gap(F(1, 10))
-        system, hits = find_violated_kc(inst, (F(1), F(1, 10)), 2)
+        system, hits = find_violated_kc(inst, (F(1), F(1, 10)), 1)
         assert system == kc_system(inst, {0})
         assert hits == [(0, F(9, 100))]
 
     def test_fully_pinned_no_violation_when_residual_zero(self):
         inst = make_inst(A=[[2, 1]], a=[2], c=[1, 1], d=[1, 1])
-        df = inst.d
-        x = tuple(F(v) for v in (1, 1))
-        assert high_set(x, df, F(2)) == frozenset({0, 1})
-        assert find_violated_kc(inst, x, 2)[1] == []
+        system, violated = find_violated_kc(inst, (F(1), F(1)), 1)
+        assert (system.F, violated) == (frozenset({0, 1}), [])
 
     def test_low_point_reduces_to_original_rows(self):
         inst = normalize_width(gen_random_cpip(2, 3, 0, seed=5, d_max=4))
@@ -245,60 +251,71 @@ class TestFindViolated:
         # fractional cover strictly below d'/2 on every coordinate
         sol_x = [min(F(df[j]) / 2 - F(1, 100), F(df[j])) for j in range(inst.n)]
         if all(dot(inst.A[i], sol_x) >= inst.a[i] for i in range(inst.m)):
-            assert high_set(sol_x, df, F(2)) == frozenset()
-            assert find_violated_kc(inst, sol_x, 2)[1] == []
+            system, violated = find_violated_kc(inst, sol_x, 1)
+            assert (system.F, violated) == (frozenset(), [])
 
-    def test_lambda_must_exceed_one(self):
+    def test_epsilon_outside_its_range_refused(self):
         inst = knapsack_gap(F(1, 10))
-        with pytest.raises(InstanceError):
-            find_violated_kc(inst, (F(0), F(0)), 1)
+        for eps in (0, F(3, 2)):
+            with pytest.raises(InstanceError, match=rf"^epsilon {eps} outside \(0, 1\]$"):
+                find_violated_kc(inst, (F(0), F(0)), eps)
 
     @pytest.mark.parametrize("x", [(F(1),), (F(1), F(1, 10), F(0))], ids=["short", "long"])
     def test_point_of_wrong_length_rejected(self, x):
         inst = knapsack_gap(F(1, 10))
         with pytest.raises(InstanceError, match=f"x has {len(x)} entries, expected 2"):
-            find_violated_kc(inst, x, 2)
+            find_violated_kc(inst, x, 1)
 
 
 class TestHighSet:
+    """The pinned set ``find_violated_kc(inst, x, eps)[0].F``: x_j >= d_j / (1 + eps)."""
+
     def test_threshold(self):
-        inst = make_inst(A=[[1, 1, 1]], a=[1], c=[1, 1, 1], d=[2, 2, None])
-        x = (F(1), F(99, 100), F(5))
-        assert high_set(x, inst.d, 2) == frozenset({0})  # d/2 = 1
+        # d_j / (1 + eps) is 4 at d_j = 5, eps = 1/4, and 3/2 at d_j = 2, eps = 1/3:
+        # a coordinate on it is high, one a hair below it is not
+        for d, eps, at in ((5, F(1, 4), F(4)), (2, F(1, 3), F(3, 2))):
+            inst = make_inst(A=[[1, 1, 1]], a=[1], c=[1, 1, 1], d=[d, d, None])
+            x = (at, at - F(1, 10**9), F(7))
+            assert find_violated_kc(inst, x, eps)[0].F == frozenset({0})
 
     def test_zero_bound_always_high(self):
         inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[0, None])
-        assert high_set((F(0), F(2)), inst.d, 2) == frozenset({0})
+        for eps in (F(1, 4), F(1)):
+            assert find_violated_kc(inst, (F(0), F(2)), eps)[0].F == frozenset({0})
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(
-            st.tuples(
-                st.fractions(min_value=0, max_value=4, max_denominator=6),
-                st.one_of(st.none(), st.fractions(min_value=0, max_value=4, max_denominator=3)),
-            ),
-            max_size=6,
-        ),
-        st.one_of(st.integers(1, 3), st.fractions(min_value=F(1, 3), max_value=3, max_denominator=5)),
+        st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=1, max_size=6),
+        st.fractions(min_value=0, max_value=1, max_denominator=8).filter(bool),
+        st.data(),
     )
-    def test_equals_fraction_reference(self, pairs, lam):
-        # the integer test x_j * lambda >= d_j picks the coordinates the Fraction quotient does
-        x, d = [v for v, _ in pairs], [u for _, u in pairs]
-        want = frozenset(j for j in range(len(d)) if d[j] is not None and x[j] >= d[j] / lam)
-        assert high_set(x, d, lam) == want
+    def test_equals_fraction_reference(self, d, eps, data):
+        # the integer test x_j (1 + eps) >= d_j picks the coordinates the Fraction quotient does,
+        # on the threshold and next to it as well as anywhere in [0, 4]
+        anywhere = st.fractions(min_value=0, max_value=4, max_denominator=6)
+
+        def coordinate(u):
+            if u is None:
+                return anywhere
+            near = [max(ZERO, u / (1 + eps) + k * F(1, 10**6)) for k in (-1, 0, 1)]
+            return st.one_of(anywhere, st.sampled_from(near))
+
+        x = [data.draw(coordinate(u)) for u in d]
+        inst = make_inst(A=[[1] * len(d)], a=[1], c=[1] * len(d), d=d)
+        assert find_violated_kc(inst, x, eps)[0].F == reference_high_set(x, d, eps)
 
 
 class TestSolveLpKc:
     def test_gap_cut_lifts_bound_to_one(self):
         inst = knapsack_gap(F(1, 100))
-        loop = solve_lp_kc(inst, 2)
+        loop = solve_lp_kc(inst, 1)
         assert loop.round_objectives[-1] >= 1 - F(1, 10**9)
         assert loop.cut_rows_added >= 1
 
     def test_no_cuts_needed_returns_after_one_round(self):
         # generous multiplicities keep every variable below d'/2
         inst = make_inst(A=[[1, 1]], a=[1], c=[1, 1], d=[50, 50])
-        loop = solve_lp_kc(inst, 2)
+        loop = solve_lp_kc(inst, 1)
         assert len(loop.round_objectives) == 1
         assert loop.cut_rows_added == 0
 
@@ -313,9 +330,9 @@ class TestSolveLpKc:
         monkeypatch.setattr(rounding, "solve_lp", recorded)
         for seed in range(100):
             inst = normalize_width(gen_random_cpip(3, 4, 1, seed=600 + seed, d_max=3))
-            loop = solve_lp_kc(inst, 2)
+            loop = solve_lp_kc(inst, 1)
             x = loop.x
-            system, violated = find_violated_kc(inst, x, 2)
+            system, violated = find_violated_kc(inst, x, 1)
             assert violated == []
             assert loop.system == system
             problem, sol = solves[-1]
@@ -331,7 +348,7 @@ class TestSolveLpKc:
         monkeypatch.setattr(kc, "MAX_ROUNDS", 1)
         inst = knapsack_gap(F(1, 10))
         with pytest.raises(LimitError, match="after 1 rounds"):
-            solve_lp_kc(inst, 2)
+            solve_lp_kc(inst, 1)
 
 
 class TestSolveCipStrict:
@@ -455,11 +472,11 @@ class TestSolveCipStrict:
                 calls.clear()
                 _, report = solve_cip_strict(inst, eps)
                 assert len(calls) == report.lp_rounds
-                # the pinned set is the last round's high set at lambda = 1+eps
+                # the pinned set is the last round's high set
                 last = calls[-1]
                 assert report.pinned == tuple(sorted(last))
-                x = solve_lp_kc(inst, 1 + eps).x
-                assert last == high_set(x, inst.d, 1 + eps)
+                x = solve_lp_kc(inst, eps).x
+                assert last == reference_high_set(x, inst.d, eps)
                 rounds.append(report.lp_rounds)
         assert max(rounds) > 1
 
@@ -506,7 +523,7 @@ class TestInjectedFaults:
     EPS = F(1, 4)
 
     def test_lp_value_that_falls_raises(self, monkeypatch):
-        # the gap instance takes two cut rounds at lambda 2; round 2 reports
+        # the gap instance takes two cut rounds at eps = 1; round 2 reports
         # a value 1/100 below round 1's
         values = []
 
@@ -521,15 +538,15 @@ class TestInjectedFaults:
         with pytest.raises(
             GuaranteeError, match=r"^cut round 2 lowered the LP value from 1/10 to 9/100$"
         ):
-            solve_lp_kc(knapsack_gap(F(1, 10)), 2)
+            solve_lp_kc(knapsack_gap(F(1, 10)), 1)
 
     def test_pinned_cost_above_its_bound_raises(self, monkeypatch):
         # the relaxed cost reported so that the pinned cost 9 lies between
         # (1 + eps) and (1 + 2 eps) times it
         relaxed = 9 / (1 + F(3, 2) * self.EPS)
 
-        def lowered(inst, lam):
-            real = solve_lp_kc(inst, lam)
+        def lowered(inst, epsilon):
+            real = solve_lp_kc(inst, epsilon)
             assert real.system.F == {1}
             objectives = (*real.round_objectives[:-1], relaxed)
             return dataclasses.replace(real, round_objectives=objectives)

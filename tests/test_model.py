@@ -227,8 +227,9 @@ SCALARS = {
     "bicriteria_round(epsilon)": (
         lambda v: bicriteria_round(GAP_XBAR, GAP.A, GAP.a, GAP.c, GAP.d, v), "1/2"
     ),
-    "solve_lp_kc(lambda)": (lambda v: solve_lp_kc(GAP, v), "2"),
-    "find_violated_kc(lambda)": (lambda v: find_violated_kc(GAP, GAP_XBAR, v), "2"),
+    # the epsilon from which the cut loop takes its lambda = 1 + eps
+    "solve_lp_kc(lambda)": (lambda v: solve_lp_kc(GAP, v), "1/2"),
+    "find_violated_kc(lambda)": (lambda v: find_violated_kc(GAP, GAP_XBAR, v), "1/2"),
     "randomized_round(L)": (lambda v: randomized_round(GAP_XBAR, v, 0), "2"),
     "derandomized_round(L)": (
         lambda v: derandomized_round(GAP_XBAR, GAP.A, GAP.a, GAP.c, v), "100"
@@ -258,7 +259,7 @@ def capped(call, rounds):
 #: every int parameter of a public function, and the round cap each cut loop
 #: reads at call time, with its least value (None: no least)
 INTS = {
-    "solve_lp_kc(max_rounds)": (lambda v: capped(lambda: solve_lp_kc(GAP, 2), v), 1),
+    "solve_lp_kc(max_rounds)": (lambda v: capped(lambda: solve_lp_kc(GAP, 1), v), 1),
     "solve_cip_strict(max_rounds)": (lambda v: capped(lambda: solve_cip_strict(GAP, 1), v), 1),
     "brute_force_opt(max_points)": (lambda v: brute_force_opt(GAP, max_points=v), None),
     "compute_scale_factor(m)": (lambda v: compute_scale_factor(v, 2), 1),
@@ -294,7 +295,7 @@ INTS = {
 VECTORS = {
     "FractionalVector(values)": (FractionalVector, "x"),
     "check_solution(x)": (lambda x: check_solution(GAP, x, 1), "x"),
-    "find_violated_kc(x)": (lambda x: find_violated_kc(GAP, x, 2), "x"),
+    "find_violated_kc(x)": (lambda x: find_violated_kc(GAP, x, 1), "x"),
     "randomized_round(xbar)": (lambda x: randomized_round(x, 2, 0), "xbar"),
     "derandomized_round(xbar)": (
         lambda x: derandomized_round(x, GAP.A, GAP.a, GAP.c, 100), "xbar"
@@ -411,7 +412,7 @@ SEQUENCES = {
     ),
     "randomized_round(xbar)": (lambda v: randomized_round(v, 2, 0), ()),
     "check_solution(x)": (lambda v: check_solution(GAP, v, 1), ()),
-    "find_violated_kc(x)": (lambda v: find_violated_kc(GAP, v, 2), ()),
+    "find_violated_kc(x)": (lambda v: find_violated_kc(GAP, v, 1), ()),
     # the pins are read as a set
     "kc_system(F)": (lambda v: kc_system(GAP, v), (set,)),
     "lp_from_instance(cut_rows)": (lambda v: lp_from_instance(GAP, v), ()),
@@ -470,9 +471,12 @@ def test_every_argument_refused_in_its_readers_words(entry, kind, value):
 
 #: a solver argument outside its range, and the message that names it
 RANGES = {
-    "solve_lp_kc(lambda=1)": (lambda: solve_lp_kc(GAP, 1), "lambda = 1 must exceed 1"),
+    "solve_lp_kc(epsilon=0)": (lambda: solve_lp_kc(GAP, 0), r"epsilon 0 outside \(0, 1\]"),
+    "find_violated_kc(epsilon=3/2)": (
+        lambda: find_violated_kc(GAP, GAP_XBAR, "3/2"), r"epsilon 3/2 outside \(0, 1\]"
+    ),
     "solve_lp_kc(max_rounds=0)": (
-        lambda: capped(lambda: solve_lp_kc(GAP, 2), 0), "kc.MAX_ROUNDS = 0 must be an int >= 1"
+        lambda: capped(lambda: solve_lp_kc(GAP, 1), 0), "kc.MAX_ROUNDS = 0 must be an int >= 1"
     ),
     "solve_cip_strict(epsilon=0)": (
         lambda: solve_cip_strict(GAP, 0), r"epsilon 0 outside \(0, 1\]"
@@ -524,7 +528,7 @@ RANGES = {
         lambda: check_solution(GAP, {0: 1, 1: 1}, 1), "^x: expected a sequence, got dict$"
     ),
     "find_violated_kc(x=5)": (
-        lambda: find_violated_kc(GAP, 5, 2), "^x: expected a sequence, got int$"
+        lambda: find_violated_kc(GAP, 5, 1), "^x: expected a sequence, got int$"
     ),
     "LpProblem.from_data(objective=3)": (
         lambda: LpProblem.from_data(3, [], []), "^objective: expected a sequence, got int$"
@@ -1186,8 +1190,8 @@ class TestStructure:
             "ray_rows", "ray_bounds", "guided",
         ),
         "SolveReport": (
-            "mode", "cost", "fopt", "fopt_kc", "opt", "ratio_cost_fopt", "epsilon", "lam", "K",
-            "L", "seed", "rng", "x", "violations", "guarantees_ok", "pinned", "pin_sets_seen",
+            "mode", "cost", "fopt", "fopt_kc", "opt", "ratio_cost_fopt", "epsilon", "K", "L",
+            "seed", "rng", "x", "violations", "guarantees_ok", "pinned", "pin_sets_seen",
             "cut_rows_added", "lp_rounds", "oracle_bounds", "oracle_space", "status", "elapsed_s",
         ),
         "bicriteria_round": ("xbar", "A", "a", "c", "d", "epsilon", "info_out"),
@@ -1195,7 +1199,7 @@ class TestStructure:
         "check_solution": ("inst", "x", "epsilon"),
         "compute_scale_factor": ("m", "W"),
         "derandomized_round": ("xbar", "A", "a", "c", "L", "trace_out"),
-        "find_violated_kc": ("inst", "x", "lam"),
+        "find_violated_kc": ("inst", "x", "epsilon"),
         "gen_random_cpip": ("m", "n", "r", "seed", "d_max", "density"),
         "gen_set_cover": ("num_elements", "num_sets", "density", "seed"),
         "granular_round": ("xbar", "A", "a", "c", "K"),
@@ -1210,7 +1214,7 @@ class TestStructure:
         "solve_cip_strict": ("inst", "epsilon"),
         "solve_cpip_bicriteria": ("inst", "epsilon"),
         "solve_lp": ("p",),
-        "solve_lp_kc": ("inst", "lam"),
+        "solve_lp_kc": ("inst", "epsilon"),
         "verify_certificate": ("p", "s"),
         "width": ("A", "a"),
     }

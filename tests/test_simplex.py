@@ -1425,8 +1425,8 @@ def test_set_cover_takes_the_float_run():
     assert _assert_guided_equals_cold(p).status == "OPTIMAL"
 
 
-def _cut_loop_lps(inst, lam):
-    """Every LP the cut loop of ``inst`` at ``lam`` solves, in order."""
+def _cut_loop_lps(inst, eps):
+    """Every LP the cut loop of ``inst`` at ``eps`` solves, in order."""
     seen = []
 
     def recording(p):
@@ -1435,7 +1435,7 @@ def _cut_loop_lps(inst, lam):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rounding, "solve_lp", recording)
-        solve_lp_kc(normalize_width(inst), lam)
+        solve_lp_kc(normalize_width(inst), eps)
     return seen
 
 
@@ -1443,8 +1443,8 @@ def _cut_loop_lps(inst, lam):
     "m, n, seeds", [(20, 30, (1, 3, 10)), (40, 60, (1, 11))], ids=["20x30", "40x60"]
 )
 def test_guided_equals_cold_on_every_cut_loop_lp(m, n, seeds):
-    # seeds 3 and 10 at 20x30 and 1 and 11 at 40x60 take two cut rounds at lambda 5/4
-    lps = [p for seed in seeds for p in _cut_loop_lps(gen_random_cpip(m, n, 3, seed), F(5, 4))]
+    # seeds 3 and 10 at 20x30 and 1 and 11 at 40x60 take two cut rounds at eps = 1/4
+    lps = [p for seed in seeds for p in _cut_loop_lps(gen_random_cpip(m, n, 3, seed), F(1, 4))]
     assert len(lps) > len(seeds)
     for p in lps:
         assert len(p.rows) * n >= simplex.GUIDED_MIN_CELLS  # guided at the shipped size rule
