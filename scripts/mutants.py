@@ -13,7 +13,7 @@ entry of A to the scan), or lets a document's field error out as
 a bare ``InstanceError``, or lets ``run_bench`` take a spec that is not a
 ``GeneratorSpec``, or makes its text table drop a field of the rows or its
 aggregates count a failed row, or makes the CLI's report builder check violations at
-a fixed epsilon or ``check --mode strict`` read the bicriteria verdict,
+a fixed epsilon or print no epsilon, or ``check --mode strict`` read the bicriteria verdict,
 or derives the cut loop's lambda from epsilon by a rule other than 1 + eps,
 or breaks a fast path: ``normalize_width``'s integer
 row test, the integer test of the cut loop's high set, the rounding layer's scan of A (its integer rows, its width over every column and the
@@ -538,8 +538,14 @@ MUTANTS = {
     ),
     "cli-report-checks-at-epsilon-1": (
         CLI,
-        "violations=check_solution(inst, x, at)",
+        "violations=check_solution(inst, x, epsilon or 1)",
         "violations=check_solution(inst, x, 1)",
+        [CLI_REPORTS],
+    ),
+    "cli-report-prints-no-epsilon": (
+        CLI,
+        "epsilon=epsilon,",
+        "epsilon=None,",
         [CLI_REPORTS],
     ),
     "cli-check-strict-reads-bicriteria": (

@@ -20,7 +20,10 @@ wall clock), so every run is reproducible.  Each subcommand takes only the
 flags it reads; any other flag exits 2.  Machine output is one JSON report per
 line; text output prints the same fields and values, one per line (``bench``:
 one column per field).  A report's cost and violations are those of the ``x``
-it prints.
+it prints, and the violations are judged at the ``epsilon`` it prints (the
+``--epsilon`` of ``solve``, ``round`` and ``check``).  The ``oracle`` and ``solve
+--mode lp`` reports print none: their point meets B x <= b and x <= d, so its
+violations are the same at every epsilon.
 """
 
 from __future__ import annotations
@@ -101,7 +104,6 @@ _positive_int = _typed(int, "a positive integer", lambda v: v >= 1)
 def _add_common(sub):
     """The flags every instance subcommand reads; each adds only the others it reads."""
     sub.add_argument("input", nargs="?", default="-", help="instance path or - for stdin")
-    sub.add_argument("--epsilon", type=_epsilon, default="1")
     sub.add_argument("--format", dest="output", choices=("text", "machine"), default="text")
 
 
@@ -126,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("randomized", "derandomized", "granular", "bicriteria"),
         default="derandomized",
     )
-    rnd.add_argument("--granularity", type=int, default=2, help="K for --op granular")
+    rnd.add_argument("--granularity", type=_positive_int, default=2, help="K for --op granular")
     rnd.add_argument("--seed", type=int, default=0, help="seed for --op randomized")
     _add_common(rnd)
 
@@ -158,6 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--mode", choices=("strict", "bicriteria"), default="strict")
     _add_common(check)
 
+    for sub in (solve, rnd, check):  # oracle's optimum is exact: it has no slack to judge at
+        sub.add_argument("--epsilon", type=_epsilon, default="1")
     return parser
 
 
@@ -185,32 +189,27 @@ def _emit(report: SolveReport, output: str) -> None:
     _out(json.dumps(d) if output == "machine" else text)
 
 
-def _report(mode: str, inst: CpipInstance, x, at, **fields) -> SolveReport:
-    """The report on the point ``x``: its cost c.x and its violations at slack ``at``."""
-    return SolveReport(
-        mode=mode, cost=dot(inst.c, x), x=x, violations=check_solution(inst, x, at), **fields
-    )
+def _report(mode: str, inst: CpipInstance, x, epsilon, **fields) -> SolveReport:
+    """The report on ``x``: its cost c.x and its violations at ``epsilon``, which it prints.
+
+    ``None`` is for a point that meets B x <= b and x <= d (an LP vertex, the oracle's
+    optimum): its violations are the same at every epsilon, so it is judged at 1 and
+    prints no epsilon.
+    """
+    return SolveReport(mode=mode, cost=dot(inst.c, x), x=x, epsilon=epsilon,
+                       violations=check_solution(inst, x, epsilon or 1), **fields)
 
 
 def _lp_report(inst: CpipInstance, args) -> SolveReport:
     sol = solve_relaxation(inst)
-    return _report("lp", inst, sol.primal, args.epsilon, fopt=sol.objective_value,
-                   epsilon=args.epsilon)
+    return _report("lp", inst, sol.primal, None, fopt=sol.objective_value)
 
 
 def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
     loop = solve_lp_kc(inst, args.epsilon)  # the cut loop that --mode strict runs
-    return _report(
-        "lp-kc",
-        inst,
-        loop.x,
-        args.epsilon,
-        fopt_kc=loop.round_objectives[-1],
-        epsilon=args.epsilon,
-        cut_rows_added=loop.cut_rows_added,
-        lp_rounds=len(loop.round_objectives),
-        pin_sets_seen=loop.pin_sets_seen,
-    )
+    return _report("lp-kc", inst, loop.x, args.epsilon, fopt_kc=loop.round_objectives[-1],
+                   cut_rows_added=loop.cut_rows_added, lp_rounds=len(loop.round_objectives),
+                   pin_sets_seen=loop.pin_sets_seen)
 
 
 def _oracle_report(inst: CpipInstance, args) -> SolveReport:
@@ -222,7 +221,7 @@ def _oracle_report(inst: CpipInstance, args) -> SolveReport:
         )
     if res.status == "INFEASIBLE":
         raise InfeasibleError("no integer solution in the search box")
-    return _report("oracle", inst, res.x, args.epsilon, opt=res.cost, epsilon=args.epsilon,
+    return _report("oracle", inst, res.x, None, opt=res.cost,
                    oracle_bounds=res.bounds, oracle_space=res.space_size)
 
 
@@ -237,8 +236,6 @@ def _round_report(inst: CpipInstance, args) -> SolveReport:
         x = bicriteria_round(xbar, A, a, c, inst.d, args.epsilon, info_out=info)
         K, L = info["K"], info["L"]
     else:
-        if op == "granular":  # it checks K before the rule below reads it
-            x = granular_round(xbar, A, a, c, K)
         # the scale factor the op rounds at: scale(m, K W) with K = 1 but for
         # granular, and 1 where no row is demanded
         L = compute_scale_factor(inst.m, (K or 1) * width(A, a)) if inst.m else 1
@@ -246,19 +243,11 @@ def _round_report(inst: CpipInstance, args) -> SolveReport:
             x = randomized_round(xbar, L, args.seed)
         elif op == "derandomized":
             x = derandomized_round(xbar, A, a, c, L)
+        else:
+            x = granular_round(xbar, A, a, c, K)
     randomized = op == "randomized"
-    return _report(
-        f"round-{op}",
-        inst,
-        x,
-        args.epsilon,
-        fopt=sol.objective_value,
-        epsilon=args.epsilon if op == "bicriteria" else None,
-        K=K,
-        L=L,
-        seed=args.seed if randomized else None,
-        rng=RNG_NAME if randomized else None,
-    )
+    return _report(f"round-{op}", inst, x, args.epsilon, fopt=sol.objective_value, K=K, L=L,
+                   seed=args.seed if randomized else None, rng=RNG_NAME if randomized else None)
 
 
 def _solve_report(inst: CpipInstance, args) -> SolveReport:
@@ -301,7 +290,7 @@ def _cmd_check(args) -> int:
     # the document as given: its own row numbers and its own d
     inst = parse_instance(_read_text(args.input))
     x = parse_solution(_read_text(args.solution), inst.n)
-    report = _report(f"check-{args.mode}", inst, x, args.epsilon, epsilon=args.epsilon)
+    report = _report(f"check-{args.mode}", inst, x, args.epsilon)
     ok = getattr(report.violations, f"ok_{args.mode}")
     _emit(replace(report, guarantees_ok=ok, status="OK" if ok else "VIOLATED"), args.output)
     return EXIT_OK if ok else EXIT_INFEASIBLE

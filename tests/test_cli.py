@@ -306,12 +306,16 @@ SMALL_CPIP = ["gen", "--family", "random-cpip", "--m", "6", "--n", "8", "--r", "
 @pytest.mark.parametrize("run_argv", REPORT_RUNS.values(), ids=REPORT_RUNS.keys())
 def test_report_states_cost_and_violations_of_its_x(run_argv, tmp_path, capsys):
     # every report states the exact cost c.x of the x it prints and that x's
-    # violations at --epsilon, whichever layer found the x
+    # violations at --epsilon, whichever layer found the x, and prints that
+    # epsilon; the oracle takes none, and its optimum and the LP vertex print
+    # none, since they meet B and d and so their violations are the same at 1/4
     code, doc, _ = run(SMALL_CPIP, capsys=capsys)
     assert code == EXIT_OK
     path = tmp_path / "inst.json"
     path.write_text(doc)
-    argv = [*run_argv, str(path), "--epsilon", "1/4", "--format", "machine"]
+    exact = run_argv in (("oracle",), ("solve", "--mode", "lp"))
+    given = [] if run_argv[0] == "oracle" else ["--epsilon", "1/4"]
+    argv = [*run_argv, str(path), *given, "--format", "machine"]
     inst = parse_instance(doc)
     if run_argv[0] == "check":  # within d at epsilon 1, not at 1/4
         sol = tmp_path / "sol.json"
@@ -326,6 +330,7 @@ def test_report_states_cost_and_violations_of_its_x(run_argv, tmp_path, capsys):
     violations = check_solution(inst, x, Fraction(1, 4))
     assert rep["cost"] == number_out(dot(inst.c, x))
     assert rep["violations"] == report_dict(violations)
+    assert rep.get("epsilon") == (None if exact else "1/4")
     if run_argv[0] == "check":
         assert (rep["guarantees_ok"], rep["status"]) == (False, "VIOLATED")
 
@@ -391,6 +396,7 @@ class TestFlagsPerSubcommand:
             ("round", "--lambda", "7"),
             ("round", "--max-rounds", "3"),
             ("oracle", "--seed", "9"),
+            ("oracle", "--epsilon", "1/4"),
             ("oracle", "--lambda", "7"),
             ("oracle", "--max-rounds", "3"),
             ("check", "--seed", "9"),
@@ -618,13 +624,13 @@ class TestRound:
         assert (rep["x"], rep["cost"], rep["L"]) == ([0, 0], 0, 1)
 
     @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_granularity_checked_before_the_scale_factor(self, value, tmp_path, capsys):
-        code, out, err = run(
-            ["round", "--op", "granular", "--granularity", value, write_gap(tmp_path)],
-            capsys=capsys,
-        )
-        assert (code, out) == (EXIT_USAGE, "")
-        assert f"granularity K = {value} must be an int >= 1" in err
+    def test_granularity_below_one_refused_by_the_parser(self, value, tmp_path, capsys):
+        for op in ("granular", "derandomized"):  # whichever op it is given to
+            code, out, err = run(
+                ["round", "--op", op, "--granularity", value, write_gap(tmp_path)], capsys=capsys
+            )
+            assert (code, out) == (EXIT_USAGE, "")
+            assert f"argument --granularity: '{value}' is not a positive integer" in err
 
     def test_granular_report_is_exact(self, capsys, monkeypatch):
         code, doc, _ = run(
