@@ -20,9 +20,10 @@ row test, the integer test of the cut loop's high set, the rounding layer's scan
 support of xbar it keeps), the slot reads of a vector of ``Fraction``s
 (``model._parts``' list displays, which the scan, ``integers`` and ``nonnegative`` share: a
 numerator read from the denominator's slot, a dropped sign or dropped
-denominators), the estimator's kept trace terms, the surplus trim (tied
-costs taken by descending index, a first pass that keeps a unit its rows
-can spare),
+denominators), the estimator's kept trace terms, its log-moment reused down
+a column only for an equal weight and the left-to-right order of its phi,
+the surplus trim (tied costs taken by descending index, a first pass that
+keeps a unit its rows can spare),
 ``check_solution``'s integer multiplicity test, the oracle's cost
 bound, value skip and closed-form last variable (a tie that replaces the
 incumbent, a dropped packing test, a value one too high), which must leave
@@ -256,6 +257,18 @@ MUTANTS = {
         "terms[k] = math.exp(60.0 if e > 60.0 else e)",
         "pass",
         [TRACE],
+    ),
+    "log-moment-reused-across-weights": (
+        ROUNDING,
+        "if tw != last_tw:",
+        "if last_tw is None:",
+        ["tests/test_rounding.py::test_estimator_columns_equal_a_per_entry_recomputation[random-cpip]"],
+    ),
+    "phi-adds-right-to-left": (
+        ROUNDING,
+        "for term in terms:",
+        "for term in reversed(list(terms)):",
+        ["tests/test_rounding.py::TestEstimatorState::test_phi_adds_row_terms_left_to_right"],
     ),
     "scan-takes-numerators-under-an-integer-demand": (
         MODEL,

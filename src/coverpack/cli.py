@@ -17,9 +17,13 @@ fault (``GuaranteeError``, a failed LP certificate among them, or any other
 exception).  A reader of stdout that stops early changes no exit code and
 prints nothing on stderr.  All randomness flows from --seed (default 0, never
 wall clock), so every run is reproducible.  Each subcommand takes only the
-flags it reads; any other flag exits 2.  Machine output is one JSON report per
-line; text output prints the same fields and values, one per line (``bench``:
-one column per field).  A report's cost and violations are those of the ``x``
+flags that one of its modes or ops reads; any other flag exits 2.  A mode or
+op that reads none of them ignores such a flag, and its report prints no value
+taken from it: ``solve --mode lp --epsilon``, ``round --op derandomized
+--seed`` and ``round --op bicriteria --granularity`` (``bicriteria`` prints
+the K' it rounded at).  Machine output is one JSON report per line; text
+output prints the same fields and values, one per line (``bench``: one column
+per field).  A report's cost and violations are those of the ``x``
 it prints, and the violations are judged at the ``epsilon`` it prints (the
 ``--epsilon`` of ``solve``, ``round`` and ``check``).  The ``oracle`` and ``solve
 --mode lp`` reports print none: their point meets B x <= b and x <= d, so its

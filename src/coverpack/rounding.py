@@ -43,19 +43,21 @@ or negative one in any column is ``InstanceError``, and takes each demanded
 row's largest entry over every column: an entry in a zero column can set
 the width, and with it K and L.  The scaled point L xbar is L.numerator X
 over L.denominator D, and an integral coordinate of it takes no decision.
-A traced run (``trace_out``) keeps each row's term of the estimator and
-refreshes only the rows a decision touches, so it calls no more exp than an
-untraced one.  The public calls then run private cores on what was read:
-``derandomized_round`` runs ``_derandomize``, ``granular_round`` runs
-``_granular`` (``_derandomize`` on the K-scaled rows), and
-``bicriteria_round`` runs ``_granular`` and takes the ceiling, or, where
-the float L' rounds to 1.0, takes the ceiling of xbar itself.
+The estimator computes a column's log-moment once per run of equal weights
+down that column (a 0/1 set cover: one ``log1p`` per column), and adds phi's
+row terms left to right in a plain loop.  A traced run (``trace_out``) keeps
+each row's term of the estimator and refreshes only the rows a decision
+touches, so it calls no more exp than an untraced one.  The public calls then
+run private cores on what was read: ``derandomized_round`` runs
+``_derandomize``, ``granular_round`` runs ``_granular`` (``_derandomize`` on
+the K-scaled rows), and ``bicriteria_round`` runs ``_granular`` and takes the
+ceiling, or, where the float L' rounds to 1.0, takes the ceiling of xbar
+itself.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 import math
 import operator
@@ -301,13 +303,18 @@ class EstimatorState:
     columns of ``rows`` (a ``CoverRows``, whose columns off its support are
     empty: xprime is 0 there); the costs are ``costs / c_den``.
     Each weight is the float of the exact rational A'_kj W / a'_k, by one
-    correctly rounded int division.
+    correctly rounded int division.  Equal floats t w give equal log-moments,
+    so each is computed once per run of equal t w down a column and reused
+    for the rest of the run: the same float, with one ``log1p`` and one
+    ``expm1`` per column where a column's weights are all equal.
     ``xprime`` is the scaled point L xbar as a pair (P, den) of ints.
     Deciding and fixing coordinate j touch only the rows in its list, so a
     full run is O(nnz) float work.  phi() adds the m row terms left to
-    right; with ``traced`` the state keeps each row's term exp(min(E_i, 60))
-    in ``terms``, and ``fix`` refreshes the terms of the rows it touches, so
-    a phi() after every decision adds m floats but calls no exp.
+    right in a plain ``for`` loop, the same order on every interpreter (the
+    builtin ``sum`` compensates from CPython 3.12 on); with ``traced`` the
+    state keeps each row's term exp(min(E_i, 60)) in ``terms``, and ``fix``
+    refreshes the terms of the rows it touches, so a phi() after every
+    decision adds m floats but calls no exp.
     """
 
     def __init__(self, xprime, rows: CoverRows, costs: list[int], c_den: int, L, *, traced=False):
@@ -338,9 +345,11 @@ class EstimatorState:
             fl, frac = self.floors[j], self.fracs[j]
             self.expected_cost += self.costs[j] * (fl + frac)
             column = self.columns[j]
+            last_tw = None
             for k, v in rows.columns[j]:
                 tw = t * ((v * w_num) / weight_den[k])
-                log_bern = log1p(frac * expm1(-tw))
+                if tw != last_tw:  # a run of equal tw shares one log_bern
+                    last_tw, log_bern = tw, log1p(frac * expm1(-tw))
                 exponents[k] = exponents[k] - tw * fl + log_bern
                 column.append((k, tw, log_bern))
         self.terms = list(map(_row_term, exponents)) if traced else None
@@ -348,8 +357,10 @@ class EstimatorState:
     def phi(self) -> float:
         cost_term = self.expected_cost / self.cost_denom if self.cost_denom else 0.0
         terms = map(_row_term, self.exponents) if self.terms is None else self.terms
-        # left to right: the builtin sum compensates floats from CPython 3.12 on
-        return cost_term + functools.reduce(operator.add, terms, 0.0)
+        total = 0.0  # left to right, not by sum, which compensates from CPython 3.12 on
+        for term in terms:
+            total += term
+        return cost_term + total
 
     def prefers_ceiling(self, j: int) -> bool:
         """True iff phi(x_j = floor + 1) < phi(x_j = floor); ties go to the floor."""

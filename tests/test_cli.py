@@ -424,6 +424,24 @@ class TestFlagsPerSubcommand:
         code, _, _ = run([*_subcommand_argv(subcommand, tmp_path), *flags], capsys=capsys)
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "argv, flag, value, key",
+        [
+            (["solve", "--mode", "lp"], "--epsilon", "1/4", "epsilon"),
+            (["round", "--op", "derandomized"], "--seed", "9", "seed"),
+            # no key: the same bytes show that its K is not taken from the flag
+            (["round", "--op", "bicriteria"], "--granularity", "7", None),
+        ],
+    )
+    def test_a_mode_that_reads_no_flag_ignores_it(self, argv, flag, value, key, tmp_path, capsys):
+        # the subcommand takes the flag for another of its modes or ops
+        argv = [*argv, write_gap(tmp_path), "--format", "machine"]
+        code, out, _ = run(argv, capsys=capsys)
+        assert code == EXIT_OK
+        assert run([*argv, flag, value], capsys=capsys) == (EXIT_OK, out, "")
+        if key is not None:
+            assert key not in json.loads(out)
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(

@@ -271,6 +271,63 @@ class TestEstimatorState:
             state.fix(j, state.floors[j] + 1 if ceiling else state.floors[j])
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_log_moment_computed_once_per_column_of_a_set_cover(seed, monkeypatch):
+    # a 0/1 set cover weighs every entry of a column alike, so a column's
+    # log-moment is one log1p, however many rows the column covers
+    inst = gen_set_cover(50, 100, 0.1, seed)
+    support = min(sum(1 for v in row if v > 0) for row in inst.A)
+    rows = CoverRows(inst.A, inst.a)
+    L = compute_scale_factor(inst.m, rows.width)
+    xprime = tuple(L * F(1, support) for _ in inst.c)
+    calls = []
+    log1p = math.log1p
+    monkeypatch.setattr(math, "log1p", lambda v: calls.append(v) or log1p(v))
+    EstimatorState(integers(xprime), rows, *integers(inst.c), L)
+    assert sum(map(len, rows.columns)) > inst.n  # the columns repeat their weights
+    assert len(calls) <= len(rows.support)
+
+
+def estimator_column_cases():
+    """(name, xbar, rows, L): a set cover, its rows scaled by K, and a random-CPIP LP vertex.
+
+    The set cover's weights are equal down each column; the random CPIP's differ.
+    """
+    inst = gen_set_cover(50, 100, 0.1, 0)
+    support = min(sum(1 for v in row if v > 0) for row in inst.A)
+    xbar = [F(1, support)] * inst.n
+    rows = CoverRows(inst.A, inst.a)
+    yield "set-cover", xbar, rows, compute_scale_factor(inst.m, rows.width)
+    K = 4
+    L = compute_scale_factor(inst.m, K * rows.width)
+    yield "set-cover-scaled", [K * v for v in xbar], rows.scaled(K), L
+    inst, xbar, _ = cip_with_lp(10, 15, 4, 2)
+    rows = CoverRows(inst.A, inst.a, integers(xbar)[0])
+    yield "random-cpip", xbar, rows, compute_scale_factor(len(rows.demands), rows.width)
+
+
+ESTIMATOR_COLUMN_CASES = {case[0]: case[1:] for case in estimator_column_cases()}
+
+
+@pytest.mark.parametrize(
+    "case", ESTIMATOR_COLUMN_CASES.values(), ids=ESTIMATOR_COLUMN_CASES.keys()
+)
+def test_estimator_columns_equal_a_per_entry_recomputation(case):
+    # the log-moment computed once per run of equal weights is, bit for bit,
+    # the one each entry would compute for itself
+    xbar, rows, L = case
+    P, den = integers([L * v for v in xbar])
+    state = EstimatorState((P, den), rows, [1] * len(xbar), 1, L)
+    t, W = math.log(float(L)), rows.width
+    for j, column in enumerate(state.columns):
+        frac = P[j] % den / den
+        expected = []
+        for k, v in rows.columns[j]:
+            tw = t * ((v * W.numerator) / (rows.demands[k] * W.denominator))
+            expected.append((k, tw.hex(), math.log1p(frac * math.expm1(-tw)).hex()))
+        assert [(k, tw.hex(), log_bern.hex()) for k, tw, log_bern in column] == expected
+
+
 def derandomized_cases():
     """(name, xbar, A, a, c, L) on set covers and random CPIPs at their LP optimum.
 
