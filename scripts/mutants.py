@@ -9,7 +9,7 @@ certifies every LP result), lets a bad argument through a reader of
 entry check, the vector reader's int path, which must refuse a bool and
 check signs as the per-entry reference readers do) or of the rounding layer (a scale factor L below 1, a point
 beyond the estimator's float range, ragged rows of A to ``width``, a negative
-entry of A to the scan), or lets a document's field error out as
+entry of A to the scan, a vacuous row's included), or lets a document's field error out as
 a bare ``InstanceError``, or lets ``run_bench`` take a spec that is not a
 ``GeneratorSpec``, or makes its text table drop a field of the rows or its
 aggregates count a failed row, or makes the CLI's report builder check violations at
@@ -20,8 +20,9 @@ row test, the integer test of the cut loop's high set, the rounding layer's scan
 support of xbar it keeps), the slot reads of a vector of ``Fraction``s
 (``model._parts``' list displays, which the scan, ``integers`` and ``nonnegative`` share: a
 numerator read from the denominator's slot, a dropped sign or dropped
-denominators), the estimator's kept trace terms, its log-moment reused down
-a column only for an equal weight and the left-to-right order of its phi,
+denominators), the estimator's kept row terms and the branch a decision
+writes back, its log-moment reused down a column only for an equal weight
+and the left-to-right order of its phi,
 the surplus trim (tied costs taken by descending index, a first pass that
 keeps a unit its rows can spare),
 ``check_solution``'s integer multiplicity test, the oracle's cost
@@ -71,6 +72,7 @@ GRANULAR = "tests/test_rounding.py::test_bicriteria_checks_catch_a_faulty_granul
 AUDIT = "tests/test_oracle.py::TestKcValidity"
 COVER_ROWS = "tests/test_rounding.py::test_cover_rows_alike_in_every_form"
 TRACE = "tests/test_rounding.py::test_trace_out_is_phi_recomputed_from_scratch"
+KEPT_TERMS = "tests/test_rounding.py::test_every_state_keeps_its_row_terms"
 RATIONAL_ROWS = "tests/test_rounding.py::test_rational_row_outputs_pinned"
 TRIM = "tests/test_rounding.py::test_trim_surplus_equals_the_reference_loop"
 ORACLE = "src/coverpack/oracle.py"
@@ -254,9 +256,18 @@ MUTANTS = {
     ),
     "trace-term-not-refreshed": (
         ROUNDING,
-        "terms[k] = math.exp(60.0 if e > 60.0 else e)",
-        "pass",
+        "exponents[k], terms[k] = e_floor, floor_term",
+        "exponents[k] = e_floor",
         [TRACE],
+    ),
+    "decide-writes-the-other-branch": (
+        ROUNDING,
+        "ceilings.append((k, e_ceil, ceil_term))",
+        "ceilings.append((k, e_ceil, floor_term))",
+        [
+            "tests/test_rounding.py::TestEstimatorState::test_matches_dense_reference",
+            KEPT_TERMS,
+        ],
     ),
     "log-moment-reused-across-weights": (
         ROUNDING,
@@ -266,8 +277,8 @@ MUTANTS = {
     ),
     "phi-adds-right-to-left": (
         ROUNDING,
-        "for term in terms:",
-        "for term in reversed(list(terms)):",
+        "for term in self.terms:",
+        "for term in reversed(self.terms):",
         ["tests/test_rounding.py::TestEstimatorState::test_phi_adds_row_terms_left_to_right"],
     ),
     "scan-takes-numerators-under-an-integer-demand": (
@@ -295,6 +306,18 @@ MUTANTS = {
         'as_sequence(a, "a", len(as_shape(A, "A", columns)))',
         'as_sequence(a, "a", len(A))',
         ["tests/test_rounding.py::test_width_refuses_what_the_roundings_refuse[ragged-rows]"],
+    ),
+    "scan-skips-a-vacuous-row-before-its-sign-test": (
+        ROUNDING,
+        "            if entries and min(entries) < 0:  # a scaled entry keeps its sign\n"
+        "                nonnegative(row, f\"A[{i}]\")  # raises, naming the entry\n"
+        "            if not demand:\n"
+        "                continue  # a vacuous row\n",
+        "            if not demand:\n"
+        "                continue  # a vacuous row\n"
+        "            if entries and min(entries) < 0:  # a scaled entry keeps its sign\n"
+        "                nonnegative(row, f\"A[{i}]\")  # raises, naming the entry\n",
+        ["tests/test_rounding.py::test_negative_entries_refused"],
     ),
     "cover-rows-take-a-negative-entry": (
         ROUNDING,

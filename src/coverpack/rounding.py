@@ -45,14 +45,14 @@ the width, and with it K and L.  The scaled point L xbar is L.numerator X
 over L.denominator D, and an integral coordinate of it takes no decision.
 The estimator computes a column's log-moment once per run of equal weights
 down that column (a 0/1 set cover: one ``log1p`` per column), and adds phi's
-row terms left to right in a plain loop.  A traced run (``trace_out``) keeps
-each row's term of the estimator and refreshes only the rows a decision
-touches, so it calls no more exp than an untraced one.  The public calls then
-run private cores on what was read: ``derandomized_round`` runs
-``_derandomize``, ``granular_round`` runs ``_granular`` (``_derandomize`` on
-the K-scaled rows), and ``bicriteria_round`` runs ``_granular`` and takes the
-ceiling, or, where the float L' rounds to 1.0, takes the ceiling of xbar
-itself.
+row terms left to right in a plain loop.  Every run keeps each row's term of
+the estimator, and a decision refreshes the rows it touches from the exps it
+computed to decide, so a traced run (``trace_out``) calls no more exp than an
+untraced one.  The public calls then run private cores on what was read:
+``derandomized_round`` runs ``_derandomize``, ``granular_round`` runs
+``_granular`` (``_derandomize`` on the K-scaled rows), and
+``bicriteria_round`` runs ``_granular`` and takes the ceiling, or, where the
+float L' rounds to 1.0, takes the ceiling of xbar itself.
 """
 
 from __future__ import annotations
@@ -192,19 +192,17 @@ class CoverRows:
             # every row is read, a vacuous one too, so no entry goes unchecked; None
             # or "" has no numerator, so it is not read as 0
             support = list(itertools.compress(indices, _parts(row)))
-            if ai.numerator <= 0:
-                if ai < 0:
-                    nonnegative(a, "a")  # raises: no earlier demand was negative
-                if support and min(map(row.__getitem__, support)) < 0:  # its nonzeros only
-                    nonnegative(row, f"A[{i}]")
-                continue
-            k = len(self.active)
-            self.active.append(i)
             # the demand last: the first nonzero entry decides how _parts reads them
             entries, scale = integers([*map(row.__getitem__, support), ai])
             demand = entries.pop()
+            if demand < 0:  # a scaled demand keeps its sign
+                nonnegative(a, "a")  # raises: no earlier demand was negative
             if entries and min(entries) < 0:  # a scaled entry keeps its sign
                 nonnegative(row, f"A[{i}]")  # raises, naming the entry
+            if not demand:
+                continue  # a vacuous row
+            k = len(self.active)
+            self.active.append(i)
             # over every column: an entry off the kept ones can set the width
             peak = max(entries or (0,))  # faster than default=0
             if keep is not None:
@@ -308,16 +306,15 @@ class EstimatorState:
     for the rest of the run: the same float, with one ``log1p`` and one
     ``expm1`` per column where a column's weights are all equal.
     ``xprime`` is the scaled point L xbar as a pair (P, den) of ints.
-    Deciding and fixing coordinate j touch only the rows in its list, so a
-    full run is O(nnz) float work.  phi() adds the m row terms left to
-    right in a plain ``for`` loop, the same order on every interpreter (the
-    builtin ``sum`` compensates from CPython 3.12 on); with ``traced`` the
-    state keeps each row's term exp(min(E_i, 60)) in ``terms``, and ``fix``
-    refreshes the terms of the rows it touches, so a phi() after every
-    decision adds m floats but calls no exp.
+    The state keeps each row's term exp(min(E_i, 60)) in ``terms``.
+    ``decide(j)`` fixes coordinate j and touches only the rows in its list,
+    so a full run is O(nnz) float work: it refreshes their exponents and
+    terms from the exps it computed to decide.  phi() adds the m terms left
+    to right in a plain ``for`` loop, the same order on every interpreter
+    (the builtin ``sum`` compensates from CPython 3.12 on), and calls no exp.
     """
 
-    def __init__(self, xprime, rows: CoverRows, costs: list[int], c_den: int, L, *, traced=False):
+    def __init__(self, xprime, rows: CoverRows, costs: list[int], c_den: int, L):
         t = math.log(float(L))
         W = rows.width
         # xprime_j = P_j / den, a common denominator though not always the
@@ -352,44 +349,39 @@ class EstimatorState:
                     last_tw, log_bern = tw, log1p(frac * expm1(-tw))
                 exponents[k] = exponents[k] - tw * fl + log_bern
                 column.append((k, tw, log_bern))
-        self.terms = list(map(_row_term, exponents)) if traced else None
+        self.terms = [math.exp(60.0 if e > 60.0 else e) for e in exponents]
 
     def phi(self) -> float:
         cost_term = self.expected_cost / self.cost_denom if self.cost_denom else 0.0
-        terms = map(_row_term, self.exponents) if self.terms is None else self.terms
         total = 0.0  # left to right, not by sum, which compensates from CPython 3.12 on
-        for term in terms:
+        for term in self.terms:
             total += term
         return cost_term + total
 
-    def prefers_ceiling(self, j: int) -> bool:
-        """True iff phi(x_j = floor + 1) < phi(x_j = floor); ties go to the floor."""
+    def decide(self, j: int) -> int:
+        """Fix x_j to the branch of the smaller phi, a tie to the floor, and return it.
+
+        One pass over column j computes both branches' exponents and terms and
+        writes the floor's; the ceiling's overwrite them if it wins.
+        """
         diff = -self.costs[j] / self.cost_denom if self.cost_denom else 0.0
-        exponents = self.exponents
+        exponents, terms = self.exponents, self.terms
+        ceilings = []
         for k, tw, log_bern in self.columns[j]:
             e_floor = exponents[k] - log_bern
             e_ceil = e_floor - tw
             # 60.0 if x > 60.0 else x is min(x, 60.0), a nan included, with no call
-            diff += math.exp(60.0 if e_floor > 60.0 else e_floor) - math.exp(
-                60.0 if e_ceil > 60.0 else e_ceil
-            )
-        return diff > 0.0
-
-    def fix(self, j: int, value: int) -> None:
-        up = value - self.floors[j]
+            floor_term = math.exp(60.0 if e_floor > 60.0 else e_floor)
+            ceil_term = math.exp(60.0 if e_ceil > 60.0 else e_ceil)
+            diff += floor_term - ceil_term
+            exponents[k], terms[k] = e_floor, floor_term
+            ceilings.append((k, e_ceil, ceil_term))
+        up = diff > 0.0
         self.expected_cost += self.costs[j] * (up - self.fracs[j])
-        exponents, terms = self.exponents, self.terms
-        for k, tw, log_bern in self.columns[j]:
-            exponents[k] = exponents[k] - log_bern - tw * up
-        if terms is not None:
-            for k, _, _ in self.columns[j]:
-                e = exponents[k]
-                terms[k] = math.exp(60.0 if e > 60.0 else e)  # _row_term, with no call
-
-
-def _row_term(e: float) -> float:
-    """A row's term of phi: exp(E_i), clamped at exp(60)."""
-    return math.exp(60.0 if e > 60.0 else e)
+        if up:
+            for k, e_ceil, ceil_term in ceilings:
+                exponents[k], terms[k] = e_ceil, ceil_term
+        return self.floors[j] + up
 
 
 def derandomized_round(xbar, A, a, c, L, *, trace_out: list | None = None) -> IntegerVector:
@@ -421,7 +413,7 @@ def _derandomize(xbar, costs, c_den, rows: CoverRows, L: Fraction, trace_out) ->
 
     xprime = [L.numerator * p for p in X], L.denominator * D
     try:
-        state = EstimatorState(xprime, rows, costs, c_den, L, traced=trace_out is not None)
+        state = EstimatorState(xprime, rows, costs, c_den, L)
     except OverflowError as exc:  # ln L, the width or a scaled coordinate
         raise LimitError(f"L, xbar or width beyond the estimator's float range: {exc}") from exc
     phi = state.phi()
@@ -436,9 +428,7 @@ def _derandomize(xbar, costs, c_den, rows: CoverRows, L: Fraction, trace_out) ->
     xhat = state.floors[:]
     for j, frac in enumerate(state.fracs):
         if frac:
-            if state.prefers_ceiling(j):
-                xhat[j] += 1
-            state.fix(j, xhat[j])
+            xhat[j] = state.decide(j)
             if trace_out is not None:
                 phi = state.phi()
         if trace_out is not None:

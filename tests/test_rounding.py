@@ -236,20 +236,21 @@ class TestEstimatorState:
         assert state.phi() == dense_phi(xprime, A, a, c, L, active, W, fixed)
         for j, v in enumerate(xprime):
             fl = math.floor(v)
-            choice = fl
+            choice = fl  # an integral coordinate takes no decision
             if v != fl:
                 branch = {}
                 for value in (fl, fl + 1):
                     fixed[j] = value
                     branch[value] = dense_phi(xprime, A, a, c, L, active, W, fixed)
-                ceiling = state.prefers_ceiling(j)
-                choice = fl + 1 if ceiling else fl
                 margin = abs(branch[fl] - branch[fl + 1])
-                if margin >= 1e-12 * state.phi():
+                before = state.phi()
+                choice = state.decide(j)
+                assert choice in (fl, fl + 1)
+                ceiling = choice == fl + 1
+                if margin >= 1e-12 * before:
                     assert ceiling == (branch[fl + 1] < branch[fl])
                 if not c[j] and not any(A[i][j] for i in active):
                     assert not ceiling  # an exact tie goes to the floor
-            state.fix(j, choice)
             fixed[j] = choice
             reference = dense_phi(xprime, A, a, c, L, active, W, fixed)
             assert state.phi() == pytest.approx(reference, rel=1e-12, abs=0)
@@ -267,8 +268,8 @@ class TestEstimatorState:
         for j in range(inst.n):
             terms = [math.exp(min(e, 60.0)) for e in state.exponents]
             assert state.phi() == _left_to_right(terms)
-            ceiling = state.fracs[j] and state.prefers_ceiling(j)
-            state.fix(j, state.floors[j] + 1 if ceiling else state.floors[j])
+            if state.fracs[j]:
+                state.decide(j)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -329,10 +330,13 @@ def test_estimator_columns_equal_a_per_entry_recomputation(case):
 
 
 def derandomized_cases():
-    """(name, xbar, A, a, c, L) on set covers and random CPIPs at their LP optimum.
+    """(name, xbar, A, a, c, L) on one row, set covers and random CPIPs at their LP optimum.
 
     A set cover's xbar_j is 1 / (smallest row support), so every row is covered.
+    On these every decision takes the floor; the one row x_0 + ... + x_7 >= 1
+    at xbar_j = 1/8 has L xbar_j = 0.47..., so some decisions take the ceiling.
     """
+    yield "one-row 1x8", (F(1, 8),) * 8, [[1] * 8], [1], [1] * 8, compute_scale_factor(1, 1)
     for m, n, density, seed in ((30, 60, 0.1, 0), (50, 100, 0.1, 2), (20, 40, 0.3, 1)):
         inst = gen_set_cover(m, n, density, seed)
         support = min(sum(1 for v in row if v > 0) for row in inst.A)
@@ -360,7 +364,7 @@ def test_traced_and_untraced_round_alike(case):
 
 @pytest.mark.parametrize("case", DERANDOMIZED_CASES.values(), ids=DERANDOMIZED_CASES.keys())
 def test_trace_out_is_phi_recomputed_from_scratch(case, monkeypatch):
-    # a traced state keeps its row terms between decisions; each trace_out
+    # a state keeps its row terms between decisions; each trace_out
     # value must still be the left-to-right sum of exp(min(e, 60)) over the
     # exponents as they stand, plus the cost term; an integral coordinate
     # takes no decision, so the state and phi after it are those before it
@@ -370,18 +374,19 @@ def test_trace_out_is_phi_recomputed_from_scratch(case, monkeypatch):
         cost_term = state.expected_cost / state.cost_denom if state.cost_denom else 0.0
         return cost_term + _left_to_right([math.exp(min(e, 60.0)) for e in state.exponents])
 
-    init, fix = EstimatorState.__init__, EstimatorState.fix
+    init, decide = EstimatorState.__init__, EstimatorState.decide
 
     def init_then_recompute(self, *args, **kwargs):
         init(self, *args, **kwargs)
         recomputed[-1] = phi_from_scratch(self)
 
-    def fix_then_recompute(self, j, value):
-        fix(self, j, value)
+    def decide_then_recompute(self, j):
+        value = decide(self, j)
         recomputed[j] = phi_from_scratch(self)
+        return value
 
     monkeypatch.setattr(EstimatorState, "__init__", init_then_recompute)
-    monkeypatch.setattr(EstimatorState, "fix", fix_then_recompute)
+    monkeypatch.setattr(EstimatorState, "decide", decide_then_recompute)
     xbar, A, a, c, L = case
     trace = []
     derandomized_round(xbar, A, a, c, L, trace_out=trace)
@@ -390,6 +395,27 @@ def test_trace_out_is_phi_recomputed_from_scratch(case, monkeypatch):
         assert (j in recomputed) == ((L * v).denominator > 1)
         want.append(recomputed.get(j, want[-1]))
     assert trace == want and len(set(trace)) > 1
+
+
+@pytest.mark.parametrize("case", DERANDOMIZED_CASES.values(), ids=DERANDOMIZED_CASES.keys())
+def test_every_state_keeps_its_row_terms(case):
+    # with no trace too, each row's term is exp(min(e, 60)) of its exponent,
+    # bit for bit, from construction on and after every decision
+    xbar, A, a, c, L = case
+    X, D = integers(xbar)
+    xprime = [L.numerator * p for p in X], L.denominator * D
+    state = EstimatorState(xprime, CoverRows(A, a, X), *integers(c), L)
+
+    def exact_terms():
+        return [t.hex() for t in state.terms] == [
+            math.exp(min(e, 60.0)).hex() for e in state.exponents
+        ]
+
+    assert exact_terms()
+    for j, frac in enumerate(state.fracs):
+        if frac:
+            state.decide(j)
+            assert exact_terms()
 
 
 # nonzero coordinates (all equal to 1) that the dense estimator gave, at
@@ -1117,6 +1143,9 @@ NEGATIVE = {
     "A": (([[-1, 2]], [1]), "A[0][0] = -1 is negative"),
     "a": (([[1, 2]], [-1]), "a[0] = -1 is negative"),
     "vacuous-row": (([[-1, 2]], [0]), "A[0][0] = -1 is negative"),
+    "vacuous-rational-row": (([[F(-1, 2), 2]], [0]), "A[0][0] = -1/2 is negative"),
+    # a negative demand is named before a negative entry of its row
+    "a-before-A": (([[-1, 2]], [-1]), "a[0] = -1 is negative"),
 }
 #: every public reader of (A, a), called on it
 READERS_OF_A = {
@@ -1333,7 +1362,7 @@ def test_derandomization_check_catches_a_faulty_estimator(monkeypatch, ceiling):
     # x_0 + ... + x_7 >= 1 at xbar_j = 1/8 and L = 3.77..., so each L xbar_j
     # is 0.47...: eight ceilings cost 8 against 2 L c.xbar = 7.55, and eight
     # floors cover nothing
-    monkeypatch.setattr(EstimatorState, "prefers_ceiling", lambda self, j: ceiling)
+    monkeypatch.setattr(EstimatorState, "decide", lambda self, j: self.floors[j] + ceiling)
     L = compute_scale_factor(1, 1)
     with pytest.raises(
         GuaranteeError, match=r"^conditional-probabilities rounding missed a guarantee$"
