@@ -29,8 +29,9 @@ keeps a unit its rows can spare),
 bound, value skip and closed-form last variable (a tie that replaces the
 incumbent, a dropped packing test, a value one too high), which must leave
 its answer as it is, the guided simplex, which must not keep a basis that
-fails its certificate or whose
-point has a negative coordinate, the bounded dual simplex's flip rule,
+fails its certificate or has a value out of its bounds, nor read a
+variable at its bound as 0, the objective row that the exchange of each
+arithmetic updates with the others, the bounded dual simplex's flip rule,
 which both arithmetics share (a flip
 moves the basic values, a breakpoint whose flip would meet the row is not
 passed, nor one without a bound, and a flipped variable enters from its
@@ -116,6 +117,20 @@ RAY = [
     "tests/test_simplex.py::test_ray_of_a_row_above_its_bound",
     "tests/test_simplex.py::test_ratio_test_passes_every_breakpoint_of_an_infeasible_row",
     "tests/test_simplex.py::test_infeasible_box_gives_a_certified_ray",
+]
+
+# the objective row T[m]: a hand-built exact tableau, the exact run against the full-width
+# reference, then the float run's pivots against the exact run's
+OBJECTIVE_ROW = [
+    "tests/test_simplex.py::test_rational_bounds_scale_every_value",
+    "tests/test_simplex.py::test_condensed_tableau_equals_full_reference_on_fixed_cases",
+    "tests/test_simplex.py::test_float_pivot_path_pinned",
+]
+
+# a variable the float run leaves at its bound: a hand-built case, then boxed LPs
+GUIDED = [
+    "tests/test_simplex.py::test_several_duals_take_the_exact_runs",
+    "tests/test_simplex.py::test_guided_equals_cold_on_boxed_lps",
 ]
 
 # rational bounds: the hand-built case first, then boxed LPs against the float run
@@ -435,9 +450,27 @@ MUTANTS = {
     ),
     "guided-keeps-a-negative-point": (
         SIMPLEX,
-        "if min(x, default=ZERO) < 0:",
+        "if t.leaving(False) is not None:",
         "if False:",
         ["tests/test_simplex.py::test_negative_point_falls_back_to_exact"],
+    ),
+    "guided-reads-bounded-variables-at-zero": (
+        SIMPLEX,
+        "new[-1] -= new[j] * self.upper[j]",
+        "pass",
+        GUIDED,
+    ),
+    "exchange-skips-the-objective-row": (
+        SIMPLEX,
+        "for i, row in enumerate(T):\n            if i != r and row[e]:",
+        "for i, row in enumerate(T[:-1]):\n            if i != r and row[e]:",
+        OBJECTIVE_ROW,
+    ),
+    "float-exchange-skips-the-objective-row": (
+        SIMPLEX,
+        "for i, row in enumerate(T):\n            f = row[e]",
+        "for i, row in enumerate(T[:-1]):\n            f = row[e]",
+        OBJECTIVE_ROW,
     ),
     "flip-moves-no-basic-value": (
         SIMPLEX,

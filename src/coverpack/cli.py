@@ -204,16 +204,17 @@ def _report(mode: str, inst: CpipInstance, x, epsilon, **fields) -> SolveReport:
                        violations=check_solution(inst, x, epsilon or 1), **fields)
 
 
-def _lp_report(inst: CpipInstance, args) -> SolveReport:
-    sol = solve_relaxation(inst)
-    return _report("lp", inst, sol.primal, None, fopt=sol.objective_value)
-
-
-def _lp_kc_report(inst: CpipInstance, args) -> SolveReport:
-    loop = solve_lp_kc(inst, args.epsilon)  # the cut loop that --mode strict runs
-    return _report("lp-kc", inst, loop.x, args.epsilon, fopt_kc=loop.round_objectives[-1],
-                   cut_rows_added=loop.cut_rows_added, lp_rounds=len(loop.round_objectives),
-                   pin_sets_seen=loop.pin_sets_seen)
+def _solve_report(inst: CpipInstance, args) -> SolveReport:
+    if args.mode == "lp":
+        sol = solve_relaxation(inst)
+        return _report("lp", inst, sol.primal, None, fopt=sol.objective_value)
+    if args.mode == "lp-kc":
+        loop = solve_lp_kc(inst, args.epsilon)  # the cut loop that --mode strict runs
+        return _report("lp-kc", inst, loop.x, args.epsilon, fopt_kc=loop.round_objectives[-1],
+                       cut_rows_added=loop.cut_rows_added, lp_rounds=len(loop.round_objectives),
+                       pin_sets_seen=loop.pin_sets_seen)
+    solver = solve_cip_strict if args.mode == "strict" else solve_cpip_bicriteria
+    return solver(inst, args.epsilon)[1]
 
 
 def _oracle_report(inst: CpipInstance, args) -> SolveReport:
@@ -254,18 +255,6 @@ def _round_report(inst: CpipInstance, args) -> SolveReport:
                    seed=args.seed if randomized else None, rng=RNG_NAME if randomized else None)
 
 
-def _solve_report(inst: CpipInstance, args) -> SolveReport:
-    if args.mode == "strict":
-        _, report = solve_cip_strict(inst, args.epsilon)
-    elif args.mode == "bicriteria":
-        _, report = solve_cpip_bicriteria(inst, args.epsilon)
-    elif args.mode == "lp":
-        report = _lp_report(inst, args)
-    else:
-        report = _lp_kc_report(inst, args)
-    return report
-
-
 def _cmd_gen(args) -> int:
     family = args.family.upper().replace("-", "_")
     given = {f.name: getattr(args, f.name) for f in fields(GeneratorSpec)[1:]}
@@ -300,6 +289,11 @@ def _cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
+# the subcommands that print their own output, and the report builder of each other one
+_COMMANDS = {"gen": _cmd_gen, "bench": _cmd_bench, "check": _cmd_check}
+_REPORTS = {"solve": _solve_report, "oracle": _oracle_report, "round": _round_report}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -307,20 +301,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.subcommand == "gen":
-            return _cmd_gen(args)
-        if args.subcommand == "bench":
-            return _cmd_bench(args)
-        if args.subcommand == "check":
-            return _cmd_check(args)
+        if args.subcommand in _COMMANDS:
+            return _COMMANDS[args.subcommand](args)
         inst = normalize_width(parse_instance(_read_text(args.input)))
-        if args.subcommand == "solve":
-            report = _solve_report(inst, args)
-        elif args.subcommand == "oracle":
-            report = _oracle_report(inst, args)
-        else:
-            report = _round_report(inst, args)
-        _emit(report, args.output)
+        _emit(_REPORTS[args.subcommand](inst, args), args.output)
         return EXIT_OK
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -58,6 +58,7 @@ from coverpack.model import (
     dot,
     integers,
     is_width_normalized,
+    nonnegative,
 )
 from coverpack.oracle import check_solution
 # solve_lp and verify_certificate are unused here; perfbench/spans.py patches them by name
@@ -139,11 +140,11 @@ def find_violated_kc(
     violated row comes with its exact shortfall a'_F - A'_F x, one
     integer dot product with x over one denominator.  No violated rows
     means x satisfies the cut family required of a (1+eps)-relaxed
-    solution.  x must have one entry per variable.
+    solution.  x must have one nonnegative entry per variable.
     """
     eps = as_epsilon(epsilon)
     n = inst.n
-    X, Dx = integers(as_vector(x, "x", n))
+    X, Dx = integers(nonnegative(as_vector(x, "x", n), "x"))
     system = kc_system(inst, _high_set(X, Dx, inst.d, eps))
     violated = []
     for i, (S, D) in enumerate(system.rows):

@@ -12,7 +12,9 @@ to its other bound without a pivot (Fourer, "Notes on the dual simplex
 method", 1994; Kostina, Math. Methods Oper. Res. 55, 2002).  The tableau
 is condensed (Tucker's Jordan exchange): a basic column is a unit vector,
 so each row stores only the ``n`` nonbasic columns and the rhs, and a
-pivot exchanges the labels of the entering and leaving variables.
+pivot exchanges the labels of the entering and leaving variables.  The
+objective is the last row, ``T[m]``, and every pivot and flip updates it
+as it updates the others.
 
 The rules are written once and run in two arithmetics.  The exact run
 holds a row as ``n + 1`` Python integers over one positive row
@@ -31,12 +33,12 @@ An LP of at least ``GUIDED_MIN_CELLS`` cells (rows times variables) is
 first solved the way exact LP solvers certify a float basis (Dhiflaoui et
 al., SODA 2003; Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 35,
 2007): the same rules run in floats, with ties within ``FLOAT_TIE``, and
-the final basis is solved exactly, by fraction-free (Bareiss) elimination
-on the tight rows and basic structural columns for the point and on their
-transpose for the row duals.  The result is kept only if
+the final basis is pivoted into an exact tableau of the tight rows over
+the basic structural columns, by the exact run's own integer pivots, and
+read as the exact run reads its answer.  The result is kept only if
 ``verify_certificate`` passes; otherwise, and on an infeasible row, the
-pivot cap, a float out of range or a singular basis, the exact run takes
-over.  Unless two floats tie within ``FLOAT_TIE`` where their rationals
+pivot cap, a float out of range, a singular basis or a value out of its
+bounds, the exact run takes over.  Unless two floats tie within ``FLOAT_TIE`` where their rationals
 differ, both runs make the same pivots and flips to the same basis, so the
 guided answer is the exact run's.  The size rule comes from a break-even
 ladder of ``solve_lp`` alone, guided against exact, median of six to ten
@@ -62,7 +64,7 @@ solves on distinct problems are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 from operator import mul
@@ -185,9 +187,8 @@ def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int):
     ``-row[e] * prow[e]``; that is the full tableau's update, which zeroes
     the entering column.  ``p`` and ``f = row[e]`` are first divided by
     their gcd, and where ``p`` becomes 1 the row is not multiplied.  The
-    result, as (integers, positive denominator), is divided by the gcd of
-    its entries and denominator only once the denominator passes
-    ``2**REDUCE_BITS``.
+    result, as (integers, positive denominator), is ``_reduced`` only once
+    the denominator passes ``2**REDUCE_BITS``.
     """
     f = row[e]
     g = gcd(p, f)
@@ -198,16 +199,17 @@ def _eliminate(row: list[int], den: int, prow: list[int], p: int, e: int):
         new = [v * p - f * w for v, w in zip(row, prow)]
         den *= p
     new[e] = -f * prow[e]
-    if den.bit_length() > REDUCE_BITS:
-        g = gcd(den, *new)
-        if g > 1:
-            new = [v // g for v in new]
-            den //= g
-    return new, den
+    return _reduced(new, den) if den.bit_length() > REDUCE_BITS else (new, den)
+
+
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    """A tableau row ``row / den``, divided by the gcd of its entries and ``den``."""
+    g = gcd(den, *row)
+    return ([v // g for v in row], den // g) if g > 1 else (row, den)
 
 
 class _Tableau:
-    """Mutable bounded dual simplex state, exactly: one stored row per user row.
+    """Mutable bounded dual simplex state, exactly: a stored row per user row, then the objective.
 
     The tableau is condensed: only the ``n`` nonbasic columns are stored,
     and ``nonbasic[q]`` is the label of stored column ``q``: ``j`` for a
@@ -217,19 +219,24 @@ class _Tableau:
     ``basis[i]`` holds the dropped unit entry ``den[i] / den[i]``.  Pivots
     are integer-preserving (Edmonds 1967, Bareiss 1968); a rewritten row is
     reduced by the gcd of its entries and denominator once that denominator
-    passes ``2**REDUCE_BITS``.  The objective row ``obj`` over ``obj_den``
-    holds the nonbasic reduced costs.
+    passes ``2**REDUCE_BITS``.  The last row, ``T[m]`` over ``den[m]`` here
+    and ``T[-1]`` in any tableau, is the objective's: the nonbasic reduced
+    costs, with no basic variable.
 
     Every user row is stored once, in ``<=`` form (a ``>=`` row is negated),
     with its slack basic: the basis starts as all slacks.  Bounds stay
     implicit (Dantzig's upper-bounding technique): a nonbasic structural
     sits at 0 or, where ``up[q]``, at its bound, and the last entry of a
     row is the value of its basic variable with every nonbasic at its own
-    value, ``-z`` in ``obj``.  Every value is scaled by ``scale``, the lcm
+    value, ``-z`` in ``T[m]``.  Every value is scaled by ``scale``, the lcm
     of the bounds' denominators, so each bound ``upper[label]`` is an
     integer (None for no bound and for a slack).  The reduced costs start
     as the costs, so with no negative cost the first basis is dual
-    feasible.
+    feasible.  Given a basis's ``tight`` rows, its basic structurals
+    ``cols`` and its variables ``at_bound``, the tableau holds only those
+    rows over those columns, each variable at its bound moved into the rhs
+    as a flip moves it, with every slack basic: ``_guided`` pivots ``cols``
+    in.
 
     The rules are written once, for both arithmetics: values compare by
     cross-multiplying numerators and tie, and count as 0, within ``tie``,
@@ -240,25 +247,28 @@ class _Tableau:
 
     tie = 0
 
-    def __init__(self, p: LpProblem):
+    def __init__(self, p: LpProblem, tight=None, cols=None, at_bound=()):
         n = self.n = len(p.objective)
         m = self.m = len(p.rows)
-        self.nonbasic = list(range(n))
-        self.basis = list(range(n, n + m))
+        tight = range(m) if tight is None else tight
+        self.nonbasic = list(range(n) if cols is None else cols)
+        self.basis = [n + i for i in tight]
         ub = p.var_bounds
         scale = self.scale = lcm(*{u.denominator for u in ub if u is not None})
         self.upper = [None if u is None else u.numerator * (scale // u.denominator) for u in ub]
         self.upper += [None] * m
-        self.up = [False] * n
+        self.up = [False] * len(self.nonbasic)
         self.T: list[list[int]] = []
         self.den: list[int] = []
-        for row, (S, D) in zip(p.rows, p.int_rows):
-            new = list(S) if row.sense == LE else [-v for v in S]
+        C, Dc = integers(p.objective)
+        for i in (*tight, m):  # the objective last, as row m
+            S, D = p.int_rows[i] if i < m else ([*C, 0], Dc)
+            new = list(S) if i == m or p.rows[i].sense == LE else [-v for v in S]
             new[-1] *= scale
-            self.T.append(new)
+            for j in at_bound:  # moved into the rhs at its bound, as a flip moves it
+                new[-1] -= new[j] * self.upper[j]
+            self.T.append(new if cols is None else [new[j] for j in cols] + [new[-1]])
             self.den.append(D)
-        self.obj, self.obj_den = integers(p.objective)
-        self.obj.append(0)
         self.iterations = self.flips = 0
 
     def run(self) -> int:
@@ -280,7 +290,7 @@ class _Tableau:
             if self.iterations >= max_pivots:
                 raise LimitError(f"simplex exceeded {max_pivots} pivots")
             self.iterations += 1
-            degenerate = abs(self.obj[enter]) <= self.tie
+            degenerate = abs(self.T[-1][enter]) <= self.tie
             degenerate_streak = degenerate_streak + 1 if degenerate else 0
             self.flip(flips)
             self.pivot(leave, enter, high)
@@ -295,8 +305,9 @@ class _Tableau:
         """
         n, m, upper, basis, den, tie = self.n, self.m, self.upper, self.basis, self.den, self.tie
         best = None  # (infeasibility over d, d, tie key, Bland key, row, above its bound)
-        for i, row in enumerate(self.T):
-            v, d, b = row[-1], den[i], basis[i]
+        T = self.T
+        for i, b in enumerate(basis):
+            v, d = T[i][-1], den[i]
             if v < -tie:
                 cand = (-v, d, i, b, i, False)
             else:
@@ -336,13 +347,13 @@ class _Tableau:
         entry positive; its ratio is its reduced cost over its entry, both
         read toward its other bound.  The breakpoints are taken least ratio
         first, ties to the lowest label; the ratios share the denominators
-        ``obj_den`` and the row's, so they compare by cross-multiplying
+        of ``T[m]`` and of the row, so they compare by cross-multiplying
         numerators.  One whose variable has a bound is passed, and flipped,
         while the row's value stays below ``-tie`` after its flip; the first
         that is not passed enters (Fourer, 1994; Kostina, 2002).  (-1,
         flips) if every breakpoint is passed: then no point meets the row.
         """
-        obj, nonbasic, upper, up, tie = self.obj, self.nonbasic, self.upper, self.up, self.tie
+        obj, nonbasic, upper, up, tie = self.T[-1], self.nonbasic, self.upper, self.up, self.tie
         breaks = []  # (|entry|, reduced cost toward the other bound, label, column)
         for q, (a, high) in enumerate(zip(lrow, up)):
             if high:
@@ -377,7 +388,7 @@ class _Tableau:
             if u:
                 steps.append((q, u))
         self.flips += len(cols)
-        for row in (*self.T, self.obj) if steps else ():
+        for row in self.T if steps else ():
             for q, u in steps:
                 row[-1] -= row[q] * u
 
@@ -393,26 +404,20 @@ class _Tableau:
         self.basis[r], self.nonbasic[e] = enter, leave
 
     def exchange(self, r: int, e: int) -> int:
-        """A pivot's arithmetic on every row and the objective; the pivot row's new denominator."""
-        prow = self.T[r]
+        """A pivot's arithmetic on every row, the objective's too; the new pivot denominator."""
+        T, dens = self.T, self.den
+        prow = T[r]
         p = prow[e]
-        prow[e] = self.den[r]  # the leaving variable's unit entry
+        prow[e] = dens[r]  # the leaving variable's unit entry
         if p < 0:
             prow = [-v for v in prow]
             p = -p
         if p.bit_length() > REDUCE_BITS:
-            g = gcd(p, *prow)
-            if g > 1:
-                prow = [v // g for v in prow]
-                p //= g
-        self.T[r] = prow
-        self.den[r] = p
-        T, dens = self.T, self.den
+            prow, p = _reduced(prow, p)
+        T[r], dens[r] = prow, p
         for i, row in enumerate(T):
             if i != r and row[e]:
                 T[i], dens[i] = _eliminate(row, dens[i], prow, p, e)
-        if self.obj[e]:
-            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, prow, p, e)
         return p
 
 
@@ -431,9 +436,7 @@ class _FloatTableau(_Tableau):
     def __init__(self, p: LpProblem):
         super().__init__(p)
         self.T = [[v / d for v in row] for row, d in zip(self.T, self.den)]
-        self.den = [1] * self.m
-        self.obj = [v / self.obj_den for v in self.obj]
-        self.obj_den = 1
+        self.den = [1] * len(self.T)
         self.upper = [None if u is None else float(u) for u in self.upper]
 
     def exchange(self, r: int, e: int) -> int:
@@ -447,10 +450,6 @@ class _FloatTableau(_Tableau):
             if i != r and abs(f) > FLOAT_TIE:
                 T[i] = new = [v - f * w for v, w in zip(row, prow)]
                 new[e] = -f * inv
-        f = self.obj[e]
-        if abs(f) > FLOAT_TIE:
-            self.obj = new = [v - f * w for v, w in zip(self.obj, prow)]
-            new[e] = -f * inv
         return 1
 
 
@@ -468,13 +467,14 @@ def solve_lp(p: LpProblem) -> LpSolution:
 
     An LP of at least ``GUIDED_MIN_CELLS`` cells (rows times variables,
     read at call time) is first solved by ``_guided``: the same rules in
-    floats, then the final basis solved exactly and certified by
-    ``verify_certificate``.  Every other LP, and every one ``_guided`` gives
-    up on (an infeasible row, the pivot cap, a float out of range, a
-    singular basis or a failed certificate), runs the exact tableau, the
-    only source of a Farkas ray.  ``iterations`` counts the pivots of the
-    run that found the basis: the float run's on the guided path.  Only a
-    guided result (``guided``) has had its certificate checked here.
+    floats, then the final basis pivoted into an exact tableau, read as the
+    exact run's, and certified by ``verify_certificate``.  Every other LP,
+    and every one ``_guided`` gives up on (an infeasible row, the pivot cap,
+    a float out of range, a singular basis, a value out of its bounds or a
+    failed certificate), runs the exact tableau, the only source of a
+    Farkas ray.  ``iterations`` counts the pivots of the run that found the
+    basis: the float run's on the guided path.  Only a guided result
+    (``guided``) has had its certificate checked here.
     """
     nonnegative(p.objective, "objective")
     if len(p.rows) * len(p.objective) >= GUIDED_MIN_CELLS:
@@ -490,110 +490,74 @@ def solve_lp(p: LpProblem) -> LpSolution:
         return LpSolution(
             "INFEASIBLE", t.iterations, ray_rows=ray_rows, ray_bounds=ray_bounds
         )
+    return _optimum(p, t, [j for j, up in zip(t.nonbasic, t.up) if up], t.iterations)
+
+
+def _optimum(p: LpProblem, t: _Tableau, at_bound: list[int], iterations: int) -> LpSolution:
+    """The optimum of a tableau at an optimal basis, each variable of ``at_bound`` at its bound.
+
+    The point is read off the rows; the duals and the value off ``T[m]``.
+    """
     x = [ZERO] * t.n
     for i, b in enumerate(t.basis):
         if b < t.n:
             x[b] = Fraction(t.T[i][-1], t.den[i] * t.scale)
-    for j, up in zip(t.nonbasic, t.up):
-        if up:
-            x[j] = p.var_bounds[j]
-    dual_rows, dual_bounds = _duals(p, t, t.obj, t.obj_den)
+    for j in at_bound:
+        x[j] = p.var_bounds[j]
+    dual_rows, dual_bounds = _duals(p, t, t.T[-1], t.den[-1])
     return LpSolution(
         "OPTIMAL",
-        t.iterations,
+        iterations,
         primal=FractionalVector(x),
-        objective_value=Fraction(-t.obj[-1], t.obj_den * t.scale),
+        objective_value=Fraction(-t.T[-1][-1], t.den[-1] * t.scale),
         dual_rows=dual_rows,
         dual_bounds=dual_bounds,
     )
 
 
 def _guided(p: LpProblem) -> LpSolution | None:
-    """The float run's optimal basis, solved exactly and certified; None to run exactly.
+    """The float run's optimal basis, made exact and certified; None to run exactly.
 
     The final basis is read off the float tableau: the user rows whose
-    slack is nonbasic, as tight, the variables at their bound, and every
-    other nonbasic structural at 0.  The basic structurals (``cols``) then
-    solve the tight rows' k x k integer system, and the row duals of the
-    tight rows its transpose against the costs of ``cols``: every other row
-    dual is 0, and a bound dual is the reduced cost left at its bound.
-    None on an infeasible row, the pivot cap, a float out of range, a
-    singular basis, a negative point or a failed certificate.
+    slack is nonbasic, as tight, the variables at their bound, and the
+    basic structurals (``cols``), one for each tight row.  An exact
+    ``_Tableau`` of the tight rows over ``cols``, each variable at its bound
+    moved into the rhs, pivots each of ``cols`` in for a slack, and is read
+    by ``_optimum`` as the exact run's is; only the bound duals are summed
+    here.  None on an infeasible row, the pivot cap, a float out of range,
+    a singular basis, a value out of its bounds or a failed certificate.
     """
     try:
-        t = _FloatTableau(p)
-        if t.run() >= 0:
+        f = _FloatTableau(p)
+        if f.run() >= 0:
             return None  # the exact tableau finds the Farkas ray
     except (LimitError, OverflowError):
         return None
-    if not all(map(isfinite, (*t.obj, *(row[-1] for row in t.T)))):
+    if not all(map(isfinite, (*f.T[-1], *(row[-1] for row in f.T)))):
         return None
-    n, m = t.n, t.m
-    tight = [v - n for v in t.nonbasic if v >= n]
-    at_bound = [j for j, up in zip(t.nonbasic, t.up) if up]
-    cols = sorted(b for b in t.basis if b < n)  # one label a row: as many as the tight rows
-    rows = [p.int_rows[i][0] for i in tight]
-    U, Du = integers([p.var_bounds[j] for j in at_bound])
-    # sum over cols of S[j] x_j = S[n] - sum over at_bound of S[j] u_j, times Du
-    rhs = [S[n] * Du - sum(S[j] * u for j, u in zip(at_bound, U)) for S in rows]
-    primal = _fraction_free_solve([[S[j] for j in cols] + [b] for S, b in zip(rows, rhs)])
-    C, Dc = integers(p.objective)
-    # sum over tight rows of w_i S_i[j] = c_j for j in cols, with y_i = w_i D_i
-    weights = _fraction_free_solve([[S[j] for S in rows] + [C[j]] for j in cols])
-    if primal is None or weights is None:
-        return None
-    (X, dx), (Y, dy) = primal, weights
-    x = [ZERO] * n
-    for j, v in zip(cols, X):
-        x[j] = Fraction(v, dx * Du)
-    for j in at_bound:
-        x[j] = p.var_bounds[j]
-    if min(x, default=ZERO) < 0:
-        return None  # not primal feasible, and no FractionalVector
-    y = [ZERO] * m
-    for i, v in zip(tight, Y):
-        y[i] = Fraction(v * p.int_rows[i][1], dy * Dc)
-    z = [ZERO] * n
-    for j in at_bound:  # the reduced cost, over dy * Dc
-        z[j] = Fraction(C[j] * dy - sum(v * S[j] for v, S in zip(Y, rows)), dy * Dc)
-    value = sum(C[j] * v for j, v in zip(cols, X)) + dx * sum(
-        C[j] * u for j, u in zip(at_bound, U)
-    )
-    s = LpSolution(
-        "OPTIMAL",
-        t.iterations,
-        primal=FractionalVector(x),
-        objective_value=Fraction(value, Dc * dx * Du),
-        dual_rows=tuple(y),
-        dual_bounds=tuple(z),
-        guided=True,
-    )
-    return None if verify_certificate(p, s) else s
-
-
-def _fraction_free_solve(M: list[list[int]]) -> tuple[list[int], int] | None:
-    """Solve the k x k integer system whose rows ``M`` hold k coefficients, then the rhs.
-
-    Gauss-Jordan elimination in Bareiss's integer-preserving form: after
-    column ``c`` is eliminated every entry is a minor of ``M`` of order
-    ``c + 1``, so each division by the previous pivot is exact, and each
-    row's diagonal entry is the last pivot ``det``.  The columns already
-    eliminated are not rewritten.  Returns ``(X, det)`` with ``x_i = X[i] /
-    det``, or None if ``M`` is singular.  ``M`` is consumed.
-    """
-    k, prev = len(M), 1
-    for c in range(k):
-        r = next((i for i in range(c, k) if M[i][c]), -1)
+    n = f.n
+    at_bound = [j for j, up in zip(f.nonbasic, f.up) if up]
+    cols = [b for b in f.basis if b < n]
+    t = _Tableau(p, [v - n for v in f.nonbasic if v >= n], cols, at_bound)
+    for e in range(len(cols)):
+        r = next((i for i, b in enumerate(t.basis) if b >= n and t.T[i][e]), -1)
         if r < 0:
-            return None
-        M[c], M[r] = M[r], M[c]
-        p, tail = M[c][c], M[c][c + 1 :]
-        for i, row in enumerate(M):
-            if i != c:
-                f = row[c]
-                row[c + 1 :] = [(p * v - f * w) // prev for v, w in zip(row[c + 1 :], tail)]
-        prev = p
-    return [row[k] for row in M], prev
+            return None  # a singular basis
+        t.pivot(r, e, False)
+    if t.leaving(False) is not None:
+        return None  # a value out of its bounds: not primal feasible
+    s = _optimum(p, t, at_bound, f.iterations)
+    # no structural is nonbasic in t, so _optimum read every bound dual as 0; each
+    # is the reduced cost left at the bound, z_j = c_j - sum over tight rows of y_i S_i[j] / D_i
+    tight = [b - n for b in t.nonbasic]
+    W, Dw = integers([s.dual_rows[i] / p.int_rows[i][1] for i in tight])  # y_i / D_i
+    rows = [p.int_rows[i][0] for i in tight]
+    C, Dc = integers(p.objective)
+    z = [ZERO] * n
+    for j in at_bound:
+        z[j] = Fraction(C[j] * Dw - Dc * sum(w * S[j] for w, S in zip(W, rows)), Dc * Dw)
+    s = replace(s, dual_bounds=tuple(z), guided=True)
+    return None if verify_certificate(p, s) else s
 
 
 def _duals(p: LpProblem, t: _Tableau, vec: list[int], den: int, basic: tuple = ()):

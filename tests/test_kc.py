@@ -266,6 +266,12 @@ class TestFindViolated:
         with pytest.raises(InstanceError, match=f"x has {len(x)} entries, expected 2"):
             find_violated_kc(inst, x, 1)
 
+    def test_negative_point_rejected(self):
+        # check_solution refuses this point in the same words
+        inst = normalize_width(knapsack_gap(F(1, 10)))
+        with pytest.raises(InstanceError, match=r"^x\[0\] = -1 is negative$"):
+            find_violated_kc(inst, [-1, 5], 1)
+
 
 class TestHighSet:
     """The pinned set ``find_violated_kc(inst, x, eps)[0].F``: x_j >= d_j / (1 + eps)."""

@@ -33,7 +33,7 @@ from coverpack.simplex import (
     solve_lp,
     verify_certificate,
 )
-from conftest import F, gauss_solve, lp_rows, vertex_enum_optimum
+from conftest import F, lp_rows, vertex_enum_optimum
 
 
 GAP_DOC = '{"A": [[0.9, 1]], "a": [1], "c": [0, 1], "d": [1, null]}'
@@ -909,14 +909,15 @@ def _assert_condensed_parity(p, bland_after):
     assert (got.ray_rows, got.ray_bounds) == (want.ray_rows, want.ray_bounds)
     # the last tableau too: each stored row's entries and denominator are
     # the full row's, whose basic columns hold den on its own row and 0 off it
-    assert (t.basis, t.den, t.scale) == (full.basis, full.den, full.scale)
+    # the objective is the condensed tableau's last row, T[m] over den[m]
+    assert (t.basis, t.den[:-1], t.scale) == (full.basis, full.den, full.scale)
     assert sorted(t.nonbasic + t.basis) == list(range(t.n + t.m))
     assert _at_bound(t) == full.at_bound
     for crow, frow, b, d in zip(t.T, full.T, t.basis, t.den):
         assert crow == [frow[c] for c in t.nonbasic] + [frow[-1]]
         assert [frow[c] for c in t.basis] == [d if c == b else 0 for c in t.basis]
-    assert t.obj == [full.obj[c] for c in t.nonbasic] + [full.obj[-1]]
-    assert t.obj_den == full.obj_den
+    assert t.T[-1] == [full.obj[c] for c in t.nonbasic] + [full.obj[-1]]
+    assert t.den[-1] == full.obj_den
     assert not any(full.obj[c] for c in t.basis)
     # at the shipped budget a row is reduced only once its denominator
     # grows, so its integers may differ, but not the rationals they stand
@@ -928,7 +929,7 @@ def _assert_condensed_parity(p, bland_after):
         assert [F(v, d) for v in crow] == [F(frow[c], fd) for c in u.nonbasic] + [
             F(frow[-1], fd)
         ]
-    assert [F(v, u.obj_den) for v in u.obj] == [
+    assert [F(v, u.den[-1]) for v in u.T[-1]] == [
         F(full.obj[c], full.obj_den) for c in u.nonbasic
     ] + [F(full.obj[-1], full.obj_den)]
     return got.status
@@ -1299,7 +1300,7 @@ def _run_both(objective, rows, bounds):
     for tableau in (_Tableau, simplex._FloatTableau):
         t = tableau(p)
         end = t.run()
-        values = [F(row[-1]) / (d * t.scale) for row, d in zip((*t.T, t.obj), (*t.den, t.obj_den))]
+        values = [F(row[-1]) / (d * t.scale) for row, d in zip(t.T, t.den)]
         runs.append((end, t.iterations, t.flips, t.basis, _at_bound(t), values))
     assert runs[0] == runs[1]
     return p, end, t
@@ -1310,7 +1311,7 @@ def test_ratio_test_flips_a_bounded_breakpoint():
     # its bound x leaves the row short by 2, so x flips to 1 and y enters
     p, end, t = _run_both([1, 2], [((1, 1), GE, 3)], [1, None])
     assert (end, t.iterations, t.flips, _at_bound(t), t.basis) == (-1, 1, 1, {0}, [1])
-    assert (t.T[0][-1], t.obj[-1]) == (2.0, -5.0)  # the flip moved y's value and z
+    assert (t.T[0][-1], t.T[-1][-1]) == (2.0, -5.0)  # the flip moved y's value and z
     s = simplex._guided(p)
     assert (s.primal.values, s.objective_value, s.dual_rows, s.dual_bounds) == (
         (1, 2), 5, (2,), (-1, 0),
@@ -1332,7 +1333,7 @@ def test_flipped_variable_enters_from_its_bound():
     # then y <= 0 leaves, and y enters from its bound 3 down to 0, so x is 6
     _, end, t = _run_both([1, 0], [((0, 1), LE, 0), ((1, 1), GE, 6)], [None, 3])
     assert (end, t.iterations, t.flips, _at_bound(t), t.basis) == (-1, 2, 1, set(), [1, 0])
-    assert ([row[-1] for row in t.T], t.obj[-1]) == ([0.0, 6.0], -6.0)
+    assert [row[-1] for row in t.T] == [0.0, 6.0, -6.0]  # the objective row last
 
 
 def test_ratio_test_passes_every_breakpoint_of_an_infeasible_row():
@@ -1365,7 +1366,7 @@ def test_rational_bounds_scale_every_value():
     p = LpProblem.from_data([1, 2], [((1, 1), GE, 1)], [F(1, 2), F(2, 3)])
     t = _Tableau(p)
     assert (t.run(), t.scale, t.upper, t.iterations, t.flips) == (-1, 6, [3, 4, None], 1, 1)
-    assert (t.T, t.den, _at_bound(t)) == ([[1, -1, 3]], [1], {0})
+    assert (t.T, t.den, _at_bound(t)) == ([[1, -1, 3], [-1, 2, -9]], [1, 1], {0})
     s = solve_lp(p)
     assert (s.primal.values, s.objective_value, s.dual_rows, s.dual_bounds) == (
         (F(1, 2), F(1, 2)), F(3, 2), (2,), (-1, 0),
@@ -1488,7 +1489,7 @@ class _WrongRatio(simplex._FloatTableau):
     def entering(self, lrow):
         breaks = []
         for q in range(self.n):
-            a, d = lrow[q], self.obj[q]
+            a, d = lrow[q], self.T[-1][q]
             if self.up[q]:
                 a, d = -a, -d
             if a < -simplex.FLOAT_TIE:
@@ -1548,7 +1549,7 @@ def test_float_pivot_cap_falls_back_to_exact(monkeypatch):
 
 def test_singular_basis_falls_back_to_exact(monkeypatch):
     # the second row is twice the first: with both rows tight and both
-    # variables basic the k x k system is singular
+    # variables basic, no row left to pivot on has an entry for the second
     class Singular(simplex._FloatTableau):
         def run(self):
             out = super().run()
@@ -1559,12 +1560,11 @@ def test_singular_basis_falls_back_to_exact(monkeypatch):
     for bound in (F(1, 2), None):
         p = LpProblem.from_data([1, 1], [((1, 1), GE, 1), ((2, 2), GE, 2)], [bound, bound])
         assert _assert_falls_back(p, monkeypatch).status == "OPTIMAL"
-    assert simplex._fraction_free_solve([[1, 1, 1], [2, 2, 2]]) is None
 
 
 def test_negative_point_falls_back_to_exact(monkeypatch):
-    # x0 at its bound 2 overfills the tight row x0 + x1 >= 1, so the basis
-    # solve gives x1 = -1: no primal point, and no FractionalVector
+    # x0 at its bound 2 overfills the tight row x0 + x1 >= 1, so the exact
+    # tableau of the basis reads x1 = -1: a value out of its bounds
     class Overfilled(simplex._FloatTableau):
         def run(self):
             out = super().run()
@@ -1591,19 +1591,3 @@ def test_float_out_of_range_falls_back_to_exact(monkeypatch, objective, row, bou
     s = _assert_falls_back(p, monkeypatch)
     assert s.status == "OPTIMAL" and verify_certificate(p, s) == []
 
-
-def test_fraction_free_solve_equals_fraction_elimination():
-    rng = random.Random(26)
-    for trial in range(300):
-        k = rng.randint(0, 6)
-        M = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k)]
-        if trial % 5 == 0 and k > 1:
-            M[-1] = [2 * v for v in M[0]]  # singular
-        rhs = [rng.randint(-9, 9) for _ in range(k)]
-        want = gauss_solve(M, rhs)
-        got = simplex._fraction_free_solve([row + [b] for row, b in zip(M, rhs)])
-        if want is None:
-            assert got is None
-        else:
-            X, det = got
-            assert [F(v, det) for v in X] == list(want)
